@@ -1,11 +1,9 @@
 """Numerical kernels for pattern-measure enumeration and entropy sums.
 
-Every kernel exists twice: a pure-numpy implementation (``*_np``) and a
-numba-compiled loop. The compiled path is used when numba imports cleanly
-and the environment variable ``FOLNER_ENTROPY_DISABLE_NUMBA`` is not set
-to a truthy value; the unsuffixed names always point at the selected
-implementation. Both variants stay importable so they can be compared
-directly (see ``benchmarks/bench_kernels.py``).
+One vectorised numpy implementation per kernel. The pattern fills
+serve Markov window enumeration and ``window_partition``; window
+entropies of Bernoulli shifts and mixtures come from closed forms and
+need only the entropy reductions.
 
 Pattern arrays are indexed element-major: for window elements listed in
 sorted order, the first element is the most significant base-``m`` digit
@@ -14,28 +12,12 @@ of the pattern index.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 _MAX_SAFE_PATTERNS = 1 << 62
 
-NUMBA_DISABLED = os.environ.get("FOLNER_ENTROPY_DISABLE_NUMBA", "").strip().lower() in (
-    "1",
-    "true",
-    "yes",
-    "on",
-)
-
-if NUMBA_DISABLED:
-    HAS_NUMBA = False
-else:
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:
-        HAS_NUMBA = False
+# numpy is the only backend; the benchmark's environment record still reads this
+HAS_NUMBA = False
 
 
 def _check_size(n_cells: int, length: int) -> int:
@@ -50,7 +32,7 @@ def _check_size(n_cells: int, length: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def iid_pattern_logprobs_np(log_cell: np.ndarray, length: int) -> np.ndarray:
+def iid_pattern_logprobs(log_cell: np.ndarray, length: int) -> np.ndarray:
     """Log-measures of all ``m**length`` patterns under a product measure.
 
     Parameters
@@ -69,27 +51,12 @@ def iid_pattern_logprobs_np(log_cell: np.ndarray, length: int) -> np.ndarray:
     return out
 
 
-def _iid_fill(log_cell, length):
-    m = log_cell.shape[0]
-    total = m**length
-    out = np.empty(total, np.float64)
-    out[0] = 0.0
-    cur = 1
-    for _ in range(length):
-        for i in range(cur - 1, -1, -1):
-            base = out[i]
-            for a in range(m):
-                out[i * m + a] = base + log_cell[a]
-        cur *= m
-    return out
-
-
 # ---------------------------------------------------------------------------
 # stationary Markov measures on d = 1 windows
 # ---------------------------------------------------------------------------
 
 
-def markov_interval_logprobs_np(log_pi: np.ndarray, log_P: np.ndarray, n: int) -> np.ndarray:
+def markov_interval_logprobs(log_pi: np.ndarray, log_P: np.ndarray, n: int) -> np.ndarray:
     """Log-measures of all words on the interval window [0, n).
 
     The word measure is the path product pi(w_0) * prod P(w_i, w_{i+1});
@@ -109,24 +76,7 @@ def markov_interval_logprobs_np(log_pi: np.ndarray, log_P: np.ndarray, n: int) -
     return out
 
 
-def _markov_interval_fill(log_pi, log_P, n):
-    m = log_pi.shape[0]
-    total = m**n
-    out = np.empty(total, np.float64)
-    for a in range(m):
-        out[a] = log_pi[a]
-    cur = m
-    for _ in range(n - 1):
-        for i in range(cur - 1, -1, -1):
-            base = out[i]
-            last = i % m
-            for a in range(m):
-                out[i * m + a] = base + log_P[last, a]
-        cur *= m
-    return out
-
-
-def markov_window_probs_np(pi: np.ndarray, P: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+def markov_window_probs(pi: np.ndarray, P: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Measures of all patterns on a sorted, possibly gapped d = 1 window.
 
     Walks the window left to right keeping a table over (pattern so far,
@@ -160,122 +110,21 @@ def markov_window_probs_np(pi: np.ndarray, P: np.ndarray, offsets: np.ndarray) -
     return W.sum(axis=1)
 
 
-def _markov_window_fill(pi, P, offsets):
-    m = pi.shape[0]
-    k = offsets.shape[0]
-    W = np.zeros((m, m))
-    for a in range(m):
-        W[a, a] = pi[a]
-    pos = offsets[0]
-    for j in range(1, k):
-        target = offsets[j]
-        while pos + 1 < target:
-            W = W @ P
-            pos += 1
-        tmp = W @ P
-        npat = tmp.shape[0]
-        Wn = np.zeros((npat * m, m))
-        for i in range(npat):
-            for b in range(m):
-                Wn[i * m + b, b] = tmp[i, b]
-        W = Wn
-        pos = target
-    out = np.empty(W.shape[0])
-    for i in range(W.shape[0]):
-        s = 0.0
-        for b in range(m):
-            s += W[i, b]
-        out[i] = s
-    return out
-
-
 # ---------------------------------------------------------------------------
 # entropy reductions
 # ---------------------------------------------------------------------------
 
 
-def entropy_from_probs_np(p: np.ndarray) -> float:
+def entropy_from_probs(p: np.ndarray) -> float:
     """Shannon entropy -sum p log p in nats; zero-mass entries contribute 0."""
     p = np.asarray(p, dtype=np.float64)
     q = p[p > 0.0]
     return float(-(q * np.log(q)).sum())
 
 
-def _entropy_from_probs_loop(p):
-    acc = 0.0
-    for i in range(p.shape[0]):
-        v = p[i]
-        if v > 0.0:
-            acc -= v * np.log(v)
-    return acc
-
-
-def entropy_from_logprobs_np(lp: np.ndarray) -> float:
+def entropy_from_logprobs(lp: np.ndarray) -> float:
     """Entropy -sum exp(lp) * lp in nats, skipping lp = -inf entries."""
     lp = np.asarray(lp, dtype=np.float64)
     sel = lp > -np.inf
     q = np.exp(lp[sel])
     return float(-(q * lp[sel]).sum())
-
-
-def _entropy_from_logprobs_loop(lp):
-    acc = 0.0
-    for i in range(lp.shape[0]):
-        v = lp[i]
-        if v > -np.inf:
-            acc -= np.exp(v) * v
-    return acc
-
-
-# ---------------------------------------------------------------------------
-# implementation selection
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-    _iid_fill_jit = njit(cache=True)(_iid_fill)
-    _markov_interval_fill_jit = njit(cache=True)(_markov_interval_fill)
-    _markov_window_fill_jit = njit(cache=True)(_markov_window_fill)
-    _entropy_from_probs_jit = njit(cache=True)(_entropy_from_probs_loop)
-    _entropy_from_logprobs_jit = njit(cache=True)(_entropy_from_logprobs_loop)
-
-    def iid_pattern_logprobs(log_cell, length):
-        log_cell = np.ascontiguousarray(log_cell, dtype=np.float64)
-        _check_size(log_cell.shape[0], length)
-        if length == 0:
-            return np.zeros(1)
-        return _iid_fill_jit(log_cell, length)
-
-    def markov_interval_logprobs(log_pi, log_P, n):
-        log_pi = np.ascontiguousarray(log_pi, dtype=np.float64)
-        log_P = np.ascontiguousarray(log_P, dtype=np.float64)
-        _check_size(log_pi.shape[0], n)
-        if n == 0:
-            return np.zeros(1)
-        return _markov_interval_fill_jit(log_pi, log_P, n)
-
-    def markov_window_probs(pi, P, offsets):
-        pi = np.ascontiguousarray(pi, dtype=np.float64)
-        P = np.ascontiguousarray(P, dtype=np.float64)
-        offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-        _check_size(pi.shape[0], offsets.shape[0])
-        if offsets.shape[0] == 0:
-            return np.ones(1)
-        return _markov_window_fill_jit(pi, P, offsets)
-
-    def entropy_from_probs(p):
-        return float(_entropy_from_probs_jit(np.ascontiguousarray(p, dtype=np.float64)))
-
-    def entropy_from_logprobs(lp):
-        return float(_entropy_from_logprobs_jit(np.ascontiguousarray(lp, dtype=np.float64)))
-
-    iid_pattern_logprobs.__doc__ = iid_pattern_logprobs_np.__doc__
-    markov_interval_logprobs.__doc__ = markov_interval_logprobs_np.__doc__
-    markov_window_probs.__doc__ = markov_window_probs_np.__doc__
-    entropy_from_probs.__doc__ = entropy_from_probs_np.__doc__
-    entropy_from_logprobs.__doc__ = entropy_from_logprobs_np.__doc__
-else:
-    iid_pattern_logprobs = iid_pattern_logprobs_np
-    markov_interval_logprobs = markov_interval_logprobs_np
-    markov_window_probs = markov_window_probs_np
-    entropy_from_probs = entropy_from_probs_np
-    entropy_from_logprobs = entropy_from_logprobs_np

@@ -1,14 +1,16 @@
 """Conditional block entropies, rate traces along box schedules, and verifiers.
 
-The computation strategy is two-tier. Under the pattern cap every block
-entropy is an honest enumeration: all patterns on the window with their
-measures, reduced by the entropy kernels. Above the cap only exact
-structural identities are used (product measures factor over sites;
-mixture patterns have disjoint supports), and systems without such an
-identity raise rather than approximate. Conditioning on a symbol factor
-is evaluated on a finite conditioning window W containing F; for
-product measures that is exact at W = F, for Markov measures it is a
-monotone upper approximation that tightens as W grows.
+Every window entropy has exactly one route, fixed by the system and the
+conditioning. Finite actions use exact partition algebra. Bernoulli
+shifts are closed-form at every window size (a product measure factors
+over sites), and so are mixtures under trivial conditioning (tagged
+supports are disjoint, so H = H(weights) + sum_i w_i H_i). Markov
+windows, and mixtures conditioned on a symbol factor, enumerate all
+patterns under the cap and raise ``EnumerationCapError`` above it.
+Conditioning on a symbol factor is evaluated on a finite conditioning
+window W containing F; for product measures only the factor at F's own
+sites binds, so every such W gives the exact value; for Markov measures
+it is a monotone upper approximation that tightens as W grows.
 """
 
 from __future__ import annotations
@@ -190,38 +192,23 @@ def _shift_block_entropy(
     cells = resolve_cells(system, alpha)
     k = len(F)
     if C.kind == "trivial":
-        if cells.n_cells**k <= cap:
-            if cells.n_cells == system.n_symbols:
-                elements = tuple(sorted(F.elements))
-                return entropy_from_logprobs(symbol_pattern_logprobs(system, elements, cap))
-            return window_partition(system, F, cells, cap).entropy()
         if system.kind == "bernoulli":
             # product measure: patterns factor over sites exactly
             return k * _bernoulli_site_entropy(system, cells)
-        raise EnumerationCapError("pattern cap exceeded")
+        if cells.n_cells**k > cap:
+            raise EnumerationCapError("pattern cap exceeded")
+        if cells.n_cells == system.n_symbols:
+            elements = tuple(sorted(F.elements))
+            return entropy_from_logprobs(symbol_pattern_logprobs(system, elements, cap))
+        return window_partition(system, F, cells, cap).entropy()
     if C.kind == "symbol_factor":
         phi = C.factor_partition(system.alphabet)
         W = _resolve_window(F, conditioning_window)
-        if system.n_symbols ** len(W) <= cap:
-            return _shift_factor_entropy(system, cells, F, phi, W, cap)
         if system.kind == "bernoulli":
             # sites are independent, so only the factor at F's own sites binds
             return k * _bernoulli_site_factor_entropy(system, cells, phi)
-        raise EnumerationCapError("pattern cap exceeded")
+        return _shift_factor_entropy(system, cells, F, phi, W, cap)
     raise IncompatibleSubAlgebraError("incompatible sub-algebra")
-
-
-def _component_block_probs(comp, alpha_i, F: FolnerSubset, cap: int) -> np.ndarray:
-    """One component's pattern/block probability vector on F (no conditioning)."""
-    if isinstance(comp, FinitePMPAction):
-        if alpha_i is None:
-            alpha_i = Partition.points(comp.space)
-        if not isinstance(alpha_i, Partition):
-            raise TypeError("finite systems need a space partition")
-        return _finite_window_join(comp, alpha_i, F).block_masses()
-    if isinstance(comp, ShiftSystem):
-        return window_partition(comp, F, alpha_i, cap).probs
-    raise TypeError("unsupported component kind")
 
 
 def _mixture_block_entropy(
@@ -234,24 +221,11 @@ def _mixture_block_entropy(
 ) -> float:
     alphas = _mixture_alphas(system, alpha)
     if C.kind == "trivial":
-        try:
-            vectors = [
-                _component_block_probs(comp, a, F, cap)
-                for comp, a in zip(system.components, alphas)
-            ]
-            if sum(v.shape[0] for v in vectors) > cap:
-                raise EnumerationCapError("pattern cap exceeded")
-        except EnumerationCapError:
-            # tagged supports are disjoint: H = H(weights) + sum w_i H_i exactly
-            w = system.weights
-            total = entropy_from_probs(w)
-            for comp, a, wi in zip(system.components, alphas, w):
-                total += float(wi) * conditional_block_entropy(comp, a, F, None, None, cap)
-            return total
-        combined = np.concatenate(
-            [float(w) * v for v, w in zip(vectors, system.weights)]
-        )
-        return entropy_from_probs(combined)
+        # tagged supports are disjoint: H = H(weights) + sum w_i H_i exactly
+        total = entropy_from_probs(system.weights)
+        for comp, a, w in zip(system.components, alphas, system.weights):
+            total += float(w) * conditional_block_entropy(comp, a, F, None, None, cap)
+        return total
     if C.kind == "symbol_factor":
         alphabet = system.shared_alphabet()
         phi = C.factor_partition(alphabet)
@@ -297,10 +271,11 @@ def conditional_block_entropy(
     """H(alpha^F | C) in nats: entropy of the window partition given C.
 
     ``alpha^F`` joins the pulled-back copies of ``alpha`` across the
-    window ``F``. Finite systems evaluate it by exact partition algebra;
-    shifts enumerate patterns under the cap and fall back to exact
-    product/mixture factorizations above it (raising
-    ``EnumerationCapError`` when no exact route exists).
+    window ``F``. Finite systems evaluate it by exact partition algebra.
+    Bernoulli shifts and trivially conditioned mixtures use exact
+    product and tagged-split closed forms at every window size. Markov
+    windows enumerate patterns under the cap and raise
+    ``EnumerationCapError`` above it.
     ``conditioning_window`` (default F) is where a symbol factor is
     read; enlarging it never increases the result.
     """

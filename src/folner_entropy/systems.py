@@ -7,14 +7,16 @@ drives:
   finite space; windows act through partition joins, everything exact.
 - ``ShiftSystem``: the full shift over a finite alphabet with either a
   product (any d) or a stationary Markov (d = 1) measure; window
-  measures come from the enumeration kernels.
+  measures come from the numpy enumeration kernels.
 - ``MixtureSystem``: a tagged disjoint union with positive weights;
   measures are weight-combined componentwise.
 
 Two routes to every measure are kept deliberately separate:
 ``cylinder_measure`` computes one word's mass by explicit products and
 gap sums (oracle-grade, slow), while ``window_partition`` enumerates the
-whole pattern space through the compiled kernels.
+whole pattern space through the numpy kernels. Window entropies of
+product measures and mixtures do not enumerate at all; the engine
+evaluates them in closed form.
 """
 
 from __future__ import annotations
@@ -199,25 +201,27 @@ class SymbolPartition:
         return f"SymbolPartition({self.n_cells} cells / {len(self.alphabet)} symbols)"
 
 
-def stationary_vector(P: np.ndarray, tol: float = 1e-13, max_iter: int = 200000) -> np.ndarray:
-    """Stationary row vector of a stochastic matrix by iterated multiplication.
+def stationary_vector(P: np.ndarray) -> np.ndarray:
+    """Stationary row vector of a stochastic matrix by a direct linear solve.
 
-    Iterates v <- vP from the uniform vector until the residual
-    max |vP - v| drops to ``tol``. Periodic chains never settle and
-    raise instead of looping forever.
+    Solves pi (P - I) = 0 together with sum(pi) = 1, which works for
+    periodic chains as well. Raises ``ValueError`` when the solution is
+    not unique, i.e. when the stacked system [P^T - I; 1] has rank
+    below the number of states (a chain with several closed classes).
     """
     P = np.asarray(P, dtype=np.float64)
     n = P.shape[0]
     if P.ndim != 2 or P.shape[1] != n:
         raise ValueError("square matrix required")
-    v = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        w = v @ P
-        w = w / w.sum()
-        if float(np.max(np.abs(w @ P - w))) <= tol:
-            return w
-        v = w
-    raise ValueError("stationary vector iteration did not converge")
+    A = np.vstack([P.T - np.eye(n), np.ones((1, n))])
+    b = np.zeros(n + 1)
+    b[n] = 1.0
+    pi, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
+    if rank < n:
+        raise ValueError("stationary vector is not unique")
+    # transient states solve to zero up to roundoff, which may be negative
+    pi = np.maximum(pi, 0.0)
+    return pi / pi.sum()
 
 
 class ShiftSystem:
@@ -281,9 +285,9 @@ def markov_shift(
 ) -> ShiftSystem:
     """Stationary Markov shift on alphabet^Z (d = 1 only).
 
-    ``pi`` may be None, in which case the stationary vector is computed
-    from ``P`` by iterated multiplication; a supplied ``pi`` must be
-    stationary within ``stationarity_tol``.
+    ``pi`` may be None, in which case the unique stationary vector is
+    solved from ``P`` (see :func:`stationary_vector`); a supplied ``pi``
+    must be stationary within ``stationarity_tol``.
     """
     P = np.array(P, dtype=np.float64)
     m = P.shape[0]
@@ -750,7 +754,7 @@ def window_partition(system, F: FolnerSubset, alpha=None, cap: int = DEFAULT_PAT
 
     For a shift system this is the weighted partition alpha^F: every
     assignment of ``alpha``-cells to window elements, with its cylinder
-    measure, enumerated through the compiled kernels. For mixtures of
+    measure, enumerated through the numpy kernels. For mixtures of
     shifts the result is tagged by component. The pattern count
     n_cells^|F| (per component) is capped.
     """

@@ -313,6 +313,15 @@ def test_bad_transition_rows_rejected(tmp_path):
     assert "sum" in json.loads(r.stdout)["error"]["message"]
 
 
+def test_chain_without_unique_stationary_vector_rejected(tmp_path):
+    cfg = dict(MARKOV_CFG)
+    cfg["system"] = {"kind": "markov", "P": [[1.0, 0.0], [0.0, 1.0]]}
+    path = write_cfg(tmp_path, cfg)
+    r = run_cli(["rate", "--config", path, "--out", str(tmp_path)])
+    assert r.returncode == 2
+    assert "not unique" in json.loads(r.stdout)["error"]["message"]
+
+
 def test_unknown_system_kind_rejected(tmp_path):
     cfg = {"schema": 1, "system": {"kind": "sofic"}, "schedule": {"sides": [1, 2]}}
     path = write_cfg(tmp_path, cfg)

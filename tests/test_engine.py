@@ -6,6 +6,7 @@ stationary chain formula H(pi) + (n-1) H(P | pi) assembled by hand
 here, mixtures against H(weights) + sum w_i H_i.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from folner_entropy import (
     SymbolPartition,
     bernoulli_shift,
     conditional_block_entropy,
+    cylinder_measure,
     entropy_rate,
     h_conditional,
     markov_shift,
@@ -31,6 +33,7 @@ from folner_entropy import (
     verify_chain_exhaustion,
     verify_entropy_identities,
     verify_rate_inequalities,
+    window_partition,
 )
 from folner_entropy.engine import (
     IDENTITY_PROPERTY_LABELS,
@@ -98,6 +101,96 @@ def test_mixture_block_dual_route():
     assert conditional_block_entropy(mx, None, F, cap=2**4) == pytest.approx(
         closed, abs=1e-12
     )
+
+
+def _shannon(masses):
+    q = np.array([v for v in masses if v > 0.0])
+    return float(-(q * np.log(q)).sum())
+
+
+def _factor_oracle(system, cells, factor_map, F, W):
+    """H(alpha^F | phi^W) from the cylinder measure of every symbol word on W."""
+    elems = sorted(W.elements)
+    at_F = [elems.index(e) for e in sorted(F.elements)]
+    joint, marginal = {}, {}
+    for word in itertools.product(system.alphabet, repeat=len(elems)):
+        mass = cylinder_measure(system, W, dict(zip(elems, word)))
+        fkey = tuple(factor_map[s] for s in word)
+        akey = tuple(cells.cell_index(word[j]) for j in at_F)
+        joint[akey, fkey] = joint.get((akey, fkey), 0.0) + mass
+        marginal[fkey] = marginal.get(fkey, 0.0) + mass
+    return _shannon(joint.values()) - _shannon(marginal.values())
+
+
+def _bernoulli_full_cells():
+    b = bernoulli_shift([0.3, 0.7], d=2)
+    F = FolnerSubset.box(2, 3)
+    return conditional_block_entropy(b, None, F), window_partition(b, F).entropy()
+
+
+def _bernoulli_coarse_cells():
+    b = bernoulli_shift([0.5, 0.2, 0.3])
+    cells = SymbolPartition(b.alphabet, [[0], [1, 2]])
+    F = FolnerSubset.interval(0, 6)
+    return conditional_block_entropy(b, cells, F), window_partition(b, F, cells).entropy()
+
+
+def _bernoulli_factor(cell_blocks):
+    def case():
+        b = bernoulli_shift([0.4, 0.1, 0.2, 0.3])
+        cells = SymbolPartition(b.alphabet, cell_blocks)
+        factor_map = {0: 0, 1: 0, 2: 1, 3: 1}
+        F = FolnerSubset([(0,), (2,)], 1)
+        W = FolnerSubset.interval(-1, 4)
+        closed = conditional_block_entropy(
+            b, cells, F, SubAlgebraSpec.symbol_factor(factor_map), conditioning_window=W
+        )
+        return closed, _factor_oracle(b, cells, factor_map, F, W)
+
+    return case
+
+
+def _shift_mixture():
+    mx = mixture([bernoulli_shift([0.3, 0.7]), markov_shift(PI, P)], [0.4, 0.6])
+    F = FolnerSubset.interval(0, 6)
+    return conditional_block_entropy(mx, None, F), window_partition(mx, F).entropy()
+
+
+def _finite_mixture():
+    s1 = FiniteProbabilitySpace(range(5), [0.1, 0.3, 0.2, 0.2, 0.2])
+    rot = FinitePMPAction(FiniteProbabilitySpace(range(5), [0.2] * 5), [(1, 2, 3, 4, 0)])
+    cycle = FinitePMPAction(s1, [(0, 1, 3, 4, 2)])
+    mx = mixture([rot, cycle], [0.35, 0.65])
+    alphas = [
+        Partition(rot.space, [[0, 1], [2, 3, 4]]),
+        Partition(s1, [[0, 3], [1, 2, 4]]),
+    ]
+    union = mx.as_finite_action()
+    # each union block lies inside one tag, so the tag is part of alpha^F
+    union_alpha = Partition(
+        union.space, [[(i, a) for a in block] for i, p in enumerate(alphas) for block in p.blocks]
+    )
+    F = FolnerSubset.interval(0, 3)
+    return (
+        conditional_block_entropy(mx, alphas, F),
+        conditional_block_entropy(union, union_alpha, F),
+    )
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param(_bernoulli_full_cells, id="bernoulli-full"),
+        pytest.param(_bernoulli_coarse_cells, id="bernoulli-coarse"),
+        pytest.param(_bernoulli_factor([[0], [1], [2], [3]]), id="bernoulli-factor-full"),
+        pytest.param(_bernoulli_factor([[0, 1, 2], [3]]), id="bernoulli-factor-coarse"),
+        pytest.param(_shift_mixture, id="shift-mixture"),
+        pytest.param(_finite_mixture, id="finite-mixture"),
+    ],
+)
+def test_closed_forms_match_independent_oracles(case):
+    closed, oracle = case()
+    assert closed == pytest.approx(oracle, abs=1e-12)
 
 
 # -- symbol-factor conditioning --------------------------------------------------

@@ -1,10 +1,9 @@
-"""Kernel pair equivalence: the compiled and pure-numpy implementations
-must agree to the last bit on shared inputs, and the environment flag
-must force the numpy path."""
+"""Numpy kernels: pattern order, zero-mass cells, total mass, gapped and
+contiguous Markov windows agreeing, frozen entropy values, and the
+pattern-space overflow guard. Path products are recomputed here word by
+word as the reference."""
 
-import os
-import subprocess
-import sys
+import itertools
 
 import numpy as np
 import pytest
@@ -17,16 +16,15 @@ LOG_HALF = np.log(0.5)
 def test_iid_logprobs_uniform_pair():
     log_cell = np.log(np.array([0.5, 0.5]))
     for length in range(0, 8):
-        jit = K.iid_pattern_logprobs(log_cell, length)
-        ref = K.iid_pattern_logprobs_np(log_cell, length)
-        assert jit.shape == (2**length,)
-        np.testing.assert_array_equal(jit, ref)
+        out = K.iid_pattern_logprobs(log_cell, length)
+        assert out.shape == (2**length,)
+        np.testing.assert_allclose(out, length * LOG_HALF, rtol=0, atol=1e-15)
 
 
 def test_iid_logprobs_element_major_order():
     # first window element is the most significant digit
     log_cell = np.log(np.array([0.2, 0.8]))
-    out = K.iid_pattern_logprobs_np(log_cell, 2)
+    out = K.iid_pattern_logprobs(log_cell, 2)
     expected = np.array(
         [2 * np.log(0.2), np.log(0.2) + np.log(0.8), np.log(0.8) + np.log(0.2), 2 * np.log(0.8)]
     )
@@ -47,10 +45,13 @@ def test_markov_interval_pair_and_total_mass():
     with np.errstate(divide="ignore"):
         lpi, lP = np.log(pi), np.log(P)
     for n in range(0, 7):
-        jit = K.markov_interval_logprobs(lpi, lP, n)
-        ref = K.markov_interval_logprobs_np(lpi, lP, n)
-        np.testing.assert_array_equal(jit, ref)
-        assert abs(np.exp(ref).sum() - 1.0) < 1e-12
+        out = K.markov_interval_logprobs(lpi, lP, n)
+        assert out.shape == (2**n,)
+        assert abs(np.exp(out).sum() - 1.0) < 1e-12
+        # element-major path products, word by word
+        for idx, word in enumerate(itertools.product(range(2), repeat=n)):
+            ref = 1.0 if n == 0 else pi[word[0]] * np.prod([P[a, b] for a, b in zip(word, word[1:])])
+            assert np.exp(out[idx]) == pytest.approx(ref, rel=1e-14, abs=0)
 
 
 def test_markov_window_pair_gapped():
@@ -58,18 +59,21 @@ def test_markov_window_pair_gapped():
     pi = np.array([2 / 3, 1 / 3])
     for offsets in ([0], [0, 1], [0, 2], [0, 3, 7], [1, 4], []):
         off = np.array(offsets, dtype=np.int64)
-        jit = K.markov_window_probs(pi, P, off)
-        ref = K.markov_window_probs_np(pi, P, off)
-        np.testing.assert_array_equal(jit, ref)
-        assert abs(ref.sum() - 1.0) < 1e-12
+        out = K.markov_window_probs(pi, P, off)
+        assert out.shape == (2 ** len(offsets),)
+        assert abs(out.sum() - 1.0) < 1e-12
+    # a gap is the interval measure with the skipped site summed out
+    interval = K.markov_window_probs(pi, P, np.arange(3, dtype=np.int64)).reshape(2, 2, 2)
+    gapped = K.markov_window_probs(pi, P, np.array([0, 2], dtype=np.int64))
+    np.testing.assert_allclose(gapped, interval.sum(axis=1).ravel(), rtol=0, atol=1e-15)
 
 
 def test_markov_window_matches_interval_when_contiguous():
     P = np.array([[0.7, 0.3], [0.4, 0.6]])
     pi = np.array([4 / 7, 3 / 7])
     with np.errstate(divide="ignore"):
-        interval = np.exp(K.markov_interval_logprobs_np(np.log(pi), np.log(P), 4))
-    window = K.markov_window_probs_np(pi, P, np.arange(4, dtype=np.int64))
+        interval = np.exp(K.markov_interval_logprobs(np.log(pi), np.log(P), 4))
+    window = K.markov_window_probs(pi, P, np.arange(4, dtype=np.int64))
     np.testing.assert_allclose(window, interval, rtol=0, atol=1e-15)
 
 
@@ -85,23 +89,6 @@ def test_entropy_from_probs_oracle():
     assert K.entropy_from_probs(np.array([])) == 0.0
 
 
-def test_entropy_pair_agreement():
-    # summation order differs (pairwise vs sequential), so agreement is
-    # to accumulation roundoff, not bitwise
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        p = rng.random(rng.integers(1, 40))
-        p[rng.random(p.shape[0]) < 0.2] = 0.0
-        assert K.entropy_from_probs(p) == pytest.approx(
-            K.entropy_from_probs_np(p), rel=1e-13, abs=1e-13
-        )
-        with np.errstate(divide="ignore"):
-            lp = np.log(p / p.sum()) if p.sum() > 0 else np.full(p.shape, -np.inf)
-        assert K.entropy_from_logprobs(lp) == pytest.approx(
-            K.entropy_from_logprobs_np(lp), rel=1e-13, abs=1e-13
-        )
-
-
 def test_entropy_from_logprobs_consistency():
     p = np.array([0.5, 0.25, 0.25])
     lp = np.log(p)
@@ -110,21 +97,4 @@ def test_entropy_from_logprobs_consistency():
 
 def test_pattern_space_overflow_guard():
     with pytest.raises(OverflowError):
-        K.iid_pattern_logprobs_np(np.zeros(3), 64)
-
-
-def test_env_flag_forces_numpy_path():
-    env = dict(os.environ)
-    env["FOLNER_ENTROPY_DISABLE_NUMBA"] = "1"
-    code = (
-        "import folner_entropy._kernels as k;"
-        "assert not k.HAS_NUMBA;"
-        "assert k.entropy_from_probs is k.entropy_from_probs_np;"
-        "assert k.iid_pattern_logprobs is k.iid_pattern_logprobs_np;"
-        "print('numpy-path')"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "numpy-path"
+        K.iid_pattern_logprobs(np.zeros(3), 64)

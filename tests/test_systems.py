@@ -58,7 +58,14 @@ def test_stationary_vector_power_iteration():
     assert np.abs(w @ P_HALF - w).max() <= 1e-13
     np.testing.assert_allclose(w, PI_EXACT, atol=5e-13)
     with pytest.raises(ValueError):
-        stationary_vector(np.array([[0.5, 0.5], [0.5, 0.5]]), max_iter=0)
+        stationary_vector(np.eye(2))  # every vector is stationary
+
+
+def test_stationary_vector_periodic_chain():
+    # period 2: iterating v <- vP oscillates, the linear solve does not
+    P = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    mk = markov_shift(None, P)
+    np.testing.assert_allclose(mk.pi, [0.5, 0.25, 0.25], rtol=0, atol=1e-14)
 
 
 def test_markov_shift_validation():
