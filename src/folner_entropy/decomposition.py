@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .engine import ConvergenceReport, RateTrace, entropy_rate
 from .groups import FolnerSequence
 from .spaces import (
@@ -48,12 +50,13 @@ def fixed_partition_witness(system: FinitePMPAction, C: Partition) -> Optional[d
         raise TypeError("finite systems need a space partition")
     if not same_space(C.space, system.space):
         raise SpaceMismatchError("space mismatch")
-    idx = system.space.index
-    for gi, g in enumerate(system.generators):
-        for block in C.blocks:
-            image = {g[idx(a)] for a in block}
-            if image != {idx(a) for a in block}:
-                return {"generator": gi, "block": list(block)}
+    labels = C.labels()
+    for gi, g in enumerate(system._gens):
+        # a block moves iff one of its atoms is sent out of it; the
+        # first such block in canonical order has the smallest label
+        moved = labels[labels[g] != labels]
+        if moved.size:
+            return {"generator": gi, "block": list(C.blocks[int(moved.min())])}
     return None
 
 
@@ -77,26 +80,22 @@ def is_fixed_partition(system, C) -> bool:
 
 
 def orbit_partition(system: FinitePMPAction) -> Partition:
-    """Finest fixed partition: the orbits of the generated group."""
+    """Finest fixed partition: the orbits of the generated group.
+
+    Every atom is labelled by the smallest atom index on its orbit. For
+    one generator g that is a cycle minimum, found by doubling: after
+    round s, ``low[j]`` is the minimum over j's first 2^s images under
+    g. The generators commute, so sweeping them one after another
+    reaches every g_1^a_1 ... g_d^a_d j, i.e. the whole orbit.
+    """
     n = len(system.space)
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for g in system.generators:
-        for j in range(n):
-            a, b = find(j), find(g[j])
-            if a != b:
-                parent[a] = b
-    groups: dict = {}
-    ids = system.space.atom_ids
-    for j in range(n):
-        groups.setdefault(find(j), []).append(ids[j])
-    return Partition(system.space, groups.values())
+    low = np.arange(n)
+    for g in system._gens:
+        step = g
+        for _ in range(max(1, (n - 1).bit_length())):
+            low = np.minimum(low, low[step])
+            step = step[step]
+    return Partition.from_labels(system.space, low)
 
 
 @dataclass(frozen=True)
@@ -116,11 +115,7 @@ class ErgodicComponents:
 
 
 def _finite_component_ergodic(action: FinitePMPAction) -> bool:
-    orbits = orbit_partition(action)
-    positive = [
-        b for b in orbits.blocks if action.space.mass_of(b) > 0.0
-    ]
-    return len(positive) <= 1
+    return int((orbit_partition(action).block_masses() > 0.0).sum()) <= 1
 
 
 def ergodic_components(system) -> ErgodicComponents:
@@ -155,14 +150,12 @@ def restrict_action(system: FinitePMPAction, fiber: FiniteProbabilitySpace) -> F
     the original ones divided by one common block mass, hence preserved
     bit-exactly.
     """
-    idx_in_space = [system.space.index(a) for a in fiber.atom_ids]
-    pos = {j: p for p, j in enumerate(idx_in_space)}
-    gens = []
-    for g in system.generators:
-        try:
-            gens.append(tuple(pos[g[j]] for j in idx_in_space))
-        except KeyError:
-            raise ValueError("block is not invariant under the action") from None
+    idx_in_space = np.array([system.space.index(a) for a in fiber.atom_ids], dtype=np.int64)
+    pos = np.full(len(system.space), -1, dtype=np.int64)
+    pos[idx_in_space] = np.arange(len(idx_in_space))
+    gens = [pos[g[idx_in_space]] for g in system._gens]
+    if any((g < 0).any() for g in gens):
+        raise ValueError("block is not invariant under the action")
     return FinitePMPAction(fiber, gens)
 
 

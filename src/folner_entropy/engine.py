@@ -27,10 +27,11 @@ from .spaces import (
     FiniteProbabilitySpace,
     Partition,
     SpaceMismatchError,
+    _join_rows,
+    _pullback,
     conditional_entropy,
     entropy,
     join,
-    join_all,
     same_space,
 )
 from .systems import (
@@ -111,7 +112,11 @@ def _finite_window_join(system: FinitePMPAction, alpha: Partition, F: FolnerSubs
         raise ValueError("dimension mismatch")
     if len(F) == 0:
         return Partition.trivial(system.space)
-    return join_all([act(system, neg(g), alpha) for g in sorted(F.elements)])
+    # the row of g is alpha's labels pulled back through T_g: T_{-g} alpha
+    labels, k = alpha.labels(), alpha.n_blocks
+    return _join_rows(
+        system.space, ((labels[system.atom_map(g)], k) for g in sorted(F.elements))
+    )
 
 
 def _finite_block_entropy(system: FinitePMPAction, alpha, F, C: SubAlgebraSpec) -> float:
@@ -485,14 +490,16 @@ class IdentityReport:
 
 
 def _permute_partition(space: FiniteProbabilitySpace, perm, part: Partition) -> Partition:
-    perm = tuple(int(p) for p in perm)
-    if sorted(perm) != list(range(len(space))):
+    """Image of ``part`` under atom i -> perm[i]: labels pulled back through the inverse."""
+    perm = np.array(perm, dtype=np.int64)
+    ident = np.arange(len(space))
+    if perm.shape != ident.shape or not (np.sort(perm) == ident).all():
         raise ValueError("not a permutation")
-    for i, j in enumerate(perm):
-        if space.masses[i] != space.masses[j]:
-            raise ValueError("map does not preserve the measure")
-    ids = space.atom_ids
-    return Partition(space, [[ids[perm[space.index(a)]] for a in block] for block in part.blocks])
+    if (space.masses[perm] != space.masses).any():
+        raise ValueError("map does not preserve the measure")
+    inverse = np.empty_like(perm)
+    inverse[perm] = ident
+    return _pullback(part, inverse)
 
 
 def verify_entropy_identities(
@@ -707,12 +714,9 @@ class ExhaustionReport:
 
 
 def _separates(part: Partition) -> bool:
-    masses = part.space.masses
-    for block in part.blocks:
-        positive = sum(1 for a in block if masses[part.space.index(a)] > 0.0)
-        if positive > 1:
-            return False
-    return True
+    """True iff no block holds two positive-mass atoms."""
+    positive = part.labels()[part.space.masses > 0.0]
+    return bool(np.bincount(positive).max() <= 1)
 
 
 def verify_chain_exhaustion(

@@ -1,9 +1,13 @@
 """Finite probability spaces, measurable partitions, and exact entropy algebra.
 
-Everything here is desk-scale and exact: spaces are ordered finite atom
-lists with float64 masses, partitions are block families kept in a
-canonical order, and the entropy operations implement the positive-mass
-conventions (0 log 0 = 0, zero-mass fibers skipped) directly.
+Everything here is exact: spaces are ordered finite atom lists with
+float64 masses, and a partition is one canonical label array over the
+atoms. Joins, pullbacks and block masses are array operations on those
+labels; block tuples are derived only where a caller asks for them.
+Every subset mass, block masses included, is one numpy sum over an
+ascending index array, so the same subset always gets the same float.
+The entropy operations implement the positive-mass conventions
+(0 log 0 = 0, zero-mass fibers skipped) directly.
 """
 
 from __future__ import annotations
@@ -105,63 +109,95 @@ def _require_same_space(alpha: "Partition", beta: "Partition") -> None:
 class Partition:
     """Measurable partition of a finite space into disjoint covering blocks.
 
-    Blocks are stored in a canonical order: atoms within a block follow
-    the space's atom order, and blocks are ordered by their smallest
-    contained atom. Equal partitions therefore compare and hash equal
-    regardless of how their blocks were listed.
+    The one stored form is a label array: ``labels()[i]`` is the index
+    of the block holding the i-th atom. Labels are canonical, numbered
+    in order of first occurrence, so blocks are ordered by their
+    smallest contained atom. Equal partitions therefore have equal
+    label arrays, and compare and hash equal, regardless of how their
+    blocks or labels were listed. The block tuples (atoms in the
+    space's order) are derived from the labels on first use and cached.
     """
 
-    __slots__ = ("space", "blocks", "_labels")
+    __slots__ = ("space", "_labels", "_k", "_order", "_ends", "_blocks")
 
     def __init__(self, space: FiniteProbabilitySpace, blocks: Iterable[Iterable[AtomId]]):
+        index = space.index
+        labels = [0] * len(space)
         seen: set[int] = set()
-        canon = []
-        for raw in blocks:
-            idx = sorted(space.index(a) for a in raw)
+        for j, raw in enumerate(blocks):
+            idx = [index(a) for a in raw]
             if not idx:
                 raise ValueError("empty block")
-            if seen.intersection(idx):
+            members = set(idx)
+            if len(members) != len(idx) or not seen.isdisjoint(members):
                 raise ValueError("blocks overlap")
-            seen.update(idx)
-            canon.append(idx)
-        if len(seen) != len(space):
-            raise ValueError("blocks must cover the space")
-        canon.sort(key=lambda idx: idx[0])
-        labels = np.empty(len(space), dtype=np.int64)
-        for j, idx in enumerate(canon):
+            seen |= members
             for i in idx:
                 labels[i] = j
-        labels.flags.writeable = False
+        if len(seen) != len(space):
+            raise ValueError("blocks must cover the space")
+        self._assign(space, np.array(labels, dtype=np.int64))
+
+    def _assign(self, space: FiniteProbabilitySpace, codes: np.ndarray) -> None:
         self.space = space
-        self.blocks = tuple(tuple(space.atom_ids[i] for i in idx) for idx in canon)
-        self._labels = labels
+        self._labels, self._k = _canonical(codes)
+        self._labels.flags.writeable = False
+        self._order = self._ends = self._blocks = None
+
+    @classmethod
+    def _from_codes(cls, space: FiniteProbabilitySpace, codes: np.ndarray) -> "Partition":
+        """Partition grouping atoms by equal integer codes (no validation)."""
+        self = object.__new__(cls)
+        self._assign(space, codes)
+        return self
 
     @classmethod
     def points(cls, space: FiniteProbabilitySpace) -> "Partition":
         """The partition into single atoms."""
-        return cls(space, [[a] for a in space.atom_ids])
+        return cls._from_codes(space, np.arange(len(space)))
 
     @classmethod
     def trivial(cls, space: FiniteProbabilitySpace) -> "Partition":
         """The one-block partition {X}."""
-        return cls(space, [space.atom_ids])
+        return cls._from_codes(space, np.zeros(len(space), dtype=np.int64))
 
     @classmethod
-    def from_labels(cls, space: FiniteProbabilitySpace, labels: Sequence[int]) -> "Partition":
+    def from_labels(cls, space: FiniteProbabilitySpace, labels: Sequence) -> "Partition":
         """Partition grouping atoms by equal labels (aligned with atom order)."""
         if len(labels) != len(space):
             raise ValueError("labels must align with atoms")
-        groups: dict = {}
-        for a, lab in zip(space.atom_ids, labels):
-            groups.setdefault(lab, []).append(a)
-        return cls(space, groups.values())
+        codes = np.asarray(labels)
+        if codes.ndim != 1 or codes.dtype.kind not in "biu":
+            first: dict = {}
+            codes = np.array([first.setdefault(lab, len(first)) for lab in labels], dtype=np.int64)
+        return cls._from_codes(space, codes)
 
     @property
     def n_blocks(self) -> int:
-        return len(self.blocks)
+        return self._k
+
+    @property
+    def blocks(self) -> tuple:
+        """Blocks as atom-id tuples, in canonical order (derived, cached)."""
+        if self._blocks is None:
+            order, ends = self._members()
+            ids = self.space.atom_ids
+            atoms = [ids[i] for i in order.tolist()]
+            self._blocks = tuple(
+                tuple(atoms[start:end]) for start, end in zip([0] + ends, ends)
+            )
+        return self._blocks
+
+    def _members(self) -> tuple:
+        """Atom indices grouped by block, ascending inside each block, and
+        the end offset of every block in that array."""
+        if self._order is None:
+            self._order = self._labels.argsort(kind="stable")
+            self._ends = np.bincount(self._labels, minlength=self._k).cumsum().tolist()
+        return self._order, self._ends
 
     def __len__(self) -> int:
-        return len(self.blocks)
+        return self._k
 
     def __iter__(self):
         return iter(self.blocks)
@@ -172,10 +208,14 @@ class Partition:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Partition):
             return NotImplemented
-        return same_space(self.space, other.space) and self.blocks == other.blocks
+        return (
+            same_space(self.space, other.space)
+            and self._k == other._k
+            and bool((self._labels == other._labels).all())
+        )
 
     def __hash__(self) -> int:
-        return hash(self.blocks)
+        return hash((self._k, self._labels.tobytes()))
 
     def block_index(self, atom: AtomId) -> int:
         return int(self._labels[self.space.index(atom)])
@@ -184,11 +224,76 @@ class Partition:
         return self.blocks[self.block_index(atom)]
 
     def block_masses(self) -> np.ndarray:
-        return np.array([self.space.mass_of(b) for b in self.blocks])
+        """Mass of every block. Each is the sum of ``masses[idx]`` over the
+        block's ascending index array, bit-identical to ``mass_of(block)``."""
+        order, ends = self._members()
+        grouped = self.space.masses[order]
+        return np.array(
+            [grouped[start:end].sum() for start, end in zip([0] + ends, ends)]
+        )
 
     def labels(self) -> np.ndarray:
         """Block index per atom, aligned with the space's atom order."""
         return self._labels
+
+
+# below this many atoms a dict pass is cheaper than numpy's per-call cost
+_SMALL = 64
+
+
+def _canonical(codes: np.ndarray) -> tuple:
+    """Relabel integer codes by first occurrence: (labels, block count).
+
+    A stable argsort groups equal codes with their positions ascending,
+    so each group's first position is its earliest atom; ranking the
+    groups by that atom gives the canonical labels. Small arrays take
+    the same labels from one dict pass.
+    """
+    if codes.shape[0] <= _SMALL:
+        first: dict = {}
+        labels = [first.setdefault(c, len(first)) for c in codes.tolist()]
+        return np.array(labels, dtype=np.int64), len(first)
+    order = codes.argsort(kind="stable")
+    ranked = codes[order]
+    starts = np.empty(ranked.shape[0], dtype=bool)
+    starts[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
+    firsts = order[starts]
+    k = firsts.shape[0]
+    rank = np.empty(k, dtype=np.int64)
+    rank[firsts.argsort()] = np.arange(k)
+    labels = np.empty(ranked.shape[0], dtype=np.int64)
+    labels[order] = rank[starts.cumsum() - 1]
+    return labels, k
+
+
+# codes are relabelled before a mixed-radix step could pass this bound
+_CODE_LIMIT = 1 << 62
+
+
+def _join_rows(space: FiniteProbabilitySpace, rows: Iterable) -> Partition:
+    """Join of the partitions given as (label array, block count) rows.
+
+    The rows are packed into one mixed-radix code per atom, so two atoms
+    share a code exactly when every row agrees on them; the codes are
+    relabelled densely whenever the next radix could overflow int64.
+    """
+    code, bound = None, 1
+    for row, k in rows:
+        if code is None:
+            code, bound = row, k
+            continue
+        if bound * k > _CODE_LIMIT:
+            code, bound = _canonical(code)
+        code = code * k + row
+        bound *= k
+    return Partition._from_codes(space, code)
+
+
+def _pullback(alpha: Partition, index_map: np.ndarray) -> Partition:
+    """The partition {x : index_map[x] in A} over the blocks A of ``alpha``:
+    one gather of its label array."""
+    return Partition._from_codes(alpha.space, alpha._labels[index_map])
 
 
 def join_all(partitions: Sequence[Partition]) -> Partition:
@@ -200,13 +305,7 @@ def join_all(partitions: Sequence[Partition]) -> Partition:
         _require_same_space(first, p)
     if len(partitions) == 1:
         return first
-    space = first.space
-    label_rows = [p._labels for p in partitions]
-    groups: dict = {}
-    for i, a in enumerate(space.atom_ids):
-        key = tuple(int(row[i]) for row in label_rows)
-        groups.setdefault(key, []).append(a)
-    return Partition(space, groups.values())
+    return _join_rows(first.space, ((p._labels, p._k) for p in partitions))
 
 
 def join(alpha: Partition, beta: Partition) -> Partition:
@@ -221,19 +320,13 @@ def is_coarser(alpha: Partition, beta: Partition) -> bool:
     single block of ``alpha``; zero-mass atoms never separate blocks.
     """
     _require_same_space(alpha, beta)
-    space = alpha.space
-    la = alpha._labels
-    for B in beta.blocks:
-        owner = -1
-        for a in B:
-            i = space.index(a)
-            if space.masses[i] <= 0.0:
-                continue
-            if owner < 0:
-                owner = int(la[i])
-            elif int(la[i]) != owner:
-                return False
-    return True
+    positive = alpha.space.masses > 0.0
+    la = alpha._labels[positive]
+    lb = beta._labels[positive]
+    # any one alpha label per beta block; all must then agree with it
+    owner = np.empty(beta._k, dtype=np.int64)
+    owner[lb] = la
+    return bool((owner[lb] == la).all())
 
 
 def entropy(alpha: Partition) -> float:
@@ -288,7 +381,7 @@ class FactorSpace:
         self.quotient = FiniteProbabilitySpace(
             range(partition.n_blocks), partition.block_masses()
         )
-        self.projection = {a: partition.block_index(a) for a in base.atom_ids}
+        self.projection = dict(zip(base.atom_ids, partition.labels().tolist()))
 
     def project(self, atom: AtomId) -> int:
         return self.projection[atom]

@@ -4,7 +4,8 @@ Three system kinds share the window-measure interface the rate engine
 drives:
 
 - ``FinitePMPAction``: d commuting mass-preserving permutations of a
-  finite space; windows act through partition joins, everything exact.
+  finite space, held as index arrays; a window partition joins the
+  label rows of alpha pulled back through every T_g, everything exact.
 - ``ShiftSystem``: the full shift over a finite alphabet with either a
   product (any d) or a stationary Markov (d = 1) measure; window
   measures come from the numpy enumeration kernels.
@@ -32,11 +33,12 @@ from ._kernels import (
     markov_interval_logprobs,
     markov_window_probs,
 )
-from .groups import FolnerSubset, GroupElement, add
+from .groups import FolnerSubset, GroupElement, add, neg
 from .spaces import (
     FiniteProbabilitySpace,
     Partition,
     SpaceMismatchError,
+    _pullback,
     same_space,
 )
 
@@ -54,73 +56,91 @@ class IncompatibleSubAlgebraError(ValueError):
     """Raised when a conditioning choice does not apply to a system."""
 
 
-def _invert(perm: Sequence[int]) -> tuple:
-    inv = [0] * len(perm)
-    for j, img in enumerate(perm):
-        inv[img] = j
-    return tuple(inv)
-
-
 class FinitePMPAction:
     """Z^d acting on a finite space by d commuting mass-preserving permutations.
 
     ``generators[i]`` is the index map of the i-th basis translation:
     atom index j is sent to ``generators[i][j]``. Each generator must
-    preserve masses atomwise (bit-exact) and all generators must
-    commute; both are checked at construction.
+    be a permutation that preserves masses atomwise (bit-exact), and
+    all generators must commute; the three checks run as array
+    comparisons at construction. The generators are stored as int64
+    index arrays, together with their inverses.
     """
 
-    __slots__ = ("space", "generators", "d")
+    __slots__ = ("space", "_gens", "_invs", "d")
 
     def __init__(self, space: FiniteProbabilitySpace, generators: Sequence[Sequence[int]]):
-        gens = tuple(tuple(int(x) for x in g) for g in generators)
+        try:
+            gens = [np.array(g, dtype=np.int64) for g in generators]
+        except OverflowError:
+            raise ValueError("generator is not a permutation") from None
         if not gens:
             raise ValueError("at least one generator required")
         n = len(space)
+        ident = np.arange(n)
+        invs = []
         for g in gens:
-            if sorted(g) != list(range(n)):
+            if g.shape != (n,) or not (np.sort(g) == ident).all():
                 raise ValueError("generator is not a permutation")
-            for j in range(n):
-                if space.masses[g[j]] != space.masses[j]:
-                    raise ValueError("generator does not preserve masses")
+            if (space.masses[g] != space.masses).any():
+                raise ValueError("generator does not preserve masses")
+            inv = np.empty(n, dtype=np.int64)
+            inv[g] = ident
+            invs.append(inv)
         for a in range(len(gens)):
             for b in range(a + 1, len(gens)):
-                ab = tuple(gens[a][gens[b][j]] for j in range(n))
-                ba = tuple(gens[b][gens[a][j]] for j in range(n))
-                if ab != ba:
+                if (gens[a][gens[b]] != gens[b][gens[a]]).any():
                     raise ValueError("generators must commute")
+        for arr in gens + invs:
+            arr.flags.writeable = False
         self.space = space
-        self.generators = gens
+        self._gens = tuple(gens)
+        self._invs = tuple(invs)
         self.d = len(gens)
+
+    @property
+    def generators(self) -> tuple:
+        """The generators as tuples of atom indices."""
+        return tuple(tuple(g.tolist()) for g in self._gens)
 
     def __repr__(self) -> str:
         return f"FinitePMPAction(d={self.d}, {len(self.space)} atoms)"
 
-    def atom_map(self, g: GroupElement) -> tuple:
-        """The permutation T_g as an atom index map (commuting generator powers)."""
+    def atom_map(self, g: GroupElement) -> np.ndarray:
+        """The permutation T_g as an index array: atom j goes to ``atom_map(g)[j]``.
+
+        Each generator power is built by binary powering of the
+        generator's (or its inverse's) index array, so T_g costs
+        O(d log|g|) gathers. The result is read-only.
+        """
         if len(g) != self.d:
             raise ValueError("dimension mismatch")
-        n = len(self.space)
-        cur = tuple(range(n))
-        for gen, e in zip(self.generators, g):
+        out = None
+        for gen, inv, e in zip(self._gens, self._invs, g):
             e = int(e)
-            step = gen if e >= 0 else _invert(gen)
-            for _ in range(abs(e)):
-                cur = tuple(step[j] for j in cur)
-        return cur
+            base, e = (gen, e) if e >= 0 else (inv, -e)
+            while e:
+                if e & 1:
+                    out = base if out is None else base[out]
+                e >>= 1
+                if e:
+                    base = base[base]
+        if out is None:
+            out = np.arange(len(self.space))
+        out.flags.writeable = False
+        return out
 
 
 def act(system: FinitePMPAction, g: GroupElement, alpha: Partition) -> Partition:
-    """Image partition T_g(alpha) = {T_g A : A in alpha}."""
+    """Image partition T_g(alpha) = {T_g A : A in alpha}.
+
+    An atom lies in T_g A exactly when its T_{-g}-image lies in A, so
+    the image's labels are alpha's labels pulled back through
+    ``atom_map(-g)``: one gather, then the canonical relabelling.
+    """
     if not same_space(system.space, alpha.space):
         raise SpaceMismatchError("space mismatch")
-    amap = system.atom_map(g)
-    ids = system.space.atom_ids
-    idx = system.space.index
-    return Partition(
-        system.space,
-        [[ids[amap[idx(a)]] for a in block] for block in alpha.blocks],
-    )
+    return _pullback(alpha, system.atom_map(neg(g)))
 
 
 class SymbolPartition:
@@ -144,7 +164,7 @@ class SymbolPartition:
             idx = sorted(pos[s] for s in raw)
             if not idx:
                 raise ValueError("empty cell")
-            if seen.intersection(idx):
+            if len(set(idx)) != len(idx) or seen.intersection(idx):
                 raise ValueError("cells overlap")
             seen.update(idx)
             canon.append(idx)
@@ -494,13 +514,10 @@ class MixtureSystem:
                 ids.append((i, a))
                 masses.append(float(self.weights[i]) * comp.space.mass(a))
         offsets = np.cumsum([0] + [len(c.space) for c in self.components])
-        gens = []
-        for k in range(self.d):
-            g = []
-            for i, comp in enumerate(self.components):
-                base = int(offsets[i])
-                g.extend(base + x for x in comp.generators[k])
-            gens.append(g)
+        gens = [
+            np.concatenate([off + comp._gens[k] for off, comp in zip(offsets, self.components)])
+            for k in range(self.d)
+        ]
         space = FiniteProbabilitySpace(ids, masses)
         return FinitePMPAction(space, gens)
 

@@ -304,6 +304,19 @@ def test_missing_schema_rejected(tmp_path):
     assert json.loads(r.stdout)["error"]["kind"] == "validation"
 
 
+def test_repeated_atom_in_block_rejected(tmp_path):
+    cfg = {
+        "schema": 1,
+        "space": {"atoms": [0, 1, 2], "masses": [0.2, 0.3, 0.5]},
+        "alpha": {"blocks": [[0, 0, 1], [2]]},
+    }
+    r = run_cli(["entropy", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)])
+    assert r.returncode == 2
+    error = json.loads(r.stdout)["error"]
+    assert error == {"kind": "validation", "message": "blocks overlap"}
+    assert not (tmp_path / "entropy.json").exists()
+
+
 def test_bad_transition_rows_rejected(tmp_path):
     cfg = dict(MARKOV_CFG)
     cfg["system"] = {"kind": "markov", "P": [[0.9, 0.2], [0.2, 0.8]]}

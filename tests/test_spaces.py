@@ -25,6 +25,7 @@ from folner_entropy import (
     restrict,
     same_space,
 )
+from folner_entropy._kernels import entropy_from_probs
 
 LOG2 = 0.6931471805599453
 
@@ -87,6 +88,14 @@ def test_partition_must_cover():
         Partition(space, [[0], [1]])
     with pytest.raises(ValueError):
         Partition(space, [[0, 1], [1, 2]])
+
+
+def test_repeated_atom_in_one_block_rejected():
+    # a repeated atom would count its mass twice: block masses summing
+    # to 1.2 and H = 0.5962 instead of log 2
+    space = FiniteProbabilitySpace(range(3), [0.2, 0.3, 0.5])
+    with pytest.raises(ValueError, match="blocks overlap"):
+        Partition(space, [[0, 0, 1], [2]])
 
 
 def test_join_blocks_are_intersections():
@@ -255,3 +264,64 @@ def test_conditional_entropy_is_fiber_average():
         fiber = dis.conditional(bi)
         total += space.mass_of(block) * entropy(restrict(alpha, block, fiber))
     assert conditional_entropy(alpha, beta) == pytest.approx(total, abs=1e-15)
+
+
+# -- one label array, bit-identical sums -------------------------------------
+
+
+def _fiberwise(alpha, beta):
+    """sum_B mu(B) H(alpha traced on B / mu(B)), assembled from block tuples:
+    traces in order of first appearance inside B, every mass by mass_of."""
+    space = alpha.space
+    total = 0.0
+    for B in beta.blocks:
+        mB = space.mass_of(B)
+        if mB <= 0.0:
+            continue
+        traces: dict = {}
+        for a in B:
+            traces.setdefault(alpha.block_of(a), []).append(a)
+        tm = np.array([space.mass_of(t) for t in traces.values()])
+        total += mB * entropy_from_probs(tm / mB)
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(space_with_partitions(k=2))
+def test_entropies_bit_identical_to_mass_of_sums(sp):
+    space, a, b = sp
+    for p in (a, b, join(a, b)):
+        by_blocks = np.array([space.mass_of(block) for block in p.blocks])
+        assert p.block_masses().tolist() == by_blocks.tolist()
+        assert entropy(p) == entropy_from_probs(by_blocks)
+    assert conditional_entropy(a, b) == _fiberwise(a, b)
+    assert conditional_entropy(join(a, b), a) == _fiberwise(join(a, b), a)
+
+
+def test_block_masses_bit_identical_on_large_blocks():
+    # blocks far above numpy's pairwise-summation block of 128 entries
+    rng = np.random.default_rng(5)
+    w = rng.random(5000)
+    space = FiniteProbabilitySpace(range(5000), w / w.sum())
+    p = Partition.from_labels(space, rng.integers(0, 7, size=5000))
+    assert p.block_masses().tolist() == [space.mass_of(b) for b in p.blocks]
+
+
+@settings(max_examples=150, deadline=None)
+@given(space_with_partitions(k=1), st.randoms(use_true_random=False), st.integers(1, 1000))
+def test_equal_partitions_compare_and_hash_equal(sp, rnd, shift):
+    space, p = sp
+    # the same blocks listed in another order, atoms shuffled inside them
+    blocks = [list(b) for b in p.blocks]
+    rnd.shuffle(blocks)
+    for b in blocks:
+        rnd.shuffle(b)
+    q = Partition(space, blocks)
+    # the same grouping under other label values
+    relabel = list(range(p.n_blocks))
+    rnd.shuffle(relabel)
+    r = Partition.from_labels(space, [shift * relabel[x] - 7 for x in p.labels()])
+    assert q == p and r == p
+    assert hash(q) == hash(p) == hash(r)
+    assert q.blocks == p.blocks == r.blocks
+    assert q.labels().tolist() == p.labels().tolist() == r.labels().tolist()

@@ -23,6 +23,7 @@ from folner_entropy import (
     SymbolPartition,
     act,
     bernoulli_shift,
+    conditional_block_entropy,
     conditional_entropy,
     cylinder_measure,
     entropy,
@@ -161,6 +162,13 @@ def test_window_partition_matches_cylinders_markov_gapped():
         )
 
 
+def test_repeated_symbol_in_one_cell_rejected():
+    # a repeated symbol would count its mass twice: the one-site H of
+    # Bernoulli(0.3, 0.7) would come out 0.556 instead of 0.611
+    with pytest.raises(ValueError, match="cells overlap"):
+        SymbolPartition((0, 1), [[0, 0], [1]])
+
+
 def test_window_partition_coarse_cells():
     b = bernoulli_shift([0.5, 0.25, 0.25])
     cells = SymbolPartition(b.alphabet, [[0], [1, 2]])
@@ -195,6 +203,65 @@ def test_finite_action_validation():
     with pytest.raises(ValueError):
         # a 3-cycle fixing 3 and a transposition (0 1): do not commute
         FinitePMPAction(sp2, [(1, 2, 0, 3), (1, 0, 2, 3)])
+
+
+def test_finite_action_constructor_errors():
+    space = FiniteProbabilitySpace(range(3), [0.5, 0.3, 0.2])
+    with pytest.raises(ValueError, match="generator is not a permutation"):
+        FinitePMPAction(space, [(0, 1)])
+    with pytest.raises(ValueError, match="generator does not preserve masses"):
+        FinitePMPAction(space, [(0, 1, 2), (0, 2, 1)])
+    sp2 = FiniteProbabilitySpace(range(4), [0.25] * 4)
+    with pytest.raises(ValueError, match="generators must commute"):
+        FinitePMPAction(sp2, [(1, 2, 0, 3), (1, 0, 2, 3)])
+
+
+def _atom_map_oracle(generators, g):
+    """T_g by composing one generator step at a time, on lists."""
+    n = len(generators[0])
+    cur = list(range(n))
+    for gen, e in zip(generators, g):
+        step = list(gen)
+        if e < 0:
+            step = [0] * n
+            for j, img in enumerate(gen):
+                step[img] = j
+        for _ in range(abs(e)):
+            cur = [step[j] for j in cur]
+    return cur
+
+
+def _torus(nx=40, ny=50):
+    space = FiniteProbabilitySpace.uniform(nx * ny)
+    gx = [((j // ny + 1) % nx) * ny + j % ny for j in range(nx * ny)]
+    gy = [(j // ny) * ny + (j % ny + 1) % ny for j in range(nx * ny)]
+    return FinitePMPAction(space, [gx, gy])
+
+
+@pytest.mark.parametrize(
+    "g", [(0, 0), (1, 0), (0, -1), (-100, 0), (37, -63), (-1, 100), (100, -100), (-64, 17)]
+)
+def test_atom_map_matches_stepwise_oracle(g):
+    torus = _torus()
+    amap = torus.atom_map(g)
+    assert amap.tolist() == _atom_map_oracle(torus.generators, g)
+    assert not amap.flags.writeable
+
+
+def test_rotation_window_at_two_to_the_seventeen_atoms():
+    # Z/2^17 under x -> x + 1, 8 arcs, |F| = 64: the join's blocks are the
+    # arcs between consecutive points c - j (c a cut, 0 <= j < 64), so
+    # H is the entropy of those gaps
+    N, k = 1 << 17, 64
+    rng = np.random.default_rng(17)
+    cuts = np.sort(rng.choice(N, size=8, replace=False))
+    rot = FinitePMPAction(FiniteProbabilitySpace.uniform(N), [np.arange(1, N + 1) % N])
+    labels = (np.searchsorted(cuts, np.arange(N), side="right") - 1) % len(cuts)
+    alpha = Partition.from_labels(rot.space, labels)
+    H = conditional_block_entropy(rot, alpha, FolnerSubset.interval(0, k))
+    pts = np.unique((cuts[:, None] - np.arange(k)[None, :]) % N)
+    gaps = np.diff(np.append(pts, pts[0] + N)) / N
+    assert H == pytest.approx(float(-(gaps * np.log(gaps)).sum()), rel=1e-12)
 
 
 def test_act_moves_partition():
