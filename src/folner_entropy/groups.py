@@ -8,6 +8,7 @@ other groups can slot in later without touching callers.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -189,33 +190,28 @@ class SubadditivityReport:
 
 _CHECKS = ("monotonicity", "strong_subadditivity", "translation_invariance", "k_cover")
 _WITNESS_CAP = 20
+_PAIR_BLOCK = 1 << 12  # exhaustive pairs compared per block of E rows
 
 
-class _PhiTable:
-    """Memoized evaluation of a set function over subsets of one box."""
+def _record(report: SubadditivityReport, name: str, slacks, tol: float, witness) -> Optional[int]:
+    """Record one run of slacks of check ``name``, in the order they were checked.
 
-    def __init__(self, phi: Callable[[FolnerSubset], float], d: int):
-        self.phi = phi
-        self.d = d
-        self.cache: dict = {}
-
-    def __call__(self, elems: frozenset) -> float:
-        v = self.cache.get(elems)
-        if v is None:
-            v = float(self.phi(FolnerSubset(elems, self.d)))
-            self.cache[elems] = v
-        return v
-
-
-def _record(report: SubadditivityReport, name: str, slack: float, witness, tol: float) -> None:
-    report.checked[name] = report.checked.get(name, 0) + 1
-    if name not in report.min_slack or slack < report.min_slack[name]:
-        report.min_slack[name] = slack
-    if slack < -tol:
-        report.violation_count[name] = report.violation_count.get(name, 0) + 1
-        wl = report.violations[name]
-        if len(wl) < _WITNESS_CAP:
-            wl.append(witness)
+    ``witness(k)`` builds the witness of position k; it is called only for
+    violations under the cap. Returns the first violation's position, or None.
+    """
+    if not len(slacks):
+        return None
+    report.checked[name] = report.checked.get(name, 0) + len(slacks)
+    low = float(slacks[np.argmin(slacks)])  # the first minimum, so a signed zero is kept
+    if name not in report.min_slack or low < report.min_slack[name]:
+        report.min_slack[name] = low
+    bad = np.flatnonzero(slacks < -tol)
+    if not len(bad):
+        return None
+    report.violation_count[name] = report.violation_count.get(name, 0) + len(bad)
+    wl = report.violations[name]
+    wl.extend(witness(k) for k in bad[: _WITNESS_CAP - len(wl)])
+    return bad[0]
 
 
 def verify_subadditive_hypotheses(
@@ -237,10 +233,14 @@ def verify_subadditive_hypotheses(
     - sampled k-cover bounds: phi(F) <= (1/k) sum phi(E_i) whenever the
       E_i cover every element of F at least k times.
 
-    ``exhaustive`` (default: automatic for boxes of at most 8 elements)
-    runs monotonicity and strong subadditivity over every subset pair;
-    otherwise pairs are drawn with the seeded generator. k-cover checks
-    are always sampled. Witnesses are reported as sorted element tuples.
+    Subsets are bit masks over the sorted elements of ``box``, and ``phi``
+    is evaluated at most once per mask. ``exhaustive`` (default: automatic
+    for boxes of at most 8 elements) evaluates ``phi`` on all 2^n subsets
+    and compares all 4^n ordered pairs (E, F) as arrays; otherwise pairs
+    are drawn with the seeded generator. k-cover checks are always
+    sampled. Witnesses are sorted element tuples, the first 20 violations
+    of each check in (E, F) mask order. A non-finite value of ``phi``
+    raises ``ValueError`` naming the window.
     """
     elems = sorted(box.elements)
     n = len(elems)
@@ -251,23 +251,25 @@ def verify_subadditive_hypotheses(
     if exhaustive and n > EXHAUSTIVE_PAIR_LIMIT:
         raise ValueError("box too large for exhaustive pair checks")
 
-    table = _PhiTable(phi, box.d)
     report = SubadditivityReport(
         box=box,
         exhaustive=exhaustive,
         tolerance=tolerance,
-        checked={},
-        min_slack={},
         violations={name: [] for name in _CHECKS},
-        violation_count={},
     )
     rng = np.random.default_rng(seed)
+    cache: dict = {}
 
-    def subset_of_mask(mask: int) -> frozenset:
-        return frozenset(elems[i] for i in range(n) if mask >> i & 1)
+    def window(mask: int) -> tuple:
+        return tuple(e for i, e in enumerate(elems) if mask >> i & 1)
 
-    def witness_sets(*masks):
-        return tuple(tuple(sorted(subset_of_mask(m))) for m in masks)
+    def table(mask: int) -> float:
+        v = cache.get(mask)
+        if v is None:
+            v = cache[mask] = float(phi(FolnerSubset(window(mask), box.d)))
+            if not math.isfinite(v):
+                raise ValueError(f"phi is not finite on window {window(mask)}: {v}")
+        return v
 
     def random_mask(allow_empty: bool = True) -> int:
         if n <= 62:
@@ -281,70 +283,67 @@ def verify_subadditive_hypotheses(
             mask = 1 << int(rng.integers(0, n))
         return mask
 
-    def check_pair(emask: int, fmask: int) -> None:
-        pe = table(subset_of_mask(emask))
-        pf = table(subset_of_mask(fmask))
-        if emask & ~fmask == 0:  # E subset of F
-            _record(report, "monotonicity", pf - pe, witness_sets(emask, fmask), tolerance)
-        pu = table(subset_of_mask(emask | fmask))
-        pi = table(subset_of_mask(emask & fmask))
-        _record(
-            report,
-            "strong_subadditivity",
-            pe + pf - pu - pi,
-            witness_sets(emask, fmask),
-            tolerance,
-        )
-
+    # at(masks): phi over a mask array, evaluated in row-major order. Sampled
+    # masks are object arrays of Python ints: a box may have over 62 elements.
     if exhaustive:
-        for emask in range(1 << n):
-            for fmask in range(1 << n):
-                check_pair(emask, fmask)
+        masks = np.arange(1 << n)
+        at = np.array([table(m) for m in range(1 << n)]).__getitem__
+        rows = min(1 << n, max(1, _PAIR_BLOCK >> n))  # E rows per block
+        blocks = (
+            (np.repeat(masks[r : r + rows], 1 << n), np.tile(masks, rows))
+            for r in range(0, 1 << n, rows)
+        )
     else:
-        for _ in range(samples):
-            fmask = random_mask()
-            emask = random_mask() & fmask if rng.integers(0, 2) else random_mask()
-            check_pair(emask, fmask)
 
-    # translation invariance on window pairs that both fit inside the box
+        def at(ms):
+            return np.array([table(m) for m in ms.ravel()], dtype=float).reshape(ms.shape)
+
+        es, fs = [], []
+        for _ in range(samples):
+            fs.append(random_mask())
+            es.append(random_mask() & fs[-1] if rng.integers(0, 2) else random_mask())
+        blocks = [(np.array(es, dtype=object), np.array(fs, dtype=object))]
+
+    for E, F in blocks:
+        pe, pf, pu, pi = at(np.stack([E, F, E | F, E & F], axis=1)).T
+        sub = np.flatnonzero(E & ~F == 0)  # E subset of F
+
+        def pair(k):
+            return window(int(E[k])), window(int(F[k]))
+
+        first_checks, first_violations = not report.checked, not report.violation_count
+        mono = _record(report, "monotonicity", pf[sub] - pe[sub], tolerance, lambda k: pair(sub[k]))
+        ssa = _record(report, "strong_subadditivity", pe + pf - pu - pi, tolerance, pair)
+        # report keys follow the order in which the pairs first meet each check
+        if first_checks and len(sub) and sub[0] > 0:
+            for d in (report.checked, report.min_slack):
+                d["monotonicity"] = d.pop("monotonicity")
+        if first_violations and mono is not None and ssa is not None and ssa < sub[mono]:
+            report.violation_count["monotonicity"] = report.violation_count.pop("monotonicity")
+
+    # translation invariance on nonempty windows whose shift stays in the box
     if translations is None:
-        translations = [
-            tuple(1 if j == i else 0 for j in range(box.d)) for i in range(box.d)
-        ]
+        translations = [tuple(int(j == i) for j in range(box.d)) for i in range(box.d)]
     elem_index = {e: i for i, e in enumerate(elems)}
     for s in translations:
         shift_of = [elem_index.get(add(e, tuple(s))) for e in elems]
-        masks: Iterable[int]
         if exhaustive:
-            masks = range(1 << n)
+            F = masks[1:]
         else:
-            masks = (random_mask() for _ in range(samples))
-        for fmask in masks:
-            smask = 0
-            inside = True
-            m = fmask
-            i = 0
-            while m:
-                if m & 1:
-                    j = shift_of[i]
-                    if j is None:
-                        inside = False
-                        break
-                    smask |= 1 << j
-                m >>= 1
-                i += 1
-            if not inside or fmask == 0:
-                continue
-            diff = abs(table(subset_of_mask(fmask)) - table(subset_of_mask(smask)))
-            _record(
-                report,
-                "translation_invariance",
-                -diff,
-                witness_sets(fmask) + (tuple(s),),
-                tolerance,
-            )
+            F = np.array([random_mask() for _ in range(samples)], dtype=object)
+        bits = F[:, None] >> np.arange(n).astype(F.dtype) & 1
+        S = bits @ np.array([0 if j is None else 1 << j for j in shift_of], dtype=F.dtype)
+        outside = bits @ np.array([int(j is None) for j in shift_of], dtype=F.dtype)
+        keep = np.flatnonzero((outside == 0) & (F != 0))
+        pf, ps = at(np.stack([F[keep], S[keep]], axis=1)).T
+
+        def witness(k):
+            return window(int(F[keep[k]])), tuple(s)
+
+        _record(report, "translation_invariance", -np.abs(pf - ps), tolerance, witness)
 
     # sampled k-covers: layered construction guarantees full coverage
+    covers = []
     for _ in range(samples):
         fmask = random_mask(allow_empty=False)
         fbits = [i for i in range(n) if fmask >> i & 1]
@@ -365,14 +364,9 @@ def verify_subadditive_hypotheses(
         k = min(coverage) if coverage else 0
         if k < 1:
             continue
-        bound = sum(table(subset_of_mask(cm)) for cm in cover_masks) / k
-        slack = bound - table(subset_of_mask(fmask))
-        _record(
-            report,
-            "k_cover",
-            slack,
-            witness_sets(fmask) + (k, len(cover_masks)),
-            tolerance,
-        )
+        bound = sum(table(cm) for cm in cover_masks) / k
+        covers.append((bound - table(fmask), fmask, k, len(cover_masks)))
+    slacks = np.array([c[0] for c in covers])
+    _record(report, "k_cover", slacks, tolerance, lambda j: (window(covers[j][1]), *covers[j][2:]))
 
     return report

@@ -203,6 +203,50 @@ def test_verify_subadditivity_violation_exits_3(tmp_path):
     assert props["monotonicity"]["witnesses"]
 
 
+def test_verify_subadditivity_witnesses_match_oracle(tmp_path):
+    from test_groups import oracle_subadditivity_report
+
+    from folner_entropy import FolnerSubset
+    from folner_entropy.suites import phi_neg_card_squared
+
+    cfg = {
+        "schema": 1,
+        "suite": "subadditivity",
+        "phi": {"kind": "neg_card_squared"},
+        "box": {"d": 1, "side": 4},
+        "exhaustive": True,
+    }
+    r = run_cli(["verify", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)])
+    assert r.returncode == 3, r.stdout + r.stderr
+    props = {p["name"]: p for p in json.loads(r.stdout)["properties"]}
+    expected = oracle_subadditivity_report(
+        phi_neg_card_squared, FolnerSubset.box(1, 4), exhaustive=True
+    )
+    for name, prop in props.items():
+        assert prop["checked"] == expected.checked[name]
+        assert prop["violations"] == expected.violation_count.get(name, 0)
+        assert prop["min_slack"] == expected.min_slack[name]
+        assert prop["witnesses"] == json.loads(json.dumps(expected.violations[name]))
+    assert props["monotonicity"]["witnesses"][0] == [[], [[0]]]
+
+
+def test_verify_subadditivity_exhaustive_over_limit_exits_2(tmp_path):
+    cfg = {
+        "schema": 1,
+        "suite": "subadditivity",
+        "phi": {"kind": "cardinality"},
+        "box": {"d": 1, "side": 11},
+        "exhaustive": True,
+    }
+    r = run_cli(["verify", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)])
+    assert r.returncode == 2
+    assert json.loads(r.stdout)["error"] == {
+        "kind": "validation",
+        "message": "box too large for exhaustive pair checks",
+    }
+    assert not (tmp_path / "verify.json").exists()
+
+
 def test_verify_rates_suite(tmp_path):
     cfg = {
         "schema": 1,

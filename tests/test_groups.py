@@ -1,6 +1,10 @@
 """Window geometry: boxes, translation defects, schedules, and the
 subadditive-hypothesis checker on constructed set functions."""
 
+import math
+from collections import Counter
+
+import numpy as np
 import pytest
 
 from folner_entropy import (
@@ -8,10 +12,12 @@ from folner_entropy import (
     FolnerSubset,
     folner_box,
     invariance_defect,
+    markov_shift,
     translate,
     verify_subadditive_hypotheses,
 )
-from folner_entropy.suites import phi_cardinality, phi_neg_card_squared
+from folner_entropy.groups import EXHAUSTIVE_PAIR_LIMIT, SubadditivityReport
+from folner_entropy.suites import phi_cardinality, phi_neg_card_squared, window_entropy_phi
 
 
 def test_box_and_interval():
@@ -117,3 +123,285 @@ def test_sampled_mode_deterministic():
     r2 = verify_subadditive_hypotheses(phi_cardinality, box, samples=50, seed=9)
     assert r1.min_slack == r2.min_slack
     assert r1.checked == r2.checked
+
+
+# -- array checks against the per-pair loop -----------------------------------
+#
+# The oracle below is the per-pair loop the verifier used before its checks
+# became array comparisons: frozenset windows, a memo keyed by frozenset, one
+# record per comparison. It lives here only, as the independent reference.
+
+
+def _oracle_record(report, name, slack, witness, tol):
+    report.checked[name] = report.checked.get(name, 0) + 1
+    if name not in report.min_slack or slack < report.min_slack[name]:
+        report.min_slack[name] = slack
+    if slack < -tol:
+        report.violation_count[name] = report.violation_count.get(name, 0) + 1
+        wl = report.violations[name]
+        if len(wl) < 20:
+            wl.append(witness)
+
+
+def oracle_subadditivity_report(
+    phi, box, samples=200, seed=0, exhaustive=None, tolerance=1e-9, translations=None
+):
+    elems = sorted(box.elements)
+    n = len(elems)
+    if exhaustive is None:
+        exhaustive = n <= 8
+    cache = {}
+
+    def table(subset):
+        if subset not in cache:
+            cache[subset] = float(phi(FolnerSubset(subset, box.d)))
+        return cache[subset]
+
+    report = SubadditivityReport(
+        box=box,
+        exhaustive=exhaustive,
+        tolerance=tolerance,
+        violations={
+            name: []
+            for name in (
+                "monotonicity",
+                "strong_subadditivity",
+                "translation_invariance",
+                "k_cover",
+            )
+        },
+    )
+    rng = np.random.default_rng(seed)
+
+    def subset_of_mask(mask):
+        return frozenset(elems[i] for i in range(n) if mask >> i & 1)
+
+    def witness_sets(*masks):
+        return tuple(tuple(sorted(subset_of_mask(m))) for m in masks)
+
+    def random_mask(allow_empty=True):
+        if n <= 62:
+            mask = int(rng.integers(0, 1 << n))
+        else:
+            mask = 0
+            for i in range(n):
+                if rng.integers(0, 2):
+                    mask |= 1 << i
+        if not allow_empty and mask == 0:
+            mask = 1 << int(rng.integers(0, n))
+        return mask
+
+    def check_pair(emask, fmask):
+        pe = table(subset_of_mask(emask))
+        pf = table(subset_of_mask(fmask))
+        if emask & ~fmask == 0:
+            _oracle_record(
+                report, "monotonicity", pf - pe, witness_sets(emask, fmask), tolerance
+            )
+        pu = table(subset_of_mask(emask | fmask))
+        pi = table(subset_of_mask(emask & fmask))
+        _oracle_record(
+            report,
+            "strong_subadditivity",
+            pe + pf - pu - pi,
+            witness_sets(emask, fmask),
+            tolerance,
+        )
+
+    if exhaustive:
+        for emask in range(1 << n):
+            for fmask in range(1 << n):
+                check_pair(emask, fmask)
+    else:
+        for _ in range(samples):
+            fmask = random_mask()
+            emask = random_mask() & fmask if rng.integers(0, 2) else random_mask()
+            check_pair(emask, fmask)
+
+    if translations is None:
+        translations = [
+            tuple(1 if j == i else 0 for j in range(box.d)) for i in range(box.d)
+        ]
+    elem_index = {e: i for i, e in enumerate(elems)}
+    for s in translations:
+        shift_of = [elem_index.get(tuple(a + b for a, b in zip(e, s))) for e in elems]
+        if exhaustive:
+            masks = range(1 << n)
+        else:
+            masks = (random_mask() for _ in range(samples))
+        for fmask in masks:
+            smask = 0
+            inside = True
+            m = fmask
+            i = 0
+            while m:
+                if m & 1:
+                    j = shift_of[i]
+                    if j is None:
+                        inside = False
+                        break
+                    smask |= 1 << j
+                m >>= 1
+                i += 1
+            if not inside or fmask == 0:
+                continue
+            diff = abs(table(subset_of_mask(fmask)) - table(subset_of_mask(smask)))
+            _oracle_record(
+                report,
+                "translation_invariance",
+                -diff,
+                witness_sets(fmask) + (tuple(s),),
+                tolerance,
+            )
+
+    for _ in range(samples):
+        fmask = random_mask(allow_empty=False)
+        fbits = [i for i in range(n) if fmask >> i & 1]
+        layers = int(rng.integers(1, 4))
+        cover_masks = []
+        for _layer in range(layers):
+            pieces = int(rng.integers(1, 3))
+            assignment = rng.integers(0, pieces, size=len(fbits))
+            for p in range(pieces):
+                pm = 0
+                for b, a in zip(fbits, assignment):
+                    if a == p:
+                        pm |= 1 << b
+                pm |= random_mask() & ~fmask
+                if pm:
+                    cover_masks.append(pm)
+        coverage = [sum(cm >> i & 1 for cm in cover_masks) for i in fbits]
+        k = min(coverage) if coverage else 0
+        if k < 1:
+            continue
+        bound = sum(table(subset_of_mask(cm)) for cm in cover_masks) / k
+        slack = bound - table(subset_of_mask(fmask))
+        _oracle_record(
+            report, "k_cover", slack, witness_sets(fmask) + (k, len(cover_masks)), tolerance
+        )
+    return report
+
+
+def random_phi(box, seed, noise=3.0):
+    """|F| plus seeded Gaussian noise, fixed per subset: violates every check."""
+    index = {e: i for i, e in enumerate(sorted(box.elements))}
+    rng = np.random.default_rng(seed)
+    vals = np.array([bin(m).count("1") for m in range(1 << len(index))], dtype=float)
+    vals += noise * rng.normal(size=vals.size)
+
+    def phi(F):
+        return float(vals[sum(1 << index[e] for e in F.elements)])
+
+    return phi
+
+
+def assert_same_report(report, expected):
+    assert report.checked == expected.checked
+    assert {k: repr(v) for k, v in report.min_slack.items()} == {
+        k: repr(v) for k, v in expected.min_slack.items()
+    }
+    assert report.violation_count == expected.violation_count
+    assert report.violations == expected.violations
+    # key order and every field, signed zeros included
+    assert repr(report) == repr(expected)
+
+
+MARKOV = markov_shift(None, np.array([[0.9, 0.1], [0.2, 0.8]]))
+
+ORACLE_CASES = {
+    "markov-window-entropy-box8": (
+        lambda box: window_entropy_phi(MARKOV), FolnerSubset.box(1, 8), {"exhaustive": True}
+    ),
+    "cardinality-box5": (lambda box: phi_cardinality, FolnerSubset.box(1, 5), {}),
+    "neg-card-squared-box6": (
+        lambda box: phi_neg_card_squared, FolnerSubset.box(1, 6), {"exhaustive": True}
+    ),
+    "random-d2-box3": (
+        lambda box: random_phi(box, 7), FolnerSubset.box(2, 3), {"exhaustive": True}
+    ),
+    "random-box7-shifts": (
+        lambda box: random_phi(box, 9, noise=0.3),
+        FolnerSubset.box(1, 7),
+        {"exhaustive": True, "translations": [(2,), [-1], (0,)]},
+    ),
+    "sampled-random-d2-box2": (
+        lambda box: random_phi(box, 3),
+        FolnerSubset.box(2, 2),
+        {"exhaustive": False, "seed": 3, "samples": 50},
+    ),
+    **{
+        f"sampled-random-box12-seed{seed}": (
+            lambda box, seed=seed: random_phi(box, 100 + seed, noise=0.5),
+            FolnerSubset.box(1, 12),
+            {"seed": seed, "samples": 300},
+        )
+        for seed in (0, 1, 2)
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_report_equals_per_pair_oracle(case):
+    make_phi, box, kwargs = ORACLE_CASES[case]
+    report = verify_subadditive_hypotheses(make_phi(box), box, **kwargs)
+    expected = oracle_subadditivity_report(make_phi(box), box, **kwargs)
+    assert_same_report(report, expected)
+    if case == "cardinality-box5":
+        assert repr(report.min_slack["translation_invariance"]) == "-0.0"
+    if case == "random-d2-box3":
+        # the witness cap and the (E, F) mask order are both exercised
+        assert all(report.violation_count[name] > 20 for name in report.violations)
+    if case == "random-box7-shifts":
+        # subadditivity is violated before monotonicity in pair order
+        assert list(report.violation_count)[:2] == ["strong_subadditivity", "monotonicity"]
+
+
+def counting(phi):
+    calls = Counter()
+
+    def counted(F):
+        calls[F.elements] += 1
+        return phi(F)
+
+    return counted, calls
+
+
+def test_exhaustive_limit_box10_every_pair_slack_zero():
+    box = FolnerSubset.box(1, EXHAUSTIVE_PAIR_LIMIT)
+    phi, calls = counting(phi_cardinality)
+    # a tolerance of -0.5 flags every slack below 0.5: all 4^10 subadditivity
+    # slacks are 0.0, and the monotonicity slack |F| - |E| is 0 only for E = F
+    report = verify_subadditive_hypotheses(phi, box, exhaustive=True, tolerance=-0.5)
+    assert report.checked["monotonicity"] == 3**10
+    assert report.checked["strong_subadditivity"] == 4**10
+    assert repr(report.min_slack["monotonicity"]) == "0.0"
+    assert repr(report.min_slack["strong_subadditivity"]) == "0.0"
+    assert report.violation_count["strong_subadditivity"] == 4**10
+    assert report.violation_count["monotonicity"] == 2**10
+    # witnesses: the first 20 in (E, F) mask order
+    assert report.violations["strong_subadditivity"][:2] == [((), ()), ((), ((0,),))]
+    assert report.violations["monotonicity"][:2] == [((), ()), (((0,),), ((0,),))]
+    assert len(report.violations["strong_subadditivity"]) == 20
+    assert sum(calls.values()) == 2**10 and set(calls.values()) == {1}
+
+
+def test_sampled_mode_evaluates_each_window_once():
+    box = FolnerSubset.box(1, 12)
+    phi, calls = counting(random_phi(box, 5))
+    report = verify_subadditive_hypotheses(phi, box, samples=300, seed=4)
+    assert not report.ok
+    assert set(calls.values()) == {1}
+    assert len(calls) < 2**12
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("exhaustive", [True, False])
+def test_non_finite_phi_raises(bad, exhaustive):
+    def phi(F):
+        return bad if len(F) == 3 else float(len(F))
+
+    with pytest.raises(ValueError, match="not finite") as err:
+        verify_subadditive_hypotheses(phi, FolnerSubset.box(1, 5), exhaustive=exhaustive)
+    if exhaustive:
+        # windows are evaluated in mask order: {0, 1, 2} is the first of size 3
+        assert "((0,), (1,), (2,))" in str(err.value)
