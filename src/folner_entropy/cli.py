@@ -86,6 +86,12 @@ EXHAUSTION_PROPERTY_LABELS = {
     "chain_monotone": "thm4_exhaustion",
     "chain_vanishes": "thm4_exhaustion",
 }
+# verify suite -> (sweep, default trials, default tolerance, property labels)
+SWEEPS = {
+    "identities": (sweep_identities, 500, 1e-9, IDENTITY_PROPERTY_LABELS),
+    "disintegration": (sweep_disintegration, 1000, 1e-12, DISINTEGRATION_PROPERTY_LABELS),
+    "exhaustion": (sweep_exhaustion, 200, 1e-12, EXHAUSTION_PROPERTY_LABELS),
+}
 
 
 class ConfigError(ValueError):
@@ -116,6 +122,15 @@ def _require(cfg: dict, key: str):
     if key not in cfg:
         raise ConfigError(f'config is missing "{key}"')
     return cfg[key]
+
+
+def _positive_int(cfg: dict, key: str, default: int, override: Optional[int] = None) -> int:
+    """An integer >= 1 from the command line or the config; only an
+    absent value takes the default."""
+    value = override if override is not None else cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f'"{key}" must be an integer >= 1, got {value!r}')
+    return value
 
 
 def _build_space(obj: dict) -> FiniteProbabilitySpace:
@@ -380,37 +395,18 @@ def _sweep_properties(report, labels: dict) -> list:
 def cmd_verify(cfg: dict, args) -> int:
     suite = _require(cfg, "suite")
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    trials = args.trials if args.trials is not None else cfg.get("trials")
     report = {"schema": 1, "task": "verify", "suite": suite, "seed": seed}
-    if suite == "identities":
-        tol = args.tol if args.tol is not None else 1e-9
-        sweep = sweep_identities(
-            int(trials or 500), seed, int(cfg.get("max_atoms", 10)), tolerance=tol
+    if suite in SWEEPS:
+        sweep_fn, default_trials, default_tol, labels = SWEEPS[suite]
+        tol = args.tol if args.tol is not None else default_tol
+        sweep = sweep_fn(
+            _positive_int(cfg, "trials", default_trials, args.trials),
+            seed,
+            int(cfg.get("max_atoms", 10)),
+            tolerance=tol,
         )
         report["trials"] = sweep.trials
-        report["properties"] = _sweep_properties(sweep, IDENTITY_PROPERTY_LABELS)
-        report["ok"] = sweep.ok
-        return _finish(
-            report, args.out, "verify", EXIT_OK if sweep.ok else EXIT_VIOLATION
-        )
-    if suite == "disintegration":
-        tol = args.tol if args.tol is not None else 1e-12
-        sweep = sweep_disintegration(
-            int(trials or 1000), seed, int(cfg.get("max_atoms", 10)), tolerance=tol
-        )
-        report["trials"] = sweep.trials
-        report["properties"] = _sweep_properties(sweep, DISINTEGRATION_PROPERTY_LABELS)
-        report["ok"] = sweep.ok
-        return _finish(
-            report, args.out, "verify", EXIT_OK if sweep.ok else EXIT_VIOLATION
-        )
-    if suite == "exhaustion":
-        tol = args.tol if args.tol is not None else 1e-12
-        sweep = sweep_exhaustion(
-            int(trials or 200), seed, int(cfg.get("max_atoms", 10)), tolerance=tol
-        )
-        report["trials"] = sweep.trials
-        report["properties"] = _sweep_properties(sweep, EXHAUSTION_PROPERTY_LABELS)
+        report["properties"] = _sweep_properties(sweep, labels)
         report["ok"] = sweep.ok
         return _finish(
             report, args.out, "verify", EXIT_OK if sweep.ok else EXIT_VIOLATION
@@ -433,14 +429,17 @@ def cmd_verify(cfg: dict, args) -> int:
             )
         else:
             raise ConfigError(f"unknown phi kind: {phi_kind!r}")
+        exhaustive = cfg.get("exhaustive")
+        if "exhaustive" in cfg and not isinstance(exhaustive, bool):
+            raise ConfigError(f'"exhaustive" must be true or false, got {exhaustive!r}')
         box_cfg = _require(cfg, "box")
         box = FolnerSubset.box(int(box_cfg.get("d", 1)), int(_require(box_cfg, "side")))
         result = verify_subadditive_hypotheses(
             phi,
             box,
-            samples=int(cfg.get("samples", 200)),
+            samples=_positive_int(cfg, "samples", 200),
             seed=seed,
-            exhaustive=cfg.get("exhaustive"),
+            exhaustive=exhaustive,
             tolerance=tol,
         )
         props = []

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional
 
 import numpy as np
@@ -24,6 +25,7 @@ from .spaces import (
     SpaceMismatchError,
     conditional_entropy,
     disintegrate,
+    join,
     restrict,
     same_space,
 )
@@ -232,8 +234,7 @@ def decompose_entropy(
         elif spec is not None and spec.kind != "trivial":
             raise IncompatibleSubAlgebraError("incompatible sub-algebra")
         dis = disintegrate(system.space, beta)
-        for bi, block in enumerate(beta.blocks):
-            mB = system.space.mass_of(block)
+        for bi, (block, mB) in enumerate(zip(beta.blocks, beta.block_masses().tolist())):
             if mB <= 0.0:
                 continue
             fiber = dis.conditional(bi)
@@ -309,21 +310,16 @@ def conditional_mass_function(
     for p in (alpha, cond):
         if not same_space(p.space, space):
             raise SpaceMismatchError("space mismatch")
-    values: dict = {}
-    excluded = []
+    # m(x): mass of the join block through x over that of the cond block
+    mC = cond.block_masses()[cond.labels()]
+    live = mC > 0.0
+    joint = join(cond, alpha)
+    m = (joint.block_masses()[joint.labels()[live]] / mC[live]).tolist()
+    values = dict(zip(compress(space.atom_ids, live), m))
+    excluded = tuple(compress(space.atom_ids, ~live))
     integral = 0.0
-    for x in space.atom_ids:
-        cb = cond.block_of(x)
-        mC = space.mass_of(cb)
-        if mC <= 0.0:
-            excluded.append(x)
-            continue
-        ab = set(alpha.block_of(x))
-        inter = [a for a in cb if a in ab]
-        m = space.mass_of(inter) / mC
-        values[x] = m
-        mx = space.mass(x)
+    for mx, mv in zip(space.masses[live].tolist(), m):
         if mx > 0.0:
-            integral += mx * math.log(m)
+            integral += mx * math.log(mv)
     gap = abs(conditional_entropy(alpha, cond) + integral)
-    return MassFunctionResult(values, tuple(excluded), gap)
+    return MassFunctionResult(values, excluded, gap)

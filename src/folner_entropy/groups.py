@@ -240,12 +240,14 @@ def verify_subadditive_hypotheses(
     are drawn with the seeded generator. k-cover checks are always
     sampled. Witnesses are sorted element tuples, the first 20 violations
     of each check in (E, F) mask order. A non-finite value of ``phi``
-    raises ``ValueError`` naming the window.
+    raises ``ValueError`` naming the window, and so does ``samples < 1``.
     """
     elems = sorted(box.elements)
     n = len(elems)
     if n == 0:
         raise ValueError("empty set")
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     if exhaustive is None:
         exhaustive = n <= 8
     if exhaustive and n > EXHAUSTIVE_PAIR_LIMIT:

@@ -6,6 +6,10 @@ atoms. Joins, pullbacks and block masses are array operations on those
 labels; block tuples are derived only where a caller asks for them.
 Every subset mass, block masses included, is one numpy sum over an
 ascending index array, so the same subset always gets the same float.
+Fiber quantities (conditional entropy, disintegration, traces on a
+block) are read from label arrays grouped by block: the traces of
+alpha on the blocks of beta are the blocks of their join, and per-block
+sums are exact segment sums, each equal to the bit to the plain 1-D sum.
 The entropy operations implement the positive-mass conventions
 (0 log 0 = 0, zero-mass fibers skipped) directly.
 """
@@ -227,18 +231,37 @@ class Partition:
         """Mass of every block. Each is the sum of ``masses[idx]`` over the
         block's ascending index array, bit-identical to ``mass_of(block)``."""
         order, ends = self._members()
-        grouped = self.space.masses[order]
-        return np.array(
-            [grouped[start:end].sum() for start, end in zip([0] + ends, ends)]
-        )
+        return _segment_sums(self.space.masses[order], ends)
 
     def labels(self) -> np.ndarray:
         """Block index per atom, aligned with the space's atom order."""
         return self._labels
 
 
-# below this many atoms a dict pass is cheaper than numpy's per-call cost
+# below this many atoms a dict pass (or one sum per segment) is cheaper
+# than numpy's per-call cost
 _SMALL = 64
+
+
+def _segment_sums(values: np.ndarray, ends: Sequence[int]) -> np.ndarray:
+    """Sum of each segment of ``values`` (back to back from 0 to each of
+    ``ends``), bit-identical to ``values[start:end].sum()``.
+
+    Equal-length segments are the rows of one matrix summed along axis 1,
+    which numpy does in the 1-D pairwise order (``np.add.reduceat`` does
+    not). Small inputs take one sum per segment.
+    """
+    starts = [0, *ends[:-1]]
+    if values.shape[0] <= _SMALL:
+        return np.array([values[start:end].sum() for start, end in zip(starts, ends)])
+    starts = np.array(starts, dtype=np.int64)
+    lengths = np.asarray(ends, dtype=np.int64) - starts
+    sums = np.zeros(lengths.shape[0])
+    by_length = lengths.argsort(kind="stable")
+    for rows in np.split(by_length, np.flatnonzero(np.diff(lengths[by_length])) + 1):
+        width = np.arange(lengths[rows[0]])
+        sums[rows] = values[starts[rows, None] + width].sum(axis=1)
+    return sums
 
 
 def _canonical(codes: np.ndarray) -> tuple:
@@ -341,24 +364,33 @@ def entropy(alpha: Partition) -> float:
 def conditional_entropy(alpha: Partition, beta: Partition) -> float:
     """Mean conditional entropy sum_B mu(B) * H_{mu_B}(alpha traced on B).
 
-    Computed fiberwise, exactly as defined: for each positive-mass block
-    B of ``beta``, the trace masses of ``alpha`` on B are normalized by
-    mu(B) and fed to the plain entropy sum. Zero-mass blocks carry no
-    fiber and are skipped.
+    The traces of ``alpha`` on the blocks B of ``beta`` are the blocks of
+    their join, so the join's block masses are the trace masses. They are
+    grouped by B (in order of first atom inside B) and normalized by
+    mu(B); each fiber's entropy sum is an exact segment sum, bit-identical
+    to the plain 1-D sum over that fiber. Zero-mass blocks carry no fiber
+    and are skipped.
     """
     _require_same_space(alpha, beta)
-    space = alpha.space
-    la = alpha._labels
+    lb = beta._labels
+    joint = _join_rows(alpha.space, ((lb, beta._k), (alpha._labels, alpha._k)))
+    owner = np.empty(joint._k, dtype=np.int64)
+    owner[joint._labels] = lb
+    # traces grouped by beta block; canonical join labels keep them in
+    # order of first atom inside each block
+    by_block = owner.argsort(kind="stable")
+    owner = owner[by_block]
+    mB = beta.block_masses()
+    live = mB[owner] > 0.0
+    p = joint.block_masses()[by_block[live]] / mB[owner[live]]
+    keep = p > 0.0
+    q = p[keep]
+    ends = np.bincount(owner[live][keep], minlength=beta._k).cumsum().tolist()
+    fiber_entropies = _segment_sums(-(q * np.log(q)), ends).tolist()
     total = 0.0
-    for B in beta.blocks:
-        mB = space.mass_of(B)
-        if mB <= 0.0:
-            continue
-        traces: dict = {}
-        for a in B:
-            traces.setdefault(int(la[space.index(a)]), []).append(a)
-        tm = np.array([space.mass_of(t) for t in traces.values()])
-        total += mB * entropy_from_probs(tm / mB)
+    for m, h in zip(mB.tolist(), fiber_entropies):
+        if m > 0.0:
+            total += m * h
     return total
 
 
@@ -409,13 +441,15 @@ class Disintegration:
         self.space = space
         self.partition = partition
         self.factor = FactorSpace(space, partition)
+        order, ends = partition._members()
+        grouped = space.masses[order]
+        blocks = partition.blocks
         fibers: dict[int, FiniteProbabilitySpace] = {}
-        for bi, block in enumerate(partition.blocks):
-            mB = space.mass_of(block)
-            if mB <= 0.0:
-                continue
-            masses = np.array([space.mass(a) for a in block]) / mB
-            fibers[bi] = FiniteProbabilitySpace(block, masses)
+        for bi, (start, end, mB) in enumerate(
+            zip([0, *ends], ends, self.factor.quotient.masses.tolist())
+        ):
+            if mB > 0.0:
+                fibers[bi] = FiniteProbabilitySpace(blocks[bi], grouped[start:end] / mB)
         self.conditional_spaces = fibers
 
     def conditional(self, block_index: int) -> FiniteProbabilitySpace:
@@ -451,12 +485,10 @@ def restrict(alpha: Partition, block: Iterable[AtomId], conditional: FiniteProba
     block = tuple(block)
     if not block:
         raise ValueError("empty set")
-    if set(block) != set(conditional.atom_ids):
+    if len(block) != len(conditional) or set(block) != set(conditional.atom_ids):
         raise SpaceMismatchError("space mismatch")
-    if alpha.space.mass_of(block) <= 0.0:
+    space = alpha.space
+    idx = [space.index(a) for a in conditional.atom_ids]
+    if space.masses[idx].sum() <= 0.0:
         raise DegenerateFiberError("degenerate fiber")
-    la = alpha._labels
-    groups: dict = {}
-    for a in block:
-        groups.setdefault(int(la[alpha.space.index(a)]), []).append(a)
-    return Partition(conditional, groups.values())
+    return Partition._from_codes(conditional, alpha._labels[idx])

@@ -84,6 +84,11 @@ def random_permutation_instance(rng: np.random.Generator, max_atoms: int = 10):
 # ---------------------------------------------------------------------------
 
 
+def _require_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+
+
 @dataclass
 class PropertyStats:
     """Aggregated results for one named property across a sweep."""
@@ -143,6 +148,7 @@ def sweep_identities(
     measure isomorphisms), and checks all identities on a random
     partition triple.
     """
+    _require_trials(trials)
     rng = np.random.default_rng(seed)
     report = SweepReport(trials, seed)
     for _ in range(trials):
@@ -179,6 +185,7 @@ def sweep_disintegration(
     the disintegration reproduces its mass, and that -log of the
     conditional mass function integrates to H(alpha | cond).
     """
+    _require_trials(trials)
     rng = np.random.default_rng(seed)
     report = SweepReport(trials, seed)
     for _ in range(trials):
@@ -206,6 +213,7 @@ def sweep_exhaustion(
     Chains are cumulative joins of random partitions, capped with the
     point partition so the final conditional entropy must vanish.
     """
+    _require_trials(trials)
     rng = np.random.default_rng(seed)
     report = SweepReport(trials, seed)
     for _ in range(trials):

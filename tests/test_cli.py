@@ -384,3 +384,59 @@ def test_unknown_system_kind_rejected(tmp_path):
     path = write_cfg(tmp_path, cfg)
     r = run_cli(["rate", "--config", path, "--out", str(tmp_path)])
     assert r.returncode == 2
+
+
+def _assert_validation_error(r, tmp_path, message):
+    assert r.returncode == 2, r.stdout + r.stderr
+    error = json.loads(r.stdout)["error"]
+    assert error["kind"] == "validation"
+    assert message in error["message"]
+    assert not (tmp_path / "verify.json").exists()
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"samples": 0}, '"samples" must be an integer >= 1'),
+        ({"samples": -2}, '"samples" must be an integer >= 1'),
+        ({"samples": 1.5}, '"samples" must be an integer >= 1'),
+        ({"exhaustive": "no"}, '"exhaustive" must be true or false'),
+        ({"exhaustive": 1}, '"exhaustive" must be true or false'),
+    ],
+)
+def test_verify_subadditivity_rejects_bad_samples_and_exhaustive(tmp_path, extra, message):
+    # samples 0 used to pass -|F|^2 with nothing checked; "no" ran exhaustively
+    cfg = {
+        "schema": 1,
+        "suite": "subadditivity",
+        "phi": {"kind": "neg_card_squared"},
+        "box": {"d": 1, "side": 12},
+        **extra,
+    }
+    r = run_cli(["verify", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)])
+    _assert_validation_error(r, tmp_path, message)
+
+
+@pytest.mark.parametrize(
+    "suite, trials, flag",
+    [
+        ("identities", 0, None),
+        ("exhaustion", -3, None),
+        ("disintegration", 2.5, None),
+        ("identities", "50", None),
+        ("identities", True, None),
+        ("identities", None, "0"),
+        ("exhaustion", 5, "-3"),
+    ],
+)
+def test_verify_trials_must_be_positive_integers(tmp_path, suite, trials, flag):
+    # "trials": 0 used to run the default 500 trials; -3 ran none and passed
+    cfg = {"schema": 1, "suite": suite}
+    if trials is not None:
+        cfg["trials"] = trials
+    args = ["verify", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]
+    if flag is not None:
+        args += ["--trials", flag]
+    r = run_cli(args)
+    _assert_validation_error(r, tmp_path, '"trials" must be an integer >= 1')
+

@@ -5,6 +5,8 @@ cycle notation, block restrictions from renormalized fiber masses, and
 m-function values from ratios of atom masses.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from folner_entropy import (
     Partition,
     SubAlgebraSpec,
     bernoulli_shift,
+    conditional_entropy,
     conditional_mass_function,
     decompose_entropy,
     ergodic_components,
@@ -186,6 +189,40 @@ def test_decompose_mixture_grouped():
 
 
 # -- conditional mass function -----------------------------------------------------
+
+
+def _oracle_mass_function(space, alpha, cond):
+    """m(x) and the integral check, atom by atom from block tuples."""
+    values, excluded, integral = {}, [], 0.0
+    for x in space.atom_ids:
+        cb = cond.block_of(x)
+        mC = space.mass_of(cb)
+        if mC <= 0.0:
+            excluded.append(x)
+            continue
+        ab = set(alpha.block_of(x))
+        m = space.mass_of([a for a in cb if a in ab]) / mC
+        values[x] = m
+        if space.mass(x) > 0.0:
+            integral += space.mass(x) * math.log(m)
+    return values, tuple(excluded), abs(conditional_entropy(alpha, cond) + integral)
+
+
+def test_mass_function_equals_per_atom_oracle():
+    rng = np.random.default_rng(31)
+    n = 3000
+    w = rng.random(n)
+    w[rng.random(n) < 0.2] = 0.0
+    space = FiniteProbabilitySpace(range(n), w / w.sum())
+    alpha = Partition.from_labels(space, rng.integers(0, 40, size=n))
+    labels = rng.integers(0, 25, size=n)
+    labels[w == 0.0] = 25  # one zero-mass block
+    for cond in (Partition.from_labels(space, labels), Partition.from_labels(space, labels % 5)):
+        result = conditional_mass_function(space, alpha, cond)
+        values, excluded, gap = _oracle_mass_function(space, alpha, cond)
+        assert list(result.values.items()) == list(values.items())
+        assert result.excluded == excluded
+        assert result.integral_gap == gap
 
 
 def test_mass_function_oracle():

@@ -405,3 +405,13 @@ def test_non_finite_phi_raises(bad, exhaustive):
     if exhaustive:
         # windows are evaluated in mask order: {0, 1, 2} is the first of size 3
         assert "((0,), (1,), (2,))" in str(err.value)
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+@pytest.mark.parametrize("exhaustive", [True, False])
+def test_samples_below_one_rejected(samples, exhaustive):
+    # with no samples a sampled run checks nothing and reports ok
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        verify_subadditive_hypotheses(
+            phi_neg_card_squared, FolnerSubset.box(1, 6), samples=samples, exhaustive=exhaustive
+        )

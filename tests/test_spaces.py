@@ -26,6 +26,7 @@ from folner_entropy import (
     same_space,
 )
 from folner_entropy._kernels import entropy_from_probs
+from folner_entropy.spaces import _segment_sums
 
 LOG2 = 0.6931471805599453
 
@@ -242,6 +243,63 @@ def test_reconstruction_identity(sp, mask):
     assert dis.reconstruct(subset) == pytest.approx(space.mass_of(subset), abs=1e-12)
 
 
+def _oracle_fibers(space, partition):
+    """Fiber spaces assembled atom by atom from block tuples."""
+    fibers = {}
+    for bi, block in enumerate(partition.blocks):
+        mB = space.mass_of(block)
+        if mB <= 0.0:
+            continue
+        masses = np.array([space.mass(a) for a in block]) / mB
+        fibers[bi] = FiniteProbabilitySpace(block, masses)
+    return fibers
+
+
+def _oracle_restrict(alpha, block, conditional):
+    """The trace of alpha on a block, grouped atom by atom."""
+    groups: dict = {}
+    for a in block:
+        groups.setdefault(alpha.block_index(a), []).append(a)
+    return Partition(conditional, groups.values())
+
+
+def test_fibers_and_restrictions_equal_per_atom_oracles():
+    rng = np.random.default_rng(30)
+    n = 3000
+    w = rng.random(n)
+    w[rng.random(n) < 0.2] = 0.0
+    space = FiniteProbabilitySpace(range(n), w / w.sum())
+    alpha = Partition.from_labels(space, rng.integers(0, 40, size=n))
+    labels = rng.integers(0, 12, size=n)
+    labels[w == 0.0] = 12  # one zero-mass block
+    for beta in (Partition.from_labels(space, labels), Partition.points(space)):
+        dis = disintegrate(space, beta)
+        expected = _oracle_fibers(space, beta)
+        assert list(dis.conditional_spaces) == list(expected)
+        for bi, fiber in dis.conditional_spaces.items():
+            assert fiber.atom_ids == expected[bi].atom_ids
+            assert fiber.masses.tolist() == expected[bi].masses.tolist()
+            traced = restrict(alpha, beta.blocks[bi], fiber)
+            expected_trace = _oracle_restrict(alpha, beta.blocks[bi], fiber)
+            assert traced == expected_trace and traced.blocks == expected_trace.blocks
+
+
+def test_restrict_errors():
+    space = FiniteProbabilitySpace(range(4), [0.5, 0.5, 0.0, 0.0])
+    alpha = Partition.points(space)
+    beta = Partition(space, [[0, 1], [2, 3]])
+    fiber = disintegrate(space, beta).conditional(0)
+    with pytest.raises(ValueError, match="empty set"):
+        restrict(alpha, (), fiber)
+    with pytest.raises(SpaceMismatchError):
+        restrict(alpha, (0, 2), fiber)
+    with pytest.raises(SpaceMismatchError):
+        restrict(alpha, (0, 0, 1), fiber)
+    null_fiber = FiniteProbabilitySpace((2, 3), [0.5, 0.5])
+    with pytest.raises(DegenerateFiberError):
+        restrict(alpha, (2, 3), null_fiber)
+
+
 def test_restrict_traces_partition():
     space = FiniteProbabilitySpace(range(4), [0.1, 0.2, 0.3, 0.4])
     alpha = Partition(space, [[0, 2], [1, 3]])
@@ -305,6 +363,55 @@ def test_block_masses_bit_identical_on_large_blocks():
     space = FiniteProbabilitySpace(range(5000), w / w.sum())
     p = Partition.from_labels(space, rng.integers(0, 7, size=5000))
     assert p.block_masses().tolist() == [space.mass_of(b) for b in p.blocks]
+
+
+def test_segment_sums_bit_identical_to_per_segment_sums():
+    # lengths on both sides of the 8-entry unrolled and 128-entry pairwise
+    # blocks, inputs on both sides of the per-segment path's 64 elements
+    rng = np.random.default_rng(12)
+    fixed = [1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 256, 257, 600]
+    cases = [[3], [7, 8], [64], [65], [1] * 65, [8, 7, 8, 7, 8, 7, 8, 7, 9], fixed]
+    for _ in range(40):
+        cases.append(rng.integers(1, 601, size=int(rng.integers(1, 30))).tolist())
+    for _ in range(40):
+        cases.append(rng.integers(1, 12, size=int(rng.integers(1, 20))).tolist())
+    for lengths in cases:
+        ends = np.cumsum(lengths).tolist()
+        values = rng.random(ends[-1]) * rng.choice([1e-9, 1.0, 1e9], size=ends[-1])
+        expected = [values[s:e].sum() for s, e in zip([0] + ends, ends)]
+        assert _segment_sums(values, ends).tolist() == expected
+
+
+def _conditional_entropy_cases(n, seed):
+    """A seeded space with zero-mass atoms; partitions from coarse to fine,
+    one with a zero-mass block and one with all blocks above 129 atoms
+    once n >= 300."""
+    rng = np.random.default_rng(seed)
+    w = rng.random(n) ** 2
+    w[rng.random(n) < 0.2] = 0.0
+    space = FiniteProbabilitySpace(range(n), w / w.sum())
+    labels = rng.integers(0, 4, size=n)
+    labels[w == 0.0] = 4
+    parts = [Partition.trivial(space), Partition.from_labels(space, labels)]
+    for k in (2, 7, 40, n // 3):
+        parts.append(Partition.from_labels(space, rng.integers(0, k, size=n)))
+    return space, parts
+
+
+@pytest.mark.parametrize("n, seed", [(65, 1), (300, 2), (5000, 3)])
+def test_conditional_entropy_bit_identical_on_large_spaces(n, seed):
+    space, parts = _conditional_entropy_cases(n, seed)
+    assert 0.0 in parts[1].block_masses()
+    if n >= 300:
+        assert min(len(b) for b in parts[2].blocks) > 129
+    # the oracle hashes alpha's block tuples once per atom, so alpha stays fine
+    for a in parts[4:]:
+        for b in parts:
+            assert conditional_entropy(a, b) == _fiberwise(a, b)
+            ab = join(a, b)
+            assert conditional_entropy(ab, a) == _fiberwise(ab, a)
+    for b in parts:
+        assert repr(conditional_entropy(b, b)) == "0.0"
 
 
 @settings(max_examples=150, deadline=None)

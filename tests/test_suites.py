@@ -2,6 +2,8 @@
 at reduced trial counts (full-scale runs live in the acceptance suite).
 """
 
+import pytest
+
 from folner_entropy import (
     sweep_disintegration,
     sweep_exhaustion,
@@ -54,3 +56,10 @@ def test_sweep_exhaustion_small():
     assert report.ok
     names = set(report.stats)
     assert names == {"chain_monotone", "chain_vanishes"}
+
+
+@pytest.mark.parametrize("sweep", [sweep_identities, sweep_disintegration, sweep_exhaustion])
+@pytest.mark.parametrize("trials", [0, -3])
+def test_sweeps_reject_trials_below_one(sweep, trials):
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        sweep(trials=trials, seed=0)
