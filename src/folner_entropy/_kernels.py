@@ -125,6 +125,7 @@ def entropy_from_probs(p: np.ndarray) -> float:
 def entropy_from_logprobs(lp: np.ndarray) -> float:
     """Entropy -sum exp(lp) * lp in nats, skipping lp = -inf entries."""
     lp = np.asarray(lp, dtype=np.float64)
-    sel = lp > -np.inf
-    q = np.exp(lp[sel])
-    return float(-(q * lp[sel]).sum())
+    lp = lp[lp > -np.inf]
+    q = np.exp(lp)
+    # in place: one pattern-sized temporary fewer, the same products and sum
+    return float(-np.multiply(q, lp, out=q).sum())

@@ -133,6 +133,13 @@ def _positive_int(cfg: dict, key: str, default: int, override: Optional[int] = N
     return value
 
 
+def _integer(value, what: str) -> int:
+    """An integer config value; bools, floats and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _build_space(obj: dict) -> FiniteProbabilitySpace:
     atoms = _require(obj, "atoms")
     masses = _require(obj, "masses")
@@ -212,18 +219,20 @@ def _build_conditioning(system, obj) -> Optional[SubAlgebraSpec]:
 
 
 def _build_schedule(obj: dict, d: int) -> tuple:
-    sides = _require(obj, "sides")
-    seq = FolnerSequence(d, tuple(int(s) for s in sides))
+    sides = tuple(_integer(s, '"sides" entry') for s in _require(obj, "sides"))
     n_max = obj.get("n_max")
-    return seq, (None if n_max is None else int(n_max))
+    return FolnerSequence(d, sides), (None if n_max is None else _integer(n_max, '"n_max"'))
 
 
 def _build_window(obj: dict, d: int) -> FolnerSubset:
     if "box" in obj:
-        return FolnerSubset.box(d, int(obj["box"]))
+        return FolnerSubset.box(d, _integer(obj["box"], '"box"'))
     if "elements" in obj:
-        elems = [tuple(int(x) for x in e) for e in obj["elements"]]
-        return FolnerSubset(elems, d)
+        elems = [[_integer(x, '"elements" coordinate') for x in e] for e in obj["elements"]]
+        window = FolnerSubset(elems, d)
+        if len(window) != len(elems):
+            raise ConfigError("window elements must be distinct")
+        return window
     raise ConfigError('window needs "box" or "elements"')
 
 
@@ -433,7 +442,9 @@ def cmd_verify(cfg: dict, args) -> int:
         if "exhaustive" in cfg and not isinstance(exhaustive, bool):
             raise ConfigError(f'"exhaustive" must be true or false, got {exhaustive!r}')
         box_cfg = _require(cfg, "box")
-        box = FolnerSubset.box(int(box_cfg.get("d", 1)), int(_require(box_cfg, "side")))
+        box = FolnerSubset.box(
+            _integer(box_cfg.get("d", 1), '"d"'), _integer(_require(box_cfg, "side"), '"side"')
+        )
         result = verify_subadditive_hypotheses(
             phi,
             box,
@@ -544,16 +555,15 @@ def cmd_decompose(cfg: dict, args) -> int:
 
 
 def cmd_folner(cfg: dict, args) -> int:
-    d = int(_require(cfg, "d"))
-    sides = [int(s) for s in _require(cfg, "sides")]
-    seq = FolnerSequence(d, tuple(sides))
+    d = _integer(_require(cfg, "d"), '"d"')
+    seq = FolnerSequence(d, tuple(_integer(s, '"sides" entry') for s in _require(cfg, "sides")))
     gens_cfg = cfg.get("generators")
     if gens_cfg is None:
         gens = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
     else:
-        gens = [tuple(int(x) for x in g) for g in gens_cfg]
+        gens = [tuple(_integer(x, '"generators" coordinate') for x in g) for g in gens_cfg]
     rows = []
-    for n in range(1, len(sides) + 1):
+    for n in range(1, len(seq) + 1):
         F = seq.subset(n)
         for gi, g in enumerate(gens):
             rows.append((n, len(F), gi, invariance_defect(F, g)))

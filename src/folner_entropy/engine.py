@@ -114,9 +114,7 @@ def _finite_window_join(system: FinitePMPAction, alpha: Partition, F: FolnerSubs
         return Partition.trivial(system.space)
     # the row of g is alpha's labels pulled back through T_g: T_{-g} alpha
     labels, k = alpha.labels(), alpha.n_blocks
-    return _join_rows(
-        system.space, ((labels[system.atom_map(g)], k) for g in sorted(F.elements))
-    )
+    return _join_rows(system.space, ((labels[system.atom_map(g)], k) for g in F.rows.tolist()))
 
 
 def _finite_block_entropy(system: FinitePMPAction, alpha, F, C: SubAlgebraSpec) -> float:
@@ -151,14 +149,12 @@ def _shift_factor_entropy(
     cap: int,
 ) -> float:
     """H(alpha^F | phi^W) by joint enumeration of symbol patterns on W."""
-    elements = tuple(sorted(W.elements))
-    K = len(elements)
+    K = len(W)
     m = system.n_symbols
     if m**K > cap:
         raise EnumerationCapError("pattern cap exceeded")
-    sym_probs = symbol_pattern_probs(system, elements, cap)
-    pos_of = {e: j for j, e in enumerate(elements)}
-    sub_F = [pos_of[e] for e in sorted(F.elements)]
+    sym_probs = symbol_pattern_probs(system, W, cap)
+    sub_F = W.locate(F).tolist()
     acode = subpattern_codes(m, K, sub_F, cells.cell_labels(), cells.n_cells)
     pcode = subpattern_codes(m, K, range(K), phi.cell_labels(), phi.n_cells)
     joint = acode * np.int64(phi.n_cells**K) + pcode
@@ -203,8 +199,7 @@ def _shift_block_entropy(
         if cells.n_cells**k > cap:
             raise EnumerationCapError("pattern cap exceeded")
         if cells.n_cells == system.n_symbols:
-            elements = tuple(sorted(F.elements))
-            return entropy_from_logprobs(symbol_pattern_logprobs(system, elements, cap))
+            return entropy_from_logprobs(symbol_pattern_logprobs(system, F, cap))
         return window_partition(system, F, cells, cap).entropy()
     if C.kind == "symbol_factor":
         phi = C.factor_partition(system.alphabet)
@@ -235,13 +230,11 @@ def _mixture_block_entropy(
         alphabet = system.shared_alphabet()
         phi = C.factor_partition(alphabet)
         W = _resolve_window(F, conditioning_window)
-        elements = tuple(sorted(W.elements))
-        K = len(elements)
+        K = len(W)
         m = len(alphabet)
         if len(system.components) * (m**K) > cap:
             raise EnumerationCapError("pattern cap exceeded")
-        pos_of = {e: j for j, e in enumerate(elements)}
-        sub_F = [pos_of[e] for e in sorted(F.elements)]
+        sub_F = W.locate(F).tolist()
         pcode = subpattern_codes(m, K, range(K), phi.cell_labels(), phi.n_cells)
         nphi = np.int64(phi.n_cells**K)
         all_keys = []
@@ -252,7 +245,7 @@ def _mixture_block_entropy(
             if not isinstance(comp, ShiftSystem):
                 raise IncompatibleSubAlgebraError("incompatible sub-algebra")
             cells = resolve_cells(comp, a)
-            sym_probs = symbol_pattern_probs(comp, elements, cap)
+            sym_probs = symbol_pattern_probs(comp, W, cap)
             acode = subpattern_codes(m, K, sub_F, cells.cell_labels(), cells.n_cells)
             all_keys.append((acode + offset) * nphi + pcode)
             all_pkeys.append(pcode)

@@ -1,13 +1,17 @@
-"""Z^d group elements, Folner box sequences, and set-function hypothesis checks.
+"""Z^d group elements, Folner windows and box sequences, and set-function hypothesis checks.
 
-Group elements are plain int tuples; only the translation action of Z^d
-is shipped, but every operation goes through the tiny element helpers so
-other groups can slot in later without touching callers.
+A window (``FolnerSubset``) is one read-only, C-contiguous ``(k, d)``
+int64 array ``rows``: its points, unique and in lexicographic order,
+which is the order of sorted tuples, negative coordinates included.
+Boxes and intervals are filled in that order directly. Set operations
+compare packed int64 row codes (``_codes``). The tuple forms, the
+``elements`` frozenset and iteration in sorted order, are derived on
+demand and hold Python ints. Group elements are integer sequences;
+only the translation action of Z^d is shipped.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
@@ -17,30 +21,82 @@ import numpy as np
 GroupElement = tuple
 
 EXHAUSTIVE_PAIR_LIMIT = 10
+_INT64 = np.iinfo(np.int64)
+_CODE_LIMIT = 1 << 62  # packed row codes stay below this; wider spans are ranked
 
 
 def identity(d: int) -> GroupElement:
     return (0,) * d
 
 
-def add(g: GroupElement, h: GroupElement) -> GroupElement:
-    if len(g) != len(h):
-        raise ValueError("dimension mismatch")
-    return tuple(a + b for a, b in zip(g, h))
-
-
 def neg(g: GroupElement) -> GroupElement:
     return tuple(-a for a in g)
 
 
-class FolnerSubset:
-    """A finite subset of Z^d, the averaging window for entropy rates."""
+def _integer(x, what: str = "coordinate") -> int:
+    """``x`` as a Python int; bools and non-integers raise TypeError."""
+    if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer)):
+        raise TypeError(f"{what} must be an integer, got {x!r}")
+    return int(x)
 
-    __slots__ = ("elements", "d")
+
+def _dimension(d) -> int:
+    d = _integer(d, "dimension")
+    if d < 1:
+        raise ValueError("dimension must be positive")
+    return d
+
+
+def _codes(*blocks: np.ndarray) -> list:
+    """Order-preserving int64 codes of the rows of each block, on one scale.
+
+    Rows are packed relative to the joint column minimum, first column
+    most significant, so the codes of a window ascend with its rows.
+    When the product of the column spans would pass 2^62 the rows are
+    ranked among the distinct rows of all blocks instead.
+    """
+    filled = [r for r in blocks if len(r)]
+    if not filled:
+        return [np.zeros(0, dtype=np.int64) for _ in blocks]
+    lo = np.min([r.min(axis=0) for r in filled], axis=0).tolist()
+    hi = np.max([r.max(axis=0) for r in filled], axis=0).tolist()
+    spans = [h - l + 1 for l, h in zip(lo, hi)]
+    if math.prod(spans) > _CODE_LIMIT:
+        ranks = np.unique(np.concatenate(blocks), axis=0, return_inverse=True)[1].reshape(-1)
+        return np.split(ranks, np.cumsum([len(r) for r in blocks[:-1]]))
+    out = []
+    for r in blocks:
+        codes = r[:, 0] - lo[0]
+        for j in range(1, r.shape[1]):
+            codes *= spans[j]
+            codes += r[:, j] - lo[j]
+        out.append(codes)
+    return out
+
+
+def _locate(rows: np.ndarray, within: np.ndarray) -> tuple:
+    """(positions, found): where each row of ``rows`` sits among the rows of ``within``."""
+    keys, codes = _codes(rows, within)
+    if not len(codes):
+        return np.zeros(len(keys), dtype=np.int64), np.zeros(len(keys), dtype=bool)
+    pos = np.minimum(np.searchsorted(codes, keys), len(codes) - 1)
+    return pos, codes[pos] == keys
+
+
+class FolnerSubset:
+    """A finite subset of Z^d, the averaging window for entropy rates.
+
+    ``rows`` holds the points as a read-only, C-contiguous ``(k, d)``
+    int64 array, unique and in lexicographic order. The constructor
+    takes any iterable of integer sequences (repeats are dropped);
+    bools and non-integral coordinates raise ``TypeError``.
+    """
+
+    __slots__ = ("rows", "d", "_elements")
 
     def __init__(self, elements: Iterable[Sequence[int]], d: Optional[int] = None):
-        elems = frozenset(tuple(int(c) for c in e) for e in elements)
-        dims = {len(e) for e in elems}
+        points = [tuple(_integer(c) for c in e) for e in elements]
+        dims = {len(p) for p in points}
         if len(dims) > 1:
             raise ValueError("dimension mismatch")
         if dims:
@@ -50,71 +106,129 @@ class FolnerSubset:
             d = inferred
         elif d is None:
             raise ValueError("empty subset needs an explicit dimension")
-        self.elements = elems
+        d = _dimension(d)
+        try:
+            rows = np.array(points, dtype=np.int64).reshape(len(points), d)
+        except OverflowError:
+            raise ValueError("coordinates must fit in int64") from None
+        if len(rows) > 1:
+            rows = rows[np.lexsort(rows.T[::-1])]
+            fresh = np.ones(len(rows), dtype=bool)
+            np.any(rows[1:] != rows[:-1], axis=1, out=fresh[1:])
+            rows = rows[fresh]
+        self._set(rows, d)
+
+    def _set(self, rows: np.ndarray, d: int) -> None:
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        rows.flags.writeable = False
+        self.rows = rows
         self.d = d
+        self._elements = None
+
+    @classmethod
+    def _from_rows(cls, rows: np.ndarray, d: int) -> "FolnerSubset":
+        """A window from rows already unique and in lexicographic order."""
+        F = object.__new__(cls)
+        F._set(rows, d)
+        return F
 
     @classmethod
     def box(cls, d: int, side: int) -> "FolnerSubset":
-        """The box [0, side)^d."""
+        """The box [0, side)^d, filled in lexicographic order."""
+        d, side = _dimension(d), _integer(side, "side")
         if side < 1:
             raise ValueError("side must be positive")
-        return cls(itertools.product(range(side), repeat=d), d)
+        grid = np.empty((side,) * d + (d,), dtype=np.int64)
+        axis = np.arange(side, dtype=np.int64)
+        for j in range(d):
+            grid[..., j] = axis.reshape((side,) + (1,) * (d - 1 - j))
+        return cls._from_rows(grid.reshape(-1, d), d)
 
     @classmethod
     def interval(cls, a: int, b: int) -> "FolnerSubset":
         """The d = 1 window [a, b)."""
+        a, b = _integer(a, "endpoint"), _integer(b, "endpoint")
         if b <= a:
             raise ValueError("empty interval")
-        return cls([(t,) for t in range(a, b)], 1)
+        return cls._from_rows(np.arange(a, b, dtype=np.int64).reshape(-1, 1), 1)
+
+    @property
+    def elements(self) -> frozenset:
+        """The points as a frozenset of int tuples, built on first use."""
+        if self._elements is None:
+            self._elements = frozenset(self)
+        return self._elements
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.rows.shape[0]
 
     def __iter__(self):
-        return iter(sorted(self.elements))
+        return map(tuple, self.rows.tolist())
 
     def __contains__(self, g) -> bool:
-        return tuple(g) in self.elements
+        try:
+            point = FolnerSubset([g], self.d)
+        except ValueError:  # another dimension, or outside int64
+            return False
+        return point.issubset(self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FolnerSubset):
             return NotImplemented
-        return self.d == other.d and self.elements == other.elements
+        return self.d == other.d and np.array_equal(self.rows, other.rows)
 
     def __hash__(self) -> int:
-        return hash((self.d, self.elements))
+        return hash((self.d, self.rows.tobytes()))
 
     def __repr__(self) -> str:
         return f"FolnerSubset(d={self.d}, size={len(self)})"
 
-    def union(self, other: "FolnerSubset") -> "FolnerSubset":
+    def _same_d(self, other: "FolnerSubset") -> None:
         if self.d != other.d:
             raise ValueError("dimension mismatch")
-        return FolnerSubset(self.elements | other.elements, self.d)
+
+    def union(self, other: "FolnerSubset") -> "FolnerSubset":
+        self._same_d(other)
+        both = np.concatenate([self.rows, other.rows])
+        first = np.unique(np.concatenate(_codes(self.rows, other.rows)), return_index=True)[1]
+        return FolnerSubset._from_rows(both[first], self.d)
 
     def intersection(self, other: "FolnerSubset") -> "FolnerSubset":
-        if self.d != other.d:
-            raise ValueError("dimension mismatch")
-        return FolnerSubset(self.elements & other.elements, self.d)
+        self._same_d(other)
+        return FolnerSubset._from_rows(self.rows[_locate(self.rows, other.rows)[1]], self.d)
 
     def issubset(self, other: "FolnerSubset") -> bool:
-        return self.d == other.d and self.elements <= other.elements
+        return self.d == other.d and bool(_locate(self.rows, other.rows)[1].all())
+
+    def locate(self, sub: "FolnerSubset") -> np.ndarray:
+        """Row index in this window of every row of ``sub``, which must be a subset."""
+        self._same_d(sub)
+        pos, found = _locate(sub.rows, self.rows)
+        if not found.all():
+            raise ValueError("not a subset of the window")
+        return pos
 
 
 def translate(F: FolnerSubset, g: GroupElement) -> FolnerSubset:
     """The translated window g + F."""
-    g = tuple(int(c) for c in g)
+    g = [_integer(c) for c in g]
     if len(g) != F.d:
         raise ValueError("dimension mismatch")
-    return FolnerSubset((add(g, f) for f in F.elements), F.d)
+    if not len(F):
+        return F
+    lo, hi = F.rows.min(axis=0).tolist(), F.rows.max(axis=0).tolist()
+    if any(a + s < _INT64.min or b + s > _INT64.max for a, b, s in zip(lo, hi, g)):
+        raise ValueError("coordinates must fit in int64")
+    # a translation keeps the rows unique and in lexicographic order
+    return FolnerSubset._from_rows(F.rows + np.array(g, dtype=np.int64), F.d)
 
 
 def invariance_defect(F: FolnerSubset, g: GroupElement) -> float:
     """Normalized boundary size |gF symmetric-difference F| / |F| in [0, 2]."""
     if len(F) == 0:
         raise ValueError("empty set")
-    shifted = translate(F, g)
-    return len(shifted.elements ^ F.elements) / len(F)
+    shared = int(np.count_nonzero(_locate(translate(F, g).rows, F.rows)[1]))
+    return 2 * (len(F) - shared) / len(F)
 
 
 @dataclass(frozen=True)
@@ -130,10 +244,9 @@ class FolnerSequence:
     sides: tuple
 
     def __post_init__(self):
-        sides = tuple(int(s) for s in self.sides)
+        _dimension(self.d)
+        sides = tuple(_integer(s, "side") for s in self.sides)
         object.__setattr__(self, "sides", sides)
-        if self.d < 1:
-            raise ValueError("dimension must be positive")
         if not sides:
             raise ValueError("empty schedule")
         if sides[0] < 1 or any(b <= a for a, b in zip(sides, sides[1:])):
@@ -233,7 +346,7 @@ def verify_subadditive_hypotheses(
     - sampled k-cover bounds: phi(F) <= (1/k) sum phi(E_i) whenever the
       E_i cover every element of F at least k times.
 
-    Subsets are bit masks over the sorted elements of ``box``, and ``phi``
+    Subsets are bit masks over the rows of ``box``, and ``phi``
     is evaluated at most once per mask. ``exhaustive`` (default: automatic
     for boxes of at most 8 elements) evaluates ``phi`` on all 2^n subsets
     and compares all 4^n ordered pairs (E, F) as arrays; otherwise pairs
@@ -242,8 +355,7 @@ def verify_subadditive_hypotheses(
     of each check in (E, F) mask order. A non-finite value of ``phi``
     raises ``ValueError`` naming the window, and so does ``samples < 1``.
     """
-    elems = sorted(box.elements)
-    n = len(elems)
+    points, n = box.rows, len(box)
     if n == 0:
         raise ValueError("empty set")
     if samples < 1:
@@ -261,14 +373,24 @@ def verify_subadditive_hypotheses(
     )
     rng = np.random.default_rng(seed)
     cache: dict = {}
+    pow2 = np.array([1 << i for i in range(n)], dtype=object)
 
-    def window(mask: int) -> tuple:
-        return tuple(e for i, e in enumerate(elems) if mask >> i & 1)
+    def bits(masks: np.ndarray) -> np.ndarray:
+        """The 0/1 bit matrix of a mask array, one row per mask."""
+        return masks[:, None] >> np.arange(n).astype(masks.dtype) & 1
+
+    def rows_of(mask) -> np.ndarray:
+        """The rows of ``box`` picked by the set bits of ``mask``."""
+        raw = np.frombuffer(int(mask).to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+        return points[np.unpackbits(raw, count=n, bitorder="little").view(bool)]
+
+    def window(mask) -> tuple:
+        return tuple(map(tuple, rows_of(mask).tolist()))
 
     def table(mask: int) -> float:
         v = cache.get(mask)
         if v is None:
-            v = cache[mask] = float(phi(FolnerSubset(window(mask), box.d)))
+            v = cache[mask] = float(phi(FolnerSubset._from_rows(rows_of(mask), box.d)))
             if not math.isfinite(v):
                 raise ValueError(f"phi is not finite on window {window(mask)}: {v}")
         return v
@@ -290,10 +412,10 @@ def verify_subadditive_hypotheses(
     if exhaustive:
         masks = np.arange(1 << n)
         at = np.array([table(m) for m in range(1 << n)]).__getitem__
-        rows = min(1 << n, max(1, _PAIR_BLOCK >> n))  # E rows per block
+        per_block = min(1 << n, max(1, _PAIR_BLOCK >> n))  # E rows per block
         blocks = (
-            (np.repeat(masks[r : r + rows], 1 << n), np.tile(masks, rows))
-            for r in range(0, 1 << n, rows)
+            (np.repeat(masks[r : r + per_block], 1 << n), np.tile(masks, per_block))
+            for r in range(0, 1 << n, per_block)
         )
     else:
 
@@ -326,16 +448,15 @@ def verify_subadditive_hypotheses(
     # translation invariance on nonempty windows whose shift stays in the box
     if translations is None:
         translations = [tuple(int(j == i) for j in range(box.d)) for i in range(box.d)]
-    elem_index = {e: i for i, e in enumerate(elems)}
     for s in translations:
-        shift_of = [elem_index.get(add(e, tuple(s))) for e in elems]
+        to, inside = _locate(translate(box, s).rows, points)
         if exhaustive:
             F = masks[1:]
         else:
             F = np.array([random_mask() for _ in range(samples)], dtype=object)
-        bits = F[:, None] >> np.arange(n).astype(F.dtype) & 1
-        S = bits @ np.array([0 if j is None else 1 << j for j in shift_of], dtype=F.dtype)
-        outside = bits @ np.array([int(j is None) for j in shift_of], dtype=F.dtype)
+        B = bits(F)
+        S = B @ np.where(inside, pow2[to], 0).astype(F.dtype)
+        outside = B @ (~inside).astype(F.dtype)
         keep = np.flatnonzero((outside == 0) & (F != 0))
         pf, ps = at(np.stack([F[keep], S[keep]], axis=1)).T
 
@@ -344,30 +465,37 @@ def verify_subadditive_hypotheses(
 
         _record(report, "translation_invariance", -np.abs(pf - ps), tolerance, witness)
 
-    # sampled k-covers: layered construction guarantees full coverage
-    covers = []
-    for _ in range(samples):
+    # sampled k-covers: each layer splits F into pieces, so it covers F once;
+    # stray elements outside F are harmless. All draws come first, in the
+    # order of the per-sample construction; the piece masks and the coverage
+    # counts are then built from bit arrays.
+    fmasks, layer_sample, layer_pieces, assignments, strays = [], [], [], [], []
+    for s in range(samples):
         fmask = random_mask(allow_empty=False)
-        fbits = [i for i in range(n) if fmask >> i & 1]
-        layers = int(rng.integers(1, 4))
-        cover_masks = []
-        for _layer in range(layers):
+        fmasks.append(fmask)
+        for _layer in range(int(rng.integers(1, 4))):
             pieces = int(rng.integers(1, 3))
-            assignment = rng.integers(0, pieces, size=len(fbits))
-            for p in range(pieces):
-                pm = 0
-                for b, a in zip(fbits, assignment):
-                    if a == p:
-                        pm |= 1 << b
-                pm |= random_mask() & ~fmask  # stray elements outside F are harmless
-                if pm:
-                    cover_masks.append(pm)
-        coverage = [sum(cm >> i & 1 for cm in cover_masks) for i in fbits]
-        k = min(coverage) if coverage else 0
-        if k < 1:
+            layer_sample.append(s)
+            layer_pieces.append(pieces)
+            assignments.append(rng.integers(0, pieces, size=fmask.bit_count()))
+            strays += [random_mask() & ~fmask for _ in range(pieces)]
+    first = np.cumsum([0] + layer_pieces)  # first piece of each layer
+    in_F = bits(np.array(fmasks, dtype=object)).astype(bool)
+    layer, col = np.nonzero(in_F[layer_sample])  # F's bits, layer by layer
+    piece_bits = np.zeros((first[-1], n), dtype=np.int64)
+    piece_bits[first[layer] + np.concatenate(assignments), col] = 1
+    cover = (piece_bits @ pow2 | np.array(strays, dtype=object)).tolist()
+    # the pieces of sample s are cover[starts[s] : starts[s + 1]]
+    starts = first[np.searchsorted(layer_sample, np.arange(samples + 1))]
+    coverage = np.add.reduceat(piece_bits, starts[:-1], axis=0)
+    ks = np.where(in_F, coverage, _INT64.max).min(axis=1).tolist()
+    covers = []
+    for s, fmask in enumerate(fmasks):
+        if ks[s] < 1:
             continue
-        bound = sum(table(cm) for cm in cover_masks) / k
-        covers.append((bound - table(fmask), fmask, k, len(cover_masks)))
+        cover_masks = [cm for cm in cover[starts[s] : starts[s + 1]] if cm]
+        bound = sum(table(cm) for cm in cover_masks) / ks[s]
+        covers.append((bound - table(fmask), fmask, ks[s], len(cover_masks)))
     slacks = np.array([c[0] for c in covers])
     _record(report, "k_cover", slacks, tolerance, lambda j: (window(covers[j][1]), *covers[j][2:]))
 

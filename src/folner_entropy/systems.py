@@ -33,7 +33,7 @@ from ._kernels import (
     markov_interval_logprobs,
     markov_window_probs,
 )
-from .groups import FolnerSubset, GroupElement, add, neg
+from .groups import FolnerSubset, GroupElement, neg
 from .spaces import (
     FiniteProbabilitySpace,
     Partition,
@@ -539,12 +539,6 @@ def mixture(components: Sequence, weights: Sequence[float]) -> MixtureSystem:
 # ---------------------------------------------------------------------------
 
 
-def _d1_positions(window: FolnerSubset) -> list:
-    if window.d != 1:
-        raise ValueError("dimension mismatch")
-    return [e[0] for e in sorted(window.elements)]
-
-
 def cylinder_measure(system, window: FolnerSubset, word: Mapping) -> float:
     """Measure of one cylinder: the set of points showing ``word`` on ``window``.
 
@@ -567,7 +561,7 @@ def cylinder_measure(system, window: FolnerSubset, word: Mapping) -> float:
         raise TypeError("cylinder measures apply to shift systems and mixtures")
     if window.d != system.d:
         raise ValueError("dimension mismatch")
-    elems = sorted(window.elements)
+    elems = list(window)
     missing = [e for e in elems if e not in word]
     if missing:
         raise ValueError("word must cover the window")
@@ -703,44 +697,41 @@ def resolve_cells(system: ShiftSystem, alpha: Optional[SymbolPartition]) -> Symb
     return alpha
 
 
-def _is_interval(positions: Sequence[int]) -> bool:
-    return all(b - a == 1 for a, b in zip(positions, positions[1:]))
+def _is_interval(F: FolnerSubset) -> bool:
+    """True for a nonempty d = 1 window without gaps: its sorted, unique
+    positions span exactly |F| sites."""
+    return len(F) > 0 and int(F.rows[-1, 0] - F.rows[0, 0]) == len(F) - 1
 
 
-def symbol_pattern_logprobs(system: ShiftSystem, elements: Sequence[GroupElement], cap: int = DEFAULT_PATTERN_CAP) -> np.ndarray:
-    """Log-measures of all full-symbol patterns on a sorted window.
+def symbol_pattern_logprobs(system: ShiftSystem, F: FolnerSubset, cap: int = DEFAULT_PATTERN_CAP) -> np.ndarray:
+    """Log-measures of all full-symbol patterns on the window ``F``.
 
-    Element-major indexing over ``elements``. Stationarity makes the
+    Element-major indexing over F's rows. Stationarity makes the
     result depend only on the window's shape, never its location.
     """
-    elements = tuple(elements)
-    k = len(elements)
+    k = len(F)
     m = system.n_symbols
     _guard_patterns(m, k, cap)
     if system.kind == "bernoulli":
         with np.errstate(divide="ignore"):
             log_p = np.log(system.probs)
         return iid_pattern_logprobs(log_p, k)
-    positions = [e[0] for e in elements]
-    if k > 0 and _is_interval(positions):
+    if _is_interval(F):
         with np.errstate(divide="ignore"):
             return markov_interval_logprobs(np.log(system.pi), np.log(system.P), k)
-    probs = markov_window_probs(system.pi, system.P, np.array(positions, dtype=np.int64))
+    probs = markov_window_probs(system.pi, system.P, F.rows[:, 0])
     with np.errstate(divide="ignore"):
         return np.log(probs)
 
 
-def symbol_pattern_probs(system: ShiftSystem, elements: Sequence[GroupElement], cap: int = DEFAULT_PATTERN_CAP) -> np.ndarray:
-    """Measures of all full-symbol patterns on a sorted window."""
-    elements = tuple(elements)
-    k = len(elements)
+def symbol_pattern_probs(system: ShiftSystem, F: FolnerSubset, cap: int = DEFAULT_PATTERN_CAP) -> np.ndarray:
+    """Measures of all full-symbol patterns on the window ``F``."""
+    k = len(F)
     m = system.n_symbols
     _guard_patterns(m, k, cap)
-    if system.kind == "markov" and k > 0:
-        positions = [e[0] for e in elements]
-        if not _is_interval(positions):
-            return markov_window_probs(system.pi, system.P, np.array(positions, dtype=np.int64))
-    return np.exp(symbol_pattern_logprobs(system, elements, cap))
+    if system.kind == "markov" and k > 0 and not _is_interval(F):
+        return markov_window_probs(system.pi, system.P, F.rows[:, 0])
+    return np.exp(symbol_pattern_logprobs(system, F, cap))
 
 
 def subpattern_codes(
@@ -793,10 +784,10 @@ def window_partition(system, F: FolnerSubset, alpha=None, cap: int = DEFAULT_PAT
     if F.d != system.d:
         raise ValueError("dimension mismatch")
     cells = resolve_cells(system, alpha)
-    elements = tuple(sorted(F.elements))
-    k = len(elements)
+    k = len(F)
     mc = cells.n_cells
     _guard_patterns(mc, k, cap)
+    elements = tuple(F)
     if system.kind == "bernoulli":
         cell_probs = np.array([sum(float(system.probs[system.symbol_index(s)]) for s in cell) for cell in cells.cells])
         with np.errstate(divide="ignore"):
@@ -804,11 +795,11 @@ def window_partition(system, F: FolnerSubset, alpha=None, cap: int = DEFAULT_PAT
         return PatternDistribution(elements, cells.cells, probs)
     if mc == system.n_symbols:
         # full symbol partition: the kernel output is already cellwise
-        probs = symbol_pattern_probs(system, elements, cap)
+        probs = symbol_pattern_probs(system, F, cap)
         return PatternDistribution(elements, cells.cells, probs)
     m = system.n_symbols
     _guard_patterns(m, k, cap)
-    sym_probs = symbol_pattern_probs(system, elements, cap)
+    sym_probs = symbol_pattern_probs(system, F, cap)
     codes = subpattern_codes(m, k, range(k), cells.cell_labels(), mc)
     probs = np.bincount(codes, weights=sym_probs, minlength=mc**k)
     return PatternDistribution(elements, cells.cells, probs)

@@ -440,3 +440,87 @@ def test_verify_trials_must_be_positive_integers(tmp_path, suite, trials, flag):
     r = run_cli(args)
     _assert_validation_error(r, tmp_path, '"trials" must be an integer >= 1')
 
+
+
+# -- windows ----------------------------------------------------------------------
+
+
+def test_folner_table_equals_frozenset_oracle(tmp_path):
+    from test_groups import OracleSubset, oracle_invariance_defect
+
+    sides, gens = [1, 2, 4, 8, 16], [[1, 0], [0, 1], [3, -2]]
+    cfg = {"schema": 1, "d": 2, "sides": sides, "generators": gens}
+    r = run_cli(["folner", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)])
+    assert r.returncode == 0, r.stdout + r.stderr
+    lines = ["n,F_size,generator,defect"]
+    for n, s in enumerate(sides, 1):
+        box = OracleSubset.box(2, s)
+        for gi, g in enumerate(gens):
+            lines.append(f"{n},{len(box)},{gi},{oracle_invariance_defect(box, g)!r}")
+    assert (tmp_path / "folner.csv").read_text() == "\n".join(lines) + "\n"
+
+
+MARKOV3 = {"kind": "markov", "P": [[0.7, 0.2, 0.1], [0.3, 0.5, 0.2], [0.25, 0.25, 0.5]]}
+
+
+@pytest.mark.parametrize(
+    "cfg, expected",
+    [
+        (
+            {"system": MARKOV3, "window": {"elements": [[-4], [-1], [0], [3]]}},
+            '{\n  "F_size": 4,\n  "block_entropy_nats": 4.048755851973352,\n'
+            '  "schema": 1,\n  "task": "entropy",\n  "units": "nats"\n}\n',
+        ),
+        (
+            {
+                "system": MARKOV3,
+                "window": {"elements": [[5], [1], [3]]},
+                "conditioning": {"kind": "symbol_factor", "labels": [0, 0, 1]},
+            },
+            '{\n  "F_size": 3,\n  "block_entropy_nats": 1.542323112598476,\n'
+            '  "schema": 1,\n  "task": "entropy",\n  "units": "nats"\n}\n',
+        ),
+    ],
+)
+def test_entropy_on_gapped_window_keeps_its_bytes(tmp_path, cfg, expected):
+    # the bytes written before windows became sorted int64 row arrays
+    path = write_cfg(tmp_path, {"schema": 1, **cfg})
+    r = run_cli(["entropy", "--config", path, "--out", str(tmp_path)])
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert (tmp_path / "entropy.json").read_text() == expected
+    assert r.stdout == expected
+
+
+BERNOULLI = {"kind": "bernoulli", "probs": [0.5, 0.5]}
+
+
+@pytest.mark.parametrize(
+    "verb, cfg, message",
+    [
+        # each was accepted before: truncated, or read as a set
+        ("entropy", {"system": BERNOULLI, "window": {"elements": [[0.5], [1.9]]}},
+         '"elements" coordinate must be an integer, got 0.5'),
+        ("entropy", {"system": BERNOULLI, "window": {"box": 2.7}},
+         '"box" must be an integer, got 2.7'),
+        ("entropy", {"system": BERNOULLI, "window": {"elements": [[True], [0]]}},
+         '"elements" coordinate must be an integer, got True'),
+        ("entropy", {"system": BERNOULLI, "window": {"elements": [[0], [0]]}},
+         "window elements must be distinct"),
+        ("rate", {"system": BERNOULLI, "schedule": {"sides": [1, 2.5]}},
+         '"sides" entry must be an integer, got 2.5'),
+        ("rate", {"system": BERNOULLI, "schedule": {"sides": [1, 2], "n_max": 1.0}},
+         '"n_max" must be an integer, got 1.0'),
+        ("folner", {"d": 1, "sides": [1, 2.5]}, '"sides" entry must be an integer, got 2.5'),
+        ("folner", {"d": 2.0, "sides": [1, 2]}, '"d" must be an integer, got 2.0'),
+        ("folner", {"d": 1, "sides": [1, 2], "generators": [[0.5]]},
+         '"generators" coordinate must be an integer, got 0.5'),
+        ("verify", {"suite": "subadditivity", "phi": {"kind": "cardinality"},
+                    "box": {"d": 1, "side": 4.0}}, '"side" must be an integer, got 4.0'),
+    ],
+)
+def test_window_fields_must_be_integers(tmp_path, verb, cfg, message):
+    out = tmp_path / "out"
+    r = run_cli([verb, "--config", write_cfg(tmp_path, {"schema": 1, **cfg}), "--out", str(out)])
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert json.loads(r.stdout)["error"] == {"kind": "validation", "message": message}
+    assert not out.exists()

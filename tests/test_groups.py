@@ -1,11 +1,14 @@
 """Window geometry: boxes, translation defects, schedules, and the
 subadditive-hypothesis checker on constructed set functions."""
 
+import itertools
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from folner_entropy import (
     FolnerSequence,
@@ -16,7 +19,7 @@ from folner_entropy import (
     translate,
     verify_subadditive_hypotheses,
 )
-from folner_entropy.groups import EXHAUSTIVE_PAIR_LIMIT, SubadditivityReport
+from folner_entropy.groups import EXHAUSTIVE_PAIR_LIMIT, SubadditivityReport, _codes
 from folner_entropy.suites import phi_cardinality, phi_neg_card_squared, window_entropy_phi
 
 
@@ -329,6 +332,9 @@ ORACLE_CASES = {
         FolnerSubset.box(2, 2),
         {"exhaustive": False, "seed": 3, "samples": 50},
     ),
+    "sampled-neg-card-squared-box70": (
+        lambda box: phi_neg_card_squared, FolnerSubset.box(1, 70), {"seed": 5, "samples": 40}
+    ),
     **{
         f"sampled-random-box12-seed{seed}": (
             lambda box, seed=seed: random_phi(box, 100 + seed, noise=0.5),
@@ -415,3 +421,217 @@ def test_samples_below_one_rejected(samples, exhaustive):
         verify_subadditive_hypotheses(
             phi_neg_card_squared, FolnerSubset.box(1, 6), samples=samples, exhaustive=exhaustive
         )
+
+
+# -- array windows against the frozenset windows --------------------------------
+#
+# The oracle below is the window type before windows became sorted int64 row
+# arrays: a frozenset of int tuples, with translation and the invariance defect
+# computed on the sets. It lives here only, as the independent reference.
+
+
+class OracleSubset:
+    def __init__(self, elements, d=None):
+        elems = frozenset(tuple(int(c) for c in e) for e in elements)
+        dims = {len(e) for e in elems}
+        if len(dims) > 1:
+            raise ValueError("dimension mismatch")
+        if dims:
+            inferred = dims.pop()
+            if d is not None and d != inferred:
+                raise ValueError("dimension mismatch")
+            d = inferred
+        elif d is None:
+            raise ValueError("empty subset needs an explicit dimension")
+        self.elements = elems
+        self.d = d
+
+    @classmethod
+    def box(cls, d, side):
+        if side < 1:
+            raise ValueError("side must be positive")
+        return cls(itertools.product(range(side), repeat=d), d)
+
+    def __len__(self):
+        return len(self.elements)
+
+    def __iter__(self):
+        return iter(sorted(self.elements))
+
+    def __contains__(self, g):
+        return tuple(g) in self.elements
+
+    def __eq__(self, other):
+        return self.d == other.d and self.elements == other.elements
+
+    def union(self, other):
+        return OracleSubset(self.elements | other.elements, self.d)
+
+    def intersection(self, other):
+        return OracleSubset(self.elements & other.elements, self.d)
+
+    def issubset(self, other):
+        return self.d == other.d and self.elements <= other.elements
+
+
+def oracle_translate(F, g):
+    g = tuple(int(c) for c in g)
+    if len(g) != F.d:
+        raise ValueError("dimension mismatch")
+    return OracleSubset((tuple(a + b for a, b in zip(g, f)) for f in F.elements), F.d)
+
+
+def oracle_invariance_defect(F, g):
+    if len(F) == 0:
+        raise ValueError("empty set")
+    return len(oracle_translate(F, g).elements ^ F.elements) / len(F)
+
+
+def assert_same_window(F, oracle):
+    assert F.d == oracle.d
+    assert len(F) == len(oracle)
+    assert list(F) == list(oracle)  # sorted order, negative coordinates included
+    assert F.elements == oracle.elements
+    assert all(type(c) is int for e in F for c in e)
+    assert all(type(c) is int for e in F.elements for c in e)
+    assert F.rows.dtype == np.int64 and F.rows.shape == (len(oracle), oracle.d)
+    assert F.rows.flags.c_contiguous and not F.rows.flags.writeable
+
+
+BIG = 1 << 40
+COORD = st.one_of(st.integers(-5, 5), st.sampled_from([-BIG, BIG, BIG - 1]))
+
+
+@st.composite
+def window_cases(draw):
+    d = draw(st.integers(1, 3))
+    point = st.tuples(*[COORD] * d)
+    A = draw(st.lists(point, max_size=14))  # repeats and the empty window included
+    B = draw(st.lists(st.sampled_from(A) | point if A else point, max_size=14))
+    return d, A, B, draw(point), draw(point)
+
+
+@settings(max_examples=300, deadline=None)
+@given(window_cases())
+def test_windows_equal_frozenset_oracle(case):
+    d, A, B, g, probe = case
+    F, G = FolnerSubset(A, d), FolnerSubset(B, d)
+    OF, OG = OracleSubset(A, d), OracleSubset(B, d)
+    assert_same_window(F, OF)
+    assert_same_window(G, OG)
+    for p in [probe, *A[:3]]:
+        assert (p in F) == (p in OF)
+    assert (F == G) == (OF == OG)
+    again = FolnerSubset(list(reversed(A)), d)
+    assert F == again and hash(F) == hash(again)
+    if F == G:
+        assert hash(F) == hash(G)
+    assert_same_window(F.union(G), OF.union(OG))
+    assert_same_window(F.intersection(G), OF.intersection(OG))
+    assert F.issubset(G) == OF.issubset(OG)
+    assert G.issubset(F) == OG.issubset(OF)
+    assert F.intersection(G).issubset(F) and F.issubset(F.union(G))
+    assert_same_window(translate(F, g), oracle_translate(OF, g))
+    if len(F):
+        assert invariance_defect(F, g) == oracle_invariance_defect(OF, g)
+        assert invariance_defect(F, probe) == oracle_invariance_defect(OF, probe)
+
+
+def test_wide_spans_are_ranked_not_packed():
+    # column spans of 2^41 + 1: their product passes 2^62, so rows are ranked
+    A = [(-BIG, 5), (BIG, -3), (0, BIG), (0, -BIG), (7, 7), (BIG, BIG), (-BIG, -BIG)]
+    B = [(0, BIG), (7, 7), (1, 1), (-BIG, 5), (BIG, -BIG)]
+    F, G = FolnerSubset(A, 2), FolnerSubset(B, 2)
+    OF, OG = OracleSubset(A, 2), OracleSubset(B, 2)
+    a, b = _codes(F.rows, G.rows)
+    assert max(a.max(), b.max()) < len(F) + len(G)  # ranks, not packed offsets
+    assert (np.diff(a) > 0).all() and (np.diff(b) > 0).all()  # order preserved
+    assert_same_window(F, OF)
+    assert_same_window(F.union(G), OF.union(OG))
+    assert_same_window(F.intersection(G), OF.intersection(OG))
+    assert not F.issubset(G) and F.intersection(G).issubset(G)
+    assert (0, BIG) in F and (1, 1) not in F and (1, 1, 1) not in F
+    for g in [(1, 0), (-BIG, BIG), (2 * BIG, 0)]:
+        assert_same_window(translate(F, g), oracle_translate(OF, g))
+        assert invariance_defect(F, g) == oracle_invariance_defect(OF, g)
+    # a narrow pair is packed: codes are offsets from the joint minimum
+    narrow = FolnerSubset([(0, 3), (2, 1)], 2)
+    assert _codes(narrow.rows)[0].tolist() == [2, 6]
+
+
+def test_boxes_and_intervals_equal_oracle():
+    for d, side in [(1, 1), (1, 9), (2, 1), (2, 5), (3, 3), (3, 4), (4, 2)]:
+        assert_same_window(FolnerSubset.box(d, side), OracleSubset.box(d, side))
+    assert_same_window(FolnerSubset.interval(-7, 4), OracleSubset([(t,) for t in range(-7, 4)]))
+    seq = FolnerSequence(2, (1, 2, 4, 8, 16))
+    defects = [invariance_defect(seq.subset(n), g) for n in range(1, 6) for g in [(1, 0), (3, -2)]]
+    oracle = [
+        oracle_invariance_defect(OracleSubset.box(2, s), g)
+        for s in seq.sides
+        for g in [(1, 0), (3, -2)]
+    ]
+    assert defects == oracle
+
+
+def test_box_2048_rows():
+    F = FolnerSubset.box(2, 2048)
+    assert len(F) == 4194304
+    assert F.rows.dtype == np.int64
+    assert F.rows.flags.c_contiguous and not F.rows.flags.writeable
+    assert F.rows[:3].tolist() == [[0, 0], [0, 1], [0, 2]]
+    assert F.rows[2047:2049].tolist() == [[0, 2047], [1, 0]]
+    assert F.rows[-1].tolist() == [2047, 2047]
+    with pytest.raises(ValueError):
+        F.rows[0, 0] = 5
+
+
+def test_locate_rows_in_a_window():
+    W = FolnerSubset([(-3,), (0,), (2,), (5,), (9,)], 1)
+    assert W.locate(FolnerSubset([(9,), (0,), (5,)], 1)).tolist() == [1, 3, 4]
+    assert W.locate(FolnerSubset([], 1)).tolist() == []
+    with pytest.raises(ValueError, match="not a subset"):
+        W.locate(FolnerSubset([(1,)], 1))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        W.locate(FolnerSubset([(0, 0)], 2))
+
+
+@pytest.mark.parametrize(
+    "points", [[(0.5,), (1.7,)], [(True,), (0,)], [(np.bool_(False),)], [(2.0,)], [("1",)]]
+)
+def test_non_integer_coordinates_raise(points):
+    # FolnerSubset([(0.5,), (1.7,)]) used to truncate to {(0,), (1,)}
+    with pytest.raises(TypeError, match="coordinate must be an integer"):
+        FolnerSubset(points)
+
+
+def test_window_validation():
+    assert list(FolnerSubset([(np.int64(3),), (np.int32(-1),)])) == [(-1,), (3,)]
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        FolnerSubset.box(0, 3)  # used to return the d = 0 window {()}
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        FolnerSubset.box(-1, 3)
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        FolnerSubset([()])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        FolnerSubset([(0,), (0, 1)])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        FolnerSubset([(0,)], 2)
+    with pytest.raises(ValueError, match="explicit dimension"):
+        FolnerSubset([])
+    with pytest.raises(TypeError):
+        FolnerSubset.box(2, 2.0)
+    with pytest.raises(TypeError):
+        FolnerSubset.box(True, 2)
+    with pytest.raises(TypeError):
+        FolnerSubset.interval(0, 2.5)
+    with pytest.raises(TypeError):
+        FolnerSequence(1, (1, 2.5))
+    with pytest.raises(TypeError):
+        translate(FolnerSubset.box(1, 2), (0.5,))
+    with pytest.raises(ValueError, match="int64"):
+        FolnerSubset([(1 << 63,)])
+    top = FolnerSubset([(np.iinfo(np.int64).max - 1,)])
+    assert list(translate(top, (1,))) == [(np.iinfo(np.int64).max,)]
+    with pytest.raises(ValueError, match="int64"):
+        translate(top, (2,))
+    assert translate(FolnerSubset([], 1), (1 << 70,)) == FolnerSubset([], 1)
