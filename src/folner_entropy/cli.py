@@ -150,7 +150,7 @@ def _build_system(obj: dict):
     kind = _require(obj, "kind")
     if kind == "bernoulli":
         return bernoulli_shift(
-            _require(obj, "probs"), int(obj.get("d", 1)), obj.get("alphabet")
+            _require(obj, "probs"), _integer(obj.get("d", 1), '"d"'), obj.get("alphabet")
         )
     if kind == "markov":
         P = np.asarray(_require(obj, "P"), dtype=np.float64)
@@ -213,7 +213,7 @@ def _build_conditioning(system, obj) -> Optional[SubAlgebraSpec]:
         if len(labels) != len(alphabet):
             raise ConfigError("labels must align with the alphabet")
         return SubAlgebraSpec.symbol_factor(
-            {sym: int(v) for sym, v in zip(alphabet, labels)}
+            {sym: _integer(v, '"labels" entry') for sym, v in zip(alphabet, labels)}
         )
     raise ConfigError(f"unknown conditioning kind: {kind!r}")
 
@@ -403,7 +403,7 @@ def _sweep_properties(report, labels: dict) -> list:
 
 def cmd_verify(cfg: dict, args) -> int:
     suite = _require(cfg, "suite")
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = args.seed if args.seed is not None else _integer(cfg.get("seed", 0), '"seed"')
     report = {"schema": 1, "task": "verify", "suite": suite, "seed": seed}
     if suite in SWEEPS:
         sweep_fn, default_trials, default_tol, labels = SWEEPS[suite]
@@ -411,7 +411,7 @@ def cmd_verify(cfg: dict, args) -> int:
         sweep = sweep_fn(
             _positive_int(cfg, "trials", default_trials, args.trials),
             seed,
-            int(cfg.get("max_atoms", 10)),
+            _integer(cfg.get("max_atoms", 10), '"max_atoms"'),
             tolerance=tol,
         )
         report["trials"] = sweep.trials

@@ -2,15 +2,19 @@
 
 Every window entropy has exactly one route, fixed by the system and the
 conditioning. Finite actions use exact partition algebra. Bernoulli
-shifts are closed-form at every window size (a product measure factors
-over sites), and so are mixtures under trivial conditioning (tagged
-supports are disjoint, so H = H(weights) + sum_i w_i H_i). Markov
-windows, and mixtures conditioned on a symbol factor, enumerate all
-patterns under the cap and raise ``EnumerationCapError`` above it.
-Conditioning on a symbol factor is evaluated on a finite conditioning
-window W containing F; for product measures only the factor at F's own
-sites binds, so every such W gives the exact value; for Markov measures
-it is a monotone upper approximation that tightens as W grows.
+shifts are closed-form at every window size from one-site cell masses,
+k * H(cells) or k * (H(cells v phi) - H(phi)) under a symbol factor phi,
+and so are mixtures under trivial conditioning (tagged supports are
+disjoint, so H = H(weights) + sum_i w_i H_i). Three routes enumerate
+under the cap and raise ``EnumerationCapError`` above it, before any
+fill: full-symbol Markov windows in log space, coarse cells on Markov
+windows through ``window_partition``, and a symbol factor on a Markov
+shift or a mixture of shifts through ``symbol_factor_entropy`` (a single
+shift is one component of weight 1). A symbol factor is read on a
+finite conditioning window W containing F; for product measures only
+the factor at F's own sites binds, so every such W gives the exact
+value; for Markov measures it is a monotone upper approximation that
+tightens as W grows.
 """
 
 from __future__ import annotations
@@ -43,12 +47,12 @@ from .systems import (
     ShiftSystem,
     SubAlgebraSpec,
     SymbolPartition,
+    _cell_masses,
     _mixture_alphas,
     act,
     resolve_cells,
-    subpattern_codes,
+    symbol_factor_entropy,
     symbol_pattern_logprobs,
-    symbol_pattern_probs,
     window_partition,
 )
 
@@ -84,12 +88,6 @@ def _as_subalgebra(C) -> SubAlgebraSpec:
     if isinstance(C, SubAlgebraSpec):
         return C
     raise TypeError("conditioning must be a SubAlgebraSpec or None")
-
-
-def _aggregated_entropy(keys: np.ndarray, probs: np.ndarray) -> float:
-    _, inv = np.unique(keys, return_inverse=True)
-    agg = np.bincount(inv.ravel(), weights=probs)
-    return entropy_from_probs(agg)
 
 
 def _is_finite_system(system) -> bool:
@@ -140,46 +138,6 @@ def _resolve_window(F: FolnerSubset, conditioning_window: Optional[FolnerSubset]
     return conditioning_window
 
 
-def _shift_factor_entropy(
-    system: ShiftSystem,
-    cells: SymbolPartition,
-    F: FolnerSubset,
-    phi: SymbolPartition,
-    W: FolnerSubset,
-    cap: int,
-) -> float:
-    """H(alpha^F | phi^W) by joint enumeration of symbol patterns on W."""
-    K = len(W)
-    m = system.n_symbols
-    if m**K > cap:
-        raise EnumerationCapError("pattern cap exceeded")
-    sym_probs = symbol_pattern_probs(system, W, cap)
-    sub_F = W.locate(F).tolist()
-    acode = subpattern_codes(m, K, sub_F, cells.cell_labels(), cells.n_cells)
-    pcode = subpattern_codes(m, K, range(K), phi.cell_labels(), phi.n_cells)
-    joint = acode * np.int64(phi.n_cells**K) + pcode
-    return _aggregated_entropy(joint, sym_probs) - _aggregated_entropy(pcode, sym_probs)
-
-
-def _bernoulli_site_entropy(system: ShiftSystem, cells: SymbolPartition) -> float:
-    probs = np.array(
-        [sum(float(system.probs[system.symbol_index(s)]) for s in cell) for cell in cells.cells]
-    )
-    return entropy_from_probs(probs)
-
-
-def _bernoulli_site_factor_entropy(system: ShiftSystem, cells: SymbolPartition, phi: SymbolPartition) -> float:
-    joint: dict = {}
-    for i, s in enumerate(system.alphabet):
-        key = (cells.cell_index(s), phi.cell_index(s))
-        joint[key] = joint.get(key, 0.0) + float(system.probs[i])
-    joint_probs = np.array(list(joint.values()))
-    phi_probs = np.array(
-        [sum(float(system.probs[system.symbol_index(s)]) for s in cell) for cell in phi.cells]
-    )
-    return entropy_from_probs(joint_probs) - entropy_from_probs(phi_probs)
-
-
 def _shift_block_entropy(
     system: ShiftSystem,
     alpha,
@@ -195,9 +153,7 @@ def _shift_block_entropy(
     if C.kind == "trivial":
         if system.kind == "bernoulli":
             # product measure: patterns factor over sites exactly
-            return k * _bernoulli_site_entropy(system, cells)
-        if cells.n_cells**k > cap:
-            raise EnumerationCapError("pattern cap exceeded")
+            return k * entropy_from_probs(_cell_masses(system, cells))
         if cells.n_cells == system.n_symbols:
             return entropy_from_logprobs(symbol_pattern_logprobs(system, F, cap))
         return window_partition(system, F, cells, cap).entropy()
@@ -206,8 +162,9 @@ def _shift_block_entropy(
         W = _resolve_window(F, conditioning_window)
         if system.kind == "bernoulli":
             # sites are independent, so only the factor at F's own sites binds
-            return k * _bernoulli_site_factor_entropy(system, cells, phi)
-        return _shift_factor_entropy(system, cells, F, phi, W, cap)
+            joint, marginal = _cell_masses(system, cells.join(phi)), _cell_masses(system, phi)
+            return k * (entropy_from_probs(joint) - entropy_from_probs(marginal))
+        return symbol_factor_entropy((system,), (1.0,), (cells,), F, phi, W, cap)
     raise IncompatibleSubAlgebraError("incompatible sub-algebra")
 
 
@@ -227,34 +184,9 @@ def _mixture_block_entropy(
             total += float(w) * conditional_block_entropy(comp, a, F, None, None, cap)
         return total
     if C.kind == "symbol_factor":
-        alphabet = system.shared_alphabet()
-        phi = C.factor_partition(alphabet)
+        phi = C.factor_partition(system.shared_alphabet())
         W = _resolve_window(F, conditioning_window)
-        K = len(W)
-        m = len(alphabet)
-        if len(system.components) * (m**K) > cap:
-            raise EnumerationCapError("pattern cap exceeded")
-        sub_F = W.locate(F).tolist()
-        pcode = subpattern_codes(m, K, range(K), phi.cell_labels(), phi.n_cells)
-        nphi = np.int64(phi.n_cells**K)
-        all_keys = []
-        all_pkeys = []
-        all_probs = []
-        offset = 0
-        for comp, a, w in zip(system.components, alphas, system.weights):
-            if not isinstance(comp, ShiftSystem):
-                raise IncompatibleSubAlgebraError("incompatible sub-algebra")
-            cells = resolve_cells(comp, a)
-            sym_probs = symbol_pattern_probs(comp, W, cap)
-            acode = subpattern_codes(m, K, sub_F, cells.cell_labels(), cells.n_cells)
-            all_keys.append((acode + offset) * nphi + pcode)
-            all_pkeys.append(pcode)
-            all_probs.append(float(w) * sym_probs)
-            offset += cells.n_cells ** len(sub_F)
-        keys = np.concatenate(all_keys)
-        pkeys = np.concatenate(all_pkeys)
-        probs = np.concatenate(all_probs)
-        return _aggregated_entropy(keys, probs) - _aggregated_entropy(pkeys, probs)
+        return symbol_factor_entropy(system.components, system.weights, alphas, F, phi, W, cap)
     raise IncompatibleSubAlgebraError("incompatible sub-algebra")
 
 
@@ -272,8 +204,11 @@ def conditional_block_entropy(
     window ``F``. Finite systems evaluate it by exact partition algebra.
     Bernoulli shifts and trivially conditioned mixtures use exact
     product and tagged-split closed forms at every window size. Markov
-    windows enumerate patterns under the cap and raise
-    ``EnumerationCapError`` above it.
+    windows with full-symbol cells sum pattern log-measures, coarse
+    cells go through ``window_partition``, and a symbol factor on a
+    Markov shift or a mixture of shifts goes through
+    ``symbol_factor_entropy``; these three enumerate under the cap and
+    raise ``EnumerationCapError`` above it.
     ``conditioning_window`` (default F) is where a symbol factor is
     read; enlarging it never increases the result.
     """

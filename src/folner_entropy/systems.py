@@ -15,9 +15,12 @@ drives:
 Two routes to every measure are kept deliberately separate:
 ``cylinder_measure`` computes one word's mass by explicit products and
 gap sums (oracle-grade, slow), while ``window_partition`` enumerates the
-whole pattern space through the numpy kernels. Window entropies of
-product measures and mixtures do not enumerate at all; the engine
-evaluates them in closed form.
+whole pattern space through the numpy kernels. ``symbol_factor_entropy``
+enumerates the full-symbol patterns on a conditioning window once per
+shift component, for a Markov shift or a mixture under a symbol factor.
+Window entropies of product measures and of trivially conditioned
+mixtures do not enumerate at all; the engine evaluates them in closed
+form.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from ._kernels import (
     markov_interval_logprobs,
     markov_window_probs,
 )
-from .groups import FolnerSubset, GroupElement, neg
+from .groups import FolnerSubset, GroupElement, _dimension, neg
 from .spaces import (
     FiniteProbabilitySpace,
     Partition,
@@ -61,7 +64,8 @@ class FinitePMPAction:
 
     ``generators[i]`` is the index map of the i-th basis translation:
     atom index j is sent to ``generators[i][j]``. Each generator must
-    be a permutation that preserves masses atomwise (bit-exact), and
+    be a permutation of integer atom indices (floats and bools are
+    rejected, not cast) that preserves masses atomwise (bit-exact), and
     all generators must commute; the three checks run as array
     comparisons at construction. The generators are stored as int64
     index arrays, together with their inverses.
@@ -70,23 +74,23 @@ class FinitePMPAction:
     __slots__ = ("space", "_gens", "_invs", "d")
 
     def __init__(self, space: FiniteProbabilitySpace, generators: Sequence[Sequence[int]]):
-        try:
-            gens = [np.array(g, dtype=np.int64) for g in generators]
-        except OverflowError:
-            raise ValueError("generator is not a permutation") from None
-        if not gens:
-            raise ValueError("at least one generator required")
         n = len(space)
         ident = np.arange(n)
-        invs = []
-        for g in gens:
-            if g.shape != (n,) or not (np.sort(g) == ident).all():
+        gens, invs = [], []
+        for raw in generators:
+            g = np.asarray(raw)
+            # only integer entries index atoms: floats and bools are not cast
+            if g.dtype.kind not in "iu" or g.shape != (n,) or not (np.sort(g) == ident).all():
                 raise ValueError("generator is not a permutation")
+            g = g.astype(np.int64)
             if (space.masses[g] != space.masses).any():
                 raise ValueError("generator does not preserve masses")
             inv = np.empty(n, dtype=np.int64)
             inv[g] = ident
+            gens.append(g)
             invs.append(inv)
+        if not gens:
+            raise ValueError("at least one generator required")
         for a in range(len(gens)):
             for b in range(a + 1, len(gens)):
                 if (gens[a][gens[b]] != gens[b][gens[a]]).any():
@@ -286,8 +290,7 @@ def bernoulli_shift(probs: Sequence[float], d: int = 1, alphabet: Optional[Seque
         raise ValueError("negative mass")
     if abs(float(probs.sum()) - 1.0) > MASS_TOL:
         raise ValueError("masses must sum to 1")
-    if d < 1:
-        raise ValueError("dimension must be positive")
+    d = _dimension(d)
     if alphabet is None:
         alphabet = tuple(range(probs.shape[0]))
     alphabet = tuple(alphabet)
@@ -734,6 +737,12 @@ def symbol_pattern_probs(system: ShiftSystem, F: FolnerSubset, cap: int = DEFAUL
     return np.exp(symbol_pattern_logprobs(system, F, cap))
 
 
+def _cell_masses(system: ShiftSystem, cells: SymbolPartition) -> np.ndarray:
+    """One-site masses of a product measure's cells, in cell order; each
+    is summed one symbol at a time in alphabet order."""
+    return np.bincount(cells.cell_labels(), weights=system.probs)
+
+
 def subpattern_codes(
     n_sym: int,
     length: int,
@@ -789,9 +798,8 @@ def window_partition(system, F: FolnerSubset, alpha=None, cap: int = DEFAULT_PAT
     _guard_patterns(mc, k, cap)
     elements = tuple(F)
     if system.kind == "bernoulli":
-        cell_probs = np.array([sum(float(system.probs[system.symbol_index(s)]) for s in cell) for cell in cells.cells])
         with np.errstate(divide="ignore"):
-            probs = np.exp(iid_pattern_logprobs(np.log(cell_probs), k))
+            probs = np.exp(iid_pattern_logprobs(np.log(_cell_masses(system, cells)), k))
         return PatternDistribution(elements, cells.cells, probs)
     if mc == system.n_symbols:
         # full symbol partition: the kernel output is already cellwise
@@ -803,6 +811,47 @@ def window_partition(system, F: FolnerSubset, alpha=None, cap: int = DEFAULT_PAT
     codes = subpattern_codes(m, k, range(k), cells.cell_labels(), mc)
     probs = np.bincount(codes, weights=sym_probs, minlength=mc**k)
     return PatternDistribution(elements, cells.cells, probs)
+
+
+def _aggregated_entropy(keys: np.ndarray, probs: np.ndarray) -> float:
+    _, inv = np.unique(keys, return_inverse=True)
+    return entropy_from_probs(np.bincount(inv.ravel(), weights=probs))
+
+
+def symbol_factor_entropy(
+    components: Sequence[ShiftSystem], weights: Sequence[float], alphas: Sequence,
+    F: FolnerSubset, phi: SymbolPartition, W: FolnerSubset, cap: int = DEFAULT_PATTERN_CAP,
+) -> float:
+    """H(alpha^F | phi^W) for shifts on a shared alphabet, mixed by weight.
+
+    Enumerates the m^|W| full-symbol patterns on W once per component
+    and keys each one by (component, alpha-pattern on F, phi-pattern
+    on W), so H = H(keys) - H(phi-patterns). A single shift is the
+    one-component family with weight 1.0. The cap counts m^|W| per
+    component, summed, and is checked before any component's cells are
+    resolved or any pattern is filled. ``F`` must lie inside ``W``.
+    """
+    K = len(W)
+    m = len(phi.alphabet)
+    n_patterns = m**K
+    if len(components) * n_patterns > cap:
+        raise EnumerationCapError("pattern cap exceeded")
+    sub_F = W.locate(F).tolist()
+    pcode = subpattern_codes(m, K, range(K), phi.cell_labels(), phi.n_cells)
+    nphi = np.int64(phi.n_cells**K)
+    keys = np.empty(len(components) * n_patterns, dtype=np.int64)
+    probs = np.empty(keys.shape[0])
+    offset = 0
+    for i, (comp, a, w) in enumerate(zip(components, alphas, weights)):
+        cells = resolve_cells(comp, a)
+        part = slice(i * n_patterns, (i + 1) * n_patterns)
+        np.multiply(float(w), symbol_pattern_probs(comp, W, cap), out=probs[part])
+        acode = subpattern_codes(m, K, sub_F, cells.cell_labels(), cells.n_cells)
+        keys[part] = (acode + offset) * nphi + pcode
+        offset += cells.n_cells ** len(sub_F)
+    return _aggregated_entropy(keys, probs) - _aggregated_entropy(
+        np.tile(pcode, len(components)), probs
+    )
 
 
 def _mixture_alphas(system: MixtureSystem, alpha) -> list:

@@ -516,6 +516,26 @@ BERNOULLI = {"kind": "bernoulli", "probs": [0.5, 0.5]}
          '"generators" coordinate must be an integer, got 0.5'),
         ("verify", {"suite": "subadditivity", "phi": {"kind": "cardinality"},
                     "box": {"d": 1, "side": 4.0}}, '"side" must be an integer, got 4.0'),
+        # 2.7 computed on Z^2 and true on Z
+        ("entropy", {"system": {**BERNOULLI, "d": 2.7}, "window": {"box": 2}},
+         '"d" must be an integer, got 2.7'),
+        ("entropy", {"system": {**BERNOULLI, "d": True}, "window": {"box": 2}},
+         '"d" must be an integer, got True'),
+        ("verify", {"suite": "identities", "trials": 3, "seed": 1.5},
+         '"seed" must be an integer, got 1.5'),
+        ("verify", {"suite": "identities", "trials": 3, "max_atoms": 4.9},
+         '"max_atoms" must be an integer, got 4.9'),
+        # [0.2, 0.7] was the trivial factor [0, 0]: 1.4036 nats instead of 0.0
+        ("entropy", {"system": MARKOV_CFG["system"], "window": {"box": 3},
+                     "conditioning": {"kind": "symbol_factor", "labels": [0.2, 0.7]}},
+         '"labels" entry must be an integer, got 0.2'),
+        # both were cast to the swap (1, 0)
+        ("entropy", {"system": {"kind": "finite", "atoms": [0, 1], "masses": [0.5, 0.5],
+                                "generators": [[1.5, 0.2]]}, "window": {"box": 2}},
+         "generator is not a permutation"),
+        ("entropy", {"system": {"kind": "finite", "atoms": [0, 1], "masses": [0.5, 0.5],
+                                "generators": [[True, False]]}, "window": {"box": 2}},
+         "generator is not a permutation"),
     ],
 )
 def test_window_fields_must_be_integers(tmp_path, verb, cfg, message):

@@ -6,8 +6,10 @@ stationary chain formula H(pi) + (n-1) H(P | pi) assembled by hand
 here, mixtures against H(weights) + sum w_i H_i.
 """
 
+import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -35,10 +37,22 @@ from folner_entropy import (
     verify_rate_inequalities,
     window_partition,
 )
+from folner_entropy._kernels import entropy_from_logprobs, entropy_from_probs
 from folner_entropy.engine import (
     IDENTITY_PROPERTY_LABELS,
     RATE_PROPERTY_LABELS,
     SUBADDITIVITY_PROPERTY_LABELS,
+    _as_subalgebra,
+)
+from folner_entropy.systems import (
+    IncompatibleSubAlgebraError,
+    MixtureSystem,
+    ShiftSystem,
+    _mixture_alphas,
+    resolve_cells,
+    subpattern_codes,
+    symbol_pattern_logprobs,
+    symbol_pattern_probs,
 )
 
 LOG2 = math.log(2.0)
@@ -254,6 +268,280 @@ def test_finite_system_rejects_window():
             None,
             FolnerSubset.interval(0, 2),
         )
+
+
+# -- the symbol-factor and product routes against the code they replaced --------
+#
+# Until the symbol-factor route was shared, a single shift and a mixture each
+# enumerated it with their own copy, and three places summed a product
+# measure's one-site cell masses. Those copies are kept below, verbatim in
+# behaviour, as oracles: the merged routes must return the same floats, by
+# repr, and raise the same exception type and message in the same order.
+# The old code summed cell masses with the builtin sum, which adds floats
+# left to right before Python 3.12; _sum_left pins that order.
+
+
+def _sum_left(values):
+    return functools.reduce(operator.add, values, 0)
+
+
+def _old_aggregated_entropy(keys, probs):
+    _, inv = np.unique(keys, return_inverse=True)
+    return entropy_from_probs(np.bincount(inv.ravel(), weights=probs))
+
+
+def _old_shift_factor_entropy(system, cells, F, phi, W, cap):
+    K = len(W)
+    m = system.n_symbols
+    if m**K > cap:
+        raise EnumerationCapError("pattern cap exceeded")
+    sym_probs = symbol_pattern_probs(system, W, cap)
+    sub_F = W.locate(F).tolist()
+    acode = subpattern_codes(m, K, sub_F, cells.cell_labels(), cells.n_cells)
+    pcode = subpattern_codes(m, K, range(K), phi.cell_labels(), phi.n_cells)
+    joint = acode * np.int64(phi.n_cells**K) + pcode
+    return _old_aggregated_entropy(joint, sym_probs) - _old_aggregated_entropy(pcode, sym_probs)
+
+
+def _old_bernoulli_site_entropy(system, cells):
+    probs = np.array(
+        [_sum_left(float(system.probs[system.symbol_index(s)]) for s in cell) for cell in cells.cells]
+    )
+    return entropy_from_probs(probs)
+
+
+def _old_bernoulli_site_factor_entropy(system, cells, phi):
+    joint = {}
+    for i, s in enumerate(system.alphabet):
+        key = (cells.cell_index(s), phi.cell_index(s))
+        joint[key] = joint.get(key, 0.0) + float(system.probs[i])
+    joint_probs = np.array(list(joint.values()))
+    phi_probs = np.array(
+        [_sum_left(float(system.probs[system.symbol_index(s)]) for s in cell) for cell in phi.cells]
+    )
+    return entropy_from_probs(joint_probs) - entropy_from_probs(phi_probs)
+
+
+def _old_resolve_window(F, W):
+    if W is None:
+        return F
+    if not F.issubset(W):
+        raise ValueError("conditioning window must contain the window")
+    return W
+
+
+def _old_shift_block_entropy(system, alpha, F, C, W, cap):
+    if F.d != system.d:
+        raise ValueError("dimension mismatch")
+    cells = resolve_cells(system, alpha)
+    k = len(F)
+    if C.kind == "trivial":
+        if system.kind == "bernoulli":
+            return k * _old_bernoulli_site_entropy(system, cells)
+        if cells.n_cells**k > cap:
+            raise EnumerationCapError("pattern cap exceeded")
+        if cells.n_cells == system.n_symbols:
+            return entropy_from_logprobs(symbol_pattern_logprobs(system, F, cap))
+        return window_partition(system, F, cells, cap).entropy()
+    if C.kind == "symbol_factor":
+        phi = C.factor_partition(system.alphabet)
+        W = _old_resolve_window(F, W)
+        if system.kind == "bernoulli":
+            return k * _old_bernoulli_site_factor_entropy(system, cells, phi)
+        return _old_shift_factor_entropy(system, cells, F, phi, W, cap)
+    raise IncompatibleSubAlgebraError("incompatible sub-algebra")
+
+
+def _old_mixture_block_entropy(system, alpha, F, C, W, cap):
+    alphas = _mixture_alphas(system, alpha)
+    if C.kind == "trivial":
+        total = entropy_from_probs(system.weights)
+        for comp, a, w in zip(system.components, alphas, system.weights):
+            total += float(w) * _old_block_entropy(comp, a, F, C, None, cap)
+        return total
+    if C.kind == "symbol_factor":
+        alphabet = system.shared_alphabet()
+        phi = C.factor_partition(alphabet)
+        W = _old_resolve_window(F, W)
+        K = len(W)
+        m = len(alphabet)
+        if len(system.components) * (m**K) > cap:
+            raise EnumerationCapError("pattern cap exceeded")
+        sub_F = W.locate(F).tolist()
+        pcode = subpattern_codes(m, K, range(K), phi.cell_labels(), phi.n_cells)
+        nphi = np.int64(phi.n_cells**K)
+        all_keys, all_pkeys, all_probs = [], [], []
+        offset = 0
+        for comp, a, w in zip(system.components, alphas, system.weights):
+            if not isinstance(comp, ShiftSystem):
+                raise IncompatibleSubAlgebraError("incompatible sub-algebra")
+            cells = resolve_cells(comp, a)
+            sym_probs = symbol_pattern_probs(comp, W, cap)
+            acode = subpattern_codes(m, K, sub_F, cells.cell_labels(), cells.n_cells)
+            all_keys.append((acode + offset) * nphi + pcode)
+            all_pkeys.append(pcode)
+            all_probs.append(float(w) * sym_probs)
+            offset += cells.n_cells ** len(sub_F)
+        keys = np.concatenate(all_keys)
+        pkeys = np.concatenate(all_pkeys)
+        probs = np.concatenate(all_probs)
+        return _old_aggregated_entropy(keys, probs) - _old_aggregated_entropy(pkeys, probs)
+    raise IncompatibleSubAlgebraError("incompatible sub-algebra")
+
+
+def _old_block_entropy(system, alpha, F, C, W, cap):
+    if isinstance(system, MixtureSystem):
+        return _old_mixture_block_entropy(system, alpha, F, C, W, cap)
+    return _old_shift_block_entropy(system, alpha, F, C, W, cap)
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", repr(fn(*args))
+    except Exception as e:  # the type and message are what is compared
+        return type(e).__name__, str(e)
+
+
+def _random_chain(rng, m):
+    """A transition matrix with some zero entries and a unique stationary vector."""
+    while True:
+        P = rng.random((m, m)) * (rng.random((m, m)) < 0.7)
+        P[np.arange(m), rng.integers(0, m, size=m)] += 0.05
+        P /= P.sum(axis=1, keepdims=True)
+        try:
+            return markov_shift(None, P)
+        except ValueError:
+            continue
+
+
+def _random_cells(rng, alphabet):
+    labels = rng.integers(0, len(alphabet), size=len(alphabet))
+    groups = {}
+    for s, lab in zip(alphabet, labels):
+        groups.setdefault(int(lab), []).append(s)
+    return SymbolPartition(alphabet, groups.values())
+
+
+def _sites(*positions):
+    return FolnerSubset([(t,) for t in positions], 1)
+
+
+def _factor_grid():
+    """Seeded (system, alpha, F, C, W) cases over every branch the routes take."""
+    rng = np.random.default_rng(20251018)
+    interval = FolnerSubset.interval
+    # (F, conditioning windows): None means W = F; the last W of the gapped
+    # pair misses F, and interval(0, 8) with 4 symbols is above the cap
+    windows = [
+        (interval(0, 1), [None, interval(-2, 3)]),
+        (interval(0, 3), [None, interval(0, 3), interval(-1, 5)]),
+        (_sites(0, 2, 5), [None, interval(0, 6), _sites(-1, 0, 2, 3, 5)]),
+        (_sites(-3, 1), [None, interval(-3, 8), interval(0, 2)]),
+        (interval(0, 7), [None, interval(0, 8)]),
+    ]
+    cases = []
+    for m in (2, 3, 4):
+        for _ in range(3):
+            alphabet = tuple(range(m))
+            bern_probs = rng.dirichlet(np.ones(m))
+            bern_probs[rng.integers(0, m)] = 0.0
+            bern = bernoulli_shift(bern_probs / bern_probs.sum())
+            mk = _random_chain(rng, m)
+            w = float(rng.uniform(0.2, 0.8))
+            mixes = [
+                mixture([bern, mk], [w, 1.0 - w]),
+                mixture([mk, _random_chain(rng, m)], [w, 1.0 - w]),
+            ]
+            cell_choices = [
+                None,
+                SymbolPartition.trivial(alphabet),
+                _random_cells(rng, alphabet),
+            ]
+            factors = [
+                SubAlgebraSpec.symbol_factor({s: s for s in alphabet}),
+                SubAlgebraSpec.symbol_factor({s: 0 for s in alphabet}),
+                SubAlgebraSpec.symbol_factor(
+                    dict(zip(alphabet, rng.integers(0, 2, size=m).tolist()))
+                ),
+            ]
+            for F, Ws in windows:
+                for cells in cell_choices:
+                    for system in (bern, mk):
+                        cases.append((system, cells, F, None, None))
+                        for C in factors:
+                            for W in Ws:
+                                cases.append((system, cells, F, C, W))
+                    for mx in mixes:
+                        for alpha in (cells, [cells, _random_cells(rng, alphabet)]):
+                            cases.append((mx, alpha, F, None, None))
+                            for W in Ws:
+                                cases.append((mx, alpha, F, factors[2], W))
+    return cases
+
+
+def test_merged_factor_route_matches_the_replaced_routes():
+    cap = 2**14
+    outcomes = set()
+    for system, alpha, F, C, W in _factor_grid():
+        new = _outcome(conditional_block_entropy, system, alpha, F, C, W, cap)
+        old = _outcome(_old_block_entropy, system, alpha, F, _as_subalgebra(C), W, cap)
+        assert new == old, (system, alpha, sorted(F.elements), C, W)
+        outcomes.add(new[0] if new[0] == "value" else new)
+    # the grid reaches the values, the cap and the window-containment error
+    assert "value" in outcomes
+    assert ("EnumerationCapError", "pattern cap exceeded") in outcomes
+    assert ("ValueError", "conditioning window must contain the window") in outcomes
+
+
+P3 = np.array([[0.7, 0.2, 0.1], [0.3, 0.5, 0.2], [0.25, 0.25, 0.5]])
+
+
+def _precedence_case(name):
+    mk3 = markov_shift(None, P3)
+    factor = SubAlgebraSpec.symbol_factor({0: 0, 1: 0, 2: 1})
+    pair = mixture([mk3, mk3], [0.5, 0.5])
+    foreign_cells = [None, SymbolPartition.full("abc")]
+    swap = FinitePMPAction(FiniteProbabilitySpace(range(2), [0.5, 0.5]), [(1, 0)])
+    interval = FolnerSubset.interval
+    return {
+        # W is resolved before the product closed form returns
+        "bernoulli-window-not-containing-F": (
+            bernoulli_shift([0.5, 0.3, 0.2]), None, interval(0, 3), factor, interval(1, 5)
+        ),
+        # the per-component partitions are checked before the conditioning kind
+        "mixture-wrong-partition-count": (
+            mixture([mk3, bernoulli_shift([0.2, 0.3, 0.5])], [0.5, 0.5]), [None], interval(0, 2),
+            SubAlgebraSpec.invariant_partition(Partition.points(swap.space)), None,
+        ),
+        # the mixture cap is checked before any component's cells
+        "mixture-cap-before-cells": (pair, foreign_cells, interval(0, 9), factor, None),
+        "mixture-cells-alphabet-mismatch": (pair, foreign_cells, interval(0, 2), factor, None),
+        "mixture-alphabets-differ": (
+            mixture([mk3, bernoulli_shift([0.5, 0.5])], [0.5, 0.5]), None, interval(0, 2), factor, None
+        ),
+        "mixture-with-finite-component": (
+            mixture([mk3, swap], [0.5, 0.5]), None, interval(0, 2), factor, None
+        ),
+    }[name]
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "bernoulli-window-not-containing-F",
+        "mixture-wrong-partition-count",
+        "mixture-cap-before-cells",
+        "mixture-cells-alphabet-mismatch",
+        "mixture-alphabets-differ",
+        "mixture-with-finite-component",
+    ],
+)
+def test_merged_routes_keep_error_precedence(name):
+    system, alpha, F, C, W = _precedence_case(name)
+    cap = 2**14
+    new = _outcome(conditional_block_entropy, system, alpha, F, C, W, cap)
+    assert new[0] != "value"
+    assert new == _outcome(_old_block_entropy, system, alpha, F, C, W, cap)
 
 
 # -- rate traces -----------------------------------------------------------------

@@ -54,6 +54,13 @@ def test_bernoulli_validation():
     assert sys1.symbol_index("c") == 2
 
 
+@pytest.mark.parametrize("d", [2.7, True, 1.0])
+def test_bernoulli_dimension_must_be_an_integer(d):
+    # 2.7 used to build a d = 2.7 system that failed later with "dimension mismatch"
+    with pytest.raises(TypeError, match="dimension must be an integer"):
+        bernoulli_shift([0.5, 0.5], d=d)
+
+
 def test_stationary_vector_power_iteration():
     w = stationary_vector(P_HALF)
     assert np.abs(w @ P_HALF - w).max() <= 1e-13
@@ -214,6 +221,17 @@ def test_finite_action_constructor_errors():
     sp2 = FiniteProbabilitySpace(range(4), [0.25] * 4)
     with pytest.raises(ValueError, match="generators must commute"):
         FinitePMPAction(sp2, [(1, 2, 0, 3), (1, 0, 2, 3)])
+
+
+@pytest.mark.parametrize(
+    "generator", [[1.5, 0.2], [True, False], [1.0, 0.0], np.array([1.0, 0.0]), ["1", "0"]]
+)
+def test_finite_action_generator_entries_must_be_integers(generator):
+    # each used to be cast to the swap (1, 0)
+    space = FiniteProbabilitySpace(range(2), [0.5, 0.5])
+    with pytest.raises(ValueError, match="generator is not a permutation"):
+        FinitePMPAction(space, [generator])
+    assert FinitePMPAction(space, [np.array([1, 0], dtype=np.uint8)]).generators == ((1, 0),)
 
 
 def _atom_map_oracle(generators, g):
