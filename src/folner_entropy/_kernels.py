@@ -7,7 +7,8 @@ need only the entropy reductions.
 
 Pattern arrays are indexed element-major: for window elements listed in
 sorted order, the first element is the most significant base-``m`` digit
-of the pattern index.
+of the pattern index, so pattern i ends in symbol i % m. The fills add
+one site per step by reshapes and broadcasts, one operation per entry.
 """
 
 from __future__ import annotations
@@ -71,19 +72,20 @@ def markov_interval_logprobs(log_pi: np.ndarray, log_P: np.ndarray, n: int) -> n
         return np.zeros(1)
     out = log_pi.copy()
     for _ in range(n - 1):
-        last = np.arange(out.shape[0]) % m
-        out = (out[:, None] + log_P[last, :]).ravel()
+        # word i*m + s is word i plus log_P[i % m, s]: rows of m*m take log_P
+        out = np.repeat(out, m)
+        out.reshape(-1, m * m)[:] += log_P.ravel()
     return out
 
 
 def markov_window_probs(pi: np.ndarray, P: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Measures of all patterns on a sorted, possibly gapped d = 1 window.
 
-    Walks the window left to right keeping a table over (pattern so far,
-    symbol at the current site); sites between window elements are summed
-    out by a transition-matrix step, so gaps cost a matrix product rather
-    than an exponential enumeration. Works in linear (not log) space
-    because marginalization needs additions.
+    Walks the window left to right keeping one O(m^k) vector of pattern
+    masses; pattern i ends in symbol i % m, so row i % m of P extends it.
+    Sites between window elements are summed out by a matrix step, so
+    gaps cost a matrix product rather than an exponential enumeration.
+    Linear (not log) space, because marginalization needs additions.
     """
     pi = np.ascontiguousarray(pi, dtype=np.float64)
     P = np.ascontiguousarray(P, dtype=np.float64)
@@ -93,21 +95,15 @@ def markov_window_probs(pi: np.ndarray, P: np.ndarray, offsets: np.ndarray) -> n
     _check_size(m, k)
     if k == 0:
         return np.ones(1)
-    W = np.diag(pi).copy()
+    v = pi.copy()
     pos = int(offsets[0])
-    for j in range(1, k):
-        target = int(offsets[j])
-        while pos + 1 < target:
-            W = W @ P
-            pos += 1
-        tmp = W @ P
-        npat = tmp.shape[0]
-        rows = np.arange(npat * m)
-        Wn = np.zeros((npat * m, m))
-        Wn[rows, rows % m] = tmp.ravel()
-        W = Wn
+    for target in offsets[1:].tolist():
+        step = (v.reshape(-1, m, 1) * P).reshape(-1, m)
+        for _ in range(pos + 1, target):
+            step = step @ P
+        v = step.ravel()
         pos = target
-    return W.sum(axis=1)
+    return v
 
 
 # ---------------------------------------------------------------------------

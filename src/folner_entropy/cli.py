@@ -175,6 +175,8 @@ def _build_partition(system, obj):
         return None
     if isinstance(system, MixtureSystem):
         if isinstance(obj, list):
+            if len(obj) != len(system.components):
+                raise ConfigError("one partition per component required")
             return [
                 _build_partition(comp, sub)
                 for comp, sub in zip(system.components, obj)

@@ -133,6 +133,8 @@ def _finite_block_entropy(system: FinitePMPAction, alpha, F, C: SubAlgebraSpec) 
 def _resolve_window(F: FolnerSubset, conditioning_window: Optional[FolnerSubset]) -> FolnerSubset:
     if conditioning_window is None:
         return F
+    if conditioning_window.d != F.d:
+        raise ValueError("dimension mismatch")
     if not F.issubset(conditioning_window):
         raise ValueError("conditioning window must contain the window")
     return conditioning_window
@@ -184,6 +186,8 @@ def _mixture_block_entropy(
             total += float(w) * conditional_block_entropy(comp, a, F, None, None, cap)
         return total
     if C.kind == "symbol_factor":
+        if F.d != system.d:
+            raise ValueError("dimension mismatch")
         phi = C.factor_partition(system.shared_alphabet())
         W = _resolve_window(F, conditioning_window)
         return symbol_factor_entropy(system.components, system.weights, alphas, F, phi, W, cap)

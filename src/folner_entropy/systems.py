@@ -730,8 +730,7 @@ def symbol_pattern_logprobs(system: ShiftSystem, F: FolnerSubset, cap: int = DEF
 def symbol_pattern_probs(system: ShiftSystem, F: FolnerSubset, cap: int = DEFAULT_PATTERN_CAP) -> np.ndarray:
     """Measures of all full-symbol patterns on the window ``F``."""
     k = len(F)
-    m = system.n_symbols
-    _guard_patterns(m, k, cap)
+    _guard_patterns(system.n_symbols, k, cap)
     if system.kind == "markov" and k > 0 and not _is_interval(F):
         return markov_window_probs(system.pi, system.P, F.rows[:, 0])
     return np.exp(symbol_pattern_logprobs(system, F, cap))
@@ -752,17 +751,22 @@ def subpattern_codes(
 ) -> np.ndarray:
     """Cell-pattern index on a position subset, per full symbol pattern.
 
-    For every index of the ``n_sym ** length`` element-major symbol
-    patterns, extracts the symbols at ``sub_positions`` (indices into
-    the window's element list), maps them through ``cell_of``, and
-    packs them base-``n_cells`` in the same element-major order.
+    For each of the ``n_sym ** length`` element-major symbol patterns,
+    packs the cells (``cell_of``) of the symbols at ``sub_positions``
+    (window element indices) base-``n_cells`` in the listed order: window
+    position j weighs its cell by the sum of n_cells^(L-1-t) over the t
+    with ``sub_positions[t] == j``, L = len(sub_positions), so positions
+    may repeat or be unsorted. Exact int64, one position per step.
     """
-    idx = np.arange(n_sym**length, dtype=np.int64)
-    code = np.zeros_like(idx)
     cell_of = np.asarray(cell_of, dtype=np.int64)
-    for j in sub_positions:
-        digit = (idx // (n_sym ** (length - 1 - j))) % n_sym
-        code = code * n_cells + cell_of[digit]
+    if cell_of.shape != (n_sym,):
+        raise ValueError("cell_of must give one cell per symbol")
+    weights = [0] * length
+    for t, j in enumerate(reversed(sub_positions)):
+        weights[j] += n_cells**t
+    code = np.zeros(1, dtype=np.int64)
+    for w in weights:
+        code = (code[:, None] + np.int64(w) * cell_of).ravel()
     return code
 
 
@@ -805,10 +809,9 @@ def window_partition(system, F: FolnerSubset, alpha=None, cap: int = DEFAULT_PAT
         # full symbol partition: the kernel output is already cellwise
         probs = symbol_pattern_probs(system, F, cap)
         return PatternDistribution(elements, cells.cells, probs)
-    m = system.n_symbols
-    _guard_patterns(m, k, cap)
+    _guard_patterns(system.n_symbols, k, cap)
     sym_probs = symbol_pattern_probs(system, F, cap)
-    codes = subpattern_codes(m, k, range(k), cells.cell_labels(), mc)
+    codes = subpattern_codes(system.n_symbols, k, range(k), cells.cell_labels(), mc)
     probs = np.bincount(codes, weights=sym_probs, minlength=mc**k)
     return PatternDistribution(elements, cells.cells, probs)
 

@@ -361,6 +361,32 @@ def test_repeated_atom_in_block_rejected(tmp_path):
     assert not (tmp_path / "entropy.json").exists()
 
 
+@pytest.mark.parametrize(
+    "cells",
+    [
+        # the third spec, naming no symbol, used to be dropped with exit 0
+        [[[0], [1]], [[0, 1]], [[7]]],
+        [[[0], [1]]],
+    ],
+)
+def test_mixture_partition_list_must_match_components(tmp_path, cells):
+    cfg = {
+        "schema": 1,
+        "system": {
+            "kind": "mixture",
+            "weights": [0.3, 0.7],
+            "components": [BERNOULLI, {"kind": "bernoulli", "probs": [0.9, 0.1]}],
+        },
+        "window": {"box": 2},
+        "partition": [{"cells": c} for c in cells],
+    }
+    r = run_cli(["entropy", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)])
+    assert r.returncode == 2, r.stdout + r.stderr
+    error = json.loads(r.stdout)["error"]
+    assert error == {"kind": "validation", "message": "one partition per component required"}
+    assert not (tmp_path / "entropy.json").exists()
+
+
 def test_bad_transition_rows_rejected(tmp_path):
     cfg = dict(MARKOV_CFG)
     cfg["system"] = {"kind": "markov", "P": [[0.9, 0.2], [0.2, 0.8]]}

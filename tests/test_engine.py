@@ -544,6 +544,27 @@ def test_merged_routes_keep_error_precedence(name):
     assert new == _outcome(_old_block_entropy, system, alpha, F, C, W, cap)
 
 
+def test_symbol_factor_windows_of_the_wrong_dimension_raise():
+    # the two mixture cases used to return values
+    Q3 = [[0.5, 0.25, 0.25], [0.1, 0.8, 0.1], [0.2, 0.2, 0.6]]
+    factor = SubAlgebraSpec.symbol_factor({0: 0, 1: 0, 2: 1})
+    mk3 = markov_shift(None, P3)
+    bern2 = bernoulli_shift([0.5, 0.3, 0.2], d=2)
+    bern2_pair = mixture([bern2, bernoulli_shift([0.2, 0.2, 0.6], d=2)], [0.5, 0.5])
+    cases = [
+        (mixture([mk3, markov_shift(None, Q3)], [0.5, 0.5]), FolnerSubset.box(2, 2), None),
+        (bern2_pair, FolnerSubset.interval(0, 3), None),
+        (mk3, FolnerSubset.box(2, 2), None),
+        # the conditioning window is checked as well
+        (mixture([mk3, mk3], [0.5, 0.5]), FolnerSubset.interval(0, 2), FolnerSubset.box(2, 3)),
+        (mk3, FolnerSubset.interval(0, 2), FolnerSubset.box(2, 3)),
+        (bern2, FolnerSubset.box(2, 2), FolnerSubset.interval(0, 3)),
+    ]
+    for system, F, W in cases:
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            conditional_block_entropy(system, None, F, factor, W)
+
+
 # -- rate traces -----------------------------------------------------------------
 
 

@@ -1,7 +1,9 @@
 """Numpy kernels: pattern order, zero-mass cells, total mass, gapped and
 contiguous Markov windows agreeing, frozen entropy values, and the
 pattern-space overflow guard. Path products are recomputed here word by
-word as the reference."""
+word as the reference. The per-pattern index-arithmetic fills that the
+broadcast kernels replaced are kept below as oracles, and the kernels
+must match them bit for bit."""
 
 import itertools
 
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 from folner_entropy import _kernels as K
+from folner_entropy.systems import subpattern_codes
 
 LOG_HALF = np.log(0.5)
 
@@ -98,3 +101,120 @@ def test_entropy_from_logprobs_consistency():
 def test_pattern_space_overflow_guard():
     with pytest.raises(OverflowError):
         K.iid_pattern_logprobs(np.zeros(3), 64)
+
+
+# -- oracles: the per-pattern index-arithmetic fills, bit for bit ---------------
+
+
+def _oracle_interval_logprobs(log_pi, log_P, n):
+    m = log_pi.shape[0]
+    if n == 0:
+        return np.zeros(1)
+    out = log_pi.copy()
+    for _ in range(n - 1):
+        last = np.arange(out.shape[0]) % m
+        out = (out[:, None] + log_P[last, :]).ravel()
+    return out
+
+
+def _oracle_window_probs(pi, P, offsets):
+    m = pi.shape[0]
+    k = offsets.shape[0]
+    if k == 0:
+        return np.ones(1)
+    W = np.diag(pi).copy()
+    pos = int(offsets[0])
+    for j in range(1, k):
+        target = int(offsets[j])
+        while pos + 1 < target:
+            W = W @ P
+            pos += 1
+        tmp = W @ P
+        npat = tmp.shape[0]
+        rows = np.arange(npat * m)
+        Wn = np.zeros((npat * m, m))
+        Wn[rows, rows % m] = tmp.ravel()
+        W = Wn
+        pos = target
+    return W.sum(axis=1)
+
+
+def _oracle_subpattern_codes(n_sym, length, sub_positions, cell_of, n_cells):
+    idx = np.arange(n_sym**length, dtype=np.int64)
+    code = np.zeros_like(idx)
+    cell_of = np.asarray(cell_of, dtype=np.int64)
+    for j in sub_positions:
+        digit = (idx // (n_sym ** (length - 1 - j))) % n_sym
+        code = code * n_cells + cell_of[digit]
+    return code
+
+
+def _random_chain_with_zeros(rng, m):
+    """Transition rows with zero entries and a random initial vector with
+    zero entries; neither need be stationary for the fills."""
+    P = rng.random((m, m)) * (rng.random((m, m)) < 0.6)
+    P[np.arange(m), rng.integers(0, m, size=m)] += 0.05
+    P /= P.sum(axis=1, keepdims=True)
+    pi = rng.random(m) * (rng.random(m) < 0.8)
+    pi[rng.integers(0, m)] += 0.05
+    return pi / pi.sum(), P
+
+
+def test_interval_fill_matches_oracle_bit_for_bit():
+    rng = np.random.default_rng(8101)
+    saw_neg_inf = False
+    for m in range(1, 5):
+        for _ in range(6):
+            pi, P = _random_chain_with_zeros(rng, m)
+            with np.errstate(divide="ignore"):
+                log_pi, log_P = np.log(pi), np.log(P)
+            for n in range(0, 10):
+                got = K.markov_interval_logprobs(log_pi, log_P, n)
+                want = _oracle_interval_logprobs(log_pi, log_P, n)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (m, n)
+                saw_neg_inf |= bool(np.isneginf(got).any())
+    assert saw_neg_inf
+
+
+def _random_offsets(rng, k):
+    start = int(rng.integers(-8, 3))
+    gaps = rng.integers(1, 7, size=max(k - 1, 0))
+    return np.concatenate([[start], start + np.cumsum(gaps)])[:k].astype(np.int64)
+
+
+def test_gapped_window_fill_matches_oracle_bit_for_bit():
+    rng = np.random.default_rng(8102)
+    gaps, starts = set(), set()
+    for m in range(1, 5):
+        for _ in range(6):
+            pi, P = _random_chain_with_zeros(rng, m)
+            for k in range(0, 8):
+                for offsets in (_random_offsets(rng, k), np.arange(-3, k - 3, dtype=np.int64)):
+                    got = K.markov_window_probs(pi, P, offsets)
+                    want = _oracle_window_probs(pi, P, offsets)
+                    assert got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes(), (m, offsets.tolist())
+                    gaps.update(np.diff(offsets).tolist())
+                    starts.update(offsets[:1].tolist())
+    assert gaps == set(range(1, 7)) and min(starts) < 0
+
+
+def test_subpattern_codes_match_oracle_bit_for_bit():
+    rng = np.random.default_rng(8103)
+    for m in range(1, 5):
+        for length in range(0, 7):
+            for _ in range(4):
+                cell_of = rng.integers(0, m, size=m)
+                n_cells = int(cell_of.max()) + 1
+                choices = [[], list(range(length))]
+                if length:
+                    choices += [
+                        rng.permutation(length)[: rng.integers(1, length + 1)].tolist(),
+                        rng.integers(0, length, size=length + 2).tolist(),
+                    ]
+                for sub in choices:
+                    got = subpattern_codes(m, length, sub, cell_of, n_cells)
+                    want = _oracle_subpattern_codes(m, length, sub, cell_of, n_cells)
+                    assert got.dtype == want.dtype == np.int64
+                    assert got.tobytes() == want.tobytes(), (m, length, sub)
