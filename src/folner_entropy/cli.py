@@ -26,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._kernels import _MAX_SAFE_PATTERNS
 from .decomposition import decompose_entropy, fixed_partition_witness
 from .engine import (
     IDENTITY_PROPERTY_LABELS,
@@ -39,6 +40,8 @@ from .engine import (
 from .groups import (
     FolnerSequence,
     FolnerSubset,
+    _integer,
+    basis,
     invariance_defect,
     verify_subadditive_hypotheses,
 )
@@ -103,10 +106,14 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _reject_constant(name: str):
+    raise ConfigError(f"config is not valid JSON: {name} is not a JSON number")
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=_reject_constant)
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}") from None
     except json.JSONDecodeError as e:
@@ -130,13 +137,6 @@ def _positive_int(cfg: dict, key: str, default: int, override: Optional[int] = N
     value = override if override is not None else cfg.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ConfigError(f'"{key}" must be an integer >= 1, got {value!r}')
-    return value
-
-
-def _integer(value, what: str) -> int:
-    """An integer config value; bools, floats and strings are rejected."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
     return value
 
 
@@ -561,7 +561,7 @@ def cmd_folner(cfg: dict, args) -> int:
     seq = FolnerSequence(d, tuple(_integer(s, '"sides" entry') for s in _require(cfg, "sides")))
     gens_cfg = cfg.get("generators")
     if gens_cfg is None:
-        gens = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
+        gens = basis(d)
     else:
         gens = [tuple(_integer(x, '"generators" coordinate') for x in g) for g in gens_cfg]
     rows = []
@@ -614,10 +614,18 @@ def _error_json(kind: str, message: str) -> str:
     return _json_text({"error": {"kind": kind, "message": message}})
 
 
+# the largest --max-window whose 2^N patterns the kernels can still index
+_MAX_WINDOW = _MAX_SAFE_PATTERNS.bit_length() - 1
+
+
 def main(argv: Optional[list] = None) -> int:
     args = _build_parser().parse_args(argv)
-    args.cap = DEFAULT_PATTERN_CAP if args.max_window is None else 1 << args.max_window
     try:
+        if args.max_window is not None and not 0 <= args.max_window <= _MAX_WINDOW:
+            raise ConfigError(f"--max-window must be in 0..{_MAX_WINDOW}, got {args.max_window}")
+        args.cap = DEFAULT_PATTERN_CAP if args.max_window is None else 1 << args.max_window
+        if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0.0):
+            raise ConfigError(f"--tol must be a finite number >= 0, got {args.tol!r}")
         cfg = _load_config(args.config)
         return _VERBS[args.verb](cfg, args)
     except EnumerationCapError as e:

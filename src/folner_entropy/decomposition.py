@@ -17,17 +17,16 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import ConvergenceReport, RateTrace, entropy_rate
+from .engine import ConvergenceReport, RateTrace, _as_subalgebra, entropy_rate
 from .groups import FolnerSequence
 from .spaces import (
     FiniteProbabilitySpace,
     Partition,
-    SpaceMismatchError,
+    _require_same_space,
     conditional_entropy,
     disintegrate,
     join,
     restrict,
-    same_space,
 )
 from .systems import (
     DEFAULT_PATTERN_CAP,
@@ -50,8 +49,7 @@ def fixed_partition_witness(system: FinitePMPAction, C: Partition) -> Optional[d
     """
     if not isinstance(C, Partition):
         raise TypeError("finite systems need a space partition")
-    if not same_space(C.space, system.space):
-        raise SpaceMismatchError("space mismatch")
+    _require_same_space(C.space, system.space)
     labels = C.labels()
     for gi, g in enumerate(system._gens):
         # a block moves iff one of its atoms is sent out of it; the
@@ -210,9 +208,7 @@ def decompose_entropy(
     conditioning, passed through to every component.
     """
     comps = ergodic_components(system)
-    spec = C if isinstance(C, SubAlgebraSpec) or C is None else None
-    if C is not None and spec is None:
-        raise TypeError("conditioning must be a SubAlgebraSpec or None")
+    spec = _as_subalgebra(C)
     lhs_trace, lhs_report = entropy_rate(system, alpha, spec, sequence, n_max, tol, cap)
     results = []
     if isinstance(system, FinitePMPAction):
@@ -227,11 +223,11 @@ def decompose_entropy(
         if alpha is None:
             alpha = Partition.points(system.space)
         cond_part = None
-        if spec is not None and spec.kind == "invariant_partition":
+        if spec.kind == "invariant_partition":
             if fixed_partition_witness(system, spec.partition) is not None:
                 raise IncompatibleSubAlgebraError("conditioning partition is not fixed")
             cond_part = spec.partition
-        elif spec is not None and spec.kind != "trivial":
+        elif spec.kind != "trivial":
             raise IncompatibleSubAlgebraError("incompatible sub-algebra")
         dis = disintegrate(system.space, beta)
         for bi, (block, mB) in enumerate(zip(beta.blocks, beta.block_masses().tolist())):
@@ -247,7 +243,7 @@ def decompose_entropy(
             _, rep = entropy_rate(sub, sub_alpha, sub_C, sequence, n_max, tol, cap)
             results.append(ComponentResult(f"block:{bi}", mB, rep.estimate, rep.converged))
     elif isinstance(system, MixtureSystem):
-        if spec is not None and spec.kind not in ("trivial", "symbol_factor"):
+        if spec.kind not in ("trivial", "symbol_factor"):
             raise IncompatibleSubAlgebraError("incompatible sub-algebra")
         groups = system.tag_grouping() if beta is None else tuple(
             tuple(int(i) for i in grp) for grp in beta
@@ -308,8 +304,7 @@ def conditional_mass_function(
     """Pointwise conditional masses m(x) = mu(A_x | C_x) and the check
     that -log m integrates to the conditional entropy."""
     for p in (alpha, cond):
-        if not same_space(p.space, space):
-            raise SpaceMismatchError("space mismatch")
+        _require_same_space(p.space, space)
     # m(x): mass of the join block through x over that of the cond block
     mC = cond.block_masses()[cond.labels()]
     live = mC > 0.0

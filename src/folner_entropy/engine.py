@@ -21,22 +21,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ._kernels import entropy_from_logprobs, entropy_from_probs
-from .groups import FolnerSequence, FolnerSubset, identity as group_identity, neg
+from .groups import FolnerSequence, FolnerSubset, basis, identity as group_identity, neg
 from .spaces import (
     FiniteProbabilitySpace,
     Partition,
-    SpaceMismatchError,
     _join_rows,
     _pullback,
+    _require_same_space,
     conditional_entropy,
     entropy,
     join,
-    same_space,
 )
 from .systems import (
     DEFAULT_PATTERN_CAP,
@@ -104,8 +103,7 @@ def _is_finite_system(system) -> bool:
 
 
 def _finite_window_join(system: FinitePMPAction, alpha: Partition, F: FolnerSubset) -> Partition:
-    if not same_space(system.space, alpha.space):
-        raise SpaceMismatchError("space mismatch")
+    _require_same_space(system.space, alpha.space)
     if F.d != system.d:
         raise ValueError("dimension mismatch")
     if len(F) == 0:
@@ -124,8 +122,7 @@ def _finite_block_entropy(system: FinitePMPAction, alpha, F, C: SubAlgebraSpec) 
     if C.kind == "trivial":
         return entropy(alpha_F)
     if C.kind == "invariant_partition":
-        if not same_space(C.partition.space, system.space):
-            raise SpaceMismatchError("space mismatch")
+        _require_same_space(C.partition.space, system.space)
         return conditional_entropy(alpha_F, C.partition)
     raise IncompatibleSubAlgebraError("incompatible sub-algebra")
 
@@ -455,8 +452,7 @@ def verify_entropy_identities(
     gamma <= gamma v beta <= gamma v beta v alpha.
     """
     for p in (alpha, beta, gamma):
-        if not same_space(p.space, space):
-            raise SpaceMismatchError("space mismatch")
+        _require_same_space(p.space, space)
     report = IdentityReport()
     h_a_c = conditional_entropy(alpha, gamma)
     h_b_c = conditional_entropy(beta, gamma)
@@ -471,13 +467,7 @@ def verify_entropy_identities(
 
     if action is not None:
         if group_elements is None:
-            gens = []
-            for i in range(action.d):
-                e = [0] * action.d
-                e[i] = 1
-                gens.append(tuple(e))
-                gens.append(neg(tuple(e)))
-            group_elements = gens
+            group_elements = [g for e in basis(action.d) for g in (e, neg(e))]
         for g in group_elements:
             moved = conditional_entropy(act(action, g, alpha), act(action, g, gamma))
             report.checks.append(

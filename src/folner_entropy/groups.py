@@ -33,6 +33,11 @@ def neg(g: GroupElement) -> GroupElement:
     return tuple(-a for a in g)
 
 
+def basis(d: int) -> tuple:
+    """The unit vectors of Z^d, the generators of its translations."""
+    return tuple(tuple(int(j == i) for j in range(d)) for i in range(d))
+
+
 def _integer(x, what: str = "coordinate") -> int:
     """``x`` as a Python int; bools and non-integers raise TypeError."""
     if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer)):
@@ -447,7 +452,7 @@ def verify_subadditive_hypotheses(
 
     # translation invariance on nonempty windows whose shift stays in the box
     if translations is None:
-        translations = [tuple(int(j == i) for j in range(box.d)) for i in range(box.d)]
+        translations = basis(box.d)
     for s in translations:
         to, inside = _locate(translate(box, s).rows, points)
         if exhaustive:

@@ -16,7 +16,8 @@ The entropy operations implement the positive-mass conventions
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Mapping, Sequence
+import math
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -44,8 +45,8 @@ class FiniteProbabilitySpace:
         Distinct atom identifiers. Their order fixes the canonical atom
         order used everywhere else (block ordering, label arrays).
     masses : sequence of float
-        Nonnegative masses, same length, summing to 1 within 1e-12.
-        Zero-mass atoms are allowed; entropy conventions skip them.
+        Finite, nonnegative masses, same length, summing to 1 within
+        1e-12. Zero-mass atoms are allowed; entropy conventions skip them.
     """
 
     __slots__ = ("atom_ids", "masses", "_index")
@@ -59,13 +60,8 @@ class FiniteProbabilitySpace:
             raise ValueError("empty space")
         if len(set(atom_ids)) != len(atom_ids):
             raise ValueError("duplicate atom ids")
-        if np.any(arr < 0.0):
-            raise ValueError("negative mass")
-        if abs(float(arr.sum()) - 1.0) > MASS_TOL:
-            raise ValueError("masses must sum to 1")
-        arr.flags.writeable = False
+        self.masses = _probabilities(arr)
         self.atom_ids = atom_ids
-        self.masses = arr
         self._index = {a: i for i, a in enumerate(atom_ids)}
 
     @classmethod
@@ -100,13 +96,28 @@ class FiniteProbabilitySpace:
         return float(self.masses[idx].sum())
 
 
+def _probabilities(arr: np.ndarray) -> np.ndarray:
+    """``arr`` made read-only, after checking that it is nonnegative,
+    sums to 1 within ``MASS_TOL`` and is finite, in that order."""
+    if np.any(arr < 0.0):
+        raise ValueError("negative mass")
+    total = float(arr.sum())
+    if abs(total - 1.0) > MASS_TOL:
+        raise ValueError("masses must sum to 1")
+    # past those two checks a non-finite entry can only be NaN, which makes the sum NaN
+    if math.isnan(total):
+        raise ValueError("masses must be finite")
+    arr.flags.writeable = False
+    return arr
+
+
 def same_space(a: FiniteProbabilitySpace, b: FiniteProbabilitySpace) -> bool:
     """Structural equality: identical atom order and bit-identical masses."""
     return a is b or (a.atom_ids == b.atom_ids and np.array_equal(a.masses, b.masses))
 
 
-def _require_same_space(alpha: "Partition", beta: "Partition") -> None:
-    if not same_space(alpha.space, beta.space):
+def _require_same_space(a: FiniteProbabilitySpace, b: FiniteProbabilitySpace) -> None:
+    if not same_space(a, b):
         raise SpaceMismatchError("space mismatch")
 
 
@@ -325,7 +336,7 @@ def join_all(partitions: Sequence[Partition]) -> Partition:
         raise ValueError("empty partition list")
     first = partitions[0]
     for p in partitions[1:]:
-        _require_same_space(first, p)
+        _require_same_space(first.space, p.space)
     if len(partitions) == 1:
         return first
     return _join_rows(first.space, ((p._labels, p._k) for p in partitions))
@@ -342,7 +353,7 @@ def is_coarser(alpha: Partition, beta: Partition) -> bool:
     Every block of ``beta`` must have its positive-mass atoms inside a
     single block of ``alpha``; zero-mass atoms never separate blocks.
     """
-    _require_same_space(alpha, beta)
+    _require_same_space(alpha.space, beta.space)
     positive = alpha.space.masses > 0.0
     la = alpha._labels[positive]
     lb = beta._labels[positive]
@@ -371,7 +382,7 @@ def conditional_entropy(alpha: Partition, beta: Partition) -> float:
     to the plain 1-D sum over that fiber. Zero-mass blocks carry no fiber
     and are skipped.
     """
-    _require_same_space(alpha, beta)
+    _require_same_space(alpha.space, beta.space)
     lb = beta._labels
     joint = _join_rows(alpha.space, ((lb, beta._k), (alpha._labels, alpha._k)))
     owner = np.empty(joint._k, dtype=np.int64)
@@ -406,8 +417,7 @@ class FactorSpace:
     __slots__ = ("base", "partition", "quotient", "projection")
 
     def __init__(self, base: FiniteProbabilitySpace, partition: Partition):
-        if not same_space(base, partition.space):
-            raise SpaceMismatchError("space mismatch")
+        _require_same_space(base, partition.space)
         self.base = base
         self.partition = partition
         self.quotient = FiniteProbabilitySpace(
@@ -436,8 +446,7 @@ class Disintegration:
     __slots__ = ("space", "partition", "factor", "conditional_spaces")
 
     def __init__(self, space: FiniteProbabilitySpace, partition: Partition):
-        if not same_space(space, partition.space):
-            raise SpaceMismatchError("space mismatch")
+        _require_same_space(space, partition.space)
         self.space = space
         self.partition = partition
         self.factor = FactorSpace(space, partition)

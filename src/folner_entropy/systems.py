@@ -26,7 +26,7 @@ form.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -36,16 +36,16 @@ from ._kernels import (
     markov_interval_logprobs,
     markov_window_probs,
 )
-from .groups import FolnerSubset, GroupElement, _dimension, neg
+from .groups import FolnerSubset, GroupElement, _dimension, basis, neg
 from .spaces import (
+    MASS_TOL,
     FiniteProbabilitySpace,
     Partition,
-    SpaceMismatchError,
+    _probabilities,
     _pullback,
-    same_space,
+    _require_same_space,
 )
 
-MASS_TOL = 1e-12
 STATIONARITY_TOL = 1e-12
 GAP_CAP = 20
 DEFAULT_PATTERN_CAP = 1 << 20
@@ -142,8 +142,7 @@ def act(system: FinitePMPAction, g: GroupElement, alpha: Partition) -> Partition
     the image's labels are alpha's labels pulled back through
     ``atom_map(-g)``: one gather, then the canonical relabelling.
     """
-    if not same_space(system.space, alpha.space):
-        raise SpaceMismatchError("space mismatch")
+    _require_same_space(system.space, alpha.space)
     return _pullback(alpha, system.atom_map(neg(g)))
 
 
@@ -282,21 +281,18 @@ class ShiftSystem:
 
 
 def bernoulli_shift(probs: Sequence[float], d: int = 1, alphabet: Optional[Sequence] = None) -> ShiftSystem:
-    """Product-measure shift on (alphabet)^(Z^d) with site distribution ``probs``."""
+    """Product-measure shift on (alphabet)^(Z^d) with site distribution
+    ``probs``: finite, nonnegative masses summing to 1."""
     probs = np.array(probs, dtype=np.float64)
     if probs.ndim != 1 or probs.shape[0] < 1:
         raise ValueError("site distribution must be a nonempty vector")
-    if np.any(probs < 0.0):
-        raise ValueError("negative mass")
-    if abs(float(probs.sum()) - 1.0) > MASS_TOL:
-        raise ValueError("masses must sum to 1")
+    _probabilities(probs)
     d = _dimension(d)
     if alphabet is None:
         alphabet = tuple(range(probs.shape[0]))
     alphabet = tuple(alphabet)
     if len(alphabet) != probs.shape[0]:
         raise ValueError("alphabet and distribution must align")
-    probs.flags.writeable = False
     return ShiftSystem(d, alphabet, "bernoulli", probs=probs)
 
 
@@ -308,9 +304,11 @@ def markov_shift(
 ) -> ShiftSystem:
     """Stationary Markov shift on alphabet^Z (d = 1 only).
 
+    ``P`` must be a finite, nonnegative matrix with rows summing to 1.
     ``pi`` may be None, in which case the unique stationary vector is
     solved from ``P`` (see :func:`stationary_vector`); a supplied ``pi``
-    must be stationary within ``stationarity_tol``.
+    must be a finite probability vector, stationary within
+    ``stationarity_tol``.
     """
     P = np.array(P, dtype=np.float64)
     m = P.shape[0]
@@ -320,15 +318,14 @@ def markov_shift(
         raise ValueError("negative transition probability")
     if np.max(np.abs(P.sum(axis=1) - 1.0)) > MASS_TOL:
         raise ValueError("transition rows must sum to 1")
+    if not np.isfinite(P).all():
+        raise ValueError("transition probabilities must be finite")
     if pi is None:
         pi = stationary_vector(P)
     pi = np.array(pi, dtype=np.float64)
     if pi.ndim != 1 or pi.shape[0] != m:
         raise ValueError("pi and P must align")
-    if np.any(pi < 0.0):
-        raise ValueError("negative mass")
-    if abs(float(pi.sum()) - 1.0) > MASS_TOL:
-        raise ValueError("masses must sum to 1")
+    _probabilities(pi)
     if float(np.max(np.abs(pi @ P - pi))) > stationarity_tol:
         raise ValueError("pi is not stationary for P")
     if alphabet is None:
@@ -336,7 +333,6 @@ def markov_shift(
     alphabet = tuple(alphabet)
     if len(alphabet) != m:
         raise ValueError("alphabet and distribution must align")
-    pi.flags.writeable = False
     P.flags.writeable = False
     return ShiftSystem(1, alphabet, "markov", pi=pi, P=P)
 
@@ -440,10 +436,8 @@ def check_invariant(spec: SubAlgebraSpec, system) -> bool:
     if not isinstance(system, FinitePMPAction):
         raise IncompatibleSubAlgebraError("incompatible sub-algebra")
     C = spec.partition
-    if not same_space(C.space, system.space):
-        raise SpaceMismatchError("space mismatch")
-    for i in range(system.d):
-        e = tuple(1 if j == i else 0 for j in range(system.d))
+    _require_same_space(C.space, system.space)
+    for e in basis(system.d):
         if act(system, e, C) != C:
             return False
     return True
@@ -455,7 +449,7 @@ def check_invariant(spec: SubAlgebraSpec, system) -> bool:
 
 
 class MixtureSystem:
-    """Tagged disjoint union of systems with positive weights summing to 1.
+    """Tagged disjoint union of systems with finite, positive weights summing to 1.
 
     The component tag is a fixed (G-invariant) observable, so the tag
     partition always decomposes the union; pattern measures combine as
@@ -473,12 +467,10 @@ class MixtureSystem:
             raise ValueError("weights and components must align")
         if np.any(w <= 0.0):
             raise ValueError("weights must be positive")
-        if abs(float(w.sum()) - 1.0) > MASS_TOL:
-            raise ValueError("masses must sum to 1")
+        _probabilities(w)
         dims = {c.d for c in components}
         if len(dims) != 1:
             raise ValueError("dimension mismatch")
-        w.flags.writeable = False
         self.components = components
         self.weights = w
         self.d = dims.pop()

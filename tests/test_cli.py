@@ -22,14 +22,22 @@ MARKOV_CFG = {
 }
 
 
+def _reject_constant(name):
+    raise AssertionError(f"CLI stdout holds {name}, which is not JSON")
+
+
 def run_cli(args, cwd=None):
-    return subprocess.run(
+    r = subprocess.run(
         [sys.executable, "-m", "folner_entropy.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
         timeout=120,
     )
+    # every report and error is strict JSON: no NaN or Infinity
+    if r.stdout.strip():
+        json.loads(r.stdout, parse_constant=_reject_constant)
+    return r
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -410,6 +418,52 @@ def test_unknown_system_kind_rejected(tmp_path):
     path = write_cfg(tmp_path, cfg)
     r = run_cli(["rate", "--config", path, "--out", str(tmp_path)])
     assert r.returncode == 2
+
+
+SPACE_CFG = '{"schema": 1, "space": {"atoms": [0, 1], "masses": [%s, %s]}, "alpha": {"blocks": [[0], [1]]}}'
+
+
+def _assert_rejected(r, out, message):
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert json.loads(r.stdout)["error"] == {"kind": "validation", "message": message}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_json_number_literals_rejected(tmp_path, literal):
+    # masses [NaN, NaN] used to exit 0 with "entropy_nats": -0.0
+    path = tmp_path / "cfg.json"
+    path.write_text(SPACE_CFG % (literal, literal))
+    out = tmp_path / "out"
+    r = run_cli(["entropy", "--config", str(path), "--out", str(out)])
+    _assert_rejected(r, out, f"config is not valid JSON: {literal} is not a JSON number")
+
+
+def test_overflowing_number_reaches_the_validator(tmp_path):
+    # 1e999 is valid JSON and parses to inf
+    path = tmp_path / "cfg.json"
+    path.write_text(SPACE_CFG % ("1e999", "0.0"))
+    out = tmp_path / "out"
+    r = run_cli(["entropy", "--config", str(path), "--out", str(out)])
+    _assert_rejected(r, out, "masses must sum to 1")
+
+
+@pytest.mark.parametrize("n", ["-1", "63"])
+def test_max_window_outside_0_to_62_rejected(tmp_path, n):
+    # -1 used to crash with a traceback and exit 1
+    out = tmp_path / "out"
+    r = run_cli(["rate", "--config", write_cfg(tmp_path, MARKOV_CFG), "--out", str(out),
+                 "--max-window", n])
+    _assert_rejected(r, out, f"--max-window must be in 0..62, got {n}")
+
+
+@pytest.mark.parametrize("tol, shown", [("nan", "nan"), ("inf", "inf"), ("-0.5", "-0.5")])
+def test_tol_must_be_finite_and_nonnegative(tmp_path, tol, shown):
+    # nan used to exit 0 and write "tol": NaN into rate.json
+    out = tmp_path / "out"
+    r = run_cli(["rate", "--config", write_cfg(tmp_path, MARKOV_CFG), "--out", str(out),
+                 "--tol", tol])
+    _assert_rejected(r, out, f"--tol must be a finite number >= 0, got {shown}")
 
 
 def _assert_validation_error(r, tmp_path, message):

@@ -19,7 +19,7 @@ from folner_entropy import (
     translate,
     verify_subadditive_hypotheses,
 )
-from folner_entropy.groups import EXHAUSTIVE_PAIR_LIMIT, SubadditivityReport, _codes
+from folner_entropy.groups import EXHAUSTIVE_PAIR_LIMIT, SubadditivityReport, _codes, basis
 from folner_entropy.suites import phi_cardinality, phi_neg_card_squared, window_entropy_phi
 
 
@@ -29,6 +29,11 @@ def test_box_and_interval():
     i = FolnerSubset.interval(-1, 2)
     assert sorted(i.elements) == [(-1,), (0,), (1,)]
     assert len(FolnerSubset.box(3, 2)) == 8
+
+
+def test_basis_is_the_unit_vectors():
+    assert basis(1) == ((1,),)
+    assert basis(3) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def test_translate():

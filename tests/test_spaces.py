@@ -76,6 +76,13 @@ def test_space_validation():
         FiniteProbabilitySpace([1, 2], [-0.1, 1.1])
 
 
+@pytest.mark.parametrize("masses", [[np.nan, np.nan], [1.0, np.nan]])
+def test_space_masses_must_be_finite(masses):
+    # NaN passes the sign and sum checks: [NaN, NaN] used to give entropy -0.0
+    with pytest.raises(ValueError, match="masses must be finite"):
+        FiniteProbabilitySpace([0, 1], masses)
+
+
 def test_partition_blocks_canonical():
     space = FiniteProbabilitySpace(range(4), [0.25] * 4)
     p = Partition(space, [[3, 1], [2, 0]])

@@ -54,6 +54,12 @@ def test_bernoulli_validation():
     assert sys1.symbol_index("c") == 2
 
 
+@pytest.mark.parametrize("probs", [[np.nan, np.nan], [1.0, np.nan]])
+def test_bernoulli_probabilities_must_be_finite(probs):
+    with pytest.raises(ValueError, match="masses must be finite"):
+        bernoulli_shift(probs)
+
+
 @pytest.mark.parametrize("d", [2.7, True, 1.0])
 def test_bernoulli_dimension_must_be_an_integer(d):
     # 2.7 used to build a d = 2.7 system that failed later with "dimension mismatch"
@@ -83,6 +89,20 @@ def test_markov_shift_validation():
         markov_shift(np.array([0.5, 0.5]), P_HALF)  # not stationary
     mk = markov_shift(None, P_HALF)
     np.testing.assert_allclose(mk.pi, PI_EXACT, atol=5e-13)
+
+
+def test_markov_pi_must_be_finite():
+    with pytest.raises(ValueError, match="masses must be finite"):
+        markov_shift([np.nan, np.nan], P_HALF)
+
+
+@pytest.mark.parametrize("pi", [PI_EXACT, None])
+def test_markov_transition_entries_must_be_finite(pi):
+    # with pi given a NaN entry was accepted and gave finite window entropies;
+    # without pi the stationary solve failed inside LAPACK
+    P = np.array([[0.9, 0.1], [np.nan, 0.8]])
+    with pytest.raises(ValueError, match="transition probabilities must be finite"):
+        markov_shift(pi, P)
 
 
 def test_is_ergodic_model():
@@ -330,6 +350,14 @@ def test_mixture_validation():
         mixture([b, bernoulli_shift([0.5, 0.5], d=2)], [0.5, 0.5])
     with pytest.raises(ValueError):
         mixture([b, b], [1.0, 0.0])  # weights must be positive
+
+
+@pytest.mark.parametrize("weights", [[np.nan, np.nan], [0.5, np.nan]])
+def test_mixture_weights_must_be_finite(weights):
+    # a NaN weight made the rate estimate inf and its last gap NaN
+    b = bernoulli_shift([0.5, 0.5])
+    with pytest.raises(ValueError, match="masses must be finite"):
+        mixture([b, b], weights)
 
 
 def test_mixture_cylinder_weighted():
