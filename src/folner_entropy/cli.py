@@ -330,15 +330,14 @@ def cmd_entropy(cfg: dict, args) -> int:
                 conditional_entropy(alpha, beta), bits
             )
             dis = disintegrate(space, beta)
+            masses = dis.factor.quotient.masses.tolist()
             summary = []
-            for bi, block in enumerate(beta.blocks):
-                if bi not in dis.conditional_spaces:
-                    continue
-                fiber = dis.conditional(bi)
+            for bi, fiber in dis.conditional_spaces.items():
+                block = beta.blocks[bi]
                 summary.append(
                     {
                         "block": list(block),
-                        "mass": space.mass_of(block),
+                        "mass": masses[bi],
                         "fiber_entropy"
                         + suffix: _scaled(entropy(restrict(alpha, block, fiber)), bits),
                     }

@@ -1,8 +1,10 @@
 """Ergodic decomposition checks: fixed partitions, components, and the
 decomposition of the entropy rate into a weighted component average.
 
-Finite actions decompose over their orbit partition (every component
-rate is exactly zero, so the identity holds with both sides 0.0).
+Finite actions decompose over a fixed partition, by default the orbits.
+Each positive-mass block carries a finite action again, so its rate is
+exactly 0.0 (H(alpha^F) <= log|X| while |F| grows); that exact 0.0 is
+the component value, and the identity holds with both sides 0.0.
 Mixtures decompose along their tag partition once each component is
 certified ergodic; the tag entropy contributes nothing to the rate, so
 the mixture rate is the weighted average of the component rates.
@@ -24,9 +26,7 @@ from .spaces import (
     Partition,
     _require_same_space,
     conditional_entropy,
-    disintegrate,
     join,
-    restrict,
 )
 from .systems import (
     DEFAULT_PATTERN_CAP,
@@ -34,9 +34,9 @@ from .systems import (
     IncompatibleSubAlgebraError,
     MixtureSystem,
     ShiftSystem,
-    SubAlgebraSpec,
     _mixture_alphas,
     is_ergodic_model,
+    mixture,
 )
 
 
@@ -201,11 +201,12 @@ def decompose_entropy(
     ``beta`` must be fixed under the action (finite: a partition whose
     blocks the generators map onto themselves; mixture: a grouping of
     component indices); it defaults to the ergodic components. The left
-    side is the whole system's rate estimate; the right side restricts
-    the system, the partition, and any fixed conditioning partition to
-    each positive-mass block and averages the component estimates with
-    the block masses. Mixtures accept trivial or shared symbol-factor
-    conditioning, passed through to every component.
+    side is the whole system's rate estimate; the right side averages
+    the component estimates with the block masses. A finite component
+    is a finite action, reported at its exact rate 0.0 without a trace;
+    finite systems accept trivial or fixed-partition conditioning.
+    Mixture components are traced; mixtures accept trivial or shared
+    symbol-factor conditioning, passed through to every component.
     """
     comps = ergodic_components(system)
     spec = _as_subalgebra(C)
@@ -220,28 +221,15 @@ def decompose_entropy(
                 f"partition is not fixed: generator {witness['generator']}"
                 f" moves block {tuple(witness['block'])}"
             )
-        if alpha is None:
-            alpha = Partition.points(system.space)
-        cond_part = None
         if spec.kind == "invariant_partition":
             if fixed_partition_witness(system, spec.partition) is not None:
                 raise IncompatibleSubAlgebraError("conditioning partition is not fixed")
-            cond_part = spec.partition
         elif spec.kind != "trivial":
             raise IncompatibleSubAlgebraError("incompatible sub-algebra")
-        dis = disintegrate(system.space, beta)
-        for bi, (block, mB) in enumerate(zip(beta.blocks, beta.block_masses().tolist())):
-            if mB <= 0.0:
-                continue
-            fiber = dis.conditional(bi)
-            sub = restrict_action(system, fiber)
-            sub_alpha = restrict(alpha, block, fiber)
-            sub_C = None
-            if cond_part is not None:
-                # a fixed conditioning partition restricts to a fixed one
-                sub_C = SubAlgebraSpec.invariant_partition(restrict(cond_part, block, fiber))
-            _, rep = entropy_rate(sub, sub_alpha, sub_C, sequence, n_max, tol, cap)
-            results.append(ComponentResult(f"block:{bi}", mB, rep.estimate, rep.converged))
+        # a block's restricted action is finite: its rate is exactly 0.0
+        for bi, mB in enumerate(beta.block_masses().tolist()):
+            if mB > 0.0:
+                results.append(ComponentResult(f"block:{bi}", mB, 0.0, True))
     elif isinstance(system, MixtureSystem):
         if spec.kind not in ("trivial", "symbol_factor"):
             raise IncompatibleSubAlgebraError("incompatible sub-algebra")
@@ -257,9 +245,7 @@ def decompose_entropy(
                 i = grp[0]
                 sub, sub_alpha = system.components[i], alphas[i]
             else:
-                from .systems import mixture as _mixture
-
-                sub = _mixture(
+                sub = mixture(
                     [system.components[i] for i in grp],
                     [float(weights[i]) / wG for i in grp],
                 )

@@ -35,6 +35,7 @@ from .spaces import (
     _require_same_space,
     conditional_entropy,
     entropy,
+    is_coarser,
     join,
 )
 from .systems import (
@@ -325,28 +326,17 @@ def entropy_rate(
         and last_gap < tol
         and abs(entries[-2].rate - best) < tol
     )
-    if _is_finite_system(system):
-        report = ConvergenceReport(
-            estimate=0.0,
-            inf_value=best,
-            last_gap=last_gap,
-            converged=True,
-            n_used=len(entries),
-            truncated=truncated,
-            method="bounded-numerator",
-            tol=tol,
-        )
-    else:
-        report = ConvergenceReport(
-            estimate=best,
-            inf_value=best,
-            last_gap=last_gap,
-            converged=converged,
-            n_used=len(entries),
-            truncated=truncated,
-            method="running-inf",
-            tol=tol,
-        )
+    finite = _is_finite_system(system)
+    report = ConvergenceReport(
+        estimate=0.0 if finite else best,
+        inf_value=best,
+        last_gap=last_gap,
+        converged=finite or converged,
+        n_used=len(entries),
+        truncated=truncated,
+        method="bounded-numerator" if finite else "running-inf",
+        tol=tol,
+    )
     return trace, report
 
 
@@ -534,8 +524,6 @@ def _partitions_comparable(alpha, beta):
             return "finer"
         return None
     if isinstance(alpha, Partition) and isinstance(beta, Partition):
-        from .spaces import is_coarser
-
         if is_coarser(alpha, beta):
             return "coarser"
         if is_coarser(beta, alpha):
@@ -543,7 +531,7 @@ def _partitions_comparable(alpha, beta):
     return None
 
 
-def _join_partitions(system, alpha, beta):
+def _join_partitions(alpha, beta):
     if isinstance(alpha, SymbolPartition) and isinstance(beta, SymbolPartition):
         return alpha.join(beta)
     if isinstance(alpha, Partition) and isinstance(beta, Partition):
@@ -573,7 +561,7 @@ def verify_rate_inequalities(
     report = RateInequalityReport()
     _, rep_a = entropy_rate(system, alpha, C, sequence, n_max, rate_tol, cap)
     _, rep_b = entropy_rate(system, beta, C, sequence, n_max, rate_tol, cap)
-    ab = _join_partitions(system, alpha, beta)
+    ab = _join_partitions(alpha, beta)
     _, rep_ab = entropy_rate(system, ab, C, sequence, n_max, rate_tol, cap)
 
     d = system.d
@@ -657,8 +645,6 @@ def verify_chain_exhaustion(
     chain = list(chain)
     if not chain:
         raise ValueError("empty chain")
-    from .spaces import is_coarser
-
     for prev, cur in zip(chain, chain[1:]):
         if not is_coarser(prev, cur):
             raise ValueError("chain not increasing")

@@ -409,12 +409,13 @@ class FactorSpace:
     """Quotient of a space by a partition: one atom per block.
 
     Quotient atom ids are the canonical block indices 0..k-1; the
-    projection maps each base atom to its block index. Quotient masses
-    are the block masses under the same summation as everywhere else,
-    so reconstruction identities hold to float precision.
+    projection maps each base atom to its block index, read from the
+    partition's labels. Quotient masses are the block masses under the
+    same summation as everywhere else, so reconstruction identities
+    hold to float precision.
     """
 
-    __slots__ = ("base", "partition", "quotient", "projection")
+    __slots__ = ("base", "partition", "quotient")
 
     def __init__(self, base: FiniteProbabilitySpace, partition: Partition):
         _require_same_space(base, partition.space)
@@ -423,10 +424,9 @@ class FactorSpace:
         self.quotient = FiniteProbabilitySpace(
             range(partition.n_blocks), partition.block_masses()
         )
-        self.projection = dict(zip(base.atom_ids, partition.labels().tolist()))
 
     def project(self, atom: AtomId) -> int:
-        return self.projection[atom]
+        return self.partition.block_index(atom)
 
 
 def factor_space(space: FiniteProbabilitySpace, alpha: Partition) -> FactorSpace:

@@ -15,7 +15,11 @@ from typing import Callable
 import numpy as np
 
 from .decomposition import conditional_mass_function
-from .engine import verify_chain_exhaustion, verify_entropy_identities
+from .engine import (
+    conditional_block_entropy,
+    verify_chain_exhaustion,
+    verify_entropy_identities,
+)
 from .groups import FolnerSubset
 from .spaces import (
     FiniteProbabilitySpace,
@@ -255,8 +259,6 @@ def window_entropy_phi(
     cap: int = DEFAULT_PATTERN_CAP,
 ) -> Callable[[FolnerSubset], float]:
     """phi(F) = H(alpha^F | C) for a given system, as a window set function."""
-    from .engine import conditional_block_entropy
-
     def phi(F: FolnerSubset) -> float:
         return conditional_block_entropy(system, alpha, F, C, None, cap)
 

@@ -228,14 +228,17 @@ def stationary_vector(P: np.ndarray) -> np.ndarray:
     """Stationary row vector of a stochastic matrix by a direct linear solve.
 
     Solves pi (P - I) = 0 together with sum(pi) = 1, which works for
-    periodic chains as well. Raises ``ValueError`` when the solution is
-    not unique, i.e. when the stacked system [P^T - I; 1] has rank
-    below the number of states (a chain with several closed classes).
+    periodic chains as well. Raises ``ValueError`` on a non-finite entry
+    (before the solve) and when the solution is not unique, i.e. when
+    the stacked system [P^T - I; 1] has rank below the number of states
+    (a chain with several closed classes).
     """
     P = np.asarray(P, dtype=np.float64)
     n = P.shape[0]
     if P.ndim != 2 or P.shape[1] != n:
         raise ValueError("square matrix required")
+    if not np.isfinite(P).all():
+        raise ValueError("transition probabilities must be finite")
     A = np.vstack([P.T - np.eye(n), np.ones((1, n))])
     b = np.zeros(n + 1)
     b[n] = 1.0

@@ -9,7 +9,16 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from folner_entropy import (
+    FiniteProbabilitySpace,
+    Partition,
+    disintegrate,
+    entropy,
+    restrict,
+)
 
 MARKOV_CFG = {
     "schema": 1,
@@ -160,6 +169,39 @@ def test_entropy_conditional_with_disintegration(tmp_path):
     assert abs(mixed - report["conditional_entropy_nats"]) < 1e-12
 
 
+def test_entropy_disintegration_masses_on_a_large_space(tmp_path):
+    # past 64 atoms block masses are summed as matrix rows; each entry
+    # must still equal the plain per-block sum and the fiber's entropy
+    rng = np.random.default_rng(7)
+    n = 150
+    w = rng.random(n)
+    beta_labels = rng.integers(0, 6, size=n)
+    w[beta_labels == 5] = 0.0  # one zero-mass block: no fiber, no entry
+    masses = (w / w.sum()).tolist()
+    space = FiniteProbabilitySpace(range(n), masses)
+    alpha = Partition.from_labels(space, rng.integers(0, 4, size=n))
+    beta = Partition.from_labels(space, beta_labels)
+    cfg = {
+        "schema": 1,
+        "space": {"atoms": list(range(n)), "masses": masses},
+        "alpha": {"blocks": [list(b) for b in alpha.blocks]},
+        "beta": {"blocks": [list(b) for b in beta.blocks]},
+    }
+    path = write_cfg(tmp_path, cfg)
+    r = run_cli(["entropy", "--config", path, "--out", str(tmp_path)])
+    assert r.returncode == 0, r.stdout + r.stderr
+    summary = json.loads(r.stdout)["disintegration"]
+    dis = disintegrate(space, beta)
+    assert [entry["block"] for entry in summary] == [
+        list(block) for block in beta.blocks if space.mass_of(block) > 0.0
+    ]
+    for entry in summary:
+        block = tuple(entry["block"])
+        fiber = dis.conditional(beta.block_index(block[0]))
+        assert entry["mass"] == space.mass_of(block)
+        assert entry["fiber_entropy_nats"] == entropy(restrict(alpha, block, fiber))
+
+
 def test_entropy_block_form(tmp_path):
     cfg = {
         "schema": 1,
@@ -307,6 +349,63 @@ def test_decompose_mixture(tmp_path):
         "component:0",
         "component:1",
     ]
+
+
+def test_decompose_finite_with_beta_partition_and_conditioning(tmp_path):
+    # orbits {0,1,2} {3,4} {5} {6} {7}, the last of zero mass; the
+    # expected bytes are those written by the per-block restricted traces
+    cfg = {
+        "schema": 1,
+        "system": {
+            "kind": "finite",
+            "atoms": [0, 1, 2, 3, 4, 5, 6, 7],
+            "masses": [0.1, 0.1, 0.1, 0.15, 0.15, 0.3, 0.1, 0.0],
+            "generators": [[1, 2, 0, 4, 3, 5, 6, 7]],
+        },
+        "beta": {"blocks": [[0, 1, 2, 5], [3, 4], [6, 7]]},
+        "partition": {"blocks": [[0, 3], [1, 4, 5], [2, 6, 7]]},
+        "conditioning": {"kind": "invariant_partition", "blocks": [[0, 1, 2], [3, 4, 5, 6, 7]]},
+        "schedule": {"sides": [1, 2, 4]},
+    }
+    path = write_cfg(tmp_path, cfg)
+    r = run_cli(["decompose", "--config", path, "--out", str(tmp_path)])
+    assert r.returncode == 0, r.stdout + r.stderr
+    expected = """{
+  "certified": true,
+  "components": [
+    {
+      "converged": true,
+      "estimate": 0.0,
+      "label": "block:0",
+      "weight": 0.6000000000000001
+    },
+    {
+      "converged": true,
+      "estimate": 0.0,
+      "label": "block:1",
+      "weight": 0.3
+    },
+    {
+      "converged": true,
+      "estimate": 0.0,
+      "label": "block:2",
+      "weight": 0.1
+    }
+  ],
+  "converged": true,
+  "gap": 0.0,
+  "lhs": 0.0,
+  "ok": true,
+  "paper_property": "thm31_decomp",
+  "rhs": 0.0,
+  "schema": 1,
+  "task": "decompose",
+  "truncated": false,
+  "units": "nats"
+}
+"""
+    assert (tmp_path / "decompose.json").read_text() == expected
+    assert r.stdout == expected
 
 
 def test_decompose_split_orbit_witness(tmp_path):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from folner_entropy import (
+    ComponentResult,
     FinitePMPAction,
     FiniteProbabilitySpace,
     FolnerSequence,
@@ -20,12 +21,15 @@ from folner_entropy import (
     conditional_entropy,
     conditional_mass_function,
     decompose_entropy,
+    disintegrate,
+    entropy_rate,
     ergodic_components,
     fixed_partition_witness,
     is_fixed_partition,
     markov_shift,
     mixture,
     orbit_partition,
+    restrict,
     restrict_action,
 )
 
@@ -186,6 +190,82 @@ def test_decompose_mixture_grouped():
         decompose_entropy(mx, beta=[[0], [1]], sequence=seq)  # misses index 2
     with pytest.raises(ValueError):
         decompose_entropy(mx, beta=[[0, 1], [1, 2]], sequence=seq)  # overlap
+
+
+def _restricted_components(action, beta, alpha, cond, sequence):
+    """Oracle for the finite components: disintegrate over ``beta``,
+    restrict the action, ``alpha`` and the fixed conditioning partition
+    ``cond`` to each positive-mass block, and trace the rate of every
+    restricted action."""
+    if alpha is None:
+        alpha = Partition.points(action.space)
+    dis = disintegrate(action.space, beta)
+    out = []
+    for bi, (block, mB) in enumerate(zip(beta.blocks, beta.block_masses().tolist())):
+        if mB <= 0.0:
+            continue
+        fiber = dis.conditional(bi)
+        sub_C = None
+        if cond is not None:
+            sub_C = SubAlgebraSpec.invariant_partition(restrict(cond, block, fiber))
+        sub = restrict_action(action, fiber)
+        _, rep = entropy_rate(sub, restrict(alpha, block, fiber), sub_C, sequence)
+        out.append(ComponentResult(f"block:{bi}", mB, rep.estimate, rep.converged))
+    return out
+
+
+def _random_finite_instance(rng):
+    """A commuting action (powers of one permutation) with masses constant
+    on its orbits, some orbits of zero mass, and its orbit labels."""
+    n = int(rng.integers(1, 13))
+    p = rng.permutation(n)
+    gens = []
+    for _ in range(int(rng.integers(1, 3))):
+        g = np.arange(n)
+        for _ in range(int(rng.integers(0, 5))):
+            g = p[g]
+        gens.append(g)
+    orbit = np.full(n, -1)
+    k = 0
+    for start in range(n):
+        if orbit[start] >= 0:
+            continue
+        orbit[start], todo = k, [start]
+        while todo:
+            x = todo.pop()
+            for g in gens:
+                if orbit[g[x]] < 0:
+                    orbit[g[x]] = k
+                    todo.append(int(g[x]))
+        k += 1
+    w = rng.random(k) * (rng.random(k) < 0.7)
+    w[rng.integers(0, k)] += 0.5
+    per_atom = w / np.bincount(orbit, minlength=k)
+    masses = per_atom[orbit] / per_atom[orbit].sum()
+    space = FiniteProbabilitySpace(range(n), masses)
+    return FinitePMPAction(space, [g.tolist() for g in gens]), orbit, k
+
+
+def test_finite_components_match_the_restricted_traces():
+    rng = np.random.default_rng(2024)
+    for _ in range(240):
+        action, orbit, k = _random_finite_instance(rng)
+        space = action.space
+        orbits = Partition.from_labels(space, orbit)
+        beta = [None, Partition.from_labels(space, rng.integers(0, k, size=k)[orbit]),
+                Partition.trivial(space)][int(rng.integers(0, 3))]
+        alpha = None
+        if rng.random() < 0.5:
+            alpha = Partition.from_labels(space, rng.integers(0, 3, size=len(space)))
+        cond = orbits if rng.random() < 0.5 else None
+        C = None if cond is None else SubAlgebraSpec.invariant_partition(cond)
+        seq = FolnerSequence(action.d, (1, 2, 3))
+        result = decompose_entropy(action, beta, alpha, C, seq)
+        expected = _restricted_components(
+            action, orbits if beta is None else beta, alpha, cond, seq
+        )
+        assert repr(result.components) == repr(expected)
+        assert result.rhs == 0.0
 
 
 # -- conditional mass function -----------------------------------------------------

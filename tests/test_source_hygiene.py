@@ -1,0 +1,95 @@
+"""Source hygiene of the package, checked with ``ast`` (no linter needed).
+
+Two rules, each over every module of ``folner_entropy``:
+
+- no relative import inside a function body (module-level imports keep
+  the dependency graph visible, and none of them closes a cycle);
+- no module-level imported name left unused in its module.
+
+``__init__.py`` only re-exports, so its names are exempt from the
+second rule.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import folner_entropy
+
+PACKAGE = Path(folner_entropy.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _function_relative_imports(tree):
+    found = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ImportFrom) and node.level > 0:
+                    found.append(f"line {node.lineno}: from {'.' * node.level}{node.module or ''}")
+    return found
+
+
+def _module_imports(tree):
+    """Names bound by module-level imports, with their line numbers."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            ann = node.returns
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            ann = node.annotation
+        else:
+            continue
+        if ann is not None:
+            yield ann
+
+
+def _used_names(tree):
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # a quoted annotation such as -> "Partition" names a class too
+    for ann in _annotations(tree):
+        for node in ast.walk(ann):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                expr = ast.parse(node.value, mode="eval")
+                used |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_relative_import_inside_a_function(path):
+    assert _function_relative_imports(_tree(path)) == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_no_unused_module_level_import(path):
+    tree = _tree(path)
+    used = _used_names(tree)
+    unused = {name: line for name, line in _module_imports(tree).items() if name not in used}
+    assert unused == {}
+
+
+def test_the_checks_see_both_faults():
+    tree = ast.parse(
+        "import os\nfrom .spaces import Partition, join\n\n"
+        "def f() -> 'Partition':\n    from .engine import entropy_rate\n    return join\n"
+    )
+    assert _function_relative_imports(tree) == ["line 5: from .engine"]
+    assert set(_module_imports(tree)) - _used_names(tree) == {"os"}

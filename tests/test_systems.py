@@ -105,6 +105,15 @@ def test_markov_transition_entries_must_be_finite(pi):
         markov_shift(pi, P)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_stationary_vector_rejects_non_finite_entries_quietly(capfd, bad):
+    # rejected before lstsq, whose LAPACK routines print DLASCL lines on
+    # stderr and raise LinAlgError for a non-finite matrix
+    with pytest.raises(ValueError, match="transition probabilities must be finite"):
+        stationary_vector(np.array([[0.9, 0.1], [bad, 0.8]]))
+    assert capfd.readouterr().err == ""
+
+
 def test_is_ergodic_model():
     assert is_ergodic_model(bernoulli_shift([0.5, 0.5]))
     assert is_ergodic_model(markov_shift(PI_EXACT, P_HALF))
