@@ -1,9 +1,12 @@
-"""Numerical kernels for pattern-measure enumeration and entropy sums.
+"""Numerical kernels for pattern measures, Markov window entropies and entropy sums.
 
-One vectorised numpy implementation per kernel. The pattern fills
-serve Markov window enumeration and ``window_partition``; window
-entropies of Bernoulli shifts and mixtures come from closed forms and
-need only the entropy reductions.
+One vectorised numpy implementation per kernel. Markov window entropies
+take the chain-rule closed form (full symbols) or the forward recursion
+over cell patterns (coarse cells and symbol factors), so no production
+route enumerates Markov symbol words; the symbol-word fills remain for
+``symbol_pattern_logprobs``/``symbol_pattern_probs`` and the full-symbol
+``window_partition``. Window entropies of Bernoulli shifts and mixtures
+come from closed forms and need only the entropy reductions.
 
 Pattern arrays are indexed element-major: for window elements listed in
 sorted order, the first element is the most significant base-``m`` digit
@@ -12,6 +15,8 @@ one site per step by reshapes and broadcasts, one operation per entry.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -104,6 +109,79 @@ def markov_window_probs(pi: np.ndarray, P: np.ndarray, offsets: np.ndarray) -> n
         v = step.ravel()
         pos = target
     return v
+
+
+def _gap_powers(P: np.ndarray, sites: list) -> dict:
+    """{g: P^g} for every gap g between consecutive sites of a sorted window."""
+    return {g: np.linalg.matrix_power(P, g) for g in {b - a for a, b in zip(sites, sites[1:])}}
+
+
+def markov_window_entropy(pi: np.ndarray, P: np.ndarray, offsets: np.ndarray) -> float:
+    """Entropy of the full-symbol patterns on a sorted, possibly gapped d = 1 window.
+
+    The chain rule and the Markov property give H(pi) plus, for each
+    consecutive pair of window sites t < t + g, H(X_{t+g} | X_t) =
+    sum_i v_i H(row i of P^g), where v = pi P^(t - t_0) is the marginal
+    at t: the measure the cylinders use, also when ``pi`` is stationary
+    only within a tolerance. The state (v, entropy so far) moves by
+    the (m + 1)-square matrix [[P^g, h_g], [0, 1]] at each pair, h_g
+    the row entropies of P^g: one matrix power per distinct gap, one
+    entropy pass over pi and all those rows, then one vector-matrix
+    product per site. Zero entries and states of zero mass contribute 0.
+    """
+    pi = np.ascontiguousarray(pi, dtype=np.float64)
+    P = np.ascontiguousarray(P, dtype=np.float64)
+    sites = np.asarray(offsets, dtype=np.int64).tolist()
+    if not sites:
+        return 0.0
+    powers = _gap_powers(P, sites)
+    m = pi.shape[0]
+    # pi, then the rows of every power: one entropy pass over all rows
+    rows = np.concatenate([pi, *(Pg.ravel() for Pg in powers.values())])
+    H = -(rows * np.log(np.where(rows > 0.0, rows, 1.0))).reshape(-1, m).sum(axis=1)
+    steps = np.zeros((len(powers), m + 1, m + 1))
+    steps[:, :m, :m] = rows[m:].reshape(-1, m, m)
+    steps[:, :m, m] = H[1:].reshape(-1, m)
+    steps[:, m, m] = 1.0
+    step_of = {g: steps[i] for i, g in enumerate(powers)}
+    state = np.concatenate([pi, H[:1]])
+    for a, b in zip(sites, sites[1:]):
+        state = state @ step_of[b - a]
+    return float(state[m])
+
+
+def hidden_markov_pattern_probs(
+    pi: np.ndarray, P: np.ndarray, offsets: np.ndarray, site_cells
+) -> np.ndarray:
+    """Measures of all cell patterns on a sorted, possibly gapped d = 1 window.
+
+    ``site_cells[j]`` gives the cell of each symbol at window site j
+    (an int array of length m, cells 0..c_j - 1). A forward recursion
+    keeps one (cell pattern so far, current state) table: each site
+    moves it by P^gap and splits every state's mass into its cell, so
+    the cost is prod(c_j) * m^2 rather than m^k. Patterns are indexed
+    element-major, first site most significant.
+    """
+    pi = np.ascontiguousarray(pi, dtype=np.float64)
+    P = np.ascontiguousarray(P, dtype=np.float64)
+    sites = np.asarray(offsets, dtype=np.int64).tolist()
+    labels = [np.asarray(c, dtype=np.int64) for c in site_cells]
+    if len(labels) != len(sites):
+        raise ValueError("one cell map per window site required")
+    if not labels:
+        return np.ones(1)
+    n_cells = [int(c.max()) + 1 for c in labels]
+    _check_size(math.prod(n_cells), 1)
+    m = pi.shape[0]
+    states = np.arange(m)
+    powers = _gap_powers(P, sites)
+    step = pi[None, :]
+    for j, (cells, c) in enumerate(zip(labels, n_cells)):
+        if j:
+            step = table.reshape(-1, m) @ powers[sites[j] - sites[j - 1]]
+        table = np.zeros((step.shape[0], c, m))
+        table[:, cells, states] = step
+    return table.reshape(-1, m).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -595,7 +595,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--max-window",
             type=int,
             default=None,
-            help="pattern cap exponent: enumerate at most 2^N patterns",
+            help="pattern cap exponent: at most 2^N symbol patterns per Markov "
+            "window, counted but not enumerated",
         )
     return parser
 
@@ -617,8 +618,33 @@ def _error_json(kind: str, message: str) -> str:
 _MAX_WINDOW = _MAX_SAFE_PATTERNS.bit_length() - 1
 
 
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_negative_tol(argv: list) -> list:
+    """Rewrite ``--tol -1e-3`` as ``--tol=-1e-3``.
+
+    argparse reads a dash-led token as an option unless it matches its
+    negative-number pattern, which misses the exponent form and ``-inf``;
+    attached, the value reaches validation like every other bad value.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] == "--tol" and token.startswith("-") and _is_number(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: Optional[list] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_attach_negative_tol(list(argv)))
     try:
         if args.max_window is not None and not 0 <= args.max_window <= _MAX_WINDOW:
             raise ConfigError(f"--max-window must be in 0..{_MAX_WINDOW}, got {args.max_window}")

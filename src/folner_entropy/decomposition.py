@@ -208,13 +208,18 @@ def decompose_entropy(
     Mixture components are traced; mixtures accept trivial or shared
     symbol-factor conditioning, passed through to every component.
     """
-    comps = ergodic_components(system)
+    if isinstance(system, FinitePMPAction) and beta is not None:
+        # the orbit partition only supplies beta's default; finite orbits certify
+        certified = True
+    else:
+        comps = ergodic_components(system)
+        certified = comps.certified
+        if beta is None:
+            beta = comps.partition
     spec = _as_subalgebra(C)
     lhs_trace, lhs_report = entropy_rate(system, alpha, spec, sequence, n_max, tol, cap)
     results = []
     if isinstance(system, FinitePMPAction):
-        if beta is None:
-            beta = comps.partition
         witness = fixed_partition_witness(system, beta)
         if witness is not None:
             raise ValueError(
@@ -263,7 +268,7 @@ def decompose_entropy(
         components=results,
         lhs_trace=lhs_trace,
         lhs_report=lhs_report,
-        certified=comps.certified,
+        certified=certified,
     )
 
 

@@ -5,16 +5,18 @@ conditioning. Finite actions use exact partition algebra. Bernoulli
 shifts are closed-form at every window size from one-site cell masses,
 k * H(cells) or k * (H(cells v phi) - H(phi)) under a symbol factor phi,
 and so are mixtures under trivial conditioning (tagged supports are
-disjoint, so H = H(weights) + sum_i w_i H_i). Three routes enumerate
-under the cap and raise ``EnumerationCapError`` above it, before any
-fill: full-symbol Markov windows in log space, coarse cells on Markov
-windows through ``window_partition``, and a symbol factor on a Markov
-shift or a mixture of shifts through ``symbol_factor_entropy`` (a single
-shift is one component of weight 1). A symbol factor is read on a
-finite conditioning window W containing F; for product measures only
-the factor at F's own sites binds, so every such W gives the exact
-value; for Markov measures it is a monotone upper approximation that
-tightens as W grows.
+disjoint, so H = H(weights) + sum_i w_i H_i). No Markov route
+enumerates symbol words: full-symbol windows take the chain-rule closed
+form H(pi) + sum_j H(X_{t_{j+1}} | X_{t_j}), coarse cells go through
+``window_partition``'s forward recursion over cell patterns, and a
+symbol factor on a Markov shift or a mixture of shifts goes through
+``symbol_factor_entropy`` (a single shift is one component of weight
+1), which combines both. The cap still counts the m^|W| symbol patterns
+of each such window and raises ``EnumerationCapError`` above it, before
+any work. A symbol factor is read on a finite conditioning window W
+containing F; for product measures only the factor at F's own sites
+binds, so every such W gives the exact value; for Markov measures it is
+a monotone upper approximation that tightens as W grows.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._kernels import entropy_from_logprobs, entropy_from_probs
+from ._kernels import entropy_from_probs, markov_window_entropy
 from .groups import FolnerSequence, FolnerSubset, basis, identity as group_identity, neg
 from .spaces import (
     FiniteProbabilitySpace,
@@ -48,11 +50,11 @@ from .systems import (
     SubAlgebraSpec,
     SymbolPartition,
     _cell_masses,
+    _guard_patterns,
     _mixture_alphas,
     act,
     resolve_cells,
     symbol_factor_entropy,
-    symbol_pattern_logprobs,
     window_partition,
 )
 
@@ -155,7 +157,8 @@ def _shift_block_entropy(
             # product measure: patterns factor over sites exactly
             return k * entropy_from_probs(_cell_masses(system, cells))
         if cells.n_cells == system.n_symbols:
-            return entropy_from_logprobs(symbol_pattern_logprobs(system, F, cap))
+            _guard_patterns(system.n_symbols, k, cap)
+            return markov_window_entropy(system.pi, system.P, F.rows[:, 0])
         return window_partition(system, F, cells, cap).entropy()
     if C.kind == "symbol_factor":
         phi = C.factor_partition(system.alphabet)
@@ -206,11 +209,12 @@ def conditional_block_entropy(
     window ``F``. Finite systems evaluate it by exact partition algebra.
     Bernoulli shifts and trivially conditioned mixtures use exact
     product and tagged-split closed forms at every window size. Markov
-    windows with full-symbol cells sum pattern log-measures, coarse
-    cells go through ``window_partition``, and a symbol factor on a
-    Markov shift or a mixture of shifts goes through
-    ``symbol_factor_entropy``; these three enumerate under the cap and
-    raise ``EnumerationCapError`` above it.
+    windows with full-symbol cells take the chain-rule closed form,
+    coarse cells go through ``window_partition``, and a symbol factor on
+    a Markov shift or a mixture of shifts goes through
+    ``symbol_factor_entropy``. These three routes enumerate no symbol
+    words, but they still count the m^|W| symbol patterns against the
+    cap and raise ``EnumerationCapError`` above it.
     ``conditioning_window`` (default F) is where a symbol factor is
     read; enlarging it never increases the result.
     """

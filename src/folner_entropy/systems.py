@@ -8,19 +8,21 @@ drives:
   label rows of alpha pulled back through every T_g, everything exact.
 - ``ShiftSystem``: the full shift over a finite alphabet with either a
   product (any d) or a stationary Markov (d = 1) measure; window
-  measures come from the numpy enumeration kernels.
+  measures come from the numpy kernels.
 - ``MixtureSystem``: a tagged disjoint union with positive weights;
   measures are weight-combined componentwise.
 
 Two routes to every measure are kept deliberately separate:
 ``cylinder_measure`` computes one word's mass by explicit products and
-gap sums (oracle-grade, slow), while ``window_partition`` enumerates the
-whole pattern space through the numpy kernels. ``symbol_factor_entropy``
-enumerates the full-symbol patterns on a conditioning window once per
-shift component, for a Markov shift or a mixture under a symbol factor.
-Window entropies of product measures and of trivially conditioned
-mixtures do not enumerate at all; the engine evaluates them in closed
-form.
+gap sums (oracle-grade, slow), while ``window_partition`` fills the
+whole cell-pattern space through the numpy kernels: coarse cells on a
+Markov window by a forward recursion over cell patterns, without
+enumerating symbol words. ``symbol_factor_entropy`` evaluates a Markov
+shift or a mixture under a symbol factor by the Markov closed form and
+the same recursion, once per shift component. Window entropies of
+product measures and of trivially conditioned mixtures need no pattern
+space at all; the engine evaluates them in closed form. The cap still
+counts the m^|W| symbol patterns of every Markov window.
 """
 
 from __future__ import annotations
@@ -32,8 +34,10 @@ import numpy as np
 
 from ._kernels import (
     entropy_from_probs,
+    hidden_markov_pattern_probs,
     iid_pattern_logprobs,
     markov_interval_logprobs,
+    markov_window_entropy,
     markov_window_probs,
 )
 from .groups import FolnerSubset, GroupElement, _dimension, basis, neg
@@ -770,9 +774,11 @@ def window_partition(system, F: FolnerSubset, alpha=None, cap: int = DEFAULT_PAT
 
     For a shift system this is the weighted partition alpha^F: every
     assignment of ``alpha``-cells to window elements, with its cylinder
-    measure, enumerated through the numpy kernels. For mixtures of
-    shifts the result is tagged by component. The pattern count
-    n_cells^|F| (per component) is capped.
+    measure, filled through the numpy kernels; coarse cells on a Markov
+    window come from the forward recursion, which never enumerates
+    symbol words, though the cap still counts the m^|F| symbol patterns
+    there. For mixtures of shifts the result is tagged by component.
+    The pattern count n_cells^|F| (per component) is capped.
     """
     if isinstance(system, MixtureSystem):
         alphas = _mixture_alphas(system, alpha)
@@ -805,15 +811,21 @@ def window_partition(system, F: FolnerSubset, alpha=None, cap: int = DEFAULT_PAT
         probs = symbol_pattern_probs(system, F, cap)
         return PatternDistribution(elements, cells.cells, probs)
     _guard_patterns(system.n_symbols, k, cap)
-    sym_probs = symbol_pattern_probs(system, F, cap)
-    codes = subpattern_codes(system.n_symbols, k, range(k), cells.cell_labels(), mc)
-    probs = np.bincount(codes, weights=sym_probs, minlength=mc**k)
+    site_cells = [cells.cell_labels()] * k
+    probs = hidden_markov_pattern_probs(system.pi, system.P, F.rows[:, 0], site_cells)
     return PatternDistribution(elements, cells.cells, probs)
 
 
-def _aggregated_entropy(keys: np.ndarray, probs: np.ndarray) -> float:
-    _, inv = np.unique(keys, return_inverse=True)
-    return entropy_from_probs(np.bincount(inv.ravel(), weights=probs))
+def _as_chain(system: ShiftSystem, W: FolnerSubset) -> tuple:
+    """(pi, P, offsets) of a shift's site process on the sorted window W.
+
+    A product measure, in any dimension, is the chain whose rows all
+    equal its site distribution, read at consecutive offsets: P^g = P
+    for every g >= 1, so W's geometry does not enter.
+    """
+    if system.kind == "bernoulli":
+        return system.probs, np.tile(system.probs, (system.n_symbols, 1)), np.arange(len(W))
+    return system.pi, system.P, W.rows[:, 0]
 
 
 def symbol_factor_entropy(
@@ -822,34 +834,42 @@ def symbol_factor_entropy(
 ) -> float:
     """H(alpha^F | phi^W) for shifts on a shared alphabet, mixed by weight.
 
-    Enumerates the m^|W| full-symbol patterns on W once per component
-    and keys each one by (component, alpha-pattern on F, phi-pattern
-    on W), so H = H(keys) - H(phi-patterns). A single shift is the
-    one-component family with weight 1.0. The cap counts m^|W| per
+    Tagged supports are disjoint, so H = H(weights) + sum_i w_i
+    H_i(alpha^F v phi^W) - H(sum_i w_i p_i(phi^W)). Each joint term is
+    H_i(phi^W) when phi is full-symbol, the Markov closed form when
+    alpha v phi is full-symbol and W = F, and otherwise a forward
+    recursion over cell patterns: alpha v phi cells on F's sites, phi
+    cells elsewhere. A product-measure component of any dimension is
+    the chain whose rows all equal its site distribution (``_as_chain``);
+    a single shift is the one-component family with weight 1.0. No
+    symbol word is enumerated, but the cap still counts m^|W| per
     component, summed, and is checked before any component's cells are
-    resolved or any pattern is filled. ``F`` must lie inside ``W``.
+    resolved. ``F`` must lie inside ``W``.
     """
     K = len(W)
     m = len(phi.alphabet)
-    n_patterns = m**K
-    if len(components) * n_patterns > cap:
+    if len(components) * m**K > cap:
         raise EnumerationCapError("pattern cap exceeded")
-    sub_F = W.locate(F).tolist()
-    pcode = subpattern_codes(m, K, range(K), phi.cell_labels(), phi.n_cells)
-    nphi = np.int64(phi.n_cells**K)
-    keys = np.empty(len(components) * n_patterns, dtype=np.int64)
-    probs = np.empty(keys.shape[0])
-    offset = 0
-    for i, (comp, a, w) in enumerate(zip(components, alphas, weights)):
-        cells = resolve_cells(comp, a)
-        part = slice(i * n_patterns, (i + 1) * n_patterns)
-        np.multiply(float(w), symbol_pattern_probs(comp, W, cap), out=probs[part])
-        acode = subpattern_codes(m, K, sub_F, cells.cell_labels(), cells.n_cells)
-        keys[part] = (acode + offset) * nphi + pcode
-        offset += cells.n_cells ** len(sub_F)
-    return _aggregated_entropy(keys, probs) - _aggregated_entropy(
-        np.tile(pcode, len(components)), probs
-    )
+    in_F = np.zeros(K, dtype=bool)
+    in_F[W.locate(F)] = True
+    phi_cells = phi.cell_labels()
+    total = entropy_from_probs(weights)
+    marginal = np.zeros(phi.n_cells**K)
+    for comp, a, w in zip(components, alphas, weights):
+        joint = resolve_cells(comp, a).join(phi)
+        pi, P, offsets = _as_chain(comp, W)
+        p_phi = hidden_markov_pattern_probs(pi, P, offsets, [phi_cells] * K)
+        if phi.n_cells == m:
+            # a full-symbol phi already separates every symbol: alpha^F v phi^W = phi^W
+            H_joint = entropy_from_probs(p_phi)
+        elif joint.n_cells == m and in_F.all():
+            H_joint = markov_window_entropy(pi, P, offsets)
+        else:
+            site_cells = [joint.cell_labels() if f else phi_cells for f in in_F.tolist()]
+            H_joint = entropy_from_probs(hidden_markov_pattern_probs(pi, P, offsets, site_cells))
+        total += float(w) * H_joint
+        marginal += float(w) * p_phi
+    return total - entropy_from_probs(marginal)
 
 
 def _mixture_alphas(system: MixtureSystem, alpha) -> list:

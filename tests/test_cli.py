@@ -4,6 +4,7 @@ uses an isolated output directory.
 """
 
 import csv
+import itertools
 import json
 import math
 import subprocess
@@ -14,9 +15,12 @@ import pytest
 
 from folner_entropy import (
     FiniteProbabilitySpace,
+    FolnerSubset,
     Partition,
+    cylinder_measure,
     disintegrate,
     entropy,
+    markov_shift,
     restrict,
 )
 
@@ -565,6 +569,15 @@ def test_tol_must_be_finite_and_nonnegative(tmp_path, tol, shown):
     _assert_rejected(r, out, f"--tol must be a finite number >= 0, got {shown}")
 
 
+@pytest.mark.parametrize("flag", [["--tol", "-1e-3"], ["--tol=-1e-3"], ["--tol", "-inf"]])
+def test_negative_tol_in_any_form_gets_the_validation_json(tmp_path, flag):
+    # "--tol -1e-3" used to exit 2 with argparse usage text and empty stdout
+    out = tmp_path / "out"
+    r = run_cli(["rate", "--config", write_cfg(tmp_path, MARKOV_CFG), "--out", str(out), *flag])
+    shown = "-inf" if flag[-1] == "-inf" else "-0.001"
+    _assert_rejected(r, out, f"--tol must be a finite number >= 0, got {shown}")
+
+
 def _assert_validation_error(r, tmp_path, message):
     assert r.returncode == 2, r.stdout + r.stderr
     error = json.loads(r.stdout)["error"]
@@ -656,7 +669,7 @@ MARKOV3 = {"kind": "markov", "P": [[0.7, 0.2, 0.1], [0.3, 0.5, 0.2], [0.25, 0.25
                 "window": {"elements": [[5], [1], [3]]},
                 "conditioning": {"kind": "symbol_factor", "labels": [0, 0, 1]},
             },
-            '{\n  "F_size": 3,\n  "block_entropy_nats": 1.542323112598476,\n'
+            '{\n  "F_size": 3,\n  "block_entropy_nats": 1.5423231125984764,\n'
             '  "schema": 1,\n  "task": "entropy",\n  "units": "nats"\n}\n',
         ),
     ],
@@ -668,6 +681,24 @@ def test_entropy_on_gapped_window_keeps_its_bytes(tmp_path, cfg, expected):
     assert r.returncode == 0, r.stdout + r.stderr
     assert (tmp_path / "entropy.json").read_text() == expected
     assert r.stdout == expected
+
+
+def test_gapped_symbol_factor_value_matches_the_cylinder_oracle():
+    # H(X^F | phi^F) = H(X^F) - H(phi^F), every word's mass by explicit path sums
+    mk3 = markov_shift(None, MARKOV3["P"])
+    F = FolnerSubset([(1,), (3,), (5,)], 1)
+    phi = (0, 0, 1)
+    words, factor_masses = [], {}
+    for word in itertools.product(range(3), repeat=3):
+        mass = cylinder_measure(mk3, F, dict(zip(sorted(F.elements), word)))
+        words.append(mass)
+        key = tuple(phi[s] for s in word)
+        factor_masses[key] = factor_masses.get(key, 0.0) + mass
+
+    def H(masses):
+        return -sum(p * math.log(p) for p in masses if p > 0.0)
+
+    assert abs(1.5423231125984764 - (H(words) - H(factor_masses.values()))) <= 1e-12
 
 
 BERNOULLI = {"kind": "bernoulli", "probs": [0.5, 0.5]}

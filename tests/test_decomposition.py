@@ -140,6 +140,26 @@ def test_decompose_finite_whole_space_beta():
     assert result.gap == 0.0
 
 
+def test_decompose_finite_with_beta_skips_the_orbit_partition(monkeypatch):
+    space, action = two_cycles_action()
+    seq = FolnerSequence(1, (1, 2, 4))
+    beta = Partition(space, [[0, 1, 2], [3, 4, 5]])
+    expected = decompose_entropy(action, beta=beta, sequence=seq)
+
+    def refuse(system):
+        raise AssertionError("orbit partition built although beta was given")
+
+    monkeypatch.setattr("folner_entropy.decomposition.orbit_partition", refuse)
+    result = decompose_entropy(action, beta=beta, sequence=seq)
+    assert result.components == expected.components
+    assert (result.lhs, result.rhs, result.certified) == (0.0, 0.0, True)
+    # the default beta still comes from the orbits, and other systems still raise
+    with pytest.raises(AssertionError, match="orbit partition built"):
+        decompose_entropy(action, sequence=seq)
+    with pytest.raises(TypeError, match="unsupported system kind"):
+        decompose_entropy(object(), beta=beta, sequence=seq)
+
+
 def test_decompose_rejects_split_orbit():
     space, action = two_cycles_action()
     split = Partition(space, [[0, 1], [2, 3, 4, 5]])

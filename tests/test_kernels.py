@@ -3,13 +3,17 @@ contiguous Markov windows agreeing, frozen entropy values, and the
 pattern-space overflow guard. Path products are recomputed here word by
 word as the reference. The per-pattern index-arithmetic fills that the
 broadcast kernels replaced are kept below as oracles, and the kernels
-must match them bit for bit."""
+must match them bit for bit. The Markov closed form is checked against
+cylinder-by-cylinder enumeration, and the forward recursion over cell
+patterns against the symbol-word enumeration it replaced, both to a
+tolerance: they sum in another order."""
 
 import itertools
 
 import numpy as np
 import pytest
 
+from folner_entropy import FolnerSubset, cylinder_measure, markov_shift
 from folner_entropy import _kernels as K
 from folner_entropy.systems import subpattern_codes
 
@@ -218,3 +222,79 @@ def test_subpattern_codes_match_oracle_bit_for_bit():
                     want = _oracle_subpattern_codes(m, length, sub, cell_of, n_cells)
                     assert got.dtype == want.dtype == np.int64
                     assert got.tobytes() == want.tobytes(), (m, length, sub)
+
+
+# -- Markov closed form and forward recursion, against enumeration --------------
+
+
+def _cylinder_entropy(system, offsets):
+    """Entropy of all full-symbol words on the window, one cylinder at a time."""
+    F = FolnerSubset([(int(t),) for t in offsets], 1)
+    elements = sorted(F.elements)
+    total = 0.0
+    for word in itertools.product(range(system.n_symbols), repeat=len(elements)):
+        p = cylinder_measure(system, F, dict(zip(elements, word)))
+        if p > 0.0:
+            total -= p * np.log(p)
+    return total
+
+
+def test_markov_window_entropy_matches_cylinder_enumeration():
+    chains = [
+        [[0.7, 0.2, 0.1], [0.3, 0.5, 0.2], [0.25, 0.25, 0.5]],
+        # zero transitions, and state 2 transient: pi_2 = 0
+        [[0.5, 0.5, 0.0], [0.3, 0.7, 0.0], [0.2, 0.3, 0.5]],
+        [[0.0, 1.0], [1.0, 0.0]],
+        [[1.0]],
+    ]
+    windows = [[0], [0, 1], [0, 1, 2, 3], [0, 2, 5], [-3, 1, 2, 6], [-4, -1, 0, 3, 4]]
+    for P in chains:
+        system = markov_shift(None, P)
+        for offsets in windows:
+            got = K.markov_window_entropy(system.pi, system.P, np.array(offsets))
+            assert abs(got - _cylinder_entropy(system, offsets)) <= 1e-12, (P, offsets)
+    transient = markov_shift(None, chains[1])
+    assert transient.pi[2] == 0.0
+    assert K.markov_window_entropy(transient.pi, transient.P, np.array([], dtype=np.int64)) == 0.0
+
+
+def _oracle_coarse_probs(pi, P, offsets, site_cells):
+    """The coarse-cell route the recursion replaced: every symbol word's
+    mass from the index-arithmetic fill, summed into its cell pattern
+    (site j's cell from ``site_cells[j]``) by one bincount."""
+    m, k = pi.shape[0], offsets.shape[0]
+    sym = _oracle_window_probs(pi, P, offsets)
+    idx = np.arange(m**k, dtype=np.int64)
+    code = np.zeros_like(idx)
+    n_patterns = 1
+    for j, cells in enumerate(site_cells):
+        digit = (idx // m ** (k - 1 - j)) % m
+        code = code * (int(cells.max()) + 1) + cells[digit]
+        n_patterns *= int(cells.max()) + 1
+    return np.bincount(code, weights=sym, minlength=n_patterns)
+
+
+def _random_site_cells(rng, m):
+    _, cells = np.unique(rng.integers(0, m, size=m), return_inverse=True)
+    return cells.astype(np.int64)
+
+
+def test_forward_recursion_matches_the_coarse_cell_enumeration():
+    rng = np.random.default_rng(8104)
+    coarse = False
+    for m in range(1, 5):
+        for _ in range(6):
+            pi, P = _random_chain_with_zeros(rng, m)
+            for k in range(0, 8):
+                offsets = _random_offsets(rng, k)
+                site_cells = [_random_site_cells(rng, m) for _ in range(k)]
+                got = K.hidden_markov_pattern_probs(pi, P, offsets, site_cells)
+                want = _oracle_coarse_probs(pi, P, offsets, site_cells)
+                assert got.shape == want.shape, (m, offsets.tolist())
+                assert np.abs(got - want).max() <= 1e-13, (m, offsets.tolist())
+                H_got, H_want = K.entropy_from_probs(got), K.entropy_from_probs(want)
+                assert abs(H_got - H_want) <= 1e-13 * max(1.0, abs(H_want))
+                coarse |= any(int(c.max()) + 1 < m for c in site_cells)
+    assert coarse
+    with pytest.raises(ValueError, match="one cell map per window site"):
+        K.hidden_markov_pattern_probs(pi, P, np.arange(2), site_cells[:1])
