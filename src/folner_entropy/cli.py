@@ -206,9 +206,10 @@ def _build_conditioning(system, obj) -> Optional[SubAlgebraSpec]:
     if kind == "invariant_partition":
         if not isinstance(system, FinitePMPAction):
             raise ConfigError("invariant partitions condition finite systems")
-        return SubAlgebraSpec.invariant_partition(
-            Partition(system.space, _require(obj, "blocks"))
-        )
+        C = Partition(system.space, _require(obj, "blocks"))
+        if fixed_partition_witness(system, C) is not None:
+            raise ConfigError("conditioning partition is not fixed")
+        return SubAlgebraSpec.invariant_partition(C)
     if kind == "symbol_factor":
         labels = _require(obj, "labels")
         alphabet = _shift_alphabet(system)

@@ -302,9 +302,6 @@ class SubadditivityReport:
     def ok(self) -> bool:
         return not any(self.violation_count.values())
 
-    def counts(self) -> dict:
-        return {name: self.violation_count.get(name, 0) for name in self.violations}
-
 
 _CHECKS = ("monotonicity", "strong_subadditivity", "translation_invariance", "k_cover")
 _WITNESS_CAP = 20

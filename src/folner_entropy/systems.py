@@ -14,15 +14,16 @@ drives:
 
 Two routes to every measure are kept deliberately separate:
 ``cylinder_measure`` computes one word's mass by explicit products and
-gap sums (oracle-grade, slow), while ``window_partition`` fills the
-whole cell-pattern space through the numpy kernels: coarse cells on a
-Markov window by a forward recursion over cell patterns, without
-enumerating symbol words. ``symbol_factor_entropy`` evaluates a Markov
-shift or a mixture under a symbol factor by the Markov closed form and
-the same recursion, once per shift component. Window entropies of
-product measures and of trivially conditioned mixtures need no pattern
-space at all; the engine evaluates them in closed form. The cap still
-counts the m^|W| symbol patterns of every Markov window.
+gap sums (oracle-grade, slow), while ``window_partition`` returns the
+masses of every cell pattern as one element-major float64 array, filled
+through the numpy kernels: coarse cells on a Markov window by a forward
+recursion over cell patterns, without enumerating symbol words.
+``symbol_factor_entropy`` evaluates a Markov shift or a mixture under a
+symbol factor by the Markov closed form and the same recursion, once
+per shift component. Window entropies of product measures and of
+trivially conditioned mixtures need no pattern space at all; the engine
+evaluates them in closed form. The cap still counts the m^|W| symbol
+patterns of every Markov window.
 """
 
 from __future__ import annotations
@@ -597,90 +598,6 @@ def cylinder_measure(system, window: FolnerSubset, word: Mapping) -> float:
     return total
 
 
-# ---------------------------------------------------------------------------
-# pattern distributions (bulk route: kernel enumeration)
-# ---------------------------------------------------------------------------
-
-
-class PatternDistribution:
-    """Distribution of cell patterns on a window.
-
-    Patterns are tuples of cell indices aligned with ``elements``
-    (window elements in sorted order); the flat ``probs`` array is
-    indexed element-major, first element most significant.
-    """
-
-    __slots__ = ("elements", "cells", "probs")
-
-    def __init__(self, elements: tuple, cells: tuple, probs: np.ndarray):
-        self.elements = elements
-        self.cells = cells
-        self.probs = probs
-
-    @property
-    def n_cells(self) -> int:
-        return len(self.cells)
-
-    def __len__(self) -> int:
-        return int(self.probs.shape[0])
-
-    def index_of(self, pattern: Sequence[int]) -> int:
-        if len(pattern) != len(self.elements):
-            raise ValueError("pattern length mismatch")
-        idx = 0
-        for c in pattern:
-            c = int(c)
-            if not 0 <= c < self.n_cells:
-                raise ValueError("cell index out of range")
-            idx = idx * self.n_cells + c
-        return idx
-
-    def prob(self, pattern: Sequence[int]) -> float:
-        return float(self.probs[self.index_of(pattern)])
-
-    def items(self):
-        """Yield (pattern, probability) for every positive-probability pattern."""
-        k = len(self.elements)
-        m = self.n_cells
-        for flat in np.flatnonzero(self.probs > 0.0):
-            flat = int(flat)
-            idx = flat
-            pattern = [0] * k
-            for j in range(k - 1, -1, -1):
-                pattern[j] = idx % m
-                idx //= m
-            yield tuple(pattern), float(self.probs[flat])
-
-    def entropy(self) -> float:
-        return entropy_from_probs(self.probs)
-
-
-class TaggedPatternDistribution:
-    """Componentwise pattern distributions of a mixture, weight-combined.
-
-    Patterns on the tagged union are (component index, component
-    pattern) pairs; their supports are disjoint across components, so
-    the union entropy is the entropy of the weighted concatenation.
-    """
-
-    __slots__ = ("distributions", "weights")
-
-    def __init__(self, distributions: Sequence[PatternDistribution], weights: np.ndarray):
-        self.distributions = tuple(distributions)
-        self.weights = weights
-
-    def combined_probs(self) -> np.ndarray:
-        return np.concatenate(
-            [float(w) * dist.probs for dist, w in zip(self.distributions, self.weights)]
-        )
-
-    def prob(self, tag: int, pattern: Sequence[int]) -> float:
-        return float(self.weights[tag]) * self.distributions[tag].prob(pattern)
-
-    def entropy(self) -> float:
-        return entropy_from_probs(self.combined_probs())
-
-
 def _guard_patterns(n_cells: int, length: int, cap: int) -> int:
     count = int(n_cells) ** int(length)
     if count > cap:
@@ -769,16 +686,21 @@ def subpattern_codes(
     return code
 
 
-def window_partition(system, F: FolnerSubset, alpha=None, cap: int = DEFAULT_PATTERN_CAP):
-    """Distribution of all cell patterns on the window ``F``.
+def window_partition(system, F: FolnerSubset, alpha=None, cap: int = DEFAULT_PATTERN_CAP) -> np.ndarray:
+    """Masses of all cell patterns on the window ``F``, as one float64 array.
 
     For a shift system this is the weighted partition alpha^F: every
     assignment of ``alpha``-cells to window elements, with its cylinder
-    measure, filled through the numpy kernels; coarse cells on a Markov
-    window come from the forward recursion, which never enumerates
-    symbol words, though the cap still counts the m^|F| symbol patterns
-    there. For mixtures of shifts the result is tagged by component.
-    The pattern count n_cells^|F| (per component) is capped.
+    measure, filled through the numpy kernels. The array is element-major
+    over F's sorted rows, first row most significant: the pattern
+    (c_1, ..., c_k) sits at ``np.ravel_multi_index(pattern, (n_cells,) * k)``.
+    Coarse cells on a Markov window come from the forward recursion,
+    which never enumerates symbol words, though the cap still counts the
+    m^|F| symbol patterns there. For a mixture of shifts the result is
+    the concatenation, in component order, of each component's array
+    times its weight; tagged supports are disjoint, so its entropy is the
+    union's. The pattern count n_cells^|F| (summed over components) is
+    capped.
     """
     if isinstance(system, MixtureSystem):
         alphas = _mixture_alphas(system, alpha)
@@ -789,10 +711,10 @@ def window_partition(system, F: FolnerSubset, alpha=None, cap: int = DEFAULT_PAT
             total += resolve_cells(comp, a).n_cells ** len(F)
         if total > cap:
             raise EnumerationCapError("pattern cap exceeded")
-        dists = [
-            window_partition(comp, F, a, cap) for comp, a in zip(system.components, alphas)
-        ]
-        return TaggedPatternDistribution(dists, system.weights)
+        return np.concatenate([
+            float(w) * window_partition(comp, F, a, cap)
+            for comp, a, w in zip(system.components, alphas, system.weights)
+        ])
     if not isinstance(system, ShiftSystem):
         raise TypeError("window patterns apply to shift systems and mixtures")
     if F.d != system.d:
@@ -801,19 +723,15 @@ def window_partition(system, F: FolnerSubset, alpha=None, cap: int = DEFAULT_PAT
     k = len(F)
     mc = cells.n_cells
     _guard_patterns(mc, k, cap)
-    elements = tuple(F)
     if system.kind == "bernoulli":
         with np.errstate(divide="ignore"):
-            probs = np.exp(iid_pattern_logprobs(np.log(_cell_masses(system, cells)), k))
-        return PatternDistribution(elements, cells.cells, probs)
+            return np.exp(iid_pattern_logprobs(np.log(_cell_masses(system, cells)), k))
     if mc == system.n_symbols:
         # full symbol partition: the kernel output is already cellwise
-        probs = symbol_pattern_probs(system, F, cap)
-        return PatternDistribution(elements, cells.cells, probs)
+        return symbol_pattern_probs(system, F, cap)
     _guard_patterns(system.n_symbols, k, cap)
     site_cells = [cells.cell_labels()] * k
-    probs = hidden_markov_pattern_probs(system.pi, system.P, F.rows[:, 0], site_cells)
-    return PatternDistribution(elements, cells.cells, probs)
+    return hidden_markov_pattern_probs(system.pi, system.P, F.rows[:, 0], site_cells)
 
 
 def _as_chain(system: ShiftSystem, W: FolnerSubset) -> tuple:

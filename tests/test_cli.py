@@ -432,6 +432,42 @@ def test_decompose_split_orbit_witness(tmp_path):
     assert report["witness"]["generator"] == 0
 
 
+ROTATION_Z4 = {
+    "kind": "finite",
+    "atoms": [0, 1, 2, 3],
+    "masses": [0.25] * 4,
+    "generators": [[1, 2, 3, 0]],
+}
+
+
+@pytest.mark.parametrize(
+    "verb, cfg",
+    [
+        ("entropy", {"window": {"box": 2}, "partition": {"blocks": [[0, 1], [2, 3]]}}),
+        ("rate", {"schedule": {"sides": [1, 2, 4]}}),
+        ("verify", {
+            "suite": "rates",
+            "alpha": {"blocks": [[0, 1], [2, 3]]},
+            "beta": {"blocks": [[0, 2], [1, 3]]},
+            "schedule": {"sides": [1, 2, 4]},
+        }),
+        ("decompose", {"schedule": {"sides": [1, 2, 4]}}),
+    ],
+)
+def test_conditioning_partition_the_action_moves_is_rejected(tmp_path, verb, cfg):
+    # the rotation moves block [1, 2, 3]; entropy and rate used to exit 0,
+    # rate with "converged": true
+    cfg = {
+        "schema": 1,
+        "system": ROTATION_Z4,
+        "conditioning": {"kind": "invariant_partition", "blocks": [[0], [1, 2, 3]]},
+        **cfg,
+    }
+    out = tmp_path / "out"
+    r = run_cli([verb, "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    _assert_rejected(r, out, "conditioning partition is not fixed")
+
+
 # -- folner ---------------------------------------------------------------------
 
 

@@ -168,14 +168,14 @@ def _factor_oracle(system, cells, factor_map, F, W):
 def _bernoulli_full_cells():
     b = bernoulli_shift([0.3, 0.7], d=2)
     F = FolnerSubset.box(2, 3)
-    return conditional_block_entropy(b, None, F), window_partition(b, F).entropy()
+    return conditional_block_entropy(b, None, F), entropy_from_probs(window_partition(b, F))
 
 
 def _bernoulli_coarse_cells():
     b = bernoulli_shift([0.5, 0.2, 0.3])
     cells = SymbolPartition(b.alphabet, [[0], [1, 2]])
     F = FolnerSubset.interval(0, 6)
-    return conditional_block_entropy(b, cells, F), window_partition(b, F, cells).entropy()
+    return conditional_block_entropy(b, cells, F), entropy_from_probs(window_partition(b, F, cells))
 
 
 def _bernoulli_factor(cell_blocks):
@@ -196,7 +196,7 @@ def _bernoulli_factor(cell_blocks):
 def _shift_mixture():
     mx = mixture([bernoulli_shift([0.3, 0.7]), markov_shift(PI, P)], [0.4, 0.6])
     F = FolnerSubset.interval(0, 6)
-    return conditional_block_entropy(mx, None, F), window_partition(mx, F).entropy()
+    return conditional_block_entropy(mx, None, F), entropy_from_probs(window_partition(mx, F))
 
 
 def _finite_mixture():
@@ -371,7 +371,7 @@ def _old_shift_block_entropy(system, alpha, F, C, W, cap):
             raise EnumerationCapError("pattern cap exceeded")
         if cells.n_cells == system.n_symbols:
             return entropy_from_logprobs(symbol_pattern_logprobs(system, F, cap))
-        return window_partition(system, F, cells, cap).entropy()
+        return entropy_from_probs(window_partition(system, F, cells, cap))
     if C.kind == "symbol_factor":
         phi = C.factor_partition(system.alphabet)
         W = _old_resolve_window(F, W)

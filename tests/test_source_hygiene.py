@@ -7,7 +7,8 @@ Two rules, each over every module of ``folner_entropy``:
 - no module-level imported name left unused in its module.
 
 ``__init__.py`` only re-exports, so its names are exempt from the
-second rule.
+second rule. Instead ``__all__`` must list each name it imports, plus
+``__version__``, exactly once, so a deleted name cannot stay exported.
 """
 
 import ast
@@ -71,6 +72,17 @@ def _used_names(tree):
     return used
 
 
+def _export_faults(tree, exported):
+    """Names ``exported`` lists without a module-level import binding them,
+    bound names it leaves out, and names it lists more than once."""
+    bound = set(_module_imports(tree)) | {"__version__"}
+    return {
+        "dangling": sorted(set(exported) - bound),
+        "unexported": sorted(bound - set(exported)),
+        "repeated": sorted({n for n in exported if exported.count(n) > 1}),
+    }
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_relative_import_inside_a_function(path):
     assert _function_relative_imports(_tree(path)) == []
@@ -86,6 +98,11 @@ def test_no_unused_module_level_import(path):
     assert unused == {}
 
 
+def test_all_lists_each_imported_name_once():
+    faults = _export_faults(_tree(PACKAGE / "__init__.py"), list(folner_entropy.__all__))
+    assert faults == {"dangling": [], "unexported": [], "repeated": []}
+
+
 def test_the_checks_see_both_faults():
     tree = ast.parse(
         "import os\nfrom .spaces import Partition, join\n\n"
@@ -93,3 +110,12 @@ def test_the_checks_see_both_faults():
     )
     assert _function_relative_imports(tree) == ["line 5: from .engine"]
     assert set(_module_imports(tree)) - _used_names(tree) == {"os"}
+
+
+def test_the_export_check_sees_each_fault():
+    exported = ["join", "join", "Partition", "__version__"]
+    assert _export_faults(ast.parse("from .spaces import join, entropy\n"), exported) == {
+        "dangling": ["Partition"],
+        "unexported": ["entropy"],
+        "repeated": ["join"],
+    }

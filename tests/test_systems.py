@@ -27,6 +27,7 @@ from folner_entropy import (
     conditional_entropy,
     cylinder_measure,
     entropy,
+    entropy_from_probs,
     is_ergodic_model,
     join,
     markov_shift,
@@ -181,7 +182,7 @@ def test_window_partition_matches_cylinders_bernoulli():
     dist = window_partition(b, F)
     for pattern in itertools.product((0, 1), repeat=3):
         word = {(i,): s for i, s in enumerate(pattern)}
-        assert dist.prob(pattern) == pytest.approx(
+        assert dist[np.ravel_multi_index(pattern, (2,) * 3)] == pytest.approx(
             cylinder_measure(b, F, word), abs=1e-15
         )
 
@@ -193,7 +194,7 @@ def test_window_partition_matches_cylinders_markov_gapped():
     dist = window_partition(mk, F)
     for pattern in itertools.product((0, 1), repeat=3):
         word = {(0,): pattern[0], (2,): pattern[1], (5,): pattern[2]}
-        assert dist.prob(pattern) == pytest.approx(
+        assert dist[np.ravel_multi_index(pattern, (2,) * 3)] == pytest.approx(
             cylinder_measure(mk, F, word), abs=1e-13
         )
 
@@ -211,8 +212,42 @@ def test_window_partition_coarse_cells():
     F = FolnerSubset.interval(0, 2)
     dist = window_partition(b, F, cells)
     # cells have masses (.5,.5): patterns are uniform on 4 outcomes
-    np.testing.assert_allclose(dist.probs, [0.25] * 4, atol=1e-15)
-    assert dist.entropy() == pytest.approx(2 * np.log(2), abs=1e-12)
+    np.testing.assert_allclose(dist, [0.25] * 4, atol=1e-15)
+    assert entropy_from_probs(dist) == pytest.approx(2 * np.log(2), abs=1e-12)
+
+
+P_THREE = np.array([[0.7, 0.2, 0.1], [0.3, 0.5, 0.2], [0.25, 0.25, 0.5]])
+
+
+def test_window_partition_coarse_cells_markov_gapped_matches_cylinders():
+    # the forward recursion over cell patterns vs the sum of cylinder
+    # measures over every symbol word inside each cell pattern
+    mk = markov_shift(stationary_vector(P_THREE), P_THREE)
+    cells = SymbolPartition(mk.alphabet, [[0], [1, 2]])
+    sites = [(0,), (2,), (5,)]
+    F = FolnerSubset(sites, 1)
+    dist = window_partition(mk, F, cells)
+    assert dist.shape == (8,)
+    for pattern in itertools.product((0, 1), repeat=3):
+        words = itertools.product(*[cells.cells[c] for c in pattern])
+        oracle = sum(cylinder_measure(mk, F, dict(zip(sites, word))) for word in words)
+        assert dist[np.ravel_multi_index(pattern, (2, 2, 2))] == pytest.approx(oracle, abs=1e-13)
+
+
+def test_mixture_window_partition_is_the_weighted_concatenation():
+    b = bernoulli_shift([0.5, 0.2, 0.3])
+    mk = markov_shift(stationary_vector(P_THREE), P_THREE)
+    a1 = SymbolPartition(b.alphabet, [[0], [1, 2]])
+    a2 = SymbolPartition(mk.alphabet, [[0, 1], [2]])
+    mx = mixture([b, mk], [0.4, 0.6])
+    F = FolnerSubset([(0,), (1,), (3,)], 1)
+    dist = window_partition(mx, F, [a1, a2])
+    expect = np.concatenate(
+        [0.4 * window_partition(b, F, a1), 0.6 * window_partition(mk, F, a2)]
+    )
+    assert isinstance(dist, np.ndarray) and dist.dtype == np.float64
+    assert np.array_equal(dist, expect)
+    assert abs(dist.sum() - 1.0) < 1e-12
 
 
 def test_window_partition_cap():
@@ -392,8 +427,8 @@ def test_mixture_window_partition_entropy():
         + 0.3 * 2 * np.log(2)
         + 0.7 * 2 * (-(np.array([0.9, 0.1]) * np.log([0.9, 0.1])).sum())
     )
-    assert dist.entropy() == pytest.approx(expect, abs=1e-12)
-    assert abs(dist.combined_probs().sum() - 1.0) < 1e-12
+    assert entropy_from_probs(dist) == pytest.approx(expect, abs=1e-12)
+    assert abs(dist.sum() - 1.0) < 1e-12
 
 
 def test_mixture_of_finite_actions_as_finite_action():
