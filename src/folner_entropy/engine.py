@@ -35,6 +35,7 @@ from .spaces import (
     _join_rows,
     _pullback,
     _require_same_space,
+    conditional_entropies,
     conditional_entropy,
     entropy,
     is_coarser,
@@ -440,56 +441,76 @@ def verify_entropy_identities(
     conditioning partition and in the first argument, invariance under
     an explicit measure-preserving permutation (when given), the chain
     rule, and monotone convergence along the refining chain
-    gamma <= gamma v beta <= gamma v beta v alpha.
+    gamma <= gamma v beta <= gamma v beta v alpha. All conditional
+    entropies are computed in one ``conditional_entropies`` pass.
     """
+    terms = _identity_terms(space, alpha, beta, gamma, action, group_elements, pmp_map)
+    values = conditional_entropies(terms.pairs)
+    return _identity_checks(terms, values, tolerance, equality_tolerance)
+
+
+@dataclass
+class _IdentityTerms:
+    """The partition pairs whose conditional entropies the identity checks read."""
+
+    pairs: list
+    group_elements: list
+    pmp: bool
+
+
+def _identity_terms(space, alpha, beta, gamma, action, group_elements, pmp_map) -> _IdentityTerms:
+    """Joins, action images and permutation images of one triple, built
+    in the order the checks read them, so invalid input fails the same
+    way whatever the checks."""
     for p in (alpha, beta, gamma):
         _require_same_space(p.space, space)
-    report = IdentityReport()
-    h_a_c = conditional_entropy(alpha, gamma)
-    h_b_c = conditional_entropy(beta, gamma)
     ab = join(alpha, beta)
     bc = join(beta, gamma)
     abc = join(ab, gamma)
-    h_ab_c = conditional_entropy(ab, gamma)
+    pairs = [
+        (alpha, gamma), (beta, gamma), (ab, gamma), (alpha, bc), (bc, alpha), (beta, alpha),
+        (alpha, abc),
+    ]
+    if action is None:
+        group_elements = ()
+    elif group_elements is None:
+        group_elements = [g for e in basis(action.d) for g in (e, neg(e))]
+    group_elements = list(group_elements)
+    for g in group_elements:
+        pairs.append((act(action, g, alpha), act(action, g, gamma)))
+    if pmp_map is not None:
+        pairs.append(
+            (_permute_partition(space, pmp_map, alpha), _permute_partition(space, pmp_map, gamma))
+        )
+    return _IdentityTerms(pairs, group_elements, pmp_map is not None)
 
+
+def _identity_checks(
+    terms: _IdentityTerms, values: Sequence[float], tolerance: float, equality_tolerance: float
+) -> IdentityReport:
+    """The identity checks on the conditional entropies of ``terms.pairs``."""
+    h_a_c, h_b_c, h_ab_c, h_a_bc, h_bc_a, h_b_a, h_a_abc, *images = values
+    report = IdentityReport()
     report.checks.append(
         _check("join_subadditivity", h_a_c + h_b_c - h_ab_c, tolerance)
     )
-
-    if action is not None:
-        if group_elements is None:
-            group_elements = [g for e in basis(action.d) for g in (e, neg(e))]
-        for g in group_elements:
-            moved = conditional_entropy(act(action, g, alpha), act(action, g, gamma))
-            report.checks.append(
-                _check(
-                    "translation_invariance",
-                    -abs(moved - h_a_c),
-                    equality_tolerance,
-                    detail=f"g={g}",
-                )
-            )
-
-    # finer conditioning cannot increase; finer first argument cannot decrease
-    h_a_bc = conditional_entropy(alpha, bc)
-    report.checks.append(_check("conditioning_monotone", h_a_c - h_a_bc, tolerance))
-    report.checks.append(
-        _check(
-            "partition_monotone",
-            conditional_entropy(bc, alpha) - conditional_entropy(beta, alpha),
-            tolerance,
-        )
-    )
-
-    if pmp_map is not None:
-        fa = _permute_partition(space, pmp_map, alpha)
-        fc = _permute_partition(space, pmp_map, gamma)
+    for g, moved in zip(terms.group_elements, images):
         report.checks.append(
             _check(
-                "pmp_invariance",
-                -abs(conditional_entropy(fa, fc) - h_a_c),
+                "translation_invariance",
+                -abs(moved - h_a_c),
                 equality_tolerance,
+                detail=f"g={g}",
             )
+        )
+
+    # finer conditioning cannot increase; finer first argument cannot decrease
+    report.checks.append(_check("conditioning_monotone", h_a_c - h_a_bc, tolerance))
+    report.checks.append(_check("partition_monotone", h_bc_a - h_b_a, tolerance))
+
+    if terms.pmp:
+        report.checks.append(
+            _check("pmp_invariance", -abs(images[-1] - h_a_c), equality_tolerance)
         )
 
     report.checks.append(
@@ -497,7 +518,7 @@ def verify_entropy_identities(
     )
 
     # refining chain gamma <= gamma v beta <= gamma v beta v alpha
-    chain_vals = [h_a_c, h_a_bc, conditional_entropy(alpha, abc)]
+    chain_vals = [h_a_c, h_a_bc, h_a_abc]
     for prev, cur in zip(chain_vals, chain_vals[1:]):
         report.checks.append(_check("refining_chain", prev - cur, tolerance))
     return report
@@ -650,15 +671,14 @@ def verify_chain_exhaustion(
         if not is_coarser(prev, cur):
             raise ValueError("chain not increasing")
     base = Partition.trivial(space) if cond is None else cond
-    values = []
+    joined = [join(part, base) for part in chain]
+    values = conditional_entropies([(xi, part) for part in joined])
     first_separating = None
     ok = True
-    for i, part in enumerate(chain):
-        joined = join(part, base)
-        values.append(conditional_entropy(xi, joined))
-        if first_separating is None and _separates(joined):
+    for i, (part, value) in enumerate(zip(joined, values)):
+        if first_separating is None and _separates(part):
             first_separating = i
-        if first_separating is not None and abs(values[-1]) > tolerance:
+        if first_separating is not None and abs(value) > tolerance:
             ok = False
     steps = [prev - cur for prev, cur in zip(values, values[1:])]
     min_step = min(steps) if steps else 0.0

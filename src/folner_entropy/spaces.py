@@ -10,13 +10,17 @@ Fiber quantities (conditional entropy, disintegration, traces on a
 block) are read from label arrays grouped by block: the traces of
 alpha on the blocks of beta are the blocks of their join, and per-block
 sums are exact segment sums, each equal to the bit to the plain 1-D sum.
-The entropy operations implement the positive-mass conventions
+``conditional_entropies`` runs those steps once over many partition
+pairs stacked back to back, with labels offset so that no block
+crosses a pair; ``conditional_entropy`` is its one-pair call. The
+entropy operations implement the positive-mass conventions
 (0 log 0 = 0, zero-mass fibers skipped) directly.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
@@ -87,13 +91,16 @@ class FiniteProbabilitySpace:
         return float(self.masses[self.index(atom)])
 
     def mass_of(self, atoms: Iterable[AtomId]) -> float:
-        """Mass of an atom subset. All subset masses go through here so
-        block masses, quotient masses, and reconstruction sums share one
-        summation (numpy pairwise over the subset's index array)."""
-        idx = [self.index(a) for a in atoms]
+        """Mass of an atom set (a repeated atom counts once). Every subset
+        mass is this summation: numpy pairwise over the index array."""
+        idx = self._indices(atoms)
         if not idx:
             return 0.0
         return float(self.masses[idx].sum())
+
+    def _indices(self, atoms: Iterable[AtomId]) -> list:
+        """Indices of a set of atoms, each once, in order of first occurrence."""
+        return list(dict.fromkeys(self.index(a) for a in atoms))
 
 
 def _probabilities(arr: np.ndarray) -> np.ndarray:
@@ -207,8 +214,7 @@ class Partition:
         """Atom indices grouped by block, ascending inside each block, and
         the end offset of every block in that array."""
         if self._order is None:
-            self._order = self._labels.argsort(kind="stable")
-            self._ends = np.bincount(self._labels, minlength=self._k).cumsum().tolist()
+            self._order, self._ends = _group(self._labels, self._k)
         return self._order, self._ends
 
     def __len__(self) -> int:
@@ -252,6 +258,12 @@ class Partition:
 # below this many atoms a dict pass (or one sum per segment) is cheaper
 # than numpy's per-call cost
 _SMALL = 64
+
+
+def _group(labels: np.ndarray, k: int) -> tuple:
+    """Positions grouped by label (ascending inside each group) and the
+    end offset of every group among them."""
+    return labels.argsort(kind="stable"), np.bincount(labels, minlength=k).cumsum().tolist()
 
 
 def _segment_sums(values: np.ndarray, ends: Sequence[int]) -> np.ndarray:
@@ -373,7 +385,13 @@ def entropy(alpha: Partition) -> float:
 
 
 def conditional_entropy(alpha: Partition, beta: Partition) -> float:
-    """Mean conditional entropy sum_B mu(B) * H_{mu_B}(alpha traced on B).
+    """Mean conditional entropy sum_B mu(B) * H_{mu_B}(alpha traced on B):
+    the one-pair call of ``conditional_entropies``."""
+    return conditional_entropies([(alpha, beta)])[0]
+
+
+def conditional_entropies(pairs: Iterable[tuple]) -> list:
+    """H(alpha | beta) for every (alpha, beta) pair, in one array pass.
 
     The traces of ``alpha`` on the blocks B of ``beta`` are the blocks of
     their join, so the join's block masses are the trace masses. They are
@@ -381,28 +399,54 @@ def conditional_entropy(alpha: Partition, beta: Partition) -> float:
     mu(B); each fiber's entropy sum is an exact segment sum, bit-identical
     to the plain 1-D sum over that fiber. Zero-mass blocks carry no fiber
     and are skipped.
+
+    The pairs (each on its own space) are stacked back to back, with
+    each pair's beta labels offset past those of the pairs before it, and
+    the join codes are beta * max k_alpha + alpha over the stack (below
+    the square of the stacked atom count, so inside int64). No block or
+    fiber then crosses a pair, and every sum is the one the pair would
+    get alone. Each pair's total is summed over its beta blocks left to
+    right.
     """
-    _require_same_space(alpha.space, beta.space)
-    lb = beta._labels
-    joint = _join_rows(alpha.space, ((lb, beta._k), (alpha._labels, alpha._k)))
-    owner = np.empty(joint._k, dtype=np.int64)
-    owner[joint._labels] = lb
+    pairs = list(pairs)
+    if not pairs:
+        return []
+    for alpha, beta in pairs:
+        _require_same_space(alpha.space, beta.space)
+    kb = [beta._k for _, beta in pairs]
+    n_beta = sum(kb)
+    offsets = np.array([*accumulate(kb[:-1], initial=0)])
+    lb = np.concatenate([beta._labels for _, beta in pairs])
+    lb += offsets.repeat([len(beta.space) for _, beta in pairs])
+    la = np.concatenate([alpha._labels for alpha, _ in pairs])
+    joint, k_joint = _canonical(lb * max(alpha._k for alpha, _ in pairs) + la)
+    masses = np.concatenate([beta.space.masses for _, beta in pairs])
+    owner = np.empty(k_joint, dtype=np.int64)
+    owner[joint] = lb
     # traces grouped by beta block; canonical join labels keep them in
     # order of first atom inside each block
     by_block = owner.argsort(kind="stable")
     owner = owner[by_block]
-    mB = beta.block_masses()
+    order, ends = _group(lb, n_beta)
+    mB = _segment_sums(masses[order], ends)
+    order, ends = _group(joint, k_joint)
     live = mB[owner] > 0.0
-    p = joint.block_masses()[by_block[live]] / mB[owner[live]]
+    p = _segment_sums(masses[order], ends)[by_block[live]] / mB[owner[live]]
     keep = p > 0.0
     q = p[keep]
-    ends = np.bincount(owner[live][keep], minlength=beta._k).cumsum().tolist()
+    ends = np.bincount(owner[live][keep], minlength=n_beta).cumsum().tolist()
     fiber_entropies = _segment_sums(-(q * np.log(q)), ends).tolist()
-    total = 0.0
-    for m, h in zip(mB.tolist(), fiber_entropies):
-        if m > 0.0:
-            total += m * h
-    return total
+    totals = []
+    start = 0
+    block_masses = mB.tolist()
+    for k in kb:
+        total = 0.0
+        for m, h in zip(block_masses[start : start + k], fiber_entropies[start : start + k]):
+            if m > 0.0:
+                total += m * h
+        totals.append(total)
+        start += k
+    return totals
 
 
 class FactorSpace:
@@ -437,29 +481,42 @@ def factor_space(space: FiniteProbabilitySpace, alpha: Partition) -> FactorSpace
 class Disintegration:
     """Canonical disintegration of a space over a partition.
 
-    Holds one conditional (fiber) space per positive-mass block: the
-    base masses restricted to the block and normalized by its mass.
-    Zero-mass blocks have no fiber. ``reconstruct`` re-integrates any
-    atom subset through the fibers.
+    Holds the base masses grouped by block and normalized by the block
+    mass; a positive-mass block's slice of them is its conditional
+    (fiber) space. Zero-mass blocks have no fiber. The fiber spaces are
+    built on first read of ``conditional`` or ``conditional_spaces``;
+    ``reconstruct`` re-integrates any atom subset through the grouped
+    masses alone.
     """
 
-    __slots__ = ("space", "partition", "factor", "conditional_spaces")
+    __slots__ = ("space", "partition", "factor", "_order", "_ends", "_fiber_masses", "_fibers")
 
     def __init__(self, space: FiniteProbabilitySpace, partition: Partition):
         _require_same_space(space, partition.space)
         self.space = space
         self.partition = partition
         self.factor = FactorSpace(space, partition)
-        order, ends = partition._members()
-        grouped = space.masses[order]
-        blocks = partition.blocks
-        fibers: dict[int, FiniteProbabilitySpace] = {}
-        for bi, (start, end, mB) in enumerate(
-            zip([0, *ends], ends, self.factor.quotient.masses.tolist())
-        ):
-            if mB > 0.0:
-                fibers[bi] = FiniteProbabilitySpace(blocks[bi], grouped[start:end] / mB)
-        self.conditional_spaces = fibers
+        self._order, self._ends = partition._members()
+        # each atom's mass over its block's mass, in block order; zero-mass blocks keep 0
+        per_atom = self.factor.quotient.masses[partition.labels()[self._order]]
+        self._fiber_masses = np.divide(
+            space.masses[self._order], per_atom, out=np.zeros(len(space)), where=per_atom > 0.0
+        )
+        self._fibers = None
+
+    @property
+    def conditional_spaces(self) -> dict:
+        """Fiber space per positive-mass block index (built on first read)."""
+        if self._fibers is None:
+            blocks = self.partition.blocks
+            self._fibers = {
+                bi: FiniteProbabilitySpace(blocks[bi], self._fiber_masses[start:end])
+                for bi, (start, end, mB) in enumerate(
+                    zip([0, *self._ends], self._ends, self.factor.quotient.masses.tolist())
+                )
+                if mB > 0.0
+            }
+        return self._fibers
 
     def conditional(self, block_index: int) -> FiniteProbabilitySpace:
         try:
@@ -468,14 +525,18 @@ class Disintegration:
             raise DegenerateFiberError("degenerate fiber") from None
 
     def reconstruct(self, atoms: Iterable[AtomId]) -> float:
-        """Mass of an atom subset re-integrated over the fibers:
-        sum_A mu_alpha(A) * mu_A(C intersect A)."""
-        wanted = set(atoms)
-        qmasses = self.factor.quotient.masses
+        """Mass of an atom set re-integrated over the fibers:
+        sum_A mu_alpha(A) * mu_A(C intersect A). Each fiber mass is one
+        sum over the set's atoms in the fiber, in atom order."""
+        wanted = np.zeros(len(self.space), dtype=bool)
+        wanted[self.space._indices(atoms)] = True
+        counts = np.bincount(self.partition.labels()[wanted], minlength=self.partition.n_blocks)
+        picked = self._fiber_masses[wanted[self._order]]
+        sums = _segment_sums(picked, counts.cumsum().tolist()).tolist()
         total = 0.0
-        for bi, fiber in self.conditional_spaces.items():
-            inter = [a for a in self.partition.blocks[bi] if a in wanted]
-            total += float(qmasses[bi]) * fiber.mass_of(inter)
+        for mB, mass in zip(self.factor.quotient.masses.tolist(), sums):
+            if mB > 0.0:
+                total += mB * mass
         return total
 
 

@@ -669,6 +669,15 @@ def test_verify_trials_must_be_positive_integers(tmp_path, suite, trials, flag):
     _assert_validation_error(r, tmp_path, '"trials" must be an integer >= 1')
 
 
+@pytest.mark.parametrize("suite", ["identities", "disintegration", "exhaustion"])
+def test_verify_max_atoms_below_two_is_a_validation_error(tmp_path, suite):
+    # used to print numpy's "low >= high"
+    cfg = {"schema": 1, "suite": suite, "trials": 3, "max_atoms": 1}
+    r = run_cli(["verify", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)])
+    assert json.loads(r.stdout)["error"]["message"] == "max_atoms must be at least 2"
+    _assert_validation_error(r, tmp_path, "max_atoms must be at least 2")
+
+
 
 # -- windows ----------------------------------------------------------------------
 

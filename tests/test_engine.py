@@ -781,12 +781,20 @@ def test_verify_identities_with_action_and_pmp():
 
 def test_verify_identities_rejects_bad_pmp():
     space, alpha, beta, gamma = _identity_instance()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^map does not preserve the measure$"):
         verify_entropy_identities(space, alpha, beta, gamma, pmp_map=[1, 0, 2, 3])
+    with pytest.raises(ValueError, match="^not a permutation$"):
+        verify_entropy_identities(space, alpha, beta, gamma, pmp_map=[0, 0, 2, 3])
     other = FiniteProbabilitySpace(range(4), [0.25] * 4)
-    with pytest.raises(SpaceMismatchError):
+    with pytest.raises(SpaceMismatchError, match="^space mismatch$"):
         verify_entropy_identities(
             space, alpha, beta, Partition.trivial(other)
+        )
+    # the action's space is checked before the map
+    uniform_action = FinitePMPAction(other, [(1, 2, 3, 0)])
+    with pytest.raises(SpaceMismatchError, match="^space mismatch$"):
+        verify_entropy_identities(
+            space, alpha, beta, gamma, action=uniform_action, pmp_map=[0, 0, 2, 3]
         )
 
 

@@ -15,6 +15,7 @@ from folner_entropy import (
     FiniteProbabilitySpace,
     Partition,
     SpaceMismatchError,
+    conditional_entropies,
     conditional_entropy,
     disintegrate,
     entropy,
@@ -26,7 +27,7 @@ from folner_entropy import (
     same_space,
 )
 from folner_entropy._kernels import entropy_from_probs
-from folner_entropy.spaces import _segment_sums
+from folner_entropy.spaces import _join_rows, _segment_sums
 
 LOG2 = 0.6931471805599453
 
@@ -439,3 +440,128 @@ def test_equal_partitions_compare_and_hash_equal(sp, rnd, shift):
     assert hash(q) == hash(p) == hash(r)
     assert q.blocks == p.blocks == r.blocks
     assert q.labels().tolist() == p.labels().tolist() == r.labels().tolist()
+
+
+# -- many conditional entropies in one pass ----------------------------------
+
+
+def _one_pair_conditional_entropy(alpha, beta):
+    """H(alpha | beta) for one pair alone, the steps ``conditional_entropies``
+    stacks: join block masses grouped by beta block, one segment sum per
+    fiber, the fibers' total left to right."""
+    assert same_space(alpha.space, beta.space)
+    lb = beta.labels()
+    joint = _join_rows(alpha.space, ((lb, beta.n_blocks), (alpha.labels(), alpha.n_blocks)))
+    owner = np.empty(joint.n_blocks, dtype=np.int64)
+    owner[joint.labels()] = lb
+    by_block = owner.argsort(kind="stable")
+    owner = owner[by_block]
+    mB = beta.block_masses()
+    live = mB[owner] > 0.0
+    p = joint.block_masses()[by_block[live]] / mB[owner[live]]
+    keep = p > 0.0
+    q = p[keep]
+    ends = np.bincount(owner[live][keep], minlength=beta.n_blocks).cumsum().tolist()
+    fiber_entropies = _segment_sums(-(q * np.log(q)), ends).tolist()
+    total = 0.0
+    for m, h in zip(mB.tolist(), fiber_entropies):
+        if m > 0.0:
+            total += m * h
+    return total
+
+
+def _batch_cases(seed, count):
+    """Pairs on seeded spaces of 2..300 atoms (both sides of the 64-atom
+    small-input path), with zero-mass atoms, a zero-mass block, and
+    trivial and point partitions among the random ones."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(count):
+        n = int(rng.choice([2, 3, 10, 63, 64, 65, 130, 300]))
+        w = rng.random(n) ** 3
+        w[rng.random(n) < 0.25] = 0.0
+        if w.sum() <= 0.0:
+            w[0] = 1.0
+        space = FiniteProbabilitySpace(range(n), w / w.sum())
+        zero_block = rng.integers(0, 3, size=n)
+        zero_block[w == 0.0] = 3
+        parts = [
+            Partition.trivial(space),
+            Partition.points(space),
+            Partition.from_labels(space, zero_block),
+            Partition.from_labels(space, rng.integers(0, int(rng.integers(1, n + 1)), size=n)),
+        ]
+        pairs.append((parts[rng.integers(4)], parts[rng.integers(4)]))
+    return pairs
+
+
+@pytest.mark.parametrize("seed, count", [(0, 1), (1, 2), (2, 40), (3, 400)])
+def test_conditional_entropies_equal_one_pair_oracle(seed, count):
+    pairs = _batch_cases(seed, count)
+    expected = [repr(_one_pair_conditional_entropy(a, b)) for a, b in pairs]
+    assert [repr(h) for h in conditional_entropies(pairs)] == expected
+    assert [repr(conditional_entropy(a, b)) for a, b in pairs] == expected
+    # the same pairs split into uneven batches
+    got, start = [], 0
+    for size in (1, 2, 7, 64, 1000):
+        got += conditional_entropies(pairs[start : start + size])
+        start += size
+    assert [repr(h) for h in got] == expected
+
+
+def test_conditional_entropies_of_no_pairs():
+    assert conditional_entropies([]) == []
+    assert conditional_entropies(iter(())) == []
+
+
+def test_conditional_entropies_reject_a_mismatched_pair():
+    s1 = FiniteProbabilitySpace(range(2), [0.5, 0.5])
+    s2 = FiniteProbabilitySpace(range(2), [0.4, 0.6])
+    good = (Partition.points(s1), Partition.trivial(s1))
+    with pytest.raises(SpaceMismatchError, match="space mismatch"):
+        conditional_entropies([good, (Partition.points(s1), Partition.points(s2))])
+
+
+# -- atom sets -----------------------------------------------------------------
+
+
+def test_mass_of_and_reconstruct_read_a_set():
+    space = FiniteProbabilitySpace(range(4), [0.1, 0.2, 0.3, 0.4])
+    dis = disintegrate(space, Partition(space, [[0, 1], [2, 3]]))
+    # [0, 0] was 0.2 by mass_of and 0.1 by reconstruct
+    assert space.mass_of([0, 0]) == space.mass_of([0]) == 0.1
+    assert dis.reconstruct([0, 0]) == dis.reconstruct([0])
+    assert space.mass_of([3, 1, 3, 1]) == space.mass_of([3, 1])
+    # [0, "zz"] raised by mass_of and was 0.1 by reconstruct
+    for read in (space.mass_of, dis.reconstruct):
+        with pytest.raises(ValueError, match="unknown atom"):
+            read([0, "zz"])
+
+
+def test_mass_of_keeps_its_float_without_repeats():
+    rng = np.random.default_rng(8)
+    w = rng.random(200)
+    space = FiniteProbabilitySpace(range(200), w / w.sum())
+    for _ in range(50):
+        idx = rng.permutation(200)[: int(rng.integers(1, 200))].tolist()
+        assert space.mass_of(idx) == float(space.masses[idx].sum())
+
+
+def test_reconstruct_equals_the_fiberwise_sum():
+    # sum over fibers of mu(B) * fiber.mass_of(C ∩ B), with atoms in block order
+    rng = np.random.default_rng(9)
+    for n in (3, 10, 64, 65, 400):
+        w = rng.random(n)
+        w[rng.random(n) < 0.2] = 0.0
+        w[0] += 0.1
+        space = FiniteProbabilitySpace(range(n), w / w.sum())
+        labels = rng.integers(0, max(1, n // 5), size=n)
+        labels[w == 0.0] = n  # one zero-mass block
+        dis = disintegrate(space, Partition.from_labels(space, labels))
+        for _ in range(10):
+            subset = rng.permutation(n)[: int(rng.integers(0, n + 1))].tolist()
+            expected = 0.0
+            for bi, fiber in dis.conditional_spaces.items():
+                inter = [a for a in dis.partition.blocks[bi] if a in set(subset)]
+                expected += float(dis.factor.quotient.masses[bi]) * fiber.mass_of(inter)
+            assert repr(dis.reconstruct(subset)) == repr(expected)
