@@ -112,9 +112,33 @@ def _finite_window_join(system: FinitePMPAction, alpha: Partition, F: FolnerSubs
         raise ValueError("dimension mismatch")
     if len(F) == 0:
         return Partition.trivial(system.space)
-    # the row of g is alpha's labels pulled back through T_g: T_{-g} alpha
+    return _join_rows(system.space, _window_rows(system, alpha, F))
+
+
+def _window_rows(system: FinitePMPAction, alpha: Partition, F: FolnerSubset):
+    """Yield (row, block count) for every g of F in row order, the row being
+    alpha's labels pulled back through T_g (the labels of T_{-g} alpha).
+
+    The generators commute, so T_{g+s} = T_g ∘ T_s and the row of the next
+    element is the previous row gathered through T_s, s the step between the
+    two. Only the first row is powered from scratch. Step maps are kept for
+    reuse, at most d of them, so a box (exactly d distinct steps) powers each
+    step once; a unit step's map is the stored generator itself.
+    """
     labels, k = alpha.labels(), alpha.n_blocks
-    return _join_rows(system.space, ((labels[system.atom_map(g)], k) for g in F.rows.tolist()))
+    rows = F.rows.tolist()
+    row = labels[system.atom_map(rows[0])]
+    yield row, k
+    steps = {}
+    for prev, g in zip(rows, rows[1:]):
+        s = tuple(b - a for a, b in zip(prev, g))
+        step = steps.get(s)
+        if step is None:
+            step = system.atom_map(s)
+            if len(steps) < system.d:
+                steps[s] = step
+        row = row[step]
+        yield row, k
 
 
 def _finite_block_entropy(system: FinitePMPAction, alpha, F, C: SubAlgebraSpec) -> float:

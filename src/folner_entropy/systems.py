@@ -118,9 +118,12 @@ class FinitePMPAction:
     def atom_map(self, g: GroupElement) -> np.ndarray:
         """The permutation T_g as an index array: atom j goes to ``atom_map(g)[j]``.
 
-        Each generator power is built by binary powering of the
-        generator's (or its inverse's) index array, so T_g costs
-        O(d log|g|) gathers. The result is read-only.
+        This is the entry point for a single g (``act``, the first row of
+        a window join, a window's non-unit steps): each generator power
+        is built by binary powering of the generator's (or its
+        inverse's) index array, so T_g costs O(d log|g|) gathers. For a
+        unit vector ±e_i it is the stored generator or inverse array
+        itself, with no gather. The result is read-only.
         """
         if len(g) != self.d:
             raise ValueError("dimension mismatch")

@@ -10,6 +10,7 @@ import functools
 import itertools
 import math
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,11 +28,14 @@ from folner_entropy import (
     SymbolPartition,
     bernoulli_shift,
     conditional_block_entropy,
+    conditional_entropy,
     cylinder_measure,
+    entropy,
     entropy_rate,
     h_conditional,
     markov_shift,
     mixture,
+    orbit_partition,
     verify_chain_exhaustion,
     verify_entropy_identities,
     verify_rate_inequalities,
@@ -43,7 +47,9 @@ from folner_entropy.engine import (
     RATE_PROPERTY_LABELS,
     SUBADDITIVITY_PROPERTY_LABELS,
     _as_subalgebra,
+    _finite_window_join,
 )
+from folner_entropy.spaces import _join_rows
 from folner_entropy.systems import (
     IncompatibleSubAlgebraError,
     MixtureSystem,
@@ -297,6 +303,142 @@ def test_finite_system_rejects_window():
             None,
             FolnerSubset.interval(0, 2),
         )
+
+
+# -- finite window joins against the per-element join ----------------------------
+#
+# The window join walks F's rows, one gather per element. The join it
+# replaced powered T_g from scratch for every g; that join is kept here as
+# the oracle: the walked join must give an equal partition and, through
+# conditional_block_entropy, an entropy equal by repr.
+
+
+def _per_element_join(system, alpha, F):
+    """alpha^F with every row ``labels[atom_map(g)]`` powered from scratch."""
+    if len(F) == 0:
+        return Partition.trivial(system.space)
+    labels, k = alpha.labels(), alpha.n_blocks
+    return _join_rows(system.space, ((labels[system.atom_map(g)], k) for g in F.rows.tolist()))
+
+
+def _cyclic_product(*sides):
+    """Z/s_1 x ... x Z/s_d acting on the uniform space of its points."""
+    n = math.prod(sides)
+    coords = np.array(np.unravel_index(np.arange(n), sides)).T
+    gens = []
+    for axis, side in enumerate(sides):
+        moved = coords.copy()
+        moved[:, axis] = (moved[:, axis] + 1) % side
+        gens.append(np.ravel_multi_index(moved.T, sides))
+    return FinitePMPAction(FiniteProbabilitySpace.uniform(n), gens)
+
+
+def _random_labels(system, n_blocks, seed):
+    rng = np.random.default_rng(seed)
+    return Partition.from_labels(system.space, rng.integers(n_blocks, size=len(system.space)))
+
+
+def _shifted_box(d, side, corner):
+    return FolnerSubset(FolnerSubset.box(d, side).rows + np.array(corner))
+
+
+def _window_cases():
+    rotation = _cyclic_product(2000)
+    cuts = np.sort(np.random.default_rng(5).choice(2000, size=8, replace=False))
+    arcs = Partition.from_labels(
+        rotation.space, (np.searchsorted(cuts, np.arange(2000), side="right") - 1) % 8
+    )
+    torus = _cyclic_product(40, 50)
+    quadrants = _random_labels(torus, 3, 11)
+    cube = _cyclic_product(4, 5, 6)
+    scattered = FolnerSubset([(0, 0), (0, 3), (2, -7), (2, 1), (5, 5), (-4, 9), (11, -2)])
+    cases = [
+        (rotation, arcs, FolnerSubset.interval(0, 64)),
+        (rotation, arcs, FolnerSubset.interval(-5, 20)),
+        (rotation, arcs, FolnerSubset.interval(1000, 1016)),
+        (rotation, arcs, FolnerSubset([(t,) for t in (0, 1, 4, 5, 9, 15)])),
+        (rotation, arcs, FolnerSubset([(7,)])),
+        (rotation, arcs, FolnerSubset([], d=1)),
+        (torus, quadrants, scattered),
+        (torus, quadrants, FolnerSubset([(-3, 8)])),
+        (torus, quadrants, FolnerSubset([], d=2)),
+        (cube, _random_labels(cube, 4, 13), FolnerSubset.box(3, 3)),
+        (cube, _random_labels(cube, 2, 17), _shifted_box(3, 4, (-2, 1, -5))),
+    ]
+    for side in range(1, 7):
+        cases.append((torus, quadrants, FolnerSubset.box(2, side)))
+        cases.append((torus, quadrants, _shifted_box(2, side, (-side, 3 - 2 * side))))
+    return cases
+
+
+@pytest.mark.parametrize("system, alpha, F", _window_cases())
+def test_walked_window_join_equals_the_per_element_join(system, alpha, F):
+    oracle = _per_element_join(system, alpha, F)
+    assert _finite_window_join(system, alpha, F) == oracle
+    H = conditional_block_entropy(system, alpha, F)
+    assert repr(H) == repr(entropy(oracle))
+
+
+def test_walked_window_join_under_an_invariant_partition():
+    # x -> x + 2 on Z/2000 conditioned on its two orbits
+    space = FiniteProbabilitySpace.uniform(2000)
+    system = FinitePMPAction(space, [(np.arange(2000) + 2) % 2000])
+    orbits = orbit_partition(system)
+    alpha = _random_labels(system, 8, 23)
+    C = SubAlgebraSpec.invariant_partition(orbits)
+    for F in (FolnerSubset.interval(0, 64), FolnerSubset.interval(-9, 3)):
+        H = conditional_block_entropy(system, alpha, F, C)
+        assert repr(H) == repr(conditional_entropy(_per_element_join(system, alpha, F), orbits))
+
+
+def _count_powered_maps(monkeypatch):
+    """Record every atom_map argument that is neither zero nor a unit vector."""
+    powered = []
+    atom_map = FinitePMPAction.atom_map
+
+    def counting(self, g):
+        if sum(map(abs, g)) > 1:
+            powered.append(tuple(g))
+        return atom_map(self, g)
+
+    monkeypatch.setattr(FinitePMPAction, "atom_map", counting)
+    return powered
+
+
+@pytest.mark.parametrize(
+    "system, F",
+    [
+        (_cyclic_product(2000), FolnerSubset.interval(0, 64)),
+        (_cyclic_product(40, 50), FolnerSubset.box(2, 8)),
+        (_cyclic_product(4, 5, 6), _shifted_box(3, 5, (-2, 1, -5))),
+    ],
+)
+def test_window_join_powers_at_most_d_plus_one_maps(monkeypatch, system, F):
+    # the first row and one map per distinct step; every other element
+    # is one gather through a stored generator or a kept step map
+    alpha = _random_labels(system, 3, 29)
+    powered = _count_powered_maps(monkeypatch)
+    _finite_window_join(system, alpha, F)
+    assert len(powered) <= system.d + 1
+
+
+def test_window_join_with_all_steps_distinct():
+    # steps 1, 2, ..., 39: no step map can be reused, and at most d of
+    # them are kept, so the peak stays near ten int64 arrays of n atoms
+    # (keeping every step map would hold 38 more, a peak above 40)
+    n = 1 << 16
+    system = _cyclic_product(n)
+    alpha = _random_labels(system, 8, 31)
+    F = FolnerSubset([(t * (t + 1) // 2,) for t in range(40)])
+    oracle = _per_element_join(system, alpha, F)
+    tracemalloc.start()
+    try:
+        walked = _finite_window_join(system, alpha, F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert walked == oracle
+    assert peak < 16 * 8 * n
 
 
 # -- the symbol-factor and product routes against the code they replaced --------
