@@ -12,9 +12,7 @@ the mixture rate is the weighted average of the component rates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import compress
 from typing import Optional
 
 import numpy as np
@@ -23,10 +21,10 @@ from .engine import ConvergenceReport, RateTrace, _as_subalgebra, entropy_rate
 from .groups import FolnerSequence
 from .spaces import (
     FiniteProbabilitySpace,
+    MassFunctionResult,
     Partition,
     _require_same_space,
-    conditional_entropy,
-    join,
+    conditional_mass_functions,
 )
 from .systems import (
     DEFAULT_PATTERN_CAP,
@@ -272,40 +270,11 @@ def decompose_entropy(
     )
 
 
-@dataclass(frozen=True)
-class MassFunctionResult:
-    """The conditional mass function m and its entropy integral check.
-
-    ``values[x]`` is the conditional measure, given the block of
-    ``cond`` through x, of the block of ``alpha`` through x. Atoms in
-    zero-mass conditioning blocks carry no conditional measure and are
-    listed in ``excluded``. ``integral_gap`` is
-    |H(alpha | cond) + sum_x mu(x) log m(x)|, which vanishes
-    identically in exact arithmetic.
-    """
-
-    values: dict
-    excluded: tuple
-    integral_gap: float
-
-
 def conditional_mass_function(
     space: FiniteProbabilitySpace, alpha: Partition, cond: Partition
 ) -> MassFunctionResult:
     """Pointwise conditional masses m(x) = mu(A_x | C_x) and the check
-    that -log m integrates to the conditional entropy."""
-    for p in (alpha, cond):
-        _require_same_space(p.space, space)
-    # m(x): mass of the join block through x over that of the cond block
-    mC = cond.block_masses()[cond.labels()]
-    live = mC > 0.0
-    joint = join(cond, alpha)
-    m = (joint.block_masses()[joint.labels()[live]] / mC[live]).tolist()
-    values = dict(zip(compress(space.atom_ids, live), m))
-    excluded = tuple(compress(space.atom_ids, ~live))
-    integral = 0.0
-    for mx, mv in zip(space.masses[live].tolist(), m):
-        if mx > 0.0:
-            integral += mx * math.log(mv)
-    gap = abs(conditional_entropy(alpha, cond) + integral)
-    return MassFunctionResult(values, excluded, gap)
+    that -log m integrates to the conditional entropy: the one-triple
+    call of ``conditional_mass_functions``, which builds the join of
+    ``cond`` and ``alpha`` once for both."""
+    return conditional_mass_functions([(space, alpha, cond)])[0]

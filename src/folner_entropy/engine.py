@@ -675,6 +675,14 @@ def _separates(part: Partition) -> bool:
     return bool(np.bincount(positive).max() <= 1)
 
 
+def _require_tolerances(*tolerances: float) -> None:
+    """Each tolerance must be finite and nonnegative: a NaN one makes every
+    ``slack < -tol`` false, so every check would pass."""
+    for tol in tolerances:
+        if not (math.isfinite(tol) and tol >= 0.0):
+            raise ValueError("tolerance must be a finite number >= 0")
+
+
 def verify_chain_exhaustion(
     space: FiniteProbabilitySpace,
     chain: Sequence[Partition],
@@ -686,8 +694,18 @@ def verify_chain_exhaustion(
 
     The chain must be increasing (each term refines the previous);
     from the first index whose join with C separates all positive-mass
-    atoms onward the value must vanish within ``tolerance``.
+    atoms onward the value must vanish within ``tolerance``, which must
+    be finite and nonnegative. All values come from one
+    ``conditional_entropies`` pass.
     """
+    _require_tolerances(tolerance)
+    pairs = _chain_terms(space, chain, xi, cond)
+    return _chain_checks(pairs, conditional_entropies(pairs), tolerance)
+
+
+def _chain_terms(space, chain, xi, cond) -> list:
+    """The pairs (xi, alpha_n v C) whose conditional entropies the chain
+    checks read, after checking that the chain is increasing."""
     chain = list(chain)
     if not chain:
         raise ValueError("empty chain")
@@ -695,11 +713,15 @@ def verify_chain_exhaustion(
         if not is_coarser(prev, cur):
             raise ValueError("chain not increasing")
     base = Partition.trivial(space) if cond is None else cond
-    joined = [join(part, base) for part in chain]
-    values = conditional_entropies([(xi, part) for part in joined])
+    return [(xi, join(part, base)) for part in chain]
+
+
+def _chain_checks(pairs: list, values: Sequence[float], tolerance: float) -> ExhaustionReport:
+    """The exhaustion checks on the conditional entropies of ``pairs``."""
+    values = list(values)
     first_separating = None
     ok = True
-    for i, (part, value) in enumerate(zip(joined, values)):
+    for i, ((_, part), value) in enumerate(zip(pairs, values)):
         if first_separating is None and _separates(part):
             first_separating = i
         if first_separating is not None and abs(value) > tolerance:

@@ -12,15 +12,19 @@ alpha on the blocks of beta are the blocks of their join, and per-block
 sums are exact segment sums, each equal to the bit to the plain 1-D sum.
 ``conditional_entropies`` runs those steps once over many partition
 pairs stacked back to back, with labels offset so that no block
-crosses a pair; ``conditional_entropy`` is its one-pair call. The
-entropy operations implement the positive-mass conventions
-(0 log 0 = 0, zero-mass fibers skipped) directly.
+crosses a pair; ``conditional_entropy`` is its one-pair call.
+``conditional_mass_functions`` reads the conditional mass functions
+and their entropy integrals from the same stacked join, and fiber
+re-integration stacks its items the same way. The entropy operations
+implement the positive-mass conventions (0 log 0 = 0, zero-mass fibers
+skipped) directly.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate
+from dataclasses import dataclass
+from itertools import accumulate, compress
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
@@ -411,42 +415,126 @@ def conditional_entropies(pairs: Iterable[tuple]) -> list:
     pairs = list(pairs)
     if not pairs:
         return []
+    return _join_entropies(pairs, *_stacked_join(pairs))
+
+
+def _stack(partitions: Sequence[Partition]) -> tuple:
+    """The label arrays of partitions (each on its own space) back to
+    back, each offset past the blocks of those before it, and their
+    spaces' masses stacked the same way. One partition is not copied."""
+    if len(partitions) == 1:
+        return partitions[0]._labels, partitions[0].space.masses
+    labels = np.concatenate([p._labels for p in partitions])
+    offsets = np.array([*accumulate([p._k for p in partitions[:-1]], initial=0)])
+    labels += offsets.repeat([len(p.space) for p in partitions])
+    return labels, np.concatenate([p.space.masses for p in partitions])
+
+
+def _block_sums(masses: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Mass of each of the ``k`` label groups, summed over ascending positions."""
+    order, ends = _group(labels, k)
+    return _segment_sums(masses[order], ends)
+
+
+def _stacked_join(pairs: list) -> tuple:
+    """The join of every (alpha, beta) pair in one pass over the stacked
+    pairs: the stacked beta labels, the join labels, and the block masses
+    of the betas and of the joins."""
     for alpha, beta in pairs:
         _require_same_space(alpha.space, beta.space)
-    kb = [beta._k for _, beta in pairs]
-    n_beta = sum(kb)
-    offsets = np.array([*accumulate(kb[:-1], initial=0)])
-    lb = np.concatenate([beta._labels for _, beta in pairs])
-    lb += offsets.repeat([len(beta.space) for _, beta in pairs])
+    lb, masses = _stack([beta for _, beta in pairs])
     la = np.concatenate([alpha._labels for alpha, _ in pairs])
     joint, k_joint = _canonical(lb * max(alpha._k for alpha, _ in pairs) + la)
-    masses = np.concatenate([beta.space.masses for _, beta in pairs])
-    owner = np.empty(k_joint, dtype=np.int64)
+    n_beta = sum(beta._k for _, beta in pairs)
+    return lb, joint, _block_sums(masses, lb, n_beta), _block_sums(masses, joint, k_joint)
+
+
+def _join_entropies(pairs: list, lb, joint, mB, mJ) -> list:
+    """H(alpha | beta) of every pair from its stacked join (``_stacked_join``)."""
+    owner = np.empty(mJ.shape[0], dtype=np.int64)
     owner[joint] = lb
     # traces grouped by beta block; canonical join labels keep them in
     # order of first atom inside each block
     by_block = owner.argsort(kind="stable")
     owner = owner[by_block]
-    order, ends = _group(lb, n_beta)
-    mB = _segment_sums(masses[order], ends)
-    order, ends = _group(joint, k_joint)
     live = mB[owner] > 0.0
-    p = _segment_sums(masses[order], ends)[by_block[live]] / mB[owner[live]]
+    p = mJ[by_block[live]] / mB[owner[live]]
     keep = p > 0.0
     q = p[keep]
-    ends = np.bincount(owner[live][keep], minlength=n_beta).cumsum().tolist()
+    ends = np.bincount(owner[live][keep], minlength=mB.shape[0]).cumsum().tolist()
     fiber_entropies = _segment_sums(-(q * np.log(q)), ends).tolist()
+    return _block_totals(mB.tolist(), fiber_entropies, [beta._k for _, beta in pairs])
+
+
+def _block_totals(block_masses: list, values: list, counts: Sequence[int]) -> list:
+    """sum_B mu(B) * value(B) over the positive-mass blocks of each
+    partition, left to right; ``counts`` are the partitions' block counts."""
     totals = []
     start = 0
-    block_masses = mB.tolist()
-    for k in kb:
+    for k in counts:
         total = 0.0
-        for m, h in zip(block_masses[start : start + k], fiber_entropies[start : start + k]):
+        for m, v in zip(block_masses[start : start + k], values[start : start + k]):
             if m > 0.0:
-                total += m * h
+                total += m * v
         totals.append(total)
         start += k
     return totals
+
+
+@dataclass(frozen=True)
+class MassFunctionResult:
+    """The conditional mass function m and its entropy integral check.
+
+    ``values[x]`` is the conditional measure, given the block of
+    ``cond`` through x, of the block of ``alpha`` through x. Atoms in
+    zero-mass conditioning blocks carry no conditional measure and are
+    listed in ``excluded``. ``integral_gap`` is
+    |H(alpha | cond) + sum_x mu(x) log m(x)|, which vanishes
+    identically in exact arithmetic.
+    """
+
+    values: dict
+    excluded: tuple
+    integral_gap: float
+
+
+def conditional_mass_functions(triples: Iterable[tuple]) -> list:
+    """The conditional mass function of every (space, alpha, cond) triple,
+    from one stacked join of the (alpha, cond) pairs.
+
+    m(x) is the mass of the join block through x over that of the cond
+    block through x. The join is the one ``conditional_entropies`` stacks,
+    and H(alpha | cond) is read from it in the same pass. Each triple's
+    integral sum_x mu(x) log m(x) takes one ``math.log`` per positive-mass
+    atom, summed in atom order.
+    """
+    triples = list(triples)
+    for space, alpha, cond in triples:
+        for p in (alpha, cond):
+            _require_same_space(p.space, space)
+    if not triples:
+        return []
+    pairs = [(alpha, cond) for _, alpha, cond in triples]
+    lb, joint, mB, mJ = _stacked_join(pairs)
+    entropies = _join_entropies(pairs, lb, joint, mB, mJ)
+    mC = mB[lb]
+    live = mC > 0.0
+    m = iter((mJ[joint[live]] / mC[live]).tolist())
+    live = live.tolist()
+    results = []
+    start = 0
+    for (space, _, _), h in zip(triples, entropies):
+        own = live[start : start + len(space)]
+        start += len(space)
+        # zip reads the atom first, so it stops before taking the next triple's value
+        values = dict(zip(compress(space.atom_ids, own), m))
+        excluded = tuple(a for a, keep in zip(space.atom_ids, own) if not keep)
+        integral = 0.0
+        for mx, mv in zip(compress(space.masses.tolist(), own), values.values()):
+            if mx > 0.0:
+                integral += mx * math.log(mv)
+        results.append(MassFunctionResult(values, excluded, abs(h + integral)))
+    return results
 
 
 class FactorSpace:
@@ -485,8 +573,9 @@ class Disintegration:
     mass; a positive-mass block's slice of them is its conditional
     (fiber) space. Zero-mass blocks have no fiber. The fiber spaces are
     built on first read of ``conditional`` or ``conditional_spaces``;
-    ``reconstruct`` re-integrates any atom subset through the grouped
-    masses alone.
+    ``reconstruct`` re-integrates any atom subset through the same
+    grouped masses, as one item of ``_reintegrate``, which takes many
+    (partition, atom set) items in one pass.
     """
 
     __slots__ = ("space", "partition", "factor", "_order", "_ends", "_fiber_masses", "_fibers")
@@ -497,10 +586,8 @@ class Disintegration:
         self.partition = partition
         self.factor = FactorSpace(space, partition)
         self._order, self._ends = partition._members()
-        # each atom's mass over its block's mass, in block order; zero-mass blocks keep 0
-        per_atom = self.factor.quotient.masses[partition.labels()[self._order]]
-        self._fiber_masses = np.divide(
-            space.masses[self._order], per_atom, out=np.zeros(len(space)), where=per_atom > 0.0
+        self._fiber_masses = _fiber_masses(
+            space.masses, partition.labels(), self._order, self.factor.quotient.masses
         )
         self._fibers = None
 
@@ -526,18 +613,45 @@ class Disintegration:
 
     def reconstruct(self, atoms: Iterable[AtomId]) -> float:
         """Mass of an atom set re-integrated over the fibers:
-        sum_A mu_alpha(A) * mu_A(C intersect A). Each fiber mass is one
-        sum over the set's atoms in the fiber, in atom order."""
-        wanted = np.zeros(len(self.space), dtype=bool)
-        wanted[self.space._indices(atoms)] = True
-        counts = np.bincount(self.partition.labels()[wanted], minlength=self.partition.n_blocks)
-        picked = self._fiber_masses[wanted[self._order]]
-        sums = _segment_sums(picked, counts.cumsum().tolist()).tolist()
-        total = 0.0
-        for mB, mass in zip(self.factor.quotient.masses.tolist(), sums):
-            if mB > 0.0:
-                total += mB * mass
-        return total
+        sum_A mu_alpha(A) * mu_A(C intersect A), the one-item call of
+        ``_reintegrate``."""
+        return _reintegrate([(self.partition, atoms)])[0]
+
+
+def _fiber_masses(masses: np.ndarray, labels: np.ndarray, order: np.ndarray, block_masses) -> np.ndarray:
+    """Each atom's mass over its block's mass, atoms in ``order`` (grouped
+    by block); atoms of zero-mass blocks keep 0."""
+    per_atom = block_masses[labels[order]]
+    return np.divide(masses[order], per_atom, out=np.zeros(order.shape[0]), where=per_atom > 0.0)
+
+
+def _reintegrate(items: Iterable[tuple]) -> list:
+    """For every (partition, atoms) item, the mass of the atom set
+    re-integrated over the partition's fibers, all items in one pass over
+    their stacked labels.
+
+    The atoms are read as a set (a repeated atom counts once, an unknown
+    one raises). Each fiber mass is one segment sum over the set's atoms
+    in the fiber, in atom order, and each item's total is summed over its
+    positive-mass blocks left to right, so every value is the one its
+    item gets alone.
+    """
+    items = list(items)
+    partitions = [p for p, _ in items]
+    labels, masses = _stack(partitions)
+    wanted = np.zeros(labels.shape[0], dtype=bool)
+    picked, start = [], 0
+    for p, atoms in items:
+        picked += [start + i for i in p.space._indices(atoms)]
+        start += len(p.space)
+    wanted[picked] = True
+    k = sum(p._k for p in partitions)
+    order, ends = _group(labels, k)
+    mB = _segment_sums(masses[order], ends)
+    fibers = _fiber_masses(masses, labels, order, mB)
+    counts = np.bincount(labels[wanted], minlength=k)
+    sums = _segment_sums(fibers[wanted[order]], counts.cumsum().tolist()).tolist()
+    return _block_totals(mB.tolist(), sums, [p._k for p in partitions])
 
 
 def disintegrate(space: FiniteProbabilitySpace, alpha: Partition) -> Disintegration:

@@ -14,19 +14,21 @@ from typing import Callable
 
 import numpy as np
 
-from .decomposition import conditional_mass_function
 from .engine import (
+    _chain_checks,
+    _chain_terms,
     _identity_checks,
     _identity_terms,
+    _require_tolerances,
     conditional_block_entropy,
-    verify_chain_exhaustion,
 )
 from .groups import FolnerSubset
 from .spaces import (
     FiniteProbabilitySpace,
     Partition,
+    _reintegrate,
     conditional_entropies,
-    disintegrate,
+    conditional_mass_functions,
     join,
 )
 from .systems import DEFAULT_PATTERN_CAP, FinitePMPAction
@@ -90,16 +92,41 @@ def random_permutation_instance(rng: np.random.Generator, max_atoms: int = 10):
 # ---------------------------------------------------------------------------
 
 
-def _require_sizes(trials: int, max_atoms: int) -> None:
+def _require_arguments(trials: int, max_atoms: int, *tolerances: float) -> None:
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if max_atoms < 2:
         raise ValueError("max_atoms must be at least 2")
+    _require_tolerances(*tolerances)
 
 
-# sweep_identities stacks consecutive trials into one conditional_entropies
-# call until their pairs hold this many atoms, which bounds the batch's memory
+# a sweep stacks the terms of consecutive trials into one array pass until
+# they hold this many atoms, which bounds the batch's memory
 _BATCH_ATOMS = 4096
+
+
+def _run_batched(trials: int, draw: Callable[[], tuple], flush: Callable[[list], None]) -> None:
+    """Draw the trials in order and hand them to ``flush`` in lists closed
+    once their terms hold ``_BATCH_ATOMS`` atoms (the last list may hold
+    fewer). ``draw`` makes one trial and returns its terms and their atom
+    count. A list is dropped before the next one is drawn, so one batch
+    at most is held at a time."""
+    batch: list = []
+    atoms = 0
+    for t in range(trials):
+        terms, size = draw()
+        batch.append(terms)
+        atoms += size
+        if atoms >= _BATCH_ATOMS or t == trials - 1:
+            flush(batch)
+            batch, atoms = [], 0
+
+
+def _entropies_per_trial(pair_lists: list) -> list:
+    """The conditional entropies of every trial's pairs from one
+    ``conditional_entropies`` call, one list per trial."""
+    values = iter(conditional_entropies([pair for pairs in pair_lists for pair in pairs]))
+    return [[next(values) for _ in pairs] for pairs in pair_lists]
 
 
 @dataclass
@@ -162,14 +189,14 @@ def sweep_identities(
     partition triple. The conditional entropies of consecutive trials
     go through one ``conditional_entropies`` call once their pairs hold
     ``_BATCH_ATOMS`` atoms; every value, and so the report, is the one
-    a ``verify_entropy_identities`` call per trial gives.
+    a ``verify_entropy_identities`` call per trial gives. Both
+    tolerances must be finite and nonnegative.
     """
-    _require_sizes(trials, max_atoms)
+    _require_arguments(trials, max_atoms, tolerance, equality_tolerance)
     rng = np.random.default_rng(seed)
     report = SweepReport(trials, seed)
-    batch: list = []
-    atoms = 0
-    for t in range(trials):
+
+    def draw():
         space, perm = random_permutation_instance(rng, max_atoms)
         action = FinitePMPAction(space, [perm])
         alpha = random_partition(rng, space)
@@ -177,18 +204,16 @@ def sweep_identities(
         gamma = random_partition(rng, space)
         inverse = tuple(int(x) for x in np.argsort(np.asarray(perm)))
         terms = _identity_terms(space, alpha, beta, gamma, action, None, inverse)
-        batch.append(terms)
-        atoms += len(space) * len(terms.pairs)
-        if atoms < _BATCH_ATOMS and t < trials - 1:
-            continue
-        # one kernel pass over the stacked trials, checks recorded in trial order
-        values = iter(conditional_entropies([pair for terms in batch for pair in terms.pairs]))
-        for terms in batch:
-            own = [next(values) for _ in terms.pairs]
+        return terms, len(space) * len(terms.pairs)
+
+    def flush(batch):
+        values = _entropies_per_trial([terms.pairs for terms in batch])
+        for terms, own in zip(batch, values):
             result = _identity_checks(terms, own, tolerance, equality_tolerance)
             for check in result.checks:
                 report.stat(check.name, check.tol).record(check.slack)
-        batch, atoms = [], 0
+
+    _run_batched(trials, draw, flush)
     return report
 
 
@@ -201,23 +226,34 @@ def sweep_disintegration(
     """Reconstruction through fibers and the conditional mass function.
 
     Each trial checks that re-integrating a random atom subset through
-    the disintegration reproduces its mass, and that -log of the
-    conditional mass function integrates to H(alpha | cond).
+    the disintegration over a random partition reproduces its mass (read
+    independently by ``mass_of``), and that -log of the conditional mass
+    function integrates to H(alpha | cond). Consecutive trials go through
+    one re-integration pass and one ``conditional_mass_functions`` call
+    once their spaces hold ``_BATCH_ATOMS`` atoms; every value, and so the
+    report, is the one a ``reconstruct`` and a ``conditional_mass_function``
+    call per trial give. ``tolerance`` must be finite and nonnegative.
     """
-    _require_sizes(trials, max_atoms)
+    _require_arguments(trials, max_atoms, tolerance)
     rng = np.random.default_rng(seed)
     report = SweepReport(trials, seed)
-    for _ in range(trials):
+
+    def draw():
         space = random_space(rng, max_atoms)
         alpha = random_partition(rng, space)
         cond = random_partition(rng, space)
-        dis = disintegrate(space, cond)
         pick = rng.random(len(space)) < 0.5
         subset = [a for a, take in zip(space.atom_ids, pick) if take]
-        gap = abs(dis.reconstruct(subset) - space.mass_of(subset))
-        report.stat("reconstruction", tolerance).record(-gap)
-        mf = conditional_mass_function(space, alpha, cond)
-        report.stat("mass_function_integral", tolerance).record(-mf.integral_gap)
+        return (space, alpha, cond, subset), len(space)
+
+    def flush(batch):
+        rebuilt = _reintegrate([(cond, subset) for _, _, cond, subset in batch])
+        mfs = conditional_mass_functions([(space, alpha, cond) for space, alpha, cond, _ in batch])
+        for (space, _, _, subset), mass, mf in zip(batch, rebuilt, mfs):
+            report.stat("reconstruction", tolerance).record(-abs(mass - space.mass_of(subset)))
+            report.stat("mass_function_integral", tolerance).record(-mf.integral_gap)
+
+    _run_batched(trials, draw, flush)
     return report
 
 
@@ -230,12 +266,18 @@ def sweep_exhaustion(
     """Monotone decay of H(xi | alpha_n v C) along random refining chains.
 
     Chains are cumulative joins of random partitions, capped with the
-    point partition so the final conditional entropy must vanish.
+    point partition so the final conditional entropy must vanish. The
+    conditional entropies of consecutive trials go through one
+    ``conditional_entropies`` call once their pairs hold ``_BATCH_ATOMS``
+    atoms; every value, and so the report, is the one a
+    ``verify_chain_exhaustion`` call per trial gives. ``tolerance`` must
+    be finite and nonnegative.
     """
-    _require_sizes(trials, max_atoms)
+    _require_arguments(trials, max_atoms, tolerance)
     rng = np.random.default_rng(seed)
     report = SweepReport(trials, seed)
-    for _ in range(trials):
+
+    def draw():
         space = random_space(rng, max_atoms)
         xi = random_partition(rng, space)
         cond = random_partition(rng, space) if rng.random() < 0.5 else None
@@ -246,9 +288,16 @@ def sweep_exhaustion(
             cur = join(cur, random_partition(rng, space))
             chain.append(cur)
         chain.append(join(cur, Partition.points(space)))
-        result = verify_chain_exhaustion(space, chain, xi, cond, tolerance)
-        report.stat("chain_monotone", tolerance).record(result.min_step_slack)
-        report.stat("chain_vanishes", tolerance).record(-abs(result.values[-1]))
+        pairs = _chain_terms(space, chain, xi, cond)
+        return pairs, len(space) * len(pairs)
+
+    def flush(batch):
+        for pairs, own in zip(batch, _entropies_per_trial(batch)):
+            result = _chain_checks(pairs, own, tolerance)
+            report.stat("chain_monotone", tolerance).record(result.min_step_slack)
+            report.stat("chain_vanishes", tolerance).record(-abs(result.values[-1]))
+
+    _run_batched(trials, draw, flush)
     return report
 
 

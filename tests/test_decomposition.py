@@ -6,6 +6,7 @@ m-function values from ratios of atom masses.
 """
 
 import math
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from folner_entropy import (
     bernoulli_shift,
     conditional_entropy,
     conditional_mass_function,
+    conditional_mass_functions,
     decompose_entropy,
     disintegrate,
     entropy_rate,
@@ -32,6 +34,7 @@ from folner_entropy import (
     restrict,
     restrict_action,
 )
+from folner_entropy.spaces import SpaceMismatchError, _reintegrate, _segment_sums, join
 
 LOG2 = float(np.log(2.0))
 
@@ -363,3 +366,111 @@ def test_mass_function_excludes_zero_mass_blocks():
     assert sorted(result.excluded) == [2, 3]
     assert set(result.values) == {0, 1}
     assert result.integral_gap <= 1e-15
+
+
+# -- batched mass functions and re-integration ------------------------------------
+
+
+def _one_triple_mass_function(space, alpha, cond):
+    """The one-triple mass function built the way it was before batching:
+    its own join of ``cond`` and ``alpha``, then ``conditional_entropy``."""
+    mC = cond.block_masses()[cond.labels()]
+    live = mC > 0.0
+    joint = join(cond, alpha)
+    m = (joint.block_masses()[joint.labels()[live]] / mC[live]).tolist()
+    values = dict(zip(compress(space.atom_ids, live), m))
+    excluded = tuple(compress(space.atom_ids, ~live))
+    integral = 0.0
+    for mx, mv in zip(space.masses[live].tolist(), m):
+        if mx > 0.0:
+            integral += mx * math.log(mv)
+    return values, excluded, abs(conditional_entropy(alpha, cond) + integral)
+
+
+def _one_item_reconstruct(space, partition, atoms):
+    """``Disintegration.reconstruct`` for one item alone, as it was before
+    batching: fiber masses from the block masses, one segment sum per fiber."""
+    order = partition.labels().argsort(kind="stable")
+    per_atom = partition.block_masses()[partition.labels()[order]]
+    fibers = np.divide(space.masses[order], per_atom, out=np.zeros(len(space)), where=per_atom > 0.0)
+    wanted = np.zeros(len(space), dtype=bool)
+    wanted[list({space.index(a): None for a in atoms})] = True
+    counts = np.bincount(partition.labels()[wanted], minlength=partition.n_blocks)
+    sums = _segment_sums(fibers[wanted[order]], counts.cumsum().tolist()).tolist()
+    total = 0.0
+    for mB, mass in zip(partition.block_masses().tolist(), sums):
+        if mB > 0.0:
+            total += mB * mass
+    return total
+
+
+def _mass_function_cases(seed, count):
+    """(space, alpha, cond, atoms) items on seeded spaces of 2..130 atoms
+    (both sides of the 64-atom small-input path), with zero-mass atoms, a
+    zero-mass block among the partitions, and atom lists with repeats."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(count):
+        n = int(rng.choice([2, 3, 10, 63, 64, 65, 130]))
+        w = rng.random(n) ** 3
+        w[rng.random(n) < 0.25] = 0.0
+        if w.sum() <= 0.0:
+            w[0] = 1.0
+        space = FiniteProbabilitySpace(range(n), w / w.sum())
+        zero_block = rng.integers(0, 3, size=n)
+        zero_block[w == 0.0] = 3
+        parts = [
+            Partition.trivial(space),
+            Partition.points(space),
+            Partition.from_labels(space, zero_block),
+            Partition.from_labels(space, rng.integers(0, int(rng.integers(1, n + 1)), size=n)),
+        ]
+        atoms = rng.integers(0, n, size=int(rng.integers(0, n + 4))).tolist()
+        cases.append((space, parts[rng.integers(4)], parts[rng.integers(4)], atoms))
+    return cases
+
+
+@pytest.mark.parametrize("seed, count", [(0, 1), (1, 2), (2, 40), (3, 400)])
+def test_batched_mass_functions_equal_one_triple_oracle(seed, count):
+    cases = _mass_function_cases(seed, count)
+    expected = [repr(_one_triple_mass_function(s, a, c)) for s, a, c, _ in cases]
+    got = conditional_mass_functions([(s, a, c) for s, a, c, _ in cases])
+    assert [repr((r.values, r.excluded, r.integral_gap)) for r in got] == expected
+    one = [conditional_mass_function(s, a, c) for s, a, c, _ in cases]
+    assert [repr((r.values, r.excluded, r.integral_gap)) for r in one] == expected
+
+
+@pytest.mark.parametrize("seed, count", [(4, 1), (5, 2), (6, 40), (7, 400)])
+def test_batched_reintegration_equals_one_item_oracle(seed, count):
+    cases = _mass_function_cases(seed, count)
+    expected = [repr(_one_item_reconstruct(s, c, atoms)) for s, _, c, atoms in cases]
+    got = _reintegrate([(c, atoms) for _, _, c, atoms in cases])
+    assert [repr(v) for v in got] == expected
+    one = [disintegrate(s, c).reconstruct(atoms) for s, _, c, atoms in cases]
+    assert [repr(v) for v in one] == expected
+
+
+def test_batched_calls_of_nothing():
+    assert conditional_mass_functions([]) == []
+    assert conditional_mass_functions(iter(())) == []
+
+
+def test_batched_reintegration_reads_atoms_as_a_set():
+    space = FiniteProbabilitySpace(range(4), [0.1, 0.2, 0.3, 0.4])
+    cond = Partition(space, [[0, 1], [2, 3]])
+    once, twice = _reintegrate([(cond, [0, 2]), (cond, [0, 2, 2, 0])])
+    assert once == twice == disintegrate(space, cond).reconstruct([2, 0, 0])
+    with pytest.raises(ValueError, match="unknown atom"):
+        _reintegrate([(cond, [0]), (cond, [7])])
+    with pytest.raises(ValueError, match="unknown atom"):
+        disintegrate(space, cond).reconstruct([1, "x"])
+
+
+def test_batched_mass_functions_check_spaces():
+    space = FiniteProbabilitySpace(range(3), [0.2, 0.3, 0.5])
+    other = FiniteProbabilitySpace(range(3), [0.5, 0.3, 0.2])
+    good = (space, Partition.points(space), Partition.trivial(space))
+    with pytest.raises(SpaceMismatchError):
+        conditional_mass_functions([good, (space, Partition.points(other), good[2])])
+    with pytest.raises(SpaceMismatchError):
+        conditional_mass_functions([good, (space, good[1], Partition.trivial(other))])

@@ -2,20 +2,31 @@
 at reduced trial counts (full-scale runs live in the acceptance suite).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from folner_entropy import (
     FinitePMPAction,
+    FiniteProbabilitySpace,
+    Partition,
+    conditional_mass_function,
+    disintegrate,
+    join,
+    spaces,
+    suites,
     sweep_disintegration,
     sweep_exhaustion,
     sweep_identities,
+    verify_chain_exhaustion,
     verify_entropy_identities,
 )
 from folner_entropy.suites import (
     SweepReport,
     random_partition,
     random_permutation_instance,
+    random_space,
 )
 
 
@@ -107,3 +118,124 @@ def test_batched_identities_sweep_equals_trial_by_trial(trials, max_atoms):
     seed = 1000 + trials + max_atoms
     expected = _identities_trial_by_trial(trials, seed, max_atoms)
     assert repr(sweep_identities(trials, seed, max_atoms)) == repr(expected)
+
+
+def _disintegration_trial_by_trial(trials, seed, max_atoms, tolerance=1e-12):
+    """``sweep_disintegration`` as one disintegration and one mass function
+    call per trial, same draws."""
+    rng = np.random.default_rng(seed)
+    report = SweepReport(trials, seed)
+    for _ in range(trials):
+        space = random_space(rng, max_atoms)
+        alpha = random_partition(rng, space)
+        cond = random_partition(rng, space)
+        dis = disintegrate(space, cond)
+        pick = rng.random(len(space)) < 0.5
+        subset = [a for a, take in zip(space.atom_ids, pick) if take]
+        gap = abs(dis.reconstruct(subset) - space.mass_of(subset))
+        report.stat("reconstruction", tolerance).record(-gap)
+        mf = conditional_mass_function(space, alpha, cond)
+        report.stat("mass_function_integral", tolerance).record(-mf.integral_gap)
+    return report
+
+
+def _exhaustion_trial_by_trial(trials, seed, max_atoms, tolerance=1e-12):
+    """``sweep_exhaustion`` as one verifier call per trial, same draws."""
+    rng = np.random.default_rng(seed)
+    report = SweepReport(trials, seed)
+    for _ in range(trials):
+        space = random_space(rng, max_atoms)
+        xi = random_partition(rng, space)
+        cond = random_partition(rng, space) if rng.random() < 0.5 else None
+        chain = []
+        cur = random_partition(rng, space)
+        chain.append(cur)
+        for _ in range(int(rng.integers(1, 4))):
+            cur = join(cur, random_partition(rng, space))
+            chain.append(cur)
+        chain.append(join(cur, Partition.points(space)))
+        result = verify_chain_exhaustion(space, chain, xi, cond, tolerance)
+        report.stat("chain_monotone", tolerance).record(result.min_step_slack)
+        report.stat("chain_vanishes", tolerance).record(-abs(result.values[-1]))
+    return report
+
+
+@pytest.mark.parametrize("trials", [1, 37, 1000])
+@pytest.mark.parametrize("max_atoms", [2, 10, 50])
+def test_batched_disintegration_sweep_equals_trial_by_trial(trials, max_atoms):
+    # at max_atoms 50 a batch closes within about 160 trials
+    for seed in range(6):
+        expected = _disintegration_trial_by_trial(trials, seed, max_atoms)
+        assert repr(sweep_disintegration(trials, seed, max_atoms)) == repr(expected)
+
+
+@pytest.mark.parametrize("trials", [1, 37, 200])
+@pytest.mark.parametrize("max_atoms", [2, 10, 50])
+def test_batched_exhaustion_sweep_equals_trial_by_trial(trials, max_atoms):
+    for seed in range(6):
+        expected = _exhaustion_trial_by_trial(trials, seed, max_atoms)
+        assert repr(sweep_exhaustion(trials, seed, max_atoms)) == repr(expected)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_sweeps_and_chain_verifier_reject_bad_tolerances(bad):
+    # a NaN tolerance used to make every check pass
+    message = r"^tolerance must be a finite number >= 0$"
+    for call in (
+        lambda: sweep_identities(5, 0, tolerance=bad),
+        lambda: sweep_identities(5, 0, equality_tolerance=bad),
+        lambda: sweep_disintegration(5, 0, tolerance=bad),
+        lambda: sweep_exhaustion(5, 0, tolerance=bad),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
+    space = FiniteProbabilitySpace.uniform(3)
+    chain = [Partition.trivial(space), Partition.points(space)]
+    with pytest.raises(ValueError, match=message):
+        verify_chain_exhaustion(space, chain, Partition.points(space), tolerance=bad)
+
+
+def test_sweeps_accept_zero_tolerance():
+    assert sweep_disintegration(5, 0, tolerance=0.0).trials == 5
+    space = FiniteProbabilitySpace.uniform(3)
+    chain = [Partition.trivial(space), Partition.points(space)]
+    assert verify_chain_exhaustion(space, chain, Partition.points(space), tolerance=0).ok
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sweeps_make_one_array_pass_per_batch(monkeypatch, seed):
+    # every conditional-entropy join (conditional_entropies and the mass
+    # functions) is one _stacked_join call; per-trial calls made 1000 and 200
+    calls = {"join": 0, "reintegrate": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(spaces, "_stacked_join", counting("join", spaces._stacked_join))
+    monkeypatch.setattr(suites, "_reintegrate", counting("reintegrate", suites._reintegrate))
+    sweep_disintegration(1000, seed)
+    assert 1 <= calls["join"] <= 3 and 1 <= calls["reintegrate"] <= 3
+    calls["join"] = 0
+    sweep_exhaustion(200, seed)
+    assert 1 <= calls["join"] <= 3
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("sweep, trials", [(sweep_disintegration, 1000), (sweep_exhaustion, 200)])
+def test_sweep_memory_is_bounded_by_the_batch(sweep, trials):
+    sweep(20, 9)  # first-call allocations are not the sweep's
+    small = _traced_peak(lambda: sweep(trials, 1))
+    large = _traced_peak(lambda: sweep(4 * trials, 1))
+    assert large <= 1.25 * small
+    assert large < 3_000_000
