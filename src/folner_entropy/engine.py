@@ -32,9 +32,10 @@ from .groups import FolnerSequence, FolnerSubset, basis, identity as group_ident
 from .spaces import (
     FiniteProbabilitySpace,
     Partition,
+    _join_codes,
     _join_rows,
-    _pullback,
     _require_same_space,
+    _stacked_entropies,
     conditional_entropies,
     conditional_entropy,
     entropy,
@@ -53,7 +54,6 @@ from .systems import (
     _cell_masses,
     _guard_patterns,
     _mixture_alphas,
-    act,
     resolve_cells,
     symbol_factor_entropy,
     window_partition,
@@ -434,8 +434,10 @@ class IdentityReport:
         return min(slacks)
 
 
-def _permute_partition(space: FiniteProbabilitySpace, perm, part: Partition) -> Partition:
-    """Image of ``part`` under atom i -> perm[i]: labels pulled back through the inverse."""
+def _inverse_permutation(space: FiniteProbabilitySpace, perm) -> np.ndarray:
+    """The inverse of atom i -> perm[i], after checking that ``perm`` is a
+    permutation preserving the masses. A partition's image under ``perm``
+    has its labels gathered through the inverse."""
     perm = np.array(perm, dtype=np.int64)
     ident = np.arange(len(space))
     if perm.shape != ident.shape or not (np.sort(perm) == ident).all():
@@ -444,7 +446,7 @@ def _permute_partition(space: FiniteProbabilitySpace, perm, part: Partition) -> 
         raise ValueError("map does not preserve the measure")
     inverse = np.empty_like(perm)
     inverse[perm] = ident
-    return _pullback(part, inverse)
+    return inverse
 
 
 def verify_entropy_identities(
@@ -466,59 +468,76 @@ def verify_entropy_identities(
     an explicit measure-preserving permutation (when given), the chain
     rule, and monotone convergence along the refining chain
     gamma <= gamma v beta <= gamma v beta v alpha. All conditional
-    entropies are computed in one ``conditional_entropies`` pass.
+    entropies come from one ``_identity_entropies`` pass, the one the
+    seeded sweep makes per batch. Both tolerances must be finite and
+    nonnegative. Invalid input fails in the order the checks read it:
+    the partitions' spaces, then each group element, then ``pmp_map``.
     """
-    terms = _identity_terms(space, alpha, beta, gamma, action, group_elements, pmp_map)
-    values = conditional_entropies(terms.pairs)
-    return _identity_checks(terms, values, tolerance, equality_tolerance)
-
-
-@dataclass
-class _IdentityTerms:
-    """The partition pairs whose conditional entropies the identity checks read."""
-
-    pairs: list
-    group_elements: list
-    pmp: bool
-
-
-def _identity_terms(space, alpha, beta, gamma, action, group_elements, pmp_map) -> _IdentityTerms:
-    """Joins, action images and permutation images of one triple, built
-    in the order the checks read them, so invalid input fails the same
-    way whatever the checks."""
+    _require_tolerances(tolerance, equality_tolerance)
     for p in (alpha, beta, gamma):
         _require_same_space(p.space, space)
-    ab = join(alpha, beta)
-    bc = join(beta, gamma)
-    abc = join(ab, gamma)
-    pairs = [
-        (alpha, gamma), (beta, gamma), (ab, gamma), (alpha, bc), (bc, alpha), (beta, alpha),
-        (alpha, abc),
-    ]
     if action is None:
-        group_elements = ()
+        group_elements = []
     elif group_elements is None:
-        group_elements = [g for e in basis(action.d) for g in (e, neg(e))]
+        group_elements = _unit_elements(action.d)
     group_elements = list(group_elements)
-    for g in group_elements:
-        pairs.append((act(action, g, alpha), act(action, g, gamma)))
+    if group_elements:
+        _require_same_space(action.space, space)
+    # T_g(alpha) has alpha's labels gathered through T_{-g}
+    images = [action.atom_map(neg(g)) for g in group_elements]
     if pmp_map is not None:
-        pairs.append(
-            (_permute_partition(space, pmp_map, alpha), _permute_partition(space, pmp_map, gamma))
-        )
-    return _IdentityTerms(pairs, group_elements, pmp_map is not None)
+        images.append(_inverse_permutation(space, pmp_map))
+    triple = (alpha, beta, gamma)
+    (values,) = _identity_entropies(
+        space.masses, [len(space)], [p._labels for p in triple], [p._k for p in triple], images
+    )
+    return _identity_checks(values, group_elements, pmp_map is not None, tolerance, equality_tolerance)
+
+
+def _unit_elements(d: int) -> list:
+    """Every e_i and -e_i of Z^d: the default translations checked."""
+    return [g for e in basis(d) for g in (e, neg(e))]
+
+
+def _identity_entropies(masses, sizes, labels, bounds, images) -> list:
+    """The conditional entropies the identity checks read, one list per
+    triple, for many triples in one ``_stacked_join``.
+
+    The triples' atoms lie back to back in ``masses``, ``sizes`` giving
+    each triple's atom count; ``labels`` are the stacked label arrays of
+    alpha, beta and gamma, with codes below ``bounds``, and ``images``
+    are index maps over the stack. The pairs are the joins (alpha, gamma),
+    (beta, gamma), (alpha v beta, gamma), (alpha, beta v gamma),
+    (beta v gamma, alpha), (beta, alpha) and (alpha, alpha v beta v gamma),
+    then (alpha, gamma) gathered through each image map. A join is a
+    mixed-radix code and an image a gather, so no partition is built; the
+    pairs are stacked pair after pair, each over every triple.
+    """
+    (a, b, c), (ka, kb, kc) = labels, bounds
+    ab, k_ab = _join_codes([(a, ka), (b, kb)])
+    bc = _join_codes([(b, kb), (c, kc)])[0]
+    abc = _join_codes([(ab, k_ab), (c, kc)])[0]
+    pairs = [(a, c), (b, c), (ab, c), (a, bc), (bc, a), (b, a), (a, abc)]
+    pairs += [(a[m], c[m]) for m in images]
+    values = _stacked_entropies(
+        np.tile(masses, len(pairs)),
+        np.concatenate([p for p, _ in pairs]),
+        np.concatenate([q for _, q in pairs]),
+        list(sizes) * len(pairs),
+    )
+    return [values[t :: len(sizes)] for t in range(len(sizes))]
 
 
 def _identity_checks(
-    terms: _IdentityTerms, values: Sequence[float], tolerance: float, equality_tolerance: float
+    values: Sequence[float], group_elements: list, pmp: bool, tolerance: float, equality_tolerance: float
 ) -> IdentityReport:
-    """The identity checks on the conditional entropies of ``terms.pairs``."""
+    """The identity checks on one triple's ``_identity_entropies`` values."""
     h_a_c, h_b_c, h_ab_c, h_a_bc, h_bc_a, h_b_a, h_a_abc, *images = values
     report = IdentityReport()
     report.checks.append(
         _check("join_subadditivity", h_a_c + h_b_c - h_ab_c, tolerance)
     )
-    for g, moved in zip(terms.group_elements, images):
+    for g, moved in zip(group_elements, images):
         report.checks.append(
             _check(
                 "translation_invariance",
@@ -532,7 +551,7 @@ def _identity_checks(
     report.checks.append(_check("conditioning_monotone", h_a_c - h_a_bc, tolerance))
     report.checks.append(_check("partition_monotone", h_bc_a - h_b_a, tolerance))
 
-    if terms.pmp:
+    if pmp:
         report.checks.append(
             _check("pmp_invariance", -abs(images[-1] - h_a_c), equality_tolerance)
         )
@@ -602,8 +621,10 @@ def verify_rate_inequalities(
     (when the pair is comparable), and the chain-style upper bound
     h(alpha) <= h(beta) + H(alpha | beta v C) at a single site. Rates
     are traced at ``DEFAULT_CONVERGENCE_TOL``; checks built on
-    non-converged estimates report status ``inconclusive``.
+    non-converged estimates report status ``inconclusive``. ``tol`` must
+    be finite and nonnegative.
     """
+    _require_tolerances(tol)
     report = RateInequalityReport()
     _, rep_a = entropy_rate(system, alpha, C, sequence, n_max, cap=cap)
     _, rep_b = entropy_rate(system, beta, C, sequence, n_max, cap=cap)

@@ -10,12 +10,14 @@ Fiber quantities (conditional entropy, disintegration, traces on a
 block) are read from label arrays grouped by block: the traces of
 alpha on the blocks of beta are the blocks of their join, and per-block
 sums are exact segment sums, each equal to the bit to the plain 1-D sum.
-``conditional_entropies`` runs those steps once over many partition
-pairs stacked back to back, with labels offset so that no block
-crosses a pair; ``conditional_entropy`` is its one-pair call.
-``conditional_mass_functions`` reads the conditional mass functions
-and their entropy integrals from the same stacked join, and fiber
-re-integration stacks its items the same way. The entropy operations
+``_stacked_join`` runs those steps once over many pairs of label
+arrays stacked back to back. The labels may be raw integer codes, such
+as mixed-radix joins or gathered images, that no ``Partition`` was
+built for; one relabelling of the stacked betas keeps every block
+inside its pair. ``conditional_entropies`` and
+``conditional_mass_functions`` are its wrappers for partition pairs,
+and ``conditional_entropy`` is the one-pair call. Fiber re-integration
+stacks its items the same way. The entropy operations
 implement the positive-mass conventions (0 log 0 = 0, zero-mass fibers
 skipped) directly.
 """
@@ -321,12 +323,13 @@ def _canonical(codes: np.ndarray) -> tuple:
 _CODE_LIMIT = 1 << 62
 
 
-def _join_rows(space: FiniteProbabilitySpace, rows: Iterable) -> Partition:
-    """Join of the partitions given as (label array, block count) rows.
+def _join_codes(rows: Iterable) -> tuple:
+    """One mixed-radix code per atom for the (codes, bound) rows, each
+    row's codes in [0, bound), and the bound of the result.
 
-    The rows are packed into one mixed-radix code per atom, so two atoms
-    share a code exactly when every row agrees on them; the codes are
-    relabelled densely whenever the next radix could overflow int64.
+    Two atoms share a code exactly when every row agrees on them; the
+    codes are relabelled densely whenever the next radix could overflow
+    int64.
     """
     code, bound = None, 1
     for row, k in rows:
@@ -337,7 +340,12 @@ def _join_rows(space: FiniteProbabilitySpace, rows: Iterable) -> Partition:
             code, bound = _canonical(code)
         code = code * k + row
         bound *= k
-    return Partition._from_codes(space, code)
+    return code, bound
+
+
+def _join_rows(space: FiniteProbabilitySpace, rows: Iterable) -> Partition:
+    """Join of the partitions given as (label array, block count) rows."""
+    return Partition._from_codes(space, _join_codes(rows)[0])
 
 
 def _pullback(alpha: Partition, index_map: np.ndarray) -> Partition:
@@ -395,27 +403,26 @@ def conditional_entropy(alpha: Partition, beta: Partition) -> float:
 
 
 def conditional_entropies(pairs: Iterable[tuple]) -> list:
-    """H(alpha | beta) for every (alpha, beta) pair, in one array pass.
-
-    The traces of ``alpha`` on the blocks B of ``beta`` are the blocks of
-    their join, so the join's block masses are the trace masses. They are
-    grouped by B (in order of first atom inside B) and normalized by
-    mu(B); each fiber's entropy sum is an exact segment sum, bit-identical
-    to the plain 1-D sum over that fiber. Zero-mass blocks carry no fiber
-    and are skipped.
-
-    The pairs (each on its own space) are stacked back to back, with
-    each pair's beta labels offset past those of the pairs before it, and
-    the join codes are beta * max k_alpha + alpha over the stack (below
-    the square of the stacked atom count, so inside int64). No block or
-    fiber then crosses a pair, and every sum is the one the pair would
-    get alone. Each pair's total is summed over its beta blocks left to
-    right.
-    """
+    """H(alpha | beta) for every (alpha, beta) pair, in one array pass: the
+    pairs (each on its own space) go through one ``_stacked_join``, and
+    every value is the one the pair gets alone."""
     pairs = list(pairs)
     if not pairs:
         return []
-    return _join_entropies(pairs, *_stacked_join(pairs))
+    return _stacked_entropies(*_pair_labels(pairs))
+
+
+def _pair_labels(pairs: list) -> tuple:
+    """The masses, alpha labels and beta labels of partition pairs back to
+    back, and each pair's atom count: ``_stacked_join``'s arguments."""
+    for alpha, beta in pairs:
+        _require_same_space(alpha.space, beta.space)
+    return (
+        np.concatenate([beta.space.masses for _, beta in pairs]),
+        np.concatenate([alpha._labels for alpha, _ in pairs]),
+        np.concatenate([beta._labels for _, beta in pairs]),
+        [len(beta.space) for _, beta in pairs],
+    )
 
 
 def _stack(partitions: Sequence[Partition]) -> tuple:
@@ -436,21 +443,49 @@ def _block_sums(masses: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     return _segment_sums(masses[order], ends)
 
 
-def _stacked_join(pairs: list) -> tuple:
-    """The join of every (alpha, beta) pair in one pass over the stacked
-    pairs: the stacked beta labels, the join labels, and the block masses
-    of the betas and of the joins."""
-    for alpha, beta in pairs:
-        _require_same_space(alpha.space, beta.space)
-    lb, masses = _stack([beta for _, beta in pairs])
-    la = np.concatenate([alpha._labels for alpha, _ in pairs])
-    joint, k_joint = _canonical(lb * max(alpha._k for alpha, _ in pairs) + la)
-    n_beta = sum(beta._k for _, beta in pairs)
-    return lb, joint, _block_sums(masses, lb, n_beta), _block_sums(masses, joint, k_joint)
+def _stacked_join(masses: np.ndarray, alpha: np.ndarray, beta: np.ndarray, sizes: Sequence[int]) -> tuple:
+    """The join of many (alpha, beta) pairs of label arrays in one pass.
+
+    The pairs lie back to back in ``masses``, ``alpha`` and ``beta``, and
+    ``sizes`` gives each pair's atom count. The labels may be any
+    nonnegative int64 codes: two atoms of a pair share a block exactly
+    when they share a code. One ``_canonical`` over the stack relabels
+    the betas, each pair's codes set past those of the pairs before it,
+    so every pair's beta blocks come in order of first atom, as its
+    canonical labels would give them, and no block crosses a pair. A
+    second one relabels the join codes the same way. Both mixed-radix
+    steps relabel first where they would overflow int64 (``_join_codes``).
+
+    Returns the stacked beta labels, the join labels, the block masses of
+    the betas and of the joins, and each pair's beta block count.
+    """
+    n = len(sizes)
+    pair = np.arange(n).repeat(sizes)
+    lb, k_beta = _canonical(_join_codes([(beta, int(beta.max()) + 1), (pair, n)])[0])
+    joint, k_joint = _canonical(_join_codes([(alpha, int(alpha.max()) + 1), (lb, k_beta)])[0])
+    owner = np.empty(k_beta, dtype=np.int64)
+    owner[lb] = pair
+    counts = np.bincount(owner, minlength=n).tolist()
+    return lb, joint, _block_sums(masses, lb, k_beta), _block_sums(masses, joint, k_joint), counts
 
 
-def _join_entropies(pairs: list, lb, joint, mB, mJ) -> list:
-    """H(alpha | beta) of every pair from its stacked join (``_stacked_join``)."""
+def _stacked_entropies(masses: np.ndarray, alpha: np.ndarray, beta: np.ndarray, sizes: Sequence[int]) -> list:
+    """H(alpha | beta) of every pair of label arrays stacked as
+    ``_stacked_join`` takes them."""
+    return _join_entropies(*_stacked_join(masses, alpha, beta, sizes))
+
+
+def _join_entropies(lb, joint, mB, mJ, counts) -> list:
+    """H(alpha | beta) of every pair from its stacked join (``_stacked_join``).
+
+    The traces of alpha on the blocks B of beta are the blocks of their
+    join, so the join's block masses are the trace masses. They are
+    grouped by B (in order of first atom inside B) and normalized by
+    mu(B); each fiber's entropy sum is an exact segment sum, bit-identical
+    to the plain 1-D sum over that fiber. Zero-mass blocks carry no fiber
+    and are skipped. Each pair's total is summed over its beta blocks left
+    to right.
+    """
     owner = np.empty(mJ.shape[0], dtype=np.int64)
     owner[joint] = lb
     # traces grouped by beta block; canonical join labels keep them in
@@ -463,7 +498,7 @@ def _join_entropies(pairs: list, lb, joint, mB, mJ) -> list:
     q = p[keep]
     ends = np.bincount(owner[live][keep], minlength=mB.shape[0]).cumsum().tolist()
     fiber_entropies = _segment_sums(-(q * np.log(q)), ends).tolist()
-    return _block_totals(mB.tolist(), fiber_entropies, [beta._k for _, beta in pairs])
+    return _block_totals(mB.tolist(), fiber_entropies, counts)
 
 
 def _block_totals(block_masses: list, values: list, counts: Sequence[int]) -> list:
@@ -514,9 +549,9 @@ def conditional_mass_functions(triples: Iterable[tuple]) -> list:
             _require_same_space(p.space, space)
     if not triples:
         return []
-    pairs = [(alpha, cond) for _, alpha, cond in triples]
-    lb, joint, mB, mJ = _stacked_join(pairs)
-    entropies = _join_entropies(pairs, lb, joint, mB, mJ)
+    joined = _stacked_join(*_pair_labels([(alpha, cond) for _, alpha, cond in triples]))
+    lb, joint, mB, mJ, _ = joined
+    entropies = _join_entropies(*joined)
     mC = mB[lb]
     live = mC > 0.0
     m = iter((mJ[joint[live]] / mC[live]).tolist())

@@ -10,6 +10,7 @@ within a tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -18,8 +19,9 @@ from .engine import (
     _chain_checks,
     _chain_terms,
     _identity_checks,
-    _identity_terms,
+    _identity_entropies,
     _require_tolerances,
+    _unit_elements,
     conditional_block_entropy,
 )
 from .groups import FolnerSubset
@@ -31,7 +33,7 @@ from .spaces import (
     conditional_mass_functions,
     join,
 )
-from .systems import DEFAULT_PATTERN_CAP, FinitePMPAction
+from .systems import DEFAULT_PATTERN_CAP, _require_generator
 
 # ---------------------------------------------------------------------------
 # instance generators
@@ -51,9 +53,14 @@ def random_space(rng: np.random.Generator, max_atoms: int = 10, allow_zero: bool
 
 
 def random_partition(rng: np.random.Generator, space: FiniteProbabilitySpace) -> Partition:
-    n = len(space)
+    return Partition.from_labels(space, _random_labels(rng, len(space))[0])
+
+
+def _random_labels(rng: np.random.Generator, n: int) -> tuple:
+    """Raw labels of a random partition of n atoms, each uniform below a
+    bound k drawn uniformly from 1..n, and that bound."""
     k = int(rng.integers(1, n + 1))
-    return Partition.from_labels(space, rng.integers(0, k, size=n))
+    return rng.integers(0, k, size=n), k
 
 
 def random_permutation_instance(rng: np.random.Generator, max_atoms: int = 10):
@@ -186,35 +193,57 @@ def sweep_identities(
     measure-preserving permutation, uses it both as a one-generator
     action (translation invariance) and as a raw map (invariance under
     measure isomorphisms), and checks all identities on a random
-    partition triple. The conditional entropies of consecutive trials
-    go through one ``conditional_entropies`` call once their pairs hold
-    ``_BATCH_ATOMS`` atoms; every value, and so the report, is the one
-    a ``verify_entropy_identities`` call per trial gives. Both
-    tolerances must be finite and nonnegative.
+    partition triple. A trial is drawn as raw arrays: the masses, the
+    permutation and three label arrays. Consecutive trials are stacked
+    until their pairs hold ``_BATCH_ATOMS`` atoms; each batch then takes
+    one check of its permutations, which raises ``FinitePMPAction``'s
+    errors, and one ``_identity_entropies`` pass, the one
+    ``verify_entropy_identities`` makes for a single triple. Every value,
+    and so the report, is the one a ``verify_entropy_identities`` call per
+    trial gives. Both tolerances must be finite and nonnegative.
     """
     _require_arguments(trials, max_atoms, tolerance, equality_tolerance)
     rng = np.random.default_rng(seed)
     report = SweepReport(trials, seed)
+    elements = _unit_elements(1)
 
     def draw():
         space, perm = random_permutation_instance(rng, max_atoms)
-        action = FinitePMPAction(space, [perm])
-        alpha = random_partition(rng, space)
-        beta = random_partition(rng, space)
-        gamma = random_partition(rng, space)
-        inverse = tuple(int(x) for x in np.argsort(np.asarray(perm)))
-        terms = _identity_terms(space, alpha, beta, gamma, action, None, inverse)
-        return terms, len(space) * len(terms.pairs)
+        n = len(space)
+        triple = [_random_labels(rng, n) for _ in range(3)]
+        return (space.masses, perm, triple), n * (7 + len(elements) + 1)
 
     def flush(batch):
-        values = _entropies_per_trial([terms.pairs for terms in batch])
-        for terms, own in zip(batch, values):
-            result = _identity_checks(terms, own, tolerance, equality_tolerance)
+        sizes = [len(masses) for masses, _, _ in batch]
+        masses = np.concatenate([masses for masses, _, _ in batch])
+        perm = _stacked_permutations(masses, [perm for _, perm, _ in batch], sizes)
+        inverse = np.empty_like(perm)
+        inverse[perm] = np.arange(perm.shape[0])
+        labels = [np.concatenate([triple[i][0] for _, _, triple in batch]) for i in range(3)]
+        bounds = [max(triple[i][1] for _, _, triple in batch) for i in range(3)]
+        # T_e gathers through the inverse, T_-e and the raw map through perm
+        for own in _identity_entropies(masses, sizes, labels, bounds, [inverse, perm, perm]):
+            result = _identity_checks(own, elements, True, tolerance, equality_tolerance)
             for check in result.checks:
                 report.stat(check.name, check.tol).record(check.slack)
 
     _run_batched(trials, draw, flush)
     return report
+
+
+def _stacked_permutations(masses: np.ndarray, perms: list, sizes: list) -> np.ndarray:
+    """The trials' permutations (each on its own atoms) as one index map
+    over their stacked atoms, after checking, for all of them at once,
+    that each is a permutation of its own atoms that keeps their masses.
+    An index outside its trial becomes -1, and a permutation of the wrong
+    length leaves the stack misaligned; both fail the check."""
+    stacked = np.concatenate(perms)
+    if [len(p) for p in perms] == sizes:
+        starts = np.array([*accumulate(sizes[:-1], initial=0)])
+        inside = (stacked >= 0) & (stacked < np.repeat(sizes, sizes))
+        stacked = np.where(inside, stacked + starts.repeat(sizes), -1)
+    _require_generator(masses, stacked, np.arange(masses.shape[0]))
+    return stacked
 
 
 def sweep_disintegration(

@@ -64,6 +64,16 @@ class IncompatibleSubAlgebraError(ValueError):
     """Raised when a conditioning choice does not apply to a system."""
 
 
+def _require_generator(masses: np.ndarray, g: np.ndarray, ident: np.ndarray) -> None:
+    """``g`` must be an integer index array that rearranges ``ident`` and
+    keeps ``masses`` bit-exactly."""
+    # only integer entries index atoms: floats and bools are not cast
+    if g.dtype.kind not in "iu" or g.shape != ident.shape or not (np.sort(g) == ident).all():
+        raise ValueError("generator is not a permutation")
+    if (masses[g] != masses).any():
+        raise ValueError("generator does not preserve masses")
+
+
 class FinitePMPAction:
     """Z^d acting on a finite space by d commuting mass-preserving permutations.
 
@@ -84,12 +94,8 @@ class FinitePMPAction:
         gens, invs = [], []
         for raw in generators:
             g = np.asarray(raw)
-            # only integer entries index atoms: floats and bools are not cast
-            if g.dtype.kind not in "iu" or g.shape != (n,) or not (np.sort(g) == ident).all():
-                raise ValueError("generator is not a permutation")
+            _require_generator(space.masses, g, ident)
             g = g.astype(np.int64)
-            if (space.masses[g] != space.masses).any():
-                raise ValueError("generator does not preserve masses")
             inv = np.empty(n, dtype=np.int64)
             inv[g] = ident
             gens.append(g)

@@ -26,13 +26,16 @@ from folner_entropy import (
     SpaceMismatchError,
     SubAlgebraSpec,
     SymbolPartition,
+    act,
     bernoulli_shift,
     conditional_block_entropy,
     conditional_entropy,
     cylinder_measure,
     entropy,
+    engine,
     entropy_rate,
     h_conditional,
+    join,
     markov_shift,
     mixture,
     orbit_partition,
@@ -50,6 +53,7 @@ from folner_entropy.engine import (
     _finite_window_join,
 )
 from folner_entropy.spaces import _join_rows
+from folner_entropy.suites import random_partition, random_permutation_instance
 from folner_entropy.systems import (
     IncompatibleSubAlgebraError,
     MixtureSystem,
@@ -963,14 +967,19 @@ def test_verify_rate_inequalities_ok():
     assert all(report.converged.values())
 
 
-def test_verify_rate_inequalities_inconclusive_downgrade():
-    # a negative tolerance forces every check into the violated branch;
-    # non-converged estimates must then downgrade to inconclusive
+def test_verify_rate_inequalities_inconclusive_downgrade(monkeypatch):
+    # every check is forced into the violated branch by reading each slack
+    # 1 nat lower (tolerances are nonnegative, so a negative one no longer
+    # can); non-converged estimates must then downgrade to inconclusive
+    real_check = engine._check
+    monkeypatch.setattr(
+        engine, "_check", lambda name, slack, tol, detail="": real_check(name, slack - 1.0, tol, detail)
+    )
     mk = markov_shift(PI, P)
     alpha = SymbolPartition.full(mk.alphabet)
     beta = SymbolPartition.trivial(mk.alphabet)
     short = verify_rate_inequalities(
-        mk, alpha, beta, sequence=FolnerSequence(1, (1, 2)), tol=-1.0
+        mk, alpha, beta, sequence=FolnerSequence(1, (1, 2))
     )
     assert not short.converged["h_alpha"]  # rate still falling at n = 2
     assert short.converged["h_beta"]  # trivial partition: constant zero rates
@@ -982,10 +991,89 @@ def test_verify_rate_inequalities_inconclusive_downgrade():
     a2 = SymbolPartition.full(b.alphabet)
     b2 = SymbolPartition.trivial(b.alphabet)
     hard = verify_rate_inequalities(
-        b, a2, b2, sequence=FolnerSequence(1, (1, 2, 3)), tol=-1.0
+        b, a2, b2, sequence=FolnerSequence(1, (1, 2, 3))
     )
     assert any(c.status == "violated" for c in hard.checks)
     assert not hard.ok
+
+
+BAD_TOLERANCES = [float("nan"), float("inf"), float("-inf"), -1.0]
+TOLERANCE_MESSAGE = r"^tolerance must be a finite number >= 0$"
+
+
+@pytest.mark.parametrize("bad", BAD_TOLERANCES)
+def test_verify_identities_rejects_bad_tolerances(bad):
+    # a NaN tolerance made every check pass
+    space, alpha, beta, gamma = _identity_instance()
+    for kwargs in ({"tolerance": bad}, {"equality_tolerance": bad}):
+        with pytest.raises(ValueError, match=TOLERANCE_MESSAGE):
+            verify_entropy_identities(space, alpha, beta, gamma, **kwargs)
+    assert verify_entropy_identities(space, alpha, beta, gamma, tolerance=0.0, equality_tolerance=0.0).ok
+
+
+@pytest.mark.parametrize("bad", BAD_TOLERANCES)
+def test_verify_rate_inequalities_rejects_bad_tolerances(bad, monkeypatch):
+    # the tolerance is checked before any rate is traced
+    monkeypatch.setattr(engine, "entropy_rate", None)
+    b = bernoulli_shift([0.5, 0.5])
+    alpha = SymbolPartition.full(b.alphabet)
+    with pytest.raises(ValueError, match=TOLERANCE_MESSAGE):
+        verify_rate_inequalities(b, alpha, SymbolPartition.trivial(b.alphabet), tol=bad)
+
+
+def _identity_pairs_from_partitions(space, alpha, beta, gamma, action, pmp_map):
+    """The identity pairs as partitions, built by join, act and an explicit
+    pullback: the oracle for the label-array term builder."""
+    ab = join(alpha, beta)
+    bc = join(beta, gamma)
+    abc = join(ab, gamma)
+    pairs = [(alpha, gamma), (beta, gamma), (ab, gamma), (alpha, bc), (bc, alpha), (beta, alpha), (alpha, abc)]
+    for g in ((1,), (-1,)):
+        pairs.append((act(action, g, alpha), act(action, g, gamma)))
+    inverse = np.argsort(np.asarray(pmp_map))
+    pairs.append(tuple(Partition.from_labels(space, p.labels()[inverse]) for p in (alpha, gamma)))
+    return pairs
+
+
+@pytest.mark.parametrize("spread", [1, 1 << 20])
+@pytest.mark.parametrize("max_atoms", [2, 10, 80])
+def test_identity_entropies_equal_partition_algebra(max_atoms, spread):
+    rng = np.random.default_rng(max_atoms)
+    instances = []
+    for _ in range(12):
+        space, perm = random_permutation_instance(rng, max_atoms)
+        triple = [random_partition(rng, space) for _ in range(3)]
+        instances.append((space, perm, triple))
+    expected = []
+    for space, perm, triple in instances:
+        action = FinitePMPAction(space, [perm])
+        pmp_map = tuple(int(x) for x in np.argsort(np.asarray(perm)))
+        pairs = _identity_pairs_from_partitions(space, *triple, action, pmp_map)
+        expected.append([conditional_entropy(p, q) for p, q in pairs])
+        # one triple alone, as verify_entropy_identities builds it
+        inverse = np.argsort(np.asarray(perm))
+        labels = [p.labels() for p in triple]
+        (own,) = engine._identity_entropies(
+            space.masses, [len(space)], labels, [p.n_blocks for p in triple],
+            [inverse, np.asarray(perm), np.asarray(perm)],
+        )
+        assert repr(own) == repr(expected[-1])
+    # all triples stacked, as a sweep batch stacks them
+    sizes = [len(space) for space, _, _ in instances]
+    starts = np.cumsum([0] + sizes[:-1])
+    perm = np.concatenate([np.asarray(p) + s for (_, p, _), s in zip(instances, starts)])
+    # codes spread below spread * bound: at 2**20 the triple join's bound
+    # passes int64 unless it is relabelled first
+    labels = [
+        np.concatenate([triple[i].labels() for _, _, triple in instances]) * spread + (spread - 1)
+        for i in range(3)
+    ]
+    bounds = [max(triple[i].n_blocks for _, _, triple in instances) * spread for i in range(3)]
+    stacked = engine._identity_entropies(
+        np.concatenate([space.masses for space, _, _ in instances]), sizes, labels, bounds,
+        [np.argsort(perm), perm, perm],
+    )
+    assert repr(stacked) == repr(expected)
 
 
 # -- exhaustion --------------------------------------------------------------------

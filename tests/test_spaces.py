@@ -27,7 +27,7 @@ from folner_entropy import (
     same_space,
 )
 from folner_entropy._kernels import entropy_from_probs
-from folner_entropy.spaces import _join_rows, _segment_sums
+from folner_entropy.spaces import _join_rows, _segment_sums, _stacked_entropies
 
 LOG2 = 0.6931471805599453
 
@@ -506,6 +506,29 @@ def test_conditional_entropies_equal_one_pair_oracle(seed, count):
     for size in (1, 2, 7, 64, 1000):
         got += conditional_entropies(pairs[start : start + size])
         start += size
+    assert [repr(h) for h in got] == expected
+
+
+@pytest.mark.parametrize("high_bit", [False, True])
+def test_stacked_join_reads_raw_codes(high_bit):
+    # codes in any order give the canonical labels' values. With the high
+    # bit, codes v and v + 2**62 of two blocks would meet once multiplied by
+    # the 60 pairs' radix in int64, unless the codes are relabelled first
+    rng = np.random.default_rng(4)
+    pairs = _batch_cases(4, 60)
+    expected = [repr(_one_pair_conditional_entropy(a, b)) for a, b in pairs]
+    shuffle = rng.permutation(300)
+
+    def raw(p):
+        v = shuffle[p.labels()]
+        return (v // 2) + ((v % 2) << 62) if high_bit else v
+
+    got = _stacked_entropies(
+        np.concatenate([b.space.masses for _, b in pairs]),
+        np.concatenate([raw(a) for a, _ in pairs]),
+        np.concatenate([raw(b) for _, b in pairs]),
+        [len(b.space) for _, b in pairs],
+    )
     assert [repr(h) for h in got] == expected
 
 

@@ -111,10 +111,14 @@ def _identities_trial_by_trial(trials, seed, max_atoms):
     return report
 
 
-@pytest.mark.parametrize("trials", [1, 31, 33, 500])
-@pytest.mark.parametrize("max_atoms", [2, 10, 200])
-def test_batched_identities_sweep_equals_trial_by_trial(trials, max_atoms):
-    # max_atoms 200 fills a batch within a few trials; 10 needs dozens
+@pytest.mark.parametrize(
+    "max_atoms, trials",
+    [(m, t) for m in (2, 10, 200) for t in (1, 31, 33, 500)] + [(100_000, 2)],
+)
+def test_batched_identities_sweep_equals_trial_by_trial(max_atoms, trials):
+    # max_atoms 200 fills a batch within a few trials; 10 needs dozens;
+    # 100000 draws tens of thousands of atoms, whose triple joins have
+    # raw codes up to about 1e15
     seed = 1000 + trials + max_atoms
     expected = _identities_trial_by_trial(trials, seed, max_atoms)
     assert repr(sweep_identities(trials, seed, max_atoms)) == repr(expected)
@@ -206,7 +210,7 @@ def test_sweeps_accept_zero_tolerance():
 def test_sweeps_make_one_array_pass_per_batch(monkeypatch, seed):
     # every conditional-entropy join (conditional_entropies and the mass
     # functions) is one _stacked_join call; per-trial calls made 1000 and 200
-    calls = {"join": 0, "reintegrate": 0}
+    calls = {"join": 0, "reintegrate": 0, "assign": 0}
 
     def counting(name, fn):
         def counted(*args):
@@ -221,6 +225,13 @@ def test_sweeps_make_one_array_pass_per_batch(monkeypatch, seed):
     calls["join"] = 0
     sweep_exhaustion(200, seed)
     assert 1 <= calls["join"] <= 3
+    # a trial's 10 pairs hold at most 100 atoms, so 500 trials close at most
+    # 500 * 100 / 4096 + 1 batches; per-trial partitions made 6000 _assign calls
+    calls["join"] = calls["assign"] = 0
+    monkeypatch.setattr(Partition, "_assign", counting("assign", Partition._assign))
+    sweep_identities(500, seed)
+    assert 1 <= calls["join"] <= 500 * 100 // suites._BATCH_ATOMS + 1
+    assert calls["assign"] <= calls["join"]
 
 
 def _traced_peak(call):
@@ -232,10 +243,49 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("sweep, trials", [(sweep_disintegration, 1000), (sweep_exhaustion, 200)])
+@pytest.mark.parametrize(
+    "sweep, trials", [(sweep_disintegration, 1000), (sweep_exhaustion, 200), (sweep_identities, 500)]
+)
 def test_sweep_memory_is_bounded_by_the_batch(sweep, trials):
     sweep(20, 9)  # first-call allocations are not the sweep's
     small = _traced_peak(lambda: sweep(trials, 1))
     large = _traced_peak(lambda: sweep(4 * trials, 1))
     assert large <= 1.25 * small
     assert large < 3_000_000
+
+
+def _instances_in_turn(monkeypatch, instances):
+    """Make the sweep draw these (space, perm) instances, in turn."""
+    it = iter(instances)
+    monkeypatch.setattr(suites, "random_permutation_instance", lambda rng, max_atoms: next(it))
+
+
+@pytest.mark.parametrize(
+    "perm, message",
+    [
+        ((1, 2, 0), "generator does not preserve masses"),
+        ((0, 0, 1), "generator is not a permutation"),
+        ((0, 1, 3), "generator is not a permutation"),
+        ((1, 0), "generator is not a permutation"),
+        ((0.0, 1.0, 2.0), "generator is not a permutation"),
+    ],
+)
+def test_identities_sweep_rejects_bad_instances(monkeypatch, perm, message):
+    # the messages FinitePMPAction gives the same generator
+    space = FiniteProbabilitySpace(range(3), [0.5, 0.3, 0.2])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FinitePMPAction(space, [perm])
+    uniform = FiniteProbabilitySpace.uniform(3)
+    good = (uniform, (1, 2, 0))
+    _instances_in_turn(monkeypatch, [good, (space, perm), good])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sweep_identities(3, 0)
+
+
+def test_identities_sweep_checks_each_permutation_on_its_own_atoms(monkeypatch):
+    # stacked, (0, 2) and (-1, 1) would read as the permutation (0, 2, 1, 3)
+    # of four atoms, though neither maps its own two atoms onto themselves
+    space = FiniteProbabilitySpace.uniform(2)
+    _instances_in_turn(monkeypatch, [(space, (0, 2)), (space, (-1, 1))])
+    with pytest.raises(ValueError, match="^generator is not a permutation$"):
+        sweep_identities(2, 0)
