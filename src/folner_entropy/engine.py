@@ -32,11 +32,14 @@ from .groups import FolnerSequence, FolnerSubset, basis, identity as group_ident
 from .spaces import (
     FiniteProbabilitySpace,
     Partition,
+    _canonical,
+    _coarser,
     _join_codes,
     _join_rows,
+    _offset_entropies,
     _require_same_space,
+    _stacked_betas,
     _stacked_entropies,
-    conditional_entropies,
     conditional_entropy,
     entropy,
     is_coarser,
@@ -532,39 +535,29 @@ def _identity_checks(
     values: Sequence[float], group_elements: list, pmp: bool, tolerance: float, equality_tolerance: float
 ) -> IdentityReport:
     """The identity checks on one triple's ``_identity_entropies`` values."""
+    slacks = _identity_slacks(values, group_elements, pmp, tolerance, equality_tolerance)
+    return IdentityReport([_check(*slack) for slack in slacks])
+
+
+def _identity_slacks(values, group_elements: list, pmp: bool, tolerance: float, equality_tolerance: float) -> list:
+    """(name, slack, tolerance, detail) of every identity check, in report
+    order, from the ``_identity_entropies`` values of one triple (floats)
+    or of many (one array over the triples per value): the arithmetic is
+    elementwise either way."""
     h_a_c, h_b_c, h_ab_c, h_a_bc, h_bc_a, h_b_a, h_a_abc, *images = values
-    report = IdentityReport()
-    report.checks.append(
-        _check("join_subadditivity", h_a_c + h_b_c - h_ab_c, tolerance)
-    )
+    slacks = [("join_subadditivity", h_a_c + h_b_c - h_ab_c, tolerance, "")]
     for g, moved in zip(group_elements, images):
-        report.checks.append(
-            _check(
-                "translation_invariance",
-                -abs(moved - h_a_c),
-                equality_tolerance,
-                detail=f"g={g}",
-            )
-        )
-
+        slacks.append(("translation_invariance", -abs(moved - h_a_c), equality_tolerance, f"g={g}"))
     # finer conditioning cannot increase; finer first argument cannot decrease
-    report.checks.append(_check("conditioning_monotone", h_a_c - h_a_bc, tolerance))
-    report.checks.append(_check("partition_monotone", h_bc_a - h_b_a, tolerance))
-
+    slacks.append(("conditioning_monotone", h_a_c - h_a_bc, tolerance, ""))
+    slacks.append(("partition_monotone", h_bc_a - h_b_a, tolerance, ""))
     if pmp:
-        report.checks.append(
-            _check("pmp_invariance", -abs(images[-1] - h_a_c), equality_tolerance)
-        )
-
-    report.checks.append(
-        _check("chain_rule", -abs(h_ab_c - (h_b_c + h_a_bc)), tolerance)
-    )
-
+        slacks.append(("pmp_invariance", -abs(images[-1] - h_a_c), equality_tolerance, ""))
+    slacks.append(("chain_rule", -abs(h_ab_c - (h_b_c + h_a_bc)), tolerance, ""))
     # refining chain gamma <= gamma v beta <= gamma v beta v alpha
-    chain_vals = [h_a_c, h_a_bc, h_a_abc]
-    for prev, cur in zip(chain_vals, chain_vals[1:]):
-        report.checks.append(_check("refining_chain", prev - cur, tolerance))
-    return report
+    slacks.append(("refining_chain", h_a_c - h_a_bc, tolerance, ""))
+    slacks.append(("refining_chain", h_a_bc - h_a_abc, tolerance, ""))
+    return slacks
 
 
 @dataclass
@@ -690,12 +683,6 @@ class ExhaustionReport:
     ok: bool
 
 
-def _separates(part: Partition) -> bool:
-    """True iff no block holds two positive-mass atoms."""
-    positive = part.labels()[part.space.masses > 0.0]
-    return bool(np.bincount(positive).max() <= 1)
-
-
 def _require_tolerances(*tolerances: float) -> None:
     """Each tolerance must be finite and nonnegative: a NaN one makes every
     ``slack < -tol`` false, so every check would pass."""
@@ -716,39 +703,86 @@ def verify_chain_exhaustion(
     The chain must be increasing (each term refines the previous);
     from the first index whose join with C separates all positive-mass
     atoms onward the value must vanish within ``tolerance``, which must
-    be finite and nonnegative. All values come from one
-    ``conditional_entropies`` pass.
+    be finite and nonnegative. The values and the increase check come
+    from one ``_chain_entropies`` call, the one the seeded sweep makes
+    per batch. Every partition must lie on the space of C (``space``
+    without one); a space mismatch is raised before a chain that does
+    not increase.
     """
     _require_tolerances(tolerance)
-    pairs = _chain_terms(space, chain, xi, cond)
-    return _chain_checks(pairs, conditional_entropies(pairs), tolerance)
-
-
-def _chain_terms(space, chain, xi, cond) -> list:
-    """The pairs (xi, alpha_n v C) whose conditional entropies the chain
-    checks read, after checking that the chain is increasing."""
     chain = list(chain)
     if not chain:
         raise ValueError("empty chain")
-    for prev, cur in zip(chain, chain[1:]):
-        if not is_coarser(prev, cur):
-            raise ValueError("chain not increasing")
-    base = Partition.trivial(space) if cond is None else cond
-    return [(xi, join(part, base)) for part in chain]
-
-
-def _chain_checks(pairs: list, values: Sequence[float], tolerance: float) -> ExhaustionReport:
-    """The exhaustion checks on the conditional entropies of ``pairs``."""
-    values = list(values)
-    first_separating = None
-    ok = True
-    for i, ((_, part), value) in enumerate(zip(pairs, values)):
-        if first_separating is None and _separates(part):
-            first_separating = i
-        if first_separating is not None and abs(value) > tolerance:
-            ok = False
-    steps = [prev - cur for prev, cur in zip(values, values[1:])]
-    min_step = min(steps) if steps else 0.0
-    if min_step < -tolerance:
+    base = space if cond is None else cond.space
+    for p in (*chain, xi):
+        _require_same_space(p.space, base)
+    n = len(base)
+    c = (np.zeros(n, dtype=np.int64), 1) if cond is None else (cond._labels, cond._k)
+    values, separates = _chain_entropies(
+        base.masses, [n], xi._labels, c, np.stack([p._labels for p in chain]),
+        max(p._k for p in chain), np.zeros(len(chain), dtype=np.int64), np.arange(len(chain)),
+    )
+    (min_step,) = _chain_min_steps(np.array(values), [len(chain)]).tolist()
+    first_separating = next((i for i, s in enumerate(separates.tolist()) if s), None)
+    ok = not min_step < -tolerance
+    if first_separating is not None and any(abs(v) > tolerance for v in values[first_separating:]):
         ok = False
     return ExhaustionReport(values, min_step, first_separating, ok)
+
+
+def _chain_entropies(masses, sizes, xi, cond, rows, bound, item_space, item_row) -> tuple:
+    """H(xi | alpha v C) for every term alpha of many chains, in one
+    ``_stacked_join``, after checking for all chains at once that each
+    is increasing.
+
+    The chains' spaces lie back to back in ``masses`` (``sizes`` atoms
+    each), with xi's labels over them and C as (codes, bound). ``rows``
+    holds code arrays below ``bound`` over all those atoms; a chain's term
+    is the part of one row over its space. ``item_space`` and ``item_row``
+    give every term's space and row, each chain's terms consecutive and
+    in order. A term must refine the one before it up to zero-mass atoms,
+    as ``is_coarser`` reads it; otherwise "chain not increasing" is raised.
+
+    Returns every term's value and whether its join with C separates the
+    positive-mass atoms (no block of it holds two of them).
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    item_sizes = sizes[item_space]
+    item_starts = item_sizes.cumsum() - item_sizes
+    # each stacked atom's index in ``masses``
+    atoms = np.arange(int(item_sizes.sum())) + (
+        (sizes.cumsum() - sizes)[item_space] - item_starts
+    ).repeat(item_sizes)
+    terms = rows[item_row.repeat(item_sizes), atoms]
+    masses = masses[atoms]
+    positive = masses > 0.0
+    n_items = item_space.shape[0]
+    item = np.arange(n_items).repeat(item_sizes)
+    # the previous term of the same chain sits one item back, over the same atoms
+    follows = np.concatenate([[False], item_space[1:] == item_space[:-1]])
+    at = np.flatnonzero(follows[item] & positive)
+    fine, k = _canonical(_join_codes([(terms[at], bound), (item[at], n_items)])[0])
+    if not _coarser(terms[at - item_sizes[item[at]]], fine, k):
+        raise ValueError("chain not increasing")
+    cond, k_cond = cond
+    beta, counts = _stacked_betas(_join_codes([(terms, bound), (cond[atoms], k_cond)])[0], item_sizes.tolist())
+    crowded = np.bincount(beta[positive], minlength=sum(counts)) > 1
+    separates = np.bincount(np.arange(n_items).repeat(counts)[crowded], minlength=n_items) == 0
+    return _offset_entropies(masses, xi[atoms], beta, counts), separates
+
+
+def _chain_min_steps(values: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
+    """The smallest step value[i] - value[i + 1] of every chain, the
+    chains' values back to back (``lengths`` terms each); 0.0 for a chain
+    of one term. It is the first smallest step, the one ``min`` picks, so
+    a zero keeps its sign."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    n = lengths.shape[0]
+    padded = np.full((n, int(lengths.max())), np.nan)
+    chain = np.arange(n).repeat(lengths)
+    padded[chain, np.arange(values.shape[0]) - (lengths.cumsum() - lengths)[chain]] = values
+    steps = padded[:, :-1] - padded[:, 1:]
+    steps[np.isnan(steps)] = np.inf
+    low = steps.min(axis=1, initial=np.inf)
+    first = steps[np.arange(n), (steps == low[:, None]).argmax(axis=1)] if steps.shape[1] else low
+    return np.where(lengths > 1, first, 0.0)

@@ -11,13 +11,18 @@ block) are read from label arrays grouped by block: the traces of
 alpha on the blocks of beta are the blocks of their join, and per-block
 sums are exact segment sums, each equal to the bit to the plain 1-D sum.
 ``_stacked_join`` runs those steps once over many pairs of label
-arrays stacked back to back. The labels may be raw integer codes, such
-as mixed-radix joins or gathered images, that no ``Partition`` was
-built for; one relabelling of the stacked betas keeps every block
-inside its pair. ``conditional_entropies`` and
-``conditional_mass_functions`` are its wrappers for partition pairs,
-and ``conditional_entropy`` is the one-pair call. Fiber re-integration
-stacks its items the same way. The entropy operations
+arrays stacked back to back, each pair's beta blocks numbered past
+those of the pairs before it. Partition labels are stacked that way
+as they are (``_stack``); raw integer codes that no ``Partition`` was
+built for, such as mixed-radix joins or gathered images, are
+relabelled into that layout once (``_stacked_betas``). The array
+entries (``_stacked_join``, ``_stacked_mass_functions``,
+``_stacked_reintegration`` and ``_require_probabilities``, the mass
+checks of ``FiniteProbabilitySpace`` over many spaces) serve the seeded
+sweeps, which build no space or partition. ``conditional_entropies``,
+``conditional_mass_functions``, ``Disintegration.reconstruct`` and
+``FiniteProbabilitySpace`` are their wrappers for objects, and
+``conditional_entropy`` is the one-pair call. The entropy operations
 implement the positive-mass conventions (0 log 0 = 0, zero-mass fibers
 skipped) directly.
 """
@@ -110,18 +115,33 @@ class FiniteProbabilitySpace:
 
 
 def _probabilities(arr: np.ndarray) -> np.ndarray:
-    """``arr`` made read-only, after checking that it is nonnegative,
-    sums to 1 within ``MASS_TOL`` and is finite, in that order."""
-    if np.any(arr < 0.0):
-        raise ValueError("negative mass")
-    total = float(arr.sum())
-    if abs(total - 1.0) > MASS_TOL:
-        raise ValueError("masses must sum to 1")
-    # past those two checks a non-finite entry can only be NaN, which makes the sum NaN
-    if math.isnan(total):
-        raise ValueError("masses must be finite")
+    """``arr`` made read-only, after the checks of ``_require_probabilities``."""
+    _require_probabilities(arr, [arr.shape[0]])
     arr.flags.writeable = False
     return arr
+
+
+def _require_probabilities(masses: np.ndarray, sizes: Sequence[int]) -> None:
+    """Each of the nonempty mass vectors lying back to back in ``masses``
+    (``sizes`` gives their lengths) must be nonnegative, sum to 1 within
+    ``MASS_TOL`` and be finite, checked in that order, all vectors in one
+    pass. The first vector that fails raises its first failed check, so
+    a stack fails as the first bad ``FiniteProbabilitySpace`` would."""
+    ends = [*accumulate(sizes)]
+    negative = masses < 0.0
+    totals = _segment_sums(masses, ends)
+    # a NaN total fails this comparison too; past the first two checks a
+    # non-finite entry can only be NaN, which makes the sum NaN
+    normalised = np.abs(totals - 1.0) <= MASS_TOL
+    if normalised.all() and not negative.any():
+        return
+    negative = np.logical_or.reduceat(negative, [0, *ends[:-1]])
+    first = int((negative | ~normalised).argmax())
+    if negative[first]:
+        raise ValueError("negative mass")
+    if not math.isnan(totals[first]):
+        raise ValueError("masses must sum to 1")
+    raise ValueError("masses must be finite")
 
 
 def same_space(a: FiniteProbabilitySpace, b: FiniteProbabilitySpace) -> bool:
@@ -278,10 +298,10 @@ def _segment_sums(values: np.ndarray, ends: Sequence[int]) -> np.ndarray:
 
     Equal-length segments are the rows of one matrix summed along axis 1,
     which numpy does in the 1-D pairwise order (``np.add.reduceat`` does
-    not). Small inputs take one sum per segment.
+    not). Small inputs, and a single segment, take one sum per segment.
     """
     starts = [0, *ends[:-1]]
-    if values.shape[0] <= _SMALL:
+    if values.shape[0] <= _SMALL or len(ends) == 1:
         return np.array([values[start:end].sum() for start, end in zip(starts, ends)])
     starts = np.array(starts, dtype=np.int64)
     lengths = np.asarray(ends, dtype=np.int64) - starts
@@ -379,12 +399,16 @@ def is_coarser(alpha: Partition, beta: Partition) -> bool:
     """
     _require_same_space(alpha.space, beta.space)
     positive = alpha.space.masses > 0.0
-    la = alpha._labels[positive]
-    lb = beta._labels[positive]
-    # any one alpha label per beta block; all must then agree with it
-    owner = np.empty(beta._k, dtype=np.int64)
-    owner[lb] = la
-    return bool((owner[lb] == la).all())
+    return _coarser(alpha._labels[positive], beta._labels[positive], beta._k)
+
+
+def _coarser(coarse: np.ndarray, fine: np.ndarray, k: int) -> bool:
+    """Whether the atoms of each of the ``k`` labels in ``fine`` share one
+    code in ``coarse``."""
+    # any one coarse code per fine label; all must then agree with it
+    owner = np.empty(k, dtype=np.int64)
+    owner[fine] = coarse
+    return bool((owner[fine] == coarse).all())
 
 
 def entropy(alpha: Partition) -> float:
@@ -409,20 +433,18 @@ def conditional_entropies(pairs: Iterable[tuple]) -> list:
     pairs = list(pairs)
     if not pairs:
         return []
-    return _stacked_entropies(*_pair_labels(pairs))
+    return _offset_entropies(*_pair_labels(pairs))
 
 
 def _pair_labels(pairs: list) -> tuple:
-    """The masses, alpha labels and beta labels of partition pairs back to
-    back, and each pair's atom count: ``_stacked_join``'s arguments."""
+    """The masses, alpha labels and offset beta labels (``_stack``) of
+    partition pairs back to back, and each beta's block count:
+    ``_stacked_join``'s arguments."""
     for alpha, beta in pairs:
         _require_same_space(alpha.space, beta.space)
-    return (
-        np.concatenate([beta.space.masses for _, beta in pairs]),
-        np.concatenate([alpha._labels for alpha, _ in pairs]),
-        np.concatenate([beta._labels for _, beta in pairs]),
-        [len(beta.space) for _, beta in pairs],
-    )
+    betas = [beta for _, beta in pairs]
+    beta, masses = _stack(betas)
+    return masses, np.concatenate([alpha._labels for alpha, _ in pairs]), beta, [b._k for b in betas]
 
 
 def _stack(partitions: Sequence[Partition]) -> tuple:
@@ -443,36 +465,55 @@ def _block_sums(masses: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     return _segment_sums(masses[order], ends)
 
 
-def _stacked_join(masses: np.ndarray, alpha: np.ndarray, beta: np.ndarray, sizes: Sequence[int]) -> tuple:
-    """The join of many (alpha, beta) pairs of label arrays in one pass.
+def _stacked_betas(beta: np.ndarray, sizes: Sequence[int]) -> tuple:
+    """Raw beta codes of pairs stacked back to back (``sizes`` gives each
+    pair's atom count) relabelled into ``_stacked_join``'s layout, and
+    each pair's block count.
 
-    The pairs lie back to back in ``masses``, ``alpha`` and ``beta``, and
-    ``sizes`` gives each pair's atom count. The labels may be any
-    nonnegative int64 codes: two atoms of a pair share a block exactly
-    when they share a code. One ``_canonical`` over the stack relabels
-    the betas, each pair's codes set past those of the pairs before it,
-    so every pair's beta blocks come in order of first atom, as its
-    canonical labels would give them, and no block crosses a pair. A
-    second one relabels the join codes the same way. Both mixed-radix
-    steps relabel first where they would overflow int64 (``_join_codes``).
-
-    Returns the stacked beta labels, the join labels, the block masses of
-    the betas and of the joins, and each pair's beta block count.
+    The codes may be any nonnegative int64 codes: two atoms of a pair
+    share a block exactly when they share a code. One ``_canonical`` over
+    the codes joined with the pair index numbers every pair's blocks in
+    order of first atom, past the blocks of the pairs before it, as
+    ``_stack`` lays out canonical labels.
     """
     n = len(sizes)
     pair = np.arange(n).repeat(sizes)
-    lb, k_beta = _canonical(_join_codes([(beta, int(beta.max()) + 1), (pair, n)])[0])
-    joint, k_joint = _canonical(_join_codes([(alpha, int(alpha.max()) + 1), (lb, k_beta)])[0])
-    owner = np.empty(k_beta, dtype=np.int64)
-    owner[lb] = pair
-    counts = np.bincount(owner, minlength=n).tolist()
-    return lb, joint, _block_sums(masses, lb, k_beta), _block_sums(masses, joint, k_joint), counts
+    labels, k = _canonical(_join_codes([(beta, int(beta.max()) + 1), (pair, n)])[0])
+    owner = np.empty(k, dtype=np.int64)
+    owner[labels] = pair
+    return labels, np.bincount(owner, minlength=n).tolist()
+
+
+def _stacked_join(masses: np.ndarray, alpha: np.ndarray, beta: np.ndarray, counts: Sequence[int]) -> tuple:
+    """The join of many (alpha, beta) pairs of label arrays in one pass.
+
+    The pairs lie back to back in ``masses``, ``alpha`` and ``beta``.
+    ``beta`` holds canonical labels in ``_stack``'s layout: every pair's
+    blocks are numbered in order of first atom, past the ``counts``
+    blocks of the pairs before it, so no block crosses a pair. Partition
+    labels come that way; raw codes go through ``_stacked_betas`` first.
+    ``alpha`` may be any nonnegative int64 codes. One ``_canonical``
+    relabels the join codes alpha * sum(counts) + beta the same way;
+    ``_join_codes`` relabels first where that product would overflow.
+
+    Returns the beta labels, the join labels, the block masses of the
+    betas and of the joins, and ``counts``.
+    """
+    k_beta = sum(counts)
+    joint, k_joint = _canonical(_join_codes([(alpha, int(alpha.max()) + 1), (beta, k_beta)])[0])
+    return beta, joint, _block_sums(masses, beta, k_beta), _block_sums(masses, joint, k_joint), counts
+
+
+def _offset_entropies(masses: np.ndarray, alpha: np.ndarray, beta: np.ndarray, counts: Sequence[int]) -> list:
+    """H(alpha | beta) of every pair of label arrays stacked as
+    ``_stacked_join`` takes them."""
+    return _join_entropies(*_stacked_join(masses, alpha, beta, counts))
 
 
 def _stacked_entropies(masses: np.ndarray, alpha: np.ndarray, beta: np.ndarray, sizes: Sequence[int]) -> list:
-    """H(alpha | beta) of every pair of label arrays stacked as
-    ``_stacked_join`` takes them."""
-    return _join_entropies(*_stacked_join(masses, alpha, beta, sizes))
+    """H(alpha | beta) of every pair of raw code arrays stacked back to
+    back, ``sizes`` giving each pair's atom count."""
+    return _offset_entropies(masses, alpha, *_stacked_betas(beta, sizes))
 
 
 def _join_entropies(lb, joint, mB, mJ, counts) -> list:
@@ -497,23 +538,48 @@ def _join_entropies(lb, joint, mB, mJ, counts) -> list:
     keep = p > 0.0
     q = p[keep]
     ends = np.bincount(owner[live][keep], minlength=mB.shape[0]).cumsum().tolist()
-    fiber_entropies = _segment_sums(-(q * np.log(q)), ends).tolist()
-    return _block_totals(mB.tolist(), fiber_entropies, counts)
+    return _block_totals(mB, _segment_sums(-(q * np.log(q)), ends), counts)
 
 
-def _block_totals(block_masses: list, values: list, counts: Sequence[int]) -> list:
+def _block_totals(block_masses: np.ndarray, values: np.ndarray, counts: Sequence[int]) -> list:
     """sum_B mu(B) * value(B) over the positive-mass blocks of each
-    partition, left to right; ``counts`` are the partitions' block counts."""
-    totals = []
-    start = 0
-    for k in counts:
-        total = 0.0
-        for m, v in zip(block_masses[start : start + k], values[start : start + k]):
-            if m > 0.0:
-                total += m * v
-        totals.append(total)
-        start += k
-    return totals
+    partition, added left to right from 0.0; ``counts`` are the
+    partitions' block counts, their blocks back to back.
+
+    Each partition's terms fill a row behind a leading 0.0 and are padded
+    with zeros; ``cumsum`` adds along a row strictly left to right, and an
+    added 0.0 (a skipped block or the padding) leaves a sum that started
+    at 0.0 unchanged, so every total is the plain loop's to the bit. Rows
+    are grouped by their block count rounded up to a power of two, so the
+    padding at most doubles them. Below ``_SMALL`` blocks the plain loop
+    is cheaper.
+    """
+    if block_masses.shape[0] <= _SMALL:
+        masses, values = block_masses.tolist(), values.tolist()
+        totals = []
+        start = 0
+        for k in counts:
+            total = 0.0
+            for m, v in zip(masses[start : start + k], values[start : start + k]):
+                if m > 0.0:
+                    total += m * v
+            totals.append(total)
+            start += k
+        return totals
+    terms = np.zeros(block_masses.shape[0])
+    np.multiply(block_masses, values, out=terms, where=block_masses > 0.0)
+    counts = np.asarray(counts, dtype=np.int64)
+    starts = counts.cumsum() - counts
+    exponents = np.ceil(np.log2(np.maximum(counts, 1))).astype(np.int64)
+    totals = np.empty(counts.shape[0])
+    for exponent in np.flatnonzero(np.bincount(exponents)).tolist():
+        rows = np.flatnonzero(exponents == exponent)
+        cols = np.arange(1 << exponent)
+        inside = cols < counts[rows, None]
+        padded = np.zeros((rows.shape[0], cols.shape[0] + 1))
+        padded[:, 1:][inside] = terms[(starts[rows, None] + cols)[inside]]
+        totals[rows] = padded.cumsum(axis=1)[:, -1]
+    return totals.tolist()
 
 
 @dataclass(frozen=True)
@@ -535,41 +601,54 @@ class MassFunctionResult:
 
 def conditional_mass_functions(triples: Iterable[tuple]) -> list:
     """The conditional mass function of every (space, alpha, cond) triple,
-    from one stacked join of the (alpha, cond) pairs.
-
-    m(x) is the mass of the join block through x over that of the cond
-    block through x. The join is the one ``conditional_entropies`` stacks,
-    and H(alpha | cond) is read from it in the same pass. Each triple's
-    integral sum_x mu(x) log m(x) takes one ``math.log`` per positive-mass
-    atom, summed in atom order.
-    """
+    from one stacked join of the (alpha, cond) pairs: the results of
+    ``_stacked_mass_functions`` read back into atom ids."""
     triples = list(triples)
     for space, alpha, cond in triples:
         for p in (alpha, cond):
             _require_same_space(p.space, space)
     if not triples:
         return []
-    joined = _stacked_join(*_pair_labels([(alpha, cond) for _, alpha, cond in triples]))
+    sizes = [len(space) for space, _, _ in triples]
+    _, m, live, gaps = _stacked_mass_functions(
+        *_pair_labels([(alpha, cond) for _, alpha, cond in triples]), sizes
+    )
+    m, live = m.tolist(), live.tolist()
+    results = []
+    for (space, _, _), end, gap in zip(triples, accumulate(sizes), gaps.tolist()):
+        own = live[end - len(space) : end]
+        values = dict(zip(compress(space.atom_ids, own), compress(m[end - len(space) : end], own)))
+        excluded = tuple(a for a, keep in zip(space.atom_ids, own) if not keep)
+        results.append(MassFunctionResult(values, excluded, gap))
+    return results
+
+
+def _stacked_mass_functions(masses, alpha, beta, counts, sizes) -> tuple:
+    """The conditional mass functions of many (alpha, cond) pairs of label
+    arrays, laid out as ``_stacked_join`` takes them with cond as beta;
+    ``sizes`` gives each pair's atom count.
+
+    m(x) is the mass of the join block through x over that of the cond
+    block through x, and H(alpha | cond) is read from the same join. Each
+    pair's integral sum_x mu(x) log m(x) takes one ``math.log`` per
+    positive-mass atom, summed in atom order (``_block_totals`` with the
+    atoms as blocks).
+
+    Returns the join, m per atom (0.0 where the cond block has no mass),
+    the mask of atoms whose cond block has mass, and each pair's
+    |H(alpha | cond) + integral|.
+    """
+    joined = _stacked_join(masses, alpha, beta, counts)
     lb, joint, mB, mJ, _ = joined
-    entropies = _join_entropies(*joined)
     mC = mB[lb]
     live = mC > 0.0
-    m = iter((mJ[joint[live]] / mC[live]).tolist())
-    live = live.tolist()
-    results = []
-    start = 0
-    for (space, _, _), h in zip(triples, entropies):
-        own = live[start : start + len(space)]
-        start += len(space)
-        # zip reads the atom first, so it stops before taking the next triple's value
-        values = dict(zip(compress(space.atom_ids, own), m))
-        excluded = tuple(a for a, keep in zip(space.atom_ids, own) if not keep)
-        integral = 0.0
-        for mx, mv in zip(compress(space.masses.tolist(), own), values.values()):
-            if mx > 0.0:
-                integral += mx * math.log(mv)
-        results.append(MassFunctionResult(values, excluded, abs(h + integral)))
-    return results
+    m = np.divide(mJ[joint], mC, out=np.zeros(mC.shape[0]), where=live)
+    # a positive-mass atom makes its cond block's mass positive
+    positive = masses > 0.0
+    logs = np.zeros(masses.shape[0])
+    logs[positive] = [math.log(v) for v in m[positive].tolist()]
+    integrals = _block_totals(masses, logs, sizes)
+    return joined, m, live, np.abs(np.add(_join_entropies(*joined), integrals))
 
 
 class FactorSpace:
@@ -662,15 +741,10 @@ def _fiber_masses(masses: np.ndarray, labels: np.ndarray, order: np.ndarray, blo
 
 def _reintegrate(items: Iterable[tuple]) -> list:
     """For every (partition, atoms) item, the mass of the atom set
-    re-integrated over the partition's fibers, all items in one pass over
-    their stacked labels.
-
+    re-integrated over the partition's fibers: the items' labels are
+    stacked (``_stack``) and go through one ``_stacked_reintegration``.
     The atoms are read as a set (a repeated atom counts once, an unknown
-    one raises). Each fiber mass is one segment sum over the set's atoms
-    in the fiber, in atom order, and each item's total is summed over its
-    positive-mass blocks left to right, so every value is the one its
-    item gets alone.
-    """
+    one raises)."""
     items = list(items)
     partitions = [p for p, _ in items]
     labels, masses = _stack(partitions)
@@ -680,13 +754,26 @@ def _reintegrate(items: Iterable[tuple]) -> list:
         picked += [start + i for i in p.space._indices(atoms)]
         start += len(p.space)
     wanted[picked] = True
-    k = sum(p._k for p in partitions)
-    order, ends = _group(labels, k)
-    mB = _segment_sums(masses[order], ends)
-    fibers = _fiber_masses(masses, labels, order, mB)
-    counts = np.bincount(labels[wanted], minlength=k)
-    sums = _segment_sums(fibers[wanted[order]], counts.cumsum().tolist()).tolist()
-    return _block_totals(mB.tolist(), sums, [p._k for p in partitions])
+    counts = [p._k for p in partitions]
+    return _stacked_reintegration(masses, labels, _block_sums(masses, labels, sum(counts)), counts, wanted)
+
+
+def _stacked_reintegration(masses, labels, block_masses, counts, wanted) -> list:
+    """For many partitions, stacked as ``_stacked_join`` stacks its betas
+    (``counts`` blocks each, with their ``block_masses``), the mass of
+    the ``wanted`` atoms re-integrated over each partition's fibers.
+
+    Each fiber mass is one segment sum over the wanted atoms in the
+    fiber, in atom order, and each partition's total is summed over its
+    positive-mass blocks left to right, so every value is the one its
+    partition gets alone.
+    """
+    picked = np.flatnonzero(wanted)
+    own = labels[picked]
+    by_block = picked[own.argsort(kind="stable")]
+    fibers = _fiber_masses(masses, labels, by_block, block_masses)
+    ends = np.bincount(own, minlength=block_masses.shape[0]).cumsum().tolist()
+    return _block_totals(block_masses, _segment_sums(fibers, ends), counts)
 
 
 def disintegrate(space: FiniteProbabilitySpace, alpha: Partition) -> Disintegration:

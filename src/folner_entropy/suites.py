@@ -5,6 +5,14 @@ reproducible; reports aggregate worst slacks and violation counts per
 property. Measure-preserving permutations are built with masses
 constant along cycles, so preservation holds bit-exactly rather than
 within a tolerance.
+
+Every trial is drawn as raw arrays: its masses, a permutation, and label
+arrays from ``_random_labels``. No space, partition or check object is
+built per trial. Consecutive trials are stacked until their terms hold
+``_BATCH_ATOMS`` atoms; each batch then takes one check of its masses
+(``FiniteProbabilitySpace``'s, with its messages), one array pass of the
+verifier entry the sweep exercises, and one ``PropertyStats.record_all``
+per property. Every report is the one a verifier call per trial gives.
 """
 
 from __future__ import annotations
@@ -16,44 +24,43 @@ from typing import Callable
 import numpy as np
 
 from .engine import (
-    _chain_checks,
-    _chain_terms,
-    _identity_checks,
+    _chain_entropies,
+    _chain_min_steps,
     _identity_entropies,
+    _identity_slacks,
+    _join_codes,
     _require_tolerances,
     _unit_elements,
     conditional_block_entropy,
 )
 from .groups import FolnerSubset
 from .spaces import (
-    FiniteProbabilitySpace,
-    Partition,
-    _reintegrate,
-    conditional_entropies,
-    conditional_mass_functions,
-    join,
+    _require_probabilities,
+    _segment_sums,
+    _stacked_betas,
+    _stacked_mass_functions,
+    _stacked_reintegration,
 )
 from .systems import DEFAULT_PATTERN_CAP, _require_generator
 
 # ---------------------------------------------------------------------------
-# instance generators
+# trial draws
 # ---------------------------------------------------------------------------
 
 
-def random_space(rng: np.random.Generator, max_atoms: int = 10, allow_zero: bool = True) -> FiniteProbabilitySpace:
-    """A random space with 2..max_atoms atoms; may include zero-mass atoms."""
+def _random_masses(rng: np.random.Generator, max_atoms: int) -> np.ndarray:
+    """The masses of a random space of 2..max_atoms atoms; from 3 atoms on,
+    some may be zero."""
     n = int(rng.integers(2, max_atoms + 1))
     w = rng.random(n)
-    if allow_zero and n >= 3 and rng.random() < 0.3:
+    if n >= 3 and rng.random() < 0.3:
         k = int(rng.integers(1, max(2, n // 3) + 1))
         w[rng.choice(n, size=k, replace=False)] = 0.0
-    if w.sum() <= 0.0:
+    total = w.sum()
+    if total <= 0.0:
         w[0] = 1.0
-    return FiniteProbabilitySpace(range(n), w / w.sum())
-
-
-def random_partition(rng: np.random.Generator, space: FiniteProbabilitySpace) -> Partition:
-    return Partition.from_labels(space, _random_labels(rng, len(space))[0])
+        total = w.sum()
+    return w / total
 
 
 def _random_labels(rng: np.random.Generator, n: int) -> tuple:
@@ -63,35 +70,30 @@ def _random_labels(rng: np.random.Generator, n: int) -> tuple:
     return rng.integers(0, k, size=n), k
 
 
-def random_permutation_instance(rng: np.random.Generator, max_atoms: int = 10):
-    """A space together with a permutation preserving it bit-exactly.
+def _random_permutation_masses(rng: np.random.Generator, max_atoms: int) -> tuple:
+    """The masses of a random space and a permutation preserving them
+    bit-exactly.
 
     Masses are assigned per cycle of the permutation (one shared float
     per cycle), so ``masses[perm[j]] == masses[j]`` holds as an exact
-    float identity, which the action constructor requires.
+    float identity, which the action constructor requires. Cycles are
+    numbered by their smallest atom, and the normaliser adds the cycles'
+    weights in that order.
     """
     n = int(rng.integers(2, max_atoms + 1))
-    perm = [int(x) for x in rng.permutation(n)]
-    seen = [False] * n
-    cycles = []
+    perm = rng.permutation(n)
+    step = perm.tolist()
+    cycle = [-1] * n
+    count = 0
     for s in range(n):
-        if seen[s]:
-            continue
-        cyc = [s]
-        seen[s] = True
-        j = perm[s]
-        while j != s:
-            cyc.append(j)
-            seen[j] = True
-            j = perm[j]
-        cycles.append(cyc)
-    w = rng.random(len(cycles))
-    total = float(sum(len(c) * wi for c, wi in zip(cycles, w)))
-    masses = np.empty(n)
-    for cyc, wi in zip(cycles, w):
-        masses[cyc] = float(wi) / total
-    space = FiniteProbabilitySpace(range(n), masses)
-    return space, tuple(perm)
+        if cycle[s] < 0:
+            j = s
+            while cycle[j] < 0:
+                cycle[j] = count
+                j = step[j]
+            count += 1
+    w = rng.random(count)
+    return w[cycle] / (np.bincount(cycle) * w).cumsum()[-1], perm
 
 
 # ---------------------------------------------------------------------------
@@ -129,11 +131,14 @@ def _run_batched(trials: int, draw: Callable[[], tuple], flush: Callable[[list],
             batch, atoms = [], 0
 
 
-def _entropies_per_trial(pair_lists: list) -> list:
-    """The conditional entropies of every trial's pairs from one
-    ``conditional_entropies`` call, one list per trial."""
-    values = iter(conditional_entropies([pair for pairs in pair_lists for pair in pairs]))
-    return [[next(values) for _ in pairs] for pairs in pair_lists]
+def _stacked_masses(batch: list) -> tuple:
+    """The masses of a batch's trials (each trial's first term) back to
+    back, after ``FiniteProbabilitySpace``'s checks on each, and their
+    atom counts."""
+    sizes = [terms[0].shape[0] for terms in batch]
+    masses = np.concatenate([terms[0] for terms in batch])
+    _require_probabilities(masses, sizes)
+    return masses, sizes
 
 
 @dataclass
@@ -151,6 +156,19 @@ class PropertyStats:
         self.min_slack = min(self.min_slack, slack)
         if slack < -self.tolerance:
             self.violations += 1
+
+    def record_all(self, slacks: np.ndarray) -> None:
+        """``record`` of every slack in turn, in one array pass. As the loop
+        does, ``min_slack`` moves only to a slack strictly below it, and
+        then to the first of the smallest slacks, so a zero keeps its sign
+        and a NaN is never taken."""
+        slacks = np.asarray(slacks, dtype=np.float64)
+        self.checked += slacks.shape[0]
+        self.violations += int(np.count_nonzero(slacks < -self.tolerance))
+        if slacks.shape[0]:
+            low = np.fmin.reduce(slacks)
+            if low < self.min_slack:
+                self.min_slack = float(slacks[(slacks == low).argmax()])
 
     @property
     def ok(self) -> bool:
@@ -194,13 +212,13 @@ def sweep_identities(
     action (translation invariance) and as a raw map (invariance under
     measure isomorphisms), and checks all identities on a random
     partition triple. A trial is drawn as raw arrays: the masses, the
-    permutation and three label arrays. Consecutive trials are stacked
-    until their pairs hold ``_BATCH_ATOMS`` atoms; each batch then takes
-    one check of its permutations, which raises ``FinitePMPAction``'s
-    errors, and one ``_identity_entropies`` pass, the one
-    ``verify_entropy_identities`` makes for a single triple. Every value,
-    and so the report, is the one a ``verify_entropy_identities`` call per
-    trial gives. Both tolerances must be finite and nonnegative.
+    permutation and three label arrays. Each batch takes one check of its
+    masses, one of its permutations, which raises ``FinitePMPAction``'s
+    errors, one ``_identity_entropies`` pass, the one
+    ``verify_entropy_identities`` makes for a single triple, and the same
+    check arithmetic over arrays. The report is the one a
+    ``verify_entropy_identities`` call per trial gives. Both tolerances
+    must be finite and nonnegative.
     """
     _require_arguments(trials, max_atoms, tolerance, equality_tolerance)
     rng = np.random.default_rng(seed)
@@ -208,27 +226,35 @@ def sweep_identities(
     elements = _unit_elements(1)
 
     def draw():
-        space, perm = random_permutation_instance(rng, max_atoms)
-        n = len(space)
+        masses, perm = _random_permutation_masses(rng, max_atoms)
+        n = len(masses)
         triple = [_random_labels(rng, n) for _ in range(3)]
-        return (space.masses, perm, triple), n * (7 + len(elements) + 1)
+        return (masses, perm, triple), n * (7 + len(elements) + 1)
 
     def flush(batch):
-        sizes = [len(masses) for masses, _, _ in batch]
-        masses = np.concatenate([masses for masses, _, _ in batch])
+        masses, sizes = _stacked_masses(batch)
         perm = _stacked_permutations(masses, [perm for _, perm, _ in batch], sizes)
         inverse = np.empty_like(perm)
         inverse[perm] = np.arange(perm.shape[0])
         labels = [np.concatenate([triple[i][0] for _, _, triple in batch]) for i in range(3)]
         bounds = [max(triple[i][1] for _, _, triple in batch) for i in range(3)]
         # T_e gathers through the inverse, T_-e and the raw map through perm
-        for own in _identity_entropies(masses, sizes, labels, bounds, [inverse, perm, perm]):
-            result = _identity_checks(own, elements, True, tolerance, equality_tolerance)
-            for check in result.checks:
-                report.stat(check.name, check.tol).record(check.slack)
+        values = np.array(_identity_entropies(masses, sizes, labels, bounds, [inverse, perm, perm])).T
+        _record_slacks(report, _identity_slacks(values, elements, True, tolerance, equality_tolerance))
 
     _run_batched(trials, draw, flush)
     return report
+
+
+def _record_slacks(report: SweepReport, slacks: list) -> None:
+    """Record a batch's (name, slack array over the trials, tolerance,
+    detail) checks, trial by trial and in check order within a trial, as
+    recording each trial's checks in turn would."""
+    by_name: dict = {}
+    for name, slack, tol, _ in slacks:
+        by_name.setdefault(name, (tol, []))[1].append(slack)
+    for name, (tol, rows) in by_name.items():
+        report.stat(name, tol).record_all(np.stack(rows, axis=1).ravel())
 
 
 def _stacked_permutations(masses: np.ndarray, perms: list, sizes: list) -> np.ndarray:
@@ -256,11 +282,14 @@ def sweep_disintegration(
 
     Each trial checks that re-integrating a random atom subset through
     the disintegration over a random partition reproduces its mass (read
-    independently by ``mass_of``), and that -log of the conditional mass
-    function integrates to H(alpha | cond). Consecutive trials go through
-    one re-integration pass and one ``conditional_mass_functions`` call
-    once their spaces hold ``_BATCH_ATOMS`` atoms; every value, and so the
-    report, is the one a ``reconstruct`` and a ``conditional_mass_function``
+    independently, as ``mass_of`` reads it), and that -log of the
+    conditional mass function integrates to H(alpha | cond). A trial is
+    drawn as raw arrays: the masses, two label arrays and the subset's
+    mask. Each batch takes one check of its masses and one
+    ``_stacked_mass_functions`` join; the re-integration reads the cond
+    labels and block masses of that join (``_stacked_reintegration``), and
+    the direct masses are one segment sum over the picked atoms. The
+    report is the one a ``reconstruct`` and a ``conditional_mass_function``
     call per trial give. ``tolerance`` must be finite and nonnegative.
     """
     _require_arguments(trials, max_atoms, tolerance)
@@ -268,19 +297,22 @@ def sweep_disintegration(
     report = SweepReport(trials, seed)
 
     def draw():
-        space = random_space(rng, max_atoms)
-        alpha = random_partition(rng, space)
-        cond = random_partition(rng, space)
-        pick = rng.random(len(space)) < 0.5
-        subset = [a for a, take in zip(space.atom_ids, pick) if take]
-        return (space, alpha, cond, subset), len(space)
+        masses = _random_masses(rng, max_atoms)
+        n = masses.shape[0]
+        alpha = _random_labels(rng, n)[0]
+        cond = _random_labels(rng, n)[0]
+        return (masses, alpha, cond, rng.random(n) < 0.5), n
 
     def flush(batch):
-        rebuilt = _reintegrate([(cond, subset) for _, _, cond, subset in batch])
-        mfs = conditional_mass_functions([(space, alpha, cond) for space, alpha, cond, _ in batch])
-        for (space, _, _, subset), mass, mf in zip(batch, rebuilt, mfs):
-            report.stat("reconstruction", tolerance).record(-abs(mass - space.mass_of(subset)))
-            report.stat("mass_function_integral", tolerance).record(-mf.integral_gap)
+        masses, sizes = _stacked_masses(batch)
+        alpha, cond, pick = (np.concatenate([terms[i] for terms in batch]) for i in (1, 2, 3))
+        cond, counts = _stacked_betas(cond, sizes)
+        (_, _, mC, _, _), _, _, gaps = _stacked_mass_functions(masses, alpha, cond, counts, sizes)
+        rebuilt = _stacked_reintegration(masses, cond, mC, counts, pick)
+        trial = np.arange(len(batch)).repeat(sizes)
+        direct = _segment_sums(masses[pick], np.bincount(trial[pick], minlength=len(batch)).cumsum().tolist())
+        report.stat("reconstruction", tolerance).record_all(-np.abs(np.subtract(rebuilt, direct)))
+        report.stat("mass_function_integral", tolerance).record_all(-gaps)
 
     _run_batched(trials, draw, flush)
     return report
@@ -295,36 +327,55 @@ def sweep_exhaustion(
     """Monotone decay of H(xi | alpha_n v C) along random refining chains.
 
     Chains are cumulative joins of random partitions, capped with the
-    point partition so the final conditional entropy must vanish. The
-    conditional entropies of consecutive trials go through one
-    ``conditional_entropies`` call once their pairs hold ``_BATCH_ATOMS``
-    atoms; every value, and so the report, is the one a
-    ``verify_chain_exhaustion`` call per trial gives. ``tolerance`` must
-    be finite and nonnegative.
+    point partition so the final conditional entropy must vanish. A trial
+    is drawn as raw arrays: the masses, xi's labels, C's labels (zeros
+    without C) and the chain's label rows. Each batch builds every chain term as a
+    ``_join_codes`` mixed-radix code, the point partition being
+    ``arange``, and takes one check of its masses and one
+    ``_chain_entropies`` pass, which checks that every chain increases.
+    The report is the one a ``verify_chain_exhaustion`` call per trial
+    gives. ``tolerance`` must be finite and nonnegative.
     """
     _require_arguments(trials, max_atoms, tolerance)
     rng = np.random.default_rng(seed)
     report = SweepReport(trials, seed)
 
     def draw():
-        space = random_space(rng, max_atoms)
-        xi = random_partition(rng, space)
-        cond = random_partition(rng, space) if rng.random() < 0.5 else None
-        chain = []
-        cur = random_partition(rng, space)
-        chain.append(cur)
-        for _ in range(int(rng.integers(1, 4))):
-            cur = join(cur, random_partition(rng, space))
-            chain.append(cur)
-        chain.append(join(cur, Partition.points(space)))
-        pairs = _chain_terms(space, chain, xi, cond)
-        return pairs, len(space) * len(pairs)
+        masses = _random_masses(rng, max_atoms)
+        n = masses.shape[0]
+        xi = _random_labels(rng, n)[0]
+        cond = _random_labels(rng, n) if rng.random() < 0.5 else (np.zeros(n, dtype=np.int64), 1)
+        rows = [_random_labels(rng, n)]
+        rows += [_random_labels(rng, n) for _ in range(int(rng.integers(1, 4)))]
+        return (masses, xi, cond, rows), n * (len(rows) + 1)
 
     def flush(batch):
-        for pairs, own in zip(batch, _entropies_per_trial(batch)):
-            result = _chain_checks(pairs, own, tolerance)
-            report.stat("chain_monotone", tolerance).record(result.min_step_slack)
-            report.stat("chain_vanishes", tolerance).record(-abs(result.values[-1]))
+        masses, sizes = _stacked_masses(batch)
+        xi = np.concatenate([terms[1] for terms in batch])
+        cond = (np.concatenate([terms[2][0] for terms in batch]), max(terms[2][1] for terms in batch))
+        depths = [len(terms[3]) for terms in batch]
+        # term j joins rows 0..j of each trial (a trial without row j joins
+        # a row of zeros); the last term joins the deepest one with the points
+        chain = []
+        for j in range(max(depths)):
+            rows = [
+                terms[3][j] if j < depth else (np.zeros(n, dtype=np.int64), 1)
+                for terms, depth, n in zip(batch, depths, sizes)
+            ]
+            row = (np.concatenate([codes for codes, _ in rows]), max(k for _, k in rows))
+            chain.append(_join_codes(chain[-1:] + [row]))
+        chain.append(_join_codes(chain[-1:] + [(np.arange(masses.shape[0]), masses.shape[0])]))
+        codes, bounds = zip(*chain)
+        # each trial's chain: its own joins, then the join with the points
+        lengths = np.array(depths) + 1
+        item_row = np.array([j for depth in depths for j in (*range(depth), max(depths))])
+        values, _ = _chain_entropies(
+            masses, sizes, xi, cond, np.stack(codes), max(bounds),
+            np.arange(len(batch)).repeat(lengths), item_row,
+        )
+        values = np.array(values)
+        report.stat("chain_monotone", tolerance).record_all(_chain_min_steps(values, lengths))
+        report.stat("chain_vanishes", tolerance).record_all(-np.abs(values[lengths.cumsum() - 1]))
 
     _run_batched(trials, draw, flush)
     return report

@@ -35,6 +35,7 @@ from folner_entropy import (
     engine,
     entropy_rate,
     h_conditional,
+    is_coarser,
     join,
     markov_shift,
     mixture,
@@ -53,7 +54,6 @@ from folner_entropy.engine import (
     _finite_window_join,
 )
 from folner_entropy.spaces import _join_rows
-from folner_entropy.suites import random_partition, random_permutation_instance
 from folner_entropy.systems import (
     IncompatibleSubAlgebraError,
     MixtureSystem,
@@ -64,6 +64,7 @@ from folner_entropy.systems import (
     symbol_pattern_logprobs,
     symbol_pattern_probs,
 )
+from test_suites import random_partition, random_permutation_instance, random_space
 
 LOG2 = math.log(2.0)
 PI = np.array([2 / 3, 1 / 3])
@@ -1124,6 +1125,56 @@ def test_chain_exhaustion_rejects_non_increasing():
         verify_chain_exhaustion(space, [fine, coarse], fine)
     with pytest.raises(ValueError, match="empty chain"):
         verify_chain_exhaustion(space, [], fine)
+
+
+def _chain_exhaustion_by_partitions(space, chain, xi, cond, tolerance):
+    """``verify_chain_exhaustion`` from partition joins, ``is_coarser`` and
+    one ``conditional_entropy`` per term: the oracle of its array pass."""
+    for prev, cur in zip(chain, chain[1:]):
+        if not is_coarser(prev, cur):
+            raise ValueError("chain not increasing")
+    base = Partition.trivial(space) if cond is None else cond
+    parts = [join(part, base) for part in chain]
+    values = [conditional_entropy(xi, part) for part in parts]
+    positive = space.masses > 0.0
+    separating = [i for i, part in enumerate(parts) if np.bincount(part.labels()[positive]).max() <= 1]
+    first = separating[0] if separating else None
+    steps = [prev - cur for prev, cur in zip(values, values[1:])]
+    min_step = min(steps) if steps else 0.0
+    ok = not min_step < -tolerance
+    if first is not None and any(abs(v) > tolerance for v in values[first:]):
+        ok = False
+    return (values, min_step, first, ok)
+
+
+@pytest.mark.parametrize("max_atoms", [2, 6, 40])
+def test_chain_exhaustion_equals_partition_algebra(max_atoms):
+    # random chains, some of them not increasing (a term not joined with the
+    # one before it), over spaces with zero-mass atoms
+    rng = np.random.default_rng(max_atoms)
+    outcomes = set()
+    for _ in range(150):
+        space = random_space(rng, max_atoms)
+        xi = random_partition(rng, space)
+        cond = random_partition(rng, space) if rng.random() < 0.5 else None
+        chain = [random_partition(rng, space)]
+        for _ in range(int(rng.integers(0, 4))):
+            step = random_partition(rng, space)
+            chain.append(join(chain[-1], step) if rng.random() < 0.8 else step)
+        if rng.random() < 0.5:
+            chain.append(Partition.points(space))
+        try:
+            expected = repr(_chain_exhaustion_by_partitions(space, chain, xi, cond, 1e-12))
+        except ValueError as error:
+            outcomes.add("raises")
+            with pytest.raises(ValueError, match=f"^{error}$"):
+                verify_chain_exhaustion(space, chain, xi, cond)
+            continue
+        result = verify_chain_exhaustion(space, chain, xi, cond)
+        outcomes.add(result.first_separating is not None)
+        got = (result.values, result.min_step_slack, result.first_separating, result.ok)
+        assert repr(got) == expected
+    assert outcomes == {"raises", True, False}
 
 
 # -- wire labels -------------------------------------------------------------------

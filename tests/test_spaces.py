@@ -27,7 +27,8 @@ from folner_entropy import (
     same_space,
 )
 from folner_entropy._kernels import entropy_from_probs
-from folner_entropy.spaces import _join_rows, _segment_sums, _stacked_entropies
+from folner_entropy import spaces as spaces_module
+from folner_entropy.spaces import _block_totals, _join_rows, _segment_sums, _stacked_entropies
 
 LOG2 = 0.6931471805599453
 
@@ -530,6 +531,59 @@ def test_stacked_join_reads_raw_codes(high_bit):
         [len(b.space) for _, b in pairs],
     )
     assert [repr(h) for h in got] == expected
+
+
+def test_one_pair_conditional_entropy_relabels_once(monkeypatch):
+    # partition labels are already canonical, so only the join codes are
+    # relabelled; raw codes took a second pass over the betas
+    calls = []
+    canonical = spaces_module._canonical
+
+    def counted(codes):
+        calls.append(codes.shape[0])
+        return canonical(codes)
+
+    monkeypatch.setattr(spaces_module, "_canonical", counted)
+    rng = np.random.default_rng(6)
+    for n in (5, 2000):
+        space = FiniteProbabilitySpace.uniform(n)
+        alpha, beta = (Partition.from_labels(space, rng.integers(0, 7, size=n)) for _ in range(2))
+        calls.clear()
+        conditional_entropy(alpha, beta)
+        assert calls == [n]
+
+
+def _block_totals_loop(block_masses: list, values: list, counts) -> list:
+    """sum_B mu(B) * value(B) over the positive-mass blocks of each
+    partition, left to right: the plain loop, kept as the oracle."""
+    totals = []
+    start = 0
+    for k in counts:
+        total = 0.0
+        for m, v in zip(block_masses[start : start + k], values[start : start + k]):
+            if m > 0.0:
+                total += m * v
+        totals.append(total)
+        start += k
+    return totals
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_block_totals_equal_the_left_to_right_loop(seed):
+    # zero-mass blocks, negative zeros and mixed magnitudes, below and
+    # above the small-input cut
+    rng = np.random.default_rng(seed)
+    for _ in range(1000):
+        counts = rng.integers(1, int(rng.choice([3, 12, 80])), size=int(rng.integers(1, 40))).tolist()
+        k = sum(counts)
+        masses = rng.random(k)
+        masses[rng.random(k) < 0.3] = 0.0
+        values = rng.random(k) * rng.choice([1.0, 1e-10, 1e10], size=k)
+        values[rng.random(k) < 0.1] = -0.0
+        expected = _block_totals_loop(masses.tolist(), values.tolist(), counts)
+        got = _block_totals(masses, values, counts)
+        assert got == expected
+        assert repr(got) == repr(expected)
 
 
 def test_conditional_entropies_of_no_pairs():

@@ -11,6 +11,7 @@ from folner_entropy import (
     FinitePMPAction,
     FiniteProbabilitySpace,
     Partition,
+    PropertyStats,
     conditional_mass_function,
     disintegrate,
     join,
@@ -22,12 +23,57 @@ from folner_entropy import (
     verify_chain_exhaustion,
     verify_entropy_identities,
 )
-from folner_entropy.suites import (
-    SweepReport,
-    random_partition,
-    random_permutation_instance,
-    random_space,
-)
+from folner_entropy.suites import SweepReport, _random_labels
+
+# -- per-object draws: the oracles' instances, from the same rng calls as the
+# sweeps' array draws ------------------------------------------------------------
+
+
+def random_space(rng: np.random.Generator, max_atoms: int = 10, allow_zero: bool = True) -> FiniteProbabilitySpace:
+    """A random space with 2..max_atoms atoms; may include zero-mass atoms."""
+    n = int(rng.integers(2, max_atoms + 1))
+    w = rng.random(n)
+    if allow_zero and n >= 3 and rng.random() < 0.3:
+        k = int(rng.integers(1, max(2, n // 3) + 1))
+        w[rng.choice(n, size=k, replace=False)] = 0.0
+    if w.sum() <= 0.0:
+        w[0] = 1.0
+    return FiniteProbabilitySpace(range(n), w / w.sum())
+
+
+def random_partition(rng: np.random.Generator, space: FiniteProbabilitySpace) -> Partition:
+    return Partition.from_labels(space, _random_labels(rng, len(space))[0])
+
+
+def random_permutation_instance(rng: np.random.Generator, max_atoms: int = 10):
+    """A space together with a permutation preserving it bit-exactly.
+
+    Masses are assigned per cycle of the permutation (one shared float
+    per cycle), so ``masses[perm[j]] == masses[j]`` holds as an exact
+    float identity, which the action constructor requires.
+    """
+    n = int(rng.integers(2, max_atoms + 1))
+    perm = [int(x) for x in rng.permutation(n)]
+    seen = [False] * n
+    cycles = []
+    for s in range(n):
+        if seen[s]:
+            continue
+        cyc = [s]
+        seen[s] = True
+        j = perm[s]
+        while j != s:
+            cyc.append(j)
+            seen[j] = True
+            j = perm[j]
+        cycles.append(cyc)
+    w = rng.random(len(cycles))
+    total = float(sum(len(c) * wi for c, wi in zip(cycles, w)))
+    masses = np.empty(n)
+    for cyc, wi in zip(cycles, w):
+        masses[cyc] = float(wi) / total
+    space = FiniteProbabilitySpace(range(n), masses)
+    return space, tuple(perm)
 
 
 def test_sweep_identities_small():
@@ -164,18 +210,22 @@ def _exhaustion_trial_by_trial(trials, seed, max_atoms, tolerance=1e-12):
     return report
 
 
-@pytest.mark.parametrize("trials", [1, 37, 1000])
-@pytest.mark.parametrize("max_atoms", [2, 10, 50])
-def test_batched_disintegration_sweep_equals_trial_by_trial(trials, max_atoms):
-    # at max_atoms 50 a batch closes within about 160 trials
+@pytest.mark.parametrize(
+    "max_atoms, trials", [(m, t) for m in (2, 10, 50) for t in (1, 37, 1000)] + [(100_000, 2)]
+)
+def test_batched_disintegration_sweep_equals_trial_by_trial(max_atoms, trials):
+    # at max_atoms 50 a batch closes within about 160 trials; 100000 takes
+    # the large-array routes of _canonical and _segment_sums
     for seed in range(6):
         expected = _disintegration_trial_by_trial(trials, seed, max_atoms)
         assert repr(sweep_disintegration(trials, seed, max_atoms)) == repr(expected)
 
 
-@pytest.mark.parametrize("trials", [1, 37, 200])
-@pytest.mark.parametrize("max_atoms", [2, 10, 50])
-def test_batched_exhaustion_sweep_equals_trial_by_trial(trials, max_atoms):
+@pytest.mark.parametrize(
+    "max_atoms, trials", [(m, t) for m in (2, 10, 50) for t in (1, 37, 200)] + [(100_000, 2)]
+)
+def test_batched_exhaustion_sweep_equals_trial_by_trial(max_atoms, trials):
+    # at 100000 atoms the chain codes pass int64 unless relabelled
     for seed in range(6):
         expected = _exhaustion_trial_by_trial(trials, seed, max_atoms)
         assert repr(sweep_exhaustion(trials, seed, max_atoms)) == repr(expected)
@@ -208,9 +258,11 @@ def test_sweeps_accept_zero_tolerance():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_sweeps_make_one_array_pass_per_batch(monkeypatch, seed):
-    # every conditional-entropy join (conditional_entropies and the mass
-    # functions) is one _stacked_join call; per-trial calls made 1000 and 200
-    calls = {"join": 0, "reintegrate": 0, "assign": 0}
+    # every conditional-entropy join (the entropies and the mass functions,
+    # which also serve the re-integration) is one _stacked_join call;
+    # per-trial calls made 1000 and 200. No sweep builds a space or a
+    # partition: per-trial draws made one space and 2-12 partitions a trial
+    calls = {"join": 0, "reintegrate": 0, "assign": 0, "space": 0}
 
     def counting(name, fn):
         def counted(*args):
@@ -218,20 +270,30 @@ def test_sweeps_make_one_array_pass_per_batch(monkeypatch, seed):
             return fn(*args)
         return counted
 
+    def built_nothing():
+        return calls["assign"] == calls["space"] == 0
+
     monkeypatch.setattr(spaces, "_stacked_join", counting("join", spaces._stacked_join))
-    monkeypatch.setattr(suites, "_reintegrate", counting("reintegrate", suites._reintegrate))
+    monkeypatch.setattr(
+        suites, "_stacked_reintegration", counting("reintegrate", suites._stacked_reintegration)
+    )
+    monkeypatch.setattr(Partition, "_assign", counting("assign", Partition._assign))
+    monkeypatch.setattr(
+        FiniteProbabilitySpace, "__init__", counting("space", FiniteProbabilitySpace.__init__)
+    )
     sweep_disintegration(1000, seed)
-    assert 1 <= calls["join"] <= 3 and 1 <= calls["reintegrate"] <= 3
+    assert 1 <= calls["join"] <= 3 and calls["reintegrate"] == calls["join"]
+    assert built_nothing()
     calls["join"] = 0
     sweep_exhaustion(200, seed)
     assert 1 <= calls["join"] <= 3
+    assert built_nothing()
     # a trial's 10 pairs hold at most 100 atoms, so 500 trials close at most
-    # 500 * 100 / 4096 + 1 batches; per-trial partitions made 6000 _assign calls
-    calls["join"] = calls["assign"] = 0
-    monkeypatch.setattr(Partition, "_assign", counting("assign", Partition._assign))
+    # 500 * 100 / 4096 + 1 batches
+    calls["join"] = 0
     sweep_identities(500, seed)
     assert 1 <= calls["join"] <= 500 * 100 // suites._BATCH_ATOMS + 1
-    assert calls["assign"] <= calls["join"]
+    assert built_nothing()
 
 
 def _traced_peak(call):
@@ -255,9 +317,9 @@ def test_sweep_memory_is_bounded_by_the_batch(sweep, trials):
 
 
 def _instances_in_turn(monkeypatch, instances):
-    """Make the sweep draw these (space, perm) instances, in turn."""
+    """Make the sweep draw these (masses, perm) instances, in turn."""
     it = iter(instances)
-    monkeypatch.setattr(suites, "random_permutation_instance", lambda rng, max_atoms: next(it))
+    monkeypatch.setattr(suites, "_random_permutation_masses", lambda rng, max_atoms: next(it))
 
 
 @pytest.mark.parametrize(
@@ -276,8 +338,8 @@ def test_identities_sweep_rejects_bad_instances(monkeypatch, perm, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         FinitePMPAction(space, [perm])
     uniform = FiniteProbabilitySpace.uniform(3)
-    good = (uniform, (1, 2, 0))
-    _instances_in_turn(monkeypatch, [good, (space, perm), good])
+    good = (uniform.masses, (1, 2, 0))
+    _instances_in_turn(monkeypatch, [good, (space.masses, perm), good])
     with pytest.raises(ValueError, match=f"^{message}$"):
         sweep_identities(3, 0)
 
@@ -285,7 +347,72 @@ def test_identities_sweep_rejects_bad_instances(monkeypatch, perm, message):
 def test_identities_sweep_checks_each_permutation_on_its_own_atoms(monkeypatch):
     # stacked, (0, 2) and (-1, 1) would read as the permutation (0, 2, 1, 3)
     # of four atoms, though neither maps its own two atoms onto themselves
-    space = FiniteProbabilitySpace.uniform(2)
-    _instances_in_turn(monkeypatch, [(space, (0, 2)), (space, (-1, 1))])
+    masses = FiniteProbabilitySpace.uniform(2).masses
+    _instances_in_turn(monkeypatch, [(masses, (0, 2)), (masses, (-1, 1))])
     with pytest.raises(ValueError, match="^generator is not a permutation$"):
         sweep_identities(2, 0)
+
+
+BAD_MASSES = [
+    ([0.6, 0.5, -0.1], "negative mass"),
+    ([0.5, 0.3, 0.1], "masses must sum to 1"),
+    ([0.5, float("nan"), 0.5], "masses must be finite"),
+    ([float("nan"), -0.5, 1.5], "negative mass"),
+    ([float("inf"), 0.0, 0.0], "masses must sum to 1"),
+]
+
+
+@pytest.mark.parametrize("masses, message", BAD_MASSES)
+def test_sweeps_reject_bad_masses_as_a_space_would(monkeypatch, masses, message):
+    # the batch's one mass check gives FiniteProbabilitySpace's messages
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FiniteProbabilitySpace(range(3), masses)
+    good, bad = np.full(3, 1 / 3), np.array(masses)
+    for sweep in (sweep_disintegration, sweep_exhaustion):
+        it = iter([good, bad, good])
+        monkeypatch.setattr(suites, "_random_masses", lambda rng, max_atoms: next(it))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sweep(3, 0)
+    _instances_in_turn(monkeypatch, [(good, (1, 2, 0)), (bad, (0, 1, 2)), (good, (1, 2, 0))])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sweep_identities(3, 0)
+
+
+def test_batched_mass_check_raises_for_the_first_bad_space():
+    # an unnormalised second space fails before a negative third one, as
+    # building the spaces in turn would
+    stack = [[0.5, 0.5], [0.5, 0.3, 0.1], [1.5, -0.5]]
+    masses = np.concatenate([np.array(m) for m in stack])
+    with pytest.raises(ValueError, match="^masses must sum to 1$"):
+        spaces._require_probabilities(masses, [2, 3, 2])
+    spaces._require_probabilities(masses[:2], [2])
+
+
+def test_record_all_equals_the_record_loop():
+    # signed zeros, ties, NaN and infinities, over several batches
+    rng = np.random.default_rng(3)
+    pool = [0.0, -0.0, 1e-13, -1e-13, -2.0, 5.0, float("nan"), float("inf"), -float("inf")]
+    for _ in range(400):
+        loop, batched = PropertyStats("p", 1e-12), PropertyStats("p", 1e-12)
+        for _ in range(int(rng.integers(1, 4))):
+            slacks = rng.choice(pool, size=int(rng.integers(0, 6)))
+            for slack in slacks.tolist():
+                loop.record(slack)
+            batched.record_all(slacks)
+        assert repr(batched) == repr(loop)
+
+
+@pytest.mark.parametrize("max_atoms", [2, 3, 10, 50])
+def test_array_draws_equal_the_per_object_draws(max_atoms):
+    # the sweeps' raw draws make the oracles' rng calls and give their masses
+    for seed in range(25):
+        objects, arrays = np.random.default_rng(seed), np.random.default_rng(seed)
+        space = random_space(objects, max_atoms)
+        masses = suites._random_masses(arrays, max_atoms)
+        assert masses.tolist() == space.masses.tolist()
+        assert arrays.bit_generator.state == objects.bit_generator.state
+        space, perm = random_permutation_instance(objects, max_atoms)
+        masses, array_perm = suites._random_permutation_masses(arrays, max_atoms)
+        assert masses.tolist() == space.masses.tolist()
+        assert array_perm.tolist() == list(perm)
+        assert arrays.bit_generator.state == objects.bit_generator.state
