@@ -32,6 +32,7 @@ from .groups import FolnerSequence, FolnerSubset, basis, identity as group_ident
 from .spaces import (
     FiniteProbabilitySpace,
     Partition,
+    _CODE_LIMIT,
     _canonical,
     _coarser,
     _join_codes,
@@ -110,38 +111,88 @@ def _is_finite_system(system) -> bool:
 
 
 def _finite_window_join(system: FinitePMPAction, alpha: Partition, F: FolnerSubset) -> Partition:
+    """alpha^F, the join of alpha pulled back through T_g for every g of F.
+
+    F's rows fall into maximal runs along the last axis. The join over
+    a run g + [0, L) e_d is the join over [0, L) e_d pulled back through
+    T_g, so it is built once per run length (``_run_join``) and then
+    gathered once per run. The generators commute, so after a length's
+    first run each run is the previous one gathered through the step
+    between their starts. Step maps are kept for reuse, at most d of
+    them, so a box (all runs of one length, d - 1 distinct steps) powers
+    each step once; a unit step's map is the stored generator itself.
+    """
     _require_same_space(system.space, alpha.space)
     if F.d != system.d:
         raise ValueError("dimension mismatch")
     if len(F) == 0:
         return Partition.trivial(system.space)
-    return _join_rows(system.space, _window_rows(system, alpha, F))
+
+    def rows():
+        labels, k = alpha.labels(), alpha.n_blocks
+        unit = system.atom_map(basis(system.d)[-1])
+        steps = {}
+        for length, starts in _runs(F.rows).items():
+            row, bound = _run_join(labels, k, unit, length)
+            if any(starts[0]):
+                row = row[system.atom_map(starts[0])]
+            yield row, bound
+            for prev, g in zip(starts, starts[1:]):
+                s = tuple(b - a for a, b in zip(prev, g))
+                step = steps.get(s)
+                if step is None:
+                    step = system.atom_map(s)
+                    if len(steps) < system.d:
+                        steps[s] = step
+                row = row[step]
+                yield row, bound
+
+    return _join_rows(system.space, rows())
 
 
-def _window_rows(system: FinitePMPAction, alpha: Partition, F: FolnerSubset):
-    """Yield (row, block count) for every g of F in row order, the row being
-    alpha's labels pulled back through T_g (the labels of T_{-g} alpha).
+def _runs(rows: np.ndarray) -> dict:
+    """Lexicographic window rows as maximal runs along the last axis:
+    {run length: [first row of each run of that length, in row order]}."""
+    n = rows.shape[0]
+    first, last = rows[0].tolist(), rows[-1].tolist()
+    # rows are unique and sorted, so equal leading coordinates and a span
+    # of n - 1 along the last axis make them one run
+    if first[:-1] == last[:-1] and last[-1] - first[-1] == n - 1:
+        return {n: [first]}
+    breaks = (np.diff(rows[:, -1]) != 1) | (rows[1:, :-1] != rows[:-1, :-1]).any(axis=1)
+    cuts = [0, *(np.flatnonzero(breaks) + 1).tolist(), n]
+    runs = {}
+    for g, a, b in zip(rows[cuts[:-1]].tolist(), cuts, cuts[1:]):
+        runs.setdefault(b - a, []).append(g)
+    return runs
 
-    The generators commute, so T_{g+s} = T_g ∘ T_s and the row of the next
-    element is the previous row gathered through T_s, s the step between the
-    two. Only the first row is powered from scratch. Step maps are kept for
-    reuse, at most d of them, so a box (exactly d distinct steps) powers each
-    step once; a unit step's map is the stored generator itself.
+
+def _run_join(labels: np.ndarray, k: int, step: np.ndarray, length: int) -> tuple:
+    """(codes, bound) of the join of the ``k``-block labels pulled back
+    through T^t, t in [0, length), ``step`` being T as an index array.
+
+    By doubling: with B_a the join over [0, a) and ``step`` = T^a, B_2a
+    is B_a joined with B_a gathered through T^a, and T^2a is T^a
+    gathered through itself. The set bits of ``length`` are taken from
+    the lowest up: the join over [0, a + s) is B_a joined with the join
+    over [0, s) gathered through T^a. So a run costs O(log length)
+    gathers and joins; codes are relabelled only where a bound would
+    pass ``_CODE_LIMIT``.
     """
-    labels, k = alpha.labels(), alpha.n_blocks
-    rows = F.rows.tolist()
-    row = labels[system.atom_map(rows[0])]
-    yield row, k
-    steps = {}
-    for prev, g in zip(rows, rows[1:]):
-        s = tuple(b - a for a, b in zip(prev, g))
-        step = steps.get(s)
-        if step is None:
-            step = system.atom_map(s)
-            if len(steps) < system.d:
-                steps[s] = step
-        row = row[step]
-        yield row, k
+    out = None
+    while True:
+        if length & 1 and out is None:
+            out, bound = labels, k
+        elif length & 1:
+            out = out[step]  # the old join is dropped before the new one is built
+            out, bound = _join_codes([(out, bound), (labels, k)])
+        length >>= 1
+        if not length:
+            return out, bound
+        if k * k > _CODE_LIMIT:
+            labels, k = _canonical(labels)
+        labels, k = _join_codes([(labels, k), (labels[step], k)])
+        step = step[step]
 
 
 def _finite_block_entropy(system: FinitePMPAction, alpha, F, C: SubAlgebraSpec) -> float:

@@ -349,7 +349,7 @@ def _join_codes(rows: Iterable) -> tuple:
 
     Two atoms share a code exactly when every row agrees on them; the
     codes are relabelled densely whenever the next radix could overflow
-    int64.
+    int64, and so is a row whose own bound still could.
     """
     code, bound = None, 1
     for row, k in rows:
@@ -358,6 +358,8 @@ def _join_codes(rows: Iterable) -> tuple:
             continue
         if bound * k > _CODE_LIMIT:
             code, bound = _canonical(code)
+            if bound * k > _CODE_LIMIT:
+                row, k = _canonical(row)
         code = code * k + row
         bound *= k
     return code, bound

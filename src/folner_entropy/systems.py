@@ -124,8 +124,9 @@ class FinitePMPAction:
     def atom_map(self, g: GroupElement) -> np.ndarray:
         """The permutation T_g as an index array: atom j goes to ``atom_map(g)[j]``.
 
-        This is the entry point for a single g (``act``, the first row of
-        a window join, a window's non-unit steps): each generator power
+        This is the entry point for a single g (``act``, a window join's
+        last-axis generator, the first run start of each run length and
+        the non-unit steps between run starts): each generator power
         is built by binary powering of the generator's (or its
         inverse's) index array, so T_g costs O(d log|g|) gathers. For a
         unit vector ±e_i it is the stored generator or inverse array
@@ -168,7 +169,7 @@ class SymbolPartition:
     ordered by their smallest symbol.
     """
 
-    __slots__ = ("alphabet", "cells", "_cell_of")
+    __slots__ = ("alphabet", "cells", "_cell_of", "_labels")
 
     def __init__(self, alphabet: Sequence, cells: Iterable[Iterable]):
         alphabet = tuple(alphabet)
@@ -191,6 +192,8 @@ class SymbolPartition:
         self.alphabet = alphabet
         self.cells = tuple(tuple(alphabet[i] for i in idx) for idx in canon)
         self._cell_of = {alphabet[i]: ci for ci, idx in enumerate(canon) for i in idx}
+        self._labels = np.array([self._cell_of[s] for s in alphabet], dtype=np.int64)
+        self._labels.flags.writeable = False
 
     @classmethod
     def full(cls, alphabet: Sequence) -> "SymbolPartition":
@@ -209,8 +212,8 @@ class SymbolPartition:
         return self._cell_of[symbol]
 
     def cell_labels(self) -> np.ndarray:
-        """Cell index per symbol, aligned with alphabet order."""
-        return np.array([self._cell_of[s] for s in self.alphabet], dtype=np.int64)
+        """Cell index per symbol, aligned with alphabet order (read-only)."""
+        return self._labels
 
     def join(self, other: "SymbolPartition") -> "SymbolPartition":
         if self.alphabet != other.alphabet:
@@ -777,8 +780,11 @@ def symbol_factor_entropy(
     m = len(phi.alphabet)
     if len(components) * m**K > cap:
         raise EnumerationCapError("pattern cap exceeded")
-    in_F = np.zeros(K, dtype=bool)
-    in_F[W.locate(F)] = True
+    if W is F:
+        in_F = np.ones(K, dtype=bool)
+    else:
+        in_F = np.zeros(K, dtype=bool)
+        in_F[W.locate(F)] = True
     phi_cells = phi.cell_labels()
     total = entropy_from_probs(weights)
     marginal = np.zeros(phi.n_cells**K)

@@ -40,6 +40,7 @@ from folner_entropy import (
     markov_shift,
     mixture,
     orbit_partition,
+    spaces,
     verify_chain_exhaustion,
     verify_entropy_identities,
     verify_rate_inequalities,
@@ -312,9 +313,10 @@ def test_finite_system_rejects_window():
 
 # -- finite window joins against the per-element join ----------------------------
 #
-# The window join walks F's rows, one gather per element. The join it
+# The window join splits F's rows into runs along the last axis and builds
+# each run length by doubling, in O(log length) joins. The join it
 # replaced powered T_g from scratch for every g; that join is kept here as
-# the oracle: the walked join must give an equal partition and, through
+# the oracle: the doubled join must give an equal partition and, through
 # conditional_block_entropy, an entropy equal by repr.
 
 
@@ -347,6 +349,22 @@ def _shifted_box(d, side, corner):
     return FolnerSubset(FolnerSubset.box(d, side).rows + np.array(corner))
 
 
+def _doubling_cases():
+    # lengths 2^j - 1, 2^j and 2^j + 1 up to 1025 start at -(length // 2);
+    # 4096 blocks on 2^16 atoms make bounds large enough that both rows
+    # of a join are relabelled
+    n = 1 << 16
+    line = _cyclic_product(n)
+    few, many = _random_labels(line, 3, 37), _random_labels(line, 4096, 41)
+    lengths = sorted({L for j in range(11) for L in (2**j - 1, 2**j, 2**j + 1)} - {0})
+    cases = [(line, few, FolnerSubset.interval(-(L // 2), L - L // 2)) for L in lengths]
+    cases += [(line, many, FolnerSubset.interval(-L, 0)) for L in (6, 7, 13, 64)]
+    cube = _cyclic_product(8, 9, 10)
+    for side, corner in ((5, (-7, 2, -3)), (7, (3, -9, -20))):
+        cases.append((cube, _random_labels(cube, 3, 43), _shifted_box(3, side, corner)))
+    return cases
+
+
 def _window_cases():
     rotation = _cyclic_product(2000)
     cuts = np.sort(np.random.default_rng(5).choice(2000, size=8, replace=False))
@@ -373,7 +391,7 @@ def _window_cases():
     for side in range(1, 7):
         cases.append((torus, quadrants, FolnerSubset.box(2, side)))
         cases.append((torus, quadrants, _shifted_box(2, side, (-side, 3 - 2 * side))))
-    return cases
+    return cases + _doubling_cases()
 
 
 @pytest.mark.parametrize("system, alpha, F", _window_cases())
@@ -444,6 +462,50 @@ def test_window_join_with_all_steps_distinct():
         tracemalloc.stop()
     assert walked == oracle
     assert peak < 16 * 8 * n
+
+
+def test_window_join_with_many_run_lengths():
+    # runs of every length 1..40, gapped, in shuffled order: each length
+    # is built once and dropped before the next, so the peak stays under
+    # the bound of the all-steps-distinct window (forty kept run joins
+    # would pass it)
+    n = 1 << 16
+    system = _cyclic_product(n)
+    alpha = _random_labels(system, 8, 47)
+    lengths = np.random.default_rng(53).permutation(np.arange(1, 41)).tolist()
+    starts = itertools.accumulate((L + 3 for L in lengths), initial=-500)
+    F = FolnerSubset([(a + t,) for a, L in zip(starts, lengths) for t in range(L)])
+    oracle = _per_element_join(system, alpha, F)
+    tracemalloc.start()
+    try:
+        doubled = _finite_window_join(system, alpha, F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert doubled == oracle
+    assert peak < 16 * 8 * n
+
+
+def test_interval_join_takes_logarithmically_many_joins(monkeypatch):
+    # every pairwise mixed-radix join is counted, in the doubling and in
+    # the join of the runs; the per-element join of [0, 2^j) takes 2^j - 1
+    counted = []
+    join_codes = engine._join_codes
+
+    def counting(rows):
+        rows = list(rows)
+        counted.append(len(rows) - 1)
+        return join_codes(rows)
+
+    monkeypatch.setattr(engine, "_join_codes", counting)
+    monkeypatch.setattr(spaces, "_join_codes", counting)
+    system = _cyclic_product(4096)
+    alpha = _random_labels(system, 5, 59)
+    for j in range(1, 14):
+        for L in (2**j - 1, 2**j):
+            counted.clear()
+            _finite_window_join(system, alpha, FolnerSubset.interval(0, L))
+            assert sum(counted) <= 2 * j
 
 
 # -- the symbol-factor and product routes against the code they replaced --------

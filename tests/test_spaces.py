@@ -217,6 +217,21 @@ def test_join_all_matches_pairwise(sp):
     assert join_all([a]) == a
 
 
+def test_join_codes_relabels_a_row_whose_bound_would_overflow():
+    # after the running codes are relabelled to 3 blocks, 3 * 2**61 still
+    # passes the limit, so the row is relabelled too; the join is the one
+    # its two label arrays give
+    rng = np.random.default_rng(8)
+    n = 200
+    first = rng.integers(0, 3, n) * 7 + 1
+    second = rng.choice(np.array([0, 5, 2**61 - 1]), n)
+    codes, bound = spaces_module._join_codes([(first, 1 << 40), (second, 1 << 61)])
+    assert bound <= spaces_module._CODE_LIMIT
+    space = FiniteProbabilitySpace.uniform(n)
+    labels = [Partition.from_labels(space, c) for c in (first, second)]
+    assert Partition.from_labels(space, codes) == join(*labels)
+
+
 # -- factor spaces and disintegration ---------------------------------------
 
 
