@@ -190,7 +190,7 @@ def _run_join(labels: np.ndarray, k: int, step: np.ndarray, length: int) -> tupl
         if not length:
             return out, bound
         if k * k > _CODE_LIMIT:
-            labels, k = _canonical(labels)
+            labels, k = _canonical(labels)[:2]
         labels, k = _join_codes([(labels, k), (labels[step], k)])
         step = step[step]
 
@@ -812,14 +812,15 @@ def _chain_entropies(masses, sizes, xi, cond, rows, bound, item_space, item_row)
     # the previous term of the same chain sits one item back, over the same atoms
     follows = np.concatenate([[False], item_space[1:] == item_space[:-1]])
     at = np.flatnonzero(follows[item] & positive)
-    fine, k = _canonical(_join_codes([(terms[at], bound), (item[at], n_items)])[0])
+    fine, k = _canonical(_join_codes([(terms[at], bound), (item[at], n_items)])[0])[:2]
     if not _coarser(terms[at - item_sizes[item[at]]], fine, k):
         raise ValueError("chain not increasing")
     cond, k_cond = cond
-    beta, counts = _stacked_betas(_join_codes([(terms, bound), (cond[atoms], k_cond)])[0], item_sizes.tolist())
+    codes = _join_codes([(terms, bound), (cond[atoms], k_cond)])[0]
+    beta, mB, counts = _stacked_betas(masses, codes, item_sizes.tolist())
     crowded = np.bincount(beta[positive], minlength=sum(counts)) > 1
     separates = np.bincount(np.arange(n_items).repeat(counts)[crowded], minlength=n_items) == 0
-    return _offset_entropies(masses, xi[atoms], beta, counts), separates
+    return _offset_entropies(masses, xi[atoms], beta, mB, counts), separates
 
 
 def _chain_min_steps(values: np.ndarray, lengths: Sequence[int]) -> np.ndarray:

@@ -10,6 +10,8 @@ Fiber quantities (conditional entropy, disintegration, traces on a
 block) are read from label arrays grouped by block: the traces of
 alpha on the blocks of beta are the blocks of their join, and per-block
 sums are exact segment sums, each equal to the bit to the plain 1-D sum.
+Block masses are read from the sort that made the labels canonical
+(``_canonical``), so a finite entropy sorts its atoms once.
 ``_stacked_join`` runs those steps once over many pairs of label
 arrays stacked back to back, each pair's beta blocks numbered past
 those of the pairs before it. Partition labels are stacked that way
@@ -164,9 +166,11 @@ class Partition:
     label arrays, and compare and hash equal, regardless of how their
     blocks or labels were listed. The block tuples (atoms in the
     space's order) are derived from the labels on first use and cached.
+    Block masses are read from the sort that made the labels canonical
+    (``_canonical``), kept beside them.
     """
 
-    __slots__ = ("space", "_labels", "_k", "_order", "_ends", "_blocks")
+    __slots__ = ("space", "_labels", "_k", "_sort", "_order", "_ends", "_blocks")
 
     def __init__(self, space: FiniteProbabilitySpace, blocks: Iterable[Iterable[AtomId]]):
         index = space.index
@@ -188,7 +192,7 @@ class Partition:
 
     def _assign(self, space: FiniteProbabilitySpace, codes: np.ndarray) -> None:
         self.space = space
-        self._labels, self._k = _canonical(codes)
+        self._labels, self._k, self._sort = _canonical(codes)
         self._labels.flags.writeable = False
         self._order = self._ends = self._blocks = None
 
@@ -272,9 +276,13 @@ class Partition:
 
     def block_masses(self) -> np.ndarray:
         """Mass of every block. Each is the sum of ``masses[idx]`` over the
-        block's ascending index array, bit-identical to ``mass_of(block)``."""
-        order, ends = self._members()
-        return _segment_sums(self.space.masses[order], ends)
+        block's ascending index array, bit-identical to ``mass_of(block)``.
+
+        The groups come from ``_canonical``'s sort of the codes the
+        partition was built from, with no second sort; a partition whose
+        labels took the small dict pass groups them with ``_group``.
+        """
+        return _block_sums(self.space.masses, self._labels, self._k, self._sort or (*self._members(), None))
 
     def labels(self) -> np.ndarray:
         """Block index per atom, aligned with the space's atom order."""
@@ -292,51 +300,69 @@ def _group(labels: np.ndarray, k: int) -> tuple:
     return labels.argsort(kind="stable"), np.bincount(labels, minlength=k).cumsum().tolist()
 
 
-def _segment_sums(values: np.ndarray, ends: Sequence[int]) -> np.ndarray:
+def _segment_sums(values: np.ndarray, ends) -> np.ndarray:
     """Sum of each segment of ``values`` (back to back from 0 to each of
-    ``ends``), bit-identical to ``values[start:end].sum()``.
+    ``ends``, a list or an int64 array), bit-identical to
+    ``values[start:end].sum()``; a zero-length segment sums to 0.0.
 
-    Equal-length segments are the rows of one matrix summed along axis 1,
-    which numpy does in the 1-D pairwise order (``np.add.reduceat`` does
-    not). Small inputs, and a single segment, take one sum per segment.
+    One gather lays the segments out in order of length, so the segments
+    of each length are one contiguous run: viewed as a matrix with one
+    segment per row, it is summed along axis 1, which numpy does in the
+    1-D pairwise order (``np.add.reduceat`` does not). Small inputs, and
+    a single segment, take one sum per segment.
     """
-    starts = [0, *ends[:-1]]
     if values.shape[0] <= _SMALL or len(ends) == 1:
-        return np.array([values[start:end].sum() for start, end in zip(starts, ends)])
-    starts = np.array(starts, dtype=np.int64)
-    lengths = np.asarray(ends, dtype=np.int64) - starts
-    sums = np.zeros(lengths.shape[0])
+        return np.array([values[start:end].sum() for start, end in zip([0, *ends[:-1]], ends)])
+    ends = np.asarray(ends, dtype=np.int64)
+    lengths = ends.copy()
+    lengths[1:] -= ends[:-1]
     by_length = lengths.argsort(kind="stable")
-    for rows in np.split(by_length, np.flatnonzero(np.diff(lengths[by_length])) + 1):
-        width = np.arange(lengths[rows[0]])
-        sums[rows] = values[starts[rows, None] + width].sum(axis=1)
+    lengths = lengths[by_length]
+    laid = lengths.cumsum()
+    # a laid-out position plus its segment's shift is its position in values
+    gathered = values[np.arange(laid[-1]) + (ends[by_length] - laid).repeat(lengths)]
+    cuts = [0, *(np.flatnonzero(lengths[1:] != lengths[:-1]) + 1).tolist(), lengths.shape[0]]
+    runs, start = [], 0
+    for head, tail, width in zip(cuts, cuts[1:], lengths[cuts[:-1]].tolist()):
+        end = start + (tail - head) * width
+        runs.append(gathered[start:end].reshape(tail - head, width).sum(axis=1))
+        start = end
+    sums = np.empty(lengths.shape[0])
+    sums[by_length] = np.concatenate(runs)
     return sums
 
 
 def _canonical(codes: np.ndarray) -> tuple:
-    """Relabel integer codes by first occurrence: (labels, block count).
+    """Relabel integer codes by first occurrence: (labels, block count,
+    sort).
 
-    A stable argsort groups equal codes with their positions ascending,
-    so each group's first position is its earliest atom; ranking the
-    groups by that atom gives the canonical labels. Small arrays take
-    the same labels from one dict pass.
+    A stable argsort ``order`` groups equal codes with their positions
+    ascending, so each group's first position is its earliest atom;
+    ranking the groups by that atom gives the canonical labels. ``sort``
+    keeps that grouping for ``_block_sums``: ``order``, the end offset
+    of every group in it and every group's label, groups in code order.
+    Small arrays take the same labels from one dict pass, and ``sort``
+    is None.
     """
     if codes.shape[0] <= _SMALL:
         first: dict = {}
         labels = [first.setdefault(c, len(first)) for c in codes.tolist()]
-        return np.array(labels, dtype=np.int64), len(first)
+        return np.array(labels, dtype=np.int64), len(first), None
     order = codes.argsort(kind="stable")
     ranked = codes[order]
-    starts = np.empty(ranked.shape[0], dtype=bool)
+    n = codes.shape[0]
+    starts = np.empty(n, dtype=bool)
     starts[0] = True
     np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
-    firsts = order[starts]
-    k = firsts.shape[0]
+    del ranked  # freed first: the per-group arrays can be as long as the codes
+    heads = np.flatnonzero(starts)
+    k = heads.shape[0]
     rank = np.empty(k, dtype=np.int64)
-    rank[firsts.argsort()] = np.arange(k)
-    labels = np.empty(ranked.shape[0], dtype=np.int64)
-    labels[order] = rank[starts.cumsum() - 1]
-    return labels, k
+    rank[order[heads].argsort()] = np.arange(k)
+    ends = np.append(heads[1:], n)
+    labels = np.empty(n, dtype=np.int64)
+    labels[order] = rank.repeat(ends - heads)
+    return labels, k, (order, ends, rank)
 
 
 # codes are relabelled before a mixed-radix step could pass this bound
@@ -357,9 +383,9 @@ def _join_codes(rows: Iterable) -> tuple:
             code, bound = row, k
             continue
         if bound * k > _CODE_LIMIT:
-            code, bound = _canonical(code)
+            code, bound = _canonical(code)[:2]
             if bound * k > _CODE_LIMIT:
-                row, k = _canonical(row)
+                row, k = _canonical(row)[:2]
         code = code * k + row
         bound *= k
     return code, bound
@@ -439,38 +465,52 @@ def conditional_entropies(pairs: Iterable[tuple]) -> list:
 
 
 def _pair_labels(pairs: list) -> tuple:
-    """The masses, alpha labels and offset beta labels (``_stack``) of
-    partition pairs back to back, and each beta's block count:
-    ``_stacked_join``'s arguments."""
+    """The masses, alpha labels, offset beta labels and beta block masses
+    (``_stack``) of partition pairs back to back, and each beta's block
+    count: ``_stacked_join``'s arguments."""
     for alpha, beta in pairs:
         _require_same_space(alpha.space, beta.space)
     betas = [beta for _, beta in pairs]
-    beta, masses = _stack(betas)
-    return masses, np.concatenate([alpha._labels for alpha, _ in pairs]), beta, [b._k for b in betas]
+    beta, masses, mB = _stack(betas)
+    return masses, np.concatenate([alpha._labels for alpha, _ in pairs]), beta, mB, [b._k for b in betas]
 
 
 def _stack(partitions: Sequence[Partition]) -> tuple:
     """The label arrays of partitions (each on its own space) back to
-    back, each offset past the blocks of those before it, and their
-    spaces' masses stacked the same way. One partition is not copied."""
+    back, each offset past the blocks of those before it, their spaces'
+    masses stacked the same way, and their block masses. One partition
+    is not copied and its block masses come from its own sort; a stack
+    sorts its labels once (``_block_sums``)."""
     if len(partitions) == 1:
-        return partitions[0]._labels, partitions[0].space.masses
+        return partitions[0]._labels, partitions[0].space.masses, partitions[0].block_masses()
     labels = np.concatenate([p._labels for p in partitions])
-    offsets = np.array([*accumulate([p._k for p in partitions[:-1]], initial=0)])
-    labels += offsets.repeat([len(p.space) for p in partitions])
-    return labels, np.concatenate([p.space.masses for p in partitions])
+    offsets = np.array([*accumulate([p._k for p in partitions], initial=0)])
+    labels += offsets[:-1].repeat([len(p.space) for p in partitions])
+    masses = np.concatenate([p.space.masses for p in partitions])
+    return labels, masses, _block_sums(masses, labels, int(offsets[-1]))
 
 
-def _block_sums(masses: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    """Mass of each of the ``k`` label groups, summed over ascending positions."""
-    order, ends = _group(labels, k)
-    return _segment_sums(masses[order], ends)
+def _block_sums(masses: np.ndarray, labels: np.ndarray, k: int, sort=None) -> np.ndarray:
+    """Mass of each of the ``k`` label groups, summed over ascending positions.
+
+    ``sort`` is the grouping ``_canonical`` kept when it made ``labels``:
+    its groups are summed in code order and only the k sums are moved
+    into label order. Without one, ``_group`` sorts the labels.
+    """
+    order, ends, rank = sort or (*_group(labels, k), None)
+    sums = _segment_sums(masses[order], ends)
+    if rank is None:
+        return sums
+    out = np.empty(k)
+    out[rank] = sums
+    return out
 
 
-def _stacked_betas(beta: np.ndarray, sizes: Sequence[int]) -> tuple:
+def _stacked_betas(masses: np.ndarray, beta: np.ndarray, sizes: Sequence[int]) -> tuple:
     """Raw beta codes of pairs stacked back to back (``sizes`` gives each
-    pair's atom count) relabelled into ``_stacked_join``'s layout, and
-    each pair's block count.
+    pair's atom count) relabelled into ``_stacked_join``'s layout, with
+    their block masses under the stacked ``masses``, and each pair's
+    block count.
 
     The codes may be any nonnegative int64 codes: two atoms of a pair
     share a block exactly when they share a code. One ``_canonical`` over
@@ -480,42 +520,43 @@ def _stacked_betas(beta: np.ndarray, sizes: Sequence[int]) -> tuple:
     """
     n = len(sizes)
     pair = np.arange(n).repeat(sizes)
-    labels, k = _canonical(_join_codes([(beta, int(beta.max()) + 1), (pair, n)])[0])
+    labels, k, sort = _canonical(_join_codes([(beta, int(beta.max()) + 1), (pair, n)])[0])
     owner = np.empty(k, dtype=np.int64)
     owner[labels] = pair
-    return labels, np.bincount(owner, minlength=n).tolist()
+    return labels, _block_sums(masses, labels, k, sort), np.bincount(owner, minlength=n).tolist()
 
 
-def _stacked_join(masses: np.ndarray, alpha: np.ndarray, beta: np.ndarray, counts: Sequence[int]) -> tuple:
+def _stacked_join(masses, alpha, beta, mB, counts) -> tuple:
     """The join of many (alpha, beta) pairs of label arrays in one pass.
 
     The pairs lie back to back in ``masses``, ``alpha`` and ``beta``.
     ``beta`` holds canonical labels in ``_stack``'s layout: every pair's
     blocks are numbered in order of first atom, past the ``counts``
-    blocks of the pairs before it, so no block crosses a pair. Partition
-    labels come that way; raw codes go through ``_stacked_betas`` first.
-    ``alpha`` may be any nonnegative int64 codes. One ``_canonical``
-    relabels the join codes alpha * sum(counts) + beta the same way;
-    ``_join_codes`` relabels first where that product would overflow.
+    blocks of the pairs before it, so no block crosses a pair, and
+    ``mB`` holds their masses. Partition labels come that way; raw codes
+    go through ``_stacked_betas`` first. ``alpha`` may be any
+    nonnegative int64 codes. One ``_canonical`` relabels the join codes
+    alpha * sum(counts) + beta the same way, and the join's block masses
+    are read from its sort; ``_join_codes`` relabels first where that
+    product would overflow.
 
     Returns the beta labels, the join labels, the block masses of the
     betas and of the joins, and ``counts``.
     """
-    k_beta = sum(counts)
-    joint, k_joint = _canonical(_join_codes([(alpha, int(alpha.max()) + 1), (beta, k_beta)])[0])
-    return beta, joint, _block_sums(masses, beta, k_beta), _block_sums(masses, joint, k_joint), counts
+    joint, k_joint, sort = _canonical(_join_codes([(alpha, int(alpha.max()) + 1), (beta, sum(counts))])[0])
+    return beta, joint, mB, _block_sums(masses, joint, k_joint, sort), counts
 
 
-def _offset_entropies(masses: np.ndarray, alpha: np.ndarray, beta: np.ndarray, counts: Sequence[int]) -> list:
+def _offset_entropies(masses, alpha, beta, mB, counts) -> list:
     """H(alpha | beta) of every pair of label arrays stacked as
     ``_stacked_join`` takes them."""
-    return _join_entropies(*_stacked_join(masses, alpha, beta, counts))
+    return _join_entropies(*_stacked_join(masses, alpha, beta, mB, counts))
 
 
 def _stacked_entropies(masses: np.ndarray, alpha: np.ndarray, beta: np.ndarray, sizes: Sequence[int]) -> list:
     """H(alpha | beta) of every pair of raw code arrays stacked back to
     back, ``sizes`` giving each pair's atom count."""
-    return _offset_entropies(masses, alpha, *_stacked_betas(beta, sizes))
+    return _offset_entropies(masses, alpha, *_stacked_betas(masses, beta, sizes))
 
 
 def _join_entropies(lb, joint, mB, mJ, counts) -> list:
@@ -625,7 +666,7 @@ def conditional_mass_functions(triples: Iterable[tuple]) -> list:
     return results
 
 
-def _stacked_mass_functions(masses, alpha, beta, counts, sizes) -> tuple:
+def _stacked_mass_functions(masses, alpha, beta, mB, counts, sizes) -> tuple:
     """The conditional mass functions of many (alpha, cond) pairs of label
     arrays, laid out as ``_stacked_join`` takes them with cond as beta;
     ``sizes`` gives each pair's atom count.
@@ -640,7 +681,7 @@ def _stacked_mass_functions(masses, alpha, beta, counts, sizes) -> tuple:
     the mask of atoms whose cond block has mass, and each pair's
     |H(alpha | cond) + integral|.
     """
-    joined = _stacked_join(masses, alpha, beta, counts)
+    joined = _stacked_join(masses, alpha, beta, mB, counts)
     lb, joint, mB, mJ, _ = joined
     mC = mB[lb]
     live = mC > 0.0
@@ -749,15 +790,14 @@ def _reintegrate(items: Iterable[tuple]) -> list:
     one raises)."""
     items = list(items)
     partitions = [p for p, _ in items]
-    labels, masses = _stack(partitions)
+    labels, masses, block_masses = _stack(partitions)
     wanted = np.zeros(labels.shape[0], dtype=bool)
     picked, start = [], 0
     for p, atoms in items:
         picked += [start + i for i in p.space._indices(atoms)]
         start += len(p.space)
     wanted[picked] = True
-    counts = [p._k for p in partitions]
-    return _stacked_reintegration(masses, labels, _block_sums(masses, labels, sum(counts)), counts, wanted)
+    return _stacked_reintegration(masses, labels, block_masses, [p._k for p in partitions], wanted)
 
 
 def _stacked_reintegration(masses, labels, block_masses, counts, wanted) -> list:

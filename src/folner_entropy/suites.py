@@ -306,8 +306,8 @@ def sweep_disintegration(
     def flush(batch):
         masses, sizes = _stacked_masses(batch)
         alpha, cond, pick = (np.concatenate([terms[i] for terms in batch]) for i in (1, 2, 3))
-        cond, counts = _stacked_betas(cond, sizes)
-        (_, _, mC, _, _), _, _, gaps = _stacked_mass_functions(masses, alpha, cond, counts, sizes)
+        cond, mC, counts = _stacked_betas(masses, cond, sizes)
+        gaps = _stacked_mass_functions(masses, alpha, cond, mC, counts, sizes)[3]
         rebuilt = _stacked_reintegration(masses, cond, mC, counts, pick)
         trial = np.arange(len(batch)).repeat(sizes)
         direct = _segment_sums(masses[pick], np.bincount(trial[pick], minlength=len(batch)).cumsum().tolist())

@@ -568,6 +568,91 @@ def test_one_pair_conditional_entropy_relabels_once(monkeypatch):
         assert calls == [n]
 
 
+def test_finite_entropies_read_block_masses_from_the_relabelling_sort(monkeypatch):
+    # a large partition's block masses, and a one-pair join's, come from
+    # the sort that made their labels canonical; only the block tuples
+    # sort the labels again
+    calls = []
+    group = spaces_module._group
+
+    def counted(labels, k):
+        calls.append(labels.shape[0])
+        return group(labels, k)
+
+    monkeypatch.setattr(spaces_module, "_group", counted)
+    rng = np.random.default_rng(8)
+    space = FiniteProbabilitySpace.uniform(2000)
+    alpha, beta = (Partition.from_labels(space, rng.integers(0, 7, size=2000)) for _ in range(2))
+    entropy(alpha)
+    conditional_entropy(alpha, beta)
+    assert calls == []
+    alpha.blocks
+    assert calls == [2000]
+
+
+def test_segment_sums_with_empty_and_interleaved_lengths():
+    # zero-length segments (as bincount with minlength leaves them) and
+    # repeated lengths out of order, on both sides of the per-segment
+    # path's 64 elements, with ends as a list and as an int64 array
+    rng = np.random.default_rng(13)
+    cases = [
+        [5, 200, 5, 0, 200, 1, 9],
+        [0, 3, 0, 5, 3, 0],
+        [0, 70],
+        [70, 0],
+        [0, 0, 1, 0, 129, 0, 129, 8, 0],
+        [9, 1, 9, 1, 0, 9, 1, 0, 9, 1],
+    ]
+    for _ in range(40):
+        cases.append(rng.choice([0, 0, 1, 5, 8, 9, 64, 129], size=int(rng.integers(2, 30))).tolist())
+    for _ in range(20):
+        # a bincount with minlength over labels missing some values
+        labels = rng.integers(0, 40, size=int(rng.integers(1, 300)))
+        cases.append(np.bincount(labels[labels % 3 != 0], minlength=45).tolist())
+    for lengths in cases:
+        ends = np.cumsum(lengths).tolist()
+        values = rng.random(ends[-1]) * rng.choice([1e-9, 1.0, 1e9], size=ends[-1])
+        expected = [values[s:e].sum() for s, e in zip([0] + ends, ends)]
+        assert _segment_sums(values, ends).tolist() == expected
+        assert _segment_sums(values, np.array(ends, dtype=np.int64)).tolist() == expected
+
+
+def _scrambled_codes(rng, n, k):
+    """Codes whose first-occurrence order is not their sorted order:
+    negative ones, and ones near -2^62 and 2^62."""
+    table = np.concatenate([
+        -(1 << 62) + rng.permutation(k // 3 + 1),
+        (1 << 62) - 1 - rng.permutation(k // 3 + 1),
+        -rng.permutation(k) * 7919 - 1,
+    ])
+    return table[rng.integers(0, table.shape[0], size=n)]
+
+
+@pytest.mark.parametrize("n", [10, 64, 65, 300, 3000])
+def test_sort_block_masses_with_scrambled_ranks(n):
+    rng = np.random.default_rng(n)
+    w = rng.random(n) ** 2
+    w[rng.random(n) < 0.25] = 0.0
+    w[0] = 1.0
+    space = FiniteProbabilitySpace(range(n), w / w.sum())
+    for k in (2, 9, max(2, n // 4), n):
+        codes = _scrambled_codes(rng, n, k)
+        p = Partition.from_labels(space, codes)
+        if n > spaces_module._SMALL:
+            rank = p._sort[2]
+            assert not (rank == np.arange(rank.shape[0])).all()
+        by_blocks = np.array([space.mass_of(b) for b in p.blocks])
+        assert p.block_masses().tolist() == by_blocks.tolist()
+        assert entropy(p) == entropy_from_probs(by_blocks)
+        # a one-pair stacked join, with raw alpha codes near 2^62
+        beta = Partition.from_labels(space, rng.integers(0, 5, size=n))
+        alpha = codes - codes.min()
+        _, joint, _, mJ, _ = spaces_module._stacked_join(
+            space.masses, alpha, beta.labels(), beta.block_masses(), [beta.n_blocks]
+        )
+        assert mJ.tolist() == spaces_module._block_sums(space.masses, joint, mJ.shape[0]).tolist()
+
+
 def _block_totals_loop(block_masses: list, values: list, counts) -> list:
     """sum_B mu(B) * value(B) over the positive-mass blocks of each
     partition, left to right: the plain loop, kept as the oracle."""
