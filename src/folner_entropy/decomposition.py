@@ -140,23 +140,6 @@ def ergodic_components(system) -> ErgodicComponents:
     raise TypeError("unsupported system kind")
 
 
-def restrict_action(system: FinitePMPAction, fiber: FiniteProbabilitySpace) -> FinitePMPAction:
-    """The action induced on one invariant block's fiber space.
-
-    ``fiber`` must come from disintegrating over a fixed partition, so
-    each generator maps the block onto itself; masses on the fiber are
-    the original ones divided by one common block mass, hence preserved
-    bit-exactly.
-    """
-    idx_in_space = np.array([system.space.index(a) for a in fiber.atom_ids], dtype=np.int64)
-    pos = np.full(len(system.space), -1, dtype=np.int64)
-    pos[idx_in_space] = np.arange(len(idx_in_space))
-    gens = [pos[g[idx_in_space]] for g in system._gens]
-    if any((g < 0).any() for g in gens):
-        raise ValueError("block is not invariant under the action")
-    return FinitePMPAction(fiber, gens)
-
-
 @dataclass(frozen=True)
 class ComponentResult:
     """One ergodic component's contribution to the decomposition."""

@@ -378,6 +378,16 @@ def entropy_rate(
     the reported estimate (for finite systems the provable limit 0.0 is
     reported instead; the trace still shows the honest finite-box
     rates). A cap hit mid-schedule truncates the trace and flags it.
+
+    The default ``alpha=None`` is a generator for every system kind: the
+    zero-coordinate symbol partition of a shift, the point partition of
+    a finite action, and symbol (or point) partition joined with the tag
+    partition for a mixture. By the generator theorem in its conditional
+    form (Kolmogorov-Sinai; Ornstein and Weiss 1987 for amenable groups),
+    h(alpha, T | C) = h(T | C) when the translates of alpha generate
+    the sigma-algebra modulo C, so with the default the trace converges
+    to h(T | C), the supremum over all finite partitions. ``converged``
+    is not a certificate that ``estimate`` lies within ``tol`` of it.
     """
     if sequence is None:
         raise ValueError("a box schedule is required")
@@ -418,28 +428,6 @@ def entropy_rate(
         tol=tol,
     )
     return trace, report
-
-
-def h_conditional(
-    system,
-    C,
-    partitions: Sequence,
-    sequence: FolnerSequence,
-    n_max: Optional[int] = None,
-    tol: float = DEFAULT_CONVERGENCE_TOL,
-    cap: int = DEFAULT_PATTERN_CAP,
-) -> float:
-    """Conditional entropy of the system: sup over the supplied partitions
-    of their rate estimates. The supremum is only as good as the list;
-    exhaustion semantics need an increasing chain generating everything."""
-    partitions = list(partitions)
-    if not partitions:
-        raise ValueError("empty partition list")
-    best = -math.inf
-    for p in partitions:
-        _, report = entropy_rate(system, p, C, sequence, n_max, tol, cap)
-        best = max(best, report.estimate)
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -269,13 +269,6 @@ class FolnerSequence:
         return FolnerSubset.box(self.d, self.side(n))
 
 
-def folner_box(d: int, n: int, sequence: FolnerSequence) -> FolnerSubset:
-    """Box number n of the schedule; d is checked against the sequence."""
-    if d != sequence.d:
-        raise ValueError("dimension mismatch")
-    return sequence.subset(n)
-
-
 # ---------------------------------------------------------------------------
 # hypothesis checks for set functions on windows
 # ---------------------------------------------------------------------------

@@ -279,19 +279,13 @@ class Partition:
         block's ascending index array, bit-identical to ``mass_of(block)``.
 
         The groups come from ``_canonical``'s sort of the codes the
-        partition was built from, with no second sort; a partition whose
-        labels took the small dict pass groups them with ``_group``.
+        partition was built from, with no second sort.
         """
-        return _block_sums(self.space.masses, self._labels, self._k, self._sort or (*self._members(), None))
+        return _block_sums(self.space.masses, self._labels, self._k, self._sort)
 
     def labels(self) -> np.ndarray:
         """Block index per atom, aligned with the space's atom order."""
         return self._labels
-
-
-# below this many atoms a dict pass (or one sum per segment) is cheaper
-# than numpy's per-call cost
-_SMALL = 64
 
 
 def _group(labels: np.ndarray, k: int) -> tuple:
@@ -308,11 +302,8 @@ def _segment_sums(values: np.ndarray, ends) -> np.ndarray:
     One gather lays the segments out in order of length, so the segments
     of each length are one contiguous run: viewed as a matrix with one
     segment per row, it is summed along axis 1, which numpy does in the
-    1-D pairwise order (``np.add.reduceat`` does not). Small inputs, and
-    a single segment, take one sum per segment.
+    1-D pairwise order (``np.add.reduceat`` does not).
     """
-    if values.shape[0] <= _SMALL or len(ends) == 1:
-        return np.array([values[start:end].sum() for start, end in zip([0, *ends[:-1]], ends)])
     ends = np.asarray(ends, dtype=np.int64)
     lengths = ends.copy()
     lengths[1:] -= ends[:-1]
@@ -341,25 +332,19 @@ def _canonical(codes: np.ndarray) -> tuple:
     ranking the groups by that atom gives the canonical labels. ``sort``
     keeps that grouping for ``_block_sums``: ``order``, the end offset
     of every group in it and every group's label, groups in code order.
-    Small arrays take the same labels from one dict pass, and ``sort``
-    is None.
     """
-    if codes.shape[0] <= _SMALL:
-        first: dict = {}
-        labels = [first.setdefault(c, len(first)) for c in codes.tolist()]
-        return np.array(labels, dtype=np.int64), len(first), None
     order = codes.argsort(kind="stable")
     ranked = codes[order]
     n = codes.shape[0]
     starts = np.empty(n, dtype=bool)
-    starts[0] = True
+    starts[:1] = True  # no group starts in an empty array
     np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
     del ranked  # freed first: the per-group arrays can be as long as the codes
     heads = np.flatnonzero(starts)
     k = heads.shape[0]
     rank = np.empty(k, dtype=np.int64)
     rank[order[heads].argsort()] = np.arange(k)
-    ends = np.append(heads[1:], n)
+    ends = np.append(heads, n)[1:]
     labels = np.empty(n, dtype=np.int64)
     labels[order] = rank.repeat(ends - heads)
     return labels, k, (order, ends, rank)
@@ -594,21 +579,8 @@ def _block_totals(block_masses: np.ndarray, values: np.ndarray, counts: Sequence
     added 0.0 (a skipped block or the padding) leaves a sum that started
     at 0.0 unchanged, so every total is the plain loop's to the bit. Rows
     are grouped by their block count rounded up to a power of two, so the
-    padding at most doubles them. Below ``_SMALL`` blocks the plain loop
-    is cheaper.
+    padding at most doubles them.
     """
-    if block_masses.shape[0] <= _SMALL:
-        masses, values = block_masses.tolist(), values.tolist()
-        totals = []
-        start = 0
-        for k in counts:
-            total = 0.0
-            for m, v in zip(masses[start : start + k], values[start : start + k]):
-                if m > 0.0:
-                    total += m * v
-            totals.append(total)
-            start += k
-        return totals
     terms = np.zeros(block_masses.shape[0])
     np.multiply(block_masses, values, out=terms, where=block_masses > 0.0)
     counts = np.asarray(counts, dtype=np.int64)
@@ -697,11 +669,10 @@ def _stacked_mass_functions(masses, alpha, beta, mB, counts, sizes) -> tuple:
 class FactorSpace:
     """Quotient of a space by a partition: one atom per block.
 
-    Quotient atom ids are the canonical block indices 0..k-1; the
-    projection maps each base atom to its block index, read from the
-    partition's labels. Quotient masses are the block masses under the
-    same summation as everywhere else, so reconstruction identities
-    hold to float precision.
+    Quotient atom ids are the canonical block indices 0..k-1, so a base
+    atom projects to its label in the partition. Quotient masses are the
+    block masses under the same summation as everywhere else, so
+    reconstruction identities hold to float precision.
     """
 
     __slots__ = ("base", "partition", "quotient")
@@ -713,14 +684,6 @@ class FactorSpace:
         self.quotient = FiniteProbabilitySpace(
             range(partition.n_blocks), partition.block_masses()
         )
-
-    def project(self, atom: AtomId) -> int:
-        return self.partition.block_index(atom)
-
-
-def factor_space(space: FiniteProbabilitySpace, alpha: Partition) -> FactorSpace:
-    """Quotient space of ``space`` by ``alpha`` with its projection map."""
-    return FactorSpace(space, alpha)
 
 
 class Disintegration:

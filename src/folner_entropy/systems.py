@@ -41,7 +41,7 @@ from ._kernels import (
     markov_window_entropy,
     markov_window_probs,
 )
-from .groups import FolnerSubset, GroupElement, _dimension, basis, neg
+from .groups import FolnerSubset, GroupElement, _dimension, neg
 from .spaces import (
     MASS_TOL,
     FiniteProbabilitySpace,
@@ -431,38 +431,6 @@ class SubAlgebraSpec:
         return SymbolPartition(alphabet, groups.values())
 
 
-def check_invariant(spec: SubAlgebraSpec, system) -> bool:
-    """Certify G-invariance of the conditioning choice for this system.
-
-    Trivial conditioning is always invariant. Symbol factors commute
-    with every shift by construction. Invariant partitions are checked
-    as partition equality T_g(C) == C on all generators; generators are
-    invertible permutations, so equality on them settles the whole group.
-    """
-    if spec.kind == "trivial":
-        return True
-    if spec.kind == "symbol_factor":
-        if isinstance(system, ShiftSystem):
-            spec.factor_partition(system.alphabet)
-            return True
-        if isinstance(system, MixtureSystem):
-            for comp in system.components:
-                if not isinstance(comp, ShiftSystem):
-                    raise IncompatibleSubAlgebraError("incompatible sub-algebra")
-                spec.factor_partition(comp.alphabet)
-            return True
-        raise IncompatibleSubAlgebraError("incompatible sub-algebra")
-    # invariant_partition
-    if not isinstance(system, FinitePMPAction):
-        raise IncompatibleSubAlgebraError("incompatible sub-algebra")
-    C = spec.partition
-    _require_same_space(C.space, system.space)
-    for e in basis(system.d):
-        if act(system, e, C) != C:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # mixtures
 # ---------------------------------------------------------------------------
@@ -512,36 +480,6 @@ class MixtureSystem:
         if len(alphabets) != 1:
             raise IncompatibleSubAlgebraError("components do not share an alphabet")
         return alphabets.pop()
-
-    def as_finite_action(self) -> FinitePMPAction:
-        """The union action, when every component is finite.
-
-        Atoms are (component index, atom id) pairs with masses w_i * m;
-        generators act block-diagonally. Exact by construction, so it
-        cross-validates the componentwise mixture routes.
-        """
-        if not all(isinstance(c, FinitePMPAction) for c in self.components):
-            raise TypeError("all components must be finite actions")
-        ids = []
-        masses = []
-        for i, comp in enumerate(self.components):
-            for a in comp.space.atom_ids:
-                ids.append((i, a))
-                masses.append(float(self.weights[i]) * comp.space.mass(a))
-        offsets = np.cumsum([0] + [len(c.space) for c in self.components])
-        gens = [
-            np.concatenate([off + comp._gens[k] for off, comp in zip(offsets, self.components)])
-            for k in range(self.d)
-        ]
-        space = FiniteProbabilitySpace(ids, masses)
-        return FinitePMPAction(space, gens)
-
-    def tag_partition_on_union(self, union: FinitePMPAction) -> Partition:
-        """The tag partition as a partition of ``as_finite_action()``'s space."""
-        blocks: dict = {}
-        for (i, a) in union.space.atom_ids:
-            blocks.setdefault(i, []).append((i, a))
-        return Partition(union.space, blocks.values())
 
 
 def mixture(components: Sequence, weights: Sequence[float]) -> MixtureSystem:

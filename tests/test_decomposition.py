@@ -32,7 +32,6 @@ from folner_entropy import (
     mixture,
     orbit_partition,
     restrict,
-    restrict_action,
 )
 from folner_entropy.spaces import SpaceMismatchError, _reintegrate, _segment_sums, join
 
@@ -95,6 +94,22 @@ def test_ergodic_components_mixture():
 
 
 # -- restriction -----------------------------------------------------------------
+
+
+def restrict_action(system: FinitePMPAction, fiber: FiniteProbabilitySpace) -> FinitePMPAction:
+    """Oracle: the action induced on one invariant block's fiber space.
+
+    ``fiber`` must come from disintegrating over a fixed partition, so
+    each generator maps the block onto itself; masses on the fiber are
+    the original ones divided by one common block mass.
+    """
+    idx_in_space = np.array([system.space.index(a) for a in fiber.atom_ids], dtype=np.int64)
+    pos = np.full(len(system.space), -1, dtype=np.int64)
+    pos[idx_in_space] = np.arange(len(idx_in_space))
+    gens = [pos[np.array(g)[idx_in_space]] for g in system.generators]
+    if any((g < 0).any() for g in gens):
+        raise ValueError("block is not invariant under the action")
+    return FinitePMPAction(fiber, gens)
 
 
 def test_restrict_action_to_orbit():

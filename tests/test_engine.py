@@ -34,7 +34,6 @@ from folner_entropy import (
     entropy,
     engine,
     entropy_rate,
-    h_conditional,
     is_coarser,
     join,
     markov_shift,
@@ -66,6 +65,7 @@ from folner_entropy.systems import (
     symbol_pattern_probs,
 )
 from test_suites import random_partition, random_permutation_instance, random_space
+from test_systems import as_finite_action
 
 LOG2 = math.log(2.0)
 PI = np.array([2 / 3, 1 / 3])
@@ -220,7 +220,7 @@ def _finite_mixture():
         Partition(rot.space, [[0, 1], [2, 3, 4]]),
         Partition(s1, [[0, 3], [1, 2, 4]]),
     ]
-    union = mx.as_finite_action()
+    union = as_finite_action(mx)
     # each union block lies inside one tag, so the tag is part of alpha^F
     union_alpha = Partition(
         union.space, [[(i, a) for a in block] for i, p in enumerate(alphas) for block in p.blocks]
@@ -931,18 +931,19 @@ def test_rate_convergence_flag():
     assert report.converged
 
 
-def test_h_conditional_max_over_partitions():
+def test_entropy_rate_on_the_generator_is_the_largest():
+    # the full-symbol partition generates, so its rate is h(T); a coarser
+    # partition's rate is below it
     b = bernoulli_shift([0.5, 0.25, 0.25])
     seq = FolnerSequence(1, (1, 2, 3))
     coarse = SymbolPartition(b.alphabet, [[0], [1, 2]])
     full = SymbolPartition.full(b.alphabet)
-    got = h_conditional(b, None, [coarse, full], seq)
-    assert got == pytest.approx(
+    rates = [entropy_rate(b, p, None, seq)[1].estimate for p in (coarse, full, None)]
+    assert max(rates) == pytest.approx(
         float(-(np.array([0.5, 0.25, 0.25]) * np.log([0.5, 0.25, 0.25])).sum()),
         abs=1e-12,
     )
-    with pytest.raises(ValueError):
-        h_conditional(b, None, [], seq)
+    assert rates[0] < rates[1] == rates[2]
 
 
 # -- identity verifier -----------------------------------------------------------

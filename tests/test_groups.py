@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from folner_entropy import (
     FolnerSequence,
     FolnerSubset,
-    folner_box,
     invariance_defect,
     markov_shift,
     translate,
@@ -85,9 +84,7 @@ def test_sequence_validation():
         seq.subset(0)
     with pytest.raises(ValueError):
         seq.subset(4)
-    assert folner_box(2, 2, seq) == FolnerSubset.box(2, 2)
-    with pytest.raises(ValueError):
-        folner_box(1, 2, seq)
+    assert seq.subset(2) == FolnerSubset.box(2, 2)
 
 
 def test_cardinality_phi_meets_all_hypotheses_with_equality():

@@ -9,6 +9,10 @@ Two rules, each over every module of ``folner_entropy``:
 ``__init__.py`` only re-exports, so its names are exempt from the
 second rule. Instead ``__all__`` must list each name it imports, plus
 ``__version__``, exactly once, so a deleted name cannot stay exported.
+A third rule keeps every export reached: each name in ``__all__`` but
+``__version__`` must be referenced by package code outside
+``__init__.py`` or by the benchmark (``perfbench/*.py``), whose tracer
+names its targets by dotted strings.
 """
 
 import ast
@@ -20,6 +24,7 @@ import folner_entropy
 
 PACKAGE = Path(folner_entropy.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+BENCH = sorted((PACKAGE.parent.parent / "perfbench").glob("*.py"))
 
 
 def _tree(path):
@@ -83,6 +88,31 @@ def _export_faults(tree, exported):
     }
 
 
+def _referenced_names(tree, strings=False):
+    """Every ``ast.Name`` and ``ast.Attribute`` name in ``tree`` and, with
+    ``strings``, the last dotted part of every string constant."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value.rsplit(".", 1)[-1])
+    return found
+
+
+def _unreferenced_exports(exported, package_trees, bench_trees):
+    """Names ``exported`` lists that neither the package trees nor the
+    benchmark trees (strings included) reference."""
+    used = {"__version__"}
+    for tree in package_trees:
+        used |= _referenced_names(tree)
+    for tree in bench_trees:
+        used |= _referenced_names(tree, strings=True)
+    return sorted(set(exported) - used)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_relative_import_inside_a_function(path):
     assert _function_relative_imports(_tree(path)) == []
@@ -103,6 +133,13 @@ def test_all_lists_each_imported_name_once():
     assert faults == {"dangling": [], "unexported": [], "repeated": []}
 
 
+def test_every_export_is_referenced_outside_init():
+    package = [_tree(p) for p in MODULES if p.name != "__init__.py"]
+    bench = [_tree(p) for p in BENCH]
+    assert bench
+    assert _unreferenced_exports(folner_entropy.__all__, package, bench) == []
+
+
 def test_the_checks_see_both_faults():
     tree = ast.parse(
         "import os\nfrom .spaces import Partition, join\n\n"
@@ -119,3 +156,16 @@ def test_the_export_check_sees_each_fault():
         "unexported": ["entropy"],
         "repeated": ["join"],
     }
+
+
+def test_the_reference_check_sees_each_kind_of_reference():
+    # a call, an attribute and a benchmark string count; a string in the
+    # package and a bare definition do not
+    package = [ast.parse(
+        "from .spaces import join\n"
+        "def orphan():\n    'see engine.entropy_rate'\n"
+        "x = join(a, b) + m.entropy\n"
+    )]
+    bench = [ast.parse("TARGETS = ['spaces.restrict', 'groups.FolnerSubset.box']\n")]
+    exported = ["join", "entropy", "restrict", "box", "entropy_rate", "orphan", "__version__"]
+    assert _unreferenced_exports(exported, package, bench) == ["entropy_rate", "orphan"]

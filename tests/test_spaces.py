@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from folner_entropy import (
     DegenerateFiberError,
+    FactorSpace,
     FiniteProbabilitySpace,
     Partition,
     SpaceMismatchError,
@@ -19,7 +20,6 @@ from folner_entropy import (
     conditional_entropy,
     disintegrate,
     entropy,
-    factor_space,
     is_coarser,
     join,
     join_all,
@@ -238,7 +238,7 @@ def test_join_codes_relabels_a_row_whose_bound_would_overflow():
 def test_factor_space_masses():
     space = FiniteProbabilitySpace(range(3), [0.2, 0.3, 0.5])
     beta = Partition(space, [[0, 1], [2]])
-    f = factor_space(space, beta)
+    f = FactorSpace(space, beta)
     np.testing.assert_allclose(f.quotient.masses, [0.5, 0.5], atol=0)
 
 
@@ -391,7 +391,7 @@ def test_block_masses_bit_identical_on_large_blocks():
 
 def test_segment_sums_bit_identical_to_per_segment_sums():
     # lengths on both sides of the 8-entry unrolled and 128-entry pairwise
-    # blocks, inputs on both sides of the per-segment path's 64 elements
+    # blocks, in short and long inputs
     rng = np.random.default_rng(12)
     fixed = [1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 256, 257, 600]
     cases = [[3], [7, 8], [64], [65], [1] * 65, [8, 7, 8, 7, 8, 7, 8, 7, 9], fixed]
@@ -569,9 +569,9 @@ def test_one_pair_conditional_entropy_relabels_once(monkeypatch):
 
 
 def test_finite_entropies_read_block_masses_from_the_relabelling_sort(monkeypatch):
-    # a large partition's block masses, and a one-pair join's, come from
-    # the sort that made their labels canonical; only the block tuples
-    # sort the labels again
+    # a partition's block masses, and a one-pair join's, come from the
+    # sort that made their labels canonical, at every size; only the
+    # block tuples sort the labels again
     calls = []
     group = spaces_module._group
 
@@ -581,19 +581,21 @@ def test_finite_entropies_read_block_masses_from_the_relabelling_sort(monkeypatc
 
     monkeypatch.setattr(spaces_module, "_group", counted)
     rng = np.random.default_rng(8)
-    space = FiniteProbabilitySpace.uniform(2000)
-    alpha, beta = (Partition.from_labels(space, rng.integers(0, 7, size=2000)) for _ in range(2))
-    entropy(alpha)
-    conditional_entropy(alpha, beta)
-    assert calls == []
-    alpha.blocks
-    assert calls == [2000]
+    for n in (7, 64, 2000):
+        space = FiniteProbabilitySpace.uniform(n)
+        alpha, beta = (Partition.from_labels(space, rng.integers(0, 7, size=n)) for _ in range(2))
+        calls.clear()
+        entropy(alpha)
+        conditional_entropy(alpha, beta)
+        assert calls == []
+        alpha.blocks
+        assert calls == [n]
 
 
 def test_segment_sums_with_empty_and_interleaved_lengths():
     # zero-length segments (as bincount with minlength leaves them) and
-    # repeated lengths out of order, on both sides of the per-segment
-    # path's 64 elements, with ends as a list and as an int64 array
+    # repeated lengths out of order, in short and long inputs, with ends
+    # as a list and as an int64 array
     rng = np.random.default_rng(13)
     cases = [
         [5, 200, 5, 0, 200, 1, 9],
@@ -638,9 +640,10 @@ def test_sort_block_masses_with_scrambled_ranks(n):
     for k in (2, 9, max(2, n // 4), n):
         codes = _scrambled_codes(rng, n, k)
         p = Partition.from_labels(space, codes)
-        if n > spaces_module._SMALL:
-            rank = p._sort[2]
-            assert not (rank == np.arange(rank.shape[0])).all()
+        # at every n the scrambled codes' first occurrences are out of
+        # code order, so the ranks are not the identity
+        rank = p._sort[2]
+        assert not (rank == np.arange(rank.shape[0])).all()
         by_blocks = np.array([space.mass_of(b) for b in p.blocks])
         assert p.block_masses().tolist() == by_blocks.tolist()
         assert entropy(p) == entropy_from_probs(by_blocks)
@@ -670,8 +673,8 @@ def _block_totals_loop(block_masses: list, values: list, counts) -> list:
 
 @pytest.mark.parametrize("seed", range(3))
 def test_block_totals_equal_the_left_to_right_loop(seed):
-    # zero-mass blocks, negative zeros and mixed magnitudes, below and
-    # above the small-input cut
+    # zero-mass blocks, negative zeros and mixed magnitudes, over few
+    # and many blocks
     rng = np.random.default_rng(seed)
     for _ in range(1000):
         counts = rng.integers(1, int(rng.choice([3, 12, 80])), size=int(rng.integers(1, 40))).tolist()

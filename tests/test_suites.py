@@ -214,8 +214,8 @@ def _exhaustion_trial_by_trial(trials, seed, max_atoms, tolerance=1e-12):
     "max_atoms, trials", [(m, t) for m in (2, 10, 50) for t in (1, 37, 1000)] + [(100_000, 2)]
 )
 def test_batched_disintegration_sweep_equals_trial_by_trial(max_atoms, trials):
-    # at max_atoms 50 a batch closes within about 160 trials; 100000 takes
-    # the large-array routes of _canonical and _segment_sums
+    # at max_atoms 50 a batch closes within about 160 trials; 100000
+    # makes batches of one large trial
     for seed in range(6):
         expected = _disintegration_trial_by_trial(trials, seed, max_atoms)
         assert repr(sweep_disintegration(trials, seed, max_atoms)) == repr(expected)

@@ -28,7 +28,9 @@ from folner_entropy import (
     cylinder_measure,
     entropy,
     entropy_from_probs,
+    fixed_partition_witness,
     is_ergodic_model,
+    is_fixed_partition,
     join,
     markov_shift,
     mixture,
@@ -364,23 +366,26 @@ def test_act_preserves_conditional_entropy():
     assert moved == pytest.approx(conditional_entropy(alpha, beta), abs=1e-15)
 
 
-def test_check_invariant():
+def test_conditioning_invariance_and_compatibility():
+    # a fixed partition is certified by fixed_partition_witness; a symbol
+    # factor conditions shifts and a fixed partition finite actions only
     space, action = _rotation_action()
-    assert SubAlgebraSpec.trivial() is not None
-    from folner_entropy import check_invariant
-
-    assert check_invariant(SubAlgebraSpec.trivial(), action)
-    whole = SubAlgebraSpec.invariant_partition(Partition.trivial(space))
-    assert check_invariant(whole, action)
-    split = SubAlgebraSpec.invariant_partition(Partition(space, [[0, 1], [2, 3]]))
-    assert not check_invariant(split, action)
+    F = FolnerSubset.interval(0, 2)
+    trivial = SubAlgebraSpec.trivial()
+    assert conditional_block_entropy(action, None, F, trivial) == conditional_block_entropy(action, None, F)
+    whole = Partition.trivial(space)
+    assert fixed_partition_witness(action, whole) is None
+    assert is_fixed_partition(action, whole)
+    split = Partition(space, [[0, 1], [2, 3]])
+    assert fixed_partition_witness(action, split) == {"generator": 0, "block": [0, 1]}
+    assert not is_fixed_partition(action, split)
     mk = markov_shift(PI_EXACT, P_HALF)
     fac = SubAlgebraSpec.symbol_factor({0: 0, 1: 1})
-    assert check_invariant(fac, mk)
+    assert conditional_block_entropy(mk, None, F, fac) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(IncompatibleSubAlgebraError):
-        check_invariant(fac, action)
+        conditional_block_entropy(action, None, F, fac)
     with pytest.raises(IncompatibleSubAlgebraError):
-        check_invariant(whole, mk)
+        conditional_block_entropy(mk, None, F, SubAlgebraSpec.invariant_partition(whole))
 
 
 # -- mixtures -----------------------------------------------------------------
@@ -431,6 +436,35 @@ def test_mixture_window_partition_entropy():
     assert abs(dist.sum() - 1.0) < 1e-12
 
 
+def as_finite_action(mx: MixtureSystem) -> FinitePMPAction:
+    """Oracle: the union action of a mixture of finite actions.
+
+    Atoms are (component index, atom id) pairs with masses w_i * m;
+    generators act block-diagonally. Exact by construction, so it
+    cross-validates the componentwise mixture routes.
+    """
+    ids = []
+    masses = []
+    for i, comp in enumerate(mx.components):
+        for a in comp.space.atom_ids:
+            ids.append((i, a))
+            masses.append(float(mx.weights[i]) * comp.space.mass(a))
+    offsets = np.cumsum([0] + [len(c.space) for c in mx.components])
+    gens = [
+        np.concatenate([off + np.array(comp.generators[k]) for off, comp in zip(offsets, mx.components)])
+        for k in range(mx.d)
+    ]
+    return FinitePMPAction(FiniteProbabilitySpace(ids, masses), gens)
+
+
+def tag_partition_on_union(union: FinitePMPAction) -> Partition:
+    """Oracle: the tag partition as a partition of ``as_finite_action``'s space."""
+    blocks: dict = {}
+    for (i, a) in union.space.atom_ids:
+        blocks.setdefault(i, []).append((i, a))
+    return Partition(union.space, blocks.values())
+
+
 def test_mixture_of_finite_actions_as_finite_action():
     # the union construction must reproduce weighted block masses and
     # entropy computed per component
@@ -439,14 +473,12 @@ def test_mixture_of_finite_actions_as_finite_action():
     s2 = FiniteProbabilitySpace(range(3), [0.2, 0.3, 0.5])
     a2 = FinitePMPAction(s2, [(0, 1, 2)])
     mx = mixture([a1, a2], [0.4, 0.6])
-    union = mx.as_finite_action()
+    union = as_finite_action(mx)
     assert len(union.space) == 5
     assert union.space.mass((0, 0)) == pytest.approx(0.4 * 0.5, abs=0)
     assert union.space.mass((1, 2)) == pytest.approx(0.6 * 0.5, abs=0)
-    tags = mx.tag_partition_on_union(union)
+    tags = tag_partition_on_union(union)
     assert len(tags.blocks) == 2
-    from folner_entropy import is_fixed_partition
-
     assert is_fixed_partition(union, tags)
 
 
