@@ -2,11 +2,13 @@
 
 One vectorised numpy implementation per kernel. Markov window entropies
 take the chain-rule closed form (full symbols) or the forward recursion
-over cell patterns (coarse cells and symbol factors), so no production
-route enumerates Markov symbol words; the symbol-word fills remain for
-``symbol_pattern_logprobs``/``symbol_pattern_probs`` and the full-symbol
-``window_partition``. Window entropies of Bernoulli shifts and mixtures
-come from closed forms and need only the entropy reductions.
+over cell patterns (coarse cells and symbol factors), each one forward
+walk site by site that the next row of a rate trace resumes (``_walk``),
+so no production route enumerates Markov symbol words; the symbol-word
+fills remain for ``symbol_pattern_logprobs``/``symbol_pattern_probs``
+and the full-symbol ``window_partition``. Window entropies of Bernoulli
+shifts and mixtures come from closed forms and need only the entropy
+reductions.
 
 Pattern arrays are indexed element-major: for window elements listed in
 sorted order, the first element is the most significant base-``m`` digit
@@ -16,6 +18,7 @@ one site per step by reshapes and broadcasts, one operation per entry.
 
 from __future__ import annotations
 
+import contextvars
 import math
 
 import numpy as np
@@ -116,6 +119,46 @@ def _gap_powers(P: np.ndarray, sites: list) -> dict:
     return {g: np.linalg.matrix_power(P, g) for g in {b - a for a, b in zip(sites, sites[1:])}}
 
 
+class _Walk:
+    """A forward walk along a sorted d = 1 window: ``state`` after the
+    window's first ``done`` sites, and ``steps``, what moves it across
+    each gap of the window."""
+
+    __slots__ = ("state", "done", "steps")
+
+    def __init__(self, state, steps: dict):
+        self.state, self.done, self.steps = state, 1, steps
+
+
+# the walks of the rate trace being evaluated, by chain and cell map;
+# None outside ``engine.entropy_rate``
+_WALKS = contextvars.ContextVar("walks", default=None)
+
+
+def _walk(sites: list, set_up, pi: np.ndarray, P: np.ndarray, site_cells=None) -> _Walk:
+    """The walk a kernel advances along ``sites``.
+
+    Inside a rate trace, an interval window with one cell map on every
+    site resumes the stored walk of the same chain and cell map when
+    that walk has covered no more sites and holds the unit gap's step:
+    an interval's walk after n sites is any longer interval's after its
+    first n. Every other window takes ``set_up()``, a fresh walk, which
+    an interval window stores for the next row.
+    """
+    walks = _WALKS.get()
+    if walks is None or sites[-1] - sites[0] != len(sites) - 1:
+        return set_up()
+    key = (pi.tobytes(), P.tobytes())
+    if site_cells is not None:
+        if (site_cells != site_cells[0]).any():
+            return set_up()
+        key += (site_cells[0].tobytes(),)
+    walk = walks.get(key)
+    if walk is None or not (walk.done == len(sites) or walk.steps and walk.done < len(sites)):
+        walk = walks[key] = set_up()
+    return walk
+
+
 def markov_window_entropy(pi: np.ndarray, P: np.ndarray, offsets: np.ndarray) -> float:
     """Entropy of the full-symbol patterns on a sorted, possibly gapped d = 1 window.
 
@@ -125,28 +168,35 @@ def markov_window_entropy(pi: np.ndarray, P: np.ndarray, offsets: np.ndarray) ->
     at t: the measure the cylinders use, also when ``pi`` is stationary
     only within a tolerance. The state (v, entropy so far) moves by
     the (m + 1)-square matrix [[P^g, h_g], [0, 1]] at each pair, h_g
-    the row entropies of P^g: one matrix power per distinct gap, one
-    entropy pass over pi and all those rows, then one vector-matrix
-    product per site. Zero entries and states of zero mass contribute 0.
+    the row entropies of P^g. A fresh walk takes one matrix power per
+    distinct gap and one entropy pass over pi and all those rows; then
+    the walk is one vector-matrix product per site, resumed from the
+    previous row inside a rate trace (``_walk``). Zero entries and
+    states of zero mass contribute 0.
     """
     pi = np.ascontiguousarray(pi, dtype=np.float64)
     P = np.ascontiguousarray(P, dtype=np.float64)
     sites = np.asarray(offsets, dtype=np.int64).tolist()
     if not sites:
         return 0.0
-    powers = _gap_powers(P, sites)
     m = pi.shape[0]
-    # pi, then the rows of every power: one entropy pass over all rows
-    rows = np.concatenate([pi, *(Pg.ravel() for Pg in powers.values())])
-    H = -(rows * np.log(np.where(rows > 0.0, rows, 1.0))).reshape(-1, m).sum(axis=1)
-    steps = np.zeros((len(powers), m + 1, m + 1))
-    steps[:, :m, :m] = rows[m:].reshape(-1, m, m)
-    steps[:, :m, m] = H[1:].reshape(-1, m)
-    steps[:, m, m] = 1.0
-    step_of = {g: steps[i] for i, g in enumerate(powers)}
-    state = np.concatenate([pi, H[:1]])
-    for a, b in zip(sites, sites[1:]):
-        state = state @ step_of[b - a]
+
+    def set_up():
+        powers = _gap_powers(P, sites)
+        # pi, then the rows of every power: one entropy pass over all rows
+        rows = np.concatenate([pi, *(Pg.ravel() for Pg in powers.values())])
+        H = -(rows * np.log(np.where(rows > 0.0, rows, 1.0))).reshape(-1, m).sum(axis=1)
+        steps = np.zeros((len(powers), m + 1, m + 1))
+        steps[:, :m, :m] = rows[m:].reshape(-1, m, m)
+        steps[:, :m, m] = H[1:].reshape(-1, m)
+        steps[:, m, m] = 1.0
+        return _Walk(np.concatenate([pi, H[:1]]), {g: steps[i] for i, g in enumerate(powers)})
+
+    walk = _walk(sites, set_up, pi, P)
+    state = walk.state
+    for a, b in zip(sites[walk.done - 1:], sites[walk.done:]):
+        state = state @ walk.steps[b - a]
+    walk.state, walk.done = state, len(sites)
     return float(state[m])
 
 
@@ -156,31 +206,40 @@ def hidden_markov_pattern_probs(
     """Measures of all cell patterns on a sorted, possibly gapped d = 1 window.
 
     ``site_cells[j]`` gives the cell of each symbol at window site j
-    (an int array of length m, cells 0..c_j - 1). A forward recursion
-    keeps one (cell pattern so far, current state) table: each site
-    moves it by P^gap and splits every state's mass into its cell, so
-    the cost is prod(c_j) * m^2 rather than m^k. Patterns are indexed
-    element-major, first site most significant.
+    (an int array of length m, cells 0..c_j - 1). A forward walk keeps
+    one (cell pattern so far, current state) table: each site moves it
+    by P^gap and splits every state's mass into its cell, so the cost
+    is prod(c_j) * m^2 rather than m^k. A fresh walk takes the powers of
+    all the window's gaps first; with one cell map on every site, the
+    walk resumes from the previous row inside a rate trace (``_walk``).
+    Patterns are indexed element-major, first site most significant.
     """
     pi = np.ascontiguousarray(pi, dtype=np.float64)
     P = np.ascontiguousarray(P, dtype=np.float64)
     sites = np.asarray(offsets, dtype=np.int64).tolist()
-    labels = [np.asarray(c, dtype=np.int64) for c in site_cells]
-    if len(labels) != len(sites):
+    if len(site_cells) != len(sites):
         raise ValueError("one cell map per window site required")
-    if not labels:
+    if not sites:
         return np.ones(1)
-    n_cells = [int(c.max()) + 1 for c in labels]
+    labels = np.asarray(site_cells, dtype=np.int64)
+    n_cells = (labels.max(axis=1) + 1).tolist()
     _check_size(math.prod(n_cells), 1)
     m = pi.shape[0]
     states = np.arange(m)
-    powers = _gap_powers(P, sites)
-    step = pi[None, :]
-    for j, (cells, c) in enumerate(zip(labels, n_cells)):
-        if j:
-            step = table.reshape(-1, m) @ powers[sites[j] - sites[j - 1]]
-        table = np.zeros((step.shape[0], c, m))
-        table[:, cells, states] = step
+
+    def set_up():
+        powers = _gap_powers(P, sites)
+        table = np.zeros((1, n_cells[0], m))
+        table[:, labels[0], states] = pi[None, :]
+        return _Walk(table, powers)
+
+    walk = _walk(sites, set_up, pi, P, labels)
+    table = walk.state
+    for j in range(walk.done, len(sites)):
+        step = table.reshape(-1, m) @ walk.steps[sites[j] - sites[j - 1]]
+        table = np.zeros((step.shape[0], n_cells[j], m))
+        table[:, labels[j], states] = step
+    walk.state, walk.done = table, len(sites)
     return table.reshape(-1, m).sum(axis=1)
 
 

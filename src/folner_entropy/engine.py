@@ -17,6 +17,17 @@ any work. A symbol factor is read on a finite conditioning window W
 containing F; for product measures only the factor at F's own sites
 binds, so every such W gives the exact value; for Markov measures it is
 a monotone upper approximation that tightens as W grows.
+
+The rows of a rate trace share their forward walks: inside
+``entropy_rate`` an interval window with one cell map on every site
+resumes the walk of the same chain and cell map where the row before
+stopped, so a d = 1 Markov trace over sides 1..N costs N chain steps,
+not N(N+1)/2. Gapped windows, windows outside a trace and d >= 2
+windows (Bernoulli closed forms) take fresh walks or none; a product
+component under a symbol factor is walked as an interval in any
+dimension. Each row is still one ``conditional_block_entropy`` call
+with its cap check first, and equals by ``repr`` the value of its
+window on its own; no walk outlives its trace.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._kernels import entropy_from_probs, markov_window_entropy
+from ._kernels import _WALKS, entropy_from_probs, markov_window_entropy
 from .groups import FolnerSequence, FolnerSubset, basis, identity as group_identity, neg
 from .spaces import (
     FiniteProbabilitySpace,
@@ -388,6 +399,12 @@ def entropy_rate(
     the sigma-algebra modulo C, so with the default the trace converges
     to h(T | C), the supremum over all finite partitions. ``converged``
     is not a certificate that ``estimate`` lies within ``tol`` of it.
+
+    The rows of a d = 1 trace share one forward walk per chain and cell
+    map, so sides 1..N cost N chain steps, not N(N+1)/2; gapped and
+    d >= 2 windows take fresh walks or none. Every row equals by
+    ``repr`` its window's value on its own. The walks are dropped when
+    the call returns or raises.
     """
     if sequence is None:
         raise ValueError("a box schedule is required")
@@ -397,16 +414,23 @@ def entropy_rate(
     entries = []
     best = math.inf
     truncated = False
-    for n in range(1, n_max + 1):
-        F = sequence.subset(n)
-        try:
-            H = conditional_block_entropy(system, alpha, F, C, None, cap)
-        except EnumerationCapError:
-            truncated = True
-            break
-        rate = H / len(F)
-        best = min(best, rate)
-        entries.append(RateEntry(n, len(F), H, rate, best))
+    # each row resumes the forward walks of the row before (``_kernels._walk``)
+    walks = {}
+    scope = _WALKS.set(walks)
+    try:
+        for n in range(1, n_max + 1):
+            F = sequence.subset(n)
+            try:
+                H = conditional_block_entropy(system, alpha, F, C, None, cap)
+            except EnumerationCapError:
+                truncated = True
+                break
+            rate = H / len(F)
+            best = min(best, rate)
+            entries.append(RateEntry(n, len(F), H, rate, best))
+    finally:
+        _WALKS.reset(scope)
+        walks.clear()
     if not entries:
         raise EnumerationCapError("pattern cap exceeded")
     trace = RateTrace(entries, truncated)

@@ -86,7 +86,8 @@ class FiniteProbabilitySpace:
         """Uniform space over ``atoms`` (an id sequence, or a count)."""
         ids = tuple(range(atoms)) if isinstance(atoms, int) else tuple(atoms)
         n = len(ids)
-        return cls(ids, np.full(n, 1.0 / n))
+        # no atoms: the constructor raises "empty space"
+        return cls(ids, np.full(n, 1.0 / max(n, 1)))
 
     def __len__(self) -> int:
         return len(self.atom_ids)

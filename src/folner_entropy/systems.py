@@ -189,11 +189,26 @@ class SymbolPartition:
         if len(seen) != len(alphabet):
             raise ValueError("cells must cover the alphabet")
         canon.sort(key=lambda idx: idx[0])
+        self._set(alphabet, [[alphabet[i] for i in idx] for idx in canon])
+
+    def _set(self, alphabet: tuple, cells: list) -> None:
         self.alphabet = alphabet
-        self.cells = tuple(tuple(alphabet[i] for i in idx) for idx in canon)
-        self._cell_of = {alphabet[i]: ci for ci, idx in enumerate(canon) for i in idx}
+        self.cells = tuple(map(tuple, cells))
+        self._cell_of = {s: ci for ci, cell in enumerate(self.cells) for s in cell}
         self._labels = np.array([self._cell_of[s] for s in alphabet], dtype=np.int64)
         self._labels.flags.writeable = False
+
+    @classmethod
+    def _grouped(cls, alphabet: tuple, keys) -> "SymbolPartition":
+        """The partition into classes of equal key, ``keys`` giving one
+        per symbol in alphabet order, without the constructor's checks:
+        listed by first symbol, the classes are already canonical."""
+        groups: dict = {}
+        for s, key in zip(alphabet, keys):
+            groups.setdefault(key, []).append(s)
+        self = cls.__new__(cls)
+        self._set(alphabet, list(groups.values()))
+        return self
 
     @classmethod
     def full(cls, alphabet: Sequence) -> "SymbolPartition":
@@ -218,10 +233,7 @@ class SymbolPartition:
     def join(self, other: "SymbolPartition") -> "SymbolPartition":
         if self.alphabet != other.alphabet:
             raise ValueError("alphabet mismatch")
-        groups: dict = {}
-        for s in self.alphabet:
-            groups.setdefault((self._cell_of[s], other._cell_of[s]), []).append(s)
-        return SymbolPartition(self.alphabet, groups.values())
+        return SymbolPartition._grouped(self.alphabet, zip(self._labels.tolist(), other._labels.tolist()))
 
     def refines(self, other: "SymbolPartition") -> bool:
         """True iff every cell of self lies inside a cell of ``other``."""
@@ -422,13 +434,13 @@ class SubAlgebraSpec:
         """The symbol partition induced by the factor map on ``alphabet``."""
         if self.kind != "symbol_factor":
             raise IncompatibleSubAlgebraError("incompatible sub-algebra")
+        alphabet = tuple(alphabet)
         missing = [s for s in alphabet if s not in self.factor_map]
         if missing:
             raise ValueError("factor map must cover the alphabet")
-        groups: dict = {}
-        for s in alphabet:
-            groups.setdefault(self.factor_map[s], []).append(s)
-        return SymbolPartition(alphabet, groups.values())
+        if len(set(alphabet)) != len(alphabet):
+            raise ValueError("duplicate symbols")
+        return SymbolPartition._grouped(alphabet, map(self.factor_map.__getitem__, alphabet))
 
 
 # ---------------------------------------------------------------------------

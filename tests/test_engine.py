@@ -45,6 +45,7 @@ from folner_entropy import (
     verify_rate_inequalities,
     window_partition,
 )
+from folner_entropy import _kernels
 from folner_entropy._kernels import entropy_from_logprobs, entropy_from_probs
 from folner_entropy.engine import (
     IDENTITY_PROPERTY_LABELS,
@@ -929,6 +930,150 @@ def test_rate_convergence_flag():
     assert not report.converged  # rate still falling at n = 2
     _, report = entropy_rate(mk, sequence=FolnerSequence(1, tuple(range(1, 13))), tol=1e-1)
     assert report.converged
+
+
+# -- rate traces share one forward walk per chain and cell map --------------------
+
+
+HALVES = np.array([0.5, 0.5])
+
+
+def _trace_case(name):
+    zeros = [[0.5, 0.5, 0.0], [0.3, 0.7, 0.0], [0.2, 0.3, 0.5]]
+    mk3 = markov_shift(None, P3)
+    near = markov_shift(mk3.pi + np.array([4e-11, -4e-11, 0.0]), P3, stationarity_tol=1e-10)
+    factor = SubAlgebraSpec.symbol_factor({0: 0, 1: 1, 2: 1})
+    bern3 = bernoulli_shift([0.5, 0.3, 0.2])
+    space = FiniteProbabilitySpace(range(6), [0.25, 0.125, 0.125, 0.25, 0.125, 0.125])
+    slow = markov_shift(HALVES, [[0.9, 0.1], [0.1, 0.9]])
+    fast = markov_shift(HALVES, [[0.6, 0.4], [0.4, 0.6]])
+    return {
+        "markov": (markov_shift(PI, P), None, None),
+        "markov-zero-entries": (markov_shift(None, zeros), None, None),
+        "markov-nearly-stationary-pi": (near, None, None),
+        "coarse-cells": (mk3, SymbolPartition(mk3.alphabet, [[0], [1, 2]]), None),
+        "symbol-factor": (mk3, None, factor),
+        "symbol-factor-mixture": (mixture([bern3, mk3], [0.3, 0.7]), None, factor),
+        "mixture": (mixture([bernoulli_shift([0.6, 0.4]), markov_shift(PI, P)], [0.4, 0.6]), None, None),
+        # two chains with one pi: walks are told apart by P
+        "mixture-one-pi-two-chains": (mixture([slow, fast], [0.5, 0.5]), None, None),
+        "finite": (
+            FinitePMPAction(space, [(3, 4, 5, 0, 1, 2)]),
+            Partition(space, [[0, 1], [2, 3], [4, 5]]),
+            None,
+        ),
+    }[name]
+
+
+TRACE_CASES = [
+    "markov", "markov-zero-entries", "markov-nearly-stationary-pi", "coarse-cells",
+    "symbol-factor", "symbol-factor-mixture", "mixture", "mixture-one-pi-two-chains", "finite",
+]
+
+
+def _rows(trace):
+    return [repr(e.block_entropy) for e in trace.entries]
+
+
+def _per_window_rows(system, alpha, C, seq, n_rows, cap=DEFAULT_PATTERN_CAP):
+    """Each row's value from its own call, outside any rate trace."""
+    return [
+        repr(conditional_block_entropy(system, alpha, seq.subset(n), C, None, cap))
+        for n in range(1, n_rows + 1)
+    ]
+
+
+@pytest.mark.parametrize("name", TRACE_CASES)
+def test_trace_rows_equal_the_per_window_values(name):
+    system, alpha, C = _trace_case(name)
+    seq = FolnerSequence(1, (1, 2, 3, 4, 5, 6, 7, 9, 10))
+    trace, _ = entropy_rate(system, alpha, C, seq)
+    assert len(trace) == 9 and not trace.truncated
+    assert _rows(trace) == _per_window_rows(system, alpha, C, seq, 9)
+    trace, report = entropy_rate(system, alpha, C, seq, n_max=4)
+    assert report.n_used == 4
+    assert _rows(trace) == _per_window_rows(system, alpha, C, seq, 4)
+
+
+@pytest.mark.parametrize("name", ["markov-zero-entries", "coarse-cells", "symbol-factor"])
+def test_trace_cap_truncates_at_the_same_row(name):
+    system, alpha, C = _trace_case(name)
+    seq = FolnerSequence(1, tuple(range(1, 12)))
+    cap = 3**7
+    trace, report = entropy_rate(system, alpha, C, seq, cap=cap)
+    assert report.truncated and report.n_used == 7
+    assert _rows(trace) == _per_window_rows(system, alpha, C, seq, 7, cap)
+    with pytest.raises(EnumerationCapError):
+        conditional_block_entropy(system, alpha, seq.subset(8), C, None, cap)
+
+
+def test_back_to_back_traces_of_one_chain_give_equal_rows():
+    system, alpha, C = _trace_case("symbol-factor")
+    seq = FolnerSequence(1, tuple(range(1, 10)))
+    first, _ = entropy_rate(system, alpha, C, seq)
+    other, _ = entropy_rate(system, SymbolPartition(system.alphabet, [[0, 1], [2]]), None, seq)
+    second, _ = entropy_rate(system, alpha, C, seq)
+    assert _rows(first) == _rows(second) == _per_window_rows(system, alpha, C, seq, 9)
+    assert _rows(other) != _rows(first)
+
+
+def test_trace_rows_resume_one_walk_per_chain_and_cell_map(monkeypatch):
+    # a fresh walk takes the powers of its window's gaps first; rows 1 and 2
+    # start walks (one site has no gap to step across), every later row resumes
+    set_ups = []
+    gap_powers = _kernels._gap_powers
+
+    def counted(P, sites):
+        set_ups.append(len(sites))
+        return gap_powers(P, sites)
+
+    monkeypatch.setattr(_kernels, "_gap_powers", counted)
+    seq = FolnerSequence(1, tuple(range(1, 11)))
+    for name, walks in [("markov", 1), ("coarse-cells", 1), ("symbol-factor", 2), ("mixture", 1)]:
+        set_ups.clear()
+        system, alpha, C = _trace_case(name)
+        entropy_rate(system, alpha, C, seq)
+        assert sorted(set_ups) == [1] * walks + [2] * walks, name
+    set_ups.clear()
+    _per_window_rows(*_trace_case("markov"), seq, 10)
+    assert set_ups == list(range(1, 11))
+
+
+def test_no_walk_outlives_its_trace(monkeypatch):
+    scopes = []
+    walked = _kernels.markov_window_entropy
+
+    def spy(pi, P, offsets):
+        scopes.append(_kernels._WALKS.get())
+        return walked(pi, P, offsets)
+
+    monkeypatch.setattr(engine, "markov_window_entropy", spy)
+    system, _, _ = _trace_case("markov")
+    seq = FolnerSequence(1, tuple(range(1, 8)))
+    entropy_rate(system, sequence=seq)
+    assert _kernels._WALKS.get() is None
+    assert len(scopes) == 7 and all(s is scopes[0] for s in scopes) and scopes[0] == {}
+
+    # a row that raises after walks were stored
+    scopes.clear()
+    block_entropy = engine.conditional_block_entropy
+
+    def fail_on_row_4(system, alpha, F, *rest):
+        if len(F) == 4:
+            raise RuntimeError("row 4")
+        return block_entropy(system, alpha, F, *rest)
+
+    monkeypatch.setattr(engine, "conditional_block_entropy", fail_on_row_4)
+    with pytest.raises(RuntimeError, match="row 4"):
+        entropy_rate(system, sequence=seq)
+    assert _kernels._WALKS.get() is None
+    assert len(scopes) == 3 and scopes[0] == {}
+
+    # an incompatible conditioning raises on row 1
+    invariant = SubAlgebraSpec.invariant_partition(Partition.points(FiniteProbabilitySpace.uniform(2)))
+    with pytest.raises(IncompatibleSubAlgebraError):
+        entropy_rate(system, None, invariant, seq)
+    assert _kernels._WALKS.get() is None
 
 
 def test_entropy_rate_on_the_generator_is_the_largest():

@@ -1,0 +1,57 @@
+"""Golden corpus of CLI runs: every case of ``golden/cases.json`` runs
+in-process through ``cli.main``, plain and with ``--bits``, and must
+reproduce the stored exit code, stdout and output files byte for byte.
+Stdout must be strict JSON (no NaN or Infinity).
+
+The expected files live in ``golden/expected/<case>/`` (``<case>--bits``
+for the ``--bits`` run); ``golden/versions.json`` records the Python and
+numpy versions they were written with. ``golden/regenerate.py`` rewrites
+them; run it only when a change alters CLI bytes on purpose, so that the
+diff of ``golden/expected/`` shows what changed.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from folner_entropy import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+CASES = json.loads((GOLDEN / "cases.json").read_text())
+RUNS = [(case, bits) for case in CASES for bits in (False, True)]
+
+
+def run_id(case: dict, bits: bool) -> str:
+    return case["name"] + ("--bits" if bits else "")
+
+
+def run_case(case: dict, bits: bool, work: Path) -> dict:
+    """Run one case in ``work``; return {file name: bytes} of its exit
+    code, its stdout and every file it wrote into its output directory."""
+    config, out = work / "config.json", work / "out"
+    out.mkdir()
+    config.write_text(json.dumps(case["config"]))
+    argv = [case["verb"], "--config", str(config), "--out", str(out)] + (["--bits"] if bits else [])
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(argv)
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    return {"exit_code": f"{code}\n".encode(), "stdout": stdout.getvalue().encode(), **files}
+
+
+def _reject_constant(name):
+    raise AssertionError(f"CLI stdout holds {name}, which is not JSON")
+
+
+@pytest.mark.parametrize("case, bits", RUNS, ids=[run_id(c, b) for c, b in RUNS])
+def test_cli_output_matches_the_golden_corpus(case, bits, tmp_path):
+    got = run_case(case, bits, tmp_path)
+    expected = GOLDEN / "expected" / run_id(case, bits)
+    want = {p.name: p.read_bytes() for p in sorted(expected.iterdir())}
+    assert sorted(got) == sorted(want)
+    for name in want:
+        assert got[name] == want[name], name
+    json.loads(got["stdout"], parse_constant=_reject_constant)

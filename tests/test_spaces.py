@@ -78,6 +78,12 @@ def test_space_validation():
         FiniteProbabilitySpace([1, 2], [-0.1, 1.1])
 
 
+@pytest.mark.parametrize("atoms", [0, []])
+def test_uniform_space_without_atoms_is_the_empty_space_error(atoms):
+    with pytest.raises(ValueError, match="^empty space$"):
+        FiniteProbabilitySpace.uniform(atoms)
+
+
 @pytest.mark.parametrize("masses", [[np.nan, np.nan], [1.0, np.nan]])
 def test_space_masses_must_be_finite(masses):
     # NaN passes the sign and sum checks: [NaN, NaN] used to give entropy -0.0

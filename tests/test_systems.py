@@ -208,6 +208,36 @@ def test_repeated_symbol_in_one_cell_rejected():
         SymbolPartition((0, 1), [[0, 0], [1]])
 
 
+def test_joins_and_factor_partitions_equal_the_checked_constructor():
+    # both skip the constructor's checks; their cells must still be canonical
+    rng = np.random.default_rng(8201)
+    for n in range(1, 7):
+        alphabet = tuple(rng.permutation(["a", "b", "c", "d", "e", "f"])[:n].tolist())
+        for _ in range(5):
+            a, b, f = (rng.integers(0, 3, size=n).tolist() for _ in range(3))
+            alpha, beta = (
+                SymbolPartition(alphabet, [[s for s, c in zip(alphabet, k) if c == v] for v in set(k)])
+                for k in (a, b)
+            )
+            joined = alpha.join(beta)
+            pairs = list(zip(a, b))
+            want = SymbolPartition(alphabet, [[s for s, p in zip(alphabet, pairs) if p == q] for q in set(pairs)])
+            phi = SubAlgebraSpec.symbol_factor(dict(zip(alphabet, f))).factor_partition(alphabet)
+            want_phi = SymbolPartition(alphabet, [[s for s, c in zip(alphabet, f) if c == v] for v in set(f)])
+            for got, ref in ((joined, want), (phi, want_phi)):
+                assert got == ref and hash(got) == hash(ref) and got.cells == ref.cells
+                assert got.cell_labels().tobytes() == ref.cell_labels().tobytes()
+                assert not got.cell_labels().flags.writeable
+                assert [got.cell_index(s) for s in alphabet] == [ref.cell_index(s) for s in alphabet]
+    factor = SubAlgebraSpec.symbol_factor({0: 0, 1: 1})
+    with pytest.raises(ValueError, match="^factor map must cover the alphabet$"):
+        factor.factor_partition((0, 1, 2))
+    with pytest.raises(ValueError, match="^duplicate symbols$"):
+        factor.factor_partition((0, 1, 0))
+    with pytest.raises(ValueError, match="^alphabet mismatch$"):
+        SymbolPartition.full((0, 1)).join(SymbolPartition.full((1, 0)))
+
+
 def test_window_partition_coarse_cells():
     b = bernoulli_shift([0.5, 0.25, 0.25])
     cells = SymbolPartition(b.alphabet, [[0], [1, 2]])
