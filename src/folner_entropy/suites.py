@@ -6,20 +6,33 @@ property. Measure-preserving permutations are built with masses
 constant along cycles, so preservation holds bit-exactly rather than
 within a tolerance.
 
-Every trial is drawn as raw arrays: its masses, a permutation, and label
-arrays from ``_random_labels``. No space, partition or check object is
-built per trial. Consecutive trials are stacked until their terms hold
-``_BATCH_ATOMS`` atoms; each batch then takes one check of its masses
+Trials are drawn a batch at a time, as raw arrays over the batch's
+spaces laid back to back: consecutive trials are stacked until their
+terms hold ``_BATCH_ATOMS`` atoms, and a batch takes a fixed number of
+generator calls, however many trials it holds. A trial's instance has
+this distribution:
+
+- a space of n atoms, n uniform in 2..max_atoms, with uniform weights;
+  from 3 atoms on, with probability 0.3, a uniform k-subset of them is
+  zeroed, k uniform in 1..max(2, n // 3);
+- for the identities, a uniform permutation of the atoms instead, with
+  one uniform weight per cycle;
+- partitions with labels uniform below a bound uniform in 1..n.
+
+A seed's instances depend on the order of these draws and on
+``_BATCH_ATOMS``; they differ from those of earlier versions, which drew
+each trial with its own generator calls. No space, partition or check
+object is built per trial: a batch takes one check of its masses
 (``FiniteProbabilitySpace``'s, with its messages), one array pass of the
 verifier entry the sweep exercises, and one ``PropertyStats.record_all``
-per property. Every report is the one a verifier call per trial gives.
+per property. Every report is the one a verifier call per trial, on the
+same instances, gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -44,60 +57,7 @@ from .spaces import (
 from .systems import DEFAULT_PATTERN_CAP, _require_generator
 
 # ---------------------------------------------------------------------------
-# trial draws
-# ---------------------------------------------------------------------------
-
-
-def _random_masses(rng: np.random.Generator, max_atoms: int) -> np.ndarray:
-    """The masses of a random space of 2..max_atoms atoms; from 3 atoms on,
-    some may be zero."""
-    n = int(rng.integers(2, max_atoms + 1))
-    w = rng.random(n)
-    if n >= 3 and rng.random() < 0.3:
-        k = int(rng.integers(1, max(2, n // 3) + 1))
-        w[rng.choice(n, size=k, replace=False)] = 0.0
-    total = w.sum()
-    if total <= 0.0:
-        w[0] = 1.0
-        total = w.sum()
-    return w / total
-
-
-def _random_labels(rng: np.random.Generator, n: int) -> tuple:
-    """Raw labels of a random partition of n atoms, each uniform below a
-    bound k drawn uniformly from 1..n, and that bound."""
-    k = int(rng.integers(1, n + 1))
-    return rng.integers(0, k, size=n), k
-
-
-def _random_permutation_masses(rng: np.random.Generator, max_atoms: int) -> tuple:
-    """The masses of a random space and a permutation preserving them
-    bit-exactly.
-
-    Masses are assigned per cycle of the permutation (one shared float
-    per cycle), so ``masses[perm[j]] == masses[j]`` holds as an exact
-    float identity, which the action constructor requires. Cycles are
-    numbered by their smallest atom, and the normaliser adds the cycles'
-    weights in that order.
-    """
-    n = int(rng.integers(2, max_atoms + 1))
-    perm = rng.permutation(n)
-    step = perm.tolist()
-    cycle = [-1] * n
-    count = 0
-    for s in range(n):
-        if cycle[s] < 0:
-            j = s
-            while cycle[j] < 0:
-                cycle[j] = count
-                j = step[j]
-            count += 1
-    w = rng.random(count)
-    return w[cycle] / (np.bincount(cycle) * w).cumsum()[-1], perm
-
-
-# ---------------------------------------------------------------------------
-# sweep reports
+# batch draws
 # ---------------------------------------------------------------------------
 
 
@@ -114,31 +74,112 @@ def _require_arguments(trials: int, max_atoms: int, *tolerances: float) -> None:
 _BATCH_ATOMS = 4096
 
 
-def _run_batched(trials: int, draw: Callable[[], tuple], flush: Callable[[list], None]) -> None:
-    """Draw the trials in order and hand them to ``flush`` in lists closed
-    once their terms hold ``_BATCH_ATOMS`` atoms (the last list may hold
-    fewer). ``draw`` makes one trial and returns its terms and their atom
-    count. A list is dropped before the next one is drawn, so one batch
-    at most is held at a time."""
-    batch: list = []
-    atoms = 0
-    for t in range(trials):
-        terms, size = draw()
-        batch.append(terms)
-        atoms += size
-        if atoms >= _BATCH_ATOMS or t == trials - 1:
-            flush(batch)
-            batch, atoms = [], 0
+def _batch_rows(rng: np.random.Generator, trials: int, low: list, high: list, atoms: Callable) -> Iterator:
+    """Each batch's trial parameters, one row per parameter j, uniform in
+    [low[j], high[j]). A batch closes once its trials' terms hold
+    ``_BATCH_ATOMS`` atoms (``atoms`` counts them from a block of
+    parameters), or at the last trial. Parameters are drawn in blocks of
+    as many trials as a batch can hold; what a batch leaves is carried
+    over to the next."""
+    most = -(-_BATCH_ATOMS // int(atoms(np.array([low]))[0]))
+    pool = np.empty((0, len(low)), dtype=np.int64)
+    while trials:
+        want = min(trials, most)
+        if pool.shape[0] < want:
+            pool = np.concatenate([pool, rng.integers(low, high, size=(want - pool.shape[0], len(low)))])
+        full = atoms(pool[:want]).cumsum() >= _BATCH_ATOMS
+        take = int(full.argmax()) + 1 if full.any() else want
+        yield pool[:take].T
+        pool, trials = pool[take:], trials - take
 
 
-def _stacked_masses(batch: list) -> tuple:
-    """The masses of a batch's trials (each trial's first term) back to
-    back, after ``FiniteProbabilitySpace``'s checks on each, and their
-    atom counts."""
-    sizes = [terms[0].shape[0] for terms in batch]
-    masses = np.concatenate([terms[0] for terms in batch])
-    _require_probabilities(masses, sizes)
-    return masses, sizes
+def _shuffle(rng: np.random.Generator, sizes: np.ndarray) -> np.ndarray:
+    """A uniform random order of each space's atoms, the spaces' atoms back
+    to back: the argsort of uniform 51-bit keys, each offset by its
+    space's index times 2^51 so that no atom leaves its space."""
+    space = np.arange(sizes.shape[0]).repeat(sizes)
+    return (rng.integers(0, 1 << 51, size=space.shape[0]) + (space << 51)).argsort()
+
+
+def _masses(rng: np.random.Generator, sizes: np.ndarray) -> np.ndarray:
+    """The masses of random spaces of the given sizes, back to back. A zeroed
+    k-subset is the space's first k atoms in ``_shuffle`` order; a space
+    whose weights are all zero puts its mass on its first atom."""
+    ends = sizes.cumsum()
+    w = rng.random(int(ends[-1]))
+    zeroed = (sizes >= 3) & (rng.random(sizes.shape[0]) < 0.3)
+    k = rng.integers(1, np.maximum(2, sizes // 3) + 1)
+    rank = np.empty(w.shape[0], dtype=np.int64)
+    rank[_shuffle(rng, sizes)] = np.arange(w.shape[0]) - (ends - sizes).repeat(sizes)
+    w[(rank < k.repeat(sizes)) & zeroed.repeat(sizes)] = 0.0
+    totals = _segment_sums(w, ends)
+    if (totals <= 0.0).any():
+        w[(ends - sizes)[totals <= 0.0]] = 1.0
+        totals = _segment_sums(w, ends)
+    return w / totals.repeat(sizes)
+
+
+def _permutation_masses(rng: np.random.Generator, sizes: np.ndarray) -> tuple:
+    """The masses of random spaces of the given sizes and a permutation of
+    each space's atoms (its ``_shuffle`` order) that preserves them
+    bit-exactly, as one index map over the spaces' atoms back to back.
+
+    Every cycle takes the weight drawn at its smallest atom, found by
+    doubling as ``orbit_partition`` finds it, so the atoms of a cycle
+    share one float and ``masses[perm] == masses`` holds exactly, as the
+    action constructor requires.
+    """
+    perm = _shuffle(rng, sizes)
+    low = np.arange(perm.shape[0])
+    step = perm
+    for _ in range(max(1, (int(sizes.max()) - 1).bit_length())):
+        low = np.minimum(low, low[step])
+        step = step[step]
+    w = rng.random(perm.shape[0])[low]
+    return w / _segment_sums(w, sizes.cumsum()).repeat(sizes), perm
+
+
+def _identity_batches(rng: np.random.Generator, trials: int, max_atoms: int) -> Iterator:
+    """Each batch of ``sweep_identities`` (a trial's terms being the 10
+    pairs of ``_identity_entropies`` with three image maps, over its
+    atoms): the sizes, masses, permutation, and the label rows of alpha,
+    beta and gamma with their bounds. Every label row is uniform below its
+    bound, which is uniform in 1..n per space."""
+    for (sizes,) in _batch_rows(rng, trials, [2], [max_atoms + 1], lambda rows: 10 * rows[:, 0]):
+        masses, perm = _permutation_masses(rng, sizes)
+        bounds = rng.integers(1, sizes + 1, size=(3, sizes.shape[0]))
+        yield sizes, masses, perm, rng.integers(0, bounds.repeat(sizes, axis=1)), bounds
+
+
+def _disintegration_batches(rng: np.random.Generator, trials: int, max_atoms: int) -> Iterator:
+    """Each batch of ``sweep_disintegration``: the sizes, masses, the label
+    rows of alpha and cond, and the subsets' mask (each atom picked with
+    probability 1/2)."""
+    for (sizes,) in _batch_rows(rng, trials, [2], [max_atoms + 1], lambda rows: rows[:, 0]):
+        masses = _masses(rng, sizes)
+        bounds = rng.integers(1, sizes + 1, size=(2, sizes.shape[0]))
+        alpha, cond = rng.integers(0, bounds.repeat(sizes, axis=1))
+        yield sizes, masses, alpha, cond, rng.random(masses.shape[0]) < 0.5
+
+
+def _exhaustion_batches(rng: np.random.Generator, trials: int, max_atoms: int) -> Iterator:
+    """Each batch of ``sweep_exhaustion``: the sizes, masses, chain depths
+    (uniform in 2..4), and the label rows of xi, C and the chain with
+    their bounds. C's bound is 1 (no C) with probability 1/2, and so is
+    a chain row's past its trial's depth."""
+    for sizes, depths in _batch_rows(
+        rng, trials, [2, 2], [max_atoms + 1, 5], lambda rows: rows[:, 0] * (rows[:, 1] + 1)
+    ):
+        masses = _masses(rng, sizes)
+        bounds = rng.integers(1, sizes + 1, size=(2 + int(depths.max()), sizes.shape[0]))
+        bounds[1, rng.random(sizes.shape[0]) >= 0.5] = 1
+        bounds[2:][np.arange(bounds.shape[0] - 2)[:, None] >= depths] = 1
+        yield sizes, masses, depths, rng.integers(0, bounds.repeat(sizes, axis=1)), bounds
+
+
+# ---------------------------------------------------------------------------
+# sweep reports
+# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -151,16 +192,11 @@ class PropertyStats:
     violations: int = 0
     min_slack: float = float("inf")
 
-    def record(self, slack: float) -> None:
-        self.checked += 1
-        self.min_slack = min(self.min_slack, slack)
-        if slack < -self.tolerance:
-            self.violations += 1
-
     def record_all(self, slacks: np.ndarray) -> None:
-        """``record`` of every slack in turn, in one array pass. As the loop
-        does, ``min_slack`` moves only to a slack strictly below it, and
-        then to the first of the smallest slacks, so a zero keeps its sign
+        """Count the slacks as checks, and those below -tolerance as
+        violations, in one array pass. ``min_slack`` moves only to a slack
+        strictly below it, and then to the first of the smallest slacks,
+        as ``min`` over the slacks in turn would: a zero keeps its sign
         and a NaN is never taken."""
         slacks = np.asarray(slacks, dtype=np.float64)
         self.checked += slacks.shape[0]
@@ -211,38 +247,28 @@ def sweep_identities(
     measure-preserving permutation, uses it both as a one-generator
     action (translation invariance) and as a raw map (invariance under
     measure isomorphisms), and checks all identities on a random
-    partition triple. A trial is drawn as raw arrays: the masses, the
-    permutation and three label arrays. Each batch takes one check of its
-    masses, one of its permutations, which raises ``FinitePMPAction``'s
-    errors, one ``_identity_entropies`` pass, the one
-    ``verify_entropy_identities`` makes for a single triple, and the same
-    check arithmetic over arrays. The report is the one a
+    partition triple. A batch is drawn as raw arrays
+    (``_identity_batches``): the masses, the permutation and three label
+    rows. Each batch takes one check of its masses, one of its
+    permutations, which raises ``FinitePMPAction``'s errors, one
+    ``_identity_entropies`` pass, the one ``verify_entropy_identities``
+    makes for a single triple, and the same check arithmetic over arrays. The report is the one a
     ``verify_entropy_identities`` call per trial gives. Both tolerances
     must be finite and nonnegative.
     """
     _require_arguments(trials, max_atoms, tolerance, equality_tolerance)
-    rng = np.random.default_rng(seed)
     report = SweepReport(trials, seed)
     elements = _unit_elements(1)
-
-    def draw():
-        masses, perm = _random_permutation_masses(rng, max_atoms)
-        n = len(masses)
-        triple = [_random_labels(rng, n) for _ in range(3)]
-        return (masses, perm, triple), n * (7 + len(elements) + 1)
-
-    def flush(batch):
-        masses, sizes = _stacked_masses(batch)
-        perm = _stacked_permutations(masses, [perm for _, perm, _ in batch], sizes)
+    batches = _identity_batches(np.random.default_rng(seed), trials, max_atoms)
+    for sizes, masses, perm, labels, bounds in batches:
+        sizes, bounds = sizes.tolist(), bounds.max(axis=1).tolist()
+        _require_probabilities(masses, sizes)
+        perm = _stacked_permutations(masses, perm, sizes)
         inverse = np.empty_like(perm)
         inverse[perm] = np.arange(perm.shape[0])
-        labels = [np.concatenate([triple[i][0] for _, _, triple in batch]) for i in range(3)]
-        bounds = [max(triple[i][1] for _, _, triple in batch) for i in range(3)]
         # T_e gathers through the inverse, T_-e and the raw map through perm
         values = np.array(_identity_entropies(masses, sizes, labels, bounds, [inverse, perm, perm])).T
         _record_slacks(report, _identity_slacks(values, elements, True, tolerance, equality_tolerance))
-
-    _run_batched(trials, draw, flush)
     return report
 
 
@@ -257,19 +283,17 @@ def _record_slacks(report: SweepReport, slacks: list) -> None:
         report.stat(name, tol).record_all(np.stack(rows, axis=1).ravel())
 
 
-def _stacked_permutations(masses: np.ndarray, perms: list, sizes: list) -> np.ndarray:
-    """The trials' permutations (each on its own atoms) as one index map
-    over their stacked atoms, after checking, for all of them at once,
-    that each is a permutation of its own atoms that keeps their masses.
-    An index outside its trial becomes -1, and a permutation of the wrong
-    length leaves the stack misaligned; both fail the check."""
-    stacked = np.concatenate(perms)
-    if [len(p) for p in perms] == sizes:
-        starts = np.array([*accumulate(sizes[:-1], initial=0)])
-        inside = (stacked >= 0) & (stacked < np.repeat(sizes, sizes))
-        stacked = np.where(inside, stacked + starts.repeat(sizes), -1)
-    _require_generator(masses, stacked, np.arange(masses.shape[0]))
-    return stacked
+def _stacked_permutations(masses: np.ndarray, perm: np.ndarray, sizes: list) -> np.ndarray:
+    """The trials' permutations, one index map over their stacked atoms,
+    after checking, for all of them at once, that each is a permutation
+    of its own atoms that keeps their masses. An index outside its trial
+    becomes -1, and a map of the wrong length fails the check."""
+    if perm.shape == masses.shape:
+        ends = np.cumsum(sizes)
+        inside = (perm >= (ends - sizes).repeat(sizes)) & (perm < ends.repeat(sizes))
+        perm = np.where(inside, perm, -1)
+    _require_generator(masses, perm, np.arange(masses.shape[0]))
+    return perm
 
 
 def sweep_disintegration(
@@ -283,38 +307,28 @@ def sweep_disintegration(
     Each trial checks that re-integrating a random atom subset through
     the disintegration over a random partition reproduces its mass (read
     independently, as ``mass_of`` reads it), and that -log of the
-    conditional mass function integrates to H(alpha | cond). A trial is
-    drawn as raw arrays: the masses, two label arrays and the subset's
-    mask. Each batch takes one check of its masses and one
-    ``_stacked_mass_functions`` join; the re-integration reads the cond
+    conditional mass function integrates to H(alpha | cond). A batch is
+    drawn as raw arrays (``_disintegration_batches``): the masses, two
+    label rows and the subsets' mask. Each batch takes one check of its
+    masses and one ``_stacked_mass_functions`` join; the re-integration reads the cond
     labels and block masses of that join (``_stacked_reintegration``), and
     the direct masses are one segment sum over the picked atoms. The
     report is the one a ``reconstruct`` and a ``conditional_mass_function``
     call per trial give. ``tolerance`` must be finite and nonnegative.
     """
     _require_arguments(trials, max_atoms, tolerance)
-    rng = np.random.default_rng(seed)
     report = SweepReport(trials, seed)
-
-    def draw():
-        masses = _random_masses(rng, max_atoms)
-        n = masses.shape[0]
-        alpha = _random_labels(rng, n)[0]
-        cond = _random_labels(rng, n)[0]
-        return (masses, alpha, cond, rng.random(n) < 0.5), n
-
-    def flush(batch):
-        masses, sizes = _stacked_masses(batch)
-        alpha, cond, pick = (np.concatenate([terms[i] for terms in batch]) for i in (1, 2, 3))
+    batches = _disintegration_batches(np.random.default_rng(seed), trials, max_atoms)
+    for sizes, masses, alpha, cond, pick in batches:
+        count, sizes = sizes.shape[0], sizes.tolist()
+        _require_probabilities(masses, sizes)
         cond, mC, counts = _stacked_betas(masses, cond, sizes)
         gaps = _stacked_mass_functions(masses, alpha, cond, mC, counts, sizes)[3]
         rebuilt = _stacked_reintegration(masses, cond, mC, counts, pick)
-        trial = np.arange(len(batch)).repeat(sizes)
-        direct = _segment_sums(masses[pick], np.bincount(trial[pick], minlength=len(batch)).cumsum().tolist())
+        trial = np.arange(count).repeat(sizes)
+        direct = _segment_sums(masses[pick], np.bincount(trial[pick], minlength=count).cumsum().tolist())
         report.stat("reconstruction", tolerance).record_all(-np.abs(np.subtract(rebuilt, direct)))
         report.stat("mass_function_integral", tolerance).record_all(-gaps)
-
-    _run_batched(trials, draw, flush)
     return report
 
 
@@ -327,57 +341,40 @@ def sweep_exhaustion(
     """Monotone decay of H(xi | alpha_n v C) along random refining chains.
 
     Chains are cumulative joins of random partitions, capped with the
-    point partition so the final conditional entropy must vanish. A trial
-    is drawn as raw arrays: the masses, xi's labels, C's labels (zeros
-    without C) and the chain's label rows. Each batch builds every chain term as a
-    ``_join_codes`` mixed-radix code, the point partition being
-    ``arange``, and takes one check of its masses and one
-    ``_chain_entropies`` pass, which checks that every chain increases.
-    The report is the one a ``verify_chain_exhaustion`` call per trial
-    gives. ``tolerance`` must be finite and nonnegative.
+    point partition so the final conditional entropy must vanish. A batch
+    is drawn as raw arrays (``_exhaustion_batches``): the masses, the
+    chain depths, and the label rows of xi, C (zeros without C) and the
+    chain. Each batch builds every chain term as a ``_join_codes``
+    mixed-radix code, the point partition being ``arange``, and takes one
+    check of its masses and one ``_chain_entropies`` pass, which checks
+    that every chain increases. The report is the one a
+    ``verify_chain_exhaustion`` call per trial gives. ``tolerance`` must
+    be finite and nonnegative.
     """
     _require_arguments(trials, max_atoms, tolerance)
-    rng = np.random.default_rng(seed)
     report = SweepReport(trials, seed)
-
-    def draw():
-        masses = _random_masses(rng, max_atoms)
-        n = masses.shape[0]
-        xi = _random_labels(rng, n)[0]
-        cond = _random_labels(rng, n) if rng.random() < 0.5 else (np.zeros(n, dtype=np.int64), 1)
-        rows = [_random_labels(rng, n)]
-        rows += [_random_labels(rng, n) for _ in range(int(rng.integers(1, 4)))]
-        return (masses, xi, cond, rows), n * (len(rows) + 1)
-
-    def flush(batch):
-        masses, sizes = _stacked_masses(batch)
-        xi = np.concatenate([terms[1] for terms in batch])
-        cond = (np.concatenate([terms[2][0] for terms in batch]), max(terms[2][1] for terms in batch))
-        depths = [len(terms[3]) for terms in batch]
-        # term j joins rows 0..j of each trial (a trial without row j joins
-        # a row of zeros); the last term joins the deepest one with the points
+    batches = _exhaustion_batches(np.random.default_rng(seed), trials, max_atoms)
+    for sizes, masses, depths, labels, bounds in batches:
+        count, sizes, bounds = sizes.shape[0], sizes.tolist(), bounds.max(axis=1).tolist()
+        _require_probabilities(masses, sizes)
+        # term j joins rows 0..j of each trial (a trial without row j has
+        # a row of zeros there); the last term joins the deepest one with
+        # the points
         chain = []
-        for j in range(max(depths)):
-            rows = [
-                terms[3][j] if j < depth else (np.zeros(n, dtype=np.int64), 1)
-                for terms, depth, n in zip(batch, depths, sizes)
-            ]
-            row = (np.concatenate([codes for codes, _ in rows]), max(k for _, k in rows))
+        for row in zip(labels[2:], bounds[2:]):
             chain.append(_join_codes(chain[-1:] + [row]))
         chain.append(_join_codes(chain[-1:] + [(np.arange(masses.shape[0]), masses.shape[0])]))
-        codes, bounds = zip(*chain)
+        codes, chain_bounds = zip(*chain)
         # each trial's chain: its own joins, then the join with the points
-        lengths = np.array(depths) + 1
-        item_row = np.array([j for depth in depths for j in (*range(depth), max(depths))])
+        lengths = depths + 1
+        item_row = np.array([j for depth in depths.tolist() for j in (*range(depth), len(chain) - 1)])
         values, _ = _chain_entropies(
-            masses, sizes, xi, cond, np.stack(codes), max(bounds),
-            np.arange(len(batch)).repeat(lengths), item_row,
+            masses, sizes, labels[0], (labels[1], bounds[1]), np.stack(codes), max(chain_bounds),
+            np.arange(count).repeat(lengths), item_row,
         )
         values = np.array(values)
         report.stat("chain_monotone", tolerance).record_all(_chain_min_steps(values, lengths))
         report.stat("chain_vanishes", tolerance).record_all(-np.abs(values[lengths.cumsum() - 1]))
-
-    _run_batched(trials, draw, flush)
     return report
 
 

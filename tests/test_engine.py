@@ -65,7 +65,6 @@ from folner_entropy.systems import (
     symbol_pattern_logprobs,
     symbol_pattern_probs,
 )
-from test_suites import random_partition, random_permutation_instance, random_space
 from test_systems import as_finite_action
 
 LOG2 = math.log(2.0)
@@ -1228,6 +1227,55 @@ def test_verify_rate_inequalities_rejects_bad_tolerances(bad, monkeypatch):
     alpha = SymbolPartition.full(b.alphabet)
     with pytest.raises(ValueError, match=TOLERANCE_MESSAGE):
         verify_rate_inequalities(b, alpha, SymbolPartition.trivial(b.alphabet), tol=bad)
+
+
+def random_space(rng: np.random.Generator, max_atoms: int = 10) -> FiniteProbabilitySpace:
+    """A random space with 2..max_atoms atoms; may include zero-mass atoms."""
+    n = int(rng.integers(2, max_atoms + 1))
+    w = rng.random(n)
+    if n >= 3 and rng.random() < 0.3:
+        k = int(rng.integers(1, max(2, n // 3) + 1))
+        w[rng.choice(n, size=k, replace=False)] = 0.0
+    if w.sum() <= 0.0:
+        w[0] = 1.0
+    return FiniteProbabilitySpace(range(n), w / w.sum())
+
+
+def random_partition(rng: np.random.Generator, space: FiniteProbabilitySpace) -> Partition:
+    """Labels uniform below a bound drawn uniformly from 1..n."""
+    k = int(rng.integers(1, len(space) + 1))
+    return Partition.from_labels(space, rng.integers(0, k, size=len(space)))
+
+
+def random_permutation_instance(rng: np.random.Generator, max_atoms: int = 10):
+    """A space together with a permutation preserving it bit-exactly.
+
+    Masses are assigned per cycle of the permutation (one shared float
+    per cycle), so ``masses[perm[j]] == masses[j]`` holds as an exact
+    float identity, which the action constructor requires.
+    """
+    n = int(rng.integers(2, max_atoms + 1))
+    perm = [int(x) for x in rng.permutation(n)]
+    seen = [False] * n
+    cycles = []
+    for s in range(n):
+        if seen[s]:
+            continue
+        cyc = [s]
+        seen[s] = True
+        j = perm[s]
+        while j != s:
+            cyc.append(j)
+            seen[j] = True
+            j = perm[j]
+        cycles.append(cyc)
+    w = rng.random(len(cycles))
+    total = float(sum(len(c) * wi for c, wi in zip(cycles, w)))
+    masses = np.empty(n)
+    for cyc, wi in zip(cycles, w):
+        masses[cyc] = float(wi) / total
+    space = FiniteProbabilitySpace(range(n), masses)
+    return space, tuple(perm)
 
 
 def _identity_pairs_from_partitions(space, alpha, beta, gamma, action, pmp_map):

@@ -11,6 +11,7 @@ diff of ``golden/expected/`` shows what changed.
 """
 
 import contextlib
+import importlib.util
 import io
 import json
 from pathlib import Path
@@ -55,3 +56,41 @@ def test_cli_output_matches_the_golden_corpus(case, bits, tmp_path):
     for name in want:
         assert got[name] == want[name], name
     json.loads(got["stdout"], parse_constant=_reject_constant)
+
+
+def _regenerate():
+    spec = importlib.util.spec_from_file_location("regenerate", GOLDEN / "regenerate.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _corpus_state():
+    files = [GOLDEN / "versions.json", *(GOLDEN / "expected").rglob("*")]
+    return sorted((str(p.relative_to(GOLDEN)), p.stat().st_mtime_ns) for p in files)
+
+
+def test_regenerate_check_passes_on_the_committed_corpus(capsys):
+    # --check writes nothing into the corpus
+    regenerate = _regenerate()
+    before = _corpus_state()
+    assert regenerate.main(["--check"]) == 0
+    assert capsys.readouterr().out == ""
+    assert _corpus_state() == before
+
+
+def test_regenerate_check_lists_changed_new_and_missing(tmp_path):
+    regenerate = _regenerate()
+    runs = {"a": {"stdout": b"1", "exit_code": b"0\n"}, "b": {"stdout": b"2"}, "c": {"stdout": b"3"}}
+    for run, files in {"a": {"stdout": b"1", "exit_code": b"4\n", "rate.csv": b""}, "b": {}, "d": {}}.items():
+        (tmp_path / run).mkdir()
+        for name, data in files.items():
+            (tmp_path / run / name).write_bytes(data)
+    assert regenerate.check(tmp_path, runs) == [
+        "changed a/exit_code",
+        "missing a/rate.csv",
+        "new b/stdout",
+        "new c",
+        "missing d",
+    ]
+    assert regenerate.check(tmp_path / "absent", {"a": {}}) == ["new a"]

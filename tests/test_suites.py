@@ -2,6 +2,7 @@
 at reduced trial counts (full-scale runs live in the acceptance suite).
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -23,57 +24,26 @@ from folner_entropy import (
     verify_chain_exhaustion,
     verify_entropy_identities,
 )
-from folner_entropy.suites import SweepReport, _random_labels
-
-# -- per-object draws: the oracles' instances, from the same rng calls as the
-# sweeps' array draws ------------------------------------------------------------
+from folner_entropy.suites import SweepReport
 
 
-def random_space(rng: np.random.Generator, max_atoms: int = 10, allow_zero: bool = True) -> FiniteProbabilitySpace:
-    """A random space with 2..max_atoms atoms; may include zero-mass atoms."""
-    n = int(rng.integers(2, max_atoms + 1))
-    w = rng.random(n)
-    if allow_zero and n >= 3 and rng.random() < 0.3:
-        k = int(rng.integers(1, max(2, n // 3) + 1))
-        w[rng.choice(n, size=k, replace=False)] = 0.0
-    if w.sum() <= 0.0:
-        w[0] = 1.0
-    return FiniteProbabilitySpace(range(n), w / w.sum())
+def record(stats: PropertyStats, slack: float) -> None:
+    """One slack recorded on its own: the reference for
+    ``PropertyStats.record_all``."""
+    stats.checked += 1
+    stats.min_slack = min(stats.min_slack, slack)
+    if slack < -stats.tolerance:
+        stats.violations += 1
 
 
-def random_partition(rng: np.random.Generator, space: FiniteProbabilitySpace) -> Partition:
-    return Partition.from_labels(space, _random_labels(rng, len(space))[0])
+def _trials(sizes):
+    """Each trial's atoms in a batch, as slices of its stacked arrays."""
+    ends = np.cumsum(sizes).tolist()
+    return [slice(end - n, end) for n, end in zip(sizes.tolist(), ends)]
 
 
-def random_permutation_instance(rng: np.random.Generator, max_atoms: int = 10):
-    """A space together with a permutation preserving it bit-exactly.
-
-    Masses are assigned per cycle of the permutation (one shared float
-    per cycle), so ``masses[perm[j]] == masses[j]`` holds as an exact
-    float identity, which the action constructor requires.
-    """
-    n = int(rng.integers(2, max_atoms + 1))
-    perm = [int(x) for x in rng.permutation(n)]
-    seen = [False] * n
-    cycles = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        cyc = [s]
-        seen[s] = True
-        j = perm[s]
-        while j != s:
-            cyc.append(j)
-            seen[j] = True
-            j = perm[j]
-        cycles.append(cyc)
-    w = rng.random(len(cycles))
-    total = float(sum(len(c) * wi for c, wi in zip(cycles, w)))
-    masses = np.empty(n)
-    for cyc, wi in zip(cycles, w):
-        masses[cyc] = float(wi) / total
-    space = FiniteProbabilitySpace(range(n), masses)
-    return space, tuple(perm)
+def _space(masses):
+    return FiniteProbabilitySpace(range(masses.shape[0]), masses)
 
 
 def test_sweep_identities_small():
@@ -103,8 +73,13 @@ def test_sweep_identities_deterministic():
     assert [(s.name, s.min_slack, s.checked) for s in a.stats.values()] == [
         (s.name, s.min_slack, s.checked) for s in b.stats.values()
     ]
-    c = sweep_identities(trials=25, seed=4)
-    assert [s.min_slack for s in a.stats.values()] != [s.min_slack for s in c.stats.values()]
+
+    # slacks are multiples of the float spacing, so two seeds can tie;
+    # seed 3 must differ from one of the next five
+    def slacks(seed):
+        return [s.min_slack for s in sweep_identities(trials=25, seed=seed).stats.values()]
+
+    assert any(slacks(seed) != slacks(3) for seed in range(4, 9))
 
 
 def test_sweep_disintegration_small():
@@ -139,21 +114,22 @@ def test_sweeps_reject_max_atoms_below_two(sweep, max_atoms):
 
 
 def _identities_trial_by_trial(trials, seed, max_atoms):
-    """``sweep_identities`` as one verifier call per trial, same draws."""
-    rng = np.random.default_rng(seed)
+    """``sweep_identities`` as one verifier call per trial, on the batch
+    draw's instances split per trial."""
     report = SweepReport(trials, seed)
-    for _ in range(trials):
-        space, perm = random_permutation_instance(rng, max_atoms)
-        action = FinitePMPAction(space, [perm])
-        alpha = random_partition(rng, space)
-        beta = random_partition(rng, space)
-        gamma = random_partition(rng, space)
-        inverse = tuple(int(x) for x in np.argsort(np.asarray(perm)))
-        result = verify_entropy_identities(
-            space, alpha, beta, gamma, action=action, pmp_map=inverse
-        )
-        for check in result.checks:
-            report.stat(check.name, check.tol).record(check.slack)
+    batches = suites._identity_batches(np.random.default_rng(seed), trials, max_atoms)
+    for sizes, masses, perm, labels, _ in batches:
+        for t in _trials(sizes):
+            space = _space(masses[t])
+            own = tuple((perm[t] - t.start).tolist())
+            action = FinitePMPAction(space, [own])
+            alpha, beta, gamma = (Partition.from_labels(space, row[t]) for row in labels)
+            inverse = tuple(int(x) for x in np.argsort(np.asarray(own)))
+            result = verify_entropy_identities(
+                space, alpha, beta, gamma, action=action, pmp_map=inverse
+            )
+            for check in result.checks:
+                record(report.stat(check.name, check.tol), check.slack)
     return report
 
 
@@ -172,41 +148,40 @@ def test_batched_identities_sweep_equals_trial_by_trial(max_atoms, trials):
 
 def _disintegration_trial_by_trial(trials, seed, max_atoms, tolerance=1e-12):
     """``sweep_disintegration`` as one disintegration and one mass function
-    call per trial, same draws."""
-    rng = np.random.default_rng(seed)
+    call per trial, on the batch draw's instances split per trial."""
     report = SweepReport(trials, seed)
-    for _ in range(trials):
-        space = random_space(rng, max_atoms)
-        alpha = random_partition(rng, space)
-        cond = random_partition(rng, space)
-        dis = disintegrate(space, cond)
-        pick = rng.random(len(space)) < 0.5
-        subset = [a for a, take in zip(space.atom_ids, pick) if take]
-        gap = abs(dis.reconstruct(subset) - space.mass_of(subset))
-        report.stat("reconstruction", tolerance).record(-gap)
-        mf = conditional_mass_function(space, alpha, cond)
-        report.stat("mass_function_integral", tolerance).record(-mf.integral_gap)
+    batches = suites._disintegration_batches(np.random.default_rng(seed), trials, max_atoms)
+    for sizes, masses, alpha, cond, pick in batches:
+        for t in _trials(sizes):
+            space = _space(masses[t])
+            a, c = (Partition.from_labels(space, row[t]) for row in (alpha, cond))
+            dis = disintegrate(space, c)
+            subset = [x for x, take in zip(space.atom_ids, pick[t]) if take]
+            gap = abs(dis.reconstruct(subset) - space.mass_of(subset))
+            record(report.stat("reconstruction", tolerance), -gap)
+            mf = conditional_mass_function(space, a, c)
+            record(report.stat("mass_function_integral", tolerance), -mf.integral_gap)
     return report
 
 
 def _exhaustion_trial_by_trial(trials, seed, max_atoms, tolerance=1e-12):
-    """``sweep_exhaustion`` as one verifier call per trial, same draws."""
-    rng = np.random.default_rng(seed)
+    """``sweep_exhaustion`` as one verifier call per trial, on the batch
+    draw's instances split per trial; a C with one block is passed as no
+    C."""
     report = SweepReport(trials, seed)
-    for _ in range(trials):
-        space = random_space(rng, max_atoms)
-        xi = random_partition(rng, space)
-        cond = random_partition(rng, space) if rng.random() < 0.5 else None
-        chain = []
-        cur = random_partition(rng, space)
-        chain.append(cur)
-        for _ in range(int(rng.integers(1, 4))):
-            cur = join(cur, random_partition(rng, space))
-            chain.append(cur)
-        chain.append(join(cur, Partition.points(space)))
-        result = verify_chain_exhaustion(space, chain, xi, cond, tolerance)
-        report.stat("chain_monotone", tolerance).record(result.min_step_slack)
-        report.stat("chain_vanishes", tolerance).record(-abs(result.values[-1]))
+    batches = suites._exhaustion_batches(np.random.default_rng(seed), trials, max_atoms)
+    for sizes, masses, depths, labels, _ in batches:
+        for t, depth in zip(_trials(sizes), depths.tolist()):
+            space = _space(masses[t])
+            xi, cond, *rows = (Partition.from_labels(space, row[t]) for row in labels[: 2 + depth])
+            chain = [rows[0]]
+            for row in rows[1:]:
+                chain.append(join(chain[-1], row))
+            chain.append(join(chain[-1], Partition.points(space)))
+            cond = cond if cond.n_blocks > 1 else None
+            result = verify_chain_exhaustion(space, chain, xi, cond, tolerance)
+            record(report.stat("chain_monotone", tolerance), result.min_step_slack)
+            record(report.stat("chain_vanishes", tolerance), -abs(result.values[-1]))
     return report
 
 
@@ -296,6 +271,44 @@ def test_sweeps_make_one_array_pass_per_batch(monkeypatch, seed):
     assert built_nothing()
 
 
+class _CountingGenerator:
+    """A numpy generator that counts the calls made to its methods."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self._calls["generator"] += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("sweep", [sweep_identities, sweep_disintegration, sweep_exhaustion])
+def test_sweeps_make_a_few_generator_calls_per_batch(monkeypatch, sweep):
+    # per-trial draws made about nine generator calls a trial; a batch's
+    # draw makes at most eight, however many trials the batch holds
+    calls = {"generator": 0, "batch": 0}
+    default_rng, check = np.random.default_rng, suites._require_probabilities
+
+    def counted_check(*args):
+        calls["batch"] += 1
+        return check(*args)
+
+    monkeypatch.setattr(
+        suites.np.random, "default_rng", lambda seed: _CountingGenerator(default_rng(seed), calls)
+    )
+    monkeypatch.setattr(suites, "_require_probabilities", counted_check)
+    for trials in (1, 30, 3000):
+        calls.update(generator=0, batch=0)
+        sweep(trials, 5)
+        assert calls["batch"] <= trials * 100 // suites._BATCH_ATOMS + 1
+        assert 1 <= calls["generator"] <= 8 * calls["batch"]
+
+
 def _traced_peak(call):
     tracemalloc.start()
     try:
@@ -316,10 +329,34 @@ def test_sweep_memory_is_bounded_by_the_batch(sweep, trials):
     assert large < 3_000_000
 
 
-def _instances_in_turn(monkeypatch, instances):
-    """Make the sweep draw these (masses, perm) instances, in turn."""
-    it = iter(instances)
-    monkeypatch.setattr(suites, "_random_permutation_masses", lambda rng, max_atoms: next(it))
+def _batch_in_place_of(monkeypatch, name, batch):
+    """Make the sweep whose batch draw is ``name`` draw this one batch."""
+    monkeypatch.setattr(suites, name, lambda rng, trials, max_atoms: iter([batch]))
+
+
+def _identity_batch(instances):
+    """One ``_identity_batches`` batch of these (masses, perm) trials, each
+    perm on its own atoms, with labels of one block."""
+    sizes = np.array([len(masses) for masses, _ in instances])
+    starts = np.cumsum(sizes) - sizes
+    perm = np.concatenate([np.asarray(p) + start for (_, p), start in zip(instances, starts)])
+    masses = np.concatenate([masses for masses, _ in instances])
+    labels = np.zeros((3, masses.shape[0]), dtype=np.int64)
+    return sizes, masses, perm, labels, np.ones((3, sizes.shape[0]), dtype=np.int64)
+
+
+def _mass_batches(stack):
+    """One ``_disintegration_batches`` and one ``_exhaustion_batches``
+    batch over spaces with these masses, with labels of one block."""
+    sizes = np.array([len(m) for m in stack])
+    masses = np.concatenate(stack)
+    zeros = np.zeros(masses.shape[0], dtype=np.int64)
+    depths = np.full(sizes.shape[0], 2)
+    ones = np.ones((4, sizes.shape[0]), dtype=np.int64)
+    return {
+        "_disintegration_batches": (sizes, masses, zeros, zeros, zeros == 0),
+        "_exhaustion_batches": (sizes, masses, depths, np.zeros((4, masses.shape[0]), dtype=np.int64), ones),
+    }
 
 
 @pytest.mark.parametrize(
@@ -337,18 +374,19 @@ def test_identities_sweep_rejects_bad_instances(monkeypatch, perm, message):
     space = FiniteProbabilitySpace(range(3), [0.5, 0.3, 0.2])
     with pytest.raises(ValueError, match=f"^{message}$"):
         FinitePMPAction(space, [perm])
-    uniform = FiniteProbabilitySpace.uniform(3)
-    good = (uniform.masses, (1, 2, 0))
-    _instances_in_turn(monkeypatch, [good, (space.masses, perm), good])
+    good = (FiniteProbabilitySpace.uniform(3).masses, (1, 2, 0))
+    _batch_in_place_of(monkeypatch, "_identity_batches", _identity_batch([good, (space.masses, perm), good]))
     with pytest.raises(ValueError, match=f"^{message}$"):
         sweep_identities(3, 0)
 
 
 def test_identities_sweep_checks_each_permutation_on_its_own_atoms(monkeypatch):
-    # stacked, (0, 2) and (-1, 1) would read as the permutation (0, 2, 1, 3)
-    # of four atoms, though neither maps its own two atoms onto themselves
+    # (0, 2, 1, 3) permutes the four stacked atoms, but sends an atom of
+    # each two-atom trial into the other trial
     masses = FiniteProbabilitySpace.uniform(2).masses
-    _instances_in_turn(monkeypatch, [(masses, (0, 2)), (masses, (-1, 1))])
+    sizes, stacked, _, labels, bounds = _identity_batch([(masses, (0, 1)), (masses, (0, 1))])
+    batch = (sizes, stacked, np.array([0, 2, 1, 3]), labels, bounds)
+    _batch_in_place_of(monkeypatch, "_identity_batches", batch)
     with pytest.raises(ValueError, match="^generator is not a permutation$"):
         sweep_identities(2, 0)
 
@@ -368,12 +406,14 @@ def test_sweeps_reject_bad_masses_as_a_space_would(monkeypatch, masses, message)
     with pytest.raises(ValueError, match=f"^{message}$"):
         FiniteProbabilitySpace(range(3), masses)
     good, bad = np.full(3, 1 / 3), np.array(masses)
-    for sweep in (sweep_disintegration, sweep_exhaustion):
-        it = iter([good, bad, good])
-        monkeypatch.setattr(suites, "_random_masses", lambda rng, max_atoms: next(it))
+    batches = _mass_batches([good, bad, good])
+    sweeps = {"_disintegration_batches": sweep_disintegration, "_exhaustion_batches": sweep_exhaustion}
+    for name, sweep in sweeps.items():
+        _batch_in_place_of(monkeypatch, name, batches[name])
         with pytest.raises(ValueError, match=f"^{message}$"):
             sweep(3, 0)
-    _instances_in_turn(monkeypatch, [(good, (1, 2, 0)), (bad, (0, 1, 2)), (good, (1, 2, 0))])
+    batch = _identity_batch([(good, (1, 2, 0)), (bad, (0, 1, 2)), (good, (1, 2, 0))])
+    _batch_in_place_of(monkeypatch, "_identity_batches", batch)
     with pytest.raises(ValueError, match=f"^{message}$"):
         sweep_identities(3, 0)
 
@@ -397,22 +437,131 @@ def test_record_all_equals_the_record_loop():
         for _ in range(int(rng.integers(1, 4))):
             slacks = rng.choice(pool, size=int(rng.integers(0, 6)))
             for slack in slacks.tolist():
-                loop.record(slack)
+                record(loop, slack)
             batched.record_all(slacks)
         assert repr(batched) == repr(loop)
 
 
+def _assert_frequency(hits, p):
+    """The draws hit (one boolean each, hit with probability p) number
+    within five standard deviations of their expectation."""
+    p = np.broadcast_to(np.asarray(p, dtype=np.float64), hits.shape)
+    assert abs(np.count_nonzero(hits) - p.sum()) <= 5 * math.sqrt((p * (1 - p)).sum()) + 1e-9
+
+
+def _assert_sizes(sizes, max_atoms):
+    values = range(2, max_atoms + 1)
+    assert np.isin(sizes, values).all()
+    for v in values:
+        _assert_frequency(sizes == v, 1 / len(values))
+
+
+def _assert_batched(atoms):
+    # every batch but the last closes at the first trial at which its
+    # terms reach _BATCH_ATOMS atoms
+    for batch in atoms[:-1]:
+        total = np.cumsum(batch)
+        assert total[-1] >= suites._BATCH_ATOMS and (len(total) == 1 or total[-2] < suites._BATCH_ATOMS)
+
+
+def _assert_bounds(k, n):
+    # bounds uniform in 1..n
+    assert ((k >= 1) & (k <= n)).all()
+    for hits, p in ((k == 1, 1 / n), (k == n, 1 / n), (2 * k <= n, (n // 2) / n)):
+        _assert_frequency(hits, p)
+
+
+def _assert_labels(labels, k):
+    # labels uniform below their bounds
+    assert ((labels >= 0) & (labels < k)).all()
+    _assert_frequency(labels == 0, 1 / k)
+
+
+def _assert_zeroing(sizes, masses):
+    # from 3 atoms on, with probability 0.3, k uniform in 1..max(2, n // 3)
+    # atoms, a uniform k-subset, are zero
+    spaces._require_probabilities(masses, sizes.tolist())
+    starts = np.cumsum(sizes) - sizes
+    zeros = np.add.reduceat(masses == 0.0, starts)
+    most = np.maximum(2, sizes // 3)
+    assert (zeros <= np.where(sizes >= 3, most, 0)).all()
+    _assert_frequency(zeros[sizes >= 3] > 0, 0.3)
+    zeroed = zeros > 0
+    _assert_frequency(zeros[zeroed] == 1, 1 / most[zeroed])
+    _assert_frequency(zeros[zeroed] == most[zeroed], 1 / most[zeroed])
+    _assert_frequency(masses[starts[zeroed]] == 0.0, zeros[zeroed] / sizes[zeroed])
+
+
+def _cycle_count(perm):
+    seen, count = set(), 0
+    for start in perm:
+        if start not in seen:
+            count += 1
+            while start not in seen:
+                seen.add(start)
+                start = perm[start]
+    return count
+
+
 @pytest.mark.parametrize("max_atoms", [2, 3, 10, 50])
-def test_array_draws_equal_the_per_object_draws(max_atoms):
-    # the sweeps' raw draws make the oracles' rng calls and give their masses
-    for seed in range(25):
-        objects, arrays = np.random.default_rng(seed), np.random.default_rng(seed)
-        space = random_space(objects, max_atoms)
-        masses = suites._random_masses(arrays, max_atoms)
-        assert masses.tolist() == space.masses.tolist()
-        assert arrays.bit_generator.state == objects.bit_generator.state
-        space, perm = random_permutation_instance(objects, max_atoms)
-        masses, array_perm = suites._random_permutation_masses(arrays, max_atoms)
-        assert masses.tolist() == space.masses.tolist()
-        assert array_perm.tolist() == list(perm)
-        assert arrays.bit_generator.state == objects.bit_generator.state
+def test_batch_draws_have_the_per_trial_distribution(max_atoms):
+    trials = 4000
+    # identities: a uniform permutation of each space's own atoms, one
+    # uniform weight per cycle, so masses[perm] == masses bit-exactly
+    batches = list(suites._identity_batches(np.random.default_rng(20), trials, max_atoms))
+    _assert_batched([10 * batch[0] for batch in batches])
+    sizes, masses, perm, labels, bounds = (np.concatenate(parts, axis=-1) for parts in zip(*batches))
+    starts = np.cumsum([0] + [batch[0].sum() for batch in batches])
+    perm += np.concatenate([np.full(batch[2].shape, start) for batch, start in zip(batches, starts)])
+    _assert_sizes(sizes, max_atoms)
+    spaces._require_probabilities(masses, sizes.tolist())
+    trial = np.arange(trials).repeat(sizes)
+    assert (np.sort(perm) == np.arange(perm.shape[0])).all() and (trial[perm] == trial).all()
+    assert (masses[perm] == masses).all()
+    segments = [(perm[t] - t.start).tolist() for t in _trials(sizes)]
+    cycles = np.array([_cycle_count(p) for p in segments])
+    assert cycles.tolist() == [len(set(masses[t].tolist())) for t in _trials(sizes)]
+    # a uniform permutation of n atoms has one fixed point on average, with
+    # variance 1 (n >= 2), and sum_{j <= n} 1/j cycles, with variance
+    # sum_{j <= n} (1/j - 1/j^2)
+    assert abs(np.count_nonzero(perm == np.arange(perm.shape[0])) - trials) <= 5 * math.sqrt(trials)
+    inv = [1 / np.arange(1, n + 1) for n in sizes.tolist()]
+    mean, var = sum(i.sum() for i in inv), sum((i - i * i).sum() for i in inv)
+    assert abs(cycles.sum() - mean) <= 5 * math.sqrt(var)
+    _assert_bounds(bounds, np.broadcast_to(sizes, bounds.shape))
+    _assert_labels(labels, bounds.repeat(sizes, axis=1))
+    # disintegration: zeroed masses, two label rows, atoms picked with
+    # probability 1/2
+    batches = list(suites._disintegration_batches(np.random.default_rng(21), trials, max_atoms))
+    _assert_batched([batch[0] for batch in batches])
+    sizes, masses, alpha, cond, pick = (np.concatenate(parts) for parts in zip(*batches))
+    _assert_sizes(sizes, max_atoms)
+    _assert_zeroing(sizes, masses)
+    for row in (alpha, cond):
+        assert ((row >= 0) & (row < sizes.repeat(sizes))).all()
+    _assert_frequency(pick, 0.5)
+    # exhaustion: zeroed masses, depths uniform in 2..4, C absent (bound 1)
+    # with probability 1/2, bound 1 past a trial's depth
+    batches = list(suites._exhaustion_batches(np.random.default_rng(22), trials, max_atoms))
+    _assert_batched([batch[0] * (batch[2] + 1) for batch in batches])
+    sizes, masses, depths = (np.concatenate(parts) for parts in list(zip(*batches))[:3])
+    _assert_sizes(sizes, max_atoms)
+    _assert_zeroing(sizes, masses)
+    for d in (2, 3, 4):
+        _assert_frequency(depths == d, 1 / 3)
+    drawn = {"k": [], "n": [], "labels": [], "below": [], "cond": []}
+    for sizes, _, depths, labels, bounds in batches:
+        rows = np.arange(bounds.shape[0])[:, None]
+        assert bounds.shape[0] == 2 + depths.max()
+        assert (bounds[rows >= 2 + depths] == 1).all()
+        live = (rows != 1) & (rows < 2 + depths)
+        drawn["k"].append(bounds[live])
+        drawn["n"].append(np.broadcast_to(sizes, bounds.shape)[live])
+        drawn["labels"].append(labels)
+        drawn["below"].append(bounds.repeat(sizes, axis=1))
+        drawn["cond"].append(bounds[1] == 1)
+    _assert_bounds(np.concatenate(drawn["k"]), np.concatenate(drawn["n"]))
+    labels = np.concatenate([row.ravel() for row in drawn["labels"]])
+    _assert_labels(labels, np.concatenate([row.ravel() for row in drawn["below"]]))
+    sizes = np.concatenate([batch[0] for batch in batches])
+    _assert_frequency(np.concatenate(drawn["cond"]), 0.5 + 0.5 / sizes)
