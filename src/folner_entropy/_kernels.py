@@ -3,8 +3,10 @@
 One vectorised numpy implementation per kernel. Markov window entropies
 take the chain-rule closed form (full symbols) or the forward recursion
 over cell patterns (coarse cells and symbol factors), each one forward
-walk site by site that the next row of a rate trace resumes (``_walk``),
-so no production route enumerates Markov symbol words; the symbol-word
+walk site by site (``_walk``). Inside a walk scope, a rate trace or a
+window set function, the walks share each gap's step and the next
+interval resumes the last one, so no production route enumerates Markov
+symbol words or repeats a matrix power; the symbol-word
 fills remain for ``symbol_pattern_logprobs``/``symbol_pattern_probs``
 and the full-symbol ``window_partition``. Window entropies of Bernoulli
 shifts and mixtures come from closed forms and need only the entropy
@@ -114,49 +116,74 @@ def markov_window_probs(pi: np.ndarray, P: np.ndarray, offsets: np.ndarray) -> n
     return v
 
 
-def _gap_powers(P: np.ndarray, sites: list) -> dict:
-    """{g: P^g} for every gap g between consecutive sites of a sorted window."""
-    return {g: np.linalg.matrix_power(P, g) for g in {b - a for a, b in zip(sites, sites[1:])}}
+class _Steps(dict):
+    """What moves a walk across each gap, {gap: step}: ``make(gap)``,
+    made on first use and kept."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, gap: int):
+        step = self[gap] = self.make(gap)
+        return step
 
 
 class _Walk:
     """A forward walk along a sorted d = 1 window: ``state`` after the
-    window's first ``done`` sites, and ``steps``, what moves it across
-    each gap of the window."""
+    window's first ``done`` sites, ``first`` its state at the first
+    site, and ``steps``, what moves it across a gap."""
 
-    __slots__ = ("state", "done", "steps")
+    __slots__ = ("state", "done", "first", "steps")
 
-    def __init__(self, state, steps: dict):
-        self.state, self.done, self.steps = state, 1, steps
+    def __init__(self, first, steps: _Steps):
+        self.state, self.done, self.first, self.steps = first, 1, first, steps
 
 
-# the walks of the rate trace being evaluated, by chain and cell map;
-# None outside ``engine.entropy_rate``
+# the walk scope open around the current call, None outside one: by
+# chain (and cell map), the steps made and the last interval walk. A
+# scope lasts for one ``engine.entropy_rate`` call or for the life of a
+# ``suites.window_entropy_phi`` set function.
 _WALKS = contextvars.ContextVar("walks", default=None)
 
 
-def _walk(sites: list, set_up, pi: np.ndarray, P: np.ndarray, site_cells=None) -> _Walk:
-    """The walk a kernel advances along ``sites``.
+def _walk(sites: list, start, make, steps_key: tuple, walk_key=None) -> _Walk:
+    """The walk a kernel advances along ``sites``, ``start()`` being its
+    state at the first site and ``make(gap)`` its step across a gap.
 
-    Inside a rate trace, an interval window with one cell map on every
-    site resumes the stored walk of the same chain and cell map when
-    that walk has covered no more sites and holds the unit gap's step:
-    an interval's walk after n sites is any longer interval's after its
-    first n. Every other window takes ``set_up()``, a fresh walk, which
-    an interval window stores for the next row.
+    Outside a scope every call takes a fresh walk with its own steps.
+    Inside one, the steps under ``steps_key`` (naming the chain and the
+    kind of step) are made once per gap and shared by every window of
+    the scope, and so is the first state under ``walk_key`` (naming the
+    chain and the cell map, when one cell map serves every site). There
+    an interval window resumes the stored walk of ``walk_key`` when that
+    walk has covered no more sites, and restarts it otherwise: an
+    interval's walk after n sites is any longer interval's after its
+    first n.
     """
     walks = _WALKS.get()
-    if walks is None or sites[-1] - sites[0] != len(sites) - 1:
-        return set_up()
-    key = (pi.tobytes(), P.tobytes())
-    if site_cells is not None:
-        if (site_cells != site_cells[0]).any():
-            return set_up()
-        key += (site_cells[0].tobytes(),)
-    walk = walks.get(key)
-    if walk is None or not (walk.done == len(sites) or walk.steps and walk.done < len(sites)):
-        walk = walks[key] = set_up()
+    if walks is None:
+        return _Walk(start(), _Steps(make))
+    steps = walks.get(steps_key)
+    if steps is None:
+        steps = walks[steps_key] = _Steps(make)
+    if walk_key is None:
+        return _Walk(start(), steps)
+    walk = walks.get(walk_key)
+    if walk is None:
+        walk = walks[walk_key] = _Walk(start(), steps)
+    if sites[-1] - sites[0] != len(sites) - 1:
+        return _Walk(walk.first, steps)
+    if walk.done > len(sites):
+        walk.state, walk.done = walk.first, 1
     return walk
+
+
+def _row_entropies(rows: np.ndarray) -> np.ndarray:
+    """-sum p log p along the last axis; zero entries contribute 0."""
+    return -(rows * np.log(np.where(rows > 0.0, rows, 1.0))).sum(axis=-1)
 
 
 def markov_window_entropy(pi: np.ndarray, P: np.ndarray, offsets: np.ndarray) -> float:
@@ -168,11 +195,11 @@ def markov_window_entropy(pi: np.ndarray, P: np.ndarray, offsets: np.ndarray) ->
     at t: the measure the cylinders use, also when ``pi`` is stationary
     only within a tolerance. The state (v, entropy so far) moves by
     the (m + 1)-square matrix [[P^g, h_g], [0, 1]] at each pair, h_g
-    the row entropies of P^g. A fresh walk takes one matrix power per
-    distinct gap and one entropy pass over pi and all those rows; then
-    the walk is one vector-matrix product per site, resumed from the
-    previous row inside a rate trace (``_walk``). Zero entries and
-    states of zero mass contribute 0.
+    the row entropies of P^g. Each gap's matrix takes one matrix power
+    and one entropy pass over its rows, once per call, or once per walk
+    scope (``_walk``); the walk is then one vector-matrix product per
+    site, resumed from the previous interval inside a scope. Zero
+    entries and states of zero mass contribute 0.
     """
     pi = np.ascontiguousarray(pi, dtype=np.float64)
     P = np.ascontiguousarray(P, dtype=np.float64)
@@ -181,18 +208,18 @@ def markov_window_entropy(pi: np.ndarray, P: np.ndarray, offsets: np.ndarray) ->
         return 0.0
     m = pi.shape[0]
 
-    def set_up():
-        powers = _gap_powers(P, sites)
-        # pi, then the rows of every power: one entropy pass over all rows
-        rows = np.concatenate([pi, *(Pg.ravel() for Pg in powers.values())])
-        H = -(rows * np.log(np.where(rows > 0.0, rows, 1.0))).reshape(-1, m).sum(axis=1)
-        steps = np.zeros((len(powers), m + 1, m + 1))
-        steps[:, :m, :m] = rows[m:].reshape(-1, m, m)
-        steps[:, :m, m] = H[1:].reshape(-1, m)
-        steps[:, m, m] = 1.0
-        return _Walk(np.concatenate([pi, H[:1]]), {g: steps[i] for i, g in enumerate(powers)})
+    def start():
+        return np.concatenate([pi, _row_entropies(pi)[None]])
 
-    walk = _walk(sites, set_up, pi, P)
+    def make(gap):
+        step = np.zeros((m + 1, m + 1))
+        step[:m, :m] = np.linalg.matrix_power(P, gap)
+        step[:m, m] = _row_entropies(step[:m, :m])
+        step[m, m] = 1.0
+        return step
+
+    chain = (pi.tobytes(), P.tobytes())
+    walk = _walk(sites, start, make, ("entropy steps", chain[1]), ("entropy walk", *chain))
     state = walk.state
     for a, b in zip(sites[walk.done - 1:], sites[walk.done:]):
         state = state @ walk.steps[b - a]
@@ -209,10 +236,11 @@ def hidden_markov_pattern_probs(
     (an int array of length m, cells 0..c_j - 1). A forward walk keeps
     one (cell pattern so far, current state) table: each site moves it
     by P^gap and splits every state's mass into its cell, so the cost
-    is prod(c_j) * m^2 rather than m^k. A fresh walk takes the powers of
-    all the window's gaps first; with one cell map on every site, the
-    walk resumes from the previous row inside a rate trace (``_walk``).
-    Patterns are indexed element-major, first site most significant.
+    is prod(c_j) * m^2 rather than m^k. Each gap's power is taken once
+    per call, or once per walk scope (``_walk``); with one cell map on
+    every site, an interval's walk resumes from the previous interval
+    inside a scope. Patterns are indexed element-major, first site most
+    significant.
     """
     pi = np.ascontiguousarray(pi, dtype=np.float64)
     P = np.ascontiguousarray(P, dtype=np.float64)
@@ -227,13 +255,17 @@ def hidden_markov_pattern_probs(
     m = pi.shape[0]
     states = np.arange(m)
 
-    def set_up():
-        powers = _gap_powers(P, sites)
+    def start():
         table = np.zeros((1, n_cells[0], m))
         table[:, labels[0], states] = pi[None, :]
-        return _Walk(table, powers)
+        return table
 
-    walk = _walk(sites, set_up, pi, P, labels)
+    def make(gap):
+        return np.linalg.matrix_power(P, gap)
+
+    one_map = not (labels != labels[0]).any()
+    walk_key = ("cells walk", pi.tobytes(), P.tobytes(), labels[0].tobytes()) if one_map else None
+    walk = _walk(sites, start, make, ("powers", P.tobytes()), walk_key)
     table = walk.state
     for j in range(walk.done, len(sites)):
         step = table.reshape(-1, m) @ walk.steps[sites[j] - sites[j - 1]]

@@ -401,10 +401,10 @@ def entropy_rate(
     is not a certificate that ``estimate`` lies within ``tol`` of it.
 
     The rows of a d = 1 trace share one forward walk per chain and cell
-    map, so sides 1..N cost N chain steps, not N(N+1)/2; gapped and
-    d >= 2 windows take fresh walks or none. Every row equals by
-    ``repr`` its window's value on its own. The walks are dropped when
-    the call returns or raises.
+    map, so sides 1..N cost N chain steps, not N(N+1)/2; gapped windows
+    take fresh walks from the trace's shared gap steps, and d >= 2
+    windows take none. Every row equals by ``repr`` its window's value
+    on its own. The walks are dropped when the call returns or raises.
     """
     if sequence is None:
         raise ValueError("a box schedule is required")
@@ -577,21 +577,26 @@ def _identity_entropies(masses, sizes, labels, bounds, images) -> list:
     (beta v gamma, alpha), (beta, alpha) and (alpha, alpha v beta v gamma),
     then (alpha, gamma) gathered through each image map. A join is a
     mixed-radix code and an image a gather, so no partition is built; the
-    pairs are stacked pair after pair, each over every triple.
+    pairs are stacked pair after pair, each over every triple. An image
+    map passed twice (the same array) is stacked once and its value
+    repeated: a pair's value does not depend on the pairs beside it.
     """
     (a, b, c), (ka, kb, kc) = labels, bounds
     ab, k_ab = _join_codes([(a, ka), (b, kb)])
     bc = _join_codes([(b, kb), (c, kc)])[0]
     abc = _join_codes([(ab, k_ab), (c, kc)])[0]
     pairs = [(a, c), (b, c), (ab, c), (a, bc), (bc, a), (b, a), (a, abc)]
-    pairs += [(a[m], c[m]) for m in images]
+    distinct = {id(m): m for m in images}  # each image map once, in order of first use
+    slot = {key: len(pairs) + j for j, key in enumerate(distinct)}
+    pairs += [(a[m], c[m]) for m in distinct.values()]
     values = _stacked_entropies(
         np.tile(masses, len(pairs)),
         np.concatenate([p for p, _ in pairs]),
         np.concatenate([q for _, q in pairs]),
         list(sizes) * len(pairs),
     )
-    return [values[t :: len(sizes)] for t in range(len(sizes))]
+    rows = [*range(7), *(slot[id(m)] for m in images)]
+    return np.array(values).reshape(len(pairs), len(sizes))[rows].T.tolist()
 
 
 def _identity_checks(

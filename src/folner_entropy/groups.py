@@ -322,6 +322,52 @@ def _record(report: SubadditivityReport, name: str, slacks, tol: float, witness)
     return bad[0]
 
 
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """The bit masks of 0/1 arrays along the last axis, bit i for entry i:
+    int64 up to 62 bits, Python ints in an object array beyond."""
+    n = bits.shape[-1]
+    if n <= 62:
+        return bits.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))
+    raw = np.packbits(bits.astype(np.uint8), axis=-1, bitorder="little")
+    ints = [int.from_bytes(row, "little") for row in raw.reshape(-1, raw.shape[-1]).tolist()]
+    return np.array(ints, dtype=object).reshape(raw.shape[:-1])
+
+
+def _masks(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """``count`` uniform subsets of n elements as bit masks (``_pack``'s
+    dtype), in one generator call."""
+    if n <= 62:
+        return rng.integers(0, 1 << n, size=count)
+    return _pack(rng.integers(0, 2, size=(count, n), dtype=np.uint8))
+
+
+def _pair_draws(rng: np.random.Generator, n: int, samples: int) -> tuple:
+    """The sampled pairs (E, F): F uniform and, by a fair coin, E uniform
+    within F or uniform."""
+    F, R = _masks(rng, n, 2 * samples).reshape(2, samples)
+    within = rng.integers(0, 2, size=samples) == 1
+    return np.where(within, R & F, R), F
+
+
+def _kcover_draws(rng: np.random.Generator, n: int, samples: int) -> tuple:
+    """The sampled k-covers as (F, layers, pieces, assignment, strays).
+
+    Per sample: F uniform, or a uniform singleton where that is empty,
+    and 1 to 3 layers of 1 or 2 pieces each, all uniform. In layer l,
+    ``assignment[s, l]`` puts each element in a piece, uniform, and
+    ``strays[s, l, p]`` is a uniform subset outside F that piece p also
+    takes. Entries past a sample's layers or a layer's pieces are drawn
+    and unused.
+    """
+    F = _masks(rng, n, samples)
+    single, layers, *pieces = rng.integers([0, 1, 1, 1, 1], [n, 4, 3, 3, 3], size=(samples, 5)).T
+    F = np.where(F == 0, _pack(np.eye(n, dtype=np.uint8))[single], F)
+    pieces = np.stack(pieces, axis=1)
+    assignment = rng.integers(0, pieces[:, :, None], size=(samples, 3, n))
+    strays = _masks(rng, n, 6 * samples).reshape(samples, 3, 2) & ~F[:, None, None]
+    return F, layers, pieces, assignment, strays
+
+
 def verify_subadditive_hypotheses(
     phi: Callable[[FolnerSubset], float],
     box: FolnerSubset,
@@ -345,16 +391,28 @@ def verify_subadditive_hypotheses(
     is evaluated at most once per mask. ``exhaustive`` (default: automatic
     for boxes of at most 8 elements) evaluates ``phi`` on all 2^n subsets
     and compares all 4^n ordered pairs (E, F) as arrays; otherwise pairs
-    are drawn with the seeded generator. k-cover checks are always
-    sampled. Witnesses are sorted element tuples, the first 20 violations
-    of each check in (E, F) mask order. A non-finite value of ``phi``
-    raises ``ValueError`` naming the window, and so does ``samples < 1``.
+    and translated windows are drawn with the seeded generator. k-cover
+    checks are always sampled: a k-cover is k layers, each splitting F
+    into pieces that may also take elements outside F. The draws of a
+    report take a few array calls of the generator however many samples
+    it has (``_pair_draws``, ``_masks``, ``_kcover_draws``), so a seed
+    selects other samples than it did in versions that drew each sample
+    with its own calls; a sample's distribution is unchanged.
+
+    Witnesses are sorted element tuples, the first 20 violations of each
+    check in (E, F) mask order, or in sample order. A non-finite value of
+    ``phi`` raises ``ValueError`` naming the window, and so do
+    ``samples < 1`` and a non-finite ``tolerance`` (a NaN one would pass
+    every check). A negative tolerance flags slacks below its absolute
+    value.
     """
     points, n = box.rows, len(box)
     if n == 0:
         raise ValueError("empty set")
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    if not math.isfinite(tolerance):
+        raise ValueError("tolerance must be a finite number")
     if exhaustive is None:
         exhaustive = n <= 8
     if exhaustive and n > EXHAUSTIVE_PAIR_LIMIT:
@@ -368,7 +426,7 @@ def verify_subadditive_hypotheses(
     )
     rng = np.random.default_rng(seed)
     cache: dict = {}
-    pow2 = np.array([1 << i for i in range(n)], dtype=object)
+    pow2 = _pack(np.eye(n, dtype=np.uint8))
 
     def bits(masks: np.ndarray) -> np.ndarray:
         """The 0/1 bit matrix of a mask array, one row per mask."""
@@ -382,31 +440,21 @@ def verify_subadditive_hypotheses(
     def window(mask) -> tuple:
         return tuple(map(tuple, rows_of(mask).tolist()))
 
-    def table(mask: int) -> float:
+    def table(mask: int, picked: Optional[np.ndarray] = None) -> float:
+        """phi on the window of ``mask``, whose bits ``picked`` may give."""
         v = cache.get(mask)
         if v is None:
-            v = cache[mask] = float(phi(FolnerSubset._from_rows(rows_of(mask), box.d)))
+            rows = rows_of(mask) if picked is None else points[picked]
+            v = cache[mask] = float(phi(FolnerSubset._from_rows(rows, box.d)))
             if not math.isfinite(v):
                 raise ValueError(f"phi is not finite on window {window(mask)}: {v}")
         return v
 
-    def random_mask(allow_empty: bool = True) -> int:
-        if n <= 62:
-            mask = int(rng.integers(0, 1 << n))
-        else:
-            mask = 0
-            for i in range(n):
-                if rng.integers(0, 2):
-                    mask |= 1 << i
-        if not allow_empty and mask == 0:
-            mask = 1 << int(rng.integers(0, n))
-        return mask
-
-    # at(masks): phi over a mask array, evaluated in row-major order. Sampled
-    # masks are object arrays of Python ints: a box may have over 62 elements.
+    # at(masks): phi over a mask array, evaluated in row-major order
     if exhaustive:
         masks = np.arange(1 << n)
-        at = np.array([table(m) for m in range(1 << n)]).__getitem__
+        picked = bits(masks) == 1
+        at = np.array([table(m, picked[m]) for m in range(1 << n)]).__getitem__
         per_block = min(1 << n, max(1, _PAIR_BLOCK >> n))  # E rows per block
         blocks = (
             (np.repeat(masks[r : r + per_block], 1 << n), np.tile(masks, per_block))
@@ -415,20 +463,16 @@ def verify_subadditive_hypotheses(
     else:
 
         def at(ms):
-            return np.array([table(m) for m in ms.ravel()], dtype=float).reshape(ms.shape)
+            return np.array([table(m) for m in ms.ravel().tolist()], dtype=float).reshape(ms.shape)
 
-        es, fs = [], []
-        for _ in range(samples):
-            fs.append(random_mask())
-            es.append(random_mask() & fs[-1] if rng.integers(0, 2) else random_mask())
-        blocks = [(np.array(es, dtype=object), np.array(fs, dtype=object))]
+        blocks = [_pair_draws(rng, n, samples)]
 
     for E, F in blocks:
         pe, pf, pu, pi = at(np.stack([E, F, E | F, E & F], axis=1)).T
         sub = np.flatnonzero(E & ~F == 0)  # E subset of F
 
         def pair(k):
-            return window(int(E[k])), window(int(F[k]))
+            return window(E[k]), window(F[k])
 
         first_checks, first_violations = not report.checked, not report.violation_count
         mono = _record(report, "monotonicity", pf[sub] - pe[sub], tolerance, lambda k: pair(sub[k]))
@@ -441,14 +485,12 @@ def verify_subadditive_hypotheses(
             report.violation_count["monotonicity"] = report.violation_count.pop("monotonicity")
 
     # translation invariance on nonempty windows whose shift stays in the box
-    if translations is None:
-        translations = basis(box.d)
-    for s in translations:
+    translations = basis(box.d) if translations is None else list(translations)
+    if not exhaustive:
+        drawn = _masks(rng, n, len(translations) * samples).reshape(len(translations), samples)
+    for t, s in enumerate(translations):
         to, inside = _locate(translate(box, s).rows, points)
-        if exhaustive:
-            F = masks[1:]
-        else:
-            F = np.array([random_mask() for _ in range(samples)], dtype=object)
+        F = masks[1:] if exhaustive else drawn[t]
         B = bits(F)
         S = B @ np.where(inside, pow2[to], 0).astype(F.dtype)
         outside = B @ (~inside).astype(F.dtype)
@@ -456,42 +498,27 @@ def verify_subadditive_hypotheses(
         pf, ps = at(np.stack([F[keep], S[keep]], axis=1)).T
 
         def witness(k):
-            return window(int(F[keep[k]])), tuple(s)
+            return window(F[keep[k]]), tuple(s)
 
         _record(report, "translation_invariance", -np.abs(pf - ps), tolerance, witness)
 
-    # sampled k-covers: each layer splits F into pieces, so it covers F once;
-    # stray elements outside F are harmless. All draws come first, in the
-    # order of the per-sample construction; the piece masks and the coverage
-    # counts are then built from bit arrays.
-    fmasks, layer_sample, layer_pieces, assignments, strays = [], [], [], [], []
-    for s in range(samples):
-        fmask = random_mask(allow_empty=False)
-        fmasks.append(fmask)
-        for _layer in range(int(rng.integers(1, 4))):
-            pieces = int(rng.integers(1, 3))
-            layer_sample.append(s)
-            layer_pieces.append(pieces)
-            assignments.append(rng.integers(0, pieces, size=fmask.bit_count()))
-            strays += [random_mask() & ~fmask for _ in range(pieces)]
-    first = np.cumsum([0] + layer_pieces)  # first piece of each layer
-    in_F = bits(np.array(fmasks, dtype=object)).astype(bool)
-    layer, col = np.nonzero(in_F[layer_sample])  # F's bits, layer by layer
-    piece_bits = np.zeros((first[-1], n), dtype=np.int64)
-    piece_bits[first[layer] + np.concatenate(assignments), col] = 1
-    cover = (piece_bits @ pow2 | np.array(strays, dtype=object)).tolist()
-    # the pieces of sample s are cover[starts[s] : starts[s + 1]]
-    starts = first[np.searchsorted(layer_sample, np.arange(samples + 1))]
-    coverage = np.add.reduceat(piece_bits, starts[:-1], axis=0)
-    ks = np.where(in_F, coverage, _INT64.max).min(axis=1).tolist()
-    covers = []
-    for s, fmask in enumerate(fmasks):
-        if ks[s] < 1:
-            continue
-        cover_masks = [cm for cm in cover[starts[s] : starts[s + 1]] if cm]
-        bound = sum(table(cm) for cm in cover_masks) / ks[s]
-        covers.append((bound - table(fmask), fmask, ks[s], len(cover_masks)))
-    slacks = np.array([c[0] for c in covers])
-    _record(report, "k_cover", slacks, tolerance, lambda j: (window(covers[j][1]), *covers[j][2:]))
+    # sampled k-covers: each layer splits F, so it covers F once and a cover
+    # of k layers is a k-cover; stray elements outside F are harmless
+    F, layers, pieces, assignment, strays = _kcover_draws(rng, n, samples)
+    used = (np.arange(3) < layers[:, None])[:, :, None] & (np.arange(2) < pieces[:, :, None])
+    split = (assignment[:, :, None, :] == np.arange(2)[:, None]) & (bits(F) == 1)[:, None, None, :]
+    cover = np.where(used, _pack(split) | strays, 0).reshape(samples, 6)
+    # each sample's nonempty pieces in (layer, piece) order, then F itself
+    windows = np.concatenate([cover, F[:, None]], axis=1)
+    live = windows != 0
+    values = np.zeros(windows.shape)
+    values[live] = at(windows[live])
+    bound = np.zeros(samples)
+    for j in range(6):  # left to right from 0.0, as a sum over the nonempty pieces
+        bound += values[:, j]
+    k, count = layers.tolist(), live[:, :6].sum(axis=1).tolist()
+    _record(
+        report, "k_cover", bound / layers - values[:, 6], tolerance, lambda j: (window(F[j]), k[j], count[j])
+    )
 
     return report

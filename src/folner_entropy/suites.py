@@ -36,6 +36,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from ._kernels import _WALKS
 from .engine import (
     _chain_entropies,
     _chain_min_steps,
@@ -266,7 +267,8 @@ def sweep_identities(
         perm = _stacked_permutations(masses, perm, sizes)
         inverse = np.empty_like(perm)
         inverse[perm] = np.arange(perm.shape[0])
-        # T_e gathers through the inverse, T_-e and the raw map through perm
+        # T_e gathers through the inverse, T_-e and the raw map through perm,
+        # whose pair is stacked once
         values = np.array(_identity_entropies(masses, sizes, labels, bounds, [inverse, perm, perm])).T
         _record_slacks(report, _identity_slacks(values, elements, True, tolerance, equality_tolerance))
     return report
@@ -399,8 +401,21 @@ def window_entropy_phi(
     C=None,
     cap: int = DEFAULT_PATTERN_CAP,
 ) -> Callable[[FolnerSubset], float]:
-    """phi(F) = H(alpha^F | C) for a given system, as a window set function."""
+    """phi(F) = H(alpha^F | C) for a given system, as a window set function.
+
+    The function keeps one walk scope (``_kernels._WALKS``) for its life:
+    the Markov kernels take the step or power of each chain, cell map
+    and gap once across all the windows it is called on, and interval
+    windows resume the previous interval's walk. Every value equals, by
+    ``repr``, that of ``conditional_block_entropy`` called on its own.
+    """
+    walks: dict = {}
+
     def phi(F: FolnerSubset) -> float:
-        return conditional_block_entropy(system, alpha, F, C, None, cap)
+        scope = _WALKS.set(walks)
+        try:
+            return conditional_block_entropy(system, alpha, F, C, None, cap)
+        finally:
+            _WALKS.reset(scope)
 
     return phi

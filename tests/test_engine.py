@@ -43,6 +43,8 @@ from folner_entropy import (
     verify_chain_exhaustion,
     verify_entropy_identities,
     verify_rate_inequalities,
+    verify_subadditive_hypotheses,
+    window_entropy_phi,
     window_partition,
 )
 from folner_entropy import _kernels
@@ -1017,25 +1019,69 @@ def test_back_to_back_traces_of_one_chain_give_equal_rows():
 
 
 def test_trace_rows_resume_one_walk_per_chain_and_cell_map(monkeypatch):
-    # a fresh walk takes the powers of its window's gaps first; rows 1 and 2
-    # start walks (one site has no gap to step across), every later row resumes
-    set_ups = []
-    gap_powers = _kernels._gap_powers
+    # inside a trace, row 1 starts one walk per chain and cell map, every
+    # later row resumes it, and the unit gap's step is made once; a window
+    # on its own starts its own walk and makes its own steps
+    started, powers = [], []
+    walk_init, matrix_power = _kernels._Walk.__init__, np.linalg.matrix_power
 
-    def counted(P, sites):
-        set_ups.append(len(sites))
-        return gap_powers(P, sites)
+    def counted_walk(self, first, steps):
+        started.append(first.shape)
+        walk_init(self, first, steps)
 
-    monkeypatch.setattr(_kernels, "_gap_powers", counted)
+    def counted_power(P, gap):
+        powers.append(gap)
+        return matrix_power(P, gap)
+
+    monkeypatch.setattr(_kernels._Walk, "__init__", counted_walk)
+    monkeypatch.setattr(np.linalg, "matrix_power", counted_power)
     seq = FolnerSequence(1, tuple(range(1, 11)))
     for name, walks in [("markov", 1), ("coarse-cells", 1), ("symbol-factor", 2), ("mixture", 1)]:
-        set_ups.clear()
+        started.clear(), powers.clear()
         system, alpha, C = _trace_case(name)
         entropy_rate(system, alpha, C, seq)
-        assert sorted(set_ups) == [1] * walks + [2] * walks, name
-    set_ups.clear()
+        assert len(started) == walks and powers == [1] * walks, name
+    started.clear(), powers.clear()
     _per_window_rows(*_trace_case("markov"), seq, 10)
-    assert set_ups == list(range(1, 11))
+    assert len(started) == 10 and powers == [1] * 9
+
+
+PHI_CASES = [name for name in TRACE_CASES if name != "finite"]
+
+
+@pytest.mark.parametrize("name", PHI_CASES)
+def test_phi_values_equal_the_per_window_values(name):
+    # one set function keeps its walk scope across calls: shared gap steps,
+    # first states and interval walks, met in any order
+    system, alpha, C = _trace_case(name)
+    phi = window_entropy_phi(system, alpha, C)
+    rng = np.random.default_rng(len(name))
+    windows = [FolnerSubset.interval(0, n) for n in (5, 3, 3, 7, 1, 2)]
+    for _ in range(150):
+        sites = np.unique(rng.integers(-3, 11, size=int(rng.integers(1, 7))))
+        windows.append(FolnerSubset([(int(x),) for x in sites]))
+    for F in windows:
+        assert repr(phi(F)) == repr(conditional_block_entropy(system, alpha, F, C)), F
+    assert _kernels._WALKS.get() is None
+
+
+@pytest.mark.parametrize("name", ["markov", "markov-zero-entries", "coarse-cells"])
+def test_exhaustive_report_takes_one_power_per_gap(monkeypatch, name):
+    # 256 windows of box(1, 8) share one step per gap of the chain
+    powers = []
+    matrix_power = np.linalg.matrix_power
+
+    def counted(P, gap):
+        powers.append((P.tobytes(), gap))
+        return matrix_power(P, gap)
+
+    monkeypatch.setattr(np.linalg, "matrix_power", counted)
+    system, alpha, C = _trace_case(name)
+    report = verify_subadditive_hypotheses(
+        window_entropy_phi(system, alpha, C), FolnerSubset.box(1, 8), exhaustive=True
+    )
+    assert report.ok
+    assert sorted(gap for _, gap in powers) == list(range(1, 8))
 
 
 def test_no_walk_outlives_its_trace(monkeypatch):

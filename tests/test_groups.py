@@ -18,8 +18,17 @@ from folner_entropy import (
     translate,
     verify_subadditive_hypotheses,
 )
-from folner_entropy.groups import EXHAUSTIVE_PAIR_LIMIT, SubadditivityReport, _codes, basis
+from folner_entropy.groups import (
+    EXHAUSTIVE_PAIR_LIMIT,
+    SubadditivityReport,
+    _codes,
+    _kcover_draws,
+    _masks,
+    _pair_draws,
+    basis,
+)
 from folner_entropy.suites import phi_cardinality, phi_neg_card_squared, window_entropy_phi
+from test_suites import _assert_frequency, _CountingGenerator
 
 
 def test_box_and_interval():
@@ -135,6 +144,8 @@ def test_sampled_mode_deterministic():
 # The oracle below is the per-pair loop the verifier used before its checks
 # became array comparisons: frozenset windows, a memo keyed by frozenset, one
 # record per comparison. It lives here only, as the independent reference.
+# It takes the verifier's batched draws and splits them per sample; each
+# sampled k-cover is rebuilt piece by piece and its k counted from coverage.
 
 
 def _oracle_record(report, name, slack, witness, tol):
@@ -184,18 +195,6 @@ def oracle_subadditivity_report(
     def witness_sets(*masks):
         return tuple(tuple(sorted(subset_of_mask(m))) for m in masks)
 
-    def random_mask(allow_empty=True):
-        if n <= 62:
-            mask = int(rng.integers(0, 1 << n))
-        else:
-            mask = 0
-            for i in range(n):
-                if rng.integers(0, 2):
-                    mask |= 1 << i
-        if not allow_empty and mask == 0:
-            mask = 1 << int(rng.integers(0, n))
-        return mask
-
     def check_pair(emask, fmask):
         pe = table(subset_of_mask(emask))
         pf = table(subset_of_mask(fmask))
@@ -218,9 +217,7 @@ def oracle_subadditivity_report(
             for fmask in range(1 << n):
                 check_pair(emask, fmask)
     else:
-        for _ in range(samples):
-            fmask = random_mask()
-            emask = random_mask() & fmask if rng.integers(0, 2) else random_mask()
+        for emask, fmask in zip(*(ms.tolist() for ms in _pair_draws(rng, n, samples))):
             check_pair(emask, fmask)
 
     if translations is None:
@@ -228,12 +225,15 @@ def oracle_subadditivity_report(
             tuple(1 if j == i else 0 for j in range(box.d)) for i in range(box.d)
         ]
     elem_index = {e: i for i, e in enumerate(elems)}
-    for s in translations:
+    translations = list(translations)
+    if not exhaustive:
+        drawn = _masks(rng, n, len(translations) * samples).reshape(len(translations), samples)
+    for t, s in enumerate(translations):
         shift_of = [elem_index.get(tuple(a + b for a, b in zip(e, s))) for e in elems]
         if exhaustive:
             masks = range(1 << n)
         else:
-            masks = (random_mask() for _ in range(samples))
+            masks = drawn[t].tolist()
         for fmask in masks:
             smask = 0
             inside = True
@@ -259,20 +259,17 @@ def oracle_subadditivity_report(
                 tolerance,
             )
 
-    for _ in range(samples):
-        fmask = random_mask(allow_empty=False)
+    draws = _kcover_draws(rng, n, samples)
+    for fmask, layers, pieces, assignment, strays in zip(*(a.tolist() for a in draws)):
         fbits = [i for i in range(n) if fmask >> i & 1]
-        layers = int(rng.integers(1, 4))
         cover_masks = []
-        for _layer in range(layers):
-            pieces = int(rng.integers(1, 3))
-            assignment = rng.integers(0, pieces, size=len(fbits))
-            for p in range(pieces):
+        for layer in range(layers):
+            for p in range(pieces[layer]):
                 pm = 0
-                for b, a in zip(fbits, assignment):
-                    if a == p:
+                for b in fbits:
+                    if assignment[layer][b] == p:
                         pm |= 1 << b
-                pm |= random_mask() & ~fmask
+                pm |= strays[layer][p]
                 if pm:
                     cover_masks.append(pm)
         coverage = [sum(cm >> i & 1 for cm in cover_masks) for i in fbits]
@@ -423,6 +420,74 @@ def test_samples_below_one_rejected(samples, exhaustive):
         verify_subadditive_hypotheses(
             phi_neg_card_squared, FolnerSubset.box(1, 6), samples=samples, exhaustive=exhaustive
         )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("exhaustive", [True, False])
+def test_non_finite_tolerance_rejected(bad, exhaustive):
+    # with a NaN tolerance every "slack < -tolerance" is False, so the
+    # deliberate violator used to pass with no violations
+    with pytest.raises(ValueError, match="tolerance must be a finite number"):
+        verify_subadditive_hypotheses(
+            phi_neg_card_squared, FolnerSubset.box(1, 4), exhaustive=exhaustive, tolerance=bad
+        )
+    # a negative tolerance stays allowed: it flags slacks below its size
+    report = verify_subadditive_hypotheses(phi_cardinality, FolnerSubset.box(1, 4), tolerance=-0.5)
+    assert report.violation_count["strong_subadditivity"] == 4**4
+
+
+@pytest.mark.parametrize("n", [3, 8, 70])
+def test_batched_draws_have_the_per_sample_distribution(n):
+    samples = 20000 if n <= 62 else 4000  # Python-int masks are slow to unpack
+    rng = np.random.default_rng(40 + n)
+    masks = _masks(rng, n, samples)
+    assert masks.dtype == (np.int64 if n <= 62 else object)
+    in_bits = (masks[:, None] >> np.arange(n).astype(masks.dtype) & 1).astype(bool)
+    _assert_frequency(in_bits, 0.5)
+    assert (masks >= 0).all() and (masks < 1 << n).all()
+    # pairs: F uniform, and by a fair coin E uniform within F or uniform
+    E, F = _pair_draws(rng, n, samples)
+    e_bits, f_bits = ((ms[:, None] >> np.arange(n).astype(ms.dtype) & 1).astype(bool) for ms in (E, F))
+    _assert_frequency(f_bits, 0.5)
+    _assert_frequency(e_bits & f_bits, 0.25)
+    _assert_frequency(e_bits & ~f_bits, 0.125)
+    _assert_frequency(((E & ~F) == 0), 0.5 + 0.5 * 0.75**n)
+    # k-covers: F uniform with an empty F made a uniform singleton; 1 to 3
+    # layers of 1 or 2 pieces; each element of F in a uniform piece of each
+    # layer; every piece's strays a uniform subset outside F
+    F, layers, pieces, assignment, strays = _kcover_draws(rng, n, samples)
+    assert F.dtype == strays.dtype == masks.dtype
+    assert (F != 0).all() and (F < 1 << n).all()
+    if n == 3:
+        for m in range(1, 8):
+            _assert_frequency(F == m, 1 / 6 if m in (1, 2, 4) else 1 / 8)
+    for v in (1, 2, 3):
+        _assert_frequency(layers == v, 1 / 3)
+    _assert_frequency(pieces == 1, 0.5)
+    assert ((pieces >= 1) & (pieces <= 2)).all()
+    assert ((assignment >= 0) & (assignment < pieces[:, :, None])).all()
+    _assert_frequency((assignment == 0)[pieces == 2], 0.5)
+    assert ((strays & F[:, None, None]) == 0).all()
+    f_bits = (F[:, None] >> np.arange(n).astype(F.dtype) & 1).astype(bool)
+    s_bits = (strays[..., None] >> np.arange(n).astype(F.dtype) & 1).astype(bool)
+    _assert_frequency(s_bits[np.broadcast_to(~f_bits[:, None, None, :], s_bits.shape)], 0.5)
+
+
+@pytest.mark.parametrize("n", [8, 12, 70])
+def test_reports_make_a_few_generator_calls(monkeypatch, n):
+    # per-sample draws made about nine generator calls a sample; a report's
+    # draw makes at most seven, however many samples it has
+    calls = {"generator": 0}
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(
+        np.random, "default_rng", lambda seed: _CountingGenerator(default_rng(seed), calls)
+    )
+    box = FolnerSubset.box(1, n)
+    for samples in (1, 200, 3000):
+        calls["generator"] = 0
+        report = verify_subadditive_hypotheses(phi_cardinality, box, samples=samples, seed=2)
+        assert report.checked["k_cover"] == samples
+        assert 1 <= calls["generator"] <= (4 if report.exhaustive else 7)
 
 
 # -- array windows against the frozenset windows --------------------------------
