@@ -13,6 +13,7 @@ the mixture rate is the weighted average of the component rates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional
 
 import numpy as np
@@ -24,7 +25,7 @@ from .spaces import (
     MassFunctionResult,
     Partition,
     _require_same_space,
-    conditional_mass_functions,
+    _stacked_mass_functions,
 )
 from .systems import (
     DEFAULT_PATTERN_CAP,
@@ -257,7 +258,16 @@ def conditional_mass_function(
     space: FiniteProbabilitySpace, alpha: Partition, cond: Partition
 ) -> MassFunctionResult:
     """Pointwise conditional masses m(x) = mu(A_x | C_x) and the check
-    that -log m integrates to the conditional entropy: the one-triple
-    call of ``conditional_mass_functions``, which builds the join of
-    ``cond`` and ``alpha`` once for both."""
-    return conditional_mass_functions([(space, alpha, cond)])[0]
+    that -log m integrates to the conditional entropy, both read from
+    one ``_stacked_join`` of the two label arrays."""
+    for p in (alpha, cond):
+        _require_same_space(p.space, space)
+    _, m, live, gaps = _stacked_mass_functions(
+        space.masses, alpha.labels(), cond.labels(), cond.block_masses(), [cond.n_blocks], [len(space)]
+    )
+    ids, keep = space.atom_ids, live.tolist()
+    return MassFunctionResult(
+        dict(zip(compress(ids, keep), compress(m.tolist(), keep))),
+        tuple(compress(ids, (~live).tolist())),
+        float(gaps[0]),
+    )

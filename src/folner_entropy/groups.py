@@ -192,12 +192,6 @@ class FolnerSubset:
         if self.d != other.d:
             raise ValueError("dimension mismatch")
 
-    def union(self, other: "FolnerSubset") -> "FolnerSubset":
-        self._same_d(other)
-        both = np.concatenate([self.rows, other.rows])
-        first = np.unique(np.concatenate(_codes(self.rows, other.rows)), return_index=True)[1]
-        return FolnerSubset._from_rows(both[first], self.d)
-
     def intersection(self, other: "FolnerSubset") -> "FolnerSubset":
         self._same_d(other)
         return FolnerSubset._from_rows(self.rows[_locate(self.rows, other.rows)[1]], self.d)

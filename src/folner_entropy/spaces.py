@@ -14,26 +14,24 @@ Block masses are read from the sort that made the labels canonical
 (``_canonical``), so a finite entropy sorts its atoms once.
 ``_stacked_join`` runs those steps once over many pairs of label
 arrays stacked back to back, each pair's beta blocks numbered past
-those of the pairs before it. Partition labels are stacked that way
-as they are (``_stack``); raw integer codes that no ``Partition`` was
-built for, such as mixed-radix joins or gathered images, are
-relabelled into that layout once (``_stacked_betas``). The array
-entries (``_stacked_join``, ``_stacked_mass_functions``,
+those of the pairs before it. One partition's canonical labels are
+that layout as they are; raw integer codes, such as mixed-radix joins
+or gathered images, are relabelled into it once (``_stacked_betas``).
+The array entries (``_stacked_join``, ``_stacked_mass_functions``,
 ``_stacked_reintegration`` and ``_require_probabilities``, the mass
 checks of ``FiniteProbabilitySpace`` over many spaces) serve the seeded
-sweeps, which build no space or partition. ``conditional_entropies``,
-``conditional_mass_functions``, ``Disintegration.reconstruct`` and
-``FiniteProbabilitySpace`` are their wrappers for objects, and
-``conditional_entropy`` is the one-pair call. The entropy operations
-implement the positive-mass conventions (0 log 0 = 0, zero-mass fibers
-skipped) directly.
+sweeps, which build no space or partition, and the one-pair calls
+(``conditional_entropy``, ``Disintegration.reconstruct`` and
+``decomposition.conditional_mass_function``), which pass one pair's
+labels. The entropy operations implement the positive-mass
+conventions (0 log 0 = 0, zero-mass fibers skipped) directly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import accumulate
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
@@ -272,9 +270,6 @@ class Partition:
     def block_index(self, atom: AtomId) -> int:
         return int(self._labels[self.space.index(atom)])
 
-    def block_of(self, atom: AtomId) -> tuple:
-        return self.blocks[self.block_index(atom)]
-
     def block_masses(self) -> np.ndarray:
         """Mass of every block. Each is the sum of ``masses[idx]`` over the
         block's ascending index array, bit-identical to ``mass_of(block)``.
@@ -282,7 +277,7 @@ class Partition:
         The groups come from ``_canonical``'s sort of the codes the
         partition was built from, with no second sort.
         """
-        return _block_sums(self.space.masses, self._labels, self._k, self._sort)
+        return _block_sums(self.space.masses, self._k, self._sort)
 
     def labels(self) -> np.ndarray:
         """Block index per atom, aligned with the space's atom order."""
@@ -435,60 +430,22 @@ def entropy(alpha: Partition) -> float:
 
 
 def conditional_entropy(alpha: Partition, beta: Partition) -> float:
-    """Mean conditional entropy sum_B mu(B) * H_{mu_B}(alpha traced on B):
-    the one-pair call of ``conditional_entropies``."""
-    return conditional_entropies([(alpha, beta)])[0]
+    """Mean conditional entropy sum_B mu(B) * H_{mu_B}(alpha traced on B),
+    from the one-pair ``_stacked_join`` of the two label arrays."""
+    _require_same_space(alpha.space, beta.space)
+    return _offset_entropies(beta.space.masses, alpha._labels, beta._labels, beta.block_masses(), [beta._k])[0]
 
 
-def conditional_entropies(pairs: Iterable[tuple]) -> list:
-    """H(alpha | beta) for every (alpha, beta) pair, in one array pass: the
-    pairs (each on its own space) go through one ``_stacked_join``, and
-    every value is the one the pair gets alone."""
-    pairs = list(pairs)
-    if not pairs:
-        return []
-    return _offset_entropies(*_pair_labels(pairs))
-
-
-def _pair_labels(pairs: list) -> tuple:
-    """The masses, alpha labels, offset beta labels and beta block masses
-    (``_stack``) of partition pairs back to back, and each beta's block
-    count: ``_stacked_join``'s arguments."""
-    for alpha, beta in pairs:
-        _require_same_space(alpha.space, beta.space)
-    betas = [beta for _, beta in pairs]
-    beta, masses, mB = _stack(betas)
-    return masses, np.concatenate([alpha._labels for alpha, _ in pairs]), beta, mB, [b._k for b in betas]
-
-
-def _stack(partitions: Sequence[Partition]) -> tuple:
-    """The label arrays of partitions (each on its own space) back to
-    back, each offset past the blocks of those before it, their spaces'
-    masses stacked the same way, and their block masses. One partition
-    is not copied and its block masses come from its own sort; a stack
-    sorts its labels once (``_block_sums``)."""
-    if len(partitions) == 1:
-        return partitions[0]._labels, partitions[0].space.masses, partitions[0].block_masses()
-    labels = np.concatenate([p._labels for p in partitions])
-    offsets = np.array([*accumulate([p._k for p in partitions], initial=0)])
-    labels += offsets[:-1].repeat([len(p.space) for p in partitions])
-    masses = np.concatenate([p.space.masses for p in partitions])
-    return labels, masses, _block_sums(masses, labels, int(offsets[-1]))
-
-
-def _block_sums(masses: np.ndarray, labels: np.ndarray, k: int, sort=None) -> np.ndarray:
+def _block_sums(masses: np.ndarray, k: int, sort: tuple) -> np.ndarray:
     """Mass of each of the ``k`` label groups, summed over ascending positions.
 
-    ``sort`` is the grouping ``_canonical`` kept when it made ``labels``:
+    ``sort`` is the grouping ``_canonical`` kept when it made the labels:
     its groups are summed in code order and only the k sums are moved
-    into label order. Without one, ``_group`` sorts the labels.
+    into label order.
     """
-    order, ends, rank = sort or (*_group(labels, k), None)
-    sums = _segment_sums(masses[order], ends)
-    if rank is None:
-        return sums
+    order, ends, rank = sort
     out = np.empty(k)
-    out[rank] = sums
+    out[rank] = _segment_sums(masses[order], ends)
     return out
 
 
@@ -501,27 +458,26 @@ def _stacked_betas(masses: np.ndarray, beta: np.ndarray, sizes: Sequence[int]) -
     The codes may be any nonnegative int64 codes: two atoms of a pair
     share a block exactly when they share a code. One ``_canonical`` over
     the codes joined with the pair index numbers every pair's blocks in
-    order of first atom, past the blocks of the pairs before it, as
-    ``_stack`` lays out canonical labels.
+    order of first atom, past the blocks of the pairs before it.
     """
     n = len(sizes)
     pair = np.arange(n).repeat(sizes)
     labels, k, sort = _canonical(_join_codes([(beta, int(beta.max()) + 1), (pair, n)])[0])
     owner = np.empty(k, dtype=np.int64)
     owner[labels] = pair
-    return labels, _block_sums(masses, labels, k, sort), np.bincount(owner, minlength=n).tolist()
+    return labels, _block_sums(masses, k, sort), np.bincount(owner, minlength=n).tolist()
 
 
 def _stacked_join(masses, alpha, beta, mB, counts) -> tuple:
     """The join of many (alpha, beta) pairs of label arrays in one pass.
 
     The pairs lie back to back in ``masses``, ``alpha`` and ``beta``.
-    ``beta`` holds canonical labels in ``_stack``'s layout: every pair's
-    blocks are numbered in order of first atom, past the ``counts``
-    blocks of the pairs before it, so no block crosses a pair, and
-    ``mB`` holds their masses. Partition labels come that way; raw codes
-    go through ``_stacked_betas`` first. ``alpha`` may be any
-    nonnegative int64 codes. One ``_canonical`` relabels the join codes
+    ``beta`` holds canonical labels: every pair's blocks are numbered in
+    order of first atom, past the ``counts`` blocks of the pairs before
+    it, so no block crosses a pair, and ``mB`` holds their masses. One
+    partition's labels come that way; raw codes go through
+    ``_stacked_betas`` first. ``alpha`` may be any nonnegative int64
+    codes. One ``_canonical`` relabels the join codes
     alpha * sum(counts) + beta the same way, and the join's block masses
     are read from its sort; ``_join_codes`` relabels first where that
     product would overflow.
@@ -530,7 +486,7 @@ def _stacked_join(masses, alpha, beta, mB, counts) -> tuple:
     betas and of the joins, and ``counts``.
     """
     joint, k_joint, sort = _canonical(_join_codes([(alpha, int(alpha.max()) + 1), (beta, sum(counts))])[0])
-    return beta, joint, mB, _block_sums(masses, joint, k_joint, sort), counts
+    return beta, joint, mB, _block_sums(masses, k_joint, sort), counts
 
 
 def _offset_entropies(masses, alpha, beta, mB, counts) -> list:
@@ -615,30 +571,6 @@ class MassFunctionResult:
     integral_gap: float
 
 
-def conditional_mass_functions(triples: Iterable[tuple]) -> list:
-    """The conditional mass function of every (space, alpha, cond) triple,
-    from one stacked join of the (alpha, cond) pairs: the results of
-    ``_stacked_mass_functions`` read back into atom ids."""
-    triples = list(triples)
-    for space, alpha, cond in triples:
-        for p in (alpha, cond):
-            _require_same_space(p.space, space)
-    if not triples:
-        return []
-    sizes = [len(space) for space, _, _ in triples]
-    _, m, live, gaps = _stacked_mass_functions(
-        *_pair_labels([(alpha, cond) for _, alpha, cond in triples]), sizes
-    )
-    m, live = m.tolist(), live.tolist()
-    results = []
-    for (space, _, _), end, gap in zip(triples, accumulate(sizes), gaps.tolist()):
-        own = live[end - len(space) : end]
-        values = dict(zip(compress(space.atom_ids, own), compress(m[end - len(space) : end], own)))
-        excluded = tuple(a for a, keep in zip(space.atom_ids, own) if not keep)
-        results.append(MassFunctionResult(values, excluded, gap))
-    return results
-
-
 def _stacked_mass_functions(masses, alpha, beta, mB, counts, sizes) -> tuple:
     """The conditional mass functions of many (alpha, cond) pairs of label
     arrays, laid out as ``_stacked_join`` takes them with cond as beta;
@@ -694,9 +626,7 @@ class Disintegration:
     mass; a positive-mass block's slice of them is its conditional
     (fiber) space. Zero-mass blocks have no fiber. The fiber spaces are
     built on first read of ``conditional`` or ``conditional_spaces``;
-    ``reconstruct`` re-integrates any atom subset through the same
-    grouped masses, as one item of ``_reintegrate``, which takes many
-    (partition, atom set) items in one pass.
+    ``reconstruct`` re-integrates any atom subset over the fibers.
     """
 
     __slots__ = ("space", "partition", "factor", "_order", "_ends", "_fiber_masses", "_fibers")
@@ -734,9 +664,12 @@ class Disintegration:
 
     def reconstruct(self, atoms: Iterable[AtomId]) -> float:
         """Mass of an atom set re-integrated over the fibers:
-        sum_A mu_alpha(A) * mu_A(C intersect A), the one-item call of
-        ``_reintegrate``."""
-        return _reintegrate([(self.partition, atoms)])[0]
+        sum_A mu_alpha(A) * mu_A(C intersect A). The atoms are read as a
+        set (a repeated atom counts once, an unknown one raises)."""
+        wanted = np.zeros(len(self.space), dtype=bool)
+        wanted[self.space._indices(atoms)] = True
+        p = self.partition
+        return _stacked_reintegration(self.space.masses, p._labels, p.block_masses(), [p._k], wanted)[0]
 
 
 def _fiber_masses(masses: np.ndarray, labels: np.ndarray, order: np.ndarray, block_masses) -> np.ndarray:
@@ -744,24 +677,6 @@ def _fiber_masses(masses: np.ndarray, labels: np.ndarray, order: np.ndarray, blo
     by block); atoms of zero-mass blocks keep 0."""
     per_atom = block_masses[labels[order]]
     return np.divide(masses[order], per_atom, out=np.zeros(order.shape[0]), where=per_atom > 0.0)
-
-
-def _reintegrate(items: Iterable[tuple]) -> list:
-    """For every (partition, atoms) item, the mass of the atom set
-    re-integrated over the partition's fibers: the items' labels are
-    stacked (``_stack``) and go through one ``_stacked_reintegration``.
-    The atoms are read as a set (a repeated atom counts once, an unknown
-    one raises)."""
-    items = list(items)
-    partitions = [p for p, _ in items]
-    labels, masses, block_masses = _stack(partitions)
-    wanted = np.zeros(labels.shape[0], dtype=bool)
-    picked, start = [], 0
-    for p, atoms in items:
-        picked += [start + i for i in p.space._indices(atoms)]
-        start += len(p.space)
-    wanted[picked] = True
-    return _stacked_reintegration(masses, labels, block_masses, [p._k for p in partitions], wanted)
 
 
 def _stacked_reintegration(masses, labels, block_masses, counts, wanted) -> list:

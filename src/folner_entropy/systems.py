@@ -223,9 +223,6 @@ class SymbolPartition:
     def n_cells(self) -> int:
         return len(self.cells)
 
-    def cell_index(self, symbol) -> int:
-        return self._cell_of[symbol]
-
     def cell_labels(self) -> np.ndarray:
         """Cell index per symbol, aligned with alphabet order (read-only)."""
         return self._labels

@@ -6,7 +6,7 @@ m-function values from ratios of atom masses.
 """
 
 import math
-from itertools import compress
+from itertools import accumulate, compress
 
 import numpy as np
 import pytest
@@ -21,7 +21,6 @@ from folner_entropy import (
     bernoulli_shift,
     conditional_entropy,
     conditional_mass_function,
-    conditional_mass_functions,
     decompose_entropy,
     disintegrate,
     entropy_rate,
@@ -33,7 +32,14 @@ from folner_entropy import (
     orbit_partition,
     restrict,
 )
-from folner_entropy.spaces import SpaceMismatchError, _reintegrate, _segment_sums, join
+from folner_entropy.spaces import (
+    SpaceMismatchError,
+    _segment_sums,
+    _stacked_betas,
+    _stacked_mass_functions,
+    _stacked_reintegration,
+    join,
+)
 
 LOG2 = float(np.log(2.0))
 
@@ -313,12 +319,12 @@ def _oracle_mass_function(space, alpha, cond):
     """m(x) and the integral check, atom by atom from block tuples."""
     values, excluded, integral = {}, [], 0.0
     for x in space.atom_ids:
-        cb = cond.block_of(x)
+        cb = cond.blocks[cond.block_index(x)]
         mC = space.mass_of(cb)
         if mC <= 0.0:
             excluded.append(x)
             continue
-        ab = set(alpha.block_of(x))
+        ab = set(alpha.blocks[alpha.block_index(x)])
         m = space.mass_of([a for a in cb if a in ab]) / mC
         values[x] = m
         if space.mass(x) > 0.0:
@@ -445,12 +451,28 @@ def _mass_function_cases(seed, count):
     return cases
 
 
+def _stacked_conds(cases):
+    """The cases' masses back to back, their cond labels relabelled by
+    ``_stacked_betas`` (labels, block masses, block counts) and their
+    atom counts."""
+    sizes = [len(s) for s, _, _, _ in cases]
+    masses = np.concatenate([s.masses for s, _, _, _ in cases])
+    return masses, _stacked_betas(masses, np.concatenate([c.labels() for _, _, c, _ in cases]), sizes), sizes
+
+
 @pytest.mark.parametrize("seed, count", [(0, 1), (1, 2), (2, 40), (3, 400)])
 def test_batched_mass_functions_equal_one_triple_oracle(seed, count):
     cases = _mass_function_cases(seed, count)
     expected = [repr(_one_triple_mass_function(s, a, c)) for s, a, c, _ in cases]
-    got = conditional_mass_functions([(s, a, c) for s, a, c, _ in cases])
-    assert [repr((r.values, r.excluded, r.integral_gap)) for r in got] == expected
+    masses, conds, sizes = _stacked_conds(cases)
+    alpha = np.concatenate([a.labels() for _, a, _, _ in cases])
+    _, m, live, gaps = _stacked_mass_functions(masses, alpha, *conds, sizes)
+    got = []
+    for (space, _, _, _), end, gap in zip(cases, accumulate(sizes), gaps.tolist()):
+        own = slice(end - len(space), end)
+        values = dict(zip(compress(space.atom_ids, live[own]), m[own][live[own]].tolist()))
+        got.append(repr((values, tuple(compress(space.atom_ids, ~live[own])), gap)))
+    assert got == expected
     one = [conditional_mass_function(s, a, c) for s, a, c, _ in cases]
     assert [repr((r.values, r.excluded, r.integral_gap)) for r in one] == expected
 
@@ -459,33 +481,28 @@ def test_batched_mass_functions_equal_one_triple_oracle(seed, count):
 def test_batched_reintegration_equals_one_item_oracle(seed, count):
     cases = _mass_function_cases(seed, count)
     expected = [repr(_one_item_reconstruct(s, c, atoms)) for s, _, c, atoms in cases]
-    got = _reintegrate([(c, atoms) for _, _, c, atoms in cases])
+    masses, conds, sizes = _stacked_conds(cases)
+    wanted = np.zeros(masses.shape[0], dtype=bool)
+    for (space, _, _, atoms), start in zip(cases, accumulate(sizes, initial=0)):
+        wanted[[start + space.index(a) for a in atoms]] = True
+    got = _stacked_reintegration(masses, *conds, wanted)
     assert [repr(v) for v in got] == expected
     one = [disintegrate(s, c).reconstruct(atoms) for s, _, c, atoms in cases]
     assert [repr(v) for v in one] == expected
 
 
-def test_batched_calls_of_nothing():
-    assert conditional_mass_functions([]) == []
-    assert conditional_mass_functions(iter(())) == []
-
-
 def test_batched_reintegration_reads_atoms_as_a_set():
     space = FiniteProbabilitySpace(range(4), [0.1, 0.2, 0.3, 0.4])
-    cond = Partition(space, [[0, 1], [2, 3]])
-    once, twice = _reintegrate([(cond, [0, 2]), (cond, [0, 2, 2, 0])])
-    assert once == twice == disintegrate(space, cond).reconstruct([2, 0, 0])
+    dis = disintegrate(space, Partition(space, [[0, 1], [2, 3]]))
+    assert dis.reconstruct([0, 2]) == dis.reconstruct([0, 2, 2, 0]) == dis.reconstruct([2, 0, 0])
     with pytest.raises(ValueError, match="unknown atom"):
-        _reintegrate([(cond, [0]), (cond, [7])])
-    with pytest.raises(ValueError, match="unknown atom"):
-        disintegrate(space, cond).reconstruct([1, "x"])
+        dis.reconstruct([1, "x"])
 
 
 def test_batched_mass_functions_check_spaces():
     space = FiniteProbabilitySpace(range(3), [0.2, 0.3, 0.5])
     other = FiniteProbabilitySpace(range(3), [0.5, 0.3, 0.2])
-    good = (space, Partition.points(space), Partition.trivial(space))
     with pytest.raises(SpaceMismatchError):
-        conditional_mass_functions([good, (space, Partition.points(other), good[2])])
+        conditional_mass_function(space, Partition.points(other), Partition.trivial(space))
     with pytest.raises(SpaceMismatchError):
-        conditional_mass_functions([good, (space, good[1], Partition.trivial(other))])
+        conditional_mass_function(space, Partition.points(space), Partition.trivial(other))

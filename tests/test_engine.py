@@ -169,11 +169,12 @@ def _factor_oracle(system, cells, factor_map, F, W):
     """H(alpha^F | phi^W) from the cylinder measure of every symbol word on W."""
     elems = sorted(W.elements)
     at_F = [elems.index(e) for e in sorted(F.elements)]
+    cell_of = dict(zip(cells.alphabet, cells.cell_labels().tolist()))
     joint, marginal = {}, {}
     for word in itertools.product(system.alphabet, repeat=len(elems)):
         mass = cylinder_measure(system, W, dict(zip(elems, word)))
         fkey = tuple(factor_map[s] for s in word)
-        akey = tuple(cells.cell_index(word[j]) for j in at_F)
+        akey = tuple(cell_of[word[j]] for j in at_F)
         joint[akey, fkey] = joint.get((akey, fkey), 0.0) + mass
         marginal[fkey] = marginal.get(fkey, 0.0) + mass
     return _shannon(joint.values()) - _shannon(marginal.values())
@@ -551,9 +552,11 @@ def _old_bernoulli_site_entropy(system, cells):
 
 
 def _old_bernoulli_site_factor_entropy(system, cells, phi):
+    cell_of = dict(zip(cells.alphabet, cells.cell_labels().tolist()))
+    phi_of = dict(zip(phi.alphabet, phi.cell_labels().tolist()))
     joint = {}
     for i, s in enumerate(system.alphabet):
-        key = (cells.cell_index(s), phi.cell_index(s))
+        key = (cell_of[s], phi_of[s])
         joint[key] = joint.get(key, 0.0) + float(system.probs[i])
     joint_probs = np.array(list(joint.values()))
     phi_probs = np.array(

@@ -16,7 +16,6 @@ from folner_entropy import (
     FiniteProbabilitySpace,
     Partition,
     SpaceMismatchError,
-    conditional_entropies,
     conditional_entropy,
     disintegrate,
     entropy,
@@ -368,7 +367,7 @@ def _fiberwise(alpha, beta):
             continue
         traces: dict = {}
         for a in B:
-            traces.setdefault(alpha.block_of(a), []).append(a)
+            traces.setdefault(alpha.blocks[alpha.block_index(a)], []).append(a)
         tm = np.array([space.mass_of(t) for t in traces.values()])
         total += mB * entropy_from_probs(tm / mB)
     return total
@@ -468,7 +467,7 @@ def test_equal_partitions_compare_and_hash_equal(sp, rnd, shift):
 
 
 def _one_pair_conditional_entropy(alpha, beta):
-    """H(alpha | beta) for one pair alone, the steps ``conditional_entropies``
+    """H(alpha | beta) for one pair alone, the steps ``_stacked_join``
     stacks: join block masses grouped by beta block, one segment sum per
     fiber, the fibers' total left to right."""
     assert same_space(alpha.space, beta.space)
@@ -517,16 +516,28 @@ def _batch_cases(seed, count):
     return pairs
 
 
+def _stacked_pair_entropies(pairs):
+    """``_stacked_entropies`` of partition pairs, their masses and labels
+    back to back."""
+    return _stacked_entropies(
+        np.concatenate([b.space.masses for _, b in pairs]),
+        np.concatenate([a.labels() for a, _ in pairs]),
+        np.concatenate([b.labels() for _, b in pairs]),
+        [len(b.space) for _, b in pairs],
+    )
+
+
 @pytest.mark.parametrize("seed, count", [(0, 1), (1, 2), (2, 40), (3, 400)])
 def test_conditional_entropies_equal_one_pair_oracle(seed, count):
     pairs = _batch_cases(seed, count)
     expected = [repr(_one_pair_conditional_entropy(a, b)) for a, b in pairs]
-    assert [repr(h) for h in conditional_entropies(pairs)] == expected
+    assert [repr(h) for h in _stacked_pair_entropies(pairs)] == expected
     assert [repr(conditional_entropy(a, b)) for a, b in pairs] == expected
     # the same pairs split into uneven batches
     got, start = [], 0
     for size in (1, 2, 7, 64, 1000):
-        got += conditional_entropies(pairs[start : start + size])
+        if pairs[start : start + size]:
+            got += _stacked_pair_entropies(pairs[start : start + size])
         start += size
     assert [repr(h) for h in got] == expected
 
@@ -659,7 +670,7 @@ def test_sort_block_masses_with_scrambled_ranks(n):
         _, joint, _, mJ, _ = spaces_module._stacked_join(
             space.masses, alpha, beta.labels(), beta.block_masses(), [beta.n_blocks]
         )
-        assert mJ.tolist() == spaces_module._block_sums(space.masses, joint, mJ.shape[0]).tolist()
+        assert mJ.tolist() == [space.masses[np.flatnonzero(joint == j)].sum() for j in range(mJ.shape[0])]
 
 
 def _block_totals_loop(block_masses: list, values: list, counts) -> list:
@@ -695,17 +706,11 @@ def test_block_totals_equal_the_left_to_right_loop(seed):
         assert repr(got) == repr(expected)
 
 
-def test_conditional_entropies_of_no_pairs():
-    assert conditional_entropies([]) == []
-    assert conditional_entropies(iter(())) == []
-
-
 def test_conditional_entropies_reject_a_mismatched_pair():
     s1 = FiniteProbabilitySpace(range(2), [0.5, 0.5])
     s2 = FiniteProbabilitySpace(range(2), [0.4, 0.6])
-    good = (Partition.points(s1), Partition.trivial(s1))
     with pytest.raises(SpaceMismatchError, match="space mismatch"):
-        conditional_entropies([good, (Partition.points(s1), Partition.points(s2))])
+        conditional_entropy(Partition.points(s1), Partition.points(s2))
 
 
 # -- atom sets -----------------------------------------------------------------

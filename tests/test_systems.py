@@ -228,7 +228,6 @@ def test_joins_and_factor_partitions_equal_the_checked_constructor():
                 assert got == ref and hash(got) == hash(ref) and got.cells == ref.cells
                 assert got.cell_labels().tobytes() == ref.cell_labels().tobytes()
                 assert not got.cell_labels().flags.writeable
-                assert [got.cell_index(s) for s in alphabet] == [ref.cell_index(s) for s in alphabet]
     factor = SubAlgebraSpec.symbol_factor({0: 0, 1: 1})
     with pytest.raises(ValueError, match="^factor map must cover the alphabet$"):
         factor.factor_partition((0, 1, 2))
