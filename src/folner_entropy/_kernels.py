@@ -3,12 +3,11 @@
 One vectorised numpy implementation per kernel. Markov window entropies
 take the chain-rule closed form (full symbols) or the forward recursion
 over cell patterns (coarse cells and symbol factors), each one forward
-walk site by site (``_walk``). Inside a walk scope, a rate trace or a
-window set function, the walks share each gap's step and the next
-interval resumes the last one, so no production route enumerates Markov
-symbol words or repeats a matrix power; the symbol-word
-fills remain for ``symbol_pattern_logprobs``/``symbol_pattern_probs``
-and the full-symbol ``window_partition``. Window entropies of Bernoulli
+walk site by site from the chain's record (``_Chain``, which states
+when walks share steps and resume), so no production route enumerates
+Markov symbol words; the symbol-word fills remain for
+``symbol_pattern_logprobs``/``symbol_pattern_probs`` and the
+full-symbol ``window_partition``. Window entropies of Bernoulli
 shifts and mixtures come from closed forms and need only the entropy
 reductions.
 
@@ -116,74 +115,97 @@ def markov_window_probs(pi: np.ndarray, P: np.ndarray, offsets: np.ndarray) -> n
     return v
 
 
-class _Steps(dict):
-    """What moves a walk across each gap, {gap: step}: ``make(gap)``,
-    made on first use and kept."""
+class _Chain:
+    """What the Markov kernels walk for one chain (pi, P), made on first
+    use and kept: P^g per gap (``power``), the (m + 1)-square entropy
+    step built from that same P^g (``step``), the state at the first
+    site of each kind of walk (``first``), and the last interval walk
+    of each kind, as (state, sites done). A kind is ``"entropy"`` for
+    ``markov_window_entropy``, or the bytes of the first site's cell map
+    for ``hidden_markov_pattern_probs``.
 
-    __slots__ = ("make",)
+    Inside a walk scope (``_WALKS``: one ``engine.entropy_rate`` call,
+    or the life of a ``suites.window_entropy_phi`` set function) every
+    window of the chain reads one record, so each gap's power is taken
+    once per chain. There an interval window resumes the stored walk of
+    its kind when that walk has covered no more sites, and restarts
+    from the first state otherwise: an interval's walk after n sites is
+    any longer interval's after its first n. A gapped window, or a cell
+    walk with more than one cell map, starts from the first state and
+    is not stored. Outside a scope each call takes a fresh record.
+    """
 
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
+    __slots__ = ("pi", "P", "powers", "steps", "firsts", "walks")
 
-    def __missing__(self, gap: int):
-        step = self[gap] = self.make(gap)
+    def __init__(self, pi: np.ndarray, P: np.ndarray):
+        self.pi, self.P = pi, P
+        self.powers, self.steps, self.firsts, self.walks = {}, {}, {}, {}
+
+    def power(self, gap: int) -> np.ndarray:
+        power = self.powers.get(gap)
+        if power is None:
+            power = self.powers[gap] = np.linalg.matrix_power(self.P, gap)
+        return power
+
+    def step(self, gap: int) -> np.ndarray:
+        """[[P^g, h_g], [0, 1]], h_g the row entropies of P^g."""
+        step = self.steps.get(gap)
+        if step is None:
+            m = self.P.shape[0]
+            step = self.steps[gap] = np.zeros((m + 1, m + 1))
+            step[:m, :m] = self.power(gap)
+            step[:m, m] = _row_entropies(step[:m, :m])
+            step[m, m] = 1.0
         return step
 
+    def first(self, kind) -> np.ndarray:
+        """The state of a walk of ``kind`` at its first site."""
+        first = self.firsts.get(kind)
+        if first is None:
+            pi = self.pi
+            if kind == "entropy":
+                first = np.concatenate([pi, _row_entropies(pi)[None]])
+            else:
+                cells = np.frombuffer(kind, dtype=np.int64)
+                first = np.zeros((1, int(cells.max()) + 1, pi.shape[0]))
+                first[:, cells, np.arange(pi.shape[0])] = pi
+            self.firsts[kind] = first
+        return first
 
-class _Walk:
-    """A forward walk along a sorted d = 1 window: ``state`` after the
-    window's first ``done`` sites, ``first`` its state at the first
-    site, and ``steps``, what moves it across a gap."""
+    def resume(self, kind, sites: list):
+        """(state, sites done) a walk of ``kind`` along ``sites`` starts from."""
+        state, done = self.walks.get(kind, (None, 0))
+        if 0 < done <= len(sites) and sites[-1] - sites[0] == len(sites) - 1:
+            return state, done
+        return self.first(kind), 1
 
-    __slots__ = ("state", "done", "first", "steps")
+    def keep(self, kind, sites: list, state: np.ndarray) -> None:
+        """Store a walk of ``kind`` that has covered ``sites``, if an interval."""
+        if sites[-1] - sites[0] == len(sites) - 1:
+            self.walks[kind] = state, len(sites)
 
-    def __init__(self, first, steps: _Steps):
-        self.state, self.done, self.first, self.steps = first, 1, first, steps
 
-
-# the walk scope open around the current call, None outside one: by
-# chain (and cell map), the steps made and the last interval walk. A
-# scope lasts for one ``engine.entropy_rate`` call or for the life of a
-# ``suites.window_entropy_phi`` set function.
+# the walk scope open around the current call, None outside one: a
+# ``_Chain`` record per chain
 _WALKS = contextvars.ContextVar("walks", default=None)
 
 
-def _walk(sites: list, start, make, steps_key: tuple, walk_key=None) -> _Walk:
-    """The walk a kernel advances along ``sites``, ``start()`` being its
-    state at the first site and ``make(gap)`` its step across a gap.
-
-    Outside a scope every call takes a fresh walk with its own steps.
-    Inside one, the steps under ``steps_key`` (naming the chain and the
-    kind of step) are made once per gap and shared by every window of
-    the scope, and so is the first state under ``walk_key`` (naming the
-    chain and the cell map, when one cell map serves every site). There
-    an interval window resumes the stored walk of ``walk_key`` when that
-    walk has covered no more sites, and restarts it otherwise: an
-    interval's walk after n sites is any longer interval's after its
-    first n.
-    """
-    walks = _WALKS.get()
-    if walks is None:
-        return _Walk(start(), _Steps(make))
-    steps = walks.get(steps_key)
-    if steps is None:
-        steps = walks[steps_key] = _Steps(make)
-    if walk_key is None:
-        return _Walk(start(), steps)
-    walk = walks.get(walk_key)
-    if walk is None:
-        walk = walks[walk_key] = _Walk(start(), steps)
-    if sites[-1] - sites[0] != len(sites) - 1:
-        return _Walk(walk.first, steps)
-    if walk.done > len(sites):
-        walk.state, walk.done = walk.first, 1
-    return walk
+def _chain(pi: np.ndarray, P: np.ndarray) -> _Chain:
+    """The scope's record of the chain (pi, P); a fresh one outside a scope."""
+    chains = _WALKS.get()
+    if chains is None:
+        return _Chain(pi, P)
+    key = pi.tobytes(), P.tobytes()
+    chain = chains.get(key)
+    if chain is None:
+        chain = chains[key] = _Chain(pi, P)
+    return chain
 
 
 def _row_entropies(rows: np.ndarray) -> np.ndarray:
-    """-sum p log p along the last axis; zero entries contribute 0."""
-    return -(rows * np.log(np.where(rows > 0.0, rows, 1.0))).sum(axis=-1)
+    """-sum p log p along the last axis; zero entries contribute 0, and a
+    zero entropy reads 0.0, not -0.0."""
+    return 0.0 - (rows * np.log(np.where(rows > 0.0, rows, 1.0))).sum(axis=-1)
 
 
 def markov_window_entropy(pi: np.ndarray, P: np.ndarray, offsets: np.ndarray) -> float:
@@ -195,36 +217,21 @@ def markov_window_entropy(pi: np.ndarray, P: np.ndarray, offsets: np.ndarray) ->
     at t: the measure the cylinders use, also when ``pi`` is stationary
     only within a tolerance. The state (v, entropy so far) moves by
     the (m + 1)-square matrix [[P^g, h_g], [0, 1]] at each pair, h_g
-    the row entropies of P^g. Each gap's matrix takes one matrix power
-    and one entropy pass over its rows, once per call, or once per walk
-    scope (``_walk``); the walk is then one vector-matrix product per
-    site, resumed from the previous interval inside a scope. Zero
-    entries and states of zero mass contribute 0.
+    the row entropies of P^g, one vector-matrix product per site; the
+    steps and walks are the chain's record's (``_Chain``). Zero entries
+    and states of zero mass contribute 0.
     """
     pi = np.ascontiguousarray(pi, dtype=np.float64)
     P = np.ascontiguousarray(P, dtype=np.float64)
     sites = np.asarray(offsets, dtype=np.int64).tolist()
     if not sites:
         return 0.0
-    m = pi.shape[0]
-
-    def start():
-        return np.concatenate([pi, _row_entropies(pi)[None]])
-
-    def make(gap):
-        step = np.zeros((m + 1, m + 1))
-        step[:m, :m] = np.linalg.matrix_power(P, gap)
-        step[:m, m] = _row_entropies(step[:m, :m])
-        step[m, m] = 1.0
-        return step
-
-    chain = (pi.tobytes(), P.tobytes())
-    walk = _walk(sites, start, make, ("entropy steps", chain[1]), ("entropy walk", *chain))
-    state = walk.state
-    for a, b in zip(sites[walk.done - 1:], sites[walk.done:]):
-        state = state @ walk.steps[b - a]
-    walk.state, walk.done = state, len(sites)
-    return float(state[m])
+    chain = _chain(pi, P)
+    state, done = chain.resume("entropy", sites)
+    for a, b in zip(sites[done - 1:], sites[done:]):
+        state = state @ chain.step(b - a)
+    chain.keep("entropy", sites, state)
+    return float(state[-1])
 
 
 def hidden_markov_pattern_probs(
@@ -236,11 +243,9 @@ def hidden_markov_pattern_probs(
     (an int array of length m, cells 0..c_j - 1). A forward walk keeps
     one (cell pattern so far, current state) table: each site moves it
     by P^gap and splits every state's mass into its cell, so the cost
-    is prod(c_j) * m^2 rather than m^k. Each gap's power is taken once
-    per call, or once per walk scope (``_walk``); with one cell map on
-    every site, an interval's walk resumes from the previous interval
-    inside a scope. Patterns are indexed element-major, first site most
-    significant.
+    is prod(c_j) * m^2 rather than m^k; the powers and walks are the
+    chain's record's (``_Chain``). Patterns are indexed element-major,
+    first site most significant.
     """
     pi = np.ascontiguousarray(pi, dtype=np.float64)
     P = np.ascontiguousarray(P, dtype=np.float64)
@@ -254,24 +259,16 @@ def hidden_markov_pattern_probs(
     _check_size(math.prod(n_cells), 1)
     m = pi.shape[0]
     states = np.arange(m)
-
-    def start():
-        table = np.zeros((1, n_cells[0], m))
-        table[:, labels[0], states] = pi[None, :]
-        return table
-
-    def make(gap):
-        return np.linalg.matrix_power(P, gap)
-
+    chain = _chain(pi, P)
+    kind = labels[0].tobytes()
     one_map = not (labels != labels[0]).any()
-    walk_key = ("cells walk", pi.tobytes(), P.tobytes(), labels[0].tobytes()) if one_map else None
-    walk = _walk(sites, start, make, ("powers", P.tobytes()), walk_key)
-    table = walk.state
-    for j in range(walk.done, len(sites)):
-        step = table.reshape(-1, m) @ walk.steps[sites[j] - sites[j - 1]]
+    table, done = chain.resume(kind, sites) if one_map else (chain.first(kind), 1)
+    for j in range(done, len(sites)):
+        step = table.reshape(-1, m) @ chain.power(sites[j] - sites[j - 1])
         table = np.zeros((step.shape[0], n_cells[j], m))
         table[:, labels[j], states] = step
-    walk.state, walk.done = table, len(sites)
+    if one_map:
+        chain.keep(kind, sites, table)
     return table.reshape(-1, m).sum(axis=1)
 
 
@@ -281,16 +278,18 @@ def hidden_markov_pattern_probs(
 
 
 def entropy_from_probs(p: np.ndarray) -> float:
-    """Shannon entropy -sum p log p in nats; zero-mass entries contribute 0."""
+    """Shannon entropy -sum p log p in nats; zero-mass entries contribute
+    0, and an entropy of 0 reads 0.0, not -0.0."""
     p = np.asarray(p, dtype=np.float64)
     q = p[p > 0.0]
-    return float(-(q * np.log(q)).sum())
+    return float(0.0 - (q * np.log(q)).sum())
 
 
 def entropy_from_logprobs(lp: np.ndarray) -> float:
-    """Entropy -sum exp(lp) * lp in nats, skipping lp = -inf entries."""
+    """Entropy -sum exp(lp) * lp in nats, skipping lp = -inf entries; 0.0,
+    not -0.0, when every entry is 0 or -inf."""
     lp = np.asarray(lp, dtype=np.float64)
     lp = lp[lp > -np.inf]
     q = np.exp(lp)
     # in place: one pattern-sized temporary fewer, the same products and sum
-    return float(-np.multiply(q, lp, out=q).sum())
+    return float(0.0 - np.multiply(q, lp, out=q).sum())

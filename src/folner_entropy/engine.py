@@ -18,16 +18,10 @@ containing F; for product measures only the factor at F's own sites
 binds, so every such W gives the exact value; for Markov measures it is
 a monotone upper approximation that tightens as W grows.
 
-The rows of a rate trace share their forward walks: inside
-``entropy_rate`` an interval window with one cell map on every site
-resumes the walk of the same chain and cell map where the row before
-stopped, so a d = 1 Markov trace over sides 1..N costs N chain steps,
-not N(N+1)/2. Gapped windows, windows outside a trace and d >= 2
-windows (Bernoulli closed forms) take fresh walks or none; a product
-component under a symbol factor is walked as an interval in any
-dimension. Each row is still one ``conditional_block_entropy`` call
-with its cap check first, and equals by ``repr`` the value of its
-window on its own; no walk outlives its trace.
+The rows of a rate trace share one record per chain (``_kernels._Chain``
+states the walk rule), so a d = 1 Markov trace over sides 1..N costs N
+chain steps, not N(N+1)/2, and each row equals by ``repr`` its window's
+value on its own.
 """
 
 from __future__ import annotations
@@ -400,11 +394,8 @@ def entropy_rate(
     to h(T | C), the supremum over all finite partitions. ``converged``
     is not a certificate that ``estimate`` lies within ``tol`` of it.
 
-    The rows of a d = 1 trace share one forward walk per chain and cell
-    map, so sides 1..N cost N chain steps, not N(N+1)/2; gapped windows
-    take fresh walks from the trace's shared gap steps, and d >= 2
-    windows take none. Every row equals by ``repr`` its window's value
-    on its own. The walks are dropped when the call returns or raises.
+    The rows share one walk scope, dropped when the call returns or
+    raises: one ``_kernels._Chain`` record per chain.
     """
     if sequence is None:
         raise ValueError("a box schedule is required")
@@ -414,7 +405,7 @@ def entropy_rate(
     entries = []
     best = math.inf
     truncated = False
-    # each row resumes the forward walks of the row before (``_kernels._walk``)
+    # each row resumes the forward walks of the row before (``_kernels._Chain``)
     walks = {}
     scope = _WALKS.set(walks)
     try:

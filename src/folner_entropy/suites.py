@@ -42,13 +42,13 @@ from .engine import (
     _chain_min_steps,
     _identity_entropies,
     _identity_slacks,
-    _join_codes,
     _require_tolerances,
     _unit_elements,
     conditional_block_entropy,
 )
 from .groups import FolnerSubset
 from .spaces import (
+    _join_codes,
     _require_probabilities,
     _segment_sums,
     _stacked_betas,
@@ -403,10 +403,8 @@ def window_entropy_phi(
 ) -> Callable[[FolnerSubset], float]:
     """phi(F) = H(alpha^F | C) for a given system, as a window set function.
 
-    The function keeps one walk scope (``_kernels._WALKS``) for its life:
-    the Markov kernels take the step or power of each chain, cell map
-    and gap once across all the windows it is called on, and interval
-    windows resume the previous interval's walk. Every value equals, by
+    The function keeps one walk scope for its life, one
+    ``_kernels._Chain`` record per chain; every value equals, by
     ``repr``, that of ``conditional_block_entropy`` called on its own.
     """
     walks: dict = {}

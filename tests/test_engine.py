@@ -1023,27 +1023,28 @@ def test_back_to_back_traces_of_one_chain_give_equal_rows():
 
 def test_trace_rows_resume_one_walk_per_chain_and_cell_map(monkeypatch):
     # inside a trace, row 1 starts one walk per chain and cell map, every
-    # later row resumes it, and the unit gap's step is made once; a window
-    # on its own starts its own walk and makes its own steps
+    # later row resumes it, and the unit gap's power is taken once per
+    # chain, also when both kernels walk it; a window on its own starts
+    # its own walk and takes its own powers
     started, powers = [], []
-    walk_init, matrix_power = _kernels._Walk.__init__, np.linalg.matrix_power
+    first, matrix_power = _kernels._Chain.first, np.linalg.matrix_power
 
-    def counted_walk(self, first, steps):
-        started.append(first.shape)
-        walk_init(self, first, steps)
+    def counted_first(self, kind):
+        started.append(kind)
+        return first(self, kind)
 
     def counted_power(P, gap):
         powers.append(gap)
         return matrix_power(P, gap)
 
-    monkeypatch.setattr(_kernels._Walk, "__init__", counted_walk)
+    monkeypatch.setattr(_kernels._Chain, "first", counted_first)
     monkeypatch.setattr(np.linalg, "matrix_power", counted_power)
     seq = FolnerSequence(1, tuple(range(1, 11)))
     for name, walks in [("markov", 1), ("coarse-cells", 1), ("symbol-factor", 2), ("mixture", 1)]:
         started.clear(), powers.clear()
         system, alpha, C = _trace_case(name)
         entropy_rate(system, alpha, C, seq)
-        assert len(started) == walks and powers == [1] * walks, name
+        assert len(started) == walks and powers == [1], name
     started.clear(), powers.clear()
     _per_window_rows(*_trace_case("markov"), seq, 10)
     assert len(started) == 10 and powers == [1] * 9
@@ -1122,6 +1123,23 @@ def test_no_walk_outlives_its_trace(monkeypatch):
     with pytest.raises(IncompatibleSubAlgebraError):
         entropy_rate(system, None, invariant, seq)
     assert _kernels._WALKS.get() is None
+
+
+def test_a_zero_entropy_reads_positive_zero():
+    # every mass 0 or 1: the negated sum of p log p would be -0.0
+    trace, report = entropy_rate(
+        markov_shift([1.0, 0.0], [[1, 0], [0.5, 0.5]]), sequence=FolnerSequence(1, (1, 2, 3))
+    )
+    values = [
+        entropy(Partition.trivial(FiniteProbabilitySpace.uniform(3))),
+        conditional_block_entropy(bernoulli_shift([1.0, 0.0]), None, FolnerSubset.interval(0, 3)),
+        trace.entries[0].block_entropy,
+        report.estimate,
+        entropy_from_probs(np.array([0.0, 1.0])),
+        entropy_from_logprobs(np.array([-np.inf, 0.0])),
+        *_kernels._row_entropies(np.eye(2)).tolist(),
+    ]
+    assert [repr(v) for v in values] == ["0.0"] * 8
 
 
 def test_entropy_rate_on_the_generator_is_the_largest():

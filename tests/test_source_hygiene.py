@@ -12,7 +12,9 @@ second rule. Instead ``__all__`` must list each name it imports, plus
 A third rule keeps every export reached: each name in ``__all__`` but
 ``__version__`` must be referenced by package code outside
 ``__init__.py`` or by the benchmark (``perfbench/*.py``), whose tracer
-names its targets by dotted strings.
+names its targets by dotted strings. A fourth rule imports each
+private name (leading underscore) from the module that defines it, not
+from a module that only re-imports it.
 """
 
 import ast
@@ -113,6 +115,36 @@ def _unreferenced_exports(exported, package_trees, bench_trees):
     return sorted(set(exported) - used)
 
 
+def _defined_names(tree):
+    """Names a module binds at module level by def, class or assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names |= {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
+    return names
+
+
+def _private_reimports(trees):
+    """``module: name from source`` for each private name that a module of
+    ``trees`` ({module name: tree}) imports relatively from a sibling
+    that does not define it."""
+    defined = {name: _defined_names(tree) for name, tree in trees.items()}
+    found = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in defined:
+                found += [
+                    f"{name}: {alias.name} from {node.module}"
+                    for alias in node.names
+                    if alias.name.startswith("_") and alias.name not in defined[node.module]
+                ]
+    return found
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_relative_import_inside_a_function(path):
     assert _function_relative_imports(_tree(path)) == []
@@ -138,6 +170,10 @@ def test_every_export_is_referenced_outside_init():
     bench = [_tree(p) for p in BENCH]
     assert bench
     assert _unreferenced_exports(folner_entropy.__all__, package, bench) == []
+
+
+def test_each_private_name_comes_from_its_defining_module():
+    assert _private_reimports({p.stem: _tree(p) for p in MODULES}) == []
 
 
 def test_the_checks_see_both_faults():
@@ -169,3 +205,16 @@ def test_the_reference_check_sees_each_kind_of_reference():
     bench = [ast.parse("TARGETS = ['spaces.restrict', 'groups.FolnerSubset.box']\n")]
     exported = ["join", "entropy", "restrict", "box", "entropy_rate", "orphan", "__version__"]
     assert _unreferenced_exports(exported, package, bench) == ["entropy_rate", "orphan"]
+
+
+def test_the_private_import_check_sees_a_reimport():
+    # engine defines _rows and _LIMIT and re-imports _join; only the
+    # private name taken through engine is a fault
+    trees = {
+        "spaces": ast.parse("def _join(a, b):\n    pass\n"),
+        "engine": ast.parse(
+            "from .spaces import _join\n_LIMIT: int = 3\nclass _rows:\n    pass\n"
+        ),
+        "suites": ast.parse("from .engine import _join, _LIMIT, _rows, entropy\n"),
+    }
+    assert _private_reimports(trees) == ["suites: _join from engine"]
