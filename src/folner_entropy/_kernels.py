@@ -3,12 +3,13 @@
 One vectorised numpy implementation per kernel. Markov window entropies
 take the chain-rule closed form (full symbols) or the forward recursion
 over cell patterns (coarse cells and symbol factors), each one forward
-walk site by site from the chain's record (``_Chain``, which states
-when walks share steps and resume), so no production route enumerates
-Markov symbol words; the symbol-word fills remain for
-``symbol_pattern_logprobs``/``symbol_pattern_probs`` and the
-full-symbol ``window_partition``. Window entropies of Bernoulli
-shifts and mixtures come from closed forms and need only the entropy
+walk site by site from the chain record the caller passes (``_Chain``,
+which states when walks share steps and resume; ``systems._chain_of``
+gives a shift's), so no production route enumerates Markov symbol
+words, and no kernel keeps state between calls; the symbol-word fills
+remain for ``symbol_pattern_logprobs``/``symbol_pattern_probs`` and the
+full-symbol ``window_partition``. Window entropies of Bernoulli shifts
+and mixtures come from closed forms and need only the entropy
 reductions.
 
 Pattern arrays are indexed element-major: for window elements listed in
@@ -19,7 +20,6 @@ one site per step by reshapes and broadcasts, one operation per entry.
 
 from __future__ import annotations
 
-import contextvars
 import math
 
 import numpy as np
@@ -124,21 +124,24 @@ class _Chain:
     ``markov_window_entropy``, or the bytes of the first site's cell map
     for ``hidden_markov_pattern_probs``.
 
-    Inside a walk scope (``_WALKS``: one ``engine.entropy_rate`` call,
-    or the life of a ``suites.window_entropy_phi`` set function) every
-    window of the chain reads one record, so each gap's power is taken
-    once per chain. There an interval window resumes the stored walk of
-    its kind when that walk has covered no more sites, and restarts
-    from the first state otherwise: an interval's walk after n sites is
-    any longer interval's after its first n. A gapped window, or a cell
-    walk with more than one cell map, starts from the first state and
-    is not stored. Outside a scope each call takes a fresh record.
+    A record belongs to one shift of a walking copy (``systems._walking``:
+    one per ``engine.entropy_rate`` call, or per
+    ``suites.window_entropy_phi`` set function), so every window of that
+    shift reads it and each gap's power is taken once per chain. An
+    interval window resumes the stored walk of its kind when that walk
+    has covered no more sites, and restarts from the first state
+    otherwise: an interval's walk after n sites is any longer
+    interval's after its first n. A gapped window, or a cell walk with
+    more than one cell map, starts from the first state and is not
+    stored. A shift that is no walking copy takes a fresh record per
+    evaluation.
     """
 
     __slots__ = ("pi", "P", "powers", "steps", "firsts", "walks")
 
     def __init__(self, pi: np.ndarray, P: np.ndarray):
-        self.pi, self.P = pi, P
+        self.pi = np.ascontiguousarray(pi, dtype=np.float64)
+        self.P = np.ascontiguousarray(P, dtype=np.float64)
         self.powers, self.steps, self.firsts, self.walks = {}, {}, {}, {}
 
     def power(self, gap: int) -> np.ndarray:
@@ -185,30 +188,13 @@ class _Chain:
             self.walks[kind] = state, len(sites)
 
 
-# the walk scope open around the current call, None outside one: a
-# ``_Chain`` record per chain
-_WALKS = contextvars.ContextVar("walks", default=None)
-
-
-def _chain(pi: np.ndarray, P: np.ndarray) -> _Chain:
-    """The scope's record of the chain (pi, P); a fresh one outside a scope."""
-    chains = _WALKS.get()
-    if chains is None:
-        return _Chain(pi, P)
-    key = pi.tobytes(), P.tobytes()
-    chain = chains.get(key)
-    if chain is None:
-        chain = chains[key] = _Chain(pi, P)
-    return chain
-
-
 def _row_entropies(rows: np.ndarray) -> np.ndarray:
     """-sum p log p along the last axis; zero entries contribute 0, and a
     zero entropy reads 0.0, not -0.0."""
     return 0.0 - (rows * np.log(np.where(rows > 0.0, rows, 1.0))).sum(axis=-1)
 
 
-def markov_window_entropy(pi: np.ndarray, P: np.ndarray, offsets: np.ndarray) -> float:
+def markov_window_entropy(chain: _Chain, offsets: np.ndarray) -> float:
     """Entropy of the full-symbol patterns on a sorted, possibly gapped d = 1 window.
 
     The chain rule and the Markov property give H(pi) plus, for each
@@ -218,15 +204,12 @@ def markov_window_entropy(pi: np.ndarray, P: np.ndarray, offsets: np.ndarray) ->
     only within a tolerance. The state (v, entropy so far) moves by
     the (m + 1)-square matrix [[P^g, h_g], [0, 1]] at each pair, h_g
     the row entropies of P^g, one vector-matrix product per site; the
-    steps and walks are the chain's record's (``_Chain``). Zero entries
-    and states of zero mass contribute 0.
+    steps and walks are ``chain``'s. Zero entries and states of zero
+    mass contribute 0.
     """
-    pi = np.ascontiguousarray(pi, dtype=np.float64)
-    P = np.ascontiguousarray(P, dtype=np.float64)
     sites = np.asarray(offsets, dtype=np.int64).tolist()
     if not sites:
         return 0.0
-    chain = _chain(pi, P)
     state, done = chain.resume("entropy", sites)
     for a, b in zip(sites[done - 1:], sites[done:]):
         state = state @ chain.step(b - a)
@@ -234,21 +217,17 @@ def markov_window_entropy(pi: np.ndarray, P: np.ndarray, offsets: np.ndarray) ->
     return float(state[-1])
 
 
-def hidden_markov_pattern_probs(
-    pi: np.ndarray, P: np.ndarray, offsets: np.ndarray, site_cells
-) -> np.ndarray:
+def hidden_markov_pattern_probs(chain: _Chain, offsets: np.ndarray, site_cells) -> np.ndarray:
     """Measures of all cell patterns on a sorted, possibly gapped d = 1 window.
 
     ``site_cells[j]`` gives the cell of each symbol at window site j
     (an int array of length m, cells 0..c_j - 1). A forward walk keeps
     one (cell pattern so far, current state) table: each site moves it
     by P^gap and splits every state's mass into its cell, so the cost
-    is prod(c_j) * m^2 rather than m^k; the powers and walks are the
-    chain's record's (``_Chain``). Patterns are indexed element-major,
-    first site most significant.
+    is prod(c_j) * m^2 rather than m^k; the powers and walks are
+    ``chain``'s. Patterns are indexed element-major, first site most
+    significant.
     """
-    pi = np.ascontiguousarray(pi, dtype=np.float64)
-    P = np.ascontiguousarray(P, dtype=np.float64)
     sites = np.asarray(offsets, dtype=np.int64).tolist()
     if len(site_cells) != len(sites):
         raise ValueError("one cell map per window site required")
@@ -257,9 +236,8 @@ def hidden_markov_pattern_probs(
     labels = np.asarray(site_cells, dtype=np.int64)
     n_cells = (labels.max(axis=1) + 1).tolist()
     _check_size(math.prod(n_cells), 1)
-    m = pi.shape[0]
+    m = chain.pi.shape[0]
     states = np.arange(m)
-    chain = _chain(pi, P)
     kind = labels[0].tobytes()
     one_map = not (labels != labels[0]).any()
     table, done = chain.resume(kind, sites) if one_map else (chain.first(kind), 1)

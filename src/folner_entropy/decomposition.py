@@ -33,6 +33,7 @@ from .systems import (
     IncompatibleSubAlgebraError,
     MixtureSystem,
     ShiftSystem,
+    _cycle_minima,
     _mixture_alphas,
     is_ergodic_model,
     mixture,
@@ -82,18 +83,14 @@ def orbit_partition(system: FinitePMPAction) -> Partition:
     """Finest fixed partition: the orbits of the generated group.
 
     Every atom is labelled by the smallest atom index on its orbit. For
-    one generator g that is a cycle minimum, found by doubling: after
-    round s, ``low[j]`` is the minimum over j's first 2^s images under
-    g. The generators commute, so sweeping them one after another
-    reaches every g_1^a_1 ... g_d^a_d j, i.e. the whole orbit.
+    one generator g that is a cycle minimum (``_cycle_minima``). The
+    generators commute, so sweeping them one after another reaches
+    every g_1^a_1 ... g_d^a_d j, i.e. the whole orbit.
     """
     n = len(system.space)
     low = np.arange(n)
     for g in system._gens:
-        step = g
-        for _ in range(max(1, (n - 1).bit_length())):
-            low = np.minimum(low, low[step])
-            step = step[step]
+        low = _cycle_minima(low, g, n)
     return Partition.from_labels(system.space, low)
 
 

@@ -18,10 +18,10 @@ containing F; for product measures only the factor at F's own sites
 binds, so every such W gives the exact value; for Markov measures it is
 a monotone upper approximation that tightens as W grows.
 
-The rows of a rate trace share one record per chain (``_kernels._Chain``
-states the walk rule), so a d = 1 Markov trace over sides 1..N costs N
-chain steps, not N(N+1)/2, and each row equals by ``repr`` its window's
-value on its own.
+A rate trace walks a copy of the system (``systems._walking``) whose
+shifts each hold one chain record (``_kernels._Chain``), so a d = 1
+Markov trace over sides 1..N costs N chain steps, not N(N+1)/2; each
+row equals by ``repr`` its window's value on its own.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._kernels import _WALKS, entropy_from_probs, markov_window_entropy
+from ._kernels import entropy_from_probs, markov_window_entropy
 from .groups import FolnerSequence, FolnerSubset, basis, identity as group_identity, neg
 from .spaces import (
     FiniteProbabilitySpace,
@@ -61,8 +61,10 @@ from .systems import (
     SubAlgebraSpec,
     SymbolPartition,
     _cell_masses,
+    _chain_of,
     _guard_patterns,
     _mixture_alphas,
+    _walking,
     resolve_cells,
     symbol_factor_entropy,
     window_partition,
@@ -242,7 +244,7 @@ def _shift_block_entropy(
             return k * entropy_from_probs(_cell_masses(system, cells))
         if cells.n_cells == system.n_symbols:
             _guard_patterns(system.n_symbols, k, cap)
-            return markov_window_entropy(system.pi, system.P, F.rows[:, 0])
+            return markov_window_entropy(_chain_of(system), F.rows[:, 0])
         return entropy_from_probs(window_partition(system, F, cells, cap))
     if C.kind == "symbol_factor":
         phi = C.factor_partition(system.alphabet)
@@ -394,8 +396,9 @@ def entropy_rate(
     to h(T | C), the supremum over all finite partitions. ``converged``
     is not a certificate that ``estimate`` lies within ``tol`` of it.
 
-    The rows share one walk scope, dropped when the call returns or
-    raises: one ``_kernels._Chain`` record per chain.
+    The rows evaluate one walking copy of ``system``
+    (``systems._walking``), dropped when the call returns or raises:
+    one ``_kernels._Chain`` record per shift, and none on ``system``.
     """
     if sequence is None:
         raise ValueError("a box schedule is required")
@@ -406,22 +409,17 @@ def entropy_rate(
     best = math.inf
     truncated = False
     # each row resumes the forward walks of the row before (``_kernels._Chain``)
-    walks = {}
-    scope = _WALKS.set(walks)
-    try:
-        for n in range(1, n_max + 1):
-            F = sequence.subset(n)
-            try:
-                H = conditional_block_entropy(system, alpha, F, C, None, cap)
-            except EnumerationCapError:
-                truncated = True
-                break
-            rate = H / len(F)
-            best = min(best, rate)
-            entries.append(RateEntry(n, len(F), H, rate, best))
-    finally:
-        _WALKS.reset(scope)
-        walks.clear()
+    walking = _walking(system)
+    for n in range(1, n_max + 1):
+        F = sequence.subset(n)
+        try:
+            H = conditional_block_entropy(walking, alpha, F, C, None, cap)
+        except EnumerationCapError:
+            truncated = True
+            break
+        rate = H / len(F)
+        best = min(best, rate)
+        entries.append(RateEntry(n, len(F), H, rate, best))
     if not entries:
         raise EnumerationCapError("pattern cap exceeded")
     trace = RateTrace(entries, truncated)

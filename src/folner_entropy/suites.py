@@ -36,7 +36,6 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from ._kernels import _WALKS
 from .engine import (
     _chain_entropies,
     _chain_min_steps,
@@ -55,7 +54,7 @@ from .spaces import (
     _stacked_mass_functions,
     _stacked_reintegration,
 )
-from .systems import DEFAULT_PATTERN_CAP, _require_generator
+from .systems import DEFAULT_PATTERN_CAP, _cycle_minima, _require_generator, _walking
 
 # ---------------------------------------------------------------------------
 # batch draws
@@ -125,17 +124,13 @@ def _permutation_masses(rng: np.random.Generator, sizes: np.ndarray) -> tuple:
     each space's atoms (its ``_shuffle`` order) that preserves them
     bit-exactly, as one index map over the spaces' atoms back to back.
 
-    Every cycle takes the weight drawn at its smallest atom, found by
-    doubling as ``orbit_partition`` finds it, so the atoms of a cycle
-    share one float and ``masses[perm] == masses`` holds exactly, as the
-    action constructor requires.
+    Every cycle takes the weight drawn at its smallest atom
+    (``_cycle_minima``), so the atoms of a cycle share one float and
+    ``masses[perm] == masses`` holds exactly, as the action constructor
+    requires.
     """
     perm = _shuffle(rng, sizes)
-    low = np.arange(perm.shape[0])
-    step = perm
-    for _ in range(max(1, (int(sizes.max()) - 1).bit_length())):
-        low = np.minimum(low, low[step])
-        step = step[step]
+    low = _cycle_minima(np.arange(perm.shape[0]), perm, int(sizes.max()))
     w = rng.random(perm.shape[0])[low]
     return w / _segment_sums(w, sizes.cumsum()).repeat(sizes), perm
 
@@ -403,17 +398,14 @@ def window_entropy_phi(
 ) -> Callable[[FolnerSubset], float]:
     """phi(F) = H(alpha^F | C) for a given system, as a window set function.
 
-    The function keeps one walk scope for its life, one
-    ``_kernels._Chain`` record per chain; every value equals, by
+    The function evaluates a walking copy of ``system``
+    (``systems._walking``), made once for its life, so its windows share
+    one ``_kernels._Chain`` record per shift; every value equals, by
     ``repr``, that of ``conditional_block_entropy`` called on its own.
     """
-    walks: dict = {}
+    walking = _walking(system)
 
     def phi(F: FolnerSubset) -> float:
-        scope = _WALKS.set(walks)
-        try:
-            return conditional_block_entropy(system, alpha, F, C, None, cap)
-        finally:
-            _WALKS.reset(scope)
+        return conditional_block_entropy(walking, alpha, F, C, None, cap)
 
     return phi

@@ -28,12 +28,14 @@ patterns of every Markov window.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from ._kernels import (
+    _Chain,
     entropy_from_probs,
     hidden_markov_pattern_probs,
     iid_pattern_logprobs,
@@ -46,6 +48,7 @@ from .spaces import (
     MASS_TOL,
     FiniteProbabilitySpace,
     Partition,
+    _coarser,
     _probabilities,
     _pullback,
     _require_same_space,
@@ -72,6 +75,17 @@ def _require_generator(masses: np.ndarray, g: np.ndarray, ident: np.ndarray) -> 
         raise ValueError("generator is not a permutation")
     if (masses[g] != masses).any():
         raise ValueError("generator does not preserve masses")
+
+
+def _cycle_minima(low: np.ndarray, perm: np.ndarray, longest: int) -> np.ndarray:
+    """``low`` lowered to its minimum along each cycle of ``perm``, for
+    cycles of at most ``longest`` atoms, by doubling: after round s,
+    entry j is the minimum of ``low`` over j's first 2^s images."""
+    step = perm
+    for _ in range(max(1, (longest - 1).bit_length())):
+        low = np.minimum(low, low[step])
+        step = step[step]
+    return low
 
 
 class FinitePMPAction:
@@ -169,7 +183,7 @@ class SymbolPartition:
     ordered by their smallest symbol.
     """
 
-    __slots__ = ("alphabet", "cells", "_cell_of", "_labels")
+    __slots__ = ("alphabet", "cells", "_labels")
 
     def __init__(self, alphabet: Sequence, cells: Iterable[Iterable]):
         alphabet = tuple(alphabet)
@@ -194,8 +208,8 @@ class SymbolPartition:
     def _set(self, alphabet: tuple, cells: list) -> None:
         self.alphabet = alphabet
         self.cells = tuple(map(tuple, cells))
-        self._cell_of = {s: ci for ci, cell in enumerate(self.cells) for s in cell}
-        self._labels = np.array([self._cell_of[s] for s in alphabet], dtype=np.int64)
+        cell_of = {s: ci for ci, cell in enumerate(self.cells) for s in cell}
+        self._labels = np.array([cell_of[s] for s in alphabet], dtype=np.int64)
         self._labels.flags.writeable = False
 
     @classmethod
@@ -236,7 +250,7 @@ class SymbolPartition:
         """True iff every cell of self lies inside a cell of ``other``."""
         if self.alphabet != other.alphabet:
             raise ValueError("alphabet mismatch")
-        return all(len({other._cell_of[s] for s in cell}) == 1 for cell in self.cells)
+        return _coarser(other._labels, self._labels, self.n_cells)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymbolPartition):
@@ -281,10 +295,11 @@ class ShiftSystem:
 
     Use :func:`bernoulli_shift` or :func:`markov_shift` to construct.
     ``base_partition`` is the zero-coordinate symbol partition; window
-    partitions refine it along finite subsets of Z^d.
+    partitions refine it along finite subsets of Z^d. ``_walk`` is the
+    walk record of a walking copy (``_walking``) and None otherwise.
     """
 
-    __slots__ = ("d", "alphabet", "kind", "probs", "pi", "P", "base_partition")
+    __slots__ = ("d", "alphabet", "kind", "probs", "pi", "P", "base_partition", "_walk")
 
     def __init__(self, d, alphabet, kind, probs=None, pi=None, P=None):
         self.d = d
@@ -294,6 +309,7 @@ class ShiftSystem:
         self.pi = pi
         self.P = P
         self.base_partition = SymbolPartition.full(self.alphabet)
+        self._walk = None
 
     @property
     def n_symbols(self) -> int:
@@ -496,6 +512,31 @@ def mixture(components: Sequence, weights: Sequence[float]) -> MixtureSystem:
     return MixtureSystem(components, weights)
 
 
+def _chain_of(system: ShiftSystem) -> _Chain:
+    """The walk record of a walking copy's shift, or a fresh one. A product
+    measure is the chain whose rows all equal its site distribution."""
+    if system._walk is not None:
+        return system._walk
+    if system.kind == "bernoulli":
+        return _Chain(system.probs, np.repeat(system.probs[None], system.n_symbols, axis=0))
+    return _Chain(system.pi, system.P)
+
+
+def _walking(system):
+    """A shallow copy of ``system``, of its own class and unvalidated, whose
+    shifts (mixture components included) each hold a fresh walk record;
+    anything but a shift or a mixture is returned as it is."""
+    if isinstance(system, MixtureSystem):
+        walking = copy.copy(system)
+        walking.components = tuple(map(_walking, system.components))
+    elif isinstance(system, ShiftSystem):
+        walking = copy.copy(system)
+        walking._walk = _chain_of(system)
+    else:
+        walking = system
+    return walking
+
+
 # ---------------------------------------------------------------------------
 # cylinder measures (oracle route: explicit products and gap sums)
 # ---------------------------------------------------------------------------
@@ -690,19 +731,7 @@ def window_partition(system, F: FolnerSubset, alpha=None, cap: int = DEFAULT_PAT
         return symbol_pattern_probs(system, F, cap)
     _guard_patterns(system.n_symbols, k, cap)
     site_cells = [cells.cell_labels()] * k
-    return hidden_markov_pattern_probs(system.pi, system.P, F.rows[:, 0], site_cells)
-
-
-def _as_chain(system: ShiftSystem, W: FolnerSubset) -> tuple:
-    """(pi, P, offsets) of a shift's site process on the sorted window W.
-
-    A product measure, in any dimension, is the chain whose rows all
-    equal its site distribution, read at consecutive offsets: P^g = P
-    for every g >= 1, so W's geometry does not enter.
-    """
-    if system.kind == "bernoulli":
-        return system.probs, np.tile(system.probs, (system.n_symbols, 1)), np.arange(len(W))
-    return system.pi, system.P, W.rows[:, 0]
+    return hidden_markov_pattern_probs(_chain_of(system), F.rows[:, 0], site_cells)
 
 
 def symbol_factor_entropy(
@@ -716,9 +745,10 @@ def symbol_factor_entropy(
     H_i(phi^W) when phi is full-symbol, the Markov closed form when
     alpha v phi is full-symbol and W = F, and otherwise a forward
     recursion over cell patterns: alpha v phi cells on F's sites, phi
-    cells elsewhere. A product-measure component of any dimension is
-    the chain whose rows all equal its site distribution (``_as_chain``);
-    a single shift is the one-component family with weight 1.0. No
+    cells elsewhere. Both kernels of a component walk its one chain
+    record (``_chain_of``), so they share each P^g. A product measure,
+    in any dimension, is read at consecutive offsets: P^g = P for every
+    g >= 1. A single shift is the one-component family of weight 1.0. No
     symbol word is enumerated, but the cap still counts m^|W| per
     component, summed, and is checked before any component's cells are
     resolved. ``F`` must lie inside ``W``.
@@ -737,16 +767,17 @@ def symbol_factor_entropy(
     marginal = np.zeros(phi.n_cells**K)
     for comp, a, w in zip(components, alphas, weights):
         joint = resolve_cells(comp, a).join(phi)
-        pi, P, offsets = _as_chain(comp, W)
-        p_phi = hidden_markov_pattern_probs(pi, P, offsets, [phi_cells] * K)
+        chain = _chain_of(comp)
+        offsets = np.arange(K) if comp.kind == "bernoulli" else W.rows[:, 0]
+        p_phi = hidden_markov_pattern_probs(chain, offsets, [phi_cells] * K)
         if phi.n_cells == m:
             # a full-symbol phi already separates every symbol: alpha^F v phi^W = phi^W
             H_joint = entropy_from_probs(p_phi)
         elif joint.n_cells == m and in_F.all():
-            H_joint = markov_window_entropy(pi, P, offsets)
+            H_joint = markov_window_entropy(chain, offsets)
         else:
             site_cells = [joint.cell_labels() if f else phi_cells for f in in_F.tolist()]
-            H_joint = entropy_from_probs(hidden_markov_pattern_probs(pi, P, offsets, site_cells))
+            H_joint = entropy_from_probs(hidden_markov_pattern_probs(chain, offsets, site_cells))
         total += float(w) * H_joint
         marginal += float(w) * p_phi
     return total - entropy_from_probs(marginal)

@@ -7,6 +7,7 @@ here, mixtures against H(weights) + sum w_i H_i.
 """
 
 import functools
+import gc
 import itertools
 import math
 import operator
@@ -31,6 +32,7 @@ from folner_entropy import (
     conditional_block_entropy,
     conditional_entropy,
     cylinder_measure,
+    decompose_entropy,
     entropy,
     engine,
     entropy_rate,
@@ -1055,8 +1057,8 @@ PHI_CASES = [name for name in TRACE_CASES if name != "finite"]
 
 @pytest.mark.parametrize("name", PHI_CASES)
 def test_phi_values_equal_the_per_window_values(name):
-    # one set function keeps its walk scope across calls: shared gap steps,
-    # first states and interval walks, met in any order
+    # one set function keeps its walking copy across calls: shared gap
+    # steps, first states and interval walks, met in any order
     system, alpha, C = _trace_case(name)
     phi = window_entropy_phi(system, alpha, C)
     rng = np.random.default_rng(len(name))
@@ -1066,7 +1068,6 @@ def test_phi_values_equal_the_per_window_values(name):
         windows.append(FolnerSubset([(int(x),) for x in sites]))
     for F in windows:
         assert repr(phi(F)) == repr(conditional_block_entropy(system, alpha, F, C)), F
-    assert _kernels._WALKS.get() is None
 
 
 @pytest.mark.parametrize("name", ["markov", "markov-zero-entries", "coarse-cells"])
@@ -1088,23 +1089,21 @@ def test_exhaustive_report_takes_one_power_per_gap(monkeypatch, name):
     assert sorted(gap for _, gap in powers) == list(range(1, 8))
 
 
-def test_no_walk_outlives_its_trace(monkeypatch):
-    scopes = []
+def _spy_on_records(monkeypatch) -> list:
+    """The list that collects the record of every full-symbol window."""
+    chains = []
     walked = _kernels.markov_window_entropy
 
-    def spy(pi, P, offsets):
-        scopes.append(_kernels._WALKS.get())
-        return walked(pi, P, offsets)
+    def spy(chain, offsets):
+        chains.append(chain)
+        return walked(chain, offsets)
 
     monkeypatch.setattr(engine, "markov_window_entropy", spy)
-    system, _, _ = _trace_case("markov")
-    seq = FolnerSequence(1, tuple(range(1, 8)))
-    entropy_rate(system, sequence=seq)
-    assert _kernels._WALKS.get() is None
-    assert len(scopes) == 7 and all(s is scopes[0] for s in scopes) and scopes[0] == {}
+    return chains
 
-    # a row that raises after walks were stored
-    scopes.clear()
+
+def _fail_on_row_4(monkeypatch) -> None:
+    """Make every window of 4 sites raise, after the rows before it walked."""
     block_entropy = engine.conditional_block_entropy
 
     def fail_on_row_4(system, alpha, F, *rest):
@@ -1113,16 +1112,84 @@ def test_no_walk_outlives_its_trace(monkeypatch):
         return block_entropy(system, alpha, F, *rest)
 
     monkeypatch.setattr(engine, "conditional_block_entropy", fail_on_row_4)
+
+
+def _shifts_of(system):
+    if isinstance(system, MixtureSystem):
+        return [shift for comp in system.components for shift in _shifts_of(comp)]
+    return [system]
+
+
+def test_no_walk_outlives_its_trace(monkeypatch):
+    chains = _spy_on_records(monkeypatch)
+    system, _, _ = _trace_case("markov")
+    seq = FolnerSequence(1, tuple(range(1, 8)))
+    entropy_rate(system, sequence=seq)
+    assert len(chains) == 7 and all(c is chains[0] for c in chains)
+    # the trace's walking copy went with the call: only the spy holds its record
+    assert system._walk is None and gc.get_referrers(chains[0]) == [chains]
+
+    # a row that raises after walks were stored
+    chains.clear()
+    _fail_on_row_4(monkeypatch)
     with pytest.raises(RuntimeError, match="row 4"):
         entropy_rate(system, sequence=seq)
-    assert _kernels._WALKS.get() is None
-    assert len(scopes) == 3 and scopes[0] == {}
+    assert len(chains) == 3 and all(c is chains[0] for c in chains) and chains[0].walks
+    assert system._walk is None
 
     # an incompatible conditioning raises on row 1
     invariant = SubAlgebraSpec.invariant_partition(Partition.points(FiniteProbabilitySpace.uniform(2)))
     with pytest.raises(IncompatibleSubAlgebraError):
         entropy_rate(system, None, invariant, seq)
-    assert _kernels._WALKS.get() is None
+    assert system._walk is None
+
+
+def test_the_caller_system_owns_no_walk(monkeypatch):
+    # each trace and set function walks a copy of its own; the caller's
+    # shifts, mixture components included, never hold a record
+    seq = FolnerSequence(1, tuple(range(1, 7)))
+    for name in ["markov", "coarse-cells", "symbol-factor", "symbol-factor-mixture", "mixture"]:
+        system, alpha, C = _trace_case(name)
+        entropy_rate(system, alpha, C, seq)
+        phi = window_entropy_phi(system, alpha, C)
+        phi(FolnerSubset.interval(0, 4)), phi(FolnerSubset([(0,), (3,)]))
+        if isinstance(system, MixtureSystem):
+            decompose_entropy(system, alpha=alpha, C=C, sequence=seq)
+        assert all(shift._walk is None for shift in _shifts_of(system)), name
+
+    # an object of no system kind reaches the dispatch's error unchanged
+    with pytest.raises(TypeError, match="^unsupported system kind$"):
+        entropy_rate(object(), sequence=seq)
+    with pytest.raises(TypeError, match="^unsupported system kind$"):
+        window_entropy_phi(object())(FolnerSubset.interval(0, 2))
+
+    # back-to-back traces of one system walk different records
+    chains = _spy_on_records(monkeypatch)
+    system, _, _ = _trace_case("markov")
+    entropy_rate(system, sequence=seq)
+    entropy_rate(system, sequence=seq)
+    assert len(chains) == 12 and len({id(c) for c in chains}) == 2
+
+    system, _, _ = _trace_case("mixture")
+    _fail_on_row_4(monkeypatch)
+    with pytest.raises(RuntimeError, match="row 4"):
+        entropy_rate(system, sequence=seq)
+    assert all(shift._walk is None for shift in _shifts_of(system))
+
+
+def test_a_bare_symbol_factor_call_takes_each_power_once(monkeypatch):
+    # both kernels of the one component walk one record: P^1 is taken once
+    powers = []
+    matrix_power = np.linalg.matrix_power
+
+    def counted(P, gap):
+        powers.append(gap)
+        return matrix_power(P, gap)
+
+    monkeypatch.setattr(np.linalg, "matrix_power", counted)
+    factor = SubAlgebraSpec.symbol_factor({0: 0, 1: 1, 2: 1})
+    conditional_block_entropy(markov_shift(None, P3), None, FolnerSubset.interval(0, 10), factor)
+    assert powers == [1]
 
 
 def test_a_zero_entropy_reads_positive_zero():

@@ -6,9 +6,9 @@ broadcast kernels replaced are kept below as oracles, and the kernels
 must match them bit for bit. The Markov closed form is checked against
 cylinder-by-cylinder enumeration, and the forward recursion over cell
 patterns against the symbol-word enumeration it replaced, both to a
-tolerance: they sum in another order. Inside a rate trace's walk scope,
-where interval windows resume the walk before them, both must return
-the bytes of a fresh walk."""
+tolerance: they sum in another order. On one shared chain record, as
+a rate trace walks it, where interval windows resume the walk before
+them, both must return the bytes of a fresh walk."""
 
 import itertools
 
@@ -241,16 +241,6 @@ def _cylinder_entropy(system, offsets):
     return total
 
 
-def _in_walk_scope(calls):
-    """The results of ``calls``, made in order inside one rate trace's
-    walk scope, where interval windows resume the walk before them."""
-    scope = K._WALKS.set({})
-    try:
-        return [call() for call in calls]
-    finally:
-        K._WALKS.reset(scope)
-
-
 def test_markov_window_entropy_matches_cylinder_enumeration():
     chains = [
         [[0.7, 0.2, 0.1], [0.3, 0.5, 0.2], [0.25, 0.25, 0.5]],
@@ -265,17 +255,18 @@ def test_markov_window_entropy_matches_cylinder_enumeration():
     ]
     for P in chains:
         system = markov_shift(None, P)
-        calls = [
-            lambda w=w: K.markov_window_entropy(system.pi, system.P, np.array(w)) for w in windows
-        ]
-        fresh = [call() for call in calls]
+        fresh = [K.markov_window_entropy(K._Chain(system.pi, system.P), np.array(w)) for w in windows]
         for offsets, got in zip(windows, fresh):
             assert abs(got - _cylinder_entropy(system, offsets)) <= 1e-12, (P, offsets)
-        # intervals resume the interval walk before them, gapped windows walk afresh
-        assert [repr(h) for h in _in_walk_scope(calls)] == [repr(h) for h in fresh], P
+        # on one record, intervals resume the interval walk before them and
+        # gapped windows walk afresh
+        record = K._Chain(system.pi, system.P)
+        walked = [K.markov_window_entropy(record, np.array(w)) for w in windows]
+        assert [repr(h) for h in walked] == [repr(h) for h in fresh], P
     transient = markov_shift(None, chains[1])
     assert transient.pi[2] == 0.0
-    assert K.markov_window_entropy(transient.pi, transient.P, np.array([], dtype=np.int64)) == 0.0
+    empty = np.array([], dtype=np.int64)
+    assert K.markov_window_entropy(K._Chain(transient.pi, transient.P), empty) == 0.0
 
 
 def _oracle_coarse_probs(pi, P, offsets, site_cells):
@@ -311,8 +302,7 @@ def test_forward_recursion_matches_the_coarse_cell_enumeration():
                 # gapped with a cell map per site, then an interval with one map
                 inputs.append((_random_offsets(rng, k), [_random_site_cells(rng, m) for _ in range(k)]))
                 inputs.append((np.arange(3, 3 + k), [shared] * k))
-            calls = [lambda o=o, c=c: K.hidden_markov_pattern_probs(pi, P, o, c) for o, c in inputs]
-            fresh = [call() for call in calls]
+            fresh = [K.hidden_markov_pattern_probs(K._Chain(pi, P), o, c) for o, c in inputs]
             for (offsets, site_cells), got in zip(inputs, fresh):
                 want = _oracle_coarse_probs(pi, P, offsets, site_cells)
                 assert got.shape == want.shape, (m, offsets.tolist())
@@ -320,8 +310,9 @@ def test_forward_recursion_matches_the_coarse_cell_enumeration():
                 H_got, H_want = K.entropy_from_probs(got), K.entropy_from_probs(want)
                 assert abs(H_got - H_want) <= 1e-13 * max(1.0, abs(H_want))
                 coarse |= any(int(c.max()) + 1 < m for c in site_cells)
-            walked = _in_walk_scope(calls)
+            record = K._Chain(pi, P)
+            walked = [K.hidden_markov_pattern_probs(record, o, c) for o, c in inputs]
             assert [p.tobytes() for p in walked] == [p.tobytes() for p in fresh], m
     assert coarse
     with pytest.raises(ValueError, match="one cell map per window site"):
-        K.hidden_markov_pattern_probs(pi, P, np.arange(2), site_cells[:1])
+        K.hidden_markov_pattern_probs(K._Chain(pi, P), np.arange(2), site_cells[:1])

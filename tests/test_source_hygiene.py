@@ -14,7 +14,10 @@ A third rule keeps every export reached: each name in ``__all__`` but
 ``__init__.py`` or by the benchmark (``perfbench/*.py``), whose tracer
 names its targets by dotted strings. A fourth rule imports each
 private name (leading underscore) from the module that defines it, not
-from a module that only re-imports it.
+from a module that only re-imports it. A fifth rule keeps walk state
+visible: no module imports ``contextvars``, so a chain's walk record
+travels with the system it belongs to, never through hidden
+context-local state.
 """
 
 import ast
@@ -115,6 +118,28 @@ def _unreferenced_exports(exported, package_trees, bench_trees):
     return sorted(set(exported) - used)
 
 
+HIDDEN_STATE_MODULES = {"contextvars"}
+
+
+def _hidden_state_imports(tree):
+    """``line N: module`` for each import, anywhere in ``tree``, of a
+    module in ``HIDDEN_STATE_MODULES``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [
+            f"line {node.lineno}: {module}"
+            for module in modules
+            if module.split(".")[0] in HIDDEN_STATE_MODULES
+        ]
+    return found
+
+
 def _defined_names(tree):
     """Names a module binds at module level by def, class or assignment."""
     names = set()
@@ -176,6 +201,11 @@ def test_each_private_name_comes_from_its_defining_module():
     assert _private_reimports({p.stem: _tree(p) for p in MODULES}) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_contextvars(path):
+    assert _hidden_state_imports(_tree(path)) == []
+
+
 def test_the_checks_see_both_faults():
     tree = ast.parse(
         "import os\nfrom .spaces import Partition, join\n\n"
@@ -218,3 +248,15 @@ def test_the_private_import_check_sees_a_reimport():
         "suites": ast.parse("from .engine import _join, _LIMIT, _rows, entropy\n"),
     }
     assert _private_reimports(trees) == ["suites: _join from engine"]
+
+
+def test_the_hidden_state_check_sees_each_import_form():
+    # a plain, an aliased, a from- and a function-level import are
+    # faults; a relative module of the same name is not
+    tree = ast.parse(
+        "import contextvars\nimport contextvars as cv\nfrom contextvars import ContextVar\n"
+        "from .contextvars import x\nimport os\n\ndef f():\n    import contextvars\n"
+    )
+    assert _hidden_state_imports(tree) == [
+        "line 1: contextvars", "line 2: contextvars", "line 3: contextvars", "line 8: contextvars",
+    ]

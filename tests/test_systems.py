@@ -37,6 +37,7 @@ from folner_entropy import (
     stationary_vector,
     window_partition,
 )
+from folner_entropy.systems import _cycle_minima
 
 P_HALF = np.array([[0.9, 0.1], [0.2, 0.8]])
 PI_EXACT = np.array([2 / 3, 1 / 3])
@@ -235,6 +236,38 @@ def test_joins_and_factor_partitions_equal_the_checked_constructor():
         factor.factor_partition((0, 1, 0))
     with pytest.raises(ValueError, match="^alphabet mismatch$"):
         SymbolPartition.full((0, 1)).join(SymbolPartition.full((1, 0)))
+
+
+def test_refines_matches_the_per_cell_definition():
+    # every cell of the finer partition lies inside one cell of the coarser
+    rng = np.random.default_rng(8202)
+    for n in range(1, 7):
+        alphabet = tuple(rng.permutation(list("abcdef"))[:n].tolist())
+        parts = []
+        for _ in range(6):
+            keys = rng.integers(0, 3, size=n).tolist()
+            parts.append(SubAlgebraSpec.symbol_factor(dict(zip(alphabet, keys))).factor_partition(alphabet))
+        parts += [SymbolPartition.full(alphabet), SymbolPartition.trivial(alphabet)]
+        for fine in parts:
+            for coarse in parts:
+                want = all(any(set(cell) <= set(big) for big in coarse.cells) for cell in fine.cells)
+                assert fine.refines(coarse) is want
+    with pytest.raises(ValueError, match="^alphabet mismatch$"):
+        SymbolPartition.full((0, 1)).refines(SymbolPartition.full((1, 0)))
+
+
+def test_cycle_minima_are_each_cycle_smallest_entry():
+    rng = np.random.default_rng(8203)
+    for n in range(1, 40):
+        perm = rng.permutation(n)
+        low = rng.integers(0, 100, size=n)
+        want = low.copy()
+        for j in range(n):
+            k = perm[j]
+            while k != j:
+                want[j] = min(want[j], low[k])
+                k = perm[k]
+        assert _cycle_minima(low, perm, n).tolist() == want.tolist()
 
 
 def test_window_partition_coarse_cells():
