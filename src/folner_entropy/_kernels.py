@@ -8,7 +8,9 @@ which states when walks share steps and resume; ``systems._chain_of``
 gives a shift's), so no production route enumerates Markov symbol
 words, and no kernel keeps state between calls; the symbol-word fills
 remain for ``symbol_pattern_logprobs``/``symbol_pattern_probs`` and the
-full-symbol ``window_partition``. Window entropies of Bernoulli shifts
+full-symbol ``window_partition``. ``markov_mask_entropies`` takes the
+closed form on every subset of a window at once, each subset's walk one
+step past a smaller one's. Window entropies of Bernoulli shifts
 and mixtures come from closed forms and need only the entropy
 reductions.
 
@@ -127,14 +129,14 @@ class _Chain:
     A record belongs to one shift of a walking copy (``systems._walking``:
     one per ``engine.entropy_rate`` call, or per
     ``suites.window_entropy_phi`` set function), so every window of that
-    shift reads it and each gap's power is taken once per chain. An
-    interval window resumes the stored walk of its kind when that walk
-    has covered no more sites, and restarts from the first state
-    otherwise: an interval's walk after n sites is any longer
-    interval's after its first n. A gapped window, or a cell walk with
-    more than one cell map, starts from the first state and is not
-    stored. A shift that is no walking copy takes a fresh record per
-    evaluation.
+    shift, and every mask table (``markov_mask_entropies``), reads it
+    and each gap's power is taken once per chain. An interval window
+    resumes the stored walk of its kind when that walk has covered no
+    more sites, and restarts from the first state otherwise: an
+    interval's walk after n sites is any longer interval's after its
+    first n. A gapped window, or a cell walk with more than one cell
+    map, starts from the first state and is not stored. A shift that is
+    no walking copy takes a fresh record per evaluation.
     """
 
     __slots__ = ("pi", "P", "powers", "steps", "firsts", "walks")
@@ -215,6 +217,31 @@ def markov_window_entropy(chain: _Chain, offsets: np.ndarray) -> float:
         state = state @ chain.step(b - a)
     chain.keep("entropy", sites, state)
     return float(state[-1])
+
+
+def markov_mask_entropies(chain: _Chain, sites: np.ndarray) -> np.ndarray:
+    """``markov_window_entropy`` on every subset of a sorted d = 1 window.
+
+    Entry ``mask`` is the entropy on the sites ``sites[i]`` of the set
+    bits i of ``mask``; entry 0, the empty window, is 0.0. A mask's walk
+    is the walk of the mask without its top site, moved by one step of
+    the gap below that site. So the masks of top bit t and next bit u
+    move together, as one stack of 1-row products, from the masks of
+    top bit u. The steps are ``chain``'s, so each gap's power is taken
+    once; its stored interval walk is neither read nor kept. A stack of
+    1-row products rounds as ``markov_window_entropy``'s vector-matrix
+    products do, so each entry equals its value by ``repr``; one 2-D
+    product of the stacked states may differ in the last place.
+    """
+    sites = np.asarray(sites, dtype=np.int64).tolist()
+    states = np.zeros((1 << len(sites), chain.P.shape[0] + 1))
+    for t, top in enumerate(sites):
+        states[1 << t] = chain.first("entropy")
+        for u, below in enumerate(sites[:t]):
+            lo, hi = 1 << u, 2 << u  # the masks of top bit u
+            moved = states[lo:hi, None, :] @ chain.step(top - below)
+            states[(1 << t) + lo : (1 << t) + hi] = moved[:, 0]
+    return states[:, -1].copy()
 
 
 def hidden_markov_pattern_probs(chain: _Chain, offsets: np.ndarray, site_cells) -> np.ndarray:

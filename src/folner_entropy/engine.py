@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._kernels import entropy_from_probs, markov_window_entropy
+from ._kernels import entropy_from_probs, markov_mask_entropies, markov_window_entropy
 from .groups import FolnerSequence, FolnerSubset, basis, identity as group_identity, neg
 from .spaces import (
     FiniteProbabilitySpace,
@@ -255,6 +255,23 @@ def _shift_block_entropy(
             return k * (entropy_from_probs(joint) - entropy_from_probs(marginal))
         return symbol_factor_entropy((system,), (1.0,), (cells,), F, phi, W, cap)
     raise IncompatibleSubAlgebraError("incompatible sub-algebra")
+
+
+def _mask_block_entropies(system, alpha, box: FolnerSubset, C, cap: int) -> Optional[np.ndarray]:
+    """H(alpha^E | C) on every subset E of ``box`` in mask order (bit i
+    picks row i of ``box``), from one ``markov_mask_entropies`` walk, where
+    ``_shift_block_entropy`` sends each such window to
+    ``markov_window_entropy``: a Markov shift, full-symbol cells and
+    trivial C. None elsewhere. The cap counts the patterns of the whole
+    box, so it raises as the per-window value of the box would.
+    """
+    C = _as_subalgebra(C)
+    if not isinstance(system, ShiftSystem) or system.kind != "markov" or C.kind != "trivial":
+        return None
+    if box.d != system.d or resolve_cells(system, alpha).n_cells != system.n_symbols:
+        return None
+    _guard_patterns(system.n_symbols, len(box), cap)
+    return markov_mask_entropies(_chain_of(system), box.rows[:, 0])
 
 
 def _mixture_block_entropy(

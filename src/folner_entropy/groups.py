@@ -381,24 +381,29 @@ def verify_subadditive_hypotheses(
     - sampled k-cover bounds: phi(F) <= (1/k) sum phi(E_i) whenever the
       E_i cover every element of F at least k times.
 
-    Subsets are bit masks over the rows of ``box``, and ``phi``
-    is evaluated at most once per mask. ``exhaustive`` (default: automatic
-    for boxes of at most 8 elements) evaluates ``phi`` on all 2^n subsets
-    and compares all 4^n ordered pairs (E, F) as arrays; otherwise pairs
-    and translated windows are drawn with the seeded generator. k-cover
-    checks are always sampled: a k-cover is k layers, each splitting F
-    into pieces that may also take elements outside F. The draws of a
-    report take a few array calls of the generator however many samples
-    it has (``_pair_draws``, ``_masks``, ``_kcover_draws``), so a seed
-    selects other samples than it did in versions that drew each sample
-    with its own calls; a sample's distribution is unchanged.
+    Subsets are bit masks over the rows of ``box``, bit i for row i.
+    ``exhaustive`` (default: automatic for boxes of at most 8 elements)
+    reads ``phi`` on all 2^n subsets and compares all 4^n ordered pairs
+    (E, F) as arrays; otherwise pairs and translated windows are drawn
+    with the seeded generator. ``phi`` is read at most once per mask. An
+    exhaustive report takes all 2^n values from one call of
+    ``phi.mask_table(box)`` where that returns an array in mask order
+    (``window_entropy_phi`` offers one on its Markov closed-form route),
+    and otherwise calls ``phi`` once per mask, in mask order; both give
+    the same report. k-cover checks are always sampled: a k-cover is k
+    layers, each splitting F into pieces that may also take elements
+    outside F. The draws of a report take a few array calls of the
+    generator however many samples it has (``_pair_draws``, ``_masks``,
+    ``_kcover_draws``), so a seed selects other samples than it did in
+    versions that drew each sample with its own calls; a sample's
+    distribution is unchanged.
 
     Witnesses are sorted element tuples, the first 20 violations of each
     check in (E, F) mask order, or in sample order. A non-finite value of
-    ``phi`` raises ``ValueError`` naming the window, and so do
-    ``samples < 1`` and a non-finite ``tolerance`` (a NaN one would pass
-    every check). A negative tolerance flags slacks below its absolute
-    value.
+    ``phi`` raises ``ValueError`` naming the window (in exhaustive mode
+    the first in mask order), and so do ``samples < 1`` and a non-finite
+    ``tolerance`` (a NaN one would pass every check). A negative
+    tolerance flags slacks below its absolute value.
     """
     points, n = box.rows, len(box)
     if n == 0:
@@ -434,43 +439,55 @@ def verify_subadditive_hypotheses(
     def window(mask) -> tuple:
         return tuple(map(tuple, rows_of(mask).tolist()))
 
-    def table(mask: int, picked: Optional[np.ndarray] = None) -> float:
+    def finite(mask, v: float) -> float:
+        if not math.isfinite(v):
+            raise ValueError(f"phi is not finite on window {window(mask)}: {v}")
+        return v
+
+    def read(mask: int, picked: Optional[np.ndarray] = None) -> float:
         """phi on the window of ``mask``, whose bits ``picked`` may give."""
         v = cache.get(mask)
         if v is None:
             rows = rows_of(mask) if picked is None else points[picked]
-            v = cache[mask] = float(phi(FolnerSubset._from_rows(rows, box.d)))
-            if not math.isfinite(v):
-                raise ValueError(f"phi is not finite on window {window(mask)}: {v}")
+            v = cache[mask] = finite(mask, float(phi(FolnerSubset._from_rows(rows, box.d))))
         return v
 
     # at(masks): phi over a mask array, evaluated in row-major order
     if exhaustive:
         masks = np.arange(1 << n)
-        picked = bits(masks) == 1
-        at = np.array([table(m, picked[m]) for m in range(1 << n)]).__getitem__
+        mask_table = getattr(phi, "mask_table", None)
+        values = None if mask_table is None else mask_table(box)
+        if values is None:
+            picked = bits(masks) == 1
+            values = np.array([read(m, picked[m]) for m in range(1 << n)])
+        elif not np.isfinite(values).all():
+            m = int(np.flatnonzero(~np.isfinite(values))[0])
+            finite(m, float(values[m]))
+        at = values.__getitem__
         per_block = min(1 << n, max(1, _PAIR_BLOCK >> n))  # E rows per block
-        blocks = (
-            (np.repeat(masks[r : r + per_block], 1 << n), np.tile(masks, per_block))
-            for r in range(0, 1 << n, per_block)
-        )
+        # E down a column against every F along a row: table rows broadcast
+        blocks = ((masks[r : r + per_block, None], masks) for r in range(0, 1 << n, per_block))
     else:
 
         def at(ms):
-            return np.array([table(m) for m in ms.ravel().tolist()], dtype=float).reshape(ms.shape)
+            return np.array([read(m) for m in ms.ravel().tolist()], dtype=float).reshape(ms.shape)
 
         blocks = [_pair_draws(rng, n, samples)]
 
     for E, F in blocks:
-        pe, pf, pu, pi = at(np.stack([E, F, E | F, E & F], axis=1)).T
-        sub = np.flatnonzero(E & ~F == 0)  # E subset of F
+        if exhaustive:
+            pe, pf, pu, pi = at(E), at(F), at(E | F), at(E & F)
+        else:
+            pe, pf, pu, pi = at(np.stack([E, F, E | F, E & F], axis=1)).T
+        inside = E & ~F == 0  # E subset of F, one entry per pair in row-major order
+        sub = np.flatnonzero(inside)
 
         def pair(k):
-            return window(E[k]), window(F[k])
+            return tuple(window(np.broadcast_to(x, inside.shape).flat[k]) for x in (E, F))
 
         first_checks, first_violations = not report.checked, not report.violation_count
-        mono = _record(report, "monotonicity", pf[sub] - pe[sub], tolerance, lambda k: pair(sub[k]))
-        ssa = _record(report, "strong_subadditivity", pe + pf - pu - pi, tolerance, pair)
+        mono = _record(report, "monotonicity", (pf - pe).ravel()[sub], tolerance, lambda k: pair(sub[k]))
+        ssa = _record(report, "strong_subadditivity", (pe + pf - pu - pi).ravel(), tolerance, pair)
         # report keys follow the order in which the pairs first meet each check
         if first_checks and len(sub) and sub[0] > 0:
             for d in (report.checked, report.min_slack):

@@ -32,7 +32,7 @@ same instances, gives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .engine import (
     _chain_min_steps,
     _identity_entropies,
     _identity_slacks,
+    _mask_block_entropies,
     _require_tolerances,
     _unit_elements,
     conditional_block_entropy,
@@ -402,10 +403,22 @@ def window_entropy_phi(
     (``systems._walking``), made once for its life, so its windows share
     one ``_kernels._Chain`` record per shift; every value equals, by
     ``repr``, that of ``conditional_block_entropy`` called on its own.
+
+    ``phi.mask_table(box)`` gives phi on every subset of ``box`` at once,
+    in mask order (bit i picks row i of ``box``), where one batched walk
+    gives them all: on a Markov shift with full-symbol cells and trivial
+    C (``engine._mask_block_entropies``). Elsewhere it returns None, and
+    a caller reads phi one window at a time. Each entry equals phi on its
+    window by ``repr``, and a box past the cap raises phi's
+    ``EnumerationCapError``.
     """
     walking = _walking(system)
 
     def phi(F: FolnerSubset) -> float:
         return conditional_block_entropy(walking, alpha, F, C, None, cap)
 
+    def mask_table(box: FolnerSubset) -> Optional[np.ndarray]:
+        return _mask_block_entropies(walking, alpha, box, C, cap)
+
+    phi.mask_table = mask_table
     return phi

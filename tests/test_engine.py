@@ -1070,6 +1070,39 @@ def test_phi_values_equal_the_per_window_values(name):
         assert repr(phi(F)) == repr(conditional_block_entropy(system, alpha, F, C)), F
 
 
+P4 = np.array([[0.4, 0.3, 0.2, 0.1], [0.1, 0.6, 0.2, 0.1], [0.25, 0.25, 0.25, 0.25], [0.3, 0.1, 0.1, 0.5]])
+
+TABLE_CASES = {
+    "markov": _trace_case("markov")[0],
+    "markov-zero-entries": _trace_case("markov-zero-entries")[0],
+    "markov3": markov_shift(None, P3),
+    "markov4": markov_shift(None, P4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_CASES))
+def test_mask_table_equals_the_per_window_values(name):
+    # with 3 or more states a 2-D product of the stacked states rounds
+    # differently from the per-window vector-matrix products
+    system = TABLE_CASES[name]
+    phi = window_entropy_phi(system)
+    for n in range(1, 11):
+        box = FolnerSubset.box(1, n)
+        table = phi.mask_table(box)
+        assert table.shape == (1 << n,)
+        for mask in range(1 << n):
+            F = FolnerSubset._from_rows(box.rows[[mask >> i & 1 == 1 for i in range(n)]], 1)
+            assert repr(float(table[mask])) == repr(conditional_block_entropy(system, None, F)), (n, mask)
+
+
+@pytest.mark.parametrize("name", ["coarse-cells", "symbol-factor", "mixture"])
+def test_mask_table_is_offered_only_on_the_full_symbol_markov_route(name):
+    phi = window_entropy_phi(*_trace_case(name))
+    assert phi.mask_table(FolnerSubset.box(1, 4)) is None
+    # and a box the shift does not act on is left to the per-window reads
+    assert window_entropy_phi(TABLE_CASES["markov"]).mask_table(FolnerSubset.box(2, 2)) is None
+
+
 @pytest.mark.parametrize("name", ["markov", "markov-zero-entries", "coarse-cells"])
 def test_exhaustive_report_takes_one_power_per_gap(monkeypatch, name):
     # 256 windows of box(1, 8) share one step per gap of the chain
@@ -1081,12 +1114,31 @@ def test_exhaustive_report_takes_one_power_per_gap(monkeypatch, name):
         return matrix_power(P, gap)
 
     monkeypatch.setattr(np.linalg, "matrix_power", counted)
+    windows = _spy_on_records(monkeypatch)
+    tables, partitions = [], []
+    monkeypatch.setattr(engine, "markov_mask_entropies", _spy(tables, engine.markov_mask_entropies))
+    monkeypatch.setattr(engine, "window_partition", _spy(partitions, engine.window_partition))
     system, alpha, C = _trace_case(name)
     report = verify_subadditive_hypotheses(
         window_entropy_phi(system, alpha, C), FolnerSubset.box(1, 8), exhaustive=True
     )
     assert report.ok
     assert sorted(gap for _, gap in powers) == list(range(1, 8))
+    # full-symbol windows come from one table; coarse cells are read per window
+    if name == "coarse-cells":
+        assert (len(tables), len(partitions)) == (0, 256)
+    else:
+        assert (len(tables), len(windows), len(partitions)) == (1, 0, 0)
+
+
+def _spy(calls: list, f):
+    """``f``, recording each call's arguments in ``calls``."""
+
+    def spy(*args):
+        calls.append(args)
+        return f(*args)
+
+    return spy
 
 
 def _spy_on_records(monkeypatch) -> list:

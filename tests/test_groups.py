@@ -11,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from folner_entropy import (
+    EnumerationCapError,
     FolnerSequence,
     FolnerSubset,
+    engine,
     invariance_defect,
     markov_shift,
     translate,
@@ -28,6 +30,7 @@ from folner_entropy.groups import (
     basis,
 )
 from folner_entropy.suites import phi_cardinality, phi_neg_card_squared, window_entropy_phi
+from test_engine import TABLE_CASES
 from test_suites import _assert_frequency, _CountingGenerator
 
 
@@ -388,6 +391,56 @@ def test_exhaustive_limit_box10_every_pair_slack_zero():
     assert report.violations["monotonicity"][:2] == [((), ()), (((0,),), ((0,),))]
     assert len(report.violations["strong_subadditivity"]) == 20
     assert sum(calls.values()) == 2**10 and set(calls.values()) == {1}
+
+
+def _hidden(phi):
+    """``phi`` without its mask table: read one window at a time."""
+    return lambda F: phi(F)
+
+
+@pytest.mark.parametrize("side", [1, 5, 8])
+@pytest.mark.parametrize("chain", sorted(TABLE_CASES))
+def test_exhaustive_report_from_the_table_equals_the_per_mask_report(chain, side):
+    phi, box = window_entropy_phi(TABLE_CASES[chain]), FolnerSubset.box(1, side)
+    assert phi.mask_table(box) is not None
+    report = verify_subadditive_hypotheses(phi, box, exhaustive=True)
+    assert repr(report) == repr(verify_subadditive_hypotheses(_hidden(phi), box, exhaustive=True))
+
+
+def test_exhaustive_table_keeps_the_per_mask_cap_error():
+    # 2^8 patterns on the whole box pass no cap of 200; the per-mask reads
+    # raise at the first window of 8 sites
+    box = FolnerSubset.box(1, 8)
+    errors = []
+    for phi in (window_entropy_phi(MARKOV, cap=200), _hidden(window_entropy_phi(MARKOV, cap=200))):
+        with pytest.raises(EnumerationCapError) as err:
+            verify_subadditive_hypotheses(phi, box, exhaustive=True)
+        errors.append(repr(err.value))
+    assert errors[0] == errors[1]
+
+
+def test_exhaustive_table_names_the_first_non_finite_mask(monkeypatch):
+    # NaN on every window holding sites 1 and 4, which on box(1, n) are
+    # bits 1 and 4: mask 0b10010 comes first
+    markov_mask_entropies, markov_window_entropy = engine.markov_mask_entropies, engine.markov_window_entropy
+
+    def table(chain, sites):
+        values = markov_mask_entropies(chain, sites)
+        values[np.arange(len(values)) & 0b10010 == 0b10010] = np.nan
+        return values
+
+    def window(chain, sites):
+        return math.nan if {1, 4} <= set(sites.tolist()) else markov_window_entropy(chain, sites)
+
+    monkeypatch.setattr(engine, "markov_mask_entropies", table)
+    monkeypatch.setattr(engine, "markov_window_entropy", window)
+    box = FolnerSubset.box(1, 6)
+    messages = []
+    for phi in (window_entropy_phi(MARKOV), _hidden(window_entropy_phi(MARKOV))):
+        with pytest.raises(ValueError, match="not finite") as err:
+            verify_subadditive_hypotheses(phi, box, exhaustive=True)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] == "phi is not finite on window ((1,), (4,)): nan"
 
 
 def test_sampled_mode_evaluates_each_window_once():
