@@ -11,7 +11,13 @@ Exit codes: 0 success, 2 validation error, 3 property violation,
 Units are nats; --bits rescales entropy-valued fields of the entropy,
 rate, and decompose reports by 1/log 2 at serialization (verify slacks
 stay in nats because their tolerances are nat-denominated, and window
-set functions need not be entropies at all).
+set functions need not be entropies at all). Every verb accepts every
+flag and ignores those it does not read; each flag's help names its verbs.
+
+``verify`` looks its ``"suite"`` up in one table of handlers
+(``_SUITES``), each returning (report fields, ok), and finishes in one
+place with exit 0 or 3. All wire labels (check name -> paper property)
+live in this module, and ``_property`` builds every property row.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import math
 import os
 import sys
 import tempfile
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -29,9 +36,6 @@ import numpy as np
 from ._kernels import _MAX_SAFE_PATTERNS
 from .decomposition import decompose_entropy, fixed_partition_witness
 from .engine import (
-    IDENTITY_PROPERTY_LABELS,
-    RATE_PROPERTY_LABELS,
-    SUBADDITIVITY_PROPERTY_LABELS,
     RateTrace,
     conditional_block_entropy,
     entropy_rate,
@@ -81,6 +85,16 @@ EXIT_VALIDATION = 2
 EXIT_VIOLATION = 3
 EXIT_CAP = 4
 
+# wire-format property identifiers: a verify report's check name -> paper label
+IDENTITY_PROPERTY_LABELS = {
+    "join_subadditivity": "prop22_1",
+    "translation_invariance": "prop22_2",
+    "conditioning_monotone": "prop22_3",
+    "partition_monotone": "prop22_3",
+    "pmp_invariance": "prop22_4",
+    "chain_rule": "prop22_5",
+    "refining_chain": "prop22_6",
+}
 DISINTEGRATION_PROPERTY_LABELS = {
     "reconstruction": "def_disintegration",
     "mass_function_integral": "thm5_mfun",
@@ -89,11 +103,17 @@ EXHAUSTION_PROPERTY_LABELS = {
     "chain_monotone": "thm4_exhaustion",
     "chain_vanishes": "thm4_exhaustion",
 }
-# verify suite -> (sweep, default trials, default tolerance, property labels)
-SWEEPS = {
-    "identities": (sweep_identities, 500, 1e-9, IDENTITY_PROPERTY_LABELS),
-    "disintegration": (sweep_disintegration, 1000, 1e-12, DISINTEGRATION_PROPERTY_LABELS),
-    "exhaustion": (sweep_exhaustion, 200, 1e-12, EXHAUSTION_PROPERTY_LABELS),
+RATE_PROPERTY_LABELS = {
+    "rate_vs_conditional": "thm7_1",
+    "join_rate_subadditive": "thm7_2",
+    "rate_monotone": "thm7_3",
+    "rate_chain_bound": "thm7_4",
+}
+SUBADDITIVITY_PROPERTY_LABELS = {
+    "monotonicity": "thm52_mono",
+    "strong_subadditivity": "thm52_ssa",
+    "translation_invariance": "thm51_ti",
+    "k_cover": "thm51_kcover",
 }
 
 
@@ -221,6 +241,17 @@ def _build_conditioning(system, obj) -> Optional[SubAlgebraSpec]:
     raise ConfigError(f"unknown conditioning kind: {kind!r}")
 
 
+def _read_system(cfg: dict, window: bool = False) -> tuple:
+    """(system, partition, conditioning) of a config, read in that order,
+    which fixes the error that a config with several faults reports; with
+    ``window``, (system, window, partition, conditioning), the window read
+    right after the system."""
+    system = _build_system(_require(cfg, "system"))
+    read = [system, _build_window(_require(cfg, "window"), system.d)] if window else [system]
+    alpha = _build_partition(system, cfg.get("partition"))
+    return (*read, alpha, _build_conditioning(system, cfg.get("conditioning")))
+
+
 def _build_schedule(obj: dict, d: int) -> tuple:
     sides = tuple(_integer(s, '"sides" entry') for s in _require(obj, "sides"))
     n_max = obj.get("n_max")
@@ -246,16 +277,6 @@ def _build_window(obj: dict, d: int) -> FolnerSubset:
 
 def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _jsonable(x):
-    if isinstance(x, (tuple, list)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    return x
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -345,10 +366,7 @@ def cmd_entropy(cfg: dict, args) -> int:
                 )
             report["disintegration"] = summary
         return _finish(report, args.out, "entropy", EXIT_OK)
-    system = _build_system(_require(cfg, "system"))
-    window = _build_window(_require(cfg, "window"), system.d)
-    alpha = _build_partition(system, cfg.get("partition"))
-    C = _build_conditioning(system, cfg.get("conditioning"))
+    system, window, alpha, C = _read_system(cfg, window=True)
     value = conditional_block_entropy(system, alpha, window, C, None, args.cap)
     report = {
         "schema": 1,
@@ -361,9 +379,7 @@ def cmd_entropy(cfg: dict, args) -> int:
 
 
 def cmd_rate(cfg: dict, args) -> int:
-    system = _build_system(_require(cfg, "system"))
-    alpha = _build_partition(system, cfg.get("partition"))
-    C = _build_conditioning(system, cfg.get("conditioning"))
+    system, alpha, C = _read_system(cfg)
     seq, n_max = _build_schedule(_require(cfg, "schedule"), system.d)
     tol = args.tol if args.tol is not None else 1e-3
     trace, rep = entropy_rate(system, alpha, C, seq, n_max, tol, args.cap)
@@ -386,128 +402,113 @@ def cmd_rate(cfg: dict, args) -> int:
     return _finish(report, args.out, "rate", EXIT_CAP if rep.truncated else EXIT_OK)
 
 
-def _sweep_properties(report, labels: dict) -> list:
-    out = []
-    for name in sorted(report.stats):
-        s = report.stats[name]
-        out.append(
-            {
-                "name": name,
-                "paper_property": labels.get(name, name),
-                "checked": s.checked,
-                "violations": s.violations,
-                "min_slack": s.min_slack,
-                "tolerance": s.tolerance,
-            }
+def _property(name: str, labels: dict, **fields) -> dict:
+    """One row of a verify report's ``"properties"``."""
+    return {"name": name, "paper_property": labels.get(name, name), **fields}
+
+
+def _verify_sweep(
+    sweep_fn, default_trials: int, default_tol: float, labels: dict, cfg: dict, args, seed: int
+) -> tuple:
+    tol = args.tol if args.tol is not None else default_tol
+    sweep = sweep_fn(
+        _positive_int(cfg, "trials", default_trials, args.trials),
+        seed,
+        _integer(cfg.get("max_atoms", 10), '"max_atoms"'),
+        tolerance=tol,
+    )
+    props = [
+        _property(
+            name, labels, checked=s.checked, violations=s.violations, min_slack=s.min_slack, tolerance=s.tolerance
         )
-    return out
+        for name, s in sorted(sweep.stats.items())
+    ]
+    return {"trials": sweep.trials, "properties": props}, sweep.ok
+
+
+def _verify_subadditivity(cfg: dict, args, seed: int) -> tuple:
+    tol = args.tol if args.tol is not None else 1e-9
+    phi_cfg = _require(cfg, "phi")
+    phi_kind = _require(phi_cfg, "kind")
+    if phi_kind == "cardinality":
+        phi = phi_cardinality
+    elif phi_kind == "neg_card_squared":
+        phi = phi_neg_card_squared
+    elif phi_kind == "window_entropy":
+        phi = window_entropy_phi(*_read_system(phi_cfg), cap=args.cap)
+    else:
+        raise ConfigError(f"unknown phi kind: {phi_kind!r}")
+    exhaustive = cfg.get("exhaustive")
+    if "exhaustive" in cfg and not isinstance(exhaustive, bool):
+        raise ConfigError(f'"exhaustive" must be true or false, got {exhaustive!r}')
+    box_cfg = _require(cfg, "box")
+    box = FolnerSubset.box(
+        _integer(box_cfg.get("d", 1), '"d"'), _integer(_require(box_cfg, "side"), '"side"')
+    )
+    result = verify_subadditive_hypotheses(
+        phi,
+        box,
+        samples=_positive_int(cfg, "samples", 200),
+        seed=seed,
+        exhaustive=exhaustive,
+        tolerance=tol,
+    )
+    # witnesses hold only tuples and Python ints, which json writes as arrays
+    props = [
+        _property(
+            name,
+            SUBADDITIVITY_PROPERTY_LABELS,
+            checked=result.checked.get(name, 0),
+            violations=result.violation_count.get(name, 0),
+            min_slack=result.min_slack[name],
+            tolerance=tol,
+            witnesses=result.violations[name],
+        )
+        for name in sorted(result.min_slack)
+    ]
+    return {"exhaustive": result.exhaustive, "properties": props}, result.ok
+
+
+def _verify_rates(cfg: dict, args, seed: int) -> tuple:
+    tol = args.tol if args.tol is not None else 1e-6
+    system = _build_system(_require(cfg, "system"))
+    alpha = _build_partition(system, _require(cfg, "alpha"))
+    beta = _build_partition(system, _require(cfg, "beta"))
+    C = _build_conditioning(system, cfg.get("conditioning"))
+    seq, n_max = _build_schedule(_require(cfg, "schedule"), system.d)
+    result = verify_rate_inequalities(system, alpha, beta, C, seq, n_max, tol, cap=args.cap)
+    props = [
+        _property(c.name, RATE_PROPERTY_LABELS, slack=c.slack, tolerance=c.tol, status=c.status)
+        for c in result.checks
+    ]
+    return {"properties": props, "estimates": result.estimates, "converged": result.converged}, result.ok
+
+
+# verify suite -> handler(cfg, args, seed) returning (report fields, ok)
+_SUITES = {
+    "identities": partial(_verify_sweep, sweep_identities, 500, 1e-9, IDENTITY_PROPERTY_LABELS),
+    "disintegration": partial(
+        _verify_sweep, sweep_disintegration, 1000, 1e-12, DISINTEGRATION_PROPERTY_LABELS
+    ),
+    "exhaustion": partial(_verify_sweep, sweep_exhaustion, 200, 1e-12, EXHAUSTION_PROPERTY_LABELS),
+    "subadditivity": _verify_subadditivity,
+    "rates": _verify_rates,
+}
 
 
 def cmd_verify(cfg: dict, args) -> int:
     suite = _require(cfg, "suite")
     seed = args.seed if args.seed is not None else _integer(cfg.get("seed", 0), '"seed"')
-    report = {"schema": 1, "task": "verify", "suite": suite, "seed": seed}
-    if suite in SWEEPS:
-        sweep_fn, default_trials, default_tol, labels = SWEEPS[suite]
-        tol = args.tol if args.tol is not None else default_tol
-        sweep = sweep_fn(
-            _positive_int(cfg, "trials", default_trials, args.trials),
-            seed,
-            _integer(cfg.get("max_atoms", 10), '"max_atoms"'),
-            tolerance=tol,
-        )
-        report["trials"] = sweep.trials
-        report["properties"] = _sweep_properties(sweep, labels)
-        report["ok"] = sweep.ok
-        return _finish(
-            report, args.out, "verify", EXIT_OK if sweep.ok else EXIT_VIOLATION
-        )
-    if suite == "subadditivity":
-        tol = args.tol if args.tol is not None else 1e-9
-        phi_cfg = _require(cfg, "phi")
-        phi_kind = _require(phi_cfg, "kind")
-        if phi_kind == "cardinality":
-            phi = phi_cardinality
-        elif phi_kind == "neg_card_squared":
-            phi = phi_neg_card_squared
-        elif phi_kind == "window_entropy":
-            system = _build_system(_require(phi_cfg, "system"))
-            phi = window_entropy_phi(
-                system,
-                _build_partition(system, phi_cfg.get("partition")),
-                _build_conditioning(system, phi_cfg.get("conditioning")),
-                cap=args.cap,
-            )
-        else:
-            raise ConfigError(f"unknown phi kind: {phi_kind!r}")
-        exhaustive = cfg.get("exhaustive")
-        if "exhaustive" in cfg and not isinstance(exhaustive, bool):
-            raise ConfigError(f'"exhaustive" must be true or false, got {exhaustive!r}')
-        box_cfg = _require(cfg, "box")
-        box = FolnerSubset.box(
-            _integer(box_cfg.get("d", 1), '"d"'), _integer(_require(box_cfg, "side"), '"side"')
-        )
-        result = verify_subadditive_hypotheses(
-            phi,
-            box,
-            samples=_positive_int(cfg, "samples", 200),
-            seed=seed,
-            exhaustive=exhaustive,
-            tolerance=tol,
-        )
-        props = []
-        for name in sorted(result.min_slack):
-            props.append(
-                {
-                    "name": name,
-                    "paper_property": SUBADDITIVITY_PROPERTY_LABELS.get(name, name),
-                    "checked": result.checked.get(name, 0),
-                    "violations": result.violation_count.get(name, 0),
-                    "min_slack": result.min_slack[name],
-                    "tolerance": tol,
-                    "witnesses": _jsonable(result.violations[name]),
-                }
-            )
-        report["exhaustive"] = result.exhaustive
-        report["properties"] = props
-        report["ok"] = result.ok
-        return _finish(
-            report, args.out, "verify", EXIT_OK if result.ok else EXIT_VIOLATION
-        )
-    if suite == "rates":
-        tol = args.tol if args.tol is not None else 1e-6
-        system = _build_system(_require(cfg, "system"))
-        alpha = _build_partition(system, _require(cfg, "alpha"))
-        beta = _build_partition(system, _require(cfg, "beta"))
-        C = _build_conditioning(system, cfg.get("conditioning"))
-        seq, n_max = _build_schedule(_require(cfg, "schedule"), system.d)
-        result = verify_rate_inequalities(
-            system, alpha, beta, C, seq, n_max, tol, cap=args.cap
-        )
-        props = [
-            {
-                "name": c.name,
-                "paper_property": RATE_PROPERTY_LABELS.get(c.name, c.name),
-                "slack": c.slack,
-                "tolerance": c.tol,
-                "status": c.status,
-            }
-            for c in result.checks
-        ]
-        report["properties"] = props
-        report["estimates"] = result.estimates
-        report["converged"] = result.converged
-        report["ok"] = result.ok
-        return _finish(
-            report, args.out, "verify", EXIT_OK if result.ok else EXIT_VIOLATION
-        )
-    raise ConfigError(f"unknown suite: {suite!r}")
+    handler = _SUITES.get(suite)
+    if handler is None:
+        raise ConfigError(f"unknown suite: {suite!r}")
+    fields, ok = handler(cfg, args, seed)
+    report = {"schema": 1, "task": "verify", "suite": suite, "seed": seed, **fields, "ok": ok}
+    return _finish(report, args.out, "verify", EXIT_OK if ok else EXIT_VIOLATION)
 
 
 def cmd_decompose(cfg: dict, args) -> int:
-    system = _build_system(_require(cfg, "system"))
-    alpha = _build_partition(system, cfg.get("partition"))
-    C = _build_conditioning(system, cfg.get("conditioning"))
+    system, alpha, C = _read_system(cfg)
     seq, n_max = _build_schedule(_require(cfg, "schedule"), system.d)
     tol = args.tol if args.tol is not None else 1e-3
     beta_cfg = cfg.get("beta")
@@ -586,18 +587,27 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb in ("entropy", "rate", "verify", "decompose", "folner"):
         p = sub.add_parser(verb)
-        p.add_argument("--config", required=True, help="JSON experiment config")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--bits", action="store_true", help="serialize entropies in bits")
-        p.add_argument("--tol", type=float, default=None, help="verb-level tolerance")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--trials", type=int, default=None, help="override config trials")
+        p.add_argument("--config", required=True, help="JSON experiment config (every verb)")
+        p.add_argument("--out", default=".", help="output directory (every verb)")
+        p.add_argument(
+            "--bits", action="store_true", help="serialize entropies in bits (entropy, rate, decompose)"
+        )
+        p.add_argument(
+            "--tol", type=float, default=None, help="verb-level tolerance (rate, verify, decompose)"
+        )
+        p.add_argument("--seed", type=int, default=None, help="override config seed (verify only)")
+        p.add_argument(
+            "--trials",
+            type=int,
+            default=None,
+            help="override config trials (verify only: identities, disintegration, exhaustion)",
+        )
         p.add_argument(
             "--max-window",
             type=int,
             default=None,
             help="pattern cap exponent: at most 2^N symbol patterns per Markov "
-            "window, counted but not enumerated",
+            "window, counted but not enumerated (entropy, rate, verify, decompose)",
         )
     return parser
 

@@ -72,29 +72,6 @@ from .systems import (
 
 DEFAULT_CONVERGENCE_TOL = 1e-3
 
-# wire-format property identifiers used by report serialization
-IDENTITY_PROPERTY_LABELS = {
-    "join_subadditivity": "prop22_1",
-    "translation_invariance": "prop22_2",
-    "conditioning_monotone": "prop22_3",
-    "partition_monotone": "prop22_3",
-    "pmp_invariance": "prop22_4",
-    "chain_rule": "prop22_5",
-    "refining_chain": "prop22_6",
-}
-RATE_PROPERTY_LABELS = {
-    "rate_vs_conditional": "thm7_1",
-    "join_rate_subadditive": "thm7_2",
-    "rate_monotone": "thm7_3",
-    "rate_chain_bound": "thm7_4",
-}
-SUBADDITIVITY_PROPERTY_LABELS = {
-    "monotonicity": "thm52_mono",
-    "strong_subadditivity": "thm52_ssa",
-    "translation_invariance": "thm51_ti",
-    "k_cover": "thm51_kcover",
-}
-
 
 def _as_subalgebra(C) -> SubAlgebraSpec:
     if C is None:

@@ -21,6 +21,7 @@ import numpy as np
 GroupElement = tuple
 
 EXHAUSTIVE_PAIR_LIMIT = 10
+SAMPLE_ELEMENT_LIMIT = 1 << 21  # samples * len(box) bound: the draws take ~100 bytes per element
 _INT64 = np.iinfo(np.int64)
 _CODE_LIMIT = 1 << 62  # packed row codes stay below this; wider spans are ranked
 
@@ -401,15 +402,19 @@ def verify_subadditive_hypotheses(
     Witnesses are sorted element tuples, the first 20 violations of each
     check in (E, F) mask order, or in sample order. A non-finite value of
     ``phi`` raises ``ValueError`` naming the window (in exhaustive mode
-    the first in mask order), and so do ``samples < 1`` and a non-finite
-    ``tolerance`` (a NaN one would pass every check). A negative
-    tolerance flags slacks below its absolute value.
+    the first in mask order), and so do ``samples < 1``, ``samples *
+    len(box)`` above ``SAMPLE_ELEMENT_LIMIT`` (2^21, about 200 MiB of
+    draws), both before any draw, and a non-finite ``tolerance`` (a NaN
+    one would pass every check). A negative tolerance flags slacks below
+    its absolute value.
     """
     points, n = box.rows, len(box)
     if n == 0:
         raise ValueError("empty set")
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    if samples > SAMPLE_ELEMENT_LIMIT // n:
+        raise ValueError(f"samples * len(box) must be at most {SAMPLE_ELEMENT_LIMIT}, got {samples} * {n}")
     if not math.isfinite(tolerance):
         raise ValueError("tolerance must be a finite number")
     if exhaustive is None:

@@ -630,6 +630,9 @@ def _assert_validation_error(r, tmp_path, message):
         ({"samples": 1.5}, '"samples" must be an integer >= 1'),
         ({"exhaustive": "no"}, '"exhaustive" must be true or false'),
         ({"exhaustive": 1}, '"exhaustive" must be true or false'),
+        # 2^21 + 8 draw elements; checked before any draw
+        ({"box": {"d": 1, "side": 8}, "samples": 2**18 + 1},
+         "samples * len(box) must be at most 2097152, got 262145 * 8"),
     ],
 )
 def test_verify_subadditivity_rejects_bad_samples_and_exhaustive(tmp_path, extra, message):
@@ -794,6 +797,31 @@ BERNOULLI = {"kind": "bernoulli", "probs": [0.5, 0.5]}
     ],
 )
 def test_window_fields_must_be_integers(tmp_path, verb, cfg, message):
+    out = tmp_path / "out"
+    r = run_cli([verb, "--config", write_cfg(tmp_path, {"schema": 1, **cfg}), "--out", str(out)])
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert json.loads(r.stdout)["error"] == {"kind": "validation", "message": message}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "verb, cfg, message",
+    [
+        # the window is read before the partition, whose cells overlap
+        ("entropy", {"system": BERNOULLI, "window": {}, "partition": {"cells": [[0, 1], [1]]}},
+         'window needs "box" or "elements"'),
+        # alpha before beta
+        ("verify", {"suite": "rates", "system": BERNOULLI, "schedule": {"sides": [1]}},
+         'config is missing "alpha"'),
+        # exhaustive before box
+        ("verify", {"suite": "subadditivity", "phi": {"kind": "cardinality"}, "exhaustive": "no"},
+         "\"exhaustive\" must be true or false, got 'no'"),
+        # the schedule before beta
+        ("decompose", {"system": BERNOULLI, "schedule": {"sides": [1.5]}, "beta": {}},
+         '"sides" entry must be an integer, got 1.5'),
+    ],
+)
+def test_a_config_with_two_faults_reports_the_one_its_verb_reads_first(tmp_path, verb, cfg, message):
     out = tmp_path / "out"
     r = run_cli([verb, "--config", write_cfg(tmp_path, {"schema": 1, **cfg}), "--out", str(out)])
     assert r.returncode == 2, r.stdout + r.stderr

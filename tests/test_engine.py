@@ -51,13 +51,12 @@ from folner_entropy import (
 )
 from folner_entropy import _kernels
 from folner_entropy._kernels import entropy_from_logprobs, entropy_from_probs
-from folner_entropy.engine import (
+from folner_entropy.cli import (
     IDENTITY_PROPERTY_LABELS,
     RATE_PROPERTY_LABELS,
     SUBADDITIVITY_PROPERTY_LABELS,
-    _as_subalgebra,
-    _finite_window_join,
 )
+from folner_entropy.engine import _as_subalgebra, _finite_window_join
 from folner_entropy.spaces import _join_rows
 from folner_entropy.systems import (
     IncompatibleSubAlgebraError,

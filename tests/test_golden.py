@@ -58,6 +58,13 @@ def test_cli_output_matches_the_golden_corpus(case, bits, tmp_path):
     json.loads(got["stdout"], parse_constant=_reject_constant)
 
 
+def test_every_verb_and_verify_suite_has_a_golden_case():
+    # a verb or suite added to the dispatch tables ships with byte-level coverage
+    assert set(cli._VERBS) - {case["verb"] for case in CASES} == set()
+    suites = {case["config"].get("suite") for case in CASES if case["verb"] == "verify"}
+    assert set(cli._SUITES) - suites == set()
+
+
 def _regenerate():
     spec = importlib.util.spec_from_file_location("regenerate", GOLDEN / "regenerate.py")
     module = importlib.util.module_from_spec(spec)

@@ -22,6 +22,7 @@ from folner_entropy import (
 )
 from folner_entropy.groups import (
     EXHAUSTIVE_PAIR_LIMIT,
+    SAMPLE_ELEMENT_LIMIT,
     SubadditivityReport,
     _codes,
     _kcover_draws,
@@ -472,6 +473,18 @@ def test_samples_below_one_rejected(samples, exhaustive):
     with pytest.raises(ValueError, match="samples must be at least 1"):
         verify_subadditive_hypotheses(
             phi_neg_card_squared, FolnerSubset.box(1, 6), samples=samples, exhaustive=exhaustive
+        )
+
+
+@pytest.mark.parametrize("exhaustive", [True, False])
+def test_samples_past_the_draw_bound_rejected(exhaustive):
+    # the draws grow as samples * len(box); samples=10**9 on box(1, 8) used to
+    # ask for 37 GiB in its first draw. 2^18 + 1 samples of 8 elements is the
+    # smallest count past the bound, and it fails before any draw
+    assert SAMPLE_ELEMENT_LIMIT == 2**21
+    with pytest.raises(ValueError, match=r"samples \* len\(box\) must be at most 2097152, got 262145 \* 8"):
+        verify_subadditive_hypotheses(
+            phi_cardinality, FolnerSubset.box(1, 8), samples=2**18 + 1, exhaustive=exhaustive
         )
 
 
