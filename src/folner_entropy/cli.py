@@ -14,6 +14,10 @@ stay in nats because their tolerances are nat-denominated, and window
 set functions need not be entropies at all). Every verb accepts every
 flag and ignores those it does not read; each flag's help names its verbs.
 
+Every report leaves through ``_finish``, which writes its envelope
+(``"schema": 1`` and ``"task"``, the verb's name) around the verb's own
+fields, so no verb writes either key.
+
 ``verify`` looks its ``"suite"`` up in one table of handlers
 (``_SUITES``), each returning (report fields, ok), and finishes in one
 place with exit 0 or 3. All wire labels (check name -> paper property)
@@ -318,7 +322,9 @@ def _emit(out_dir: str, name: str, text: str) -> str:
 
 
 def _finish(report: dict, out_dir: str, stem: str, code: int) -> int:
-    text = _json_text(report)
+    """Write ``report`` in its envelope (``"schema": 1``, ``"task"``) to
+    ``<stem>.json`` and echo it to stdout; returns ``code``."""
+    text = _json_text({"schema": 1, "task": stem, **report})
     _emit(out_dir, stem + ".json", text)
     sys.stdout.write(text)
     return code
@@ -341,8 +347,6 @@ def cmd_entropy(cfg: dict, args) -> int:
         space = _build_space(cfg["space"])
         alpha = Partition(space, _require(_require(cfg, "alpha"), "blocks"))
         report = {
-            "schema": 1,
-            "task": "entropy",
             "units": units,
             "entropy" + suffix: _scaled(entropy(alpha), bits),
         }
@@ -369,8 +373,6 @@ def cmd_entropy(cfg: dict, args) -> int:
     system, window, alpha, C = _read_system(cfg, window=True)
     value = conditional_block_entropy(system, alpha, window, C, None, args.cap)
     report = {
-        "schema": 1,
-        "task": "entropy",
         "units": units,
         "F_size": len(window),
         "block_entropy" + suffix: _scaled(value, bits),
@@ -386,8 +388,6 @@ def cmd_rate(cfg: dict, args) -> int:
     _emit(args.out, "rate.csv", _trace_csv(trace, args.bits))
     bits = args.bits
     report = {
-        "schema": 1,
-        "task": "rate",
         "paper_property": "thm3_inf",
         "units": "bits" if bits else "nats",
         "estimate": _scaled(rep.estimate, bits),
@@ -499,11 +499,12 @@ _SUITES = {
 def cmd_verify(cfg: dict, args) -> int:
     suite = _require(cfg, "suite")
     seed = args.seed if args.seed is not None else _integer(cfg.get("seed", 0), '"seed"')
-    handler = _SUITES.get(suite)
+    # an unhashable suite, such as a list, is unknown too
+    handler = _SUITES.get(suite) if isinstance(suite, str) else None
     if handler is None:
         raise ConfigError(f"unknown suite: {suite!r}")
     fields, ok = handler(cfg, args, seed)
-    report = {"schema": 1, "task": "verify", "suite": suite, "seed": seed, **fields, "ok": ok}
+    report = {"suite": suite, "seed": seed, **fields, "ok": ok}
     return _finish(report, args.out, "verify", EXIT_OK if ok else EXIT_VIOLATION)
 
 
@@ -519,8 +520,6 @@ def cmd_decompose(cfg: dict, args) -> int:
             witness = fixed_partition_witness(system, beta)
             if witness is not None:
                 report = {
-                    "schema": 1,
-                    "task": "decompose",
                     "paper_property": "thm31_decomp",
                     "fixed_partition": False,
                     "witness": witness,
@@ -533,8 +532,6 @@ def cmd_decompose(cfg: dict, args) -> int:
     bits = args.bits
     ok = (not result.lhs_report.converged) or result.gap <= tol
     report = {
-        "schema": 1,
-        "task": "decompose",
         "paper_property": "thm31_decomp",
         "units": "bits" if bits else "nats",
         "lhs": _scaled(result.lhs, bits),
@@ -571,7 +568,7 @@ def cmd_folner(cfg: dict, args) -> int:
         for gi, g in enumerate(gens):
             rows.append((n, len(F), gi, invariance_defect(F, g)))
     _emit(args.out, "folner.csv", _csv_text(["n", "F_size", "generator", "defect"], rows))
-    return _finish({"schema": 1, "task": "folner", "rows": len(rows)}, args.out, "folner", EXIT_OK)
+    return _finish({"rows": len(rows)}, args.out, "folner", EXIT_OK)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,10 @@ Everything here is exact: spaces are ordered finite atom lists with
 float64 masses, and a partition is one canonical label array over the
 atoms. Joins, pullbacks and block masses are array operations on those
 labels; block tuples are derived only where a caller asks for them.
+A list of blocks becomes labels through one check (``_block_labels``),
+which ``systems.SymbolPartition`` shares for cells of an alphabet, and
+hashable keys are numbered by first occurrence in one place
+(``_first_codes``).
 Every subset mass, block masses included, is one numpy sum over an
 ascending index array, so the same subset always gets the same float.
 Fiber quantities (conditional entropy, disintegration, traces on a
@@ -155,6 +159,37 @@ def _require_same_space(a: FiniteProbabilitySpace, b: FiniteProbabilitySpace) ->
         raise SpaceMismatchError("space mismatch")
 
 
+def _first_codes(keys: Iterable) -> list:
+    """Hashable keys numbered 0, 1, ... in order of first occurrence."""
+    first: dict = {}
+    return [first.setdefault(key, len(first)) for key in keys]
+
+
+def _block_labels(blocks: Iterable[Iterable], index, n: int, part: str, whole: str) -> list:
+    """The label list of ``blocks`` over ``n`` ids: entry i is the position
+    of the block holding the id that ``index`` maps to i. Each block in
+    turn is checked for an unknown member (``index`` raises), for being
+    empty, and for a repeated member or one an earlier block holds; then
+    every id must be covered. ``part`` and ``whole`` name the blocks and
+    the ids in the messages ("empty block", "blocks overlap", "blocks
+    must cover the space")."""
+    labels = [0] * n
+    seen: set[int] = set()
+    for j, raw in enumerate(blocks):
+        idx = [index(a) for a in raw]
+        if not idx:
+            raise ValueError(f"empty {part}")
+        members = set(idx)
+        if len(members) != len(idx) or not seen.isdisjoint(members):
+            raise ValueError(f"{part}s overlap")
+        seen |= members
+        for i in idx:
+            labels[i] = j
+    if len(seen) != n:
+        raise ValueError(f"{part}s must cover the {whole}")
+    return labels
+
+
 class Partition:
     """Measurable partition of a finite space into disjoint covering blocks.
 
@@ -172,21 +207,7 @@ class Partition:
     __slots__ = ("space", "_labels", "_k", "_sort", "_order", "_ends", "_blocks")
 
     def __init__(self, space: FiniteProbabilitySpace, blocks: Iterable[Iterable[AtomId]]):
-        index = space.index
-        labels = [0] * len(space)
-        seen: set[int] = set()
-        for j, raw in enumerate(blocks):
-            idx = [index(a) for a in raw]
-            if not idx:
-                raise ValueError("empty block")
-            members = set(idx)
-            if len(members) != len(idx) or not seen.isdisjoint(members):
-                raise ValueError("blocks overlap")
-            seen |= members
-            for i in idx:
-                labels[i] = j
-        if len(seen) != len(space):
-            raise ValueError("blocks must cover the space")
+        labels = _block_labels(blocks, space.index, len(space), "block", "space")
         self._assign(space, np.array(labels, dtype=np.int64))
 
     def _assign(self, space: FiniteProbabilitySpace, codes: np.ndarray) -> None:
@@ -219,8 +240,7 @@ class Partition:
             raise ValueError("labels must align with atoms")
         codes = np.asarray(labels)
         if codes.ndim != 1 or codes.dtype.kind not in "biu":
-            first: dict = {}
-            codes = np.array([first.setdefault(lab, len(first)) for lab in labels], dtype=np.int64)
+            codes = np.array(_first_codes(labels), dtype=np.int64)
         return cls._from_codes(space, codes)
 
     @property

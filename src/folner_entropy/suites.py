@@ -62,11 +62,19 @@ from .systems import DEFAULT_PATTERN_CAP, _cycle_minima, _require_generator, _wa
 # ---------------------------------------------------------------------------
 
 
+# the largest max_atoms a sweep takes: a batch closes at _BATCH_ATOMS, so
+# memory follows the largest single trial (at this bound the identities
+# sweep peaks near 180 MiB of arrays, 280 MiB max RSS)
+MAX_ATOMS_LIMIT = 1 << 17
+
+
 def _require_arguments(trials: int, max_atoms: int, *tolerances: float) -> None:
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if max_atoms < 2:
         raise ValueError("max_atoms must be at least 2")
+    if max_atoms > MAX_ATOMS_LIMIT:
+        raise ValueError(f"max_atoms must be at most {MAX_ATOMS_LIMIT}, got {max_atoms}")
     _require_tolerances(*tolerances)
 
 
@@ -251,7 +259,8 @@ def sweep_identities(
     ``_identity_entropies`` pass, the one ``verify_entropy_identities``
     makes for a single triple, and the same check arithmetic over arrays. The report is the one a
     ``verify_entropy_identities`` call per trial gives. Both tolerances
-    must be finite and nonnegative.
+    must be finite and nonnegative, and ``max_atoms`` in
+    2..``MAX_ATOMS_LIMIT`` (2^17).
     """
     _require_arguments(trials, max_atoms, tolerance, equality_tolerance)
     report = SweepReport(trials, seed)
@@ -312,7 +321,8 @@ def sweep_disintegration(
     labels and block masses of that join (``_stacked_reintegration``), and
     the direct masses are one segment sum over the picked atoms. The
     report is the one a ``reconstruct`` and a ``conditional_mass_function``
-    call per trial give. ``tolerance`` must be finite and nonnegative.
+    call per trial give. ``tolerance`` must be finite and nonnegative,
+    and ``max_atoms`` in 2..``MAX_ATOMS_LIMIT`` (2^17).
     """
     _require_arguments(trials, max_atoms, tolerance)
     report = SweepReport(trials, seed)
@@ -347,7 +357,8 @@ def sweep_exhaustion(
     check of its masses and one ``_chain_entropies`` pass, which checks
     that every chain increases. The report is the one a
     ``verify_chain_exhaustion`` call per trial gives. ``tolerance`` must
-    be finite and nonnegative.
+    be finite and nonnegative, and ``max_atoms`` in 2..``MAX_ATOMS_LIMIT``
+    (2^17).
     """
     _require_arguments(trials, max_atoms, tolerance)
     report = SweepReport(trials, seed)

@@ -48,7 +48,9 @@ from .spaces import (
     MASS_TOL,
     FiniteProbabilitySpace,
     Partition,
+    _block_labels,
     _coarser,
+    _first_codes,
     _probabilities,
     _pullback,
     _require_same_space,
@@ -178,50 +180,43 @@ def act(system: FinitePMPAction, g: GroupElement, alpha: Partition) -> Partition
 class SymbolPartition:
     """Partition of a shift alphabet into cells (a coarse-graining of symbols).
 
-    Cells follow the same canonical ordering convention as space
-    partitions: symbols in alphabet order inside each cell, cells
-    ordered by their smallest symbol.
+    Only labels are stored, as for space partitions: ``cell_labels()[i]``
+    is the cell of the i-th symbol, cells numbered in order of first
+    occurrence, so each cell lists its symbols in alphabet order and
+    cells are ordered by their smallest symbol. Equal partitions have
+    equal label arrays, and compare and hash by the alphabet and those
+    labels. ``cells`` is derived from the labels on each read.
     """
 
-    __slots__ = ("alphabet", "cells", "_labels")
+    __slots__ = ("alphabet", "n_cells", "_labels")
 
     def __init__(self, alphabet: Sequence, cells: Iterable[Iterable]):
         alphabet = tuple(alphabet)
         pos = {s: i for i, s in enumerate(alphabet)}
         if len(pos) != len(alphabet):
             raise ValueError("duplicate symbols")
-        seen: set = set()
-        canon = []
-        for raw in cells:
-            idx = sorted(pos[s] for s in raw)
-            if not idx:
-                raise ValueError("empty cell")
-            if len(set(idx)) != len(idx) or seen.intersection(idx):
-                raise ValueError("cells overlap")
-            seen.update(idx)
-            canon.append(idx)
-        if len(seen) != len(alphabet):
-            raise ValueError("cells must cover the alphabet")
-        canon.sort(key=lambda idx: idx[0])
-        self._set(alphabet, [[alphabet[i] for i in idx] for idx in canon])
 
-    def _set(self, alphabet: tuple, cells: list) -> None:
+        def index(symbol) -> int:
+            try:
+                return pos[symbol]
+            except KeyError:
+                raise ValueError("unknown symbol") from None
+
+        self._set(alphabet, _first_codes(_block_labels(cells, index, len(alphabet), "cell", "alphabet")))
+
+    def _set(self, alphabet: tuple, labels: list) -> None:
         self.alphabet = alphabet
-        self.cells = tuple(map(tuple, cells))
-        cell_of = {s: ci for ci, cell in enumerate(self.cells) for s in cell}
-        self._labels = np.array([cell_of[s] for s in alphabet], dtype=np.int64)
+        self.n_cells = max(labels, default=-1) + 1
+        self._labels = np.array(labels, dtype=np.int64)
         self._labels.flags.writeable = False
 
     @classmethod
     def _grouped(cls, alphabet: tuple, keys) -> "SymbolPartition":
         """The partition into classes of equal key, ``keys`` giving one
         per symbol in alphabet order, without the constructor's checks:
-        listed by first symbol, the classes are already canonical."""
-        groups: dict = {}
-        for s, key in zip(alphabet, keys):
-            groups.setdefault(key, []).append(s)
+        numbered by first occurrence, the classes are already canonical."""
         self = cls.__new__(cls)
-        self._set(alphabet, list(groups.values()))
+        self._set(alphabet, _first_codes(keys))
         return self
 
     @classmethod
@@ -234,8 +229,12 @@ class SymbolPartition:
         return cls(alphabet, [list(alphabet)])
 
     @property
-    def n_cells(self) -> int:
-        return len(self.cells)
+    def cells(self) -> tuple:
+        """Cells as symbol tuples, in canonical order (derived on each read)."""
+        cells: list = [[] for _ in range(self.n_cells)]
+        for s, c in zip(self.alphabet, self._labels.tolist()):
+            cells[c].append(s)
+        return tuple(map(tuple, cells))
 
     def cell_labels(self) -> np.ndarray:
         """Cell index per symbol, aligned with alphabet order (read-only)."""
@@ -255,10 +254,10 @@ class SymbolPartition:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymbolPartition):
             return NotImplemented
-        return self.alphabet == other.alphabet and self.cells == other.cells
+        return self.alphabet == other.alphabet and self._labels.tobytes() == other._labels.tobytes()
 
     def __hash__(self) -> int:
-        return hash((self.alphabet, self.cells))
+        return hash((self.alphabet, self._labels.tobytes()))
 
     def __repr__(self) -> str:
         return f"SymbolPartition({self.n_cells} cells / {len(self.alphabet)} symbols)"

@@ -682,6 +682,36 @@ def test_verify_max_atoms_below_two_is_a_validation_error(tmp_path, suite):
 
 
 
+@pytest.mark.parametrize("suite", ["identities", "disintegration", "exhaustion"])
+def test_verify_max_atoms_past_the_limit_is_a_validation_error(tmp_path, suite):
+    # 10**8 used to run on past a 20 s timeout instead of exiting 2
+    cfg = {"schema": 1, "suite": suite, "trials": 3, "max_atoms": 2**17 + 1}
+    r = run_cli(["verify", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)])
+    _assert_validation_error(r, tmp_path, "max_atoms must be at most 131072, got 131073")
+
+
+@pytest.mark.parametrize("suite", [[1], {"a": 1}])
+def test_verify_non_string_suite_is_unknown(tmp_path, suite):
+    # used to exit 2 with "unhashable type: 'list'"
+    cfg = {"schema": 1, "suite": suite}
+    r = run_cli(["verify", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)])
+    assert json.loads(r.stdout)["error"]["message"] == f"unknown suite: {suite!r}"
+    _assert_validation_error(r, tmp_path, "unknown suite")
+
+
+def test_entropy_unknown_symbol_is_a_validation_error(tmp_path):
+    # used to exit 2 with the bare KeyError message "7"
+    cfg = {
+        "schema": 1,
+        "system": {"kind": "bernoulli", "probs": [0.5, 0.5]},
+        "window": {"box": 2},
+        "partition": {"cells": [[0], [7]]},
+    }
+    out = tmp_path / "out"
+    r = run_cli(["entropy", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    _assert_rejected(r, out, "unknown symbol")
+
+
 # -- windows ----------------------------------------------------------------------
 
 

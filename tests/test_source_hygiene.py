@@ -17,7 +17,9 @@ private name (leading underscore) from the module that defines it, not
 from a module that only re-imports it. A fifth rule keeps walk state
 visible: no module imports ``contextvars``, so a chain's walk record
 travels with the system it belongs to, never through hidden
-context-local state.
+context-local state. A sixth rule keeps the report envelope in one
+place: in ``cli.py`` no dict literal outside ``_finish`` has a
+``"schema"`` or ``"task"`` key, so every report gets both from there.
 """
 
 import ast
@@ -140,6 +142,26 @@ def _hidden_state_imports(tree):
     return found
 
 
+ENVELOPE_KEYS = {"schema", "task"}
+
+
+def _envelope_dicts(tree, home="_finish"):
+    """``line N`` for each dict literal in ``tree`` with a key in
+    ``ENVELOPE_KEYS`` that lies outside the function named ``home``."""
+    inside = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn.name == home:
+            inside |= {id(node) for node in ast.walk(fn)}
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Dict)
+        and id(node) not in inside
+        and any(isinstance(key, ast.Constant) and key.value in ENVELOPE_KEYS for key in node.keys)
+    ]
+    return [f"line {n}" for n in sorted(lines)]
+
+
 def _defined_names(tree):
     """Names a module binds at module level by def, class or assignment."""
     names = set()
@@ -206,6 +228,10 @@ def test_no_module_imports_contextvars(path):
     assert _hidden_state_imports(_tree(path)) == []
 
 
+def test_cli_writes_the_report_envelope_only_in_finish():
+    assert _envelope_dicts(_tree(PACKAGE / "cli.py")) == []
+
+
 def test_the_checks_see_both_faults():
     tree = ast.parse(
         "import os\nfrom .spaces import Partition, join\n\n"
@@ -260,3 +286,15 @@ def test_the_hidden_state_check_sees_each_import_form():
     assert _hidden_state_imports(tree) == [
         "line 1: contextvars", "line 2: contextvars", "line 3: contextvars", "line 8: contextvars",
     ]
+
+
+def test_the_envelope_check_sees_a_dict_outside_finish():
+    # a "task" or "schema" key in another function or at module level is
+    # a fault; the one in _finish, a spread and other keys are not
+    tree = ast.parse(
+        "def _finish(report):\n    return {'schema': 1, 'task': 'x', **report}\n\n"
+        "def cmd(cfg):\n    report = {'units': 'nats', **cfg}\n"
+        "    return {'task': 'rate', 'rows': 1}\n\n"
+        "ERROR = {'error': {'kind': 'cap'}, 'schema': 1}\n"
+    )
+    assert _envelope_dicts(tree) == ["line 6", "line 8"]

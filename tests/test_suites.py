@@ -113,6 +113,15 @@ def test_sweeps_reject_max_atoms_below_two(sweep, max_atoms):
         sweep(trials=3, seed=0, max_atoms=max_atoms)
 
 
+@pytest.mark.parametrize("sweep", [sweep_identities, sweep_disintegration, sweep_exhaustion])
+def test_sweeps_reject_max_atoms_past_the_limit(sweep):
+    # checked before any draw: a trial of 10**8 atoms would take the host's memory
+    assert suites.MAX_ATOMS_LIMIT == 2**17
+    suites._require_arguments(1, suites.MAX_ATOMS_LIMIT, 0.0)
+    with pytest.raises(ValueError, match=r"^max_atoms must be at most 131072, got 131073$"):
+        sweep(trials=3, seed=0, max_atoms=suites.MAX_ATOMS_LIMIT + 1)
+
+
 def _identities_trial_by_trial(trials, seed, max_atoms):
     """``sweep_identities`` as one verifier call per trial, on the batch
     draw's instances split per trial."""

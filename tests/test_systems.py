@@ -209,6 +209,48 @@ def test_repeated_symbol_in_one_cell_rejected():
         SymbolPartition((0, 1), [[0, 0], [1]])
 
 
+# both partition kinds over the ids 0, 1, 2: (constructor, block noun, what the
+# blocks must cover, message for an unknown id)
+PARTITION_KINDS = {
+    "Partition": (
+        lambda groups: Partition(FiniteProbabilitySpace(range(3), [0.2, 0.3, 0.5]), groups),
+        "block", "space", "unknown atom",
+    ),
+    "SymbolPartition": (lambda groups: SymbolPartition((0, 1, 2), groups), "cell", "alphabet", "unknown symbol"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PARTITION_KINDS))
+@pytest.mark.parametrize(
+    "groups, message",
+    [
+        ([[0, 1, 2], []], "empty {part}"),
+        ([[0, 1], [1, 2]], "{part}s overlap"),
+        ([[0, 0, 1], [2]], "{part}s overlap"),
+        ([[0], [1]], "{part}s must cover the {whole}"),
+        ([[0], [1, 2], [7]], "{unknown}"),
+        # two faults: the one in the earlier group is reported
+        ([[1, 1], [], [0, 2]], "{part}s overlap"),
+        ([[], [1, 1], [0, 2]], "empty {part}"),
+        ([[0, 7], [0]], "{unknown}"),
+    ],
+    ids=["empty", "overlap", "repeated", "uncovered", "unknown", "overlap-then-empty",
+         "empty-then-overlap", "unknown-then-overlap"],
+)
+def test_both_partition_kinds_share_one_block_check(kind, groups, message):
+    build, part, whole, unknown = PARTITION_KINDS[kind]
+    with pytest.raises(ValueError) as caught:
+        build(groups)
+    assert caught.type is ValueError
+    assert str(caught.value) == message.format(part=part, whole=whole, unknown=unknown)
+
+
+def test_symbol_partition_of_an_empty_alphabet_has_no_cells():
+    empty = SymbolPartition((), [])
+    assert empty.n_cells == 0 and empty.cells == () and empty.cell_labels().shape == (0,)
+    assert empty == SymbolPartition((), []) and hash(empty) == hash(SymbolPartition((), []))
+
+
 def test_joins_and_factor_partitions_equal_the_checked_constructor():
     # both skip the constructor's checks; their cells must still be canonical
     rng = np.random.default_rng(8201)
