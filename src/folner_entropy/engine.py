@@ -41,11 +41,12 @@ from .spaces import (
     _canonical,
     _coarser,
     _join_codes,
+    _join_entropies,
     _join_rows,
     _offset_entropies,
     _require_same_space,
     _stacked_betas,
-    _stacked_entropies,
+    _stacked_pairs,
     conditional_entropy,
     entropy,
     is_coarser,
@@ -550,34 +551,39 @@ def _unit_elements(d: int) -> list:
 
 def _identity_entropies(masses, sizes, labels, bounds, images) -> list:
     """The conditional entropies the identity checks read, one list per
-    triple, for many triples in one ``_stacked_join``.
+    triple, for many triples in one ``_stacked_pairs`` pass.
 
     The triples' atoms lie back to back in ``masses``, ``sizes`` giving
     each triple's atom count; ``labels`` are the stacked label arrays of
     alpha, beta and gamma, with codes below ``bounds``, and ``images``
-    are index maps over the stack. The pairs are the joins (alpha, gamma),
+    are index maps over the stack. The pairs are (alpha, gamma),
     (beta, gamma), (alpha v beta, gamma), (alpha, beta v gamma),
     (beta v gamma, alpha), (beta, alpha) and (alpha, alpha v beta v gamma),
-    then (alpha, gamma) gathered through each image map. A join is a
-    mixed-radix code and an image a gather, so no partition is built; the
-    pairs are stacked pair after pair, each over every triple. An image
-    map passed twice (the same array) is stacked once and its value
+    then (alpha, gamma) gathered through each image map. A pair is read
+    as its join and its beta, and those are the partitions alpha, gamma,
+    alpha v beta, alpha v gamma, beta v gamma and alpha v beta v gamma,
+    then gamma and alpha v gamma gathered through each image map: each
+    is relabelled once, however many pairs read it (the triple join
+    serves five). A join is a mixed-radix code and an image a gather, so
+    no partition is built. The relabelling codes are segment-major
+    (``_stacked_betas``): partition by partition, triple by triple, so
+    its stable sort meets keys sorted but inside each triple. An image
+    map passed twice (the same array) is gathered once and its value
     repeated: a pair's value does not depend on the pairs beside it.
     """
     (a, b, c), (ka, kb, kc) = labels, bounds
     ab, k_ab = _join_codes([(a, ka), (b, kb)])
+    ac = _join_codes([(a, ka), (c, kc)])[0]
     bc = _join_codes([(b, kb), (c, kc)])[0]
     abc = _join_codes([(ab, k_ab), (c, kc)])[0]
-    pairs = [(a, c), (b, c), (ab, c), (a, bc), (bc, a), (b, a), (a, abc)]
     distinct = {id(m): m for m in images}  # each image map once, in order of first use
+    parts = [a, c, ab, ac, bc, abc, *(x[m] for m in distinct.values() for x in (c, ac))]
+    # (join, beta) part indices: a 0, c 1, ab 2, ac 3, bc 4, abc 5, then
+    # c and ac through each image map
+    pairs = [(3, 1), (4, 1), (5, 1), (5, 4), (5, 0), (2, 0), (5, 5)]
     slot = {key: len(pairs) + j for j, key in enumerate(distinct)}
-    pairs += [(a[m], c[m]) for m in distinct.values()]
-    values = _stacked_entropies(
-        np.tile(masses, len(pairs)),
-        np.concatenate([p for p, _ in pairs]),
-        np.concatenate([q for _, q in pairs]),
-        list(sizes) * len(pairs),
-    )
+    pairs += [(7 + 2 * j, 6 + 2 * j) for j in range(len(distinct))]
+    values = _join_entropies(*_stacked_pairs(masses, parts, sizes, pairs))
     rows = [*range(7), *(slot[id(m)] for m in images)]
     return np.array(values).reshape(len(pairs), len(sizes))[rows].T.tolist()
 
@@ -793,6 +799,10 @@ def _chain_entropies(masses, sizes, xi, cond, rows, bound, item_space, item_row)
     give every term's space and row, each chain's terms consecutive and
     in order. A term must refine the one before it up to zero-mass atoms,
     as ``is_coarser`` reads it; otherwise "chain not increasing" is raised.
+    The increase check relabels item-major codes, item * bound + term,
+    as ``_stacked_betas`` and ``_stacked_join`` relabel theirs: the items
+    lie back to back, so each stable sort meets keys that are sorted but
+    inside each item.
 
     Returns every term's value and whether its join with C separates the
     positive-mass atoms (no block of it holds two of them).
@@ -812,13 +822,13 @@ def _chain_entropies(masses, sizes, xi, cond, rows, bound, item_space, item_row)
     # the previous term of the same chain sits one item back, over the same atoms
     follows = np.concatenate([[False], item_space[1:] == item_space[:-1]])
     at = np.flatnonzero(follows[item] & positive)
-    fine, k = _canonical(_join_codes([(terms[at], bound), (item[at], n_items)])[0])[:2]
+    fine, k = _canonical(_join_codes([(item[at], n_items), (terms[at], bound)])[0])[:2]
     if not _coarser(terms[at - item_sizes[item[at]]], fine, k):
         raise ValueError("chain not increasing")
     cond, k_cond = cond
     codes = _join_codes([(terms, bound), (cond[atoms], k_cond)])[0]
     beta, mB, counts = _stacked_betas(masses, codes, item_sizes.tolist())
-    crowded = np.bincount(beta[positive], minlength=sum(counts)) > 1
+    crowded = np.bincount(beta[positive], minlength=mB.shape[0]) > 1
     separates = np.bincount(np.arange(n_items).repeat(counts)[crowded], minlength=n_items) == 0
     return _offset_entropies(masses, xi[atoms], beta, mB, counts), separates
 

@@ -46,6 +46,13 @@ def _integer(x, what: str = "coordinate") -> int:
     return int(x)
 
 
+def _require_seed(seed) -> None:
+    """A generator seed must be a nonnegative integer; numpy's own error for
+    a negative one names no argument."""
+    if isinstance(seed, (bool, np.bool_)) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+
+
 def _dimension(d) -> int:
     d = _integer(d, "dimension")
     if d < 1:
@@ -404,9 +411,9 @@ def verify_subadditive_hypotheses(
     ``phi`` raises ``ValueError`` naming the window (in exhaustive mode
     the first in mask order), and so do ``samples < 1``, ``samples *
     len(box)`` above ``SAMPLE_ELEMENT_LIMIT`` (2^21, about 200 MiB of
-    draws), both before any draw, and a non-finite ``tolerance`` (a NaN
-    one would pass every check). A negative tolerance flags slacks below
-    its absolute value.
+    draws), both before any draw, a non-finite ``tolerance`` (a NaN one
+    would pass every check) and a ``seed`` that is not a nonnegative
+    integer. A negative tolerance flags slacks below its absolute value.
     """
     points, n = box.rows, len(box)
     if n == 0:
@@ -417,6 +424,7 @@ def verify_subadditive_hypotheses(
         raise ValueError(f"samples * len(box) must be at most {SAMPLE_ELEMENT_LIMIT}, got {samples} * {n}")
     if not math.isfinite(tolerance):
         raise ValueError("tolerance must be a finite number")
+    _require_seed(seed)
     if exhaustive is None:
         exhaustive = n <= 8
     if exhaustive and n > EXHAUSTIVE_PAIR_LIMIT:

@@ -21,10 +21,17 @@ arrays stacked back to back, each pair's beta blocks numbered past
 those of the pairs before it. One partition's canonical labels are
 that layout as they are; raw integer codes, such as mixed-radix joins
 or gathered images, are relabelled into it once (``_stacked_betas``).
-The array entries (``_stacked_join``, ``_stacked_mass_functions``,
-``_stacked_reintegration`` and ``_require_probabilities``, the mass
-checks of ``FiniteProbabilitySpace`` over many spaces) serve the seeded
-sweeps, which build no space or partition, and the one-pair calls
+``_stacked_pairs`` relabels several partitions of the same spaces in
+one such pass and reads many (join, beta) pairs from them by label
+offsets, so a partition that several pairs read is relabelled once.
+Every relabelling code puts the segment (pair, space or beta block)
+first: the segments lie back to back, so the stable sort meets keys
+that are sorted but inside each segment.
+The array entries (``_stacked_join``, ``_stacked_pairs``,
+``_stacked_mass_functions``, ``_stacked_reintegration`` and
+``_require_probabilities``, the mass checks of
+``FiniteProbabilitySpace`` over many spaces) serve the seeded sweeps,
+which build no space or partition, and the one-pair calls
 (``conditional_entropy``, ``Disintegration.reconstruct`` and
 ``decomposition.conditional_mass_function``), which pass one pair's
 labels. The entropy operations implement the positive-mass
@@ -100,7 +107,7 @@ class FiniteProbabilitySpace:
     def index(self, atom: AtomId) -> int:
         try:
             return self._index[atom]
-        except KeyError:
+        except (KeyError, TypeError):  # an unhashable atom, such as a list, is unknown too
             raise ValueError("unknown atom") from None
 
     def mass(self, atom: AtomId) -> float:
@@ -167,16 +174,27 @@ def _first_codes(keys: Iterable) -> list:
 
 def _block_labels(blocks: Iterable[Iterable], index, n: int, part: str, whole: str) -> list:
     """The label list of ``blocks`` over ``n`` ids: entry i is the position
-    of the block holding the id that ``index`` maps to i. Each block in
+    of the block holding the id that ``index`` maps to i. ``blocks`` and
+    each block must be iterable and not a string, whose characters would
+    pass for members ("blocks must be a list of lists"). Each block in
     turn is checked for an unknown member (``index`` raises), for being
     empty, and for a repeated member or one an earlier block holds; then
     every id must be covered. ``part`` and ``whole`` name the blocks and
     the ids in the messages ("empty block", "blocks overlap", "blocks
     must cover the space")."""
+
+    def listed(group) -> list:
+        if not isinstance(group, (str, bytes)):
+            try:
+                return list(group)
+            except TypeError:
+                pass
+        raise ValueError(f"{part}s must be a list of lists")
+
     labels = [0] * n
     seen: set[int] = set()
-    for j, raw in enumerate(blocks):
-        idx = [index(a) for a in raw]
+    for j, raw in enumerate(listed(blocks)):
+        idx = [index(a) for a in listed(raw)]
         if not idx:
             raise ValueError(f"empty {part}")
         members = set(idx)
@@ -478,14 +496,18 @@ def _stacked_betas(masses: np.ndarray, beta: np.ndarray, sizes: Sequence[int]) -
     The codes may be any nonnegative int64 codes: two atoms of a pair
     share a block exactly when they share a code. One ``_canonical`` over
     the codes joined with the pair index numbers every pair's blocks in
-    order of first atom, past the blocks of the pairs before it.
+    order of first atom, past the blocks of the pairs before it. The
+    join code is segment-major, pair * (max code + 1) + beta: the pairs
+    lie back to back, so the codes are sorted but inside each pair, and
+    the stable argsort runs over them several times faster than over
+    value-major codes, with the same blocks.
     """
     n = len(sizes)
     pair = np.arange(n).repeat(sizes)
-    labels, k, sort = _canonical(_join_codes([(beta, int(beta.max()) + 1), (pair, n)])[0])
+    labels, k, sort = _canonical(_join_codes([(pair, n), (beta, int(beta.max()) + 1)])[0])
     owner = np.empty(k, dtype=np.int64)
     owner[labels] = pair
-    return labels, _block_sums(masses, k, sort), np.bincount(owner, minlength=n).tolist()
+    return labels, _block_sums(masses, k, sort), np.bincount(owner, minlength=n)
 
 
 def _stacked_join(masses, alpha, beta, mB, counts) -> tuple:
@@ -498,27 +520,59 @@ def _stacked_join(masses, alpha, beta, mB, counts) -> tuple:
     partition's labels come that way; raw codes go through
     ``_stacked_betas`` first. ``alpha`` may be any nonnegative int64
     codes. One ``_canonical`` relabels the join codes
-    alpha * sum(counts) + beta the same way, and the join's block masses
-    are read from its sort; ``_join_codes`` relabels first where that
-    product would overflow.
+    beta * (max alpha + 1) + alpha the same way, beta first so that each
+    pair's codes follow those of the pairs before it, and the join's
+    block masses are read from its sort; ``_join_codes`` relabels first
+    where that product would overflow.
 
     Returns the beta labels, the join labels, the block masses of the
     betas and of the joins, and ``counts``.
     """
-    joint, k_joint, sort = _canonical(_join_codes([(alpha, int(alpha.max()) + 1), (beta, sum(counts))])[0])
+    joint, k_joint, sort = _canonical(_join_codes([(beta, mB.shape[0]), (alpha, int(alpha.max()) + 1)])[0])
     return beta, joint, mB, _block_sums(masses, k_joint, sort), counts
+
+
+def _stacked_pairs(masses: np.ndarray, parts: Sequence[np.ndarray], sizes: Sequence[int], pairs) -> tuple:
+    """Many (join, beta) pairs of partitions relabelled in one pass, in the
+    layout ``_stacked_join`` returns.
+
+    ``parts`` are raw code arrays, each over all the spaces lying back to
+    back in ``masses`` (``sizes`` gives their atom counts). One
+    ``_stacked_betas`` relabels them all, every space of every part its
+    own segment, so a part serves every pair that reads it. ``pairs``
+    are (join, beta) indices into ``parts``, the join refining the beta
+    (as alpha v beta refines beta). They are stacked pair after pair,
+    each over every space, a pair's labels moved by one offset so that
+    its blocks follow those of the pairs before it. Inside a space the
+    blocks keep their order of first atom, so each pair gets the labels
+    and block masses ``_stacked_join`` gives it.
+
+    Returns the beta labels, the join labels, the block masses of the
+    betas and of the joins, and every beta's block count in each space.
+    """
+    n, m = masses.shape[0], len(parts)
+    labels, block_masses, counts = _stacked_betas(np.tile(masses, m), np.concatenate(parts), np.tile(sizes, m))
+    counts = counts.reshape(m, len(sizes))
+    first = np.append(0, counts.sum(axis=1).cumsum())
+    join, beta = np.array(pairs).T
+
+    def read(part):
+        # one side of every pair, ``part`` naming its part: a block keeps
+        # its place inside its part, moved past the blocks of earlier pairs
+        k = first[part + 1] - first[part]
+        shift = k.cumsum() - k - first[part]
+        pair_labels = labels[(part * n)[:, None] + np.arange(n)] + shift[:, None]
+        return pair_labels.ravel(), block_masses[np.arange(k.sum()) - shift.repeat(k)]
+
+    joint, mJ = read(join)
+    lb, mB = read(beta)
+    return lb, joint, mB, mJ, counts[beta].ravel()
 
 
 def _offset_entropies(masses, alpha, beta, mB, counts) -> list:
     """H(alpha | beta) of every pair of label arrays stacked as
     ``_stacked_join`` takes them."""
     return _join_entropies(*_stacked_join(masses, alpha, beta, mB, counts))
-
-
-def _stacked_entropies(masses: np.ndarray, alpha: np.ndarray, beta: np.ndarray, sizes: Sequence[int]) -> list:
-    """H(alpha | beta) of every pair of raw code arrays stacked back to
-    back, ``sizes`` giving each pair's atom count."""
-    return _offset_entropies(masses, alpha, *_stacked_betas(masses, beta, sizes))
 
 
 def _join_entropies(lb, joint, mB, mJ, counts) -> list:

@@ -46,7 +46,7 @@ from .engine import (
     _unit_elements,
     conditional_block_entropy,
 )
-from .groups import FolnerSubset
+from .groups import FolnerSubset, _require_seed
 from .spaces import (
     _join_codes,
     _require_probabilities,
@@ -68,9 +68,10 @@ from .systems import DEFAULT_PATTERN_CAP, _cycle_minima, _require_generator, _wa
 MAX_ATOMS_LIMIT = 1 << 17
 
 
-def _require_arguments(trials: int, max_atoms: int, *tolerances: float) -> None:
+def _require_arguments(trials: int, seed: int, max_atoms: int, *tolerances: float) -> None:
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    _require_seed(seed)
     if max_atoms < 2:
         raise ValueError("max_atoms must be at least 2")
     if max_atoms > MAX_ATOMS_LIMIT:
@@ -259,10 +260,10 @@ def sweep_identities(
     ``_identity_entropies`` pass, the one ``verify_entropy_identities``
     makes for a single triple, and the same check arithmetic over arrays. The report is the one a
     ``verify_entropy_identities`` call per trial gives. Both tolerances
-    must be finite and nonnegative, and ``max_atoms`` in
-    2..``MAX_ATOMS_LIMIT`` (2^17).
+    must be finite and nonnegative, ``seed`` a nonnegative integer, and
+    ``max_atoms`` in 2..``MAX_ATOMS_LIMIT`` (2^17).
     """
-    _require_arguments(trials, max_atoms, tolerance, equality_tolerance)
+    _require_arguments(trials, seed, max_atoms, tolerance, equality_tolerance)
     report = SweepReport(trials, seed)
     elements = _unit_elements(1)
     batches = _identity_batches(np.random.default_rng(seed), trials, max_atoms)
@@ -322,9 +323,10 @@ def sweep_disintegration(
     the direct masses are one segment sum over the picked atoms. The
     report is the one a ``reconstruct`` and a ``conditional_mass_function``
     call per trial give. ``tolerance`` must be finite and nonnegative,
-    and ``max_atoms`` in 2..``MAX_ATOMS_LIMIT`` (2^17).
+    ``seed`` a nonnegative integer, and ``max_atoms`` in
+    2..``MAX_ATOMS_LIMIT`` (2^17).
     """
-    _require_arguments(trials, max_atoms, tolerance)
+    _require_arguments(trials, seed, max_atoms, tolerance)
     report = SweepReport(trials, seed)
     batches = _disintegration_batches(np.random.default_rng(seed), trials, max_atoms)
     for sizes, masses, alpha, cond, pick in batches:
@@ -357,10 +359,10 @@ def sweep_exhaustion(
     check of its masses and one ``_chain_entropies`` pass, which checks
     that every chain increases. The report is the one a
     ``verify_chain_exhaustion`` call per trial gives. ``tolerance`` must
-    be finite and nonnegative, and ``max_atoms`` in 2..``MAX_ATOMS_LIMIT``
-    (2^17).
+    be finite and nonnegative, ``seed`` a nonnegative integer, and
+    ``max_atoms`` in 2..``MAX_ATOMS_LIMIT`` (2^17).
     """
-    _require_arguments(trials, max_atoms, tolerance)
+    _require_arguments(trials, seed, max_atoms, tolerance)
     report = SweepReport(trials, seed)
     batches = _exhaustion_batches(np.random.default_rng(seed), trials, max_atoms)
     for sizes, masses, depths, labels, bounds in batches:

@@ -199,7 +199,7 @@ class SymbolPartition:
         def index(symbol) -> int:
             try:
                 return pos[symbol]
-            except KeyError:
+            except (KeyError, TypeError):  # an unhashable symbol is unknown too
                 raise ValueError("unknown symbol") from None
 
         self._set(alphabet, _first_codes(_block_labels(cells, index, len(alphabet), "cell", "alphabet")))

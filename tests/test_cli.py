@@ -672,6 +672,19 @@ def test_verify_trials_must_be_positive_integers(tmp_path, suite, trials, flag):
     _assert_validation_error(r, tmp_path, '"trials" must be an integer >= 1')
 
 
+@pytest.mark.parametrize("suite", ["identities", "disintegration", "exhaustion", "subadditivity"])
+@pytest.mark.parametrize("flag", [False, True])
+def test_verify_negative_seed_is_a_validation_error(tmp_path, suite, flag):
+    # used to exit 2 with numpy's "expected non-negative integer"
+    cfg = {"schema": 1, "suite": suite, "trials": 3, "seed": 0 if flag else -1}
+    if suite == "subadditivity":
+        cfg.update(phi={"kind": "cardinality"}, box={"d": 1, "side": 4})
+    args = ["verify", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)]
+    r = run_cli(args + ["--seed", "-1"] if flag else args)
+    assert json.loads(r.stdout)["error"]["message"] == "seed must be a nonnegative integer, got -1"
+    _assert_validation_error(r, tmp_path, "seed must be a nonnegative integer")
+
+
 @pytest.mark.parametrize("suite", ["identities", "disintegration", "exhaustion"])
 def test_verify_max_atoms_below_two_is_a_validation_error(tmp_path, suite):
     # used to print numpy's "low >= high"
@@ -710,6 +723,31 @@ def test_entropy_unknown_symbol_is_a_validation_error(tmp_path):
     out = tmp_path / "out"
     r = run_cli(["entropy", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
     _assert_rejected(r, out, "unknown symbol")
+
+
+_BERNOULLI_ENTROPY = {"schema": 1, "system": {"kind": "bernoulli", "probs": [0.5, 0.5]}, "window": {"box": 2}}
+_SPACE_ENTROPY = {"schema": 1, "space": {"atoms": [0, 1, 2], "masses": [0.2, 0.3, 0.5]}}
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        ({**_SPACE_ENTROPY, "alpha": {"blocks": [[[0]], [1], [2]]}}, "unknown atom"),
+        ({**_BERNOULLI_ENTROPY, "partition": {"cells": [[[0]], [1]]}}, "unknown symbol"),
+        ({**_BERNOULLI_ENTROPY, "partition": {"cells": 5}}, "cells must be a list of lists"),
+        (
+            {"schema": 1, "space": {"atoms": ["0", "1"], "masses": [0.5, 0.5]}, "alpha": {"blocks": "01"}},
+            "blocks must be a list of lists",
+        ),
+    ],
+    ids=["unhashable-atom", "unhashable-symbol", "cells-not-a-list", "blocks-a-string"],
+)
+def test_entropy_malformed_groups_are_named_validation_errors(tmp_path, cfg, message):
+    # the first three used to exit 2 with Python's "unhashable type: 'list'"
+    # and "'int' object is not iterable"; the string was split into atoms
+    out = tmp_path / "out"
+    r = run_cli(["entropy", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    _assert_rejected(r, out, message)
 
 
 # -- windows ----------------------------------------------------------------------

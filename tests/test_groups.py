@@ -488,6 +488,15 @@ def test_samples_past_the_draw_bound_rejected(exhaustive):
         )
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+@pytest.mark.parametrize("exhaustive", [True, False])
+def test_seed_that_is_not_a_nonnegative_integer_rejected(seed, exhaustive):
+    # -1 used to raise numpy's "expected non-negative integer", naming no argument
+    with pytest.raises(ValueError, match=f"^seed must be a nonnegative integer, got {seed}$"):
+        verify_subadditive_hypotheses(phi_cardinality, FolnerSubset.box(1, 4), seed=seed, exhaustive=exhaustive)
+    assert verify_subadditive_hypotheses(phi_cardinality, FolnerSubset.box(1, 4), seed=np.int64(0)).ok
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("exhaustive", [True, False])
 def test_non_finite_tolerance_rejected(bad, exhaustive):

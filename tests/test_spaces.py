@@ -27,7 +27,16 @@ from folner_entropy import (
 )
 from folner_entropy._kernels import entropy_from_probs
 from folner_entropy import spaces as spaces_module
-from folner_entropy.spaces import _block_totals, _join_rows, _segment_sums, _stacked_entropies
+from folner_entropy.spaces import (
+    _block_totals,
+    _join_codes,
+    _join_entropies,
+    _join_rows,
+    _offset_entropies,
+    _segment_sums,
+    _stacked_betas,
+    _stacked_pairs,
+)
 
 LOG2 = 0.6931471805599453
 
@@ -516,6 +525,13 @@ def _batch_cases(seed, count):
     return pairs
 
 
+def _stacked_entropies(masses, alpha, beta, sizes):
+    """H(alpha | beta) of every pair of raw code arrays stacked back to
+    back (``sizes`` atoms each), as the disintegration and exhaustion
+    sweeps read them: the betas relabelled, then the joins."""
+    return _offset_entropies(masses, alpha, *_stacked_betas(masses, beta, sizes))
+
+
 def _stacked_pair_entropies(pairs):
     """``_stacked_entropies`` of partition pairs, their masses and labels
     back to back."""
@@ -540,6 +556,23 @@ def test_conditional_entropies_equal_one_pair_oracle(seed, count):
             got += _stacked_pair_entropies(pairs[start : start + size])
         start += size
     assert [repr(h) for h in got] == expected
+
+
+@pytest.mark.parametrize("seed, count", [(0, 1), (2, 40), (3, 400)])
+def test_stacked_pairs_read_every_pair_from_parts_relabelled_once(seed, count):
+    # beta, alpha v beta and alpha, each relabelled once, serve the pairs
+    # (alpha v beta, beta), (alpha v beta, alpha), (alpha, alpha) and the
+    # first again, as the identities sweep reads its triples
+    cases = _batch_cases(seed, count)
+    masses = np.concatenate([b.space.masses for _, b in cases])
+    alpha, beta = (np.concatenate([p.labels() for p in ps]) for ps in zip(*cases))
+    joint = _join_codes([(alpha, int(alpha.max()) + 1), (beta, int(beta.max()) + 1)])[0]
+    sizes = [len(b.space) for _, b in cases]
+    got = _join_entropies(*_stacked_pairs(masses, [beta, joint, alpha], sizes, [(1, 0), (1, 2), (2, 2), (1, 0)]))
+    a_b = [repr(_one_pair_conditional_entropy(a, b)) for a, b in cases]
+    b_a = [repr(_one_pair_conditional_entropy(b, a)) for a, b in cases]
+    a_a = [repr(_one_pair_conditional_entropy(a, a)) for a, _ in cases]
+    assert [repr(h) for h in got] == a_b + b_a + a_a + a_b
 
 
 @pytest.mark.parametrize("high_bit", [False, True])

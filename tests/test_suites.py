@@ -15,6 +15,7 @@ from folner_entropy import (
     PropertyStats,
     conditional_mass_function,
     disintegrate,
+    engine,
     join,
     spaces,
     suites,
@@ -106,6 +107,14 @@ def test_sweeps_reject_trials_below_one(sweep, trials):
 
 
 @pytest.mark.parametrize("sweep", [sweep_identities, sweep_disintegration, sweep_exhaustion])
+@pytest.mark.parametrize("seed", [-1, 2.5, True])
+def test_sweeps_reject_a_seed_that_is_not_a_nonnegative_integer(sweep, seed):
+    # -1 used to leak numpy's "expected non-negative integer" from the generator
+    with pytest.raises(ValueError, match=f"^seed must be a nonnegative integer, got {seed}$"):
+        sweep(trials=3, seed=seed)
+
+
+@pytest.mark.parametrize("sweep", [sweep_identities, sweep_disintegration, sweep_exhaustion])
 @pytest.mark.parametrize("max_atoms", [1, 0, -4])
 def test_sweeps_reject_max_atoms_below_two(sweep, max_atoms):
     # used to leak numpy's "low >= high" from the first draw
@@ -117,7 +126,7 @@ def test_sweeps_reject_max_atoms_below_two(sweep, max_atoms):
 def test_sweeps_reject_max_atoms_past_the_limit(sweep):
     # checked before any draw: a trial of 10**8 atoms would take the host's memory
     assert suites.MAX_ATOMS_LIMIT == 2**17
-    suites._require_arguments(1, suites.MAX_ATOMS_LIMIT, 0.0)
+    suites._require_arguments(1, 0, suites.MAX_ATOMS_LIMIT, 0.0)
     with pytest.raises(ValueError, match=r"^max_atoms must be at most 131072, got 131073$"):
         sweep(trials=3, seed=0, max_atoms=suites.MAX_ATOMS_LIMIT + 1)
 
@@ -243,9 +252,10 @@ def test_sweeps_accept_zero_tolerance():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_sweeps_make_one_array_pass_per_batch(monkeypatch, seed):
     # every conditional-entropy join (the entropies and the mass functions,
-    # which also serve the re-integration) is one _stacked_join call;
-    # per-trial calls made 1000 and 200. No sweep builds a space or a
-    # partition: per-trial draws made one space and 2-12 partitions a trial
+    # which also serve the re-integration) is one _stacked_join call, and
+    # the identities' one _stacked_pairs pass; per-trial calls made 1000 and
+    # 200. No sweep builds a space or a partition: per-trial draws made one
+    # space and 2-12 partitions a trial
     calls = {"join": 0, "reintegrate": 0, "assign": 0, "space": 0}
 
     def counting(name, fn):
@@ -258,6 +268,7 @@ def test_sweeps_make_one_array_pass_per_batch(monkeypatch, seed):
         return calls["assign"] == calls["space"] == 0
 
     monkeypatch.setattr(spaces, "_stacked_join", counting("join", spaces._stacked_join))
+    monkeypatch.setattr(engine, "_stacked_pairs", counting("join", engine._stacked_pairs))
     monkeypatch.setattr(
         suites, "_stacked_reintegration", counting("reintegrate", suites._stacked_reintegration)
     )
@@ -278,6 +289,31 @@ def test_sweeps_make_one_array_pass_per_batch(monkeypatch, seed):
     sweep_identities(500, seed)
     assert 1 <= calls["join"] <= 500 * 100 // suites._BATCH_ATOMS + 1
     assert built_nothing()
+
+
+@pytest.mark.parametrize("max_atoms", [10, 200])
+def test_identities_batch_relabels_each_distinct_partition_once(monkeypatch, max_atoms):
+    # a batch of N atoms relabels its 10 distinct partitions (alpha, gamma,
+    # the four joins, and gamma and alpha v gamma under both image maps) in
+    # one pass over 10 N atoms; relabelling the 9 pairs' betas and then
+    # their joins took 18 N
+    batches, relabelled = [], []
+    draw, canonical = suites._identity_batches, spaces._canonical
+
+    def drawn(*args):
+        for batch in draw(*args):
+            batches.append(int(batch[0].sum()))
+            yield batch
+
+    def counted(codes):
+        relabelled.append(codes.shape[0])
+        return canonical(codes)
+
+    monkeypatch.setattr(suites, "_identity_batches", drawn)
+    monkeypatch.setattr(spaces, "_canonical", counted)
+    sweep_identities(500, 3, max_atoms)
+    assert len(batches) > 1
+    assert relabelled == [10 * n for n in batches]
 
 
 class _CountingGenerator:

@@ -233,9 +233,17 @@ PARTITION_KINDS = {
         ([[1, 1], [], [0, 2]], "{part}s overlap"),
         ([[], [1, 1], [0, 2]], "empty {part}"),
         ([[0, 7], [0]], "{unknown}"),
+        # an unhashable member is unknown; a group that is a string or not
+        # iterable at all is no list of lists
+        ([[[0]], [1], [2]], "{unknown}"),
+        (5, "{part}s must be a list of lists"),
+        ("012", "{part}s must be a list of lists"),
+        ([[0, 1], 2], "{part}s must be a list of lists"),
+        ([[0, 1], "2"], "{part}s must be a list of lists"),
     ],
     ids=["empty", "overlap", "repeated", "uncovered", "unknown", "overlap-then-empty",
-         "empty-then-overlap", "unknown-then-overlap"],
+         "empty-then-overlap", "unknown-then-overlap", "unhashable", "not-iterable", "string",
+         "member-not-iterable", "string-member"],
 )
 def test_both_partition_kinds_share_one_block_check(kind, groups, message):
     build, part, whole, unknown = PARTITION_KINDS[kind]
