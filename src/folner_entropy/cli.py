@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from ._kernels import _MAX_SAFE_PATTERNS
-from .decomposition import decompose_entropy, fixed_partition_witness
+from .decomposition import decompose_entropy
 from .engine import (
     RateTrace,
     conditional_block_entropy,
@@ -73,10 +73,7 @@ from .systems import (
     DEFAULT_PATTERN_CAP,
     EnumerationCapError,
     FinitePMPAction,
-    MixtureSystem,
-    ShiftSystem,
     SubAlgebraSpec,
-    SymbolPartition,
     bernoulli_shift,
     markov_shift,
     mixture,
@@ -155,6 +152,18 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _object(value, name: str) -> dict:
+    """``value``, read at ``name``, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be an object, got {value!r}")
+    return value
+
+
+def _field(name: str, obj, key: str):
+    """``obj[key]``, ``obj`` being the object read at ``name``."""
+    return _require(_object(obj, name), key)
+
+
 def _positive_int(cfg: dict, key: str, default: int, override: Optional[int] = None) -> int:
     """An integer >= 1 from the command line or the config; only an
     absent value takes the default."""
@@ -170,8 +179,8 @@ def _build_space(obj: dict) -> FiniteProbabilitySpace:
     return FiniteProbabilitySpace(atoms, masses)
 
 
-def _build_system(obj: dict):
-    kind = _require(obj, "kind")
+def _build_system(obj, name: str = '"system"'):
+    kind = _field(name, obj, "kind")
     if kind == "bernoulli":
         return bernoulli_shift(
             _require(obj, "probs"), _integer(obj.get("d", 1), '"d"'), obj.get("alphabet")
@@ -186,57 +195,28 @@ def _build_system(obj: dict):
         space = _build_space(obj)
         return FinitePMPAction(space, _require(obj, "generators"))
     if kind == "mixture":
-        comps = [_build_system(c) for c in _require(obj, "components")]
+        comps = [_build_system(c, '"components" entry') for c in _require(obj, "components")]
         return mixture(comps, _require(obj, "weights"))
     raise ConfigError(f"unknown system kind: {kind!r}")
 
 
-def _build_partition(system, obj):
-    """Partition spec: {"blocks": ...} on a finite space, {"cells": ...}
-    on a shift alphabet, a list of per-component specs for mixtures,
-    or null for the system's default."""
-    if obj is None:
-        return None
-    if isinstance(system, MixtureSystem):
-        if isinstance(obj, list):
-            if len(obj) != len(system.components):
-                raise ConfigError("one partition per component required")
-            return [
-                _build_partition(comp, sub)
-                for comp, sub in zip(system.components, obj)
-            ]
-        return _build_partition(system.components[0], obj)
-    if isinstance(system, FinitePMPAction):
-        return Partition(system.space, _require(obj, "blocks"))
-    if isinstance(system, ShiftSystem):
-        return SymbolPartition(system.alphabet, _require(obj, "cells"))
-    raise ConfigError("unsupported system kind")
-
-
-def _shift_alphabet(system):
-    if isinstance(system, ShiftSystem):
-        return system.alphabet
-    if isinstance(system, MixtureSystem):
-        return system.shared_alphabet()
-    raise ConfigError("symbol factors need a shift system")
+def _build_partition(system, obj, name: str):
+    """The partition spec read at ``name``, as the system's kind reads it
+    (``_read_partition``), or None, the system's default, for null."""
+    return None if obj is None else system._read_partition(obj, partial(_field, name))
 
 
 def _build_conditioning(system, obj) -> Optional[SubAlgebraSpec]:
     if obj is None:
         return None
-    kind = _require(obj, "kind")
+    kind = _field('"conditioning"', obj, "kind")
     if kind == "trivial":
         return SubAlgebraSpec.trivial()
     if kind == "invariant_partition":
-        if not isinstance(system, FinitePMPAction):
-            raise ConfigError("invariant partitions condition finite systems")
-        C = Partition(system.space, _require(obj, "blocks"))
-        if fixed_partition_witness(system, C) is not None:
-            raise ConfigError("conditioning partition is not fixed")
-        return SubAlgebraSpec.invariant_partition(C)
+        return SubAlgebraSpec.invariant_partition(system._read_invariant(obj, _require))
     if kind == "symbol_factor":
         labels = _require(obj, "labels")
-        alphabet = _shift_alphabet(system)
+        alphabet = system._factor_alphabet()
         if len(labels) != len(alphabet):
             raise ConfigError("labels must align with the alphabet")
         return SubAlgebraSpec.symbol_factor(
@@ -252,18 +232,18 @@ def _read_system(cfg: dict, window: bool = False) -> tuple:
     right after the system."""
     system = _build_system(_require(cfg, "system"))
     read = [system, _build_window(_require(cfg, "window"), system.d)] if window else [system]
-    alpha = _build_partition(system, cfg.get("partition"))
+    alpha = _build_partition(system, cfg.get("partition"), '"partition"')
     return (*read, alpha, _build_conditioning(system, cfg.get("conditioning")))
 
 
-def _build_schedule(obj: dict, d: int) -> tuple:
-    sides = tuple(_integer(s, '"sides" entry') for s in _require(obj, "sides"))
+def _build_schedule(obj, d: int) -> tuple:
+    sides = tuple(_integer(s, '"sides" entry') for s in _field('"schedule"', obj, "sides"))
     n_max = obj.get("n_max")
     return FolnerSequence(d, sides), (None if n_max is None else _integer(n_max, '"n_max"'))
 
 
-def _build_window(obj: dict, d: int) -> FolnerSubset:
-    if "box" in obj:
+def _build_window(obj, d: int) -> FolnerSubset:
+    if "box" in _object(obj, '"window"'):
         return FolnerSubset.box(d, _integer(obj["box"], '"box"'))
     if "elements" in obj:
         elems = [[_integer(x, '"elements" coordinate') for x in e] for e in obj["elements"]]
@@ -344,14 +324,14 @@ def cmd_entropy(cfg: dict, args) -> int:
     units = "bits" if bits else "nats"
     suffix = "_bits" if bits else "_nats"
     if "space" in cfg:
-        space = _build_space(cfg["space"])
-        alpha = Partition(space, _require(_require(cfg, "alpha"), "blocks"))
+        space = _build_space(_object(cfg["space"], '"space"'))
+        alpha = Partition(space, _field('"alpha"', _require(cfg, "alpha"), "blocks"))
         report = {
             "units": units,
             "entropy" + suffix: _scaled(entropy(alpha), bits),
         }
         if cfg.get("beta") is not None:
-            beta = Partition(space, _require(cfg["beta"], "blocks"))
+            beta = Partition(space, _field('"beta"', cfg["beta"], "blocks"))
             report["conditional_entropy" + suffix] = _scaled(
                 conditional_entropy(alpha, beta), bits
             )
@@ -428,7 +408,7 @@ def _verify_sweep(
 
 def _verify_subadditivity(cfg: dict, args, seed: int) -> tuple:
     tol = args.tol if args.tol is not None else 1e-9
-    phi_cfg = _require(cfg, "phi")
+    phi_cfg = _object(_require(cfg, "phi"), '"phi"')
     phi_kind = _require(phi_cfg, "kind")
     if phi_kind == "cardinality":
         phi = phi_cardinality
@@ -441,7 +421,7 @@ def _verify_subadditivity(cfg: dict, args, seed: int) -> tuple:
     exhaustive = cfg.get("exhaustive")
     if "exhaustive" in cfg and not isinstance(exhaustive, bool):
         raise ConfigError(f'"exhaustive" must be true or false, got {exhaustive!r}')
-    box_cfg = _require(cfg, "box")
+    box_cfg = _object(_require(cfg, "box"), '"box"')
     box = FolnerSubset.box(
         _integer(box_cfg.get("d", 1), '"d"'), _integer(_require(box_cfg, "side"), '"side"')
     )
@@ -472,8 +452,8 @@ def _verify_subadditivity(cfg: dict, args, seed: int) -> tuple:
 def _verify_rates(cfg: dict, args, seed: int) -> tuple:
     tol = args.tol if args.tol is not None else 1e-6
     system = _build_system(_require(cfg, "system"))
-    alpha = _build_partition(system, _require(cfg, "alpha"))
-    beta = _build_partition(system, _require(cfg, "beta"))
+    alpha = _build_partition(system, _require(cfg, "alpha"), '"alpha"')
+    beta = _build_partition(system, _require(cfg, "beta"), '"beta"')
     C = _build_conditioning(system, cfg.get("conditioning"))
     seq, n_max = _build_schedule(_require(cfg, "schedule"), system.d)
     result = verify_rate_inequalities(system, alpha, beta, C, seq, n_max, tol, cap=args.cap)
@@ -513,21 +493,10 @@ def cmd_decompose(cfg: dict, args) -> int:
     seq, n_max = _build_schedule(_require(cfg, "schedule"), system.d)
     tol = args.tol if args.tol is not None else 1e-3
     beta_cfg = cfg.get("beta")
-    beta = None
-    if beta_cfg is not None:
-        if isinstance(system, FinitePMPAction):
-            beta = Partition(system.space, _require(beta_cfg, "blocks"))
-            witness = fixed_partition_witness(system, beta)
-            if witness is not None:
-                report = {
-                    "paper_property": "thm31_decomp",
-                    "fixed_partition": False,
-                    "witness": witness,
-                    "ok": False,
-                }
-                return _finish(report, args.out, "decompose", EXIT_VIOLATION)
-        else:
-            beta = _require(beta_cfg, "groups")
+    beta, witness = (None, None) if beta_cfg is None else system._read_beta(beta_cfg, partial(_field, '"beta"'))
+    if witness is not None:
+        report = {"paper_property": "thm31_decomp", "fixed_partition": False, "witness": witness, "ok": False}
+        return _finish(report, args.out, "decompose", EXIT_VIOLATION)
     result = decompose_entropy(system, beta, alpha, C, seq, n_max, tol, args.cap)
     bits = args.bits
     ok = (not result.lhs_report.converged) or result.gap <= tol

@@ -1,27 +1,12 @@
-"""Conditional block entropies, rate traces along box schedules, and verifiers.
+"""Rate traces along box schedules, and the identity and inequality verifiers.
 
-Every window entropy has exactly one route, fixed by the system and the
-conditioning. Finite actions use exact partition algebra. Bernoulli
-shifts are closed-form at every window size from one-site cell masses,
-k * H(cells) or k * (H(cells v phi) - H(phi)) under a symbol factor phi,
-and so are mixtures under trivial conditioning (tagged supports are
-disjoint, so H = H(weights) + sum_i w_i H_i). No Markov route
-enumerates symbol words: full-symbol windows take the chain-rule closed
-form H(pi) + sum_j H(X_{t_{j+1}} | X_{t_j}), coarse cells go through
-``window_partition``'s forward recursion over cell patterns, and a
-symbol factor on a Markov shift or a mixture of shifts goes through
-``symbol_factor_entropy`` (a single shift is one component of weight
-1), which combines both. The cap still counts the m^|W| symbol patterns
-of each such window and raises ``EnumerationCapError`` above it, before
-any work. A symbol factor is read on a finite conditioning window W
-containing F; for product measures only the factor at F's own sites
-binds, so every such W gives the exact value; for Markov measures it is
-a monotone upper approximation that tightens as W grows.
-
-A rate trace walks a copy of the system (``systems._walking``) whose
-shifts each hold one chain record (``_kernels._Chain``), so a d = 1
-Markov trace over sides 1..N costs N chain steps, not N(N+1)/2; each
-row equals by ``repr`` its window's value on its own.
+Every row's window entropy is ``conditional_block_entropy``, defined in
+``systems`` beside the per-kind routes it dispatches to. A rate trace
+walks a copy of the system (its ``_walking``) whose shifts each hold one
+chain record (``_kernels._Chain``), so a d = 1 Markov trace over sides
+1..N costs N chain steps, not N(N+1)/2; each row equals by ``repr`` its
+window's value on its own. A rate known without a trace
+(``_exact_rate``) is reported in place of the running infimum.
 """
 
 from __future__ import annotations
@@ -32,23 +17,18 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._kernels import entropy_from_probs, markov_mask_entropies, markov_window_entropy
 from .groups import FolnerSequence, FolnerSubset, basis, identity as group_identity, neg
 from .spaces import (
     FiniteProbabilitySpace,
     Partition,
-    _CODE_LIMIT,
     _canonical,
     _coarser,
     _join_codes,
     _join_entropies,
-    _join_rows,
     _offset_entropies,
     _require_same_space,
     _stacked_betas,
     _stacked_pairs,
-    conditional_entropy,
-    entropy,
     is_coarser,
     join,
 )
@@ -56,259 +36,12 @@ from .systems import (
     DEFAULT_PATTERN_CAP,
     EnumerationCapError,
     FinitePMPAction,
-    IncompatibleSubAlgebraError,
-    MixtureSystem,
-    ShiftSystem,
-    SubAlgebraSpec,
     SymbolPartition,
-    _cell_masses,
-    _chain_of,
-    _guard_patterns,
-    _mixture_alphas,
-    _walking,
-    resolve_cells,
-    symbol_factor_entropy,
-    window_partition,
+    _require_system,
+    conditional_block_entropy,
 )
 
 DEFAULT_CONVERGENCE_TOL = 1e-3
-
-
-def _as_subalgebra(C) -> SubAlgebraSpec:
-    if C is None:
-        return SubAlgebraSpec.trivial()
-    if isinstance(C, SubAlgebraSpec):
-        return C
-    raise TypeError("conditioning must be a SubAlgebraSpec or None")
-
-
-def _is_finite_system(system) -> bool:
-    if isinstance(system, FinitePMPAction):
-        return True
-    return isinstance(system, MixtureSystem) and all(
-        isinstance(c, FinitePMPAction) for c in system.components
-    )
-
-
-# ---------------------------------------------------------------------------
-# conditional block entropy
-# ---------------------------------------------------------------------------
-
-
-def _finite_window_join(system: FinitePMPAction, alpha: Partition, F: FolnerSubset) -> Partition:
-    """alpha^F, the join of alpha pulled back through T_g for every g of F.
-
-    F's rows fall into maximal runs along the last axis. The join over
-    a run g + [0, L) e_d is the join over [0, L) e_d pulled back through
-    T_g, so it is built once per run length (``_run_join``) and then
-    gathered once per run. The generators commute, so after a length's
-    first run each run is the previous one gathered through the step
-    between their starts. Step maps are kept for reuse, at most d of
-    them, so a box (all runs of one length, d - 1 distinct steps) powers
-    each step once; a unit step's map is the stored generator itself.
-    """
-    _require_same_space(system.space, alpha.space)
-    if F.d != system.d:
-        raise ValueError("dimension mismatch")
-    if len(F) == 0:
-        return Partition.trivial(system.space)
-
-    def rows():
-        labels, k = alpha.labels(), alpha.n_blocks
-        unit = system.atom_map(basis(system.d)[-1])
-        steps = {}
-        for length, starts in _runs(F.rows).items():
-            row, bound = _run_join(labels, k, unit, length)
-            if any(starts[0]):
-                row = row[system.atom_map(starts[0])]
-            yield row, bound
-            for prev, g in zip(starts, starts[1:]):
-                s = tuple(b - a for a, b in zip(prev, g))
-                step = steps.get(s)
-                if step is None:
-                    step = system.atom_map(s)
-                    if len(steps) < system.d:
-                        steps[s] = step
-                row = row[step]
-                yield row, bound
-
-    return _join_rows(system.space, rows())
-
-
-def _runs(rows: np.ndarray) -> dict:
-    """Lexicographic window rows as maximal runs along the last axis:
-    {run length: [first row of each run of that length, in row order]}."""
-    n = rows.shape[0]
-    first, last = rows[0].tolist(), rows[-1].tolist()
-    # rows are unique and sorted, so equal leading coordinates and a span
-    # of n - 1 along the last axis make them one run
-    if first[:-1] == last[:-1] and last[-1] - first[-1] == n - 1:
-        return {n: [first]}
-    breaks = (np.diff(rows[:, -1]) != 1) | (rows[1:, :-1] != rows[:-1, :-1]).any(axis=1)
-    cuts = [0, *(np.flatnonzero(breaks) + 1).tolist(), n]
-    runs = {}
-    for g, a, b in zip(rows[cuts[:-1]].tolist(), cuts, cuts[1:]):
-        runs.setdefault(b - a, []).append(g)
-    return runs
-
-
-def _run_join(labels: np.ndarray, k: int, step: np.ndarray, length: int) -> tuple:
-    """(codes, bound) of the join of the ``k``-block labels pulled back
-    through T^t, t in [0, length), ``step`` being T as an index array.
-
-    By doubling: with B_a the join over [0, a) and ``step`` = T^a, B_2a
-    is B_a joined with B_a gathered through T^a, and T^2a is T^a
-    gathered through itself. The set bits of ``length`` are taken from
-    the lowest up: the join over [0, a + s) is B_a joined with the join
-    over [0, s) gathered through T^a. So a run costs O(log length)
-    gathers and joins; codes are relabelled only where a bound would
-    pass ``_CODE_LIMIT``.
-    """
-    out = None
-    while True:
-        if length & 1 and out is None:
-            out, bound = labels, k
-        elif length & 1:
-            out = out[step]  # the old join is dropped before the new one is built
-            out, bound = _join_codes([(out, bound), (labels, k)])
-        length >>= 1
-        if not length:
-            return out, bound
-        if k * k > _CODE_LIMIT:
-            labels, k = _canonical(labels)[:2]
-        labels, k = _join_codes([(labels, k), (labels[step], k)])
-        step = step[step]
-
-
-def _finite_block_entropy(system: FinitePMPAction, alpha, F, C: SubAlgebraSpec) -> float:
-    if alpha is None:
-        alpha = Partition.points(system.space)
-    if not isinstance(alpha, Partition):
-        raise TypeError("finite systems need a space partition")
-    alpha_F = _finite_window_join(system, alpha, F)
-    if C.kind == "trivial":
-        return entropy(alpha_F)
-    if C.kind == "invariant_partition":
-        _require_same_space(C.partition.space, system.space)
-        return conditional_entropy(alpha_F, C.partition)
-    raise IncompatibleSubAlgebraError("incompatible sub-algebra")
-
-
-def _resolve_window(F: FolnerSubset, conditioning_window: Optional[FolnerSubset]) -> FolnerSubset:
-    if conditioning_window is None:
-        return F
-    if conditioning_window.d != F.d:
-        raise ValueError("dimension mismatch")
-    if not F.issubset(conditioning_window):
-        raise ValueError("conditioning window must contain the window")
-    return conditioning_window
-
-
-def _shift_block_entropy(
-    system: ShiftSystem,
-    alpha,
-    F: FolnerSubset,
-    C: SubAlgebraSpec,
-    conditioning_window: Optional[FolnerSubset],
-    cap: int,
-) -> float:
-    if F.d != system.d:
-        raise ValueError("dimension mismatch")
-    cells = resolve_cells(system, alpha)
-    k = len(F)
-    if C.kind == "trivial":
-        if system.kind == "bernoulli":
-            # product measure: patterns factor over sites exactly
-            return k * entropy_from_probs(_cell_masses(system, cells))
-        if cells.n_cells == system.n_symbols:
-            _guard_patterns(system.n_symbols, k, cap)
-            return markov_window_entropy(_chain_of(system), F.rows[:, 0])
-        return entropy_from_probs(window_partition(system, F, cells, cap))
-    if C.kind == "symbol_factor":
-        phi = C.factor_partition(system.alphabet)
-        W = _resolve_window(F, conditioning_window)
-        if system.kind == "bernoulli":
-            # sites are independent, so only the factor at F's own sites binds
-            joint, marginal = _cell_masses(system, cells.join(phi)), _cell_masses(system, phi)
-            return k * (entropy_from_probs(joint) - entropy_from_probs(marginal))
-        return symbol_factor_entropy((system,), (1.0,), (cells,), F, phi, W, cap)
-    raise IncompatibleSubAlgebraError("incompatible sub-algebra")
-
-
-def _mask_block_entropies(system, alpha, box: FolnerSubset, C, cap: int) -> Optional[np.ndarray]:
-    """H(alpha^E | C) on every subset E of ``box`` in mask order (bit i
-    picks row i of ``box``), from one ``markov_mask_entropies`` walk, where
-    ``_shift_block_entropy`` sends each such window to
-    ``markov_window_entropy``: a Markov shift, full-symbol cells and
-    trivial C. None elsewhere. The cap counts the patterns of the whole
-    box, so it raises as the per-window value of the box would.
-    """
-    C = _as_subalgebra(C)
-    if not isinstance(system, ShiftSystem) or system.kind != "markov" or C.kind != "trivial":
-        return None
-    if box.d != system.d or resolve_cells(system, alpha).n_cells != system.n_symbols:
-        return None
-    _guard_patterns(system.n_symbols, len(box), cap)
-    return markov_mask_entropies(_chain_of(system), box.rows[:, 0])
-
-
-def _mixture_block_entropy(
-    system: MixtureSystem,
-    alpha,
-    F: FolnerSubset,
-    C: SubAlgebraSpec,
-    conditioning_window: Optional[FolnerSubset],
-    cap: int,
-) -> float:
-    alphas = _mixture_alphas(system, alpha)
-    if C.kind == "trivial":
-        # tagged supports are disjoint: H = H(weights) + sum w_i H_i exactly
-        total = entropy_from_probs(system.weights)
-        for comp, a, w in zip(system.components, alphas, system.weights):
-            total += float(w) * conditional_block_entropy(comp, a, F, None, None, cap)
-        return total
-    if C.kind == "symbol_factor":
-        if F.d != system.d:
-            raise ValueError("dimension mismatch")
-        phi = C.factor_partition(system.shared_alphabet())
-        W = _resolve_window(F, conditioning_window)
-        return symbol_factor_entropy(system.components, system.weights, alphas, F, phi, W, cap)
-    raise IncompatibleSubAlgebraError("incompatible sub-algebra")
-
-
-def conditional_block_entropy(
-    system,
-    alpha,
-    F: FolnerSubset,
-    C=None,
-    conditioning_window: Optional[FolnerSubset] = None,
-    cap: int = DEFAULT_PATTERN_CAP,
-) -> float:
-    """H(alpha^F | C) in nats: entropy of the window partition given C.
-
-    ``alpha^F`` joins the pulled-back copies of ``alpha`` across the
-    window ``F``. Finite systems evaluate it by exact partition algebra.
-    Bernoulli shifts and trivially conditioned mixtures use exact
-    product and tagged-split closed forms at every window size. Markov
-    windows with full-symbol cells take the chain-rule closed form,
-    coarse cells go through ``window_partition``, and a symbol factor on
-    a Markov shift or a mixture of shifts goes through
-    ``symbol_factor_entropy``. These three routes enumerate no symbol
-    words, but they still count the m^|W| symbol patterns against the
-    cap and raise ``EnumerationCapError`` above it.
-    ``conditioning_window`` (default F) is where a symbol factor is
-    read; enlarging it never increases the result.
-    """
-    C = _as_subalgebra(C)
-    if isinstance(system, FinitePMPAction):
-        if conditioning_window is not None:
-            raise ValueError("conditioning windows apply to shift systems")
-        return _finite_block_entropy(system, alpha, F, C)
-    if isinstance(system, ShiftSystem):
-        return _shift_block_entropy(system, alpha, F, C, conditioning_window, cap)
-    if isinstance(system, MixtureSystem):
-        return _mixture_block_entropy(system, alpha, F, C, conditioning_window, cap)
-    raise TypeError("unsupported system kind")
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +124,8 @@ def entropy_rate(
     to h(T | C), the supremum over all finite partitions. ``converged``
     is not a certificate that ``estimate`` lies within ``tol`` of it.
 
-    The rows evaluate one walking copy of ``system``
-    (``systems._walking``), dropped when the call returns or raises:
+    The rows evaluate one walking copy of ``system`` (its
+    ``_walking``), dropped when the call returns or raises:
     one ``_kernels._Chain`` record per shift, and none on ``system``.
     """
     if sequence is None:
@@ -404,7 +137,7 @@ def entropy_rate(
     best = math.inf
     truncated = False
     # each row resumes the forward walks of the row before (``_kernels._Chain``)
-    walking = _walking(system)
+    walking = _require_system(system)._walking()
     for n in range(1, n_max + 1):
         F = sequence.subset(n)
         try:
@@ -424,15 +157,15 @@ def entropy_rate(
         and last_gap < tol
         and abs(entries[-2].rate - best) < tol
     )
-    finite = _is_finite_system(system)
+    exact = system._exact_rate()
     report = ConvergenceReport(
-        estimate=0.0 if finite else best,
+        estimate=best if exact is None else exact,
         inf_value=best,
         last_gap=last_gap,
-        converged=finite or converged,
+        converged=exact is not None or converged,
         n_used=len(entries),
         truncated=truncated,
-        method="bounded-numerator" if finite else "running-inf",
+        method="running-inf" if exact is None else "bounded-numerator",
         tol=tol,
     )
     return trace, report

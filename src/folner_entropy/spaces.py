@@ -84,7 +84,11 @@ class FiniteProbabilitySpace:
             raise ValueError("atom ids and masses must align")
         if len(atom_ids) == 0:
             raise ValueError("empty space")
-        if len(set(atom_ids)) != len(atom_ids):
+        try:
+            distinct = len(set(atom_ids))
+        except TypeError:  # such as a list
+            raise TypeError("atom ids must be hashable") from None
+        if distinct != len(atom_ids):
             raise ValueError("duplicate atom ids")
         self.masses = _probabilities(arr)
         self.atom_ids = atom_ids

@@ -41,7 +41,6 @@ from .engine import (
     _chain_min_steps,
     _identity_entropies,
     _identity_slacks,
-    _mask_block_entropies,
     _require_tolerances,
     _unit_elements,
     conditional_block_entropy,
@@ -55,7 +54,7 @@ from .spaces import (
     _stacked_mass_functions,
     _stacked_reintegration,
 )
-from .systems import DEFAULT_PATTERN_CAP, _cycle_minima, _require_generator, _walking
+from .systems import DEFAULT_PATTERN_CAP, _as_subalgebra, _cycle_minima, _require_generator, _require_system
 
 # ---------------------------------------------------------------------------
 # batch draws
@@ -412,26 +411,26 @@ def window_entropy_phi(
 ) -> Callable[[FolnerSubset], float]:
     """phi(F) = H(alpha^F | C) for a given system, as a window set function.
 
-    The function evaluates a walking copy of ``system``
-    (``systems._walking``), made once for its life, so its windows share
+    The function evaluates a walking copy of ``system`` (its
+    ``_walking``), made once for its life, so its windows share
     one ``_kernels._Chain`` record per shift; every value equals, by
     ``repr``, that of ``conditional_block_entropy`` called on its own.
 
     ``phi.mask_table(box)`` gives phi on every subset of ``box`` at once,
     in mask order (bit i picks row i of ``box``), where one batched walk
     gives them all: on a Markov shift with full-symbol cells and trivial
-    C (``engine._mask_block_entropies``). Elsewhere it returns None, and
+    C (``ShiftSystem._mask_table``). Elsewhere it returns None, and
     a caller reads phi one window at a time. Each entry equals phi on its
     window by ``repr``, and a box past the cap raises phi's
     ``EnumerationCapError``.
     """
-    walking = _walking(system)
+    walking = _require_system(system)._walking()
 
     def phi(F: FolnerSubset) -> float:
         return conditional_block_entropy(walking, alpha, F, C, None, cap)
 
     def mask_table(box: FolnerSubset) -> Optional[np.ndarray]:
-        return _mask_block_entropies(walking, alpha, box, C, cap)
+        return walking._mask_table(alpha, box, _as_subalgebra(C), cap)
 
     phi.mask_table = mask_table
     return phi

@@ -12,6 +12,13 @@ drives:
 - ``MixtureSystem``: a tagged disjoint union with positive weights;
   measures are weight-combined componentwise.
 
+Every rule that differs by kind (a window entropy's route, a trace's
+walking copy, an exact rate, the ergodic decomposition, pattern masses,
+what a command-line config reads) is a private method of each of these
+classes, such as ``_block_entropy`` or ``_split``. ``_require_system``
+is the package's one test of a system's class: a public entry calls it,
+then one method. Bernoulli against Markov stays ``ShiftSystem.kind``.
+
 Two routes to every measure are kept deliberately separate:
 ``cylinder_measure`` computes one word's mass by explicit products and
 gap sums (oracle-grade, slow), while ``window_partition`` returns the
@@ -40,20 +47,27 @@ from ._kernels import (
     hidden_markov_pattern_probs,
     iid_pattern_logprobs,
     markov_interval_logprobs,
+    markov_mask_entropies,
     markov_window_entropy,
     markov_window_probs,
 )
-from .groups import FolnerSubset, GroupElement, _dimension, neg
+from .groups import FolnerSubset, GroupElement, _dimension, basis, neg
 from .spaces import (
     MASS_TOL,
     FiniteProbabilitySpace,
     Partition,
+    _CODE_LIMIT,
     _block_labels,
+    _canonical,
     _coarser,
     _first_codes,
+    _join_codes,
+    _join_rows,
     _probabilities,
     _pullback,
     _require_same_space,
+    conditional_entropy,
+    entropy,
 )
 
 STATIONARITY_TOL = 1e-12
@@ -90,6 +104,26 @@ def _cycle_minima(low: np.ndarray, perm: np.ndarray, longest: int) -> np.ndarray
     return low
 
 
+def fixed_partition_witness(system: FinitePMPAction, C: Partition) -> Optional[dict]:
+    """First (generator, block) pair a candidate fixed partition fails on.
+
+    Returns None when every block is invariant under every generator,
+    otherwise a witness dict naming the offending generator index and
+    the block that moves.
+    """
+    if not isinstance(C, Partition):
+        raise TypeError("finite systems need a space partition")
+    _require_same_space(C.space, system.space)
+    labels = C.labels()
+    for gi, g in enumerate(system._gens):
+        # a block moves iff one of its atoms is sent out of it; the
+        # first such block in canonical order has the smallest label
+        moved = labels[labels[g] != labels]
+        if moved.size:
+            return {"generator": gi, "block": list(C.blocks[int(moved.min())])}
+    return None
+
+
 class FinitePMPAction:
     """Z^d acting on a finite space by d commuting mass-preserving permutations.
 
@@ -103,6 +137,7 @@ class FinitePMPAction:
     """
 
     __slots__ = ("space", "_gens", "_invs", "d")
+    _finite_action = True  # what a mixture reads of a component (``MixtureSystem._exact_rate``)
 
     def __init__(self, space: FiniteProbabilitySpace, generators: Sequence[Sequence[int]]):
         n = len(space)
@@ -165,6 +200,86 @@ class FinitePMPAction:
         out.flags.writeable = False
         return out
 
+    def _block_entropy(self, alpha, F: FolnerSubset, C, W, cap: int) -> float:
+        if W is not None:
+            raise ValueError("conditioning windows apply to shift systems")
+        if alpha is None:
+            alpha = Partition.points(self.space)
+        if not isinstance(alpha, Partition):
+            raise TypeError("finite systems need a space partition")
+        alpha_F = _finite_window_join(self, alpha, F)
+        if C.kind == "trivial":
+            return entropy(alpha_F)
+        if C.kind == "invariant_partition":
+            _require_same_space(C.partition.space, self.space)
+            return conditional_entropy(alpha_F, C.partition)
+        raise IncompatibleSubAlgebraError("incompatible sub-algebra")
+
+    def _mask_table(self, alpha, box: FolnerSubset, C, cap: int) -> None:
+        return None
+
+    def _walking(self) -> "FinitePMPAction":
+        return self
+
+    def _exact_rate(self) -> float:
+        # H(alpha^F | C) <= log|X| while |F| grows
+        return 0.0
+
+    def _certified(self) -> bool:
+        # each positive-mass orbit is an ergodic component, by transitivity
+        return True
+
+    def _components(self) -> dict:
+        return {"kind": "orbit", "partition": orbit_partition(self)}
+
+    def _is_ergodic(self) -> bool:
+        return int((orbit_partition(self).block_masses() > 0.0).sum()) <= 1
+
+    _fixed_witness = fixed_partition_witness
+
+    def _split(self, beta: Optional[Partition], alpha, spec) -> list:
+        if beta is None:
+            beta = orbit_partition(self)
+        witness = fixed_partition_witness(self, beta)
+        if witness is not None:
+            raise ValueError(
+                f"partition is not fixed: generator {witness['generator']}"
+                f" moves block {tuple(witness['block'])}"
+            )
+        if spec.kind == "invariant_partition":
+            if fixed_partition_witness(self, spec.partition) is not None:
+                raise IncompatibleSubAlgebraError("conditioning partition is not fixed")
+        elif spec.kind != "trivial":
+            raise IncompatibleSubAlgebraError("incompatible sub-algebra")
+        masses = enumerate(beta.block_masses().tolist())
+        return [(f"block:{bi}", mB, 0.0, None) for bi, mB in masses if mB > 0.0]
+
+    def _window_partition(self, F: FolnerSubset, alpha, cap: int):
+        raise TypeError("window patterns apply to shift systems and mixtures")
+
+    def _cylinder(self, window: FolnerSubset, word: Mapping):
+        raise TypeError("cylinder measures apply to shift systems and mixtures")
+
+    def _shift_alphabet(self) -> None:
+        return None
+
+    def _factor_alphabet(self):
+        raise ValueError("symbol factors need a shift system")
+
+    def _read_partition(self, spec, read) -> Partition:
+        """A config's partition spec, ``read(spec, key)`` giving its value at ``key``."""
+        return Partition(self.space, read(spec, "blocks"))
+
+    def _read_invariant(self, spec, read) -> Partition:
+        C = self._read_partition(spec, read)
+        if fixed_partition_witness(self, C) is not None:
+            raise ValueError("conditioning partition is not fixed")
+        return C
+
+    def _read_beta(self, spec, read) -> tuple:
+        beta = self._read_partition(spec, read)
+        return beta, fixed_partition_witness(self, beta)
+
 
 def act(system: FinitePMPAction, g: GroupElement, alpha: Partition) -> Partition:
     """Image partition T_g(alpha) = {T_g A : A in alpha}.
@@ -175,6 +290,117 @@ def act(system: FinitePMPAction, g: GroupElement, alpha: Partition) -> Partition
     """
     _require_same_space(system.space, alpha.space)
     return _pullback(alpha, system.atom_map(neg(g)))
+
+
+def _finite_window_join(system: FinitePMPAction, alpha: Partition, F: FolnerSubset) -> Partition:
+    """alpha^F, the join of alpha pulled back through T_g for every g of F.
+
+    F's rows fall into maximal runs along the last axis. The join over
+    a run g + [0, L) e_d is the join over [0, L) e_d pulled back through
+    T_g, so it is built once per run length (``_run_join``) and then
+    gathered once per run. The generators commute, so after a length's
+    first run each run is the previous one gathered through the step
+    between their starts. Step maps are kept for reuse, at most d of
+    them, so a box (all runs of one length, d - 1 distinct steps) powers
+    each step once; a unit step's map is the stored generator itself.
+    """
+    _require_same_space(system.space, alpha.space)
+    if F.d != system.d:
+        raise ValueError("dimension mismatch")
+    if len(F) == 0:
+        return Partition.trivial(system.space)
+
+    def rows():
+        labels, k = alpha.labels(), alpha.n_blocks
+        unit = system.atom_map(basis(system.d)[-1])
+        steps = {}
+        for length, starts in _runs(F.rows).items():
+            row, bound = _run_join(labels, k, unit, length)
+            if any(starts[0]):
+                row = row[system.atom_map(starts[0])]
+            yield row, bound
+            for prev, g in zip(starts, starts[1:]):
+                s = tuple(b - a for a, b in zip(prev, g))
+                step = steps.get(s)
+                if step is None:
+                    step = system.atom_map(s)
+                    if len(steps) < system.d:
+                        steps[s] = step
+                row = row[step]
+                yield row, bound
+
+    return _join_rows(system.space, rows())
+
+
+def _runs(rows: np.ndarray) -> dict:
+    """Lexicographic window rows as maximal runs along the last axis:
+    {run length: [first row of each run of that length, in row order]}."""
+    n = rows.shape[0]
+    first, last = rows[0].tolist(), rows[-1].tolist()
+    # rows are unique and sorted, so equal leading coordinates and a span
+    # of n - 1 along the last axis make them one run
+    if first[:-1] == last[:-1] and last[-1] - first[-1] == n - 1:
+        return {n: [first]}
+    breaks = (np.diff(rows[:, -1]) != 1) | (rows[1:, :-1] != rows[:-1, :-1]).any(axis=1)
+    cuts = [0, *(np.flatnonzero(breaks) + 1).tolist(), n]
+    runs = {}
+    for g, a, b in zip(rows[cuts[:-1]].tolist(), cuts, cuts[1:]):
+        runs.setdefault(b - a, []).append(g)
+    return runs
+
+
+def _run_join(labels: np.ndarray, k: int, step: np.ndarray, length: int) -> tuple:
+    """(codes, bound) of the join of the ``k``-block labels pulled back
+    through T^t, t in [0, length), ``step`` being T as an index array.
+
+    By doubling: with B_a the join over [0, a) and ``step`` = T^a, B_2a
+    is B_a joined with B_a gathered through T^a, and T^2a is T^a
+    gathered through itself. The set bits of ``length`` are taken from
+    the lowest up: the join over [0, a + s) is B_a joined with the join
+    over [0, s) gathered through T^a. So a run costs O(log length)
+    gathers and joins; codes are relabelled only where a bound would
+    pass ``_CODE_LIMIT``.
+    """
+    out = None
+    while True:
+        if length & 1 and out is None:
+            out, bound = labels, k
+        elif length & 1:
+            out = out[step]  # the old join is dropped before the new one is built
+            out, bound = _join_codes([(out, bound), (labels, k)])
+        length >>= 1
+        if not length:
+            return out, bound
+        if k * k > _CODE_LIMIT:
+            labels, k = _canonical(labels)[:2]
+        labels, k = _join_codes([(labels, k), (labels[step], k)])
+        step = step[step]
+
+
+def is_fixed_partition(system, C) -> bool:
+    """Whether every block of ``C`` is invariant as a set under the action.
+
+    For a finite action ``C`` is a partition of its space and each
+    generator must map each block onto itself. For a mixture ``C`` is a
+    grouping of component indices; any valid grouping is fixed because
+    each component measure is shift-invariant.
+    """
+    return _require_system(system)._fixed_witness(C) is None
+
+
+def orbit_partition(system: FinitePMPAction) -> Partition:
+    """Finest fixed partition: the orbits of the generated group.
+
+    Every atom is labelled by the smallest atom index on its orbit. For
+    one generator g that is a cycle minimum (``_cycle_minima``). The
+    generators commute, so sweeping them one after another reaches
+    every g_1^a_1 ... g_d^a_d j, i.e. the whole orbit.
+    """
+    n = len(system.space)
+    low = np.arange(n)
+    for g in system._gens:
+        low = _cycle_minima(low, g, n)
+    return Partition.from_labels(system.space, low)
 
 
 class SymbolPartition:
@@ -273,9 +499,9 @@ def stationary_vector(P: np.ndarray) -> np.ndarray:
     (a chain with several closed classes).
     """
     P = np.asarray(P, dtype=np.float64)
-    n = P.shape[0]
-    if P.ndim != 2 or P.shape[1] != n:
+    if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError("square matrix required")
+    n = P.shape[0]
     if not np.isfinite(P).all():
         raise ValueError("transition probabilities must be finite")
     A = np.vstack([P.T - np.eye(n), np.ones((1, n))])
@@ -289,6 +515,25 @@ def stationary_vector(P: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
+def is_ergodic_model(system: ShiftSystem) -> bool:
+    """Structural ergodicity certificate per measure model.
+
+    Product measures are ergodic outright. Markov models are certified
+    through primitivity of the transition support (irreducible and
+    aperiodic), which is sufficient; merely periodic chains return
+    False even though finer arguments might still apply.
+    """
+    if system.kind == "bernoulli":
+        return True
+    A = (system.P > 0.0).astype(np.int64)
+    m = A.shape[0]
+    # Wielandt bound: a primitive matrix has a fully positive power by then
+    power = np.eye(m, dtype=np.int64)
+    for _ in range((m - 1) ** 2 + 1):
+        power = np.clip(power @ A, 0, 1)
+    return bool(np.all(power > 0))
+
+
 class ShiftSystem:
     """Z^d shift over a finite alphabet with a shift-invariant measure.
 
@@ -299,6 +544,7 @@ class ShiftSystem:
     """
 
     __slots__ = ("d", "alphabet", "kind", "probs", "pi", "P", "base_partition", "_walk")
+    _finite_action = False
 
     def __init__(self, d, alphabet, kind, probs=None, pi=None, P=None):
         self.d = d
@@ -322,6 +568,128 @@ class ShiftSystem:
             return self.alphabet.index(symbol)
         except ValueError:
             raise ValueError("unknown symbol") from None
+
+    def _block_entropy(self, alpha, F: FolnerSubset, C, W, cap: int) -> float:
+        if F.d != self.d:
+            raise ValueError("dimension mismatch")
+        cells = resolve_cells(self, alpha)
+        k = len(F)
+        if C.kind == "trivial":
+            if self.kind == "bernoulli":
+                # product measure: patterns factor over sites exactly
+                return k * entropy_from_probs(_cell_masses(self, cells))
+            if cells.n_cells == self.n_symbols:
+                _guard_patterns(self.n_symbols, k, cap)
+                return markov_window_entropy(_chain_of(self), F.rows[:, 0])
+            return entropy_from_probs(window_partition(self, F, cells, cap))
+        if C.kind == "symbol_factor":
+            phi = C.factor_partition(self.alphabet)
+            W = _resolve_window(F, W)
+            if self.kind == "bernoulli":
+                # sites are independent, so only the factor at F's own sites binds
+                joint, marginal = _cell_masses(self, cells.join(phi)), _cell_masses(self, phi)
+                return k * (entropy_from_probs(joint) - entropy_from_probs(marginal))
+            return symbol_factor_entropy((self,), (1.0,), (cells,), F, phi, W, cap)
+        raise IncompatibleSubAlgebraError("incompatible sub-algebra")
+
+    def _mask_table(self, alpha, box: FolnerSubset, C, cap: int) -> Optional[np.ndarray]:
+        """H(alpha^E | C) on every subset E of ``box`` in mask order (bit i
+        picks row i of ``box``), from one ``markov_mask_entropies`` walk, where
+        ``_block_entropy`` sends each such window to ``markov_window_entropy``:
+        a Markov shift, full-symbol cells and trivial C. None elsewhere. The
+        cap counts the patterns of the whole box, so it raises as the
+        per-window value of the box would.
+        """
+        if self.kind != "markov" or C.kind != "trivial":
+            return None
+        if box.d != self.d or resolve_cells(self, alpha).n_cells != self.n_symbols:
+            return None
+        _guard_patterns(self.n_symbols, len(box), cap)
+        return markov_mask_entropies(_chain_of(self), box.rows[:, 0])
+
+    def _walking(self) -> "ShiftSystem":
+        walking = copy.copy(self)
+        walking._walk = _chain_of(self)
+        return walking
+
+    def _exact_rate(self) -> None:
+        return None
+
+    # a shift's ergodic decomposition is not computed; as a component it is certified
+    def _certified(self):
+        raise TypeError("unsupported system kind")
+
+    _is_ergodic = is_ergodic_model
+
+    def _fixed_witness(self, C):
+        raise TypeError("unsupported system kind")
+
+    def _window_partition(self, F: FolnerSubset, alpha, cap: int) -> np.ndarray:
+        if F.d != self.d:
+            raise ValueError("dimension mismatch")
+        cells = resolve_cells(self, alpha)
+        k = len(F)
+        mc = cells.n_cells
+        _guard_patterns(mc, k, cap)
+        if self.kind == "bernoulli":
+            with np.errstate(divide="ignore"):
+                return np.exp(iid_pattern_logprobs(np.log(_cell_masses(self, cells)), k))
+        if mc == self.n_symbols:
+            # full symbol partition: the kernel output is already cellwise
+            return symbol_pattern_probs(self, F, cap)
+        _guard_patterns(self.n_symbols, k, cap)
+        site_cells = [cells.cell_labels()] * k
+        return hidden_markov_pattern_probs(_chain_of(self), F.rows[:, 0], site_cells)
+
+    def _cylinder(self, window: FolnerSubset, word: Mapping) -> float:
+        if window.d != self.d:
+            raise ValueError("dimension mismatch")
+        elems = list(window)
+        missing = [e for e in elems if e not in word]
+        if missing:
+            raise ValueError("word must cover the window")
+        if not elems:
+            return 1.0
+        if self.kind == "bernoulli":
+            total = 1.0
+            for e in elems:
+                total *= float(self.probs[self.symbol_index(word[e])])
+            return total
+        # markov, d = 1
+        positions = [e[0] for e in elems]
+        syms = [self.symbol_index(word[e]) for e in elems]
+        span = positions[-1] - positions[0] + 1
+        gap_positions = [t for t in range(positions[0], positions[-1] + 1) if t not in set(positions)]
+        if len(gap_positions) > GAP_CAP:
+            raise EnumerationCapError("gap cap exceeded")
+        pi, P = self.pi, self.P
+        m = self.n_symbols
+        fixed = dict(zip(positions, syms))
+        total = 0.0
+        for filling in itertools.product(range(m), repeat=len(gap_positions)):
+            seq = []
+            fill = dict(zip(gap_positions, filling))
+            for t in range(positions[0], positions[0] + span):
+                seq.append(fixed.get(t, fill.get(t)))
+            p = float(pi[seq[0]])
+            for a, b in zip(seq, seq[1:]):
+                p *= float(P[a, b])
+            total += p
+        return total
+
+    def _shift_alphabet(self) -> tuple:
+        return self.alphabet
+
+    _factor_alphabet = _shift_alphabet
+
+    def _read_partition(self, spec, read) -> SymbolPartition:
+        return SymbolPartition(self.alphabet, read(spec, "cells"))
+
+    def _read_invariant(self, spec, read):
+        raise ValueError("invariant partitions condition finite systems")
+
+    def _read_beta(self, spec, read) -> tuple:
+        return read(spec, "groups"), None
 
 
 def bernoulli_shift(probs: Sequence[float], d: int = 1, alphabet: Optional[Sequence] = None) -> ShiftSystem:
@@ -355,9 +723,9 @@ def markov_shift(
     ``stationarity_tol``.
     """
     P = np.array(P, dtype=np.float64)
-    m = P.shape[0]
-    if P.ndim != 2 or P.shape[1] != m or m < 1:
+    if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] < 1:
         raise ValueError("square transition matrix required")
+    m = P.shape[0]
     if np.any(P < 0.0):
         raise ValueError("negative transition probability")
     if np.max(np.abs(P.sum(axis=1) - 1.0)) > MASS_TOL:
@@ -379,25 +747,6 @@ def markov_shift(
         raise ValueError("alphabet and distribution must align")
     P.flags.writeable = False
     return ShiftSystem(1, alphabet, "markov", pi=pi, P=P)
-
-
-def is_ergodic_model(system: ShiftSystem) -> bool:
-    """Structural ergodicity certificate per measure model.
-
-    Product measures are ergodic outright. Markov models are certified
-    through primitivity of the transition support (irreducible and
-    aperiodic), which is sufficient; merely periodic chains return
-    False even though finer arguments might still apply.
-    """
-    if system.kind == "bernoulli":
-        return True
-    A = (system.P > 0.0).astype(np.int64)
-    m = A.shape[0]
-    # Wielandt bound: a primitive matrix has a fully positive power by then
-    power = np.eye(m, dtype=np.int64)
-    for _ in range((m - 1) ** 2 + 1):
-        power = np.clip(power @ A, 0, 1)
-    return bool(np.all(power > 0))
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +804,14 @@ class SubAlgebraSpec:
         return SymbolPartition._grouped(alphabet, map(self.factor_map.__getitem__, alphabet))
 
 
+def _as_subalgebra(C) -> SubAlgebraSpec:
+    if C is None:
+        return SubAlgebraSpec.trivial()
+    if isinstance(C, SubAlgebraSpec):
+        return C
+    raise TypeError("conditioning must be a SubAlgebraSpec or None")
+
+
 # ---------------------------------------------------------------------------
 # mixtures
 # ---------------------------------------------------------------------------
@@ -469,6 +826,7 @@ class MixtureSystem:
     """
 
     __slots__ = ("components", "weights", "d")
+    _finite_action = False  # even of finite actions: a mixture holding a mixture is traced
 
     def __init__(self, components: Sequence, weights: Sequence[float]):
         components = tuple(components)
@@ -496,14 +854,103 @@ class MixtureSystem:
 
     def shared_alphabet(self) -> tuple:
         """Common alphabet of all (shift) components; error if absent."""
-        alphabets = set()
-        for comp in self.components:
-            if not isinstance(comp, ShiftSystem):
-                raise IncompatibleSubAlgebraError("incompatible sub-algebra")
-            alphabets.add(comp.alphabet)
+        alphabets = {comp._shift_alphabet() for comp in self.components}
+        if None in alphabets:
+            raise IncompatibleSubAlgebraError("incompatible sub-algebra")
         if len(alphabets) != 1:
             raise IncompatibleSubAlgebraError("components do not share an alphabet")
         return alphabets.pop()
+
+    def _block_entropy(self, alpha, F: FolnerSubset, C, W, cap: int) -> float:
+        alphas = _mixture_alphas(self, alpha)
+        if C.kind == "trivial":
+            # tagged supports are disjoint: H = H(weights) + sum w_i H_i exactly
+            total = entropy_from_probs(self.weights)
+            for comp, a, w in zip(self.components, alphas, self.weights):
+                total += float(w) * conditional_block_entropy(comp, a, F, None, None, cap)
+            return total
+        if C.kind == "symbol_factor":
+            if F.d != self.d:
+                raise ValueError("dimension mismatch")
+            phi = C.factor_partition(self.shared_alphabet())
+            W = _resolve_window(F, W)
+            return symbol_factor_entropy(self.components, self.weights, alphas, F, phi, W, cap)
+        raise IncompatibleSubAlgebraError("incompatible sub-algebra")
+
+    def _walking(self) -> "MixtureSystem":
+        walking = copy.copy(self)
+        walking.components = tuple(comp._walking() for comp in self.components)
+        return walking
+
+    def _exact_rate(self) -> Optional[float]:
+        # a mixture of finite actions: H(alpha^F) <= H(weights) + sum w_i log|X_i|
+        return 0.0 if all(comp._finite_action for comp in self.components) else None
+
+    def _certified(self) -> bool:
+        return all(comp._is_ergodic() for comp in self.components)
+
+    def _components(self) -> dict:
+        return {"kind": "tags", "groups": self.tag_grouping()}
+
+    def _is_ergodic(self) -> bool:
+        return False
+
+    def _fixed_witness(self, C) -> None:
+        # any valid grouping is fixed: each component measure is shift-invariant
+        groups = tuple(tuple(int(i) for i in grp) for grp in C)
+        if sorted(i for grp in groups for i in grp) != list(range(len(self.components))):
+            raise ValueError("grouping must partition the component indices")
+
+    def _split(self, beta, alpha, spec) -> list:
+        if spec.kind not in ("trivial", "symbol_factor"):
+            raise IncompatibleSubAlgebraError("incompatible sub-algebra")
+        groups = self.tag_grouping() if beta is None else tuple(tuple(int(i) for i in grp) for grp in beta)
+        is_fixed_partition(self, groups)  # raises unless a valid grouping
+        alphas = _mixture_alphas(self, alpha)
+        rows = []
+        for grp in groups:
+            wG = float(sum(float(self.weights[i]) for i in grp))
+            if len(grp) == 1:
+                sub, sub_alpha = self.components[grp[0]], alphas[grp[0]]
+            else:
+                sub = mixture([self.components[i] for i in grp], [float(self.weights[i]) / wG for i in grp])
+                sub_alpha = [alphas[i] for i in grp]
+            rows.append(("component:" + ",".join(str(i) for i in grp), wG, sub, sub_alpha))
+        return rows
+
+    def _window_partition(self, F: FolnerSubset, alpha, cap: int) -> np.ndarray:
+        alphas = _mixture_alphas(self, alpha)
+        total = 0
+        for comp, a in zip(self.components, alphas):
+            if comp._shift_alphabet() is None:
+                raise TypeError("window patterns apply to shift components")
+            total += resolve_cells(comp, a).n_cells ** len(F)
+        if total > cap:
+            raise EnumerationCapError("pattern cap exceeded")
+        return np.concatenate([
+            float(w) * window_partition(comp, F, a, cap)
+            for comp, a, w in zip(self.components, alphas, self.weights)
+        ])
+
+    def _cylinder(self, window: FolnerSubset, word: Mapping) -> float:
+        self.shared_alphabet()
+        return float(sum(float(w) * comp._cylinder(window, word) for comp, w in zip(self.components, self.weights)))
+
+    def _factor_alphabet(self) -> tuple:
+        return self.shared_alphabet()
+
+    def _read_partition(self, spec, read):
+        """One spec for every component, read on the first, or one spec (or null) per component."""
+        if not isinstance(spec, list):
+            return self.components[0]._read_partition(spec, read)
+        if len(spec) != len(self.components):
+            raise ValueError("one partition per component required")
+        return [None if s is None else c._read_partition(s, read) for c, s in zip(self.components, spec)]
+
+    # as a finite action, a mixture has no mask table and no single alphabet;
+    # as a shift, it reads no invariant partition and reads beta as groups
+    _mask_table, _shift_alphabet = FinitePMPAction._mask_table, FinitePMPAction._shift_alphabet
+    _read_invariant, _read_beta = ShiftSystem._read_invariant, ShiftSystem._read_beta
 
 
 def mixture(components: Sequence, weights: Sequence[float]) -> MixtureSystem:
@@ -521,19 +968,12 @@ def _chain_of(system: ShiftSystem) -> _Chain:
     return _Chain(system.pi, system.P)
 
 
-def _walking(system):
-    """A shallow copy of ``system``, of its own class and unvalidated, whose
-    shifts (mixture components included) each hold a fresh walk record;
-    anything but a shift or a mixture is returned as it is."""
-    if isinstance(system, MixtureSystem):
-        walking = copy.copy(system)
-        walking.components = tuple(map(_walking, system.components))
-    elif isinstance(system, ShiftSystem):
-        walking = copy.copy(system)
-        walking._walk = _chain_of(system)
-    else:
-        walking = system
-    return walking
+def _require_system(system):
+    """``system``, which must be of one of the three system kinds: the
+    package's one test of a system's class (see the module docstring)."""
+    if not isinstance(system, (FinitePMPAction, ShiftSystem, MixtureSystem)):
+        raise TypeError("unsupported system kind")
+    return system
 
 
 # ---------------------------------------------------------------------------
@@ -551,50 +991,7 @@ def cylinder_measure(system, window: FolnerSubset, word: Mapping) -> float:
     ``GAP_CAP`` because that sum is exponential. Mixtures combine
     components by weight (shared alphabet required).
     """
-    if isinstance(system, MixtureSystem):
-        system.shared_alphabet()
-        return float(
-            sum(
-                float(w) * cylinder_measure(comp, window, word)
-                for comp, w in zip(system.components, system.weights)
-            )
-        )
-    if not isinstance(system, ShiftSystem):
-        raise TypeError("cylinder measures apply to shift systems and mixtures")
-    if window.d != system.d:
-        raise ValueError("dimension mismatch")
-    elems = list(window)
-    missing = [e for e in elems if e not in word]
-    if missing:
-        raise ValueError("word must cover the window")
-    if not elems:
-        return 1.0
-    if system.kind == "bernoulli":
-        total = 1.0
-        for e in elems:
-            total *= float(system.probs[system.symbol_index(word[e])])
-        return total
-    # markov, d = 1
-    positions = [e[0] for e in elems]
-    syms = [system.symbol_index(word[e]) for e in elems]
-    span = positions[-1] - positions[0] + 1
-    gap_positions = [t for t in range(positions[0], positions[-1] + 1) if t not in set(positions)]
-    if len(gap_positions) > GAP_CAP:
-        raise EnumerationCapError("gap cap exceeded")
-    pi, P = system.pi, system.P
-    m = system.n_symbols
-    fixed = dict(zip(positions, syms))
-    total = 0.0
-    for filling in itertools.product(range(m), repeat=len(gap_positions)):
-        seq = []
-        fill = dict(zip(gap_positions, filling))
-        for t in range(positions[0], positions[0] + span):
-            seq.append(fixed.get(t, fill.get(t)))
-        p = float(pi[seq[0]])
-        for a, b in zip(seq, seq[1:]):
-            p *= float(P[a, b])
-        total += p
-    return total
+    return _require_system(system)._cylinder(window, word)
 
 
 def _guard_patterns(n_cells: int, length: int, cap: int) -> int:
@@ -701,36 +1098,7 @@ def window_partition(system, F: FolnerSubset, alpha=None, cap: int = DEFAULT_PAT
     union's. The pattern count n_cells^|F| (summed over components) is
     capped.
     """
-    if isinstance(system, MixtureSystem):
-        alphas = _mixture_alphas(system, alpha)
-        total = 0
-        for comp, a in zip(system.components, alphas):
-            if not isinstance(comp, ShiftSystem):
-                raise TypeError("window patterns apply to shift components")
-            total += resolve_cells(comp, a).n_cells ** len(F)
-        if total > cap:
-            raise EnumerationCapError("pattern cap exceeded")
-        return np.concatenate([
-            float(w) * window_partition(comp, F, a, cap)
-            for comp, a, w in zip(system.components, alphas, system.weights)
-        ])
-    if not isinstance(system, ShiftSystem):
-        raise TypeError("window patterns apply to shift systems and mixtures")
-    if F.d != system.d:
-        raise ValueError("dimension mismatch")
-    cells = resolve_cells(system, alpha)
-    k = len(F)
-    mc = cells.n_cells
-    _guard_patterns(mc, k, cap)
-    if system.kind == "bernoulli":
-        with np.errstate(divide="ignore"):
-            return np.exp(iid_pattern_logprobs(np.log(_cell_masses(system, cells)), k))
-    if mc == system.n_symbols:
-        # full symbol partition: the kernel output is already cellwise
-        return symbol_pattern_probs(system, F, cap)
-    _guard_patterns(system.n_symbols, k, cap)
-    site_cells = [cells.cell_labels()] * k
-    return hidden_markov_pattern_probs(_chain_of(system), F.rows[:, 0], site_cells)
+    return _require_system(system)._window_partition(F, alpha, cap)
 
 
 def symbol_factor_entropy(
@@ -786,15 +1154,58 @@ def _mixture_alphas(system: MixtureSystem, alpha) -> list:
     """Resolve a mixture's partition argument to one entry per component.
 
     Accepts None (each component's natural base partition), a single
-    SymbolPartition (shared alphabet), or a sequence with one entry per
-    component.
+    partition of either kind, which every component checks as its own,
+    or a sequence with one entry per component.
     """
     k = len(system.components)
-    if alpha is None:
-        return [None] * k
-    if isinstance(alpha, SymbolPartition):
+    if alpha is None or isinstance(alpha, (Partition, SymbolPartition)):
         return [alpha] * k
     alphas = list(alpha)
     if len(alphas) != k:
         raise ValueError("one partition per component required")
     return alphas
+
+
+def _resolve_window(F: FolnerSubset, conditioning_window: Optional[FolnerSubset]) -> FolnerSubset:
+    if conditioning_window is None:
+        return F
+    if conditioning_window.d != F.d:
+        raise ValueError("dimension mismatch")
+    if not F.issubset(conditioning_window):
+        raise ValueError("conditioning window must contain the window")
+    return conditioning_window
+
+
+def conditional_block_entropy(
+    system,
+    alpha,
+    F: FolnerSubset,
+    C=None,
+    conditioning_window: Optional[FolnerSubset] = None,
+    cap: int = DEFAULT_PATTERN_CAP,
+) -> float:
+    """H(alpha^F | C) in nats: entropy of the window partition given C.
+
+    ``alpha^F`` joins the pulled-back copies of ``alpha`` across the
+    window ``F``. Each system kind has one route per conditioning, its
+    ``_block_entropy``. Finite actions use exact partition algebra.
+    Bernoulli shifts are closed-form at every window size from one-site
+    cell masses, k * H(cells) or k * (H(cells v phi) - H(phi)) under a
+    symbol factor phi, and so are mixtures under trivial conditioning
+    (tagged supports are disjoint, so H = H(weights) + sum_i w_i H_i). No
+    Markov route enumerates symbol words: full-symbol windows take the
+    chain-rule closed form H(pi) + sum_j H(X_{t_{j+1}} | X_{t_j}), coarse
+    cells go through ``window_partition``'s forward recursion over cell
+    patterns, and a symbol factor on a Markov shift or a mixture of
+    shifts goes through ``symbol_factor_entropy`` (a single shift is one
+    component of weight 1), which combines both. The cap still counts the
+    m^|W| symbol patterns of each such window and raises
+    ``EnumerationCapError`` above it, before any work.
+    ``conditioning_window`` W (default F; finite actions take none) is
+    where a symbol factor is read, and must contain F. For product
+    measures only the factor at F's own sites binds, so every such W
+    gives the exact value; for Markov measures it is a monotone upper
+    approximation that tightens as W grows.
+    """
+    C = _as_subalgebra(C)
+    return _require_system(system)._block_entropy(alpha, F, C, conditioning_window, cap)

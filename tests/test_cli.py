@@ -739,8 +739,12 @@ _SPACE_ENTROPY = {"schema": 1, "space": {"atoms": [0, 1, 2], "masses": [0.2, 0.3
             {"schema": 1, "space": {"atoms": ["0", "1"], "masses": [0.5, 0.5]}, "alpha": {"blocks": "01"}},
             "blocks must be a list of lists",
         ),
+        (
+            {"schema": 1, "space": {"atoms": [[0], 1], "masses": [0.5, 0.5]}, "alpha": {"blocks": [[1]]}},
+            "atom ids must be hashable",
+        ),
     ],
-    ids=["unhashable-atom", "unhashable-symbol", "cells-not-a-list", "blocks-a-string"],
+    ids=["unhashable-atom", "unhashable-symbol", "cells-not-a-list", "blocks-a-string", "unhashable-atom-id"],
 )
 def test_entropy_malformed_groups_are_named_validation_errors(tmp_path, cfg, message):
     # the first three used to exit 2 with Python's "unhashable type: 'list'"
@@ -748,6 +752,85 @@ def test_entropy_malformed_groups_are_named_validation_errors(tmp_path, cfg, mes
     out = tmp_path / "out"
     r = run_cli(["entropy", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
     _assert_rejected(r, out, message)
+
+
+_MIXTURE_DECOMPOSE = {
+    "schema": 1,
+    "system": {"kind": "mixture", "weights": [0.5, 0.5], "components": [_BERNOULLI_ENTROPY["system"]] * 2},
+    "schedule": {"sides": [1, 2]},
+}
+_PYTHON_PHRASES = ("argument of type", "object has no attribute", "is not iterable", "not subscriptable")
+
+
+@pytest.mark.parametrize(
+    "verb, cfg, name",
+    [
+        ("entropy", {**_BERNOULLI_ENTROPY, "system": 5}, '"system"'),
+        ("rate", {**MARKOV_CFG, "schedule": 5}, '"schedule"'),
+        ("entropy", {**_BERNOULLI_ENTROPY, "partition": 5}, '"partition"'),
+        ("entropy", {**_BERNOULLI_ENTROPY, "conditioning": 5}, '"conditioning"'),
+        (
+            "entropy",
+            {**_BERNOULLI_ENTROPY, "system": {"kind": "mixture", "weights": [1.0], "components": [5]}},
+            '"components" entry',
+        ),
+        ("entropy", {"schema": 1, "space": 5, "alpha": {"blocks": [[0]]}}, '"space"'),
+        ("entropy", {**_SPACE_ENTROPY, "alpha": 5}, '"alpha"'),
+        ("entropy", {**_SPACE_ENTROPY, "alpha": {"blocks": [[0, 1, 2]]}, "beta": 5}, '"beta"'),
+        ("decompose", {**_MIXTURE_DECOMPOSE, "beta": 5}, '"beta"'),
+        ("entropy", {**_BERNOULLI_ENTROPY, "window": 5}, '"window"'),
+        ("verify", {"schema": 1, "suite": "subadditivity", "phi": 5, "box": {"side": 4}}, '"phi"'),
+        ("verify", {"schema": 1, "suite": "subadditivity", "phi": {"kind": "cardinality"}, "box": 5}, '"box"'),
+        (
+            "verify",
+            {"schema": 1, "suite": "rates", "system": MARKOV_CFG["system"], "alpha": 5, "beta": None},
+            '"alpha"',
+        ),
+    ],
+    ids=[
+        "system", "schedule", "partition", "conditioning", "component", "space", "alpha",
+        "entropy-beta", "decompose-beta", "window", "phi", "box", "rates-alpha",
+    ],
+)
+def test_a_non_object_value_at_an_object_key_is_named(tmp_path, verb, cfg, name):
+    # each used to exit 2 with "argument of type 'int' is not iterable", and
+    # "box" to escape main with an AttributeError traceback and exit 1
+    out = tmp_path / "out"
+    r = run_cli([verb, "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    assert not any(phrase in r.stdout + r.stderr for phrase in _PYTHON_PHRASES)
+    _assert_rejected(r, out, f"{name} must be an object, got 5")
+
+
+def test_markov_transition_matrix_that_is_a_number_is_a_validation_error(tmp_path):
+    # used to escape main with an IndexError traceback and exit 1
+    cfg = {**MARKOV_CFG, "system": {"kind": "markov", "P": 5}}
+    out = tmp_path / "out"
+    r = run_cli(["rate", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    _assert_rejected(r, out, "square transition matrix required")
+
+
+FINITE_SWAP = {"kind": "finite", "atoms": [0, 1], "masses": [0.5, 0.5], "generators": [[1, 0]]}
+
+
+@pytest.mark.parametrize("blocks", [[[0], [1]], [[0, 1]]])
+def test_one_blocks_spec_serves_every_finite_mixture_component(tmp_path, blocks):
+    # the spec used to be read as one partition per block: two blocks exited 2
+    # with "finite systems need a space partition", one block with "one
+    # partition per component required"
+    system = {"kind": "mixture", "weights": [0.5, 0.5], "components": [FINITE_SWAP, FINITE_SWAP]}
+    base = {"schema": 1, "system": system, "window": {"box": 3}}
+    values = []
+    for i, partition in enumerate([{"blocks": blocks}, [{"blocks": blocks}] * 2]):
+        cfg = write_cfg(tmp_path, {**base, "partition": partition}, f"cfg{i}.json")
+        r = run_cli(["entropy", "--config", cfg, "--out", str(tmp_path / f"out{i}")])
+        assert r.returncode == 0, r.stdout + r.stderr
+        values.append(json.loads(r.stdout)["block_entropy_nats"])
+    assert values[0] == values[1]
+    other = {**FINITE_SWAP, "masses": [0.25, 0.75], "generators": [[0, 1]]}
+    cfg = {**base, "system": {**system, "components": [FINITE_SWAP, other]}, "partition": {"blocks": blocks}}
+    out = tmp_path / "mismatch"
+    r = run_cli(["entropy", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    _assert_rejected(r, out, "space mismatch")
 
 
 # -- windows ----------------------------------------------------------------------

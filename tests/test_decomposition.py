@@ -173,7 +173,7 @@ def test_decompose_finite_with_beta_skips_the_orbit_partition(monkeypatch):
     def refuse(system):
         raise AssertionError("orbit partition built although beta was given")
 
-    monkeypatch.setattr("folner_entropy.decomposition.orbit_partition", refuse)
+    monkeypatch.setattr("folner_entropy.systems.orbit_partition", refuse)
     result = decompose_entropy(action, beta=beta, sequence=seq)
     assert result.components == expected.components
     assert (result.lhs, result.rhs, result.certified) == (0.0, 0.0, True)

@@ -42,6 +42,7 @@ from folner_entropy import (
     mixture,
     orbit_partition,
     spaces,
+    systems,
     verify_chain_exhaustion,
     verify_entropy_identities,
     verify_rate_inequalities,
@@ -56,12 +57,13 @@ from folner_entropy.cli import (
     RATE_PROPERTY_LABELS,
     SUBADDITIVITY_PROPERTY_LABELS,
 )
-from folner_entropy.engine import _as_subalgebra, _finite_window_join
 from folner_entropy.spaces import _join_rows
 from folner_entropy.systems import (
     IncompatibleSubAlgebraError,
     MixtureSystem,
     ShiftSystem,
+    _as_subalgebra,
+    _finite_window_join,
     _mixture_alphas,
     resolve_cells,
     subpattern_codes,
@@ -494,14 +496,14 @@ def test_interval_join_takes_logarithmically_many_joins(monkeypatch):
     # every pairwise mixed-radix join is counted, in the doubling and in
     # the join of the runs; the per-element join of [0, 2^j) takes 2^j - 1
     counted = []
-    join_codes = engine._join_codes
+    join_codes = systems._join_codes
 
     def counting(rows):
         rows = list(rows)
         counted.append(len(rows) - 1)
         return join_codes(rows)
 
-    monkeypatch.setattr(engine, "_join_codes", counting)
+    monkeypatch.setattr(systems, "_join_codes", counting)
     monkeypatch.setattr(spaces, "_join_codes", counting)
     system = _cyclic_product(4096)
     alpha = _random_labels(system, 5, 59)
@@ -1115,8 +1117,8 @@ def test_exhaustive_report_takes_one_power_per_gap(monkeypatch, name):
     monkeypatch.setattr(np.linalg, "matrix_power", counted)
     windows = _spy_on_records(monkeypatch)
     tables, partitions = [], []
-    monkeypatch.setattr(engine, "markov_mask_entropies", _spy(tables, engine.markov_mask_entropies))
-    monkeypatch.setattr(engine, "window_partition", _spy(partitions, engine.window_partition))
+    monkeypatch.setattr(systems, "markov_mask_entropies", _spy(tables, systems.markov_mask_entropies))
+    monkeypatch.setattr(systems, "window_partition", _spy(partitions, systems.window_partition))
     system, alpha, C = _trace_case(name)
     report = verify_subadditive_hypotheses(
         window_entropy_phi(system, alpha, C), FolnerSubset.box(1, 8), exhaustive=True
@@ -1149,7 +1151,7 @@ def _spy_on_records(monkeypatch) -> list:
         chains.append(chain)
         return walked(chain, offsets)
 
-    monkeypatch.setattr(engine, "markov_window_entropy", spy)
+    monkeypatch.setattr(systems, "markov_window_entropy", spy)
     return chains
 
 

@@ -14,9 +14,9 @@ from folner_entropy import (
     EnumerationCapError,
     FolnerSequence,
     FolnerSubset,
-    engine,
     invariance_defect,
     markov_shift,
+    systems,
     translate,
     verify_subadditive_hypotheses,
 )
@@ -423,7 +423,7 @@ def test_exhaustive_table_keeps_the_per_mask_cap_error():
 def test_exhaustive_table_names_the_first_non_finite_mask(monkeypatch):
     # NaN on every window holding sites 1 and 4, which on box(1, n) are
     # bits 1 and 4: mask 0b10010 comes first
-    markov_mask_entropies, markov_window_entropy = engine.markov_mask_entropies, engine.markov_window_entropy
+    markov_mask_entropies, markov_window_entropy = systems.markov_mask_entropies, systems.markov_window_entropy
 
     def table(chain, sites):
         values = markov_mask_entropies(chain, sites)
@@ -433,8 +433,8 @@ def test_exhaustive_table_names_the_first_non_finite_mask(monkeypatch):
     def window(chain, sites):
         return math.nan if {1, 4} <= set(sites.tolist()) else markov_window_entropy(chain, sites)
 
-    monkeypatch.setattr(engine, "markov_mask_entropies", table)
-    monkeypatch.setattr(engine, "markov_window_entropy", window)
+    monkeypatch.setattr(systems, "markov_mask_entropies", table)
+    monkeypatch.setattr(systems, "markov_window_entropy", window)
     box = FolnerSubset.box(1, 6)
     messages = []
     for phi in (window_entropy_phi(MARKOV), _hidden(window_entropy_phi(MARKOV))):

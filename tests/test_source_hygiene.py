@@ -19,7 +19,12 @@ visible: no module imports ``contextvars``, so a chain's walk record
 travels with the system it belongs to, never through hidden
 context-local state. A sixth rule keeps the report envelope in one
 place: in ``cli.py`` no dict literal outside ``_finish`` has a
-``"schema"`` or ``"task"`` key, so every report gets both from there.
+``"schema"`` or ``"task"`` key, so every report gets both from there. A
+seventh rule keeps each per-kind rule in its system class: outside
+``systems.py`` no ``isinstance`` names ``FinitePMPAction``,
+``ShiftSystem`` or ``MixtureSystem``, and no ``.kind`` attribute is
+compared with ``"bernoulli"`` or ``"markov"``, so adding a kind or a
+per-kind rule touches one class.
 """
 
 import ast
@@ -162,6 +167,31 @@ def _envelope_dicts(tree, home="_finish"):
     return [f"line {n}" for n in sorted(lines)]
 
 
+SYSTEM_CLASSES = {"FinitePMPAction", "ShiftSystem", "MixtureSystem"}
+SHIFT_KINDS = {"bernoulli", "markov"}
+
+
+def _system_kind_tests(tree):
+    """``line N: isinstance`` for each ``isinstance`` call in ``tree`` whose
+    class argument names a class of ``SYSTEM_CLASSES`` (bare, dotted or in
+    a tuple), and ``line N: .kind`` for each comparison of a ``.kind``
+    attribute with a string of ``SHIFT_KINDS``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+            named = {n.id for n in ast.walk(node.args[-1]) if isinstance(n, ast.Name)}
+            named |= {n.attr for n in ast.walk(node.args[-1]) if isinstance(n, ast.Attribute)}
+            if named & SYSTEM_CLASSES:
+                found.append((node.lineno, "isinstance"))
+        elif isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            kind = any(isinstance(side, ast.Attribute) and side.attr == "kind" for side in sides)
+            strings = {n.value for side in sides for n in ast.walk(side) if isinstance(n, ast.Constant)}
+            if kind and strings & SHIFT_KINDS:
+                found.append((node.lineno, ".kind"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
 def _defined_names(tree):
     """Names a module binds at module level by def, class or assignment."""
     names = set()
@@ -232,6 +262,13 @@ def test_cli_writes_the_report_envelope_only_in_finish():
     assert _envelope_dicts(_tree(PACKAGE / "cli.py")) == []
 
 
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "systems.py"], ids=lambda p: p.name
+)
+def test_only_systems_tests_a_system_kind(path):
+    assert _system_kind_tests(_tree(path)) == []
+
+
 def test_the_checks_see_both_faults():
     tree = ast.parse(
         "import os\nfrom .spaces import Partition, join\n\n"
@@ -298,3 +335,20 @@ def test_the_envelope_check_sees_a_dict_outside_finish():
         "ERROR = {'error': {'kind': 'cap'}, 'schema': 1}\n"
     )
     assert _envelope_dicts(tree) == ["line 6", "line 8"]
+
+
+def test_the_system_kind_check_sees_each_form():
+    # a bare, a dotted and a tupled class, a generator's test and a .kind
+    # compared either way round or with a tuple are faults; other classes,
+    # other kinds and a plain name compared with "markov" are not
+    tree = ast.parse(
+        "if isinstance(s, ShiftSystem):\n    pass\n"
+        "ok = isinstance(s, (Partition, systems.MixtureSystem))\n"
+        "ok = all(isinstance(c, FinitePMPAction) for c in cs)\n"
+        "if s.kind == 'markov' or 'bernoulli' != c.kind or s.kind in ('bernoulli', 'x'):\n    pass\n"
+        "if C.kind == 'trivial' or kind == 'markov' or isinstance(p, Partition):\n    pass\n"
+    )
+    assert _system_kind_tests(tree) == [
+        "line 1: isinstance", "line 3: isinstance", "line 4: isinstance",
+        "line 5: .kind", "line 5: .kind", "line 5: .kind",
+    ]

@@ -86,6 +86,13 @@ def test_space_validation():
         FiniteProbabilitySpace([1, 2], [-0.1, 1.1])
 
 
+@pytest.mark.parametrize("atoms", [[[0], 1], [0, {"a": 1}]])
+def test_unhashable_atom_ids_are_named(atoms):
+    # used to raise Python's own "unhashable type: 'list'" from set(atom_ids)
+    with pytest.raises(TypeError, match="^atom ids must be hashable$"):
+        FiniteProbabilitySpace(atoms, [0.5, 0.5])
+
+
 @pytest.mark.parametrize("atoms", [0, []])
 def test_uniform_space_without_atoms_is_the_empty_space_error(atoms):
     with pytest.raises(ValueError, match="^empty space$"):

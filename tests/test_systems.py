@@ -19,6 +19,7 @@ from folner_entropy import (
     IncompatibleSubAlgebraError,
     MixtureSystem,
     Partition,
+    SpaceMismatchError,
     SubAlgebraSpec,
     SymbolPartition,
     act,
@@ -93,6 +94,15 @@ def test_markov_shift_validation():
         markov_shift(np.array([0.5, 0.5]), P_HALF)  # not stationary
     mk = markov_shift(None, P_HALF)
     np.testing.assert_allclose(mk.pi, PI_EXACT, atol=5e-13)
+
+
+@pytest.mark.parametrize("P", [5, [0.5, 0.5], [[[1.0]]]])
+def test_transition_matrix_is_checked_square_before_its_shape_is_read(P):
+    # a number used to raise IndexError from P.shape[0]
+    with pytest.raises(ValueError, match="^square transition matrix required$"):
+        markov_shift(None, P)
+    with pytest.raises(ValueError, match="^square matrix required$"):
+        stationary_vector(P)
 
 
 def test_markov_pi_must_be_finite():
@@ -592,6 +602,23 @@ def test_mixture_of_finite_actions_as_finite_action():
     tags = tag_partition_on_union(union)
     assert len(tags.blocks) == 2
     assert is_fixed_partition(union, tags)
+
+
+@pytest.mark.parametrize("blocks", [[[0], [1]], [[0, 1]]])
+def test_a_single_space_partition_is_handed_to_every_mixture_component(blocks):
+    # the partition used to be iterated as one entry per block: two blocks
+    # raised "finite systems need a space partition", one block "one
+    # partition per component required"
+    def swap():  # equal spaces, built apart
+        return FinitePMPAction(FiniteProbabilitySpace(range(2), [0.5, 0.5]), [(1, 0)])
+
+    mx = mixture([swap(), swap()], [0.5, 0.5])
+    alpha = Partition(mx.components[0].space, blocks)
+    F = FolnerSubset.interval(0, 3)
+    assert conditional_block_entropy(mx, alpha, F) == conditional_block_entropy(mx, [alpha, alpha], F)
+    other = FinitePMPAction(FiniteProbabilitySpace(range(2), [0.25, 0.75]), [(0, 1)])
+    with pytest.raises(SpaceMismatchError, match="^space mismatch$"):
+        conditional_block_entropy(mixture([swap(), other], [0.5, 0.5]), alpha, F)
 
 
 def test_mixture_shared_alphabet_required_for_factors():
