@@ -12,10 +12,18 @@ Every subset mass, block masses included, is one numpy sum over an
 ascending index array, so the same subset always gets the same float.
 Fiber quantities (conditional entropy, disintegration, traces on a
 block) are read from label arrays grouped by block: the traces of
-alpha on the blocks of beta are the blocks of their join, and per-block
-sums are exact segment sums, each equal to the bit to the plain 1-D sum.
-Block masses are read from the sort that made the labels canonical
-(``_canonical``), so a finite entropy sorts its atoms once.
+alpha on the blocks of beta are the blocks of their join, and every
+per-group sum equals to the bit the plain 1-D numpy sum over that
+group. The rule for those sums: fewer than 8 values, one
+``np.bincount`` over the group ids (numpy sums so few values left to
+right from 0.0, and bincount adds each group in input order);
+otherwise numpy's pairwise order, by ``_segment_sums`` over the
+group's members (``_group_sums``). A partition's block masses
+(``Partition.block_masses``) are read from the sort that made the
+labels canonical (``_canonical``), so a finite entropy sorts its atoms
+once; the stacked relabellings of the sweeps take a bincount over
+their labels and read only the blocks of 8 or more atoms from that
+sort (``_label_sums``).
 ``_stacked_join`` runs those steps once over many pairs of label
 arrays stacked back to back, each pair's beta blocks numbered past
 those of the pairs before it. One partition's canonical labels are
@@ -361,6 +369,26 @@ def _segment_sums(values: np.ndarray, ends) -> np.ndarray:
     return sums
 
 
+def _group_sums(values: np.ndarray, groups: np.ndarray, k: int) -> np.ndarray:
+    """Sum of the ``values`` of each of the ``k`` groups (``groups`` holds
+    each value's group id), bit-identical to ``values[groups == j].sum()``;
+    an empty group sums to 0.0.
+
+    numpy sums fewer than 8 values left to right from 0.0, and one
+    ``np.bincount`` adds every group's values in exactly that order. Only
+    groups of 8 or more values are summed again, in numpy's pairwise
+    order, by ``_segment_sums`` over their members in input order.
+    """
+    sums = np.bincount(groups, weights=values, minlength=k)
+    sizes = np.bincount(groups, minlength=k)
+    large = sizes >= 8
+    if large.any():
+        members = np.flatnonzero(large[groups])
+        members = members[groups[members].argsort(kind="stable")]
+        sums[large] = _segment_sums(values[members], sizes[large].cumsum())
+    return sums
+
+
 def _canonical(codes: np.ndarray) -> tuple:
     """Relabel integer codes by first occurrence: (labels, block count,
     sort).
@@ -491,6 +519,21 @@ def _block_sums(masses: np.ndarray, k: int, sort: tuple) -> np.ndarray:
     return out
 
 
+def _label_sums(masses: np.ndarray, labels: np.ndarray, k: int, sort: tuple) -> np.ndarray:
+    """The block masses ``_block_sums`` gives, from one ``np.bincount``
+    over the canonical ``labels``: a block of fewer than 8 atoms is summed
+    left to right from 0.0 either way (``_group_sums``). Only the blocks
+    of 8 or more atoms are summed again, their atoms read from ``sort``.
+    """
+    sums = np.bincount(labels, weights=masses, minlength=k)
+    order, ends, rank = sort
+    sizes = np.diff(ends, prepend=0)
+    large = sizes >= 8
+    if large.any():
+        sums[rank[large]] = _segment_sums(masses[order[large.repeat(sizes)]], sizes[large].cumsum())
+    return sums
+
+
 def _stacked_betas(masses: np.ndarray, beta: np.ndarray, sizes: Sequence[int]) -> tuple:
     """Raw beta codes of pairs stacked back to back (``sizes`` gives each
     pair's atom count) relabelled into ``_stacked_join``'s layout, with
@@ -500,7 +543,8 @@ def _stacked_betas(masses: np.ndarray, beta: np.ndarray, sizes: Sequence[int]) -
     The codes may be any nonnegative int64 codes: two atoms of a pair
     share a block exactly when they share a code. One ``_canonical`` over
     the codes joined with the pair index numbers every pair's blocks in
-    order of first atom, past the blocks of the pairs before it. The
+    order of first atom, past the blocks of the pairs before it, and the
+    block masses are a bincount over those labels (``_label_sums``). The
     join code is segment-major, pair * (max code + 1) + beta: the pairs
     lie back to back, so the codes are sorted but inside each pair, and
     the stable argsort runs over them several times faster than over
@@ -511,7 +555,7 @@ def _stacked_betas(masses: np.ndarray, beta: np.ndarray, sizes: Sequence[int]) -
     labels, k, sort = _canonical(_join_codes([(pair, n), (beta, int(beta.max()) + 1)])[0])
     owner = np.empty(k, dtype=np.int64)
     owner[labels] = pair
-    return labels, _block_sums(masses, k, sort), np.bincount(owner, minlength=n)
+    return labels, _label_sums(masses, labels, k, sort), np.bincount(owner, minlength=n)
 
 
 def _stacked_join(masses, alpha, beta, mB, counts) -> tuple:
@@ -526,14 +570,14 @@ def _stacked_join(masses, alpha, beta, mB, counts) -> tuple:
     codes. One ``_canonical`` relabels the join codes
     beta * (max alpha + 1) + alpha the same way, beta first so that each
     pair's codes follow those of the pairs before it, and the join's
-    block masses are read from its sort; ``_join_codes`` relabels first
-    where that product would overflow.
+    block masses are a bincount over its labels (``_label_sums``);
+    ``_join_codes`` relabels first where that product would overflow.
 
     Returns the beta labels, the join labels, the block masses of the
     betas and of the joins, and ``counts``.
     """
     joint, k_joint, sort = _canonical(_join_codes([(beta, mB.shape[0]), (alpha, int(alpha.max()) + 1)])[0])
-    return beta, joint, mB, _block_sums(masses, k_joint, sort), counts
+    return beta, joint, mB, _label_sums(masses, joint, k_joint, sort), counts
 
 
 def _stacked_pairs(masses: np.ndarray, parts: Sequence[np.ndarray], sizes: Sequence[int], pairs) -> tuple:
@@ -583,25 +627,23 @@ def _join_entropies(lb, joint, mB, mJ, counts) -> list:
     """H(alpha | beta) of every pair from its stacked join (``_stacked_join``).
 
     The traces of alpha on the blocks B of beta are the blocks of their
-    join, so the join's block masses are the trace masses. They are
-    grouped by B (in order of first atom inside B) and normalized by
-    mu(B); each fiber's entropy sum is an exact segment sum, bit-identical
-    to the plain 1-D sum over that fiber. Zero-mass blocks carry no fiber
-    and are skipped. Each pair's total is summed over its beta blocks left
-    to right.
+    join, so the join's block masses are the trace masses, normalized by
+    mu(B). Each fiber's entropy sum is ``_group_sums`` over the owning B,
+    taken in join-label order (canonical labels keep the traces in order
+    of first atom inside B): a fiber of fewer than 8 traces is one
+    ``np.bincount`` sum, otherwise numpy's pairwise sum, and either is
+    bit-identical to the plain 1-D sum over that fiber. Zero-mass blocks
+    carry no fiber and are skipped. Each pair's total is summed over its
+    beta blocks left to right.
     """
     owner = np.empty(mJ.shape[0], dtype=np.int64)
     owner[joint] = lb
-    # traces grouped by beta block; canonical join labels keep them in
-    # order of first atom inside each block
-    by_block = owner.argsort(kind="stable")
-    owner = owner[by_block]
     live = mB[owner] > 0.0
-    p = mJ[by_block[live]] / mB[owner[live]]
+    owner = owner[live]
+    p = mJ[live] / mB[owner]
     keep = p > 0.0
     q = p[keep]
-    ends = np.bincount(owner[live][keep], minlength=mB.shape[0]).cumsum().tolist()
-    return _block_totals(mB, _segment_sums(-(q * np.log(q)), ends), counts)
+    return _block_totals(mB, _group_sums(-(q * np.log(q)), owner[keep], mB.shape[0]), counts)
 
 
 def _block_totals(block_masses: np.ndarray, values: np.ndarray, counts: Sequence[int]) -> list:
@@ -609,27 +651,16 @@ def _block_totals(block_masses: np.ndarray, values: np.ndarray, counts: Sequence
     partition, added left to right from 0.0; ``counts`` are the
     partitions' block counts, their blocks back to back.
 
-    Each partition's terms fill a row behind a leading 0.0 and are padded
-    with zeros; ``cumsum`` adds along a row strictly left to right, and an
-    added 0.0 (a skipped block or the padding) leaves a sum that started
-    at 0.0 unchanged, so every total is the plain loop's to the bit. Rows
-    are grouped by their block count rounded up to a power of two, so the
-    padding at most doubles them.
+    One ``np.bincount`` over the partitions' ids adds each partition's
+    terms in block order from 0.0, at any block count: a left-to-right
+    sum, not numpy's pairwise one, whatever the count. A skipped block
+    adds 0.0, which leaves a sum that started at 0.0 unchanged, so every
+    total is the plain loop's to the bit.
     """
     terms = np.zeros(block_masses.shape[0])
     np.multiply(block_masses, values, out=terms, where=block_masses > 0.0)
-    counts = np.asarray(counts, dtype=np.int64)
-    starts = counts.cumsum() - counts
-    exponents = np.ceil(np.log2(np.maximum(counts, 1))).astype(np.int64)
-    totals = np.empty(counts.shape[0])
-    for exponent in np.flatnonzero(np.bincount(exponents)).tolist():
-        rows = np.flatnonzero(exponents == exponent)
-        cols = np.arange(1 << exponent)
-        inside = cols < counts[rows, None]
-        padded = np.zeros((rows.shape[0], cols.shape[0] + 1))
-        padded[:, 1:][inside] = terms[(starts[rows, None] + cols)[inside]]
-        totals[rows] = padded.cumsum(axis=1)[:, -1]
-    return totals.tolist()
+    n = len(counts)
+    return np.bincount(np.arange(n).repeat(counts), weights=terms, minlength=n).tolist()
 
 
 @dataclass(frozen=True)
@@ -762,17 +793,14 @@ def _stacked_reintegration(masses, labels, block_masses, counts, wanted) -> list
     (``counts`` blocks each, with their ``block_masses``), the mass of
     the ``wanted`` atoms re-integrated over each partition's fibers.
 
-    Each fiber mass is one segment sum over the wanted atoms in the
-    fiber, in atom order, and each partition's total is summed over its
-    positive-mass blocks left to right, so every value is the one its
+    Each fiber mass is one ``_group_sums`` sum over the wanted atoms in
+    the fiber, in atom order, and each partition's total is summed over
+    its positive-mass blocks left to right, so every value is the one its
     partition gets alone.
     """
     picked = np.flatnonzero(wanted)
-    own = labels[picked]
-    by_block = picked[own.argsort(kind="stable")]
-    fibers = _fiber_masses(masses, labels, by_block, block_masses)
-    ends = np.bincount(own, minlength=block_masses.shape[0]).cumsum().tolist()
-    return _block_totals(block_masses, _segment_sums(fibers, ends), counts)
+    fibers = _fiber_masses(masses, labels, picked, block_masses)
+    return _block_totals(block_masses, _group_sums(fibers, labels[picked], block_masses.shape[0]), counts)
 
 
 def disintegrate(space: FiniteProbabilitySpace, alpha: Partition) -> Disintegration:

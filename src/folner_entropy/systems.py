@@ -137,7 +137,6 @@ class FinitePMPAction:
     """
 
     __slots__ = ("space", "_gens", "_invs", "d")
-    _finite_action = True  # what a mixture reads of a component (``MixtureSystem._exact_rate``)
 
     def __init__(self, space: FiniteProbabilitySpace, generators: Sequence[Sequence[int]]):
         n = len(space)
@@ -211,7 +210,8 @@ class FinitePMPAction:
         if C.kind == "trivial":
             return entropy(alpha_F)
         if C.kind == "invariant_partition":
-            _require_same_space(C.partition.space, self.space)
+            if fixed_partition_witness(self, C.partition) is not None:
+                raise IncompatibleSubAlgebraError("conditioning partition is not fixed")
             return conditional_entropy(alpha_F, C.partition)
         raise IncompatibleSubAlgebraError("incompatible sub-algebra")
 
@@ -544,7 +544,6 @@ class ShiftSystem:
     """
 
     __slots__ = ("d", "alphabet", "kind", "probs", "pi", "P", "base_partition", "_walk")
-    _finite_action = False
 
     def __init__(self, d, alphabet, kind, probs=None, pi=None, P=None):
         self.d = d
@@ -826,7 +825,6 @@ class MixtureSystem:
     """
 
     __slots__ = ("components", "weights", "d")
-    _finite_action = False  # even of finite actions: a mixture holding a mixture is traced
 
     def __init__(self, components: Sequence, weights: Sequence[float]):
         components = tuple(components)
@@ -883,8 +881,9 @@ class MixtureSystem:
         return walking
 
     def _exact_rate(self) -> Optional[float]:
-        # a mixture of finite actions: H(alpha^F) <= H(weights) + sum w_i log|X_i|
-        return 0.0 if all(comp._finite_action for comp in self.components) else None
+        # components of exact rate 0.0 (finite actions, or mixtures of them):
+        # H(alpha^F) <= H(weights) + sum w_i H_i(alpha^F), each bounded in |F|
+        return 0.0 if all(comp._exact_rate() == 0.0 for comp in self.components) else None
 
     def _certified(self) -> bool:
         return all(comp._is_ergodic() for comp in self.components)

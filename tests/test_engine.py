@@ -920,6 +920,32 @@ def test_rate_finite_system_bounded_numerator():
     assert trace.entries[-1].rate > 0.0
 
 
+def test_rate_of_nested_finite_mixture_is_the_flat_mixtures():
+    # a mixture holding a mixture of finite actions was traced: 0.4332, running-inf
+    swap = FinitePMPAction(FiniteProbabilitySpace.uniform(2), [(1, 0)])
+    seq = FolnerSequence(1, (1, 2, 3, 4))
+    nested = mixture([mixture([swap, swap], [0.5, 0.5]), swap], [0.5, 0.5])
+    flat = mixture([swap, swap, swap], [0.25, 0.25, 0.5])
+    for system in (nested, flat):
+        _, report = entropy_rate(system, sequence=seq)
+        assert repr(report.estimate) == "0.0"
+        assert report.method == "bounded-numerator"
+        assert report.converged
+
+
+def test_finite_block_entropy_rejects_a_moved_invariant_partition():
+    # Z/4 rotated by one moves the block {0, 1}; the value was 0.6931
+    space = FiniteProbabilitySpace.uniform(4)
+    rotation = FinitePMPAction(space, [(1, 2, 3, 0)])
+    C = SubAlgebraSpec.invariant_partition(Partition(space, [[0, 1], [2, 3]]))
+    with pytest.raises(IncompatibleSubAlgebraError, match="conditioning partition is not fixed"):
+        conditional_block_entropy(rotation, Partition.points(space), FolnerSubset.interval(0, 2), C)
+    # the rotation by two fixes its orbits {0, 2}, {1, 3}, which are accepted
+    double = FinitePMPAction(space, [(2, 3, 0, 1)])
+    orbits = SubAlgebraSpec.invariant_partition(Partition(space, [[0, 2], [1, 3]]))
+    assert conditional_block_entropy(double, Partition.points(space), FolnerSubset.interval(0, 2), orbits) == math.log(2)
+
+
 def test_rate_truncated_mid_schedule():
     mk = markov_shift(PI, P)
     seq = FolnerSequence(1, (2, 4, 16))

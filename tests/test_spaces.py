@@ -28,10 +28,14 @@ from folner_entropy import (
 from folner_entropy._kernels import entropy_from_probs
 from folner_entropy import spaces as spaces_module
 from folner_entropy.spaces import (
+    _block_sums,
     _block_totals,
+    _canonical,
+    _group_sums,
     _join_codes,
     _join_entropies,
     _join_rows,
+    _label_sums,
     _offset_entropies,
     _segment_sums,
     _stacked_betas,
@@ -39,6 +43,11 @@ from folner_entropy.spaces import (
 )
 
 LOG2 = 0.6931471805599453
+
+
+def _bits(values) -> list:
+    """The float64 bit patterns of ``values``, so that 0.0 and -0.0 differ."""
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
 
 
 # -- strategies -------------------------------------------------------------
@@ -424,7 +433,7 @@ def test_segment_sums_bit_identical_to_per_segment_sums():
         ends = np.cumsum(lengths).tolist()
         values = rng.random(ends[-1]) * rng.choice([1e-9, 1.0, 1e9], size=ends[-1])
         expected = [values[s:e].sum() for s, e in zip([0] + ends, ends)]
-        assert _segment_sums(values, ends).tolist() == expected
+        assert _bits(_segment_sums(values, ends)) == _bits(expected)
 
 
 def _conditional_entropy_cases(n, seed):
@@ -672,8 +681,67 @@ def test_segment_sums_with_empty_and_interleaved_lengths():
         ends = np.cumsum(lengths).tolist()
         values = rng.random(ends[-1]) * rng.choice([1e-9, 1.0, 1e9], size=ends[-1])
         expected = [values[s:e].sum() for s, e in zip([0] + ends, ends)]
-        assert _segment_sums(values, ends).tolist() == expected
-        assert _segment_sums(values, np.array(ends, dtype=np.int64)).tolist() == expected
+        assert _bits(_segment_sums(values, ends)) == _bits(expected)
+        assert _bits(_segment_sums(values, np.array(ends, dtype=np.int64))) == _bits(expected)
+
+
+def test_numpy_sums_below_eight_values_left_to_right_and_bincount_in_input_order():
+    # the two numpy facts ``_group_sums`` rests on: a float64 sum of fewer
+    # than 8 values is the plain loop from 0.0, and ``np.bincount`` adds
+    # each group's weights in input order from 0.0. Values of mixed scales
+    # make every other order round differently on some draw.
+    rng = np.random.default_rng(14)
+    for _ in range(2000):
+        n = int(rng.integers(0, 8))
+        values = rng.random(n) * rng.choice([1e-9, 1.0, 1e9], size=n) * rng.choice([-1.0, 1.0], size=n)
+        values[rng.random(n) < 0.1] = -0.0
+        total = 0.0
+        for v in values.tolist():
+            total += v
+        groups = rng.integers(0, 3, size=n)
+        in_order = [0.0, 0.0, 0.0]
+        for g, v in zip(groups.tolist(), values.tolist()):
+            in_order[g] += v
+        assert _bits([values.sum()]) == _bits([total])
+        assert _bits(np.bincount(groups, weights=values, minlength=3)) == _bits(in_order)
+
+
+@pytest.mark.parametrize("interleaved", [False, True])
+def test_group_sums_bit_identical_to_each_groups_sum(interleaved):
+    # group sizes on both sides of the 8-value loop and the 128-value
+    # pairwise blocks, with empty groups, negative zeros and mixed scales
+    rng = np.random.default_rng(15 + interleaved)
+    sizes = [0, 1, 7, 8, 9, 127, 128, 129, 1000, 0, 3, 8]
+    cases = [sizes, [1] * 20, [0, 0, 2], [1000], [0]]
+    for _ in range(30):
+        cases.append(rng.choice([0, 1, 2, 7, 8, 9, 128, 129], size=int(rng.integers(1, 25))).tolist())
+    for sizes in cases:
+        groups = np.arange(len(sizes)).repeat(sizes)
+        if interleaved:
+            groups = groups[rng.permutation(groups.shape[0])]
+        n = groups.shape[0]
+        values = rng.random(n) * rng.choice([1e-9, 1.0, 1e9], size=n) * rng.choice([-1.0, 1.0], size=n)
+        values[rng.random(n) < 0.1] = -0.0
+        expected = [values[groups == j].sum() for j in range(len(sizes))]
+        assert _bits(_group_sums(values, groups, len(sizes))) == _bits(expected)
+    # groups of negative zeros only, below and above 8 values
+    groups = np.array([0, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2])
+    values = np.full(groups.shape[0], -0.0)
+    expected = [values[groups == j].sum() for j in range(3)]
+    assert _bits(_group_sums(values, groups, 3)) == _bits(expected)
+
+
+@pytest.mark.parametrize("n", [7, 64, 300, 3000])
+def test_label_sums_bit_identical_to_the_sorted_block_sums(n):
+    # block masses from one bincount over canonical labels, the blocks of
+    # 8 or more atoms summed again from the relabelling sort
+    rng = np.random.default_rng(16)
+    w = rng.random(n) * rng.choice([1e-9, 1.0], size=n)
+    w[rng.random(n) < 0.2] = 0.0
+    for k in (1, 2, 9, max(2, n // 7), n):
+        labels, k_labels, sort = _canonical(_scrambled_codes(rng, n, k))
+        expected = _block_sums(w, k_labels, sort)
+        assert _bits(_label_sums(w, labels, k_labels, sort)) == _bits(expected)
 
 
 def _scrambled_codes(rng, n, k):
