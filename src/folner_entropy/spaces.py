@@ -21,9 +21,8 @@ otherwise numpy's pairwise order, by ``_segment_sums`` over the
 group's members (``_group_sums``). A partition's block masses
 (``Partition.block_masses``) are read from the sort that made the
 labels canonical (``_canonical``), so a finite entropy sorts its atoms
-once; the stacked relabellings of the sweeps take a bincount over
-their labels and read only the blocks of 8 or more atoms from that
-sort (``_label_sums``).
+once; the stacked relabellings of the sweeps sum their block masses
+by ``_group_sums`` over their labels.
 ``_stacked_join`` runs those steps once over many pairs of label
 arrays stacked back to back, each pair's beta blocks numbered past
 those of the pairs before it. One partition's canonical labels are
@@ -519,21 +518,6 @@ def _block_sums(masses: np.ndarray, k: int, sort: tuple) -> np.ndarray:
     return out
 
 
-def _label_sums(masses: np.ndarray, labels: np.ndarray, k: int, sort: tuple) -> np.ndarray:
-    """The block masses ``_block_sums`` gives, from one ``np.bincount``
-    over the canonical ``labels``: a block of fewer than 8 atoms is summed
-    left to right from 0.0 either way (``_group_sums``). Only the blocks
-    of 8 or more atoms are summed again, their atoms read from ``sort``.
-    """
-    sums = np.bincount(labels, weights=masses, minlength=k)
-    order, ends, rank = sort
-    sizes = np.diff(ends, prepend=0)
-    large = sizes >= 8
-    if large.any():
-        sums[rank[large]] = _segment_sums(masses[order[large.repeat(sizes)]], sizes[large].cumsum())
-    return sums
-
-
 def _stacked_betas(masses: np.ndarray, beta: np.ndarray, sizes: Sequence[int]) -> tuple:
     """Raw beta codes of pairs stacked back to back (``sizes`` gives each
     pair's atom count) relabelled into ``_stacked_join``'s layout, with
@@ -544,7 +528,7 @@ def _stacked_betas(masses: np.ndarray, beta: np.ndarray, sizes: Sequence[int]) -
     share a block exactly when they share a code. One ``_canonical`` over
     the codes joined with the pair index numbers every pair's blocks in
     order of first atom, past the blocks of the pairs before it, and the
-    block masses are a bincount over those labels (``_label_sums``). The
+    block masses are ``_group_sums`` over those labels. The
     join code is segment-major, pair * (max code + 1) + beta: the pairs
     lie back to back, so the codes are sorted but inside each pair, and
     the stable argsort runs over them several times faster than over
@@ -552,10 +536,10 @@ def _stacked_betas(masses: np.ndarray, beta: np.ndarray, sizes: Sequence[int]) -
     """
     n = len(sizes)
     pair = np.arange(n).repeat(sizes)
-    labels, k, sort = _canonical(_join_codes([(pair, n), (beta, int(beta.max()) + 1)])[0])
+    labels, k, _ = _canonical(_join_codes([(pair, n), (beta, int(beta.max()) + 1)])[0])
     owner = np.empty(k, dtype=np.int64)
     owner[labels] = pair
-    return labels, _label_sums(masses, labels, k, sort), np.bincount(owner, minlength=n)
+    return labels, _group_sums(masses, labels, k), np.bincount(owner, minlength=n)
 
 
 def _stacked_join(masses, alpha, beta, mB, counts) -> tuple:
@@ -570,14 +554,14 @@ def _stacked_join(masses, alpha, beta, mB, counts) -> tuple:
     codes. One ``_canonical`` relabels the join codes
     beta * (max alpha + 1) + alpha the same way, beta first so that each
     pair's codes follow those of the pairs before it, and the join's
-    block masses are a bincount over its labels (``_label_sums``);
+    block masses are ``_group_sums`` over its labels;
     ``_join_codes`` relabels first where that product would overflow.
 
     Returns the beta labels, the join labels, the block masses of the
     betas and of the joins, and ``counts``.
     """
-    joint, k_joint, sort = _canonical(_join_codes([(beta, mB.shape[0]), (alpha, int(alpha.max()) + 1)])[0])
-    return beta, joint, mB, _label_sums(masses, joint, k_joint, sort), counts
+    joint, k_joint, _ = _canonical(_join_codes([(beta, mB.shape[0]), (alpha, int(alpha.max()) + 1)])[0])
+    return beta, joint, mB, _group_sums(masses, joint, k_joint), counts
 
 
 def _stacked_pairs(masses: np.ndarray, parts: Sequence[np.ndarray], sizes: Sequence[int], pairs) -> tuple:

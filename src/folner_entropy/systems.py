@@ -246,10 +246,8 @@ class FinitePMPAction:
                 f"partition is not fixed: generator {witness['generator']}"
                 f" moves block {tuple(witness['block'])}"
             )
-        if spec.kind == "invariant_partition":
-            if fixed_partition_witness(self, spec.partition) is not None:
-                raise IncompatibleSubAlgebraError("conditioning partition is not fixed")
-        elif spec.kind != "trivial":
+        # a moved conditioning partition was rejected by the whole-system trace
+        if spec.kind not in ("trivial", "invariant_partition"):
             raise IncompatibleSubAlgebraError("incompatible sub-algebra")
         masses = enumerate(beta.block_masses().tolist())
         return [(f"block:{bi}", mB, 0.0, None) for bi, mB in masses if mB > 0.0]

@@ -452,6 +452,8 @@ ROTATION_Z4 = {
             "schedule": {"sides": [1, 2, 4]},
         }),
         ("decompose", {"schedule": {"sides": [1, 2, 4]}}),
+        # read before beta, so a moved beta's exit-3 witness report is not written
+        ("decompose", {"beta": {"blocks": [[0, 1], [2, 3]]}, "schedule": {"sides": [1, 2]}}),
     ],
 )
 def test_conditioning_partition_the_action_moves_is_rejected(tmp_path, verb, cfg):

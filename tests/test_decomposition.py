@@ -201,7 +201,7 @@ def test_decompose_finite_with_fixed_conditioning():
     from folner_entropy import IncompatibleSubAlgebraError
 
     bad = SubAlgebraSpec.invariant_partition(Partition(space, [[0, 1], [2, 3, 4, 5]]))
-    with pytest.raises(IncompatibleSubAlgebraError):
+    with pytest.raises(IncompatibleSubAlgebraError, match="conditioning partition is not fixed"):
         decompose_entropy(action, C=bad, sequence=FolnerSequence(1, (1, 2)))
 
 

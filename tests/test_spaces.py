@@ -35,7 +35,6 @@ from folner_entropy.spaces import (
     _join_codes,
     _join_entropies,
     _join_rows,
-    _label_sums,
     _offset_entropies,
     _segment_sums,
     _stacked_betas,
@@ -732,16 +731,16 @@ def test_group_sums_bit_identical_to_each_groups_sum(interleaved):
 
 
 @pytest.mark.parametrize("n", [7, 64, 300, 3000])
-def test_label_sums_bit_identical_to_the_sorted_block_sums(n):
-    # block masses from one bincount over canonical labels, the blocks of
-    # 8 or more atoms summed again from the relabelling sort
+def test_group_sums_over_canonical_labels_bit_identical_to_the_sorted_block_sums(n):
+    # the stacked block masses (``_group_sums`` over canonical labels)
+    # against Partition.block_masses' route from the relabelling sort
     rng = np.random.default_rng(16)
     w = rng.random(n) * rng.choice([1e-9, 1.0], size=n)
     w[rng.random(n) < 0.2] = 0.0
     for k in (1, 2, 9, max(2, n // 7), n):
         labels, k_labels, sort = _canonical(_scrambled_codes(rng, n, k))
         expected = _block_sums(w, k_labels, sort)
-        assert _bits(_label_sums(w, labels, k_labels, sort)) == _bits(expected)
+        assert _bits(_group_sums(w, labels, k_labels)) == _bits(expected)
 
 
 def _scrambled_codes(rng, n, k):
