@@ -4,9 +4,10 @@ Every row's window entropy is ``conditional_block_entropy``, defined in
 ``systems`` beside the per-kind routes it dispatches to. A rate trace
 walks a copy of the system (its ``_walking``) whose shifts each hold one
 chain record (``_kernels._Chain``), so a d = 1 Markov trace over sides
-1..N costs N chain steps, not N(N+1)/2; each row equals by ``repr`` its
-window's value on its own. A rate known without a trace
-(``_exact_rate``) is reported in place of the running infimum.
+1..N costs N chain steps, not N(N+1)/2, and whose finite actions each
+resume their last box join; each row equals by ``repr`` its window's
+value on its own. A rate known without a trace (``_exact_rate``) is
+reported in place of the running infimum.
 """
 
 from __future__ import annotations
@@ -126,7 +127,9 @@ def entropy_rate(
 
     The rows evaluate one walking copy of ``system`` (its
     ``_walking``), dropped when the call returns or raises:
-    one ``_kernels._Chain`` record per shift, and none on ``system``.
+    one ``_kernels._Chain`` record per shift and one box-join record per
+    finite action (``systems._finite_window_join``), and none on
+    ``system``.
     """
     if sequence is None:
         raise ValueError("a box schedule is required")

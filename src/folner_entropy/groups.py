@@ -3,7 +3,8 @@
 A window (``FolnerSubset``) is one read-only, C-contiguous ``(k, d)``
 int64 array ``rows``: its points, unique and in lexicographic order,
 which is the order of sorted tuples, negative coordinates included.
-Boxes and intervals are filled in that order directly. Set operations
+Intervals are filled in that order directly, and boxes the same way
+when their rows are first read. Set operations
 compare packed int64 row codes (``_codes``). The tuple forms, the
 ``elements`` frozenset and iteration in sorted order, are derived on
 demand and hold Python ints. Group elements are integer sequences;
@@ -105,7 +106,7 @@ class FolnerSubset:
     bools and non-integral coordinates raise ``TypeError``.
     """
 
-    __slots__ = ("rows", "d", "_elements")
+    __slots__ = ("_rows", "d", "_elements", "_side")
 
     def __init__(self, elements: Iterable[Sequence[int]], d: Optional[int] = None):
         points = [tuple(_integer(c) for c in e) for e in elements]
@@ -131,12 +132,11 @@ class FolnerSubset:
             rows = rows[fresh]
         self._set(rows, d)
 
-    def _set(self, rows: np.ndarray, d: int) -> None:
-        rows = np.ascontiguousarray(rows, dtype=np.int64)
-        rows.flags.writeable = False
-        self.rows = rows
-        self.d = d
-        self._elements = None
+    def _set(self, rows: Optional[np.ndarray], d: int, side: Optional[int] = None) -> None:
+        if rows is not None:
+            rows = np.ascontiguousarray(rows, dtype=np.int64)
+            rows.flags.writeable = False
+        self._rows, self.d, self._elements, self._side = rows, d, None, side
 
     @classmethod
     def _from_rows(cls, rows: np.ndarray, d: int) -> "FolnerSubset":
@@ -147,15 +147,28 @@ class FolnerSubset:
 
     @classmethod
     def box(cls, d: int, side: int) -> "FolnerSubset":
-        """The box [0, side)^d, filled in lexicographic order."""
+        """The box [0, side)^d. It records its side (``_side``, None on
+        every other window), so a box is told apart in O(1), and fills
+        its rows, in lexicographic order, only when they are first read:
+        its size is side^d without them."""
         d, side = _dimension(d), _integer(side, "side")
         if side < 1:
             raise ValueError("side must be positive")
-        grid = np.empty((side,) * d + (d,), dtype=np.int64)
-        axis = np.arange(side, dtype=np.int64)
-        for j in range(d):
-            grid[..., j] = axis.reshape((side,) + (1,) * (d - 1 - j))
-        return cls._from_rows(grid.reshape(-1, d), d)
+        F = object.__new__(cls)
+        F._set(None, d, side)
+        return F
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The points, one row each (see the class docstring)."""
+        if self._rows is None:
+            side, d = self._side, self.d
+            grid = np.empty((side,) * d + (d,), dtype=np.int64)
+            axis = np.arange(side, dtype=np.int64)
+            for j in range(d):
+                grid[..., j] = axis.reshape((side,) + (1,) * (d - 1 - j))
+            self._set(grid.reshape(-1, d), d, side)
+        return self._rows
 
     @classmethod
     def interval(cls, a: int, b: int) -> "FolnerSubset":
@@ -173,7 +186,7 @@ class FolnerSubset:
         return self._elements
 
     def __len__(self) -> int:
-        return self.rows.shape[0]
+        return self.rows.shape[0] if self._side is None else self._side**self.d
 
     def __iter__(self):
         return map(tuple, self.rows.tolist())

@@ -22,7 +22,8 @@ group's members (``_group_sums``). A partition's block masses
 (``Partition.block_masses``) are read from the sort that made the
 labels canonical (``_canonical``), so a finite entropy sorts its atoms
 once; the stacked relabellings of the sweeps sum their block masses
-by ``_group_sums`` over their labels.
+by ``_group_sums`` over their labels, and the sweeps' per-space mass
+totals by the same rule over the space index (``_stack_sums``).
 ``_stacked_join`` runs those steps once over many pairs of label
 arrays stacked back to back, each pair's beta blocks numbered past
 those of the pairs before it. One partition's canonical labels are
@@ -152,7 +153,7 @@ def _require_probabilities(masses: np.ndarray, sizes: Sequence[int]) -> None:
     a stack fails as the first bad ``FiniteProbabilitySpace`` would."""
     ends = [*accumulate(sizes)]
     negative = masses < 0.0
-    totals = _segment_sums(masses, ends)
+    totals = _stack_sums(masses, sizes)
     # a NaN total fails this comparison too; past the first two checks a
     # non-finite entry can only be NaN, which makes the sum NaN
     normalised = np.abs(totals - 1.0) <= MASS_TOL
@@ -366,6 +367,17 @@ def _segment_sums(values: np.ndarray, ends) -> np.ndarray:
     sums = np.empty(lengths.shape[0])
     sums[by_length] = np.concatenate(runs)
     return sums
+
+
+def _stack_sums(values: np.ndarray, sizes) -> np.ndarray:
+    """Sum of each of the vectors lying back to back in ``values``
+    (``sizes`` gives their lengths), bit-identical to its own 1-D sum:
+    one vector by ``_segment_sums``, a stack by ``_group_sums`` over the
+    vectors' indices."""
+    n = len(sizes)
+    if n == 1:
+        return _segment_sums(values, sizes)
+    return _group_sums(values, np.arange(n).repeat(sizes), n)
 
 
 def _group_sums(values: np.ndarray, groups: np.ndarray, k: int) -> np.ndarray:

@@ -47,9 +47,10 @@ from .engine import (
 )
 from .groups import FolnerSubset, _require_seed
 from .spaces import (
+    _group_sums,
     _join_codes,
     _require_probabilities,
-    _segment_sums,
+    _stack_sums,
     _stacked_betas,
     _stacked_mass_functions,
     _stacked_reintegration,
@@ -121,10 +122,10 @@ def _masses(rng: np.random.Generator, sizes: np.ndarray) -> np.ndarray:
     rank = np.empty(w.shape[0], dtype=np.int64)
     rank[_shuffle(rng, sizes)] = np.arange(w.shape[0]) - (ends - sizes).repeat(sizes)
     w[(rank < k.repeat(sizes)) & zeroed.repeat(sizes)] = 0.0
-    totals = _segment_sums(w, ends)
+    totals = _stack_sums(w, sizes)
     if (totals <= 0.0).any():
         w[(ends - sizes)[totals <= 0.0]] = 1.0
-        totals = _segment_sums(w, ends)
+        totals = _stack_sums(w, sizes)
     return w / totals.repeat(sizes)
 
 
@@ -141,7 +142,7 @@ def _permutation_masses(rng: np.random.Generator, sizes: np.ndarray) -> tuple:
     perm = _shuffle(rng, sizes)
     low = _cycle_minima(np.arange(perm.shape[0]), perm, int(sizes.max()))
     w = rng.random(perm.shape[0])[low]
-    return w / _segment_sums(w, sizes.cumsum()).repeat(sizes), perm
+    return w / _stack_sums(w, sizes).repeat(sizes), perm
 
 
 def _identity_batches(rng: np.random.Generator, trials: int, max_atoms: int) -> Iterator:
@@ -319,7 +320,7 @@ def sweep_disintegration(
     label rows and the subsets' mask. Each batch takes one check of its
     masses and one ``_stacked_mass_functions`` join; the re-integration reads the cond
     labels and block masses of that join (``_stacked_reintegration``), and
-    the direct masses are one segment sum over the picked atoms. The
+    the direct masses are one ``_group_sums`` over the picked atoms. The
     report is the one a ``reconstruct`` and a ``conditional_mass_function``
     call per trial give. ``tolerance`` must be finite and nonnegative,
     ``seed`` a nonnegative integer, and ``max_atoms`` in
@@ -335,7 +336,7 @@ def sweep_disintegration(
         gaps = _stacked_mass_functions(masses, alpha, cond, mC, counts, sizes)[3]
         rebuilt = _stacked_reintegration(masses, cond, mC, counts, pick)
         trial = np.arange(count).repeat(sizes)
-        direct = _segment_sums(masses[pick], np.bincount(trial[pick], minlength=count).cumsum().tolist())
+        direct = _group_sums(masses[pick], trial[pick], count)
         report.stat("reconstruction", tolerance).record_all(-np.abs(np.subtract(rebuilt, direct)))
         report.stat("mass_function_integral", tolerance).record_all(-gaps)
     return report
@@ -413,7 +414,8 @@ def window_entropy_phi(
 
     The function evaluates a walking copy of ``system`` (its
     ``_walking``), made once for its life, so its windows share
-    one ``_kernels._Chain`` record per shift; every value equals, by
+    one ``_kernels._Chain`` record per shift (and a finite action's
+    boxes its box-join record); every value equals, by
     ``repr``, that of ``conditional_block_entropy`` called on its own.
 
     ``phi.mask_table(box)`` gives phi on every subset of ``box`` at once,

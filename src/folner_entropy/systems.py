@@ -6,6 +6,8 @@ drives:
 - ``FinitePMPAction``: d commuting mass-preserving permutations of a
   finite space, held as index arrays; a window partition joins the
   label rows of alpha pulled back through every T_g, everything exact.
+  A trace's walking copy keeps its last box join, so each box row joins
+  2^d translates of the one before, and none once they stop refining.
 - ``ShiftSystem``: the full shift over a finite alphabet with either a
   product (any d) or a stationary Markov (d = 1) measure; window
   measures come from the numpy kernels.
@@ -133,10 +135,11 @@ class FinitePMPAction:
     rejected, not cast) that preserves masses atomwise (bit-exact), and
     all generators must commute; the three checks run as array
     comparisons at construction. The generators are stored as int64
-    index arrays, together with their inverses.
+    index arrays, together with their inverses. ``_walk`` is the box-join
+    record of a walking copy (``_walking``) and None otherwise.
     """
 
-    __slots__ = ("space", "_gens", "_invs", "d")
+    __slots__ = ("space", "_gens", "_invs", "d", "_walk")
 
     def __init__(self, space: FiniteProbabilitySpace, generators: Sequence[Sequence[int]]):
         n = len(space)
@@ -162,6 +165,7 @@ class FinitePMPAction:
         self._gens = tuple(gens)
         self._invs = tuple(invs)
         self.d = len(gens)
+        self._walk = None
 
     @property
     def generators(self) -> tuple:
@@ -219,7 +223,12 @@ class FinitePMPAction:
         return None
 
     def _walking(self) -> "FinitePMPAction":
-        return self
+        """A copy whose ``_walk`` keeps its last box join, (alpha, side s,
+        alpha^[0,s)^d, saturated), which ``_finite_window_join`` resumes;
+        it is empty until the first box and dropped with the copy."""
+        walking = copy.copy(self)
+        walking._walk = ()
+        return walking
 
     def _exact_rate(self) -> float:
         # H(alpha^F | C) <= log|X| while |F| grows
@@ -293,6 +302,48 @@ def act(system: FinitePMPAction, g: GroupElement, alpha: Partition) -> Partition
 def _finite_window_join(system: FinitePMPAction, alpha: Partition, F: FolnerSubset) -> Partition:
     """alpha^F, the join of alpha pulled back through T_g for every g of F.
 
+    On a walking copy (``_walking``), a box [0, s')^d for the alpha of
+    the recorded box P = alpha^[0,s)^d resumes it: if s < s' <= 2s, the
+    box is [0,s)^d + {0, s'-s}^d, so alpha^F joins the 2^d translates of
+    P, each one gather of P's labels (``_box_resume``). Once a box has as
+    many blocks as the recorded one, the two are equal and the record is
+    saturated: every unit shift of [0,s)^d lies in [0,s')^d, so
+    T^{-e_i}P = P for each i, and every larger box is P itself, returned
+    without a join or a read of its rows. Any other window, a box past
+    2s, and every window of a system that is not a walking copy take the
+    run joins below (``_window_join``); a box's result is recorded.
+    """
+    _require_same_space(system.space, alpha.space)
+    if F.d != system.d:
+        raise ValueError("dimension mismatch")
+    side = F._side
+    if system._walk is None or side is None:
+        return _window_join(system, alpha, F)
+    a, s, P, saturated = system._walk or (None, 0, None, False)
+    if alpha == a and side >= s:
+        if saturated or side == s:
+            return P
+        joined = _box_resume(system, P, side - s) if side <= 2 * s else _window_join(system, alpha, F)
+        saturated = joined.n_blocks == P.n_blocks
+    else:
+        joined, saturated = _window_join(system, alpha, F), False
+    system._walk = (alpha, side, joined, saturated)
+    return joined
+
+
+def _box_resume(system: FinitePMPAction, P: Partition, t: int) -> Partition:
+    """The join of the 2^d translates of ``P`` by {0, t}^d: P's labels
+    gathered through T_v for each such v, T_v built axis by axis."""
+    rows = [P.labels()]
+    for e in basis(system.d):
+        step = system.atom_map(tuple(t * c for c in e))
+        rows += [row[step] for row in rows]
+    return _join_rows(system.space, ((row, P.n_blocks) for row in rows))
+
+
+def _window_join(system: FinitePMPAction, alpha: Partition, F: FolnerSubset) -> Partition:
+    """alpha^F by run joins.
+
     F's rows fall into maximal runs along the last axis. The join over
     a run g + [0, L) e_d is the join over [0, L) e_d pulled back through
     T_g, so it is built once per run length (``_run_join``) and then
@@ -302,9 +353,6 @@ def _finite_window_join(system: FinitePMPAction, alpha: Partition, F: FolnerSubs
     them, so a box (all runs of one length, d - 1 distinct steps) powers
     each step once; a unit step's map is the stored generator itself.
     """
-    _require_same_space(system.space, alpha.space)
-    if F.d != system.d:
-        raise ValueError("dimension mismatch")
     if len(F) == 0:
         return Partition.trivial(system.space)
 

@@ -1271,6 +1271,119 @@ def test_a_bare_symbol_factor_call_takes_each_power_once(monkeypatch):
     assert powers == [1]
 
 
+# -- finite traces resume the previous box ------------------------------------------
+#
+# A trace's walking copy of a finite action joins the 2^d translates of
+# the last box's partition when the side at most doubles, and returns
+# that partition once a box has as many blocks as the box before it.
+# Every row must still equal, by repr, the value of its window on the
+# plain system, which takes the run joins.
+
+
+def _arcs(system, n_arcs, seed):
+    n = len(system.space)
+    cuts = np.sort(np.random.default_rng(seed).choice(n, size=n_arcs, replace=False))
+    return Partition.from_labels(system.space, (np.searchsorted(cuts, np.arange(n), side="right") - 1) % n_arcs)
+
+
+def _rotation_by(n, step):
+    return FinitePMPAction(FiniteProbabilitySpace.uniform(n), [(np.arange(n) + step) % n])
+
+
+def _resume_case(name):
+    rotation, torus, cube = _cyclic_product(2000), _cyclic_product(40, 50), _cyclic_product(4, 5, 6)
+    double = _rotation_by(600, 2)
+    orbits = SubAlgebraSpec.invariant_partition(orbit_partition(double))
+    return {
+        "d1-arcs": (rotation, _arcs(rotation, 8, 5), None),
+        "d1-points": (rotation, None, None),
+        "d1-orbits": (double, _arcs(double, 8, 7), orbits),
+        "d2-labels": (torus, _random_labels(torus, 3, 11), None),
+        "d3-labels": (cube, _random_labels(cube, 2, 17), None),
+        "d1-mixture": (
+            mixture([rotation, double], [0.3, 0.7]),
+            [_arcs(rotation, 8, 5), _random_labels(double, 3, 19)],
+            None,
+        ),
+    }[name]
+
+
+RESUME_SCHEDULES = {
+    1: [(1, 2, 3, 4, 5, 6, 7, 9, 10), (1, 3, 7, 15, 40, 64), (2, 3, 5, 11, 12, 24, 48, 97)],
+    2: [(1, 2, 3, 4, 5, 6), (1, 3, 7, 8, 16), (2, 4, 9, 13, 26)],
+    3: [(1, 2, 3, 4, 6), (1, 3, 8, 9)],
+}
+
+
+@pytest.mark.parametrize("name", ["d1-arcs", "d1-points", "d1-orbits", "d2-labels", "d3-labels", "d1-mixture"])
+def test_resumed_trace_rows_equal_the_per_window_values(name):
+    # schedules with steps of at most 2s (resumed) and past 2s (run joins)
+    system, alpha, C = _resume_case(name)
+    for sides in RESUME_SCHEDULES[system.d]:
+        seq = FolnerSequence(system.d, sides)
+        trace, _ = entropy_rate(system, alpha, C, seq)
+        assert _rows(trace) == _per_window_rows(system, alpha, C, seq, len(sides)), sides
+
+
+def test_resumed_decomposition_equals_the_run_joined_one():
+    # x -> x + 2 on Z/600 over its two orbits; the rows and the infimum
+    # are the values the run joins of every row gave
+    system, alpha, _ = _resume_case("d1-orbits")
+    res = decompose_entropy(system, None, alpha, None, FolnerSequence(1, (1, 2, 3, 5, 8, 16, 40, 64)))
+    assert _rows(res.lhs_trace) == [
+        "1.7235606764385827", "1.837018473735456", "1.9491314699782314", "2.1689320871090683",
+        "2.485580017054205", "3.1778836804118225", "4.20652498928486", "5.026721569816682",
+    ]
+    assert repr(res.lhs_report.inf_value) == "0.07854252452838566"
+    assert (res.lhs, res.rhs, res.gap, res.certified) == (0.0, 0.0, 0.0, True)
+    assert [(c.label, c.weight, c.estimate) for c in res.components] == [
+        ("block:0", 0.5000000000000001, 0.0), ("block:1", 0.5000000000000001, 0.0),
+    ]
+
+
+def test_a_saturated_trace_joins_no_more_boxes(monkeypatch):
+    # on the (Z/8)^2 torus the box partitions stop refining by side 8;
+    # after the row whose block count repeats, no row joins or builds its box
+    torus = _cyclic_product(8, 8)
+    alpha = _random_labels(torus, 2, 3)
+    seq = FolnerSequence(2, tuple(2**j for j in range(9)))
+    counts = [_finite_window_join(torus, alpha, seq.subset(n)).n_blocks for n in range(1, 10)]
+    saturating = next(n for n in range(2, 10) if counts[n - 1] == counts[n - 2])
+    assert 2 <= saturating <= 5
+    fresh = _per_window_rows(torus, alpha, None, seq, 9)
+
+    joins, windows = [], []
+    join_rows, block_entropy = systems._join_rows, engine.conditional_block_entropy
+
+    def counted_join(*args):
+        joins[-1] += 1
+        return join_rows(*args)
+
+    def per_row(system, alpha, F, *rest):
+        joins.append(0)
+        windows.append(F)
+        return block_entropy(system, alpha, F, *rest)
+
+    monkeypatch.setattr(systems, "_join_rows", counted_join)
+    monkeypatch.setattr(engine, "conditional_block_entropy", per_row)
+    trace, _ = entropy_rate(torus, alpha, sequence=seq)
+    assert _rows(trace) == fresh
+    assert all(joins[:saturating]) and not any(joins[saturating:])
+    assert all(F._rows is None for F in windows[saturating:])
+    assert [e.F_size for e in trace.entries] == [4**j for j in range(9)]
+
+
+def test_subsets_of_a_box_never_read_the_box_record():
+    # an exhaustive report reads phi on every subset of box(1, 8): none is
+    # a box, so the walking copy's values are the plain system's
+    system, alpha, _ = _resume_case("d1-arcs")
+    box = FolnerSubset.box(1, 8)
+    walked = verify_subadditive_hypotheses(window_entropy_phi(system, alpha), box, exhaustive=True)
+    plain = verify_subadditive_hypotheses(lambda F: conditional_block_entropy(system, alpha, F), box, exhaustive=True)
+    assert walked == plain and walked.ok
+    assert walked.checked == plain.checked and walked.min_slack == plain.min_slack
+
+
 def test_a_zero_entropy_reads_positive_zero():
     # every mass 0 or 1: the negated sum of p log p would be -0.0
     trace, report = entropy_rate(
