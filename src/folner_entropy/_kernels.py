@@ -134,8 +134,8 @@ class _Chain:
     resumes the stored walk of its kind when that walk has covered no
     more sites, and restarts from the first state otherwise: an
     interval's walk after n sites is any longer interval's after its
-    first n. A gapped window, or a cell walk with more than one cell
-    map, starts from the first state and is not stored. A shift that is
+    first n. A gapped window, or a cell walk given one map per site,
+    starts from the first state and is not stored. A shift that is
     no walking copy takes a fresh record per evaluation.
     """
 
@@ -177,17 +177,22 @@ class _Chain:
             self.firsts[kind] = first
         return first
 
-    def resume(self, kind, sites: list):
-        """(state, sites done) a walk of ``kind`` along ``sites`` starts from."""
+    def resume(self, kind, offsets: np.ndarray):
+        """(state, sites done) a walk of ``kind`` along ``offsets`` starts from."""
         state, done = self.walks.get(kind, (None, 0))
-        if 0 < done <= len(sites) and sites[-1] - sites[0] == len(sites) - 1:
+        if 0 < done <= len(offsets) and _is_interval(offsets):
             return state, done
         return self.first(kind), 1
 
-    def keep(self, kind, sites: list, state: np.ndarray) -> None:
-        """Store a walk of ``kind`` that has covered ``sites``, if an interval."""
-        if sites[-1] - sites[0] == len(sites) - 1:
-            self.walks[kind] = state, len(sites)
+    def keep(self, kind, offsets: np.ndarray, state: np.ndarray) -> None:
+        """Store a walk of ``kind`` that has covered ``offsets``, if an interval."""
+        if _is_interval(offsets):
+            self.walks[kind] = state, len(offsets)
+
+
+def _is_interval(offsets: np.ndarray) -> bool:
+    """Whether sorted, unique ``offsets`` are nonempty and leave no gap."""
+    return len(offsets) > 0 and int(offsets[-1]) - int(offsets[0]) == len(offsets) - 1
 
 
 def _row_entropies(rows: np.ndarray) -> np.ndarray:
@@ -209,13 +214,15 @@ def markov_window_entropy(chain: _Chain, offsets: np.ndarray) -> float:
     steps and walks are ``chain``'s. Zero entries and states of zero
     mass contribute 0.
     """
-    sites = np.asarray(offsets, dtype=np.int64).tolist()
-    if not sites:
+    offsets = np.asarray(offsets, dtype=np.int64)
+    if not len(offsets):
         return 0.0
-    state, done = chain.resume("entropy", sites)
-    for a, b in zip(sites[done - 1:], sites[done:]):
+    state, done = chain.resume("entropy", offsets)
+    # a resumed walk lists only the sites it has still to take
+    sites = offsets[done - 1 :].tolist()
+    for a, b in zip(sites, sites[1:]):
         state = state @ chain.step(b - a)
-    chain.keep("entropy", sites, state)
+    chain.keep("entropy", offsets, state)
     return float(state[-1])
 
 
@@ -244,36 +251,46 @@ def markov_mask_entropies(chain: _Chain, sites: np.ndarray) -> np.ndarray:
     return states[:, -1].copy()
 
 
-def hidden_markov_pattern_probs(chain: _Chain, offsets: np.ndarray, site_cells) -> np.ndarray:
+def hidden_markov_pattern_probs(chain: _Chain, offsets: np.ndarray, cells) -> np.ndarray:
     """Measures of all cell patterns on a sorted, possibly gapped d = 1 window.
 
-    ``site_cells[j]`` gives the cell of each symbol at window site j
-    (an int array of length m, cells 0..c_j - 1). A forward walk keeps
-    one (cell pattern so far, current state) table: each site moves it
-    by P^gap and splits every state's mass into its cell, so the cost
-    is prod(c_j) * m^2 rather than m^k; the powers and walks are
-    ``chain``'s. Patterns are indexed element-major, first site most
-    significant.
+    ``cells`` is the cell map: an int array of length m giving the cell
+    (0..c - 1) of each symbol, read at every window site, or a (k, m)
+    table of one such map per window site. A forward walk keeps one
+    (cell pattern so far, current state) table: each site moves it by
+    P^gap and splits every state's mass into its cell, so the cost is
+    prod(c_j) * m^2 rather than m^k; the powers and walks are
+    ``chain``'s. A walk's kind is the bytes of its first site's map,
+    whose first table ``chain`` builds once, so a one-map walk reads its
+    map there and nowhere else; only one-map walks resume and are kept.
+    Patterns are indexed element-major, first site most significant.
     """
-    sites = np.asarray(offsets, dtype=np.int64).tolist()
-    if len(site_cells) != len(sites):
+    offsets = np.asarray(offsets, dtype=np.int64)
+    cells = np.asarray(cells, dtype=np.int64)
+    k = offsets.shape[0]
+    one_map = cells.ndim == 1
+    if not one_map and cells.shape[0] != k:
         raise ValueError("one cell map per window site required")
-    if not sites:
+    if not k:
         return np.ones(1)
-    labels = np.asarray(site_cells, dtype=np.int64)
-    n_cells = (labels.max(axis=1) + 1).tolist()
-    _check_size(math.prod(n_cells), 1)
+    kind = (cells if one_map else cells[0]).tobytes()
+    if one_map:
+        table, done = chain.resume(kind, offsets)
+        n_cells = [table.shape[1]] * k  # a table is (patterns, cells, states)
+        _check_size(n_cells[0], k)
+    else:
+        n_cells = (cells.max(axis=1) + 1).tolist()
+        _check_size(math.prod(n_cells), 1)
+        table, done = chain.first(kind), 1
     m = chain.pi.shape[0]
     states = np.arange(m)
-    kind = labels[0].tobytes()
-    one_map = not (labels != labels[0]).any()
-    table, done = chain.resume(kind, sites) if one_map else (chain.first(kind), 1)
-    for j in range(done, len(sites)):
-        step = table.reshape(-1, m) @ chain.power(sites[j] - sites[j - 1])
+    sites = offsets[done - 1 :].tolist()
+    for j, (a, b) in enumerate(zip(sites, sites[1:]), done):
+        step = table.reshape(-1, m) @ chain.power(b - a)
         table = np.zeros((step.shape[0], n_cells[j], m))
-        table[:, labels[j], states] = step
+        table[:, cells if one_map else cells[j], states] = step
     if one_map:
-        chain.keep(kind, sites, table)
+        chain.keep(kind, offsets, table)
     return table.reshape(-1, m).sum(axis=1)
 
 

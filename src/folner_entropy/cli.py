@@ -236,10 +236,20 @@ def _read_system(cfg: dict, window: bool = False) -> tuple:
     return (*read, alpha, _build_conditioning(system, cfg.get("conditioning")))
 
 
+def _build_sides(sides, d: int) -> FolnerSequence:
+    """The box schedule of a ``"sides"`` list; its largest box, and so
+    every box, must have a size (``FolnerSubset.box``)."""
+    if not isinstance(sides, list):
+        raise ConfigError(f'"sides" must be a list, got {sides!r}')
+    seq = FolnerSequence(d, tuple(_integer(s, '"sides" entry') for s in sides))
+    seq.subset(len(seq))
+    return seq
+
+
 def _build_schedule(obj, d: int) -> tuple:
-    sides = tuple(_integer(s, '"sides" entry') for s in _field('"schedule"', obj, "sides"))
+    seq = _build_sides(_field('"schedule"', obj, "sides"), d)
     n_max = obj.get("n_max")
-    return FolnerSequence(d, sides), (None if n_max is None else _integer(n_max, '"n_max"'))
+    return seq, (None if n_max is None else _integer(n_max, '"n_max"'))
 
 
 def _build_window(obj, d: int) -> FolnerSubset:
@@ -525,7 +535,7 @@ def cmd_decompose(cfg: dict, args) -> int:
 
 def cmd_folner(cfg: dict, args) -> int:
     d = _integer(_require(cfg, "d"), '"d"')
-    seq = FolnerSequence(d, tuple(_integer(s, '"sides" entry') for s in _require(cfg, "sides")))
+    seq = _build_sides(_require(cfg, "sides"), d)
     gens_cfg = cfg.get("generators")
     if gens_cfg is None:
         gens = basis(d)

@@ -129,7 +129,15 @@ def entropy_rate(
     ``_walking``), dropped when the call returns or raises:
     one ``_kernels._Chain`` record per shift and one box-join record per
     finite action (``systems._finite_window_join``), and none on
-    ``system``.
+    ``system``. A row is one ``conditional_block_entropy`` call on the
+    box F_n, and pays for its window only: the sites a resumed walk has
+    still to take, or the 2^d translates a box join adds. What is fixed
+    for the whole trace is made at the first row that reads it and kept:
+    each gap's P^g and entropy step, and each walk's first state, on the
+    chain record; a product measure's one-site entropy and a mixture's
+    H(weights) on the copy (``systems._kept``); a symbol factor's
+    partition and its join with the cells on the spec, which is
+    immutable.
     """
     if sequence is None:
         raise ValueError("a box schedule is required")

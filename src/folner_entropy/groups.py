@@ -14,6 +14,7 @@ only the translation action of Z^d is shipped.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -150,10 +151,13 @@ class FolnerSubset:
         """The box [0, side)^d. It records its side (``_side``, None on
         every other window), so a box is told apart in O(1), and fills
         its rows, in lexicographic order, only when they are first read:
-        its size is side^d without them."""
+        its size is side^d without them, and must be at most
+        ``sys.maxsize``, the largest ``len``."""
         d, side = _dimension(d), _integer(side, "side")
         if side < 1:
             raise ValueError("side must be positive")
+        if side > sys.maxsize or side ** min(d, 64) > sys.maxsize:
+            raise ValueError(f"box side^d must be at most {sys.maxsize}, got {side}^{d}")
         F = object.__new__(cls)
         F._set(None, d, side)
         return F
@@ -163,10 +167,11 @@ class FolnerSubset:
         """The points, one row each (see the class docstring)."""
         if self._rows is None:
             side, d = self._side, self.d
-            grid = np.empty((side,) * d + (d,), dtype=np.int64)
-            axis = np.arange(side, dtype=np.int64)
-            for j in range(d):
-                grid[..., j] = axis.reshape((side,) + (1,) * (d - 1 - j))
+            grid = axis = np.arange(side, dtype=np.int64)
+            if d > 1:  # a d = 1 box's rows are its axis
+                grid = np.empty((side,) * d + (d,), dtype=np.int64)
+                for j in range(d):
+                    grid[..., j] = axis.reshape((side,) + (1,) * (d - 1 - j))
             self._set(grid.reshape(-1, d), d, side)
         return self._rows
 

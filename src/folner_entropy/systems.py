@@ -39,12 +39,14 @@ from __future__ import annotations
 
 import copy
 import itertools
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from ._kernels import (
     _Chain,
+    _is_interval,
     entropy_from_probs,
     hidden_markov_pattern_probs,
     iid_pattern_logprobs,
@@ -586,10 +588,11 @@ class ShiftSystem:
     Use :func:`bernoulli_shift` or :func:`markov_shift` to construct.
     ``base_partition`` is the zero-coordinate symbol partition; window
     partitions refine it along finite subsets of Z^d. ``_walk`` is the
-    walk record of a walking copy (``_walking``) and None otherwise.
+    walk record of a walking copy (``_walking``) and ``_memo`` its kept
+    values (``_kept``); both are None otherwise.
     """
 
-    __slots__ = ("d", "alphabet", "kind", "probs", "pi", "P", "base_partition", "_walk")
+    __slots__ = ("d", "alphabet", "kind", "probs", "pi", "P", "base_partition", "_walk", "_memo")
 
     def __init__(self, d, alphabet, kind, probs=None, pi=None, P=None):
         self.d = d
@@ -599,7 +602,7 @@ class ShiftSystem:
         self.pi = pi
         self.P = P
         self.base_partition = SymbolPartition.full(self.alphabet)
-        self._walk = None
+        self._walk = self._memo = None
 
     @property
     def n_symbols(self) -> int:
@@ -622,19 +625,18 @@ class ShiftSystem:
         if C.kind == "trivial":
             if self.kind == "bernoulli":
                 # product measure: patterns factor over sites exactly
-                return k * entropy_from_probs(_cell_masses(self, cells))
+                return k * _kept(self, (cells, C), _site_entropy, self, cells, C)
             if cells.n_cells == self.n_symbols:
                 _guard_patterns(self.n_symbols, k, cap)
                 return markov_window_entropy(_chain_of(self), F.rows[:, 0])
             return entropy_from_probs(window_partition(self, F, cells, cap))
         if C.kind == "symbol_factor":
-            phi = C.factor_partition(self.alphabet)
+            C.factor_partition(self.alphabet)  # a map that misses a symbol raises first
             W = _resolve_window(F, W)
             if self.kind == "bernoulli":
                 # sites are independent, so only the factor at F's own sites binds
-                joint, marginal = _cell_masses(self, cells.join(phi)), _cell_masses(self, phi)
-                return k * (entropy_from_probs(joint) - entropy_from_probs(marginal))
-            return symbol_factor_entropy((self,), (1.0,), (cells,), F, phi, W, cap)
+                return k * _kept(self, (cells, C), _site_entropy, self, cells, C)
+            return symbol_factor_entropy((self,), (1.0,), 0.0, (cells,), F, C, W, cap)
         raise IncompatibleSubAlgebraError("incompatible sub-algebra")
 
     def _mask_table(self, alpha, box: FolnerSubset, C, cap: int) -> Optional[np.ndarray]:
@@ -654,7 +656,7 @@ class ShiftSystem:
 
     def _walking(self) -> "ShiftSystem":
         walking = copy.copy(self)
-        walking._walk = _chain_of(self)
+        walking._walk, walking._memo = _chain_of(self), {}
         return walking
 
     def _exact_rate(self) -> None:
@@ -674,17 +676,16 @@ class ShiftSystem:
             raise ValueError("dimension mismatch")
         cells = resolve_cells(self, alpha)
         k = len(F)
-        mc = cells.n_cells
-        _guard_patterns(mc, k, cap)
         if self.kind == "bernoulli":
+            _guard_patterns(cells.n_cells, k, cap)
             with np.errstate(divide="ignore"):
                 return np.exp(iid_pattern_logprobs(np.log(_cell_masses(self, cells)), k))
-        if mc == self.n_symbols:
+        # a Markov window's cap counts its m^k symbol words, at least its cell patterns
+        _guard_patterns(self.n_symbols, k, cap)
+        if cells.n_cells == self.n_symbols:
             # full symbol partition: the kernel output is already cellwise
             return symbol_pattern_probs(self, F, cap)
-        _guard_patterns(self.n_symbols, k, cap)
-        site_cells = [cells.cell_labels()] * k
-        return hidden_markov_pattern_probs(_chain_of(self), F.rows[:, 0], site_cells)
+        return hidden_markov_pattern_probs(_chain_of(self), F.rows[:, 0], cells.cell_labels())
 
     def _cylinder(self, window: FolnerSubset, word: Mapping) -> float:
         if window.d != self.d:
@@ -806,20 +807,37 @@ class SubAlgebraSpec:
     finite partition fixed by the action, for finite systems), and
     ``symbol_factor`` (a surjection of the alphabet onto factor symbols,
     for shifts; invariant by construction).
+
+    A spec is immutable: setting or deleting an attribute raises
+    ``AttributeError``, and ``factor_map`` is a read-only copy of the
+    map given. So one spec serves every row of a trace, and
+    ``_as_subalgebra(None)`` hands out one shared trivial spec. A
+    symbol factor builds its factor partition once per alphabet
+    (``factor_partition``) and its join with each cell partition once
+    (``_joined``).
     """
 
-    __slots__ = ("kind", "partition", "factor_map")
+    __slots__ = ("kind", "partition", "factor_map", "_factors", "_joins")
 
     def __init__(self, kind: str, partition: Optional[Partition] = None, factor_map: Optional[Mapping] = None):
         if kind not in ("trivial", "invariant_partition", "symbol_factor"):
             raise ValueError("unknown sub-algebra kind")
-        self.kind = kind
-        self.partition = partition
-        self.factor_map = dict(factor_map) if factor_map is not None else None
+        factor_map = MappingProxyType(dict(factor_map)) if factor_map is not None else None
         if kind == "invariant_partition" and partition is None:
             raise ValueError("partition required")
-        if kind == "symbol_factor" and not self.factor_map:
+        if kind == "symbol_factor" and not factor_map:
             raise ValueError("factor map required")
+        for name, value in zip(self.__slots__, (kind, partition, factor_map, {}, {})):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError("SubAlgebraSpec is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # a copy, or an unpickled spec, is built anew with empty caches
+        return type(self), (self.kind, self.partition, self.factor_map and dict(self.factor_map))
 
     @classmethod
     def trivial(cls) -> "SubAlgebraSpec":
@@ -837,21 +855,37 @@ class SubAlgebraSpec:
         return f"SubAlgebraSpec({self.kind})"
 
     def factor_partition(self, alphabet: Sequence) -> SymbolPartition:
-        """The symbol partition induced by the factor map on ``alphabet``."""
+        """The symbol partition induced by the factor map on ``alphabet``,
+        built on the first call for that alphabet and kept."""
         if self.kind != "symbol_factor":
             raise IncompatibleSubAlgebraError("incompatible sub-algebra")
         alphabet = tuple(alphabet)
-        missing = [s for s in alphabet if s not in self.factor_map]
-        if missing:
-            raise ValueError("factor map must cover the alphabet")
-        if len(set(alphabet)) != len(alphabet):
-            raise ValueError("duplicate symbols")
-        return SymbolPartition._grouped(alphabet, map(self.factor_map.__getitem__, alphabet))
+        phi = self._factors.get(alphabet)
+        if phi is None:
+            missing = [s for s in alphabet if s not in self.factor_map]
+            if missing:
+                raise ValueError("factor map must cover the alphabet")
+            if len(set(alphabet)) != len(alphabet):
+                raise ValueError("duplicate symbols")
+            phi = SymbolPartition._grouped(alphabet, map(self.factor_map.__getitem__, alphabet))
+            self._factors[alphabet] = phi
+        return phi
+
+    def _joined(self, cells: SymbolPartition) -> SymbolPartition:
+        """``cells`` joined with the factor partition on their alphabet,
+        built on the first call for those cells and kept."""
+        joint = self._joins.get(cells)
+        if joint is None:
+            joint = self._joins[cells] = cells.join(self.factor_partition(cells.alphabet))
+        return joint
+
+
+_TRIVIAL = SubAlgebraSpec.trivial()
 
 
 def _as_subalgebra(C) -> SubAlgebraSpec:
     if C is None:
-        return SubAlgebraSpec.trivial()
+        return _TRIVIAL
     if isinstance(C, SubAlgebraSpec):
         return C
     raise TypeError("conditioning must be a SubAlgebraSpec or None")
@@ -867,10 +901,11 @@ class MixtureSystem:
 
     The component tag is a fixed (G-invariant) observable, so the tag
     partition always decomposes the union; pattern measures combine as
-    mu = sum_i w_i mu_i with patterns tagged by component.
+    mu = sum_i w_i mu_i with patterns tagged by component. ``_memo`` holds
+    the kept values of a walking copy (``_kept``) and is None otherwise.
     """
 
-    __slots__ = ("components", "weights", "d")
+    __slots__ = ("components", "weights", "d", "_memo")
 
     def __init__(self, components: Sequence, weights: Sequence[float]):
         components = tuple(components)
@@ -888,6 +923,7 @@ class MixtureSystem:
         self.components = components
         self.weights = w
         self.d = dims.pop()
+        self._memo = None
 
     def __repr__(self) -> str:
         return f"MixtureSystem({len(self.components)} components, d={self.d})"
@@ -909,21 +945,23 @@ class MixtureSystem:
         alphas = _mixture_alphas(self, alpha)
         if C.kind == "trivial":
             # tagged supports are disjoint: H = H(weights) + sum w_i H_i exactly
-            total = entropy_from_probs(self.weights)
+            total = _kept(self, "tags", entropy_from_probs, self.weights)
             for comp, a, w in zip(self.components, alphas, self.weights):
                 total += float(w) * conditional_block_entropy(comp, a, F, None, None, cap)
             return total
         if C.kind == "symbol_factor":
             if F.d != self.d:
                 raise ValueError("dimension mismatch")
-            phi = C.factor_partition(self.shared_alphabet())
+            C.factor_partition(self.shared_alphabet())  # a map that misses a symbol raises first
             W = _resolve_window(F, W)
-            return symbol_factor_entropy(self.components, self.weights, alphas, F, phi, W, cap)
+            tags = _kept(self, "tags", entropy_from_probs, self.weights)
+            return symbol_factor_entropy(self.components, self.weights, tags, alphas, F, C, W, cap)
         raise IncompatibleSubAlgebraError("incompatible sub-algebra")
 
     def _walking(self) -> "MixtureSystem":
         walking = copy.copy(self)
         walking.components = tuple(comp._walking() for comp in self.components)
+        walking._memo = {}
         return walking
 
     def _exact_rate(self) -> Optional[float]:
@@ -1013,6 +1051,28 @@ def _chain_of(system: ShiftSystem) -> _Chain:
     return _Chain(system.pi, system.P)
 
 
+def _kept(system, key, make, *args):
+    """``make(*args)``, made once per walking copy (``_walking``), which
+    keeps it in its ``_memo`` under ``key``, and on every call of any
+    other system. The rows of a trace share one walking copy, so what
+    they all read is made at its first row."""
+    if system._memo is None:
+        return make(*args)
+    value = system._memo.get(key)
+    if value is None:
+        value = system._memo[key] = make(*args)
+    return value
+
+
+def _site_entropy(system: ShiftSystem, cells: SymbolPartition, C: SubAlgebraSpec) -> float:
+    """One site's H(cells | C) under a product measure: H(cells), or
+    H(cells v phi) - H(phi) given a symbol factor phi."""
+    if C.kind == "trivial":
+        return entropy_from_probs(_cell_masses(system, cells))
+    joint, marginal = C._joined(cells), C.factor_partition(system.alphabet)
+    return entropy_from_probs(_cell_masses(system, joint)) - entropy_from_probs(_cell_masses(system, marginal))
+
+
 def _require_system(system):
     """``system``, which must be of one of the three system kinds: the
     package's one test of a system's class (see the module docstring)."""
@@ -1057,12 +1117,6 @@ def resolve_cells(system: ShiftSystem, alpha: Optional[SymbolPartition]) -> Symb
     return alpha
 
 
-def _is_interval(F: FolnerSubset) -> bool:
-    """True for a nonempty d = 1 window without gaps: its sorted, unique
-    positions span exactly |F| sites."""
-    return len(F) > 0 and int(F.rows[-1, 0] - F.rows[0, 0]) == len(F) - 1
-
-
 def symbol_pattern_logprobs(system: ShiftSystem, F: FolnerSubset, cap: int = DEFAULT_PATTERN_CAP) -> np.ndarray:
     """Log-measures of all full-symbol patterns on the window ``F``.
 
@@ -1076,7 +1130,7 @@ def symbol_pattern_logprobs(system: ShiftSystem, F: FolnerSubset, cap: int = DEF
         with np.errstate(divide="ignore"):
             log_p = np.log(system.probs)
         return iid_pattern_logprobs(log_p, k)
-    if _is_interval(F):
+    if _is_interval(F.rows[:, 0]):
         with np.errstate(divide="ignore"):
             return markov_interval_logprobs(np.log(system.pi), np.log(system.P), k)
     probs = markov_window_probs(system.pi, system.P, F.rows[:, 0])
@@ -1088,7 +1142,7 @@ def symbol_pattern_probs(system: ShiftSystem, F: FolnerSubset, cap: int = DEFAUL
     """Measures of all full-symbol patterns on the window ``F``."""
     k = len(F)
     _guard_patterns(system.n_symbols, k, cap)
-    if system.kind == "markov" and k > 0 and not _is_interval(F):
+    if system.kind == "markov" and k > 0 and not _is_interval(F.rows[:, 0]):
         return markov_window_probs(system.pi, system.P, F.rows[:, 0])
     return np.exp(symbol_pattern_logprobs(system, F, cap))
 
@@ -1147,49 +1201,51 @@ def window_partition(system, F: FolnerSubset, alpha=None, cap: int = DEFAULT_PAT
 
 
 def symbol_factor_entropy(
-    components: Sequence[ShiftSystem], weights: Sequence[float], alphas: Sequence,
-    F: FolnerSubset, phi: SymbolPartition, W: FolnerSubset, cap: int = DEFAULT_PATTERN_CAP,
+    components: Sequence[ShiftSystem], weights: Sequence[float], tag_entropy: float, alphas: Sequence,
+    F: FolnerSubset, C: SubAlgebraSpec, W: FolnerSubset, cap: int = DEFAULT_PATTERN_CAP,
 ) -> float:
-    """H(alpha^F | phi^W) for shifts on a shared alphabet, mixed by weight.
+    """H(alpha^F | phi^W) for shifts on a shared alphabet, mixed by weight,
+    phi the factor partition of the symbol factor ``C``.
 
     Tagged supports are disjoint, so H = H(weights) + sum_i w_i
-    H_i(alpha^F v phi^W) - H(sum_i w_i p_i(phi^W)). Each joint term is
-    H_i(phi^W) when phi is full-symbol, the Markov closed form when
-    alpha v phi is full-symbol and W = F, and otherwise a forward
-    recursion over cell patterns: alpha v phi cells on F's sites, phi
-    cells elsewhere. Both kernels of a component walk its one chain
-    record (``_chain_of``), so they share each P^g. A product measure,
-    in any dimension, is read at consecutive offsets: P^g = P for every
-    g >= 1. A single shift is the one-component family of weight 1.0. No
-    symbol word is enumerated, but the cap still counts m^|W| per
-    component, summed, and is checked before any component's cells are
-    resolved. ``F`` must lie inside ``W``.
+    H_i(alpha^F v phi^W) - H(sum_i w_i p_i(phi^W)); ``tag_entropy`` is
+    H(weights), 0.0 for a single shift, the one-component family of
+    weight 1.0. Each joint term is H_i(phi^W) when phi is full-symbol,
+    the Markov closed form when alpha v phi is full-symbol and W = F, and
+    otherwise a forward recursion over cell patterns: alpha v phi cells
+    on F's sites, phi cells elsewhere. ``C`` keeps phi and each
+    alpha v phi (``_joined``). Both kernels of a component walk its one
+    chain record (``_chain_of``), so they share each P^g. A product
+    measure, in any dimension, is read at consecutive offsets: P^g = P
+    for every g >= 1. No symbol word is enumerated, but the cap still
+    counts m^|W| per component, summed, and is checked before any
+    component's cells are resolved. ``F`` must lie inside ``W``.
     """
     K = len(W)
+    phi = C.factor_partition(components[0].alphabet)
     m = len(phi.alphabet)
     if len(components) * m**K > cap:
         raise EnumerationCapError("pattern cap exceeded")
-    if W is F:
-        in_F = np.ones(K, dtype=bool)
-    else:
-        in_F = np.zeros(K, dtype=bool)
+    whole = len(F) == K  # F lies inside W, so F = W
+    if not whole:
+        in_F = np.zeros((K, 1), dtype=bool)
         in_F[W.locate(F)] = True
     phi_cells = phi.cell_labels()
-    total = entropy_from_probs(weights)
+    total = tag_entropy
     marginal = np.zeros(phi.n_cells**K)
     for comp, a, w in zip(components, alphas, weights):
-        joint = resolve_cells(comp, a).join(phi)
+        joint = C._joined(resolve_cells(comp, a))
         chain = _chain_of(comp)
         offsets = np.arange(K) if comp.kind == "bernoulli" else W.rows[:, 0]
-        p_phi = hidden_markov_pattern_probs(chain, offsets, [phi_cells] * K)
+        p_phi = hidden_markov_pattern_probs(chain, offsets, phi_cells)
         if phi.n_cells == m:
             # a full-symbol phi already separates every symbol: alpha^F v phi^W = phi^W
             H_joint = entropy_from_probs(p_phi)
-        elif joint.n_cells == m and in_F.all():
+        elif joint.n_cells == m and whole:
             H_joint = markov_window_entropy(chain, offsets)
         else:
-            site_cells = [joint.cell_labels() if f else phi_cells for f in in_F.tolist()]
-            H_joint = entropy_from_probs(hidden_markov_pattern_probs(chain, offsets, site_cells))
+            cells = joint.cell_labels() if whole else np.where(in_F, joint.cell_labels(), phi_cells)
+            H_joint = entropy_from_probs(hidden_markov_pattern_probs(chain, offsets, cells))
         total += float(w) * H_joint
         marginal += float(w) * p_phi
     return total - entropy_from_probs(marginal)

@@ -803,6 +803,45 @@ def test_a_non_object_value_at_an_object_key_is_named(tmp_path, verb, cfg, name)
     _assert_rejected(r, out, f"{name} must be an object, got 5")
 
 
+_RATE_FINITE = {
+    "schema": 1,
+    "system": {"kind": "finite", "atoms": [0, 1, 2, 3, 4, 5], "masses": [0.25, 0.125, 0.125, 0.25, 0.125, 0.125],
+               "generators": [[3, 4, 5, 0, 1, 2]]},
+    "partition": {"blocks": [[0, 1], [2, 3], [4, 5]]},
+}
+
+
+@pytest.mark.parametrize(
+    "verb, cfg",
+    [
+        ("rate", {**MARKOV_CFG, "schedule": {"sides": 5}}),
+        ("decompose", {**_MIXTURE_DECOMPOSE, "schedule": {"sides": 5}}),
+        ("folner", {"schema": 1, "d": 2, "sides": 5}),
+    ],
+)
+def test_a_schedule_whose_sides_are_no_list_is_named(tmp_path, verb, cfg):
+    # each used to exit 2 with "'int' object is not iterable"
+    out = tmp_path / "out"
+    r = run_cli([verb, "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    _assert_rejected(r, out, '"sides" must be a list, got 5')
+
+
+@pytest.mark.parametrize(
+    "verb, cfg, side",
+    [
+        # the finite trace reaches the 2^40 row without filling a box, then
+        # len() of box(1, 2^70) escaped main with an OverflowError and exit 1
+        ("rate", {**_RATE_FINITE, "schedule": {"sides": [1, 2, 3, 4, 2**40, 2**70]}}, "1180591620717411303424^1"),
+        ("decompose", {**_MIXTURE_DECOMPOSE, "schedule": {"sides": [1, 2**63]}}, "9223372036854775808^1"),
+        ("folner", {"schema": 1, "d": 3, "sides": [1, 2**21]}, "2097152^3"),
+    ],
+)
+def test_a_schedule_box_too_large_for_len_is_a_validation_error(tmp_path, verb, cfg, side):
+    out = tmp_path / "out"
+    r = run_cli([verb, "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    _assert_rejected(r, out, f"box side^d must be at most {sys.maxsize}, got {side}")
+
+
 def test_markov_transition_matrix_that_is_a_number_is_a_validation_error(tmp_path):
     # used to escape main with an IndexError traceback and exit 1
     cfg = {**MARKOV_CFG, "system": {"kind": "markov", "P": 5}}

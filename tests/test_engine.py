@@ -6,11 +6,13 @@ stationary chain formula H(pi) + (n-1) H(P | pi) assembled by hand
 here, mixtures against H(weights) + sum w_i H_i.
 """
 
+import copy
 import functools
 import gc
 import itertools
 import math
 import operator
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -1077,6 +1079,110 @@ def test_trace_rows_resume_one_walk_per_chain_and_cell_map(monkeypatch):
     started.clear(), powers.clear()
     _per_window_rows(*_trace_case("markov"), seq, 10)
     assert len(started) == 10 and powers == [1] * 9
+
+
+def _beyond_d1_case(name):
+    bern = bernoulli_shift([0.5, 0.3, 0.2], d=2)
+    factor = SubAlgebraSpec.symbol_factor({0: 0, 1: 1, 2: 1})
+    coarse = SymbolPartition(bern.alphabet, [[0, 1], [2]])
+    mix = mixture([bern, bernoulli_shift([0.1, 0.6, 0.3], d=2)], [0.3, 0.7])
+    return {
+        "bernoulli-2d": (bern, None, None),
+        "bernoulli-2d-cells": (bern, coarse, None),
+        "bernoulli-2d-symbol-factor": (bern, None, factor),
+        "bernoulli-2d-cells-symbol-factor": (bern, coarse, factor),
+        "mixture-2d-symbol-factor": (mix, None, factor),
+        "mixture-2d-cells-symbol-factor": (mix, [coarse, None], factor),
+        "mixture-1d-symbol-factor": (mixture([bernoulli_shift([0.5, 0.3, 0.2]), markov_shift(None, P3)], [0.6, 0.4]),
+                                     [coarse, None], factor),
+    }[name]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["bernoulli-2d", "bernoulli-2d-cells", "bernoulli-2d-symbol-factor", "bernoulli-2d-cells-symbol-factor",
+     "mixture-2d-symbol-factor", "mixture-2d-cells-symbol-factor", "mixture-1d-symbol-factor"],
+)
+def test_trace_rows_beyond_d1_equal_the_per_window_values(name):
+    # every row equals its own call on the plain system; a mixture under a
+    # symbol factor counts 3^|F| words per component, so its d = 2 trace
+    # stops at the side-4 box
+    system, alpha, C = _beyond_d1_case(name)
+    seq = FolnerSequence(system.d, (1, 2, 3, 4, 8))
+    trace, report = entropy_rate(system, alpha, C, seq)
+    rows = 3 if name.startswith("mixture-2d") else 5
+    assert len(trace) == rows and report.truncated == (rows < 5)
+    assert _rows(trace) == _per_window_rows(system, alpha, C, seq, rows)
+
+
+def test_trace_costs_fixed_for_the_whole_trace_do_not_grow_with_its_rows(monkeypatch):
+    # factor partitions, cell joins, the entropy of the component weights,
+    # a product measure's one-site masses and one-map-per-site label tables
+    # are made at a trace's first row at most, so 12 rows make no more than 6
+    counts = {}
+
+    def counted(name, fn, when=lambda *args: True):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            if when(*args):
+                counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    weights = []
+    monkeypatch.setattr(SymbolPartition, "_grouped", classmethod(counted("partition", SymbolPartition._grouped.__func__)))
+    monkeypatch.setattr(SymbolPartition, "join", counted("join", SymbolPartition.join))
+    monkeypatch.setattr(systems, "_cell_masses", counted("cell masses", systems._cell_masses))
+    # a weight vector is a mixture's weights or a single shift's (1.0,)
+    monkeypatch.setattr(systems, "entropy_from_probs", counted(
+        "weight entropy", systems.entropy_from_probs, lambda p: isinstance(p, tuple) or any(p is w for w in weights)))
+    monkeypatch.setattr(systems, "hidden_markov_pattern_probs", counted(
+        "label table", systems.hidden_markov_pattern_probs, lambda chain, offsets, cells: np.ndim(cells) == 2))
+    seq = FolnerSequence(1, tuple(range(1, 13)))
+    grew = {}
+    for name in ["markov", "coarse-cells", "symbol-factor", "mixture"]:
+        made = []
+        for n_max in (6, 12):
+            # a new spec each time: a spec keeps its partitions across traces
+            system, alpha, C = _trace_case(name)
+            weights[:] = [system.weights] if isinstance(system, systems.MixtureSystem) else []
+            counts.clear()
+            entropy_rate(system, alpha, C, seq, n_max=n_max)
+            made.append(dict(counts))
+        if made[0] != made[1]:
+            grew[name] = made
+    assert not grew
+
+
+def test_a_spec_is_immutable_and_keeps_its_factor_partition_per_alphabet():
+    source = {0: 0, 1: 1, 2: 1, "x": 0}
+    spec = SubAlgebraSpec.symbol_factor(source)
+    source[1] = 0
+    assert dict(spec.factor_map) == {0: 0, 1: 1, 2: 1, "x": 0}
+    with pytest.raises(AttributeError, match="immutable"):
+        spec.kind = "trivial"
+    with pytest.raises(AttributeError, match="immutable"):
+        spec.factor_map = {0: 0}
+    with pytest.raises(AttributeError, match="immutable"):
+        del spec.partition
+    with pytest.raises(TypeError):
+        spec.factor_map[1] = 0
+    phi = spec.factor_partition((0, 1, 2))
+    assert spec.factor_partition([0, 1, 2]) is phi
+    other = spec.factor_partition((2, "x", 0))
+    assert other is not phi and spec.factor_partition((2, "x", 0)) is other
+    assert (phi, other) == (SymbolPartition((0, 1, 2), [[0], [1, 2]]), SymbolPartition((2, "x", 0), [[2], ["x", 0]]))
+    cells = SymbolPartition((0, 1, 2), [[0, 1], [2]])
+    joint = spec._joined(cells)
+    assert joint == cells.join(phi) and spec._joined(SymbolPartition((0, 1, 2), [[0, 1], [2]])) is joint
+    copied = copy.copy(spec)
+    assert copied is not spec and copied.factor_partition((0, 1, 2)) == phi
+    assert dict(pickle.loads(pickle.dumps(spec)).factor_map) == dict(spec.factor_map)
+    assert systems._as_subalgebra(None) is systems._as_subalgebra(None)
+    assert systems._as_subalgebra(None).kind == "trivial"
+    with pytest.raises(AttributeError, match="immutable"):
+        systems._as_subalgebra(None).kind = "symbol_factor"
 
 
 PHI_CASES = [name for name in TRACE_CASES if name != "finite"]

@@ -3,6 +3,7 @@ subadditive-hypothesis checker on constructed set functions."""
 
 import itertools
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -720,6 +721,27 @@ def test_box_2048_rows():
     assert F.rows[-1].tolist() == [2047, 2047]
     with pytest.raises(ValueError):
         F.rows[0, 0] = 5
+
+
+def test_d1_box_rows_are_its_axis_read_only():
+    F = FolnerSubset.box(1, 5)
+    assert F.rows.shape == (5, 1) and F.rows.dtype == np.int64
+    assert F.rows.flags.c_contiguous and not F.rows.flags.writeable
+    assert F.rows[:, 0].tolist() == [0, 1, 2, 3, 4]
+
+
+def test_box_larger_than_len_is_a_named_value_error():
+    # |F| = side^d must fit len(); box(1, 2^70) used to build and then
+    # raise OverflowError from len()
+    assert len(FolnerSubset.box(1, sys.maxsize)) == sys.maxsize
+    assert len(FolnerSubset.box(3, 2**21 - 1)) == (2**21 - 1) ** 3
+    message = f"box side\\^d must be at most {sys.maxsize}"
+    for d, side in [(1, 2**63), (1, 2**70), (2, 2**32), (3, 2**21), (63, 2), (64, 2), (10**9, 2), (1, 10**400)]:
+        with pytest.raises(ValueError, match=message):
+            FolnerSubset.box(d, side)
+    with pytest.raises(ValueError, match=message):
+        FolnerSequence(1, (1, 2**40, 2**70)).subset(3)
+    assert len(FolnerSubset.box(1000, 1)) == 1
 
 
 def test_locate_rows_in_a_window():

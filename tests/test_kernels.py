@@ -301,9 +301,11 @@ def test_forward_recursion_matches_the_coarse_cell_enumeration():
             for k in range(0, 8):
                 # gapped with a cell map per site, then an interval with one map
                 inputs.append((_random_offsets(rng, k), [_random_site_cells(rng, m) for _ in range(k)]))
-                inputs.append((np.arange(3, 3 + k), [shared] * k))
+                inputs.append((np.arange(3, 3 + k), shared))
             fresh = [K.hidden_markov_pattern_probs(K._Chain(pi, P), o, c) for o, c in inputs]
             for (offsets, site_cells), got in zip(inputs, fresh):
+                if isinstance(site_cells, np.ndarray):  # one map, read at every site
+                    site_cells = [site_cells] * len(offsets)
                 want = _oracle_coarse_probs(pi, P, offsets, site_cells)
                 assert got.shape == want.shape, (m, offsets.tolist())
                 assert np.abs(got - want).max() <= 1e-13, (m, offsets.tolist())
