@@ -237,13 +237,11 @@ def _read_system(cfg: dict, window: bool = False) -> tuple:
 
 
 def _build_sides(sides, d: int) -> FolnerSequence:
-    """The box schedule of a ``"sides"`` list; its largest box, and so
-    every box, must have a size (``FolnerSubset.box``)."""
+    """The box schedule of a ``"sides"`` list; ``FolnerSequence`` checks
+    that its largest box, and so every box, has a size."""
     if not isinstance(sides, list):
         raise ConfigError(f'"sides" must be a list, got {sides!r}')
-    seq = FolnerSequence(d, tuple(_integer(s, '"sides" entry') for s in sides))
-    seq.subset(len(seq))
-    return seq
+    return FolnerSequence(d, tuple(_integer(s, '"sides" entry') for s in sides))
 
 
 def _build_schedule(obj, d: int) -> tuple:

@@ -284,7 +284,7 @@ def verify_entropy_identities(
     triple = (alpha, beta, gamma)
     (values,) = _identity_entropies(
         space.masses, [len(space)], [p._labels for p in triple], [p._k for p in triple], images
-    )
+    ).T.tolist()
     return _identity_checks(values, group_elements, pmp_map is not None, tolerance, equality_tolerance)
 
 
@@ -293,9 +293,10 @@ def _unit_elements(d: int) -> list:
     return [g for e in basis(d) for g in (e, neg(e))]
 
 
-def _identity_entropies(masses, sizes, labels, bounds, images) -> list:
-    """The conditional entropies the identity checks read, one list per
-    triple, for many triples in one ``_stacked_pairs`` pass.
+def _identity_entropies(masses, sizes, labels, bounds, images) -> np.ndarray:
+    """The conditional entropies the identity checks read, one row per
+    value and one column per triple, for many triples in one
+    ``_stacked_pairs`` pass.
 
     The triples' atoms lie back to back in ``masses``, ``sizes`` giving
     each triple's atom count; ``labels`` are the stacked label arrays of
@@ -329,7 +330,7 @@ def _identity_entropies(masses, sizes, labels, bounds, images) -> list:
     pairs += [(7 + 2 * j, 6 + 2 * j) for j in range(len(distinct))]
     values = _join_entropies(*_stacked_pairs(masses, parts, sizes, pairs))
     rows = [*range(7), *(slot[id(m)] for m in images)]
-    return np.array(values).reshape(len(pairs), len(sizes))[rows].T.tolist()
+    return values.reshape(len(pairs), len(sizes))[rows]
 
 
 def _identity_checks(
@@ -523,7 +524,8 @@ def verify_chain_exhaustion(
         base.masses, [n], xi._labels, c, np.stack([p._labels for p in chain]),
         max(p._k for p in chain), np.zeros(len(chain), dtype=np.int64), np.arange(len(chain)),
     )
-    (min_step,) = _chain_min_steps(np.array(values), [len(chain)]).tolist()
+    (min_step,) = _chain_min_steps(values, [len(chain)]).tolist()
+    values = values.tolist()
     first_separating = next((i for i, s in enumerate(separates.tolist()) if s), None)
     ok = not min_step < -tolerance
     if first_separating is not None and any(abs(v) > tolerance for v in values[first_separating:]):

@@ -276,6 +276,9 @@ class FolnerSequence:
             raise ValueError("empty schedule")
         if sides[0] < 1 or any(b <= a for a, b in zip(sides, sides[1:])):
             raise ValueError("sides must be strictly increasing positive integers")
+        # every box must have a size: a rate trace would otherwise raise
+        # only at its first oversized row, after computing the rows before
+        FolnerSubset.box(self.d, sides[-1])
 
     def __len__(self) -> int:
         return len(self.sides)

@@ -42,8 +42,10 @@ The array entries (``_stacked_join``, ``_stacked_pairs``,
 which build no space or partition, and the one-pair calls
 (``conditional_entropy``, ``Disintegration.reconstruct`` and
 ``decomposition.conditional_mass_function``), which pass one pair's
-labels. The entropy operations implement the positive-mass
-conventions (0 log 0 = 0, zero-mass fibers skipped) directly.
+labels. The array entries return arrays over the pairs; a one-pair
+call converts its value to a float once. The entropy operations
+implement the positive-mass conventions (0 log 0 = 0, zero-mass fibers
+skipped) directly.
 """
 
 from __future__ import annotations
@@ -514,7 +516,7 @@ def conditional_entropy(alpha: Partition, beta: Partition) -> float:
     """Mean conditional entropy sum_B mu(B) * H_{mu_B}(alpha traced on B),
     from the one-pair ``_stacked_join`` of the two label arrays."""
     _require_same_space(alpha.space, beta.space)
-    return _offset_entropies(beta.space.masses, alpha._labels, beta._labels, beta.block_masses(), [beta._k])[0]
+    return _offset_entropies(beta.space.masses, alpha._labels, beta._labels, beta.block_masses(), [beta._k]).item()
 
 
 def _block_sums(masses: np.ndarray, k: int, sort: tuple) -> np.ndarray:
@@ -613,13 +615,13 @@ def _stacked_pairs(masses: np.ndarray, parts: Sequence[np.ndarray], sizes: Seque
     return lb, joint, mB, mJ, counts[beta].ravel()
 
 
-def _offset_entropies(masses, alpha, beta, mB, counts) -> list:
+def _offset_entropies(masses, alpha, beta, mB, counts) -> np.ndarray:
     """H(alpha | beta) of every pair of label arrays stacked as
     ``_stacked_join`` takes them."""
     return _join_entropies(*_stacked_join(masses, alpha, beta, mB, counts))
 
 
-def _join_entropies(lb, joint, mB, mJ, counts) -> list:
+def _join_entropies(lb, joint, mB, mJ, counts) -> np.ndarray:
     """H(alpha | beta) of every pair from its stacked join (``_stacked_join``).
 
     The traces of alpha on the blocks B of beta are the blocks of their
@@ -632,17 +634,22 @@ def _join_entropies(lb, joint, mB, mJ, counts) -> list:
     carry no fiber and are skipped. Each pair's total is summed over its
     beta blocks left to right.
     """
-    owner = np.empty(mJ.shape[0], dtype=np.int64)
-    owner[joint] = lb
-    live = mB[owner] > 0.0
-    owner = owner[live]
-    p = mJ[live] / mB[owner]
+    owner, p = _trace_shares(lb, joint, mB, mJ)
     keep = p > 0.0
     q = p[keep]
     return _block_totals(mB, _group_sums(-(q * np.log(q)), owner[keep], mB.shape[0]), counts)
 
 
-def _block_totals(block_masses: np.ndarray, values: np.ndarray, counts: Sequence[int]) -> list:
+def _trace_shares(lb, joint, mB, mJ) -> tuple:
+    """The beta block owning each join block, and the join block's mass
+    over that beta block's (0.0 where the beta block has no mass)."""
+    owner = np.empty(mJ.shape[0], dtype=np.int64)
+    owner[joint] = lb
+    mC = mB[owner]
+    return owner, np.divide(mJ, mC, out=np.zeros(mJ.shape[0]), where=mC > 0.0)
+
+
+def _block_totals(block_masses: np.ndarray, values: np.ndarray, counts: Sequence[int]) -> np.ndarray:
     """sum_B mu(B) * value(B) over the positive-mass blocks of each
     partition, added left to right from 0.0; ``counts`` are the
     partitions' block counts, their blocks back to back.
@@ -656,7 +663,7 @@ def _block_totals(block_masses: np.ndarray, values: np.ndarray, counts: Sequence
     terms = np.zeros(block_masses.shape[0])
     np.multiply(block_masses, values, out=terms, where=block_masses > 0.0)
     n = len(counts)
-    return np.bincount(np.arange(n).repeat(counts), weights=terms, minlength=n).tolist()
+    return np.bincount(np.arange(n).repeat(counts), weights=terms, minlength=n)
 
 
 @dataclass(frozen=True)
@@ -682,10 +689,14 @@ def _stacked_mass_functions(masses, alpha, beta, mB, counts, sizes) -> tuple:
     ``sizes`` gives each pair's atom count.
 
     m(x) is the mass of the join block through x over that of the cond
-    block through x, and H(alpha | cond) is read from the same join. Each
-    pair's integral sum_x mu(x) log m(x) takes one ``math.log`` per
-    positive-mass atom, summed in atom order (``_block_totals`` with the
-    atoms as blocks).
+    block through x, and H(alpha | cond) is read from the same join. The
+    atoms of a join block share one cond block, so m is one division per
+    join block (``_trace_shares``), gathered to the atoms. Each pair's
+    integral sum_x mu(x) log m(x) takes one ``math.log`` per join block
+    of positive mass, gathered to the atoms too (the bits one ``math.log``
+    per atom gives), summed in atom order (``_block_totals`` with the
+    atoms as blocks); only positive-mass atoms are weighted, and each lies
+    in a join block of positive mass.
 
     Returns the join, m per atom (0.0 where the cond block has no mass),
     the mask of atoms whose cond block has mass, and each pair's
@@ -693,15 +704,12 @@ def _stacked_mass_functions(masses, alpha, beta, mB, counts, sizes) -> tuple:
     """
     joined = _stacked_join(masses, alpha, beta, mB, counts)
     lb, joint, mB, mJ, _ = joined
-    mC = mB[lb]
-    live = mC > 0.0
-    m = np.divide(mJ[joint], mC, out=np.zeros(mC.shape[0]), where=live)
-    # a positive-mass atom makes its cond block's mass positive
-    positive = masses > 0.0
-    logs = np.zeros(masses.shape[0])
+    m = _trace_shares(lb, joint, mB, mJ)[1]
+    positive = m > 0.0
+    logs = np.zeros(m.shape[0])
     logs[positive] = [math.log(v) for v in m[positive].tolist()]
-    integrals = _block_totals(masses, logs, sizes)
-    return joined, m, live, np.abs(np.add(_join_entropies(*joined), integrals))
+    integrals = _block_totals(masses, logs[joint], sizes)
+    return joined, m[joint], mB[lb] > 0.0, np.abs(_join_entropies(*joined) + integrals)
 
 
 class FactorSpace:
@@ -774,7 +782,7 @@ class Disintegration:
         wanted = np.zeros(len(self.space), dtype=bool)
         wanted[self.space._indices(atoms)] = True
         p = self.partition
-        return _stacked_reintegration(self.space.masses, p._labels, p.block_masses(), [p._k], wanted)[0]
+        return _stacked_reintegration(self.space.masses, p._labels, p.block_masses(), [p._k], wanted).item()
 
 
 def _fiber_masses(masses: np.ndarray, labels: np.ndarray, order: np.ndarray, block_masses) -> np.ndarray:
@@ -784,7 +792,7 @@ def _fiber_masses(masses: np.ndarray, labels: np.ndarray, order: np.ndarray, blo
     return np.divide(masses[order], per_atom, out=np.zeros(order.shape[0]), where=per_atom > 0.0)
 
 
-def _stacked_reintegration(masses, labels, block_masses, counts, wanted) -> list:
+def _stacked_reintegration(masses, labels, block_masses, counts, wanted) -> np.ndarray:
     """For many partitions, stacked as ``_stacked_join`` stacks its betas
     (``counts`` blocks each, with their ``block_masses``), the mass of
     the ``wanted`` atoms re-integrated over each partition's fibers.

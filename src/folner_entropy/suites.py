@@ -9,8 +9,13 @@ within a tolerance.
 Trials are drawn a batch at a time, as raw arrays over the batch's
 spaces laid back to back: consecutive trials are stacked until their
 terms hold ``_BATCH_ATOMS`` atoms, and a batch takes a fixed number of
-generator calls, however many trials it holds. A trial's instance has
-this distribution:
+generator calls, however many trials it holds. The draw batch is the
+unit of drawing; the pass is the unit of computing. The disintegration
+and exhaustion sweeps compute each draw batch as one array pass; the
+identities sweep joins consecutive draw batches into one pass until
+its terms hold ``_PASS_ATOMS`` atoms (``_identity_passes``), which
+changes no instance and no report. A trial's instance has this
+distribution:
 
 - a space of n atoms, n uniform in 2..max_atoms, with uniform weights;
   from 3 atoms on, with probability 0.3, a uniform k-subset of them is
@@ -22,7 +27,7 @@ this distribution:
 A seed's instances depend on the order of these draws and on
 ``_BATCH_ATOMS``; they differ from those of earlier versions, which drew
 each trial with its own generator calls. No space, partition or check
-object is built per trial: a batch takes one check of its masses
+object is built per trial: a pass takes one check of its masses
 (``FiniteProbabilitySpace``'s, with its messages), one array pass of the
 verifier entry the sweep exercises, and one ``PropertyStats.record_all``
 per property. Every report is the one a verifier call per trial, on the
@@ -62,9 +67,9 @@ from .systems import DEFAULT_PATTERN_CAP, _as_subalgebra, _cycle_minima, _requir
 # ---------------------------------------------------------------------------
 
 
-# the largest max_atoms a sweep takes: a batch closes at _BATCH_ATOMS, so
-# memory follows the largest single trial (at this bound the identities
-# sweep peaks near 180 MiB of arrays, 280 MiB max RSS)
+# the largest max_atoms a sweep takes: a batch or pass closes at a fixed
+# atom count, so memory follows the largest single trial (at this bound
+# the identities sweep peaks near 180 MiB of arrays, 280 MiB max RSS)
 MAX_ATOMS_LIMIT = 1 << 17
 
 
@@ -79,9 +84,11 @@ def _require_arguments(trials: int, seed: int, max_atoms: int, *tolerances: floa
     _require_tolerances(*tolerances)
 
 
-# a sweep stacks the terms of consecutive trials into one array pass until
-# they hold this many atoms, which bounds the batch's memory
+# a draw batch stacks the terms of consecutive trials until they hold
+# this many atoms; an identities pass joins batches until its terms hold
+# _PASS_ATOMS, which bounds a pass's memory
 _BATCH_ATOMS = 4096
+_PASS_ATOMS = 4 * _BATCH_ATOMS
 
 
 def _batch_rows(rng: np.random.Generator, trials: int, low: list, high: list, atoms: Callable) -> Iterator:
@@ -155,6 +162,42 @@ def _identity_batches(rng: np.random.Generator, trials: int, max_atoms: int) -> 
         masses, perm = _permutation_masses(rng, sizes)
         bounds = rng.integers(1, sizes + 1, size=(3, sizes.shape[0]))
         yield sizes, masses, perm, rng.integers(0, bounds.repeat(sizes, axis=1)), bounds
+
+
+def _identity_passes(batches: Iterator) -> Iterator:
+    """Consecutive ``_identity_batches`` draw batches joined into array
+    passes, in order: a pass closes once its terms hold ``_PASS_ATOMS``
+    atoms, and a batch that holds that many alone is its own pass. A
+    pass has the fields of a batch: the sizes, masses, label rows and
+    bounds concatenated, and each batch's permutation shifted past the
+    atoms of the batches before it."""
+    pending, atoms = [], 0
+    for batch in batches:
+        terms = 10 * batch[1].shape[0]
+        if pending and terms >= _PASS_ATOMS:
+            yield _joined(pending)
+            pending, atoms = [], 0
+        pending.append(batch)
+        atoms += terms
+        if atoms >= _PASS_ATOMS:
+            yield _joined(pending)
+            pending, atoms = [], 0
+    if pending:
+        yield _joined(pending)
+
+
+def _joined(batches: list) -> tuple:
+    """One identities pass of these draw batches (see ``_identity_passes``);
+    a lone batch is the pass as it is, not a copy."""
+    if len(batches) == 1:
+        return batches[0]
+    sizes, masses, perms, labels, bounds = zip(*batches)
+    starts = np.cumsum([0, *(m.shape[0] for m in masses[:-1])]).tolist()
+    perm = np.concatenate([p + start for p, start in zip(perms, starts)])
+    return (
+        np.concatenate(sizes), np.concatenate(masses), perm,
+        np.concatenate(labels, axis=1), np.concatenate(bounds, axis=1),
+    )
 
 
 def _disintegration_batches(rng: np.random.Generator, trials: int, max_atoms: int) -> Iterator:
@@ -255,10 +298,14 @@ def sweep_identities(
     measure isomorphisms), and checks all identities on a random
     partition triple. A batch is drawn as raw arrays
     (``_identity_batches``): the masses, the permutation and three label
-    rows. Each batch takes one check of its masses, one of its
-    permutations, which raises ``FinitePMPAction``'s errors, one
-    ``_identity_entropies`` pass, the one ``verify_entropy_identities``
-    makes for a single triple, and the same check arithmetic over arrays. The report is the one a
+    rows. Consecutive draw batches are joined into passes of about
+    ``_PASS_ATOMS`` term atoms (``_identity_passes``), so that the fixed
+    cost of a pass is paid about once per four batches; the draws are
+    the same, and so is the report. Each pass takes one check of its
+    masses, one of its permutations, which raises ``FinitePMPAction``'s
+    errors, one ``_identity_entropies`` pass, the one
+    ``verify_entropy_identities`` makes for a single triple, and the same
+    check arithmetic over its arrays of values. The report is the one a
     ``verify_entropy_identities`` call per trial gives. Both tolerances
     must be finite and nonnegative, ``seed`` a nonnegative integer, and
     ``max_atoms`` in 2..``MAX_ATOMS_LIMIT`` (2^17).
@@ -266,8 +313,8 @@ def sweep_identities(
     _require_arguments(trials, seed, max_atoms, tolerance, equality_tolerance)
     report = SweepReport(trials, seed)
     elements = _unit_elements(1)
-    batches = _identity_batches(np.random.default_rng(seed), trials, max_atoms)
-    for sizes, masses, perm, labels, bounds in batches:
+    passes = _identity_passes(_identity_batches(np.random.default_rng(seed), trials, max_atoms))
+    for sizes, masses, perm, labels, bounds in passes:
         sizes, bounds = sizes.tolist(), bounds.max(axis=1).tolist()
         _require_probabilities(masses, sizes)
         perm = _stacked_permutations(masses, perm, sizes)
@@ -275,13 +322,13 @@ def sweep_identities(
         inverse[perm] = np.arange(perm.shape[0])
         # T_e gathers through the inverse, T_-e and the raw map through perm,
         # whose pair is stacked once
-        values = np.array(_identity_entropies(masses, sizes, labels, bounds, [inverse, perm, perm])).T
+        values = _identity_entropies(masses, sizes, labels, bounds, [inverse, perm, perm])
         _record_slacks(report, _identity_slacks(values, elements, True, tolerance, equality_tolerance))
     return report
 
 
 def _record_slacks(report: SweepReport, slacks: list) -> None:
-    """Record a batch's (name, slack array over the trials, tolerance,
+    """Record a pass's (name, slack array over the trials, tolerance,
     detail) checks, trial by trial and in check order within a trial, as
     recording each trial's checks in turn would."""
     by_name: dict = {}
@@ -337,7 +384,7 @@ def sweep_disintegration(
         rebuilt = _stacked_reintegration(masses, cond, mC, counts, pick)
         trial = np.arange(count).repeat(sizes)
         direct = _group_sums(masses[pick], trial[pick], count)
-        report.stat("reconstruction", tolerance).record_all(-np.abs(np.subtract(rebuilt, direct)))
+        report.stat("reconstruction", tolerance).record_all(-np.abs(rebuilt - direct))
         report.stat("mass_function_integral", tolerance).record_all(-gaps)
     return report
 
@@ -383,7 +430,6 @@ def sweep_exhaustion(
             masses, sizes, labels[0], (labels[1], bounds[1]), np.stack(codes), max(chain_bounds),
             np.arange(count).repeat(lengths), item_row,
         )
-        values = np.array(values)
         report.stat("chain_monotone", tolerance).record_all(_chain_min_steps(values, lengths))
         report.stat("chain_vanishes", tolerance).record_all(-np.abs(values[lengths.cumsum() - 1]))
     return report

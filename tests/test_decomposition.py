@@ -485,7 +485,7 @@ def test_batched_reintegration_equals_one_item_oracle(seed, count):
     wanted = np.zeros(masses.shape[0], dtype=bool)
     for (space, _, _, atoms), start in zip(cases, accumulate(sizes, initial=0)):
         wanted[[start + space.index(a) for a in atoms]] = True
-    got = _stacked_reintegration(masses, *conds, wanted)
+    got = _stacked_reintegration(masses, *conds, wanted).tolist()
     assert [repr(v) for v in got] == expected
     one = [disintegrate(s, c).reconstruct(atoms) for s, _, c, atoms in cases]
     assert [repr(v) for v in one] == expected

@@ -1745,7 +1745,7 @@ def test_identity_entropies_equal_partition_algebra(max_atoms, spread):
         (own,) = engine._identity_entropies(
             space.masses, [len(space)], labels, [p.n_blocks for p in triple],
             [inverse, np.asarray(perm), np.asarray(perm)],
-        )
+        ).T.tolist()
         assert repr(own) == repr(expected[-1])
     # all triples stacked, as a sweep batch stacks them
     sizes = [len(space) for space, _, _ in instances]
@@ -1761,8 +1761,25 @@ def test_identity_entropies_equal_partition_algebra(max_atoms, spread):
     stacked = engine._identity_entropies(
         np.concatenate([space.masses for space, _, _ in instances]), sizes, labels, bounds,
         [np.argsort(perm), perm, perm],
-    )
+    ).T.tolist()
     assert repr(stacked) == repr(expected)
+
+
+def test_one_call_entry_points_return_python_floats():
+    # the array entries return arrays over their pairs; a one-pair call
+    # converts once, so no numpy scalar reaches a report or a repr
+    space = FiniteProbabilitySpace(range(4), [0.1, 0.2, 0.3, 0.4])
+    alpha = Partition.from_labels(space, [0, 1, 1, 0])
+    beta = Partition.from_labels(space, [0, 0, 1, 1])
+    action = FinitePMPAction(space, [(0, 1, 2, 3)])
+    assert type(conditional_entropy(alpha, beta)) is float
+    assert type(spaces.disintegrate(space, beta).reconstruct([0, 2])) is float
+    report = verify_entropy_identities(space, alpha, beta, Partition.trivial(space), action, pmp_map=(0, 1, 2, 3))
+    assert report.checks and all(type(c.slack) is float for c in report.checks)
+    chain = [beta, join(alpha, beta), Partition.points(space)]
+    result = verify_chain_exhaustion(space, chain, alpha)
+    assert type(result.values) is list and all(type(v) is float for v in result.values)
+    assert type(result.min_step_slack) is float
 
 
 # -- exhaustion --------------------------------------------------------------------

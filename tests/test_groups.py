@@ -744,6 +744,20 @@ def test_box_larger_than_len_is_a_named_value_error():
     assert len(FolnerSubset.box(1000, 1)) == 1
 
 
+def test_folner_sequence_rejects_an_oversized_box_at_construction():
+    # the schedule used to construct, so a rate trace computed every row
+    # before the oversized box raised and discarded them
+    message = f"^box side\\^d must be at most {sys.maxsize}, got "
+    with pytest.raises(ValueError, match=message + "1180591620717411303424\\^1$"):
+        FolnerSequence(1, (1, 2**40, 2**70))
+    with pytest.raises(ValueError, match=message + "4294967296\\^2$"):
+        FolnerSequence(2, (1, 2, 2**32))
+    # the order checks come first
+    with pytest.raises(ValueError, match="^sides must be strictly increasing positive integers$"):
+        FolnerSequence(1, (2**70, 1))
+    assert len(FolnerSequence(2, (1, 2**31)).subset(2)) == 2**62
+
+
 def test_locate_rows_in_a_window():
     W = FolnerSubset([(-3,), (0,), (2,), (5,), (9,)], 1)
     assert W.locate(FolnerSubset([(9,), (0,), (5,)], 1)).tolist() == [1, 3, 4]

@@ -544,7 +544,7 @@ def _stacked_entropies(masses, alpha, beta, sizes):
     """H(alpha | beta) of every pair of raw code arrays stacked back to
     back (``sizes`` atoms each), as the disintegration and exhaustion
     sweeps read them: the betas relabelled, then the joins."""
-    return _offset_entropies(masses, alpha, *_stacked_betas(masses, beta, sizes))
+    return _offset_entropies(masses, alpha, *_stacked_betas(masses, beta, sizes)).tolist()
 
 
 def _stacked_pair_entropies(pairs):
@@ -583,7 +583,7 @@ def test_stacked_pairs_read_every_pair_from_parts_relabelled_once(seed, count):
     alpha, beta = (np.concatenate([p.labels() for p in ps]) for ps in zip(*cases))
     joint = _join_codes([(alpha, int(alpha.max()) + 1), (beta, int(beta.max()) + 1)])[0]
     sizes = [len(b.space) for _, b in cases]
-    got = _join_entropies(*_stacked_pairs(masses, [beta, joint, alpha], sizes, [(1, 0), (1, 2), (2, 2), (1, 0)]))
+    got = _join_entropies(*_stacked_pairs(masses, [beta, joint, alpha], sizes, [(1, 0), (1, 2), (2, 2), (1, 0)])).tolist()
     a_b = [repr(_one_pair_conditional_entropy(a, b)) for a, b in cases]
     b_a = [repr(_one_pair_conditional_entropy(b, a)) for a, b in cases]
     a_a = [repr(_one_pair_conditional_entropy(a, a)) for a, _ in cases]
@@ -808,7 +808,7 @@ def test_block_totals_equal_the_left_to_right_loop(seed):
         values = rng.random(k) * rng.choice([1.0, 1e-10, 1e10], size=k)
         values[rng.random(k) < 0.1] = -0.0
         expected = _block_totals_loop(masses.tolist(), values.tolist(), counts)
-        got = _block_totals(masses, values, counts)
+        got = _block_totals(masses, values, counts).tolist()
         assert got == expected
         assert repr(got) == repr(expected)
 

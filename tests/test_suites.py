@@ -284,19 +284,63 @@ def test_sweeps_make_one_array_pass_per_batch(monkeypatch, seed):
     assert 1 <= calls["join"] <= 3
     assert built_nothing()
     # a trial's 10 pairs hold at most 100 atoms, so 500 trials close at most
-    # 500 * 100 / 4096 + 1 batches
+    # 500 * 100 / 16384 + 1 identities passes
     calls["join"] = 0
     sweep_identities(500, seed)
-    assert 1 <= calls["join"] <= 500 * 100 // suites._BATCH_ATOMS + 1
+    assert 1 <= calls["join"] <= 500 * 100 // suites._PASS_ATOMS + 1
     assert built_nothing()
 
 
-@pytest.mark.parametrize("max_atoms", [10, 200])
-def test_identities_batch_relabels_each_distinct_partition_once(monkeypatch, max_atoms):
-    # a batch of N atoms relabels its 10 distinct partitions (alpha, gamma,
+def _pass_atoms(batch_atoms):
+    """The atoms of each identities pass over draw batches of these
+    atoms: a pass closes once its terms (10 per atom) hold _PASS_ATOMS
+    atoms, and a batch that holds that many alone is its own pass."""
+    passes, atoms = [], 0
+    for n in batch_atoms:
+        if atoms and 10 * n >= suites._PASS_ATOMS:
+            passes.append(atoms)
+            atoms = 0
+        atoms += n
+        if 10 * atoms >= suites._PASS_ATOMS:
+            passes.append(atoms)
+            atoms = 0
+    return passes + [atoms] if atoms else passes
+
+
+def test_identity_passes_join_batches_field_by_field():
+    # the second pass is one batch at the bound, which closes the first
+    # early; the third reaches the bound with two batches
+    bound = -(-suites._PASS_ATOMS // 10)
+    rng = np.random.default_rng(0)
+    batches = []
+    for atoms in (500, 1000, bound, 3, bound - 3, 7):
+        sizes = [atoms // 2, atoms - atoms // 2] if atoms > 3 else [atoms]
+        batch = _identity_batch([(np.full(n, 1 / n), rng.permutation(n)) for n in sizes])
+        batches.append((*batch[:3], rng.integers(0, 5, size=(3, atoms)), rng.integers(1, 5, size=(3, len(sizes)))))
+    passes = list(suites._identity_passes(iter(batches)))
+    assert [p[1].shape[0] for p in passes] == _pass_atoms([b[1].shape[0] for b in batches]) == [1500, bound, bound, 7]
+    assert passes[1] is batches[2] and passes[3] is batches[5]
+    for joined, parts in zip(passes, ([0, 1], [2], [3, 4], [5])):
+        start = 0
+        for j in parts:
+            sizes, masses, perm, labels, bounds = batches[j]
+            n = masses.shape[0]
+            assert (joined[1][start : start + n] == masses).all()
+            assert (joined[2][start : start + n] == perm + start).all()
+            assert (joined[3][:, start : start + n] == labels).all()
+            start += n
+        assert start == joined[1].shape[0]
+        for field in (0, 4):
+            assert (joined[field] == np.concatenate([batches[j][field] for j in parts], axis=-1)).all()
+
+
+@pytest.mark.parametrize("max_atoms", [10, 200, 2000])
+def test_identities_pass_relabels_each_distinct_partition_once(monkeypatch, max_atoms):
+    # a pass of N atoms relabels its 10 distinct partitions (alpha, gamma,
     # the four joins, and gamma and alpha v gamma under both image maps) in
     # one pass over 10 N atoms; relabelling the 9 pairs' betas and then
-    # their joins took 18 N
+    # their joins took 18 N. A pass joins about four draw batches; at 2000
+    # atoms a draw batch can hold a pass alone
     batches, relabelled = [], []
     draw, canonical = suites._identity_batches, spaces._canonical
 
@@ -312,8 +356,57 @@ def test_identities_batch_relabels_each_distinct_partition_once(monkeypatch, max
     monkeypatch.setattr(suites, "_identity_batches", drawn)
     monkeypatch.setattr(spaces, "_canonical", counted)
     sweep_identities(500, 3, max_atoms)
-    assert len(batches) > 1
-    assert relabelled == [10 * n for n in batches]
+    passes = _pass_atoms(batches)
+    assert 1 < len(passes) < len(batches)
+    assert relabelled == [10 * n for n in passes]
+
+
+def _identity_report_with_passes(monkeypatch, pass_atoms, *args):
+    monkeypatch.setattr(suites, "_PASS_ATOMS", pass_atoms)
+    return repr(sweep_identities(*args))
+
+
+@pytest.mark.parametrize("max_atoms, trials", [(10, 700), (40, 250), (200, 90)])
+def test_identity_passes_change_no_report(monkeypatch, max_atoms, trials):
+    # with _PASS_ATOMS at _BATCH_ATOMS every draw batch is its own pass.
+    # A single trial is part of a pass; most of these counts end mid-pass
+    # after several passes of about four batches each
+    passes = suites._identity_passes
+    recorded = []
+
+    def recording(batches):
+        recorded.clear()
+        for p in passes(batches):
+            recorded.append(10 * p[1].shape[0])
+            yield p
+
+    monkeypatch.setattr(suites, "_identity_passes", recording)
+    ended_mid_pass = 0
+    for seed in range(10):
+        for count in (1, trials):
+            joined = _identity_report_with_passes(monkeypatch, 4 * suites._BATCH_ATOMS, count, seed, max_atoms)
+            ended_mid_pass += count > 1 and len(recorded) > 2 and recorded[-1] < suites._PASS_ATOMS
+            batched = _identity_report_with_passes(monkeypatch, suites._BATCH_ATOMS, count, seed, max_atoms)
+            assert joined == batched
+    assert ended_mid_pass >= 8
+
+
+def test_identity_passes_need_the_permutation_shift(monkeypatch):
+    # a pass whose batches keep their own permutation indices sends the
+    # atoms of every batch but the first into the first batch's trials
+    def unshifted(batches):
+        if len(batches) == 1:
+            return batches[0]
+        sizes, masses, perms, labels, bounds = zip(*batches)
+        return (
+            np.concatenate(sizes), np.concatenate(masses), np.concatenate(perms),
+            np.concatenate(labels, axis=1), np.concatenate(bounds, axis=1),
+        )
+
+    sweep_identities(500, 0)
+    monkeypatch.setattr(suites, "_joined", unshifted)
+    with pytest.raises(ValueError, match="^generator is not a permutation$"):
+        sweep_identities(500, 0)
 
 
 class _CountingGenerator:
@@ -334,19 +427,25 @@ class _CountingGenerator:
 
 @pytest.mark.parametrize("sweep", [sweep_identities, sweep_disintegration, sweep_exhaustion])
 def test_sweeps_make_a_few_generator_calls_per_batch(monkeypatch, sweep):
-    # per-trial draws made about nine generator calls a trial; a batch's
-    # draw makes at most eight, however many trials the batch holds
+    # per-trial draws made about nine generator calls a trial; a draw
+    # batch makes at most eight, however many trials the batch holds
     calls = {"generator": 0, "batch": 0}
-    default_rng, check = np.random.default_rng, suites._require_probabilities
+    draw = {
+        sweep_identities: "_identity_batches",
+        sweep_disintegration: "_disintegration_batches",
+        sweep_exhaustion: "_exhaustion_batches",
+    }[sweep]
+    default_rng, batches = np.random.default_rng, getattr(suites, draw)
 
-    def counted_check(*args):
-        calls["batch"] += 1
-        return check(*args)
+    def counted_batches(*args):
+        for batch in batches(*args):
+            calls["batch"] += 1
+            yield batch
 
     monkeypatch.setattr(
         suites.np.random, "default_rng", lambda seed: _CountingGenerator(default_rng(seed), calls)
     )
-    monkeypatch.setattr(suites, "_require_probabilities", counted_check)
+    monkeypatch.setattr(suites, draw, counted_batches)
     for trials in (1, 30, 3000):
         calls.update(generator=0, batch=0)
         sweep(trials, 5)
